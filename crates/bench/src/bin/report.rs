@@ -1175,19 +1175,23 @@ fn ingest_baseline() {
 }
 
 /// E10 baseline: the mixed multi-project workload through the sharded
-/// runtime at 1/2/4/8 shards (streaming mode). Records the sweep to
-/// `BENCH_shard.json` so CI and future sessions can compare against it,
-/// and exits non-zero if 4 shards are less than 2× faster than 1 shard.
-/// The speedup has two sources: parallel fixpoint work on multi-core
-/// hosts, and — independent of core count — deeper per-project mailbox
-/// batching (each shard syncs only its own dirty projects every
-/// `drain_every` events, so redundant re-sync work shrinks with the shard
-/// count).
+/// runtime at 1/2/4/8 shards (streaming mode). Records the sweep and the
+/// machine's core count to `BENCH_shard.json`, and exits non-zero if one
+/// shard's cost per event at the full size exceeds
+/// [`SHARD_LINEARITY_MAX`]× its cost at a quarter of the items, or if 4
+/// shards are slower than 1. Speed-up beyond that comes only from cores:
+/// read `speedup` against `nproc`.
+///
+/// [`SHARD_LINEARITY_MAX`]: crowd4u_bench::SHARD_LINEARITY_MAX
 fn shard_baseline() {
-    use crowd4u_bench::{run_shard_workload, ShardWorkload};
+    use crowd4u_bench::{
+        best_shard_run, shard_linearity, ShardWorkload, SHARD_LINEARITY_MAX, SHARD_NOT_SLOWER_MIN,
+    };
+    const REPS: usize = 3;
     let w = ShardWorkload::default();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "## E10 — shard scaling: {} projects x {} items, drain_every {}\n",
+        "## E10 — shard scaling: {} projects x {} items, drain_every {}, {nproc} cores, best of {REPS}\n",
         w.projects, w.items, w.drain_every
     );
     let mut t = TablePrinter::new(&["shards", "time", "events/s", "speedup"]);
@@ -1195,12 +1199,11 @@ fn shard_baseline() {
     let mut t1 = 0.0f64;
     let mut good_ref = None;
     for &shards in &[1usize, 2, 4, 8] {
-        let (elapsed, events, good) = run_shard_workload(shards, &w);
+        let (secs, events, good) = best_shard_run(shards, &w, REPS);
         match good_ref {
             None => good_ref = Some(good),
             Some(g) => assert_eq!(g, good, "shard counts must derive identical facts"),
         }
-        let secs = elapsed.as_secs_f64();
         if shards == 1 {
             t1 = secs;
         }
@@ -1208,13 +1211,21 @@ fn shard_baseline() {
         let speedup = t1 / secs;
         t.row(vec![
             shards.to_string(),
-            format!("{elapsed:.2?}"),
+            format!("{:.2} ms", secs * 1e3),
             format!("{rate:.0}"),
             format!("{speedup:.2}x"),
         ]);
         rows.push((shards, secs * 1e3, rate, speedup));
     }
     println!("{}", t.render());
+
+    let (us_small, us_full) = shard_linearity(&w, 2 * REPS);
+    let growth = us_full / us_small;
+    println!(
+        "1 shard: {us_small:.2} us/event at {} items, {us_full:.2} us/event at {} items ({growth:.2}x)\n",
+        w.items / 4,
+        w.items
+    );
 
     let speedup_4 = rows
         .iter()
@@ -1231,21 +1242,31 @@ fn shard_baseline() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e10_shard_scaling\",\n  \"projects\": {},\n  \
-         \"items\": {},\n  \"drain_every\": {},\n  \"good_facts\": {},\n  \"runs\": [\n{}\n  ],\n  \
-         \"speedup_4_shards\": {:.2}\n}}\n",
+        "{{\n  \"experiment\": \"e10_shard_scaling\",\n  \"nproc\": {nproc},\n  \
+         \"projects\": {},\n  \"items\": {},\n  \"drain_every\": {},\n  \
+         \"good_facts\": {},\n  \"runs\": [\n{}\n  ],\n  \
+         \"speedup_4_shards\": {:.2},\n  \
+         \"one_shard_us_per_event\": {{ \"items_{}\": {us_small:.2}, \"items_{}\": {us_full:.2}, \
+         \"growth\": {growth:.2} }}\n}}\n",
         w.projects,
         w.items,
         w.drain_every,
         good_ref.unwrap_or(0),
         runs.join(",\n"),
         speedup_4,
+        w.items / 4,
+        w.items,
     );
     std::fs::write("BENCH_shard.json", &json).expect("write BENCH_shard.json");
     println!("baseline recorded to BENCH_shard.json");
     assert!(
-        speedup_4 >= 2.0,
-        "shard scaling regressed: 4 shards only {speedup_4:.2}x faster than 1"
+        growth <= SHARD_LINEARITY_MAX,
+        "apply path is super-linear again: 1-shard cost per event grew {growth:.2}x \
+         with 4x the items (limit {SHARD_LINEARITY_MAX}x)"
+    );
+    assert!(
+        speedup_4 >= SHARD_NOT_SLOWER_MIN,
+        "4 shards are slower than 1 ({speedup_4:.2}x)"
     );
 }
 

@@ -175,6 +175,47 @@ pub fn run_shard_workload(shards: usize, w: &ShardWorkload) -> (std::time::Durat
     run_shard_workload_instrumented(shards, w, crowd4u_telemetry::Registry::from_env())
 }
 
+/// E10 linearity gate: one shard's cost per event at the full size may be
+/// at most this many times its cost at a quarter of the items. A sync or
+/// answer path whose cost grows with the backlog fails it (before the
+/// apply path was flattened the ratio was above 3).
+pub const SHARD_LINEARITY_MAX: f64 = 1.5;
+
+/// E10 scaling gate: four shards must not be slower than one (1-shard
+/// time over 4-shard time, each the best of N runs).
+pub const SHARD_NOT_SLOWER_MIN: f64 = 1.0;
+
+/// Best of `reps` runs of [`run_shard_workload`]: `(seconds, events,
+/// derived good facts)`.
+pub fn best_shard_run(shards: usize, w: &ShardWorkload, reps: usize) -> (f64, u64, usize) {
+    (0..reps.max(1))
+        .map(|_| {
+            let (elapsed, events, good) = run_shard_workload(shards, w);
+            (elapsed.as_secs_f64(), events, good)
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("at least one run")
+}
+
+/// The measurement behind [`SHARD_LINEARITY_MAX`]: one shard's cost per
+/// event in µs at a quarter of `w`'s items and at all of them, `(quarter,
+/// full)`, each the best of `reps` runs. The two sizes alternate, so a
+/// slow phase of a shared host falls on both and not on one side of the
+/// ratio.
+pub fn shard_linearity(w: &ShardWorkload, reps: usize) -> (f64, f64) {
+    let quarter = ShardWorkload {
+        items: w.items / 4,
+        ..*w
+    };
+    let us_per_event = |w: &ShardWorkload| {
+        let (elapsed, events, _) = run_shard_workload(1, w);
+        elapsed.as_secs_f64() * 1e6 / events as f64
+    };
+    (0..reps.max(1)).fold((f64::MAX, f64::MAX), |(small, full), _| {
+        (small.min(us_per_event(&quarter)), full.min(us_per_event(w)))
+    })
+}
+
 /// [`run_shard_workload`] with an explicit telemetry registry instead of
 /// the environment default — the E14 overhead A/B harness: run the same
 /// stream with `Registry::new()` and `Registry::disabled()` and compare

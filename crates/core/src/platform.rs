@@ -133,6 +133,9 @@ pub struct Crowd4U {
     owner_clocks: BTreeMap<u64, SimTime>,
     pub controller: AssignmentController,
     pub counters: Counters,
+    /// Reused buffer for scoped counter names (`p<project>.<name>`): a bump
+    /// formats into it instead of allocating a `String` per event.
+    counter_key: String,
     /// Give up on a collaborative task after this many missed deadlines.
     pub max_reassignments: u32,
     /// A collaboration member idle for this long counts as stalled.
@@ -160,6 +163,7 @@ impl Default for Crowd4U {
             owner_clocks: BTreeMap::new(),
             controller: AssignmentController::default(),
             counters: Counters::new(),
+            counter_key: String::new(),
             max_reassignments: 3,
             stall_after: SimDuration::minutes(30),
             journal: EventJournal::new(),
@@ -216,7 +220,14 @@ impl Crowd4U {
     /// formed the team, a per-project count can. Like all counters they
     /// are volatile bookkeeping — excluded from [`Crowd4U::state_dump`].
     fn bump_project_counter(&mut self, project: ProjectId, name: &str) {
-        self.counters.incr(&format!("p{}.{name}", project.0));
+        self.bump_scoped(format_args!("p{}.{name}", project.0));
+    }
+
+    fn bump_scoped(&mut self, key: std::fmt::Arguments<'_>) {
+        use std::fmt::Write as _;
+        self.counter_key.clear();
+        let _ = self.counter_key.write_fmt(key);
+        self.counters.incr(&self.counter_key);
     }
 
     /// A project-scoped counter (see the mirrored increments:
@@ -550,21 +561,21 @@ impl Crowd4U {
             .get_mut(&project)
             .ok_or(PlatformError::UnknownProject(project))?;
         proj.engine.run()?;
-        let requests: Vec<(String, Vec<Value>, i64)> = proj
-            .engine
-            .pending_requests()
-            .iter()
-            .map(|r| (r.pred_name.clone(), r.inputs.clone(), r.points))
-            .collect();
+        // Only the demands enqueued since the last hand-off: the backlog of
+        // questions that already have a task is never revisited.
         let mut new_tasks = Vec::new();
-        for (pred, inputs, points) in requests {
-            if self.pool.find_micro(project, &pred, &inputs).is_none() {
+        for r in proj.engine.take_new_requests() {
+            if self
+                .pool
+                .find_micro(project, &r.pred_name, &r.inputs)
+                .is_none()
+            {
                 let id = self.pool.register(
                     project,
                     TaskBody::Micro {
-                        predicate: pred,
-                        inputs,
-                        points,
+                        predicate: r.pred_name.clone(),
+                        inputs: r.inputs.clone(),
+                        points: r.points,
                     },
                     now,
                 );
@@ -932,8 +943,7 @@ impl Crowd4U {
         // platform-wide history length must decompose exactly into these
         // cells (see `worker_collabs_in`).
         for w in &members {
-            self.counters
-                .incr(&format!("p{}.w{}.collabs", task.project().0, w.0));
+            self.bump_scoped(format_args!("p{}.w{}.collabs", task.project().0, w.0));
         }
         if let Some(m) = self.monitors.get_mut(&task) {
             m.apply(MonitorEvent::Completed);

@@ -31,8 +31,11 @@ impl Default for RelationStore {
                     Schema::of(&[("worker", ValueType::Id), ("task", ValueType::Id)]),
                 )
                 .expect("fresh database");
-            rel.create_index(&["worker"], false).expect("index");
+            // A `(worker, task)` probe can use either index; the storage
+            // layer walks the shorter posting list (a task's few workers,
+            // not a worker's every task) and, on a tie, the first declared.
             rel.create_index(&["task"], false).expect("index");
+            rel.create_index(&["worker"], false).expect("index");
         }
         RelationStore { db }
     }
@@ -162,9 +165,11 @@ impl RelationStore {
 
     /// Remove every relationship of a finished/abandoned task.
     pub fn clear_task(&mut self, t: TaskId) -> Result<(), PlatformError> {
-        // Point deletion through the task index — a task's rows are a
-        // vanishing fraction of the store on a platform with many tasks
-        // and workers, and this runs on every answer and completion.
+        // Runs on every answer and completion. The task index finds the
+        // rows (one per worker of the task); taking each out of its
+        // worker's posting list then scans that list for the row id, so
+        // the cost is the task's rows plus a cheap pass over those
+        // workers' lists — not O(matches), and not a hash probe per entry.
         for rel in RELS {
             self.db
                 .relation_mut(rel)?

@@ -170,8 +170,10 @@ pub struct TaskPool {
     open_by_project: BTreeMap<ProjectId, BTreeSet<TaskId>>,
     /// Recruitment deadlines of suggested tasks, time-ordered.
     deadlines: BTreeSet<(SimTime, TaskId)>,
-    /// Micro-task lookup by (project, predicate, inputs).
-    micro: BTreeMap<(ProjectId, String, Vec<Value>), TaskId>,
+    /// Micro-task lookup by project → predicate → inputs. Nested rather
+    /// than tuple-keyed so a probe borrows its `&str` and `&[Value]`
+    /// instead of building an owned key per lookup.
+    micro: BTreeMap<ProjectId, BTreeMap<String, BTreeMap<Vec<Value>, TaskId>>>,
 }
 
 impl TaskPool {
@@ -219,17 +221,30 @@ impl TaskPool {
         }
     }
 
+    /// Enter a micro-task into the question index.
+    fn index_micro(&mut self, project: ProjectId, body: &TaskBody, id: TaskId) {
+        let TaskBody::Micro {
+            predicate, inputs, ..
+        } = body
+        else {
+            return;
+        };
+        let by_pred = self.micro.entry(project).or_default();
+        match by_pred.get_mut(predicate.as_str()) {
+            Some(by_inputs) => {
+                by_inputs.insert(inputs.clone(), id);
+            }
+            None => {
+                by_pred.insert(predicate.clone(), BTreeMap::from([(inputs.clone(), id)]));
+            }
+        }
+    }
+
     pub fn register(&mut self, project: ProjectId, body: TaskBody, now: SimTime) -> TaskId {
         let local = self.next_local.entry(project).or_insert(0);
         *local += 1;
         let id = TaskId::compose(project, *local);
-        if let TaskBody::Micro {
-            predicate, inputs, ..
-        } = &body
-        {
-            self.micro
-                .insert((project, predicate.clone(), inputs.clone()), id);
-        }
+        self.index_micro(project, &body, id);
         let task = Task {
             id,
             project,
@@ -351,8 +366,8 @@ impl TaskPool {
         predicate: &str,
         inputs: &[Value],
     ) -> Option<&Task> {
-        let key = (project, predicate.to_owned(), inputs.to_vec());
-        self.micro.get(&key).map(|id| &self.tasks[id])
+        let id = self.micro.get(&project)?.get(predicate)?.get(inputs)?;
+        Some(&self.tasks[id])
     }
 
     /// Remove every task belonging to `project` — plus its local-id
@@ -377,15 +392,9 @@ impl TaskPool {
                 &mut self.deadlines,
                 &task,
             );
-            if let TaskBody::Micro {
-                predicate, inputs, ..
-            } = &task.body
-            {
-                self.micro
-                    .remove(&(project, predicate.clone(), inputs.clone()));
-            }
             out.push(task);
         }
+        self.micro.remove(&project);
         (out, self.next_local.remove(&project).unwrap_or(0))
     }
 
@@ -397,13 +406,7 @@ impl TaskPool {
             self.next_local.insert(project, next_local);
         }
         for task in tasks {
-            if let TaskBody::Micro {
-                predicate, inputs, ..
-            } = &task.body
-            {
-                self.micro
-                    .insert((project, predicate.clone(), inputs.clone()), task.id);
-            }
+            self.index_micro(project, &task.body, task.id);
             Self::index(
                 &mut self.by_state,
                 &mut self.open_by_project,

@@ -103,11 +103,20 @@ pub struct CylogEngine {
     asked: HashSet<(PredId, Vec<Value>)>,
     /// Questions posed and not yet answered.
     pending: Vec<OpenRequest>,
-    /// Keys of `pending` for O(1) membership/removal; `pending` is
-    /// compacted eagerly once answered entries exceed half the queue, and
-    /// otherwise lazily at the next `run`.
-    pending_set: HashSet<(PredId, Vec<Value>)>,
+    /// Inputs of the live `pending` entries, per predicate, for O(1)
+    /// membership/removal probed by `&[Value]`; `pending` is compacted
+    /// eagerly once answered entries exceed half the queue, and otherwise
+    /// lazily at the next `run`.
+    pending_set: Vec<HashSet<Vec<Value>>>,
+    /// Entries across `pending_set`, kept beside it so the eager-compaction
+    /// test on every answer is one comparison.
+    pending_live: usize,
     pending_dirty: bool,
+    /// How many leading `pending` entries the platform has already been
+    /// handed ([`CylogEngine::take_new_requests`]). Part of the engine, so
+    /// demands enqueued but not yet handed off move with it when a project
+    /// migrates.
+    handed_off: usize,
     /// Times the pending queue was compacted (eager + lazy).
     compactions: u64,
     /// Game aspect: worker id → accumulated points.
@@ -142,7 +151,8 @@ impl CylogEngine {
             let rel =
                 db.create_relation(&info.name, Schema::new(cols).map_err(CylogError::from)?)?;
             // Index strategy (keeps large workloads linear):
-            // * full-row index first → O(1) set-semantics dedup;
+            // * full-row index → O(1) set-semantics dedup (a whole-row
+            //   probe always resolves through the widest index);
             // * open predicates: index on the input columns → O(1)
             //   answered-question lookups;
             // * first column: the common join pattern `p(Bound, Free…)`.
@@ -163,14 +173,17 @@ impl CylogEngine {
             .iter()
             .map(|info| (0..info.open_inputs()).collect())
             .collect();
+        let pending_set = vec![HashSet::new(); program.preds.len()];
         let mut engine = CylogEngine {
             program,
             db,
             mode: EvalMode::default(),
             asked: HashSet::new(),
             pending: Vec::new(),
-            pending_set: HashSet::new(),
+            pending_set,
+            pending_live: 0,
             pending_dirty: false,
+            handed_off: 0,
             compactions: 0,
             points: BTreeMap::new(),
             stats: EvalStats::default(),
@@ -372,7 +385,7 @@ impl CylogEngine {
                 PredKind::Open { points, .. } => points,
                 PredKind::Closed => 0,
             };
-            self.pending_set.insert((pid, inputs.clone()));
+            self.pending_live += usize::from(self.pending_set[pid].insert(inputs.clone()));
             self.pending.push(OpenRequest {
                 pred: pid,
                 pred_name: info.name.clone(),
@@ -391,6 +404,20 @@ impl CylogEngine {
     /// Questions awaiting a crowd answer.
     pub fn pending_requests(&self) -> &[OpenRequest] {
         &self.pending
+    }
+
+    /// Hand over the questions enqueued since the previous call that are
+    /// still unanswered, in queue order. This is the engine→platform demand
+    /// hand-off: every question is enqueued once (the `asked` ledger) and
+    /// handed off once, so a caller that registers one task per item it is
+    /// handed does work in proportion to the new demands, not to the
+    /// backlog in [`pending_requests`](Self::pending_requests).
+    pub fn take_new_requests(&mut self) -> impl Iterator<Item = &OpenRequest> {
+        let from = std::mem::replace(&mut self.handed_off, self.pending.len());
+        let live = &self.pending_set;
+        self.pending[from..]
+            .iter()
+            .filter(move |r| live[r.pred].contains(r.inputs.as_slice()))
     }
 
     /// Validate one answer against the program: the predicate must be open,
@@ -450,12 +477,13 @@ impl CylogEngine {
             self.delta_log.entry(pid).or_default().push(t);
         }
         // Remove from pending (it may have been unsolicited — that's fine).
-        if self.pending_set.remove(&(pid, inputs.clone())) {
+        if self.pending_set[pid].remove(inputs.as_slice()) {
+            self.pending_live -= 1;
             self.pending_dirty = true;
             // Eager compaction: once answered entries outnumber live ones,
             // rebuilding the queue now keeps the answered history from
             // accumulating between runs.
-            if 2 * self.pending_set.len() < self.pending.len() {
+            if 2 * self.pending_live < self.pending.len() {
                 self.compact_pending();
             }
         }
@@ -473,9 +501,16 @@ impl CylogEngine {
         if !self.pending_dirty {
             return;
         }
-        let set = &self.pending_set;
-        self.pending
-            .retain(|r| set.contains(&(r.pred, r.inputs.clone())));
+        let live = &self.pending_set;
+        // Entries before the hand-off cursor that survive stay before it.
+        let (handed, mut seen, mut kept_handed) = (self.handed_off, 0, 0);
+        self.pending.retain(|r| {
+            let keep = live[r.pred].contains(r.inputs.as_slice());
+            kept_handed += usize::from(keep && seen < handed);
+            seen += 1;
+            keep
+        });
+        self.handed_off = kept_handed;
         self.pending_dirty = false;
         self.compactions += 1;
     }
@@ -1058,6 +1093,42 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
             .pending_requests()
             .iter()
             .all(|r| r.inputs[0].as_int().unwrap() >= 5));
+    }
+
+    /// The hand-off yields each demand once, skips the ones answered
+    /// before it, and keeps its place when the queue is compacted.
+    #[test]
+    fn take_new_requests_hands_each_live_demand_off_once() {
+        const JUDGE: &str = "rel item(x: int).\n\
+             open judge(x: int) -> (ok: bool) points 1.\n\
+             rel good(x: int).\ngood(X) :- item(X), judge(X, OK), OK = true.\n";
+        let taken = |e: &mut CylogEngine| -> Vec<i64> {
+            e.take_new_requests()
+                .map(|r| r.inputs[0].as_int().unwrap())
+                .collect()
+        };
+        let mut e = CylogEngine::from_source(JUDGE).unwrap();
+        for i in 1..=4 {
+            e.add_fact("item", vec![Value::Int(i)]).unwrap();
+        }
+        e.run().unwrap();
+        // Answered between the run and the hand-off: never handed over.
+        e.answer("judge", vec![Value::Int(2)], vec![true.into()], None)
+            .unwrap();
+        assert_eq!(taken(&mut e), vec![1, 3, 4]);
+        assert_eq!(taken(&mut e), Vec::<i64>::new());
+        // Two more answers tip the eager compaction: the queue shrinks to
+        // [4] underneath the cursor, which must still sit at its end.
+        for i in [1, 3] {
+            e.answer("judge", vec![Value::Int(i)], vec![true.into()], None)
+                .unwrap();
+        }
+        assert_eq!(e.compaction_count(), 1);
+        assert_eq!(e.pending_requests().len(), 1);
+        e.add_fact("item", vec![Value::Int(5)]).unwrap();
+        e.run().unwrap();
+        assert_eq!(taken(&mut e), vec![5]);
+        assert_eq!(e.pending_requests().len(), 2);
     }
 
     /// Pin the `firings` semantics (candidate rows enumerated at positive

@@ -20,7 +20,13 @@ impl Counters {
     }
 
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.map.entry(name.to_owned()).or_insert(0) += n;
+        // Known names (every bump after the first) are found by `&str`.
+        match self.map.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.map.insert(name.to_owned(), n);
+            }
+        }
     }
 
     pub fn get(&self, name: &str) -> u64 {

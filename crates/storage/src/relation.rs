@@ -1,25 +1,92 @@
 //! A single relation (table): slab row storage plus secondary hash indexes.
 //!
 //! Rows live in a slab (`Vec<Option<Tuple>>`) so that row ids stay stable
-//! across deletions; every registered index is maintained eagerly on
-//! insert/delete, which matches the platform's read-heavy workload (task
-//! lookups vastly outnumber task insertions).
+//! across deletions. Every registered index is maintained eagerly, and the
+//! cost of that maintenance is per row touched: an insert pushes one id per
+//! index, a delete or update removes one id per index directly, and only a
+//! bulk delete that takes several rows out of *one* posting list rewrites
+//! that list in a single pass. Posting lists keep insertion order, so a
+//! lookup's result order depends on the rows and the order they arrived in,
+//! never on how an earlier removal was carried out.
+//!
+//! Probes ([`Relation::lookup`], [`Relation::contains`],
+//! [`Relation::insert_distinct`], [`Relation::delete_matching`]) all resolve
+//! through one rule: among the indexes whose columns are all probed, the
+//! widest; among equally wide ones, the one whose posting list for the
+//! probed key is shortest (the first declared on a tie). Declaration order
+//! therefore never changes a result, only — on exact ties — which of two
+//! equally good lists is walked.
 
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 /// Stable identifier of a row inside one relation.
 pub type RowId = u64;
+
+/// The key `ix_cols` select, read out of `values` through `pos` (the
+/// position in `values` that holds a given column). Borrowed when the
+/// selected positions are one ascending run — a single column, a prefix,
+/// the full row, or a probe on exactly the index's columns — so the common
+/// probes hash the caller's values in place instead of cloning them.
+fn key_of<'a>(
+    values: &'a [Value],
+    ix_cols: &[usize],
+    pos: impl Fn(usize) -> usize,
+) -> Cow<'a, [Value]> {
+    let start = ix_cols.first().map_or(0, |&c| pos(c));
+    if ix_cols
+        .iter()
+        .enumerate()
+        .all(|(i, &c)| pos(c) == start + i)
+    {
+        Cow::Borrowed(&values[start..start + ix_cols.len()])
+    } else {
+        Cow::Owned(ix_cols.iter().map(|&c| values[pos(c)].clone()).collect())
+    }
+}
 
 #[derive(Debug, Clone, Default)]
 struct HashIndex {
     cols: Vec<usize>,
     unique: bool,
     map: HashMap<Vec<Value>, Vec<RowId>>,
+}
+
+impl HashIndex {
+    /// The posting list of the key a full row has under this index.
+    fn postings(&self, row: &[Value]) -> Option<&Vec<RowId>> {
+        self.map.get(&*key_of(row, &self.cols, |c| c))
+    }
+
+    fn add(&mut self, row: &[Value], rid: RowId) {
+        let key = key_of(row, &self.cols, |c| c);
+        match self.map.get_mut(&*key) {
+            Some(ids) => ids.push(rid),
+            None => {
+                self.map.insert(key.into_owned(), vec![rid]);
+            }
+        }
+    }
+
+    /// Take one row id out of its posting list, keeping the order of the
+    /// rest: a scan for the position and one `Vec::remove`, no hashing of
+    /// the other ids.
+    fn remove(&mut self, row: &[Value], rid: RowId) {
+        let key = key_of(row, &self.cols, |c| c);
+        let Some(ids) = self.map.get_mut(&*key) else {
+            return;
+        };
+        if let Some(at) = ids.iter().position(|&r| r == rid) {
+            ids.remove(at);
+        }
+        if ids.is_empty() {
+            self.map.remove(&*key);
+        }
+    }
 }
 
 /// An in-memory table with schema enforcement and secondary indexes.
@@ -78,18 +145,11 @@ impl Relation {
             unique,
             map: HashMap::new(),
         };
-        for (rid, slot) in self.slots.iter().enumerate() {
-            if let Some(t) = slot {
-                let key = t.key(&index.cols);
-                let ids = index.map.entry(key).or_default();
-                if unique && !ids.is_empty() {
-                    return Err(StorageError::UniqueViolation {
-                        relation: self.name.clone(),
-                        key: format!("{:?}", t.key(&index.cols)),
-                    });
-                }
-                ids.push(rid as RowId);
+        for (rid, t) in self.iter_ids() {
+            if unique && index.postings(t.values()).is_some() {
+                return Err(self.unique_violation(&index, t));
             }
+            index.add(t.values(), rid);
         }
         self.indexes.push(index);
         Ok(())
@@ -100,35 +160,34 @@ impl Relation {
         self.indexes.iter().any(|i| i.cols == cols)
     }
 
+    fn unique_violation(&self, ix: &HashIndex, t: &Tuple) -> StorageError {
+        StorageError::UniqueViolation {
+            relation: self.name.clone(),
+            key: format!("{:?}", t.key(&ix.cols)),
+        }
+    }
+
     /// Insert a row, returning its id. Fails on schema or unique violations;
     /// a failed insert leaves the relation unchanged.
     pub fn insert(&mut self, row: impl Into<Tuple>) -> Result<RowId, StorageError> {
         let t: Tuple = row.into();
         self.schema.check_row(t.values())?;
-        for ix in &self.indexes {
-            if ix.unique {
-                let key = t.key(&ix.cols);
-                if ix.map.get(&key).is_some_and(|v| !v.is_empty()) {
-                    return Err(StorageError::UniqueViolation {
-                        relation: self.name.clone(),
-                        key: format!("{key:?}"),
-                    });
-                }
+        for ix in self.indexes.iter().filter(|ix| ix.unique) {
+            if ix.postings(t.values()).is_some() {
+                return Err(self.unique_violation(ix, &t));
             }
         }
         let rid = match self.free.pop() {
-            Some(r) => {
-                self.slots[r as usize] = Some(t.clone());
-                r
-            }
+            Some(r) => r,
             None => {
-                self.slots.push(Some(t.clone()));
+                self.slots.push(None);
                 (self.slots.len() - 1) as RowId
             }
         };
         for ix in &mut self.indexes {
-            ix.map.entry(t.key(&ix.cols)).or_default().push(rid);
+            ix.add(t.values(), rid);
         }
+        self.slots[rid as usize] = Some(t);
         self.live += 1;
         Ok(rid)
     }
@@ -149,21 +208,59 @@ impl Relation {
         Ok((rid, true))
     }
 
+    /// The first row identical to `t`: a probe on every column, resolved by
+    /// the selection rule in the module docs.
     fn find_row(&self, t: &Tuple) -> Option<RowId> {
-        // Use the most selective available index, else scan.
-        if let Some(ix) = self.indexes.first() {
-            let key = t.key(&ix.cols);
-            if let Some(ids) = ix.map.get(&key) {
-                return ids
-                    .iter()
-                    .copied()
-                    .find(|&rid| self.slots[rid as usize].as_ref() == Some(t));
-            }
+        if t.arity() != self.schema.arity() {
             return None;
         }
-        self.iter_ids()
-            .find(|&(_, row)| row == t)
-            .map(|(rid, _)| rid)
+        match self.select_index(t.values(), Some) {
+            Selected::Postings(ids) => ids
+                .iter()
+                .copied()
+                .find(|&rid| self.slots[rid as usize].as_ref() == Some(t)),
+            Selected::NoMatch => None,
+            Selected::Scan => self
+                .iter_ids()
+                .find(|&(_, row)| row == t)
+                .map(|(rid, _)| rid),
+        }
+    }
+
+    /// Apply the selection rule to a probe: `key` holds the probed values
+    /// and `pos` tells where in `key` a column's value sits (`None` for a
+    /// column the probe does not fix).
+    fn select_index<'a>(
+        &'a self,
+        key: &[Value],
+        pos: impl Fn(usize) -> Option<usize>,
+    ) -> Selected<'a> {
+        let usable =
+            |ix: &HashIndex| !ix.cols.is_empty() && ix.cols.iter().all(|&c| pos(c).is_some());
+        let Some(width) = self
+            .indexes
+            .iter()
+            .filter(|ix| usable(ix))
+            .map(|ix| ix.cols.len())
+            .max()
+        else {
+            return Selected::Scan;
+        };
+        let mut best: Option<&Vec<RowId>> = None;
+        for ix in self
+            .indexes
+            .iter()
+            .filter(|ix| ix.cols.len() == width && usable(ix))
+        {
+            let subkey = key_of(key, &ix.cols, |c| pos(c).expect("usable index"));
+            match ix.map.get(&*subkey) {
+                // Every match is in every usable index's list for the key.
+                None => return Selected::NoMatch,
+                Some(ids) if best.is_none_or(|b| ids.len() < b.len()) => best = Some(ids),
+                Some(_) => {}
+            }
+        }
+        Selected::Postings(best.expect("an index of the widest width exists"))
     }
 
     /// True if an identical tuple exists.
@@ -183,12 +280,7 @@ impl Relation {
             .ok_or(StorageError::NoSuchRow(rid))?;
         let t = slot.take().ok_or(StorageError::NoSuchRow(rid))?;
         for ix in &mut self.indexes {
-            if let Entry::Occupied(mut e) = ix.map.entry(t.key(&ix.cols)) {
-                e.get_mut().retain(|&r| r != rid);
-                if e.get().is_empty() {
-                    e.remove();
-                }
-            }
+            ix.remove(t.values(), rid);
         }
         self.free.push(rid);
         self.live -= 1;
@@ -213,35 +305,26 @@ impl Relation {
     pub fn update(&mut self, rid: RowId, row: impl Into<Tuple>) -> Result<(), StorageError> {
         let t: Tuple = row.into();
         self.schema.check_row(t.values())?;
-        let old = self.get(rid).cloned().ok_or(StorageError::NoSuchRow(rid))?;
+        if self.get(rid).is_none() {
+            return Err(StorageError::NoSuchRow(rid));
+        }
         // Unique check against *other* rows.
-        for ix in &self.indexes {
-            if ix.unique {
-                let key = t.key(&ix.cols);
-                if let Some(ids) = ix.map.get(&key) {
-                    if ids.iter().any(|&r| r != rid) {
-                        return Err(StorageError::UniqueViolation {
-                            relation: self.name.clone(),
-                            key: format!("{key:?}"),
-                        });
-                    }
-                }
+        for ix in self.indexes.iter().filter(|ix| ix.unique) {
+            if ix
+                .postings(t.values())
+                .is_some_and(|ids| ids.iter().any(|&r| r != rid))
+            {
+                return Err(self.unique_violation(ix, &t));
             }
         }
+        let old = self.slots[rid as usize].replace(t).expect("checked above");
+        let t = self.slots[rid as usize].as_ref().expect("just stored");
         for ix in &mut self.indexes {
-            let old_key = old.key(&ix.cols);
-            let new_key = t.key(&ix.cols);
-            if old_key != new_key {
-                if let Entry::Occupied(mut e) = ix.map.entry(old_key) {
-                    e.get_mut().retain(|&r| r != rid);
-                    if e.get().is_empty() {
-                        e.remove();
-                    }
-                }
-                ix.map.entry(new_key).or_default().push(rid);
+            if ix.cols.iter().any(|&c| old[c] != t[c]) {
+                ix.remove(old.values(), rid);
+                ix.add(t.values(), rid);
             }
         }
-        self.slots[rid as usize] = Some(t);
         Ok(())
     }
 
@@ -258,10 +341,11 @@ impl Relation {
         self.iter_ids().map(|(_, t)| t)
     }
 
-    /// Point lookup on `cols` (column positions) matching `key` values.
-    /// Uses the largest index whose columns are a subset of `cols`, then
-    /// post-filters the remaining columns; falls back to a scan when no
-    /// index applies.
+    /// Point lookup on `cols` (column positions) matching `key` values,
+    /// resolved by the selection rule in the module docs; the columns the
+    /// chosen index does not cover are post-filtered, and a probe no index
+    /// applies to scans. Matches come back in the order they were inserted
+    /// under the chosen index's key.
     pub fn lookup(&self, cols: &[usize], key: &[Value]) -> Vec<&Tuple> {
         self.lookup_ids(cols, key)
             .into_iter()
@@ -274,60 +358,39 @@ impl Relation {
     /// ([`delete_matching`](Self::delete_matching)) and for callers that
     /// mutate matches.
     pub fn lookup_ids(&self, cols: &[usize], key: &[Value]) -> Vec<RowId> {
-        // Pick the most selective applicable index.
-        let mut best: Option<&HashIndex> = None;
-        for ix in &self.indexes {
-            if !ix.cols.is_empty()
-                && ix.cols.iter().all(|c| cols.contains(c))
-                && best.is_none_or(|b| ix.cols.len() > b.cols.len())
-            {
-                best = Some(ix);
-            }
-        }
         let matches = |t: &Tuple| cols.iter().zip(key).all(|(&c, k)| &t[c] == k);
-        if let Some(ix) = best {
-            let subkey: Vec<Value> = ix
-                .cols
-                .iter()
-                .map(|c| {
-                    let pos = cols.iter().position(|x| x == c).expect("subset");
-                    key[pos].clone()
-                })
-                .collect();
-            let Some(ids) = ix.map.get(&subkey) else {
-                return Vec::new();
-            };
-            return ids
+        let pos = |c: usize| cols.iter().position(|&x| x == c);
+        match self.select_index(key, pos) {
+            Selected::Postings(ids) => ids
                 .iter()
                 .copied()
                 .filter(|&rid| self.slots[rid as usize].as_ref().is_some_and(&matches))
-                .collect();
+                .collect(),
+            Selected::NoMatch => Vec::new(),
+            Selected::Scan => self
+                .iter_ids()
+                .filter(|(_, t)| matches(t))
+                .map(|(rid, _)| rid)
+                .collect(),
         }
-        self.iter_ids()
-            .filter(|(_, t)| matches(t))
-            .map(|(rid, _)| rid)
-            .collect()
     }
 
-    /// Delete every row matching `key` on `cols`, resolved through the
-    /// best applicable index like [`lookup`](Self::lookup) — the indexed
-    /// counterpart of [`delete_where`](Self::delete_where), which always
-    /// scans every slot. Point deletions on indexed columns (clearing a
-    /// task's relationship rows, revoking one worker's row) go from
-    /// O(table) to O(matches). Returns how many rows were removed.
+    /// Delete every row matching `key` on `cols`, resolved through an index
+    /// like [`lookup`](Self::lookup) — the indexed counterpart of
+    /// [`delete_where`](Self::delete_where), which always scans every slot.
+    /// Finding the victims costs one posting-list walk; removing them costs,
+    /// per index, one direct removal for each victim that is alone under
+    /// its key (a scan of that key's posting list for the id, no hashing)
+    /// and one pass over the list where several victims share a key.
+    /// Returns how many rows were removed.
     pub fn delete_matching(&mut self, cols: &[usize], key: &[Value]) -> usize {
         let victims = self.lookup_ids(cols, key);
-        if victims.is_empty() {
-            return 0;
-        }
-        // Bulk form of [`delete`](Self::delete): removing n rows one by
-        // one costs one index-vector `retain` per row — O(n²) when the
-        // victims share an index key (exactly the clear-a-task case).
-        // Take every victim out of its slot first, then repair each
-        // affected (index, key) vector with a single `retain` pass.
+        // Bulk form of [`delete`](Self::delete): n victims under one index
+        // key (exactly the clear-a-task case) would cost n shifting removes
+        // on the same list. Take every victim out of its slot first, group
+        // them by key per index, and rewrite a shared list once.
         // Bookkeeping (free-list order, live count) matches n sequential
         // `delete` calls exactly.
-        let victim_set: std::collections::HashSet<RowId> = victims.iter().copied().collect();
         let mut removed: Vec<Tuple> = Vec::with_capacity(victims.len());
         for &rid in &victims {
             let t = self.slots[rid as usize].take().expect("looked-up row");
@@ -335,17 +398,25 @@ impl Relation {
             self.free.push(rid);
             self.live -= 1;
         }
+        let mut victim_set: Option<HashSet<RowId>> = None;
         for ix in &mut self.indexes {
-            let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-            for t in &removed {
-                let k = t.key(&ix.cols);
-                if seen.insert(k.clone()) {
-                    if let Entry::Occupied(mut e) = ix.map.entry(k) {
-                        e.get_mut().retain(|r| !victim_set.contains(r));
-                        if e.get().is_empty() {
-                            e.remove();
-                        }
-                    }
+            let mut under_key: HashMap<Cow<[Value]>, (usize, usize)> = HashMap::new();
+            for (i, t) in removed.iter().enumerate() {
+                let entry = under_key
+                    .entry(key_of(t.values(), &ix.cols, |c| c))
+                    .or_insert((i, 0));
+                entry.1 += 1;
+            }
+            for (k, (first, count)) in under_key {
+                if count == 1 {
+                    ix.remove(removed[first].values(), victims[first]);
+                    continue;
+                }
+                let gone = victim_set.get_or_insert_with(|| victims.iter().copied().collect());
+                let ids = ix.map.get_mut(&*k).expect("indexed victim");
+                ids.retain(|r| !gone.contains(r));
+                if ids.is_empty() {
+                    ix.map.remove(&*k);
                 }
             }
         }
@@ -383,6 +454,16 @@ impl Relation {
     pub fn to_rows(&self) -> Vec<Tuple> {
         self.iter().cloned().collect()
     }
+}
+
+/// What the selection rule resolved a probe to.
+enum Selected<'a> {
+    /// Walk this posting list (post-filtering uncovered columns).
+    Postings(&'a [RowId]),
+    /// A usable index has no entry for the key: nothing matches.
+    NoMatch,
+    /// No index applies: scan the slab.
+    Scan,
 }
 
 #[cfg(test)]

@@ -788,78 +788,30 @@ pub fn multi_project_configs(w: &ScenarioStreamWorkload) -> Vec<crowd4u_scenario
 }
 
 /// Drive one decision shadow through all three schemes back to back —
-/// one crowd, three projects — and record its stream. Returns the trace
-/// plus the shadow's journal dump (the byte-level correctness reference).
-/// The trace's `shadow`/`completion` report fields are not meaningful for
-/// a heterogeneous multi-project trace; E12 checks correctness by journal
+/// one crowd, three projects — and record its stream. The trace's
+/// `shadow`/`completion` report fields are not meaningful for a
+/// heterogeneous multi-project trace; E12 checks correctness by journal
 /// byte-equality instead of report assembly.
 pub fn record_multi_project_trace(
     config: &crowd4u_scenarios::ScenarioConfig,
-) -> (crowd4u_scenarios::ScenarioTrace, String) {
+) -> crowd4u_scenarios::ScenarioTrace {
     use crowd4u_scenarios::{run_scheme_on, Driver};
     let mut d = Driver::new(config);
     let mut last = None;
     for scheme in crowd4u_collab::Scheme::all() {
         last = Some(run_scheme_on(&mut d, scheme, config).expect("scenario run"));
     }
-    let trace = crowd4u_scenarios::ScenarioTrace {
+    crowd4u_scenarios::ScenarioTrace {
         scheme: crowd4u_collab::Scheme::Hybrid,
         ops: d.ops_since(0).expect("decode own journal"),
         crowd: config.crowd as u64,
         projects: d.platform.project_ids(),
         completion: crowd4u_scenarios::stream::Completion::CollabsCompleted,
         shadow: last.expect("three schemes ran"),
-    };
-    (trace, d.platform.journal().dump())
+    }
 }
 
-/// The **retired** PR 3 scenario execution model, kept as the E12
-/// baseline: each multi-project scenario ships whole — crowd generation,
-/// decision logic and platform work — to one shard as a resident-slice
-/// job (`Driver::on_platform`), so its three projects are pinned together
-/// and other shards cannot help. Returns per-driver slice journal dumps
-/// for the correctness check (fresh slice ⇒ must equal the shadow's).
-pub fn run_multi_project_shard_jobs(
-    shards: usize,
-    configs: &[crowd4u_scenarios::ScenarioConfig],
-) -> (std::time::Duration, Vec<String>) {
-    use crowd4u_runtime::prelude::*;
-    use crowd4u_scenarios::{run_scheme_on, Driver};
-
-    let rt = ShardedRuntime::new(RuntimeConfig {
-        shards,
-        drain_every: 0,
-        mailbox_capacity: 0,
-        recovery: false,
-    });
-    let start = std::time::Instant::now();
-    let receivers: Vec<_> = configs
-        .iter()
-        .enumerate()
-        .map(|(i, config)| {
-            let config = config.clone();
-            rt.submit_job(i % rt.shards(), move |platform| {
-                let base = std::mem::take(platform);
-                let mut driver = Driver::on_platform(base, &config);
-                for scheme in crowd4u_collab::Scheme::all() {
-                    run_scheme_on(&mut driver, scheme, &config).expect("scenario run");
-                }
-                let journal = driver.platform.journal().dump();
-                *platform = driver.into_platform();
-                journal
-            })
-        })
-        .collect();
-    let journals: Vec<String> = receivers
-        .into_iter()
-        .map(|rx| rx.recv().expect("shard alive"))
-        .collect();
-    let elapsed = start.elapsed();
-    drop(rt);
-    (elapsed, journals)
-}
-
-/// The PR 5 streaming path: push the pre-recorded scenario streams
+/// The scenario execution model: push the pre-recorded scenario streams
 /// through the ingestion gate — every project routed to its owner shard,
 /// scenarios interleaved by timestamp, drain markers as coordinated
 /// barriers. Timed region: submission and apply (the platform-side cost);

@@ -30,7 +30,7 @@ use crowd4u_cylog::engine::CylogEngine;
 use crowd4u_forms::admin::DesiredFactors;
 use crowd4u_sim::stats::Counters;
 use crowd4u_sim::time::{SimDuration, SimTime};
-use crowd4u_storage::prelude::{EventJournal, Value};
+use crowd4u_storage::prelude::{EventJournal, JournalEntry, Value};
 use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -211,6 +211,15 @@ impl Crowd4U {
     /// The append-only event journal (replay it with [`Crowd4U::replay_with`]).
     pub fn journal(&self) -> &EventJournal {
         &self.journal
+    }
+
+    /// Move the journaled entries out, leaving the journal empty — for an
+    /// owner that keeps the event history itself. The sharded runtime calls
+    /// this after every message and files the entries in its ledger, so a
+    /// shard slice holds no second copy; a standalone platform never calls
+    /// it and keeps its whole journal. Journaling itself is unaffected.
+    pub fn take_journal(&mut self) -> impl Iterator<Item = JournalEntry> + '_ {
+        self.journal.take()
     }
 
     /// Bump a **project-scoped** counter alongside its platform-global

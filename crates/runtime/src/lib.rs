@@ -26,8 +26,9 @@
 //!   broadcast would have interleaved them, so replicated state (worker
 //!   manager, project-id sequence) still advances in lockstep.
 //! * **Determinism**: every event is stamped with a global sequence
-//!   number; each mailbox is delivered in sequence order; per-shard
-//!   journals are seq-tagged and stitched by
+//!   number; each mailbox is delivered in sequence order; the entries
+//!   each slice journals are moved, seq-tagged, into the runtime's ledger
+//!   (the one event history a running shard keeps) and stitched by
 //!   [`EventJournal::merge_streams`](crowd4u_storage::journal::EventJournal::merge_streams).
 //!   In coordinated-drain mode the merged journal is byte-identical to a
 //!   serial run over the same sequence — even when the events were fanned
@@ -118,9 +119,8 @@
 //! rebalanced while the runtime runs:
 //! [`ShardedRuntime::migrate_project`] quiesces one project, replays its
 //! slice into another shard, and flips the routing table.
-//! Deterministic crash schedules come from [`recovery::FaultPlan`]
-//! (`ShardedRuntime::new_chaos`, or the `FAULT_PLAN` environment
-//! variable).
+//! Deterministic crash schedules come from [`recovery::FaultPlan`],
+//! handed to `ShardedRuntime::new_chaos`.
 //!
 //! ## Scenario streaming
 //!

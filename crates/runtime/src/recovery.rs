@@ -40,25 +40,31 @@
 //! its k-th applied event*. The panic fires after the k-th recorded
 //! apply is already ledgered, so the injection lands on a clean
 //! boundary and the equivalence proptests can assert byte-identity
-//! between faulted and fault-free runs. Plans are plain data derived
-//! from the test's proptest seed (`PROPTEST_SEED`), or from the
-//! `FAULT_PLAN` environment variable (`"shard:after[,shard:after...]"`)
-//! for CI chaos replays.
+//! between faulted and fault-free runs. Plans are plain data, handed to
+//! the `new_chaos*` constructors; the chaos tests derive theirs from the
+//! proptest seed (`PROPTEST_SEED`), which is what CI pins for its replays.
 
 use crate::shard::{SeqKey, ShardStats};
+use crowd4u_core::error::ProjectId;
 use crowd4u_core::events::{EventScope, PlatformEvent, DRAIN_KIND};
 use crowd4u_core::platform::Crowd4U;
 use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_storage::journal::JournalEntry;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// One applied message in a shard's history: its sort key, the encoded
-/// journal entry, and whether this shard is the event's unique recorder
-/// (broadcast copies on replica shards are ledgered but not recorded).
+/// One applied message in a shard's history: its sort key, the journal
+/// entry the platform itself wrote for it (moved out of the slice, never
+/// re-encoded), the scope it was routed by, and whether this shard is the
+/// event's unique recorder (broadcast copies on replica shards are
+/// ledgered but not recorded).
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerEntry {
     pub key: SeqKey,
     pub entry: JournalEntry,
+    /// What the slice filters select on, so none of them decodes `entry`:
+    /// the event's own scope; `Global` for a drain barrier; `Project(p)`
+    /// for an auto-drain sync of `p`.
+    pub scope: EventScope,
     pub recorded: bool,
 }
 
@@ -105,10 +111,58 @@ impl ShardLedger {
         self.slot(shard).stats
     }
 
-    /// A clone of one shard's applied history (recovery + migration read
-    /// path; the slot stays in place for the live shard to append to).
-    pub(crate) fn entries(&self, shard: usize) -> Vec<LedgerEntry> {
-        self.slot(shard).entries.clone()
+    /// Clones of the entries of one slot that `keep` selects, picked
+    /// under the slot lock (the slot stays in place for the live shard to
+    /// append to).
+    fn select(&self, shard: usize, keep: impl Fn(&LedgerEntry) -> bool) -> Vec<LedgerEntry> {
+        let slot = self.slot(shard);
+        slot.entries.iter().filter(|e| keep(e)).cloned().collect()
+    }
+
+    /// The slice a rebuild of `shard` replays: from its own slot every
+    /// drain and broadcast, the worker events (only the coordinator
+    /// ledgers those) and the project events it owns under the *current*
+    /// routing table `owner_of`; and, when projects have `migrated`,
+    /// the recorded events of projects migrated in, which earlier owners
+    /// applied and therefore hold in their slots. In key order.
+    pub(crate) fn shard_slice(
+        &self,
+        shard: usize,
+        owner_of: impl Fn(ProjectId) -> usize,
+        migrated: bool,
+    ) -> Vec<LedgerEntry> {
+        let mut entries = self.select(shard, |e| match e.scope {
+            EventScope::Global => true,
+            EventScope::Worker => shard == 0,
+            EventScope::Project(p) => owner_of(p) == shard,
+        });
+        if migrated {
+            for other in (0..self.shards()).filter(|&other| other != shard) {
+                entries.extend(self.select(other, |e| match e.scope {
+                    EventScope::Project(p) => e.recorded && owner_of(p) == shard,
+                    EventScope::Global | EventScope::Worker => false,
+                }));
+            }
+            entries.sort_by_key(|e| e.key);
+        }
+        entries
+    }
+
+    /// The slice a migration of `project` off shard `from` replays: the
+    /// project's recorded events from every slot (earlier owners keep the
+    /// pre-migration history), interleaved with `from`'s drain barriers
+    /// and broadcast copies. In key order.
+    pub(crate) fn project_slice(&self, project: ProjectId, from: usize) -> Vec<LedgerEntry> {
+        let mut entries = Vec::new();
+        for shard in 0..self.shards() {
+            entries.extend(self.select(shard, |e| match e.scope {
+                EventScope::Global => shard == from,
+                EventScope::Project(p) => e.recorded && p == project,
+                EventScope::Worker => false,
+            }));
+        }
+        entries.sort_by_key(|e| e.key);
+        entries
     }
 
     /// The recorded journal stream of one shard, for the merged journal.
@@ -124,10 +178,9 @@ impl ShardLedger {
 
 /// A deterministic crash schedule: kill shard *S* after its *k*-th
 /// applied (recorded) event. Plans are plain data — derive them from a
-/// proptest seed, build them with [`FaultPlan::kill`], or parse them
-/// from the `FAULT_PLAN` environment variable — and the injected panic
-/// always fires at the same event boundary, which is what makes chaos
-/// runs replayable.
+/// proptest seed or build them with [`FaultPlan::kill`] — and the
+/// injected panic always fires at the same event boundary, which is what
+/// makes chaos runs replayable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     kills: Vec<(usize, u64)>,
@@ -171,46 +224,6 @@ impl FaultPlan {
         self
     }
 
-    /// Parse the `FAULT_PLAN` environment variable
-    /// (`"shard:after[,shard:after...]"`, e.g. `FAULT_PLAN=1:5,0:9`; a
-    /// `mid` suffix — `1:5:mid` — makes the kill fire mid-apply).
-    /// Unset, empty or malformed pairs yield an empty plan.
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("FAULT_PLAN") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => FaultPlan::none(),
-        }
-    }
-
-    /// Parse a `"shard:after[,shard:after...]"` spec (the `FAULT_PLAN`
-    /// format; `shard:after:mid` injects mid-apply); malformed pairs are
-    /// ignored.
-    pub fn parse(spec: &str) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        for pair in spec.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (pair, mid) = match pair.strip_suffix(":mid") {
-                Some(head) => (head, true),
-                None => (pair, false),
-            };
-            if let Some((shard, after)) = pair.split_once(':') {
-                if let (Ok(shard), Ok(after)) =
-                    (shard.trim().parse::<usize>(), after.trim().parse::<u64>())
-                {
-                    plan = if mid {
-                        plan.and_kill_mid(shard, after)
-                    } else {
-                        plan.and_kill(shard, after)
-                    };
-                }
-            }
-        }
-        plan
-    }
-
     pub fn is_empty(&self) -> bool {
         self.kills.is_empty() && self.mid_kills.is_empty()
     }
@@ -247,20 +260,12 @@ pub(crate) struct WorkerFeed {
     pub base: usize,
 }
 
-/// Is the snapshot fast-forward path enabled for recovery replays?
-/// On by default; `RECOVERY_SNAPSHOT=0|off|false|no` forces delta-only
-/// rebuilds (which then require the delta log to still be complete).
-pub(crate) fn snapshot_allowed() -> bool {
-    !matches!(
-        std::env::var("RECOVERY_SNAPSHOT").as_deref(),
-        Ok("0") | Ok("off") | Ok("false") | Ok("no")
-    )
-}
-
 /// Replay one shard slice — ledger entries plus (for worker-service
 /// consumers) the re-interleaved worker feed up to `upto` installed
 /// registrations — onto a fresh `platform`. Returns the rebuilt
-/// platform and the final worker-log cursor.
+/// platform — its journal empty, like every live slice's: the entries
+/// just replayed are the ledger's already — and the final worker-log
+/// cursor.
 ///
 /// `feed: None` is the coordinator shape: its worker events are ledger
 /// entries, there is nothing to re-interleave. With a feed, deltas are
@@ -272,7 +277,6 @@ pub(crate) fn replay_slice(
     mut platform: Crowd4U,
     entries: &[LedgerEntry],
     feed: Option<(&WorkerFeed, usize)>,
-    allow_snapshot: bool,
 ) -> (Crowd4U, usize) {
     let mut cursor = 0usize;
     let mut delta_at = 0usize; // index into feed.deltas
@@ -283,11 +287,7 @@ pub(crate) fn replay_slice(
         // `install_worker_snapshot`'s precondition).
         if let Some((profiles, covered, covered_seq)) = &feed.prefix {
             let first_seq = entries.first().map(|e| e.key.0);
-            if allow_snapshot
-                && *covered > 0
-                && *covered <= upto
-                && first_seq.is_none_or(|s| *covered_seq < s)
-            {
+            if *covered > 0 && *covered <= upto && first_seq.is_none_or(|s| *covered_seq < s) {
                 platform.install_worker_snapshot(
                     profiles.iter().map(|p| (**p).clone()),
                     *covered as u64,
@@ -298,8 +298,8 @@ pub(crate) fn replay_slice(
         assert!(
             cursor >= feed.base,
             "recovery replay needs worker-log entries below the truncation \
-             point (cursor {cursor} < base {}); re-enable RECOVERY_SNAPSHOT \
-             or raise WORKER_SNAPSHOT_EVERY",
+             point (cursor {cursor} < base {}) and the compacted prefix does \
+             not fit below the slice",
             feed.base
         );
         delta_at = cursor - feed.base;
@@ -319,7 +319,7 @@ pub(crate) fn replay_slice(
                 .expect("ledgered drain must replay — it applied cleanly live");
         } else {
             let event = PlatformEvent::decode(&e.entry)
-                .expect("ledgered entry must decode — it was encoded from a live event");
+                .expect("ledgered entry must decode — the platform journaled it");
             platform
                 .apply_event(event)
                 .expect("ledgered event must re-apply — it applied cleanly live");
@@ -332,29 +332,8 @@ pub(crate) fn replay_slice(
             cursor += 1;
         }
     }
+    drop(platform.take_journal());
     (platform, cursor)
-}
-
-/// Filter predicate for rebuilding `shard`'s slice from ledger entries:
-/// keep drains and broadcasts, keep worker events (only the coordinator
-/// ledgers those), and keep project events owned by `shard` under the
-/// *current* routing table `owner_of`.
-pub(crate) fn owned_by(
-    entry: &LedgerEntry,
-    shard: usize,
-    owner_of: &impl Fn(crowd4u_core::error::ProjectId) -> usize,
-) -> bool {
-    if entry.entry.kind == DRAIN_KIND {
-        return true;
-    }
-    match PlatformEvent::decode(&entry.entry) {
-        Ok(event) => match event.scope() {
-            EventScope::Global => true,
-            EventScope::Worker => shard == 0,
-            EventScope::Project(p) => owner_of(p) == shard,
-        },
-        Err(_) => false,
-    }
 }
 
 #[cfg(test)]
@@ -363,21 +342,19 @@ mod tests {
 
     #[test]
     fn fault_plans_parse_and_fire_exactly() {
-        let plan = FaultPlan::parse("1:5, 0:9,junk,7,:3,2:");
-        assert_eq!(plan, FaultPlan::kill(1, 5).and_kill(0, 9));
+        let plan = FaultPlan::kill(1, 5).and_kill(0, 9);
         assert!(plan.fires(1, 5));
         assert!(!plan.fires(1, 6));
         assert!(!plan.fires(2, 5));
         assert!(plan.fires(0, 9));
-        assert!(FaultPlan::parse("").is_empty());
+        assert!(FaultPlan::none().is_empty());
         // A zero kill point would fire before any event; it is dropped.
         assert!(FaultPlan::kill(3, 0).is_empty());
     }
 
     #[test]
     fn mid_apply_kill_points_parse_and_fire_separately() {
-        let plan = FaultPlan::parse("1:5:mid, 0:9");
-        assert_eq!(plan, FaultPlan::kill_mid_apply(1, 5).and_kill(0, 9));
+        let plan = FaultPlan::kill_mid_apply(1, 5).and_kill(0, 9);
         assert!(plan.fires_mid(1, 5));
         assert!(!plan.fires(1, 5), "mid kill is not a boundary kill");
         assert!(plan.fires(0, 9));
@@ -387,26 +364,78 @@ mod tests {
 
     #[test]
     fn ledger_slots_filter_recorded_streams() {
+        let entry = |seq: u64, kind: &str, scope: EventScope, recorded: bool| LedgerEntry {
+            key: (seq, 0),
+            entry: JournalEntry::new(kind, vec![]),
+            scope,
+            recorded,
+        };
+        let project = |p: u64| EventScope::Project(ProjectId(p));
+        // Two shards, round-robin ownership: project 1 on shard 0, project
+        // 2 on shard 1. Shard 0 coordinates: it ledgers the worker event
+        // and records the broadcast and the drain; shard 1 holds unrecorded
+        // copies of both. The unrecorded project entry at 6 stands for a
+        // copy only the slot that applied it may replay.
         let ledger = ShardLedger::new(2);
         {
+            let mut slot = ledger.slot(0);
+            slot.entries.extend([
+                entry(1, "worker", EventScope::Worker, true),
+                entry(2, "clock", EventScope::Global, true),
+                entry(3, "seed", project(1), true),
+                entry(7, DRAIN_KIND, EventScope::Global, true),
+            ]);
+            slot.stats.applied = 3;
+        }
+        {
             let mut slot = ledger.slot(1);
-            slot.entries.push(LedgerEntry {
-                key: (3, 0),
-                entry: JournalEntry::new("clock", vec![7i64.into()]),
-                recorded: false,
-            });
-            slot.entries.push(LedgerEntry {
-                key: (4, 0),
-                entry: JournalEntry::new("seed", vec![2i64.into()]),
-                recorded: true,
-            });
+            slot.entries.extend([
+                entry(2, "clock", EventScope::Global, false),
+                entry(4, "seed", project(2), true),
+                entry(5, "sync", project(2), true),
+                entry(6, "seed", project(2), false),
+                entry(7, DRAIN_KIND, EventScope::Global, false),
+            ]);
             slot.stats.applied = 1;
         }
+        let seqs = |entries: Vec<LedgerEntry>| -> Vec<u64> {
+            entries.into_iter().map(|e| e.key.0).collect()
+        };
+
         let stream = ledger.recorded_stream(1);
-        assert_eq!(stream.len(), 1);
+        assert_eq!(stream.len(), 2);
         assert_eq!(stream[0].0, (4, 0));
         assert_eq!(ledger.stats(1).applied, 1);
-        assert_eq!(ledger.entries(1).len(), 2);
-        assert!(ledger.recorded_stream(0).is_empty());
+        assert_eq!(ledger.recorded_stream(0).len(), 4);
+
+        // Own slice, no migration: everything the slot holds, recorded or
+        // not — and nothing of the other slot's.
+        let round_robin = |p: ProjectId| (p.0 as usize - 1) % 2;
+        assert_eq!(
+            seqs(ledger.shard_slice(0, round_robin, false)),
+            [1, 2, 3, 7]
+        );
+        assert_eq!(
+            seqs(ledger.shard_slice(1, round_robin, false)),
+            [2, 4, 5, 6, 7]
+        );
+
+        // Project 2 migrated to shard 0. Shard 1's slice loses it (the
+        // broadcast copy and the drain stay); shard 0's gains the recorded
+        // history from shard 1's slot — not the unrecorded entry, not the
+        // broadcast copy or the drain it already has — merged in key order.
+        let moved = |_: ProjectId| 0;
+        assert_eq!(seqs(ledger.shard_slice(1, moved, true)), [2, 7]);
+        assert_eq!(seqs(ledger.shard_slice(0, moved, true)), [1, 2, 3, 4, 5, 7]);
+
+        // Migration slice of project 2 off shard 1: its recorded events,
+        // between the *source's* broadcast copies and drains — no worker
+        // event, no other project, nothing global from the other slot.
+        assert_eq!(seqs(ledger.project_slice(ProjectId(2), 1)), [2, 4, 5, 7]);
+        // The same project read off shard 0 after the move: its history
+        // still comes from shard 1's slot, the barriers now from shard 0's.
+        let off_zero = ledger.project_slice(ProjectId(2), 0);
+        assert!(off_zero.iter().all(|e| e.recorded));
+        assert_eq!(seqs(off_zero), [2, 4, 5, 7]);
     }
 }

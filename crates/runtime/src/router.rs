@@ -1,6 +1,6 @@
 //! The runtime orchestrator: spawns the shard threads, hands out
-//! [`IngestGate`] submission handles, and stitches the per-shard journals
-//! back into one replayable log when the run finishes.
+//! [`IngestGate`] submission handles, and stitches the ledger's per-shard
+//! recorded streams back into one replayable log when the run finishes.
 //!
 //! Since PR 4 the routing itself — sequence stamping, ownership/broadcast
 //! dispatch, backpressure — lives in the concurrent [`gate`](crate::gate):
@@ -10,10 +10,10 @@
 //! unchanged (and no longer needs `&mut`).
 
 use crate::gate::{GateCore, IngestGate};
-use crate::recovery::{replay_slice, snapshot_allowed, FaultPlan, LedgerEntry};
+use crate::recovery::{replay_slice, FaultPlan};
 use crate::shard::{shard_main, SeqKey, ShardCtx, ShardStats, ToShard};
 use crowd4u_core::error::{PlatformError, ProjectId};
-use crowd4u_core::events::{EventScope, PlatformEvent, DRAIN_KIND};
+use crowd4u_core::events::PlatformEvent;
 use crowd4u_core::platform::Crowd4U;
 use crowd4u_storage::journal::EventJournal;
 use crowd4u_telemetry::{stage, MetricsSnapshot, Registry};
@@ -85,7 +85,8 @@ pub struct RunReport {
     /// Per-shard statistics, by shard index.
     pub per_shard: Vec<ShardStats>,
     /// The shard platform slices, by shard index (for inspection and
-    /// aggregation queries after the run).
+    /// aggregation queries after the run). Their own journals are empty:
+    /// the run's event history is `journal` above.
     pub platforms: Vec<Crowd4U>,
 }
 
@@ -156,14 +157,14 @@ impl ShardedRuntime {
         telemetry: Registry,
         base: impl Fn(usize) -> Crowd4U + Send + Sync + 'static,
     ) -> ShardedRuntime {
-        ShardedRuntime::spawn(config, telemetry, Arc::new(base), FaultPlan::from_env())
+        ShardedRuntime::spawn(config, telemetry, Arc::new(base), FaultPlan::none())
     }
 
     /// Spawn the runtime with an explicit [`FaultPlan`] — the deterministic
-    /// chaos entry point. The default constructors read the plan from the
-    /// `FAULT_PLAN` environment variable instead (usually empty). Pair
-    /// with `config.recovery = true` to exercise crash recovery; with
-    /// recovery off an injected kill behaves like any shard panic.
+    /// chaos entry point, and the only way to inject a fault: the other
+    /// constructors run with [`FaultPlan::none`]. Pair with
+    /// `config.recovery = true` to exercise crash recovery; with recovery
+    /// off an injected kill behaves like any shard panic.
     pub fn new_chaos(config: RuntimeConfig, faults: FaultPlan) -> ShardedRuntime {
         ShardedRuntime::new_chaos_instrumented(config, Registry::from_env(), faults)
     }
@@ -188,7 +189,7 @@ impl ShardedRuntime {
     ) -> ShardedRuntime {
         let shards = config.shards.max(1);
         let handle = telemetry.handle();
-        let mut service = crate::workers::WorkerService::from_env();
+        let mut service = crate::workers::WorkerService::new(crate::workers::SNAPSHOT_EVERY);
         // Replica attachment must precede telemetry: the per-replica lag
         // gauges are created from the attached replica count.
         service.attach_replicas(shards);
@@ -406,24 +407,7 @@ impl ShardedRuntime {
         // Flush the source: every event admitted before the hold's fence
         // is applied and ledgered before the slice is read.
         self.barrier_one(from);
-        // The project's replay slice: its recorded entries from every slot
-        // (earlier owners keep the pre-migration history), interleaved
-        // with the *source's* drain barriers and broadcast copies.
-        let ledger = core.ledger();
-        let mut entries: Vec<LedgerEntry> = Vec::new();
-        for shard in 0..ledger.shards() {
-            entries.extend(ledger.entries(shard).into_iter().filter(|e| {
-                if e.entry.kind == DRAIN_KIND {
-                    return shard == from;
-                }
-                match PlatformEvent::decode(&e.entry).map(|ev| ev.scope()) {
-                    Ok(EventScope::Global) => shard == from,
-                    Ok(EventScope::Project(p)) => e.recorded && p == project,
-                    _ => false,
-                }
-            }));
-        }
-        entries.sort_by_key(|e| e.key);
+        let entries = core.ledger().project_slice(project, from);
         // Worker feed to the *full* log: worker admission is held, so the
         // log is stable, and the destination's adopt job syncs to this
         // same bound before adopting — eligibility rows in the slice must
@@ -431,12 +415,7 @@ impl ShardedRuntime {
         let service = core.worker_service();
         let feed = service.recovery_feed();
         let upto = service.log_len();
-        let (mut replayed, _) = replay_slice(
-            (self.base)(from),
-            &entries,
-            Some((&feed, upto)),
-            snapshot_allowed(),
-        );
+        let (mut replayed, _) = replay_slice((self.base)(from), &entries, Some((&feed, upto)));
         let slice = replayed.extract_project(project)?;
         let moved = slice.task_count();
         // Demote at the source (extract and drop) and adopt at the
@@ -454,6 +433,11 @@ impl ShardedRuntime {
     /// Ship a job to a shard and return a receiver for its result without
     /// blocking — jobs on different shards run in parallel. The job sees
     /// the shard's platform slice after every event enqueued before it.
+    /// Jobs are the control plane (queries, migration, configuration):
+    /// their effects are in neither the merged journal nor the recovery
+    /// ledger, and anything a job journals on the slice is dropped when it
+    /// returns — submit an event for a change that must be part of the
+    /// history.
     pub fn submit_job<R: Send + 'static>(
         &self,
         shard: usize,
@@ -526,9 +510,9 @@ impl ShardedRuntime {
     /// detached handles get
     /// [`GateError::Closed`](crate::gate::GateError::Closed)), every
     /// shard applies what is already in its mailbox and hands back its
-    /// statistics, its
-    /// seq-tagged journal stream and its platform slice; the streams are
-    /// stitched into the merged journal.
+    /// platform slice (its journal empty); statistics and the seq-tagged
+    /// recorded streams are read from the runtime-owned ledger, and the
+    /// streams are stitched into the merged journal.
     pub fn finish(mut self) -> Result<RunReport, PlatformError> {
         let mut reply_txs = Vec::with_capacity(self.shards());
         let mut reply_rxs = Vec::with_capacity(self.shards());
@@ -780,6 +764,30 @@ out(X, Y) :- item(X), label(X, Y).
         let n1 = rt.with_project(ProjectId(1), |p| p.workers.len());
         assert_eq!(n1, 1); // the worker delta reached the owning shard
         rt.finish().unwrap();
+    }
+
+    #[test]
+    fn a_journaling_job_leaves_no_entry_and_does_not_shift_the_next_one() {
+        let rt = ShardedRuntime::new(config(1, 0));
+        rt.submit(project("a"));
+        // A job that goes through a journaling platform API: its effect
+        // is on the slice, its journal entry must be nowhere.
+        let fresh = rt.submit_job(0, |p| {
+            p.seed_fact(ProjectId(1), "item", vec!["from-job".into()])
+        });
+        assert!(fresh.recv().unwrap().unwrap());
+        rt.submit(seed(1, "x"));
+        rt.drain();
+        let run = rt.finish().unwrap();
+        let entries: Vec<_> = run.journal.iter().cloned().collect();
+        let kinds: Vec<&str> = entries.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(kinds, ["project", "seed", "drain"]);
+        // The event after the job is ledgered as itself, not as the job's
+        // leftover entry.
+        assert_eq!(entries[1].args.last().unwrap().to_string(), "x");
+        assert!(run.platforms[0].journal().is_empty());
+        let items = run.platforms[0].project(ProjectId(1)).unwrap();
+        assert_eq!(items.engine.fact_count("item").unwrap(), 2);
     }
 
     #[test]

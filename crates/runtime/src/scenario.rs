@@ -162,13 +162,10 @@ fn stream_merged(
     // from 1 in registration order, workers from each trace's own id
     // space), so the runtime must not have registered anything yet — on
     // a reused runtime every remapped event would silently land on the
-    // wrong project or overwrite foreign worker profiles. Broadcasts
-    // reach every slice, so the coordinator's journal being empty is
-    // equivalent to "nothing was ever registered or clocked".
-    let fresh = rt.with_project(crowd4u_core::error::ProjectId(0), |p| {
-        p.journal().is_empty()
-    });
-    if !fresh {
+    // wrong project or overwrite foreign worker profiles. Every applied
+    // event is counted in the ledger by the one shard that records it, so
+    // a zero total is "nothing was ever registered or clocked".
+    if rt.stats().applied != 0 {
         return Err(PlatformError::BadEvent(
             "scenario streams must start on a fresh runtime: the id remap predicts the \
              platform's registration sequence, which prior events have already advanced"

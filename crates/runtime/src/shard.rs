@@ -1,6 +1,7 @@
 //! The shard worker: one thread owning one `Crowd4U` slice, applying
-//! routed events from its gate mailbox and ledgering seq-tagged journal
-//! entries for the runtime's merged journal.
+//! routed events from its gate mailbox and moving the journal entries the
+//! slice writes into the runtime's ledger, seq-tagged, for recovery and
+//! the merged journal. The slice's own journal is empty between messages.
 //!
 //! A shard's mailbox is one of the [`IngestGate`](crate::gate::IngestGate)'s
 //! bounded per-shard queues; the gate guarantees the mailbox is already in
@@ -16,11 +17,9 @@
 //! the pre-PR 9 behaviour, scoped to the dead shard.
 
 use crate::gate::GateCore;
-use crate::recovery::{owned_by, replay_slice, snapshot_allowed, FaultPlan, LedgerEntry};
-use crowd4u_core::error::ProjectId;
+use crate::recovery::{replay_slice, FaultPlan, LedgerEntry, LedgerSlot};
 use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_core::platform::Crowd4U;
-use crowd4u_storage::journal::JournalEntry;
 use crowd4u_telemetry::{stage, TelemetryHandle};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::Sender;
@@ -47,11 +46,13 @@ pub(crate) enum ToShard {
     /// Coordinated drain barrier: sync every dirty project. The coordinator
     /// records the single `drain` entry at `seq`.
     Drain { seq: u64, record: bool },
-    /// Run an arbitrary job against the shard's platform slice (queries,
-    /// scenario runs). Job effects are not part of the merged journal —
-    /// nor of the recovery ledger, so mutations made by a job (other than
-    /// the runtime's own migration jobs, which are re-derived from the
-    /// routing table) do not survive a shard restart.
+    /// Run an arbitrary job against the shard's platform slice — the
+    /// control plane: queries, migration, configuration. Job effects are
+    /// not part of the merged journal nor of the recovery ledger: whatever
+    /// a job journals on the slice is dropped when it returns, so
+    /// mutations made by a job (other than the runtime's own migration
+    /// jobs, which are re-derived from the routing table) do not survive a
+    /// shard restart.
     /// `bound` is the worker-service log length captured at enqueue time
     /// (under the mailbox lock); replicas install worker deltas up to it
     /// before running the job, so the job sees every worker the old
@@ -93,8 +94,9 @@ impl ShardStats {
 }
 
 /// What a shard returns on [`ToShard::Finish`]. Statistics and the
-/// recorded journal stream live in the runtime-owned ledger (they must
-/// survive shard deaths); only the platform slice travels back here.
+/// event history live in the runtime-owned ledger (they must survive
+/// shard deaths); only the platform slice travels back here, its journal
+/// empty.
 pub(crate) struct ShardReport {
     pub platform: Crowd4U,
 }
@@ -208,49 +210,27 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
     }
 }
 
-/// Rebuild a dead shard's platform from the runtime-owned ledger: its own
-/// slot filtered to what it currently owns, plus (after migrations)
-/// recorded entries for migrated-in projects from the previous owners'
-/// slots, replayed against the worker feed capped at the dead
-/// incarnation's last reported service cursor.
+/// Rebuild a dead shard's platform from the runtime-owned ledger: the
+/// shard's slice under the current routing table (see
+/// [`ShardLedger::shard_slice`](crate::recovery::ShardLedger::shard_slice)),
+/// replayed against the worker feed capped at the dead incarnation's last
+/// reported service cursor.
 fn rebuild(ctx: &ShardCtx) -> (Crowd4U, usize) {
     let gate = &ctx.gate;
     let shard = ctx.shard;
-    let ledger = gate.ledger();
-    let owner = |p: ProjectId| gate.owner_of(p);
-    let mut entries: Vec<LedgerEntry> = ledger
-        .entries(shard)
-        .into_iter()
-        .filter(|e| owned_by(e, shard, &owner))
-        .collect();
-    if gate.has_overrides() {
-        // Projects migrated in: their pre-migration history was applied
-        // (and recorded) by previous owners, so it lives in other slots.
-        for other in 0..ledger.shards() {
-            if other == shard {
-                continue;
-            }
-            entries.extend(ledger.entries(other).into_iter().filter(|e| {
-                e.recorded
-                    && matches!(
-                        PlatformEvent::decode(&e.entry).map(|ev| ev.scope()),
-                        Ok(EventScope::Project(p)) if owner(p) == shard
-                    )
-            }));
-        }
-        entries.sort_by_key(|e| e.key);
-    }
+    let entries = gate
+        .ledger()
+        .shard_slice(shard, |p| gate.owner_of(p), gate.has_overrides());
     let service = gate.worker_service();
     let base = (ctx.base)(shard);
     if shard == 0 {
         // The coordinator's worker events are ledger entries of its own
         // slot; there is no service feed to re-interleave.
-        replay_slice(base, &entries, None, snapshot_allowed())
+        replay_slice(base, &entries, None)
     } else {
         let feed = service.recovery_feed();
         let upto = service.replica_cursor(shard);
-        let (platform, cursor) =
-            replay_slice(base, &entries, Some((&feed, upto)), snapshot_allowed());
+        let (platform, cursor) = replay_slice(base, &entries, Some((&feed, upto)));
         // Re-register the cursor so service truncation stays safe: the
         // dead incarnation's reports are stale the moment we replace it.
         service.reattach(shard, cursor);
@@ -343,17 +323,17 @@ fn shard_loop(
                 slot.since_drain = 0;
                 // Ledgered on every shard (replays must re-run the drain);
                 // recorded in the merged journal by the coordinator only.
-                slot.entries.push(LedgerEntry {
-                    key: (seq, 0),
-                    entry: JournalEntry::new(crowd4u_core::events::DRAIN_KIND, vec![]),
-                    recorded: record,
-                });
+                ledger_journaled(p, &mut slot, (seq, 0), EventScope::Global, record);
             }
             ToShard::Job { bound, run } => {
                 if shard != 0 {
                     service.sync_to_index(shard, cursor, bound, p);
                 }
-                run(p)
+                run(p);
+                // Job effects are not ledgered: whatever the closure
+                // journaled goes, so it cannot ride along with the next
+                // event's entry.
+                drop(p.take_journal());
             }
             ToShard::Flush(reply) => {
                 let _ = reply.send(gate.ledger().stats(shard));
@@ -402,22 +382,19 @@ fn apply_one(
             panic!("injected fault: shard {shard} killed inside apply #{next}");
         }
     }
-    // Encoded up front (apply consumes the event): every Ok
-    // apply is ledgered — broadcast copies included — because
-    // the ledger slice is what a recovery replays.
-    let entry = event.encode();
+    // Taken up front (apply consumes the event): the slice filters of
+    // recovery and migration select on it.
+    let scope = event.scope();
     let applied = {
         let _span = apply_hist.span();
         p.apply_event(event)
     };
     match applied {
         Ok(()) => {
+            // Every Ok apply is ledgered — broadcast copies included —
+            // because the ledger slice is what a recovery replays.
             let mut slot = gate.ledger().slot(shard);
-            slot.entries.push(LedgerEntry {
-                key: (seq, 0),
-                entry,
-                recorded: record,
-            });
+            ledger_journaled(p, &mut slot, (seq, 0), scope, record);
             let fired = if record {
                 slot.stats.applied += 1;
                 inject && ctx.faults.fires(shard, slot.stats.applied)
@@ -447,7 +424,9 @@ fn apply_one(
             // Per-event error tolerance, mirroring `apply_batch`
             // and the scenario driver: a stale or invalid worker
             // action is dropped and counted, not fatal — and
-            // never ledgered, so replays skip it identically.
+            // never ledgered, so replays skip it identically. Nor
+            // may anything it journaled before failing stay behind.
+            drop(p.take_journal());
             if record {
                 gate.ledger().slot(shard).stats.dropped += 1;
             }
@@ -456,11 +435,37 @@ fn apply_one(
     }
 }
 
-/// Streaming-mode drain: sync each dirty project individually, journaling
-/// one `sync` entry per project at the triggering sequence number so the
-/// merged journal replays the sync at exactly this point — only for this
-/// shard's projects, unlike a global `drain` entry.
-fn auto_drain(platform: &mut Crowd4U, slot: &mut crate::recovery::LedgerSlot, seq: u64) {
+/// File the one entry the platform journaled for the message just applied
+/// — an event, a drain barrier, an auto-drain sync — in the ledger slot,
+/// moving it out of the slice.
+fn ledger_journaled(
+    platform: &mut Crowd4U,
+    slot: &mut LedgerSlot,
+    key: SeqKey,
+    scope: EventScope,
+    recorded: bool,
+) {
+    let mut journaled = platform.take_journal();
+    let entry = journaled
+        .next()
+        .expect("an applied message journals its entry");
+    assert!(
+        journaled.next().is_none(),
+        "an applied message journals exactly one entry"
+    );
+    slot.entries.push(LedgerEntry {
+        key,
+        entry,
+        scope,
+        recorded,
+    });
+}
+
+/// Streaming-mode drain: sync each dirty project individually, ledgering
+/// the platform's `sync` entry per project at the triggering sequence
+/// number so the merged journal replays the sync at exactly this point —
+/// only for this shard's projects, unlike a global `drain` entry.
+fn auto_drain(platform: &mut Crowd4U, slot: &mut LedgerSlot, seq: u64) {
     let dirty = platform.dirty_projects();
     if dirty.is_empty() {
         return;
@@ -470,11 +475,7 @@ fn auto_drain(platform: &mut Crowd4U, slot: &mut crate::recovery::LedgerSlot, se
         platform
             .sync_tasks(project)
             .expect("auto-drain sync failed on shard");
-        let entry = PlatformEvent::TasksSynced { project }.encode();
-        slot.entries.push(LedgerEntry {
-            key: (seq, 1 + i as u32),
-            entry,
-            recorded: true,
-        });
+        let key = (seq, 1 + i as u32);
+        ledger_journaled(platform, slot, key, EventScope::Project(project), true);
     }
 }

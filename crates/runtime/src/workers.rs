@@ -39,7 +39,7 @@
 //!
 //! ## Snapshots
 //!
-//! Every `WORKER_SNAPSHOT_EVERY` appends (default 1024; 0 disables) the
+//! Every [`SNAPSHOT_EVERY`] appends the
 //! service compacts the log prefix into a version-keyed snapshot (latest
 //! profile per worker + how many events it covers). A **fresh** replica
 //! (no workers, no projects) fast-forwards through the snapshot instead of
@@ -71,9 +71,8 @@ use crowd4u_telemetry::{Counter, Gauge, TelemetryHandle};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Snapshot cadence env knob: compact every N appends (0 disables).
-pub const SNAPSHOT_EVERY_ENV: &str = "WORKER_SNAPSHOT_EVERY";
-const SNAPSHOT_EVERY_DEFAULT: usize = 1024;
+/// The runtime's snapshot cadence: compact every N appends.
+pub const SNAPSHOT_EVERY: usize = 1024;
 
 /// Truncate the consumed log prefix in chunks of this many entries (the
 /// drain is O(chunk), so amortised cost per append stays O(1)).
@@ -157,6 +156,8 @@ impl ServiceState {
 }
 
 impl WorkerService {
+    /// A service compacting every `snapshot_every` appends (0 disables
+    /// snapshots); the runtime uses [`SNAPSHOT_EVERY`].
     pub fn new(snapshot_every: usize) -> WorkerService {
         WorkerService {
             state: Mutex::new(ServiceState::default()),
@@ -164,15 +165,6 @@ impl WorkerService {
             replicas: 0,
             telemetry: ServiceTelemetry::default(),
         }
-    }
-
-    /// Cadence from `WORKER_SNAPSHOT_EVERY` (default 1024, 0 disables).
-    pub fn from_env() -> WorkerService {
-        let every = std::env::var(SNAPSHOT_EVERY_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(SNAPSHOT_EVERY_DEFAULT);
-        WorkerService::new(every)
     }
 
     /// Declare the runtime's shard count so the service knows which
@@ -638,7 +630,7 @@ mod tests {
         let upto = svc.replica_cursor(1);
         assert_eq!(upto, 150);
         let (rebuilt, cursor) =
-            crate::recovery::replay_slice(Crowd4U::new(), &[], Some((&feed, upto)), true);
+            crate::recovery::replay_slice(Crowd4U::new(), &[], Some((&feed, upto)));
         assert_eq!(cursor, 150);
         svc.reattach(1, cursor);
         assert_eq!(svc.replica_cursor(1), 150);
@@ -646,23 +638,6 @@ mod tests {
         // silent delta skip would show up as a version mismatch.
         assert_eq!(rebuilt.workers.len(), 150);
         assert_eq!(rebuilt.workers.version(), r1.workers.version());
-    }
-
-    /// With the snapshot fast-forward disabled, a rebuild whose history
-    /// was truncated must refuse loudly instead of replaying a hole.
-    #[test]
-    #[should_panic(expected = "recovery replay needs worker-log entries below the truncation")]
-    fn recovery_replay_refuses_a_truncated_history_without_snapshots() {
-        let mut svc = WorkerService::new(0);
-        svc.attach_replicas(2); // one replica: shard 1
-        let mut seq = 0u64;
-        fill(&svc, 1..=150, &mut seq);
-        let mut r1 = Crowd4U::new();
-        let mut c1 = 0usize;
-        svc.sync_to_index(1, &mut c1, 150, &mut r1);
-        let feed = svc.recovery_feed();
-        assert!(feed.base > 0, "the consumed prefix must have truncated");
-        let _ = crate::recovery::replay_slice(Crowd4U::new(), &[], Some((&feed, 150)), false);
     }
 
     #[test]

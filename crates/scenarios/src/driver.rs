@@ -39,18 +39,10 @@ pub struct Driver {
 
 impl Driver {
     /// Build the world: a seeded crowd registered on a fresh platform, as
-    /// one registration batch through the event-ingestion path.
+    /// one registration batch through the event-ingestion path, with the
+    /// configured algorithm installed.
     pub fn new(config: &ScenarioConfig) -> Driver {
-        Driver::on_platform(Crowd4U::new(), config)
-    }
-
-    /// Build the world on an **existing** platform — the sharded runtime
-    /// uses this to run a scenario against the `Crowd4U` slice a shard
-    /// already owns. The seeded crowd is registered through the same batch
-    /// ingestion path (re-registering a worker id updates its profile), the
-    /// configured algorithm is installed, and elapsed time is measured from
-    /// the platform's current clock.
-    pub fn on_platform(mut platform: Crowd4U, config: &ScenarioConfig) -> Driver {
+        let mut platform = Crowd4U::new();
         let mut rng = SimRng::seed_from(config.seed);
         let crowd = generate(
             &PopulationConfig {
@@ -79,12 +71,6 @@ impl Driver {
             start,
             scanned: (0, SimTime::ZERO),
         }
-    }
-
-    /// Hand the platform back (the sharded runtime restores the shard's
-    /// slice with this after a scenario job finishes).
-    pub fn into_platform(self) -> Crowd4U {
-        self.platform
     }
 
     /// Schedule a platform event for delivery at an absolute time.

@@ -49,10 +49,9 @@ pub fn run_scheme(
     }
 }
 
-/// Run one scenario by scheme on a prepared [`Driver`] — the sharded
-/// runtime's entry point: the driver wraps a shard's resident platform
-/// ([`Driver::on_platform`]), so scenario workloads execute wherever their
-/// project lives.
+/// Run one scenario by scheme on a prepared [`Driver`], so several
+/// schemes can share one driver's crowd and platform (the recording half
+/// of scenario streaming does this; see `crowd4u_runtime::scenario`).
 pub fn run_scheme_on(
     d: &mut Driver,
     scheme: Scheme,

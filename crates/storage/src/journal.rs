@@ -101,6 +101,14 @@ impl EventJournal {
         &self.entries[seq.min(self.entries.len())..]
     }
 
+    /// Move every entry out, in append order, leaving the journal empty
+    /// (its buffer is kept). For an owner that keeps the history somewhere
+    /// else — the sharded runtime's ledger — and must not hold it twice.
+    /// Entries not consumed from the iterator are dropped.
+    pub fn take(&mut self) -> impl Iterator<Item = JournalEntry> + '_ {
+        self.entries.drain(..)
+    }
+
     /// Serialise the journal to its canonical text form.
     pub fn dump(&self) -> String {
         let mut out = String::new();
@@ -237,6 +245,11 @@ mod tests {
         assert!(j.get(2).is_none());
         assert_eq!(j.since(1).len(), 1);
         assert_eq!(j.since(99).len(), 0);
+        // `take` moves the entries out in order; numbering restarts.
+        let kinds: Vec<String> = j.take().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec!["a", "b"]);
+        assert!(j.is_empty());
+        assert_eq!(j.append("c", vec![]).unwrap(), 0);
     }
 
     #[test]

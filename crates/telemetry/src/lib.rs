@@ -59,10 +59,6 @@ use std::time::Instant;
 /// built by [`Registry::from_env`]; anything else (or unset) enables it.
 pub const TELEMETRY_ENV: &str = "TELEMETRY";
 
-/// Env knob: histogram bucket base for [`Registry::from_env`] (default 2
-/// — each bucket boundary doubles). Rounded down to a power of two.
-pub const BUCKET_BASE_ENV: &str = "TELEMETRY_BUCKET_BASE";
-
 /// Canonical metric names of the five pipeline-stage histograms (elapsed
 /// nanoseconds per event at each stage), plus the shard-lifecycle
 /// recovery/migration metrics.
@@ -140,20 +136,17 @@ impl Registry {
         Registry { inner: None }
     }
 
-    /// Registry configured by [`TELEMETRY_ENV`] / [`BUCKET_BASE_ENV`]
-    /// (enabled with base 2 unless told otherwise).
+    /// Registry configured by [`TELEMETRY_ENV`] (enabled unless told
+    /// otherwise).
     pub fn from_env() -> Registry {
         let off = std::env::var(TELEMETRY_ENV)
             .map(|v| matches!(v.trim(), "0" | "off" | "false" | "no"))
             .unwrap_or(false);
         if off {
-            return Registry::disabled();
+            Registry::disabled()
+        } else {
+            Registry::new()
         }
-        let base = std::env::var(BUCKET_BASE_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
-        Registry::with_bucket_base(base)
     }
 
     pub fn is_enabled(&self) -> bool {

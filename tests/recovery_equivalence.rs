@@ -148,6 +148,14 @@ fn assert_equivalent(clean: &RunReport, run: &RunReport, label: &str) -> Result<
         "replayed state mismatch: {}",
         label
     );
+    // Rebuilt and migrated-to slices hold no journal of their own either:
+    // what a recovery replays, and what a migration adopts, stays the
+    // ledger's.
+    prop_assert!(
+        run.platforms.iter().all(|p| p.journal().is_empty()),
+        "a slice kept journal entries: {}",
+        label
+    );
     Ok(())
 }
 
@@ -311,6 +319,9 @@ fn migrated_away_projects_leave_no_source_residue_even_across_recovery() {
         serial.journal().dump(),
         "migration + source recovery must not perturb the journal"
     );
+    // Neither the rebuilt source nor the adopting destination kept a
+    // journal of its own.
+    assert!(run.platforms.iter().all(|p| p.journal().is_empty()));
     // The destination holds the real project, tasks and all.
     assert!(run.platforms[1]
         .project(ProjectId(1))

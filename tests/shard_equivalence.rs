@@ -34,6 +34,7 @@ use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
 use crowd4u::sim::time::SimTime;
 use crowd4u::storage::prelude::Value;
+use crowd4u::storage::snapshot;
 use proptest::prelude::*;
 
 const SRC: &str = "\
@@ -201,6 +202,44 @@ proptest! {
                 replayed.state_dump(), serial_dump.clone(),
                 "state mismatch at {} shards", shards
             );
+            // The merged journal is the run's only event history: every
+            // slice handed back its entries to the ledger.
+            prop_assert!(
+                run.platforms.iter().all(|p| p.journal().is_empty()),
+                "a slice kept journal entries at {} shards", shards
+            );
+
+            // Streaming mode: auto-drains put per-project `sync` entries
+            // into the merged journal, so it is not the serial journal —
+            // but it still accounts for every event, leaves no slice
+            // journal behind, and replays to each owner slice's project.
+            let rt = ShardedRuntime::new(RuntimeConfig {
+                shards,
+                drain_every: batch,
+                mailbox_capacity: 1024,
+                recovery: false,
+            });
+            rt.submit_batch(events.clone());
+            rt.drain();
+            let run = rt.finish().unwrap();
+            prop_assert_eq!(
+                run.stats.applied + run.stats.dropped,
+                events.len() as u64,
+                "streaming event accounting mismatch at {} shards", shards
+            );
+            prop_assert!(
+                run.platforms.iter().all(|p| p.journal().is_empty()),
+                "a streaming slice kept journal entries at {} shards", shards
+            );
+            let replayed = Crowd4U::replay(&run.journal).unwrap();
+            for id in replayed.project_ids() {
+                let owner = &run.platforms[(id.0 as usize - 1) % shards];
+                prop_assert_eq!(
+                    snapshot::dump(replayed.project(id).unwrap().engine.database()),
+                    snapshot::dump(owner.project(id).unwrap().engine.database()),
+                    "streaming replay of project {} diverges at {} shards", id, shards
+                );
+            }
         }
     }
 
@@ -284,6 +323,10 @@ proptest! {
             prop_assert_eq!(
                 replayed.state_dump(), serial.state_dump(),
                 "state mismatch at {} shards", shards
+            );
+            prop_assert!(
+                run.platforms.iter().all(|p| p.journal().is_empty()),
+                "a slice kept journal entries at {} shards", shards
             );
         }
     }
@@ -369,6 +412,10 @@ proptest! {
             prop_assert_eq!(
                 replayed.state_dump(), serial.state_dump(),
                 "state mismatch at {} shards (chaos)", shards
+            );
+            prop_assert!(
+                run.platforms.iter().all(|p| p.journal().is_empty()),
+                "a slice kept journal entries at {} shards (chaos)", shards
             );
         }
     }

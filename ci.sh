@@ -10,7 +10,10 @@
 #                                  and the e2e benchmark as BENCHMARK.json builds it
 #   4. cargo test -q            — unit + property + integration + doc tests
 #   5. RUNTIME_SHARDS=4 pass    — the integration suite on the parallel path
-#   6. pinned-seed replays      — chaos and shared-crowd proptests, reproducible
+#   6. pinned-seed replays      — chaos and shared-crowd proptests, and the two
+#                                  collaborative-path differentials (table search
+#                                  vs its reference, cached vs re-screened
+#                                  eligibility), reproducible
 #   7. cargo doc --no-deps      — docs build with zero warnings
 #
 # Part 2 — bench smokes and `report --` gates. These assert on timings, so
@@ -79,6 +82,14 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
 # its crash schedules and generated configs reproduce byte-for-byte.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1016 \
     cargo test -q -p crowd4u --test shared_crowd
+# Collaborative-path replays, same rationale (a failure reproduces
+# byte-for-byte on a dev box with the same seed): the table-indexed team
+# search against the id-based reference it replaced, and the patched
+# eligibility cache against a twin with no cache.
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-assign --lib greedy::reference
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-core --lib platform::eligibility_diff
 # Docs must be warning-free, not just successful.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
@@ -117,6 +128,10 @@ bench_smoke e12_scenario_streaming
 # across 4 shards, and peak RSS far below the dense-matrix footprint
 # (full-size 10^6 baseline in BENCH_workers.json; regenerate with
 # `cargo run --release -p crowd4u-bench --bin report -- workers`).
+# The first and third of those gates are also what guard
+# `install_worker_delta`'s per-registration loop over projects (the
+# eligibility-cache patch, ARCHITECTURE.md §13): it must cost one screen
+# per project with a live cache and nothing per registered worker.
 bench_smoke e13_worker_scale
 # Telemetry-overhead smoke: the bench itself asserts that telemetry on
 # and off derive identical facts, that every pipeline-stage histogram

@@ -1,10 +1,23 @@
 //! Greedy team formation with multi-seed restarts, plus local-search
 //! refinement by member swaps — the "efficient in practice" approximations
 //! of Rahman et al. \[9\] that Crowd4U adapts per collaboration scheme.
+//!
+//! Both searches read the same pair affinities many times over (every
+//! seed × every growth step × every outsider × every member), so `form`
+//! fills one row-major `n × n` table of the candidates' pair affinities
+//! ([`AffinityLookup::table`]) and then works on candidate *positions*:
+//! `tab[a * n + b]` is the affinity of `cands[a]` and `cands[b]`. Team
+//! identity depends on the order floating-point sums are taken in, so the
+//! orders are part of the contract: a marginal is summed over the team in
+//! join order, a team's pair sum over `i < j` in member order — the order
+//! [`Team::assemble`] uses.
 
 use crate::types::{Candidate, Team, TeamConstraints, TeamFormation};
 use crowd4u_crowd::affinity::AffinityLookup;
 use crowd4u_crowd::profile::WorkerId;
+
+#[cfg(test)]
+mod reference;
 
 /// Greedy expansion: for each seed worker, repeatedly add the candidate with
 /// the highest marginal affinity while keeping cost feasible; keep the best
@@ -26,14 +39,37 @@ fn pair_count(k: usize) -> f64 {
     (k * k.saturating_sub(1) / 2) as f64
 }
 
-/// Grow a team greedily from one seed; returns the best feasible prefix.
+/// Mean pair affinity of a team given as candidate positions, summed over
+/// `i < j` in member order ([`crowd4u_crowd::affinity::group_affinity`]'s
+/// order, read from the table).
+fn mean_pair(team: &[usize], tab: &[f64], n: usize) -> f64 {
+    let k = team.len();
+    if k < 2 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for i in 0..k {
+        for j in (i + 1)..k {
+            total += tab[team[i] * n + team[j]];
+        }
+    }
+    total / (k * (k - 1) / 2) as f64
+}
+
+fn assemble(team: &[usize], cands: &[Candidate], aff: &dyn AffinityLookup) -> Team {
+    Team::assemble(team.iter().map(|&i| cands[i].id).collect(), cands, aff)
+}
+
+/// Grow a team greedily from one seed; returns the best feasible prefix as
+/// candidate positions, in join order.
 fn grow_from_seed(
     seed: usize,
     cands: &[Candidate],
-    aff: &dyn AffinityLookup,
+    tab: &[f64],
     constraints: &TeamConstraints,
-) -> Option<(f64, Vec<WorkerId>)> {
-    let mut in_team = vec![false; cands.len()];
+) -> Option<(f64, Vec<usize>)> {
+    let n = cands.len();
+    let mut in_team = vec![false; n];
     in_team[seed] = true;
     let mut team = vec![seed];
     let mut pair_sum = 0.0;
@@ -42,25 +78,25 @@ fn grow_from_seed(
     if cost_sum > constraints.max_cost {
         return None;
     }
-    let mut best: Option<(f64, Vec<WorkerId>)> = None;
+    let mut best: Option<(f64, Vec<usize>)> = None;
     let consider = |team: &[usize],
                     pair_sum: f64,
                     skill_sum: f64,
                     cost_sum: f64,
-                    best: &mut Option<(f64, Vec<WorkerId>)>| {
-        let n = team.len();
-        if n < constraints.min_size {
+                    best: &mut Option<(f64, Vec<usize>)>| {
+        let k = team.len();
+        if k < constraints.min_size {
             return;
         }
-        if skill_sum / n as f64 + 1e-12 < constraints.min_quality {
+        if skill_sum / k as f64 + 1e-12 < constraints.min_quality {
             return;
         }
         if cost_sum > constraints.max_cost + 1e-12 {
             return;
         }
-        let mean = if n < 2 { 0.0 } else { pair_sum / pair_count(n) };
+        let mean = if k < 2 { 0.0 } else { pair_sum / pair_count(k) };
         if best.as_ref().is_none_or(|(b, _)| mean > *b) {
-            *best = Some((mean, team.iter().map(|&i| cands[i].id).collect()));
+            *best = Some((mean, team.to_vec()));
         }
     };
     consider(&team, pair_sum, skill_sum, cost_sum, &mut best);
@@ -68,23 +104,19 @@ fn grow_from_seed(
     while team.len() < constraints.max_size {
         // Pick the addition that maximises (greedily) the new mean affinity,
         // breaking ties toward higher skill to help the quality constraint.
-        let mut pick: Option<(usize, f64)> = None;
+        let mut pick: Option<(usize, f64, f64)> = None;
         for (i, c) in cands.iter().enumerate() {
             if in_team[i] || cost_sum + c.cost > constraints.max_cost + 1e-12 {
                 continue;
             }
-            let marginal: f64 = team.iter().map(|&m| aff.affinity(cands[m].id, c.id)).sum();
+            let marginal: f64 = team.iter().map(|&m| tab[m * n + i]).sum();
             let new_mean = (pair_sum + marginal) / pair_count(team.len() + 1);
             let score = new_mean + 1e-9 * c.skill;
-            if pick.as_ref().is_none_or(|(_, s)| score > *s) {
-                pick = Some((i, score));
+            if pick.as_ref().is_none_or(|(_, s, _)| score > *s) {
+                pick = Some((i, score, marginal));
             }
         }
-        let Some((i, _)) = pick else { break };
-        let marginal: f64 = team
-            .iter()
-            .map(|&m| aff.affinity(cands[m].id, cands[i].id))
-            .sum();
+        let Some((i, _, marginal)) = pick else { break };
         in_team[i] = true;
         team.push(i);
         pair_sum += marginal;
@@ -93,6 +125,37 @@ fn grow_from_seed(
         consider(&team, pair_sum, skill_sum, cost_sum, &mut best);
     }
     best
+}
+
+/// Fill the candidates' pair table and run the multi-seed greedy over it:
+/// the table and the best team over the seeds tried, as candidate
+/// positions.
+fn greedy_start(
+    cands: &[Candidate],
+    aff: &dyn AffinityLookup,
+    constraints: &TeamConstraints,
+    max_seeds: usize,
+) -> Option<(Vec<f64>, Vec<usize>)> {
+    if cands.is_empty() || constraints.min_size > constraints.max_size {
+        return None;
+    }
+    let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
+    let tab = aff.table(&ids);
+    // Seed order: by descending skill (helps meet quality constraints).
+    let mut seeds: Vec<usize> = (0..cands.len()).collect();
+    seeds.sort_by(|&a, &b| cands[b].skill.total_cmp(&cands[a].skill));
+    if max_seeds > 0 {
+        seeds.truncate(max_seeds);
+    }
+    let mut best: Option<(f64, Vec<usize>)> = None;
+    for s in seeds {
+        if let Some((mean, team)) = grow_from_seed(s, cands, &tab, constraints) {
+            if best.as_ref().is_none_or(|(b, _)| mean > *b) {
+                best = Some((mean, team));
+            }
+        }
+    }
+    best.map(|(_, team)| (tab, team))
 }
 
 impl TeamFormation for GreedyAff {
@@ -106,24 +169,8 @@ impl TeamFormation for GreedyAff {
         aff: &dyn AffinityLookup,
         constraints: &TeamConstraints,
     ) -> Option<Team> {
-        if cands.is_empty() || constraints.min_size > constraints.max_size {
-            return None;
-        }
-        // Seed order: by descending skill (helps meet quality constraints).
-        let mut seeds: Vec<usize> = (0..cands.len()).collect();
-        seeds.sort_by(|&a, &b| cands[b].skill.total_cmp(&cands[a].skill));
-        if self.max_seeds > 0 {
-            seeds.truncate(self.max_seeds);
-        }
-        let mut best: Option<(f64, Vec<WorkerId>)> = None;
-        for s in seeds {
-            if let Some((mean, members)) = grow_from_seed(s, cands, aff, constraints) {
-                if best.as_ref().is_none_or(|(b, _)| mean > *b) {
-                    best = Some((mean, members));
-                }
-            }
-        }
-        best.map(|(_, members)| Team::assemble(members, cands, aff))
+        let (_, team) = greedy_start(cands, aff, constraints, self.max_seeds)?;
+        Some(assemble(&team, cands, aff))
     }
 }
 
@@ -153,34 +200,49 @@ impl TeamFormation for LocalSearch {
         aff: &dyn AffinityLookup,
         constraints: &TeamConstraints,
     ) -> Option<Team> {
-        let start = GreedyAff::default().form(cands, aff, constraints)?;
-        let mut members = start.members;
-        let mut current = start.affinity;
+        // One table serves the greedy start and every swap tried after it.
+        let (tab, mut team) = greedy_start(cands, aff, constraints, 0)?;
+        let n = cands.len();
+        let mut in_team = vec![false; n];
+        for &m in &team {
+            in_team[m] = true;
+        }
+        let mut current = mean_pair(&team, &tab, n);
         for _ in 0..self.max_iterations {
             let mut improved = false;
-            'outer: for mi in 0..members.len() {
-                for c in cands {
-                    if members.contains(&c.id) {
+            'outer: for mi in 0..team.len() {
+                let out = team[mi];
+                for c in 0..n {
+                    if in_team[c] {
                         continue;
                     }
-                    let mut trial = members.clone();
-                    trial[mi] = c.id;
-                    let t = Team::assemble(trial, cands, aff);
-                    let feasible = t.quality + 1e-12 >= constraints.min_quality
-                        && t.cost <= constraints.max_cost + 1e-12;
-                    if feasible && t.affinity > current + 1e-12 {
-                        members = t.members;
-                        current = t.affinity;
+                    // Evaluate the swap in place, in `Team::assemble`'s
+                    // summation orders: skills, costs, then pairs `i < j`.
+                    team[mi] = c;
+                    let quality =
+                        team.iter().map(|&m| cands[m].skill).sum::<f64>() / team.len() as f64;
+                    let cost = team.iter().map(|&m| cands[m].cost).sum::<f64>();
+                    let feasible = quality + 1e-12 >= constraints.min_quality
+                        && cost <= constraints.max_cost + 1e-12;
+                    if !feasible {
+                        continue;
+                    }
+                    let affinity = mean_pair(&team, &tab, n);
+                    if affinity > current + 1e-12 {
+                        in_team[out] = false;
+                        in_team[c] = true;
+                        current = affinity;
                         improved = true;
                         break 'outer;
                     }
                 }
+                team[mi] = out;
             }
             if !improved {
                 break;
             }
         }
-        Some(Team::assemble(members, cands, aff))
+        Some(assemble(&team, cands, aff))
     }
 }
 

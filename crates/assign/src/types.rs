@@ -148,6 +148,10 @@ pub trait TeamFormation {
     /// Form the best team the algorithm can find, or `None` when no feasible
     /// team exists (the platform then "suggests to the requester to update
     /// her input", §2.2.1).
+    ///
+    /// Candidate ids are distinct: a worker appears in `cands` at most
+    /// once (the platform's pool is `interested_workers`, a set of rows).
+    /// Implementations may track membership by position in `cands`.
     fn form(
         &self,
         cands: &[Candidate],

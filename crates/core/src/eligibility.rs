@@ -14,7 +14,7 @@
 //!   the individual screen only "filters out unqualified workers" (§1), so
 //!   a team of mixed skills can still average above the bar.
 
-use crowd4u_crowd::profile::{Lang, WorkerProfile};
+use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_forms::admin::DesiredFactors;
 
 /// Individual screening threshold derived from the team-quality bound.
@@ -49,8 +49,7 @@ pub fn check_eligibility(
         return Err(Ineligibility::NotLoggedIn);
     }
     if let Some(lang) = &factors.required_language {
-        let l = Lang::new(lang.clone());
-        if profile.factors.fluency_in(&l) < 0.5 {
+        if profile.factors.fluency_in_code(lang) < 0.5 {
             return Err(Ineligibility::LacksLanguage(lang.clone()));
         }
     }

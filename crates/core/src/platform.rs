@@ -11,8 +11,10 @@
 //! ([`Crowd4U::apply_batch`]): batched answers mark their project *dirty*
 //! instead of re-running the CyLog fixpoint per answer, and
 //! [`Crowd4U::drain_events`] synchronises each dirty project exactly once.
-//! Eligibility is epoch-cached per project and invalidated only by the
-//! events that can change it (worker-profile changes, new facts/answers).
+//! Eligibility is cached per project: a factor-screen project's set is
+//! patched in place for the one worker a registration names, and screened
+//! again in full only when the profiles changed by another route or — for
+//! a declarative screen — the project's facts did.
 
 use crate::controller::{
     candidates_from_profiles, constraints_from_factors, non_committers, AssignmentController,
@@ -37,8 +39,14 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The eligibility cache of one project: valid while both epochs match.
 #[derive(Debug, Clone)]
 struct EligibleCache {
+    /// The [`WorkerManager::version`] the set is exact for. Set by a full
+    /// screen; advanced only by [`Crowd4U::install_worker_delta`], and only
+    /// from the version immediately before the registration it installs.
     worker_version: u64,
     project_epoch: u64,
+    /// Ascending by id under the factor screen (the order
+    /// [`WorkerManager::profiles`] yields), which is what lets a
+    /// registration patch it by binary search.
     workers: Vec<WorkerId>,
 }
 
@@ -103,6 +111,7 @@ struct PlatformTelemetry {
     events_dropped: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
+    cache_patches: Counter,
 }
 
 impl PlatformTelemetry {
@@ -114,6 +123,7 @@ impl PlatformTelemetry {
             events_dropped: handle.counter("crowd4u_core_events_dropped_total"),
             cache_hits: handle.counter("crowd4u_core_eligibility_cache_hits_total"),
             cache_misses: handle.counter("crowd4u_core_eligibility_cache_misses_total"),
+            cache_patches: handle.counter("crowd4u_core_eligibility_cache_patches_total"),
         }
     }
 }
@@ -196,7 +206,7 @@ impl Crowd4U {
 
     /// Attach telemetry: journal appends record in the `journal.append`
     /// stage histogram, applied/dropped events and eligibility-cache
-    /// hits/misses count into `crowd4u_core_*_total`, and every project
+    /// hits/misses/patches count into `crowd4u_core_*_total`, and every project
     /// engine — current and future — records its fixpoint stage and
     /// `EvalStats` counters (see [`CylogEngine::set_telemetry`]).
     /// Observe-only: two platforms differing only in telemetry produce
@@ -293,19 +303,76 @@ impl Crowd4U {
     /// same seq order, through this method — keeping
     /// `WorkerManager::version()` in lockstep without the event ever being
     /// broadcast.
+    ///
+    /// A registration changes one worker, so under the factor screen it
+    /// changes each project's eligible set by at most that worker. Every
+    /// factor-screen project with something to repair — a cached set that
+    /// is exact for the version just before this registration, or open
+    /// tasks — screens the new profile once, and the verdict repairs both:
+    /// the cached set is patched at the worker's `binary_search` position
+    /// and moved to the new version (so the next
+    /// [`eligible_set`](Crowd4U::eligible_set) is a hit, not a screen of
+    /// the whole population), and an eligible worker is marked on the open
+    /// tasks. A cache that is not exact for the preceding version — the
+    /// profiles moved through `workers.get_mut` or `refresh_skills`, the
+    /// project arrived from another shard — is left behind for the full
+    /// screen. A worker who stops qualifying leaves the cached set but
+    /// keeps the open-task rows they already have. Declarative projects
+    /// recompute in full: a new worker fact may flip *other* workers'
+    /// derived eligibility.
     pub fn install_worker_delta(&mut self, profile: crowd4u_crowd::profile::WorkerProfile) {
         let worker = profile.id;
+        if self.projects.is_empty() {
+            // Nothing to repair — bulk onboarding registers the crowd before
+            // the first project — so it pays for none of the bookkeeping.
+            self.workers.register(profile);
+            return;
+        }
+        let before = self.workers.version();
+        let open = self.pool.projects_with_open_tasks();
+        // Screen before the profile moves into the registry. `open` and
+        // `verdicts` are in ascending project order, which the binary
+        // searches rely on.
+        let verdicts: Vec<(ProjectId, bool)> = self
+            .projects
+            .values()
+            .filter(|p| {
+                let cached = matches!(&p.eligible_cache, Some(c) if c.worker_version == before);
+                !p.declarative && (cached || open.binary_search(&p.id).is_ok())
+            })
+            .map(|p| (p.id, eligibility::is_eligible(&profile, &p.factors)))
+            .collect();
         self.workers.register(profile);
-        // New workers become eligible for existing open tasks they qualify
-        // for. Under the factor screen a registration can only change the
-        // registered worker's own rows, so the refresh is incremental —
-        // recomputing the full eligible set here made every registration
-        // burst O(population × open tasks). Declarative projects still
-        // recompute in full: a new worker fact may flip *other* workers'
-        // derived eligibility. (The registration already invalidated the
-        // epoch caches either way.)
-        for project in self.pool.projects_with_open_tasks() {
-            let _ = self.refresh_registered_eligibility(worker, project);
+        let after = self.workers.version();
+        let mut patched = false;
+        for &(id, eligible) in &verdicts {
+            let proj = self.projects.get_mut(&id).expect("screened above");
+            if let Some(cache) = proj
+                .eligible_cache
+                .as_mut()
+                .filter(|c| c.worker_version == before)
+            {
+                match (cache.workers.binary_search(&worker), eligible) {
+                    (Err(at), true) => cache.workers.insert(at, worker),
+                    (Ok(at), false) => {
+                        cache.workers.remove(at);
+                    }
+                    _ => {}
+                }
+                cache.worker_version = after;
+                patched = true;
+            }
+        }
+        if patched {
+            self.counters.incr("eligibility_cache_patches");
+            self.telemetry.cache_patches.incr();
+        }
+        for project in open {
+            let screened = verdicts
+                .binary_search_by_key(&project, |&(id, _)| id)
+                .ok()
+                .map(|at| verdicts[at].1);
+            let _ = self.refresh_registered_eligibility(worker, project, screened);
         }
     }
 
@@ -332,24 +399,20 @@ impl Crowd4U {
         self.workers.install_snapshot(profiles, events_covered);
     }
 
-    /// Post-registration eligibility repair for one project: mark the new
-    /// worker on the project's open tasks if the factor screen admits
-    /// them, or fall back to the full recompute for declaratively
-    /// screened projects.
+    /// Post-registration eligibility repair for one project with open
+    /// tasks: mark the new worker on them if the factor screen admitted
+    /// them (`screened`), or fall back to the full recompute for a project
+    /// that was not factor-screened — a declarative one.
     fn refresh_registered_eligibility(
         &mut self,
         worker: WorkerId,
         project: ProjectId,
+        screened: Option<bool>,
     ) -> Result<(), PlatformError> {
-        let proj = self
-            .projects
-            .get(&project)
-            .ok_or(PlatformError::UnknownProject(project))?;
-        if proj.declarative {
-            return self.refresh_project_eligibility(project);
-        }
-        if !eligibility::is_eligible(self.workers.get(worker)?, &proj.factors) {
-            return Ok(());
+        match screened {
+            None => return self.refresh_project_eligibility(project),
+            Some(false) => return Ok(()),
+            Some(true) => {}
         }
         let tasks: Vec<TaskId> = self
             .pool
@@ -368,9 +431,15 @@ impl Crowd4U {
     /// (§2.2: Eligible "is computed by the CyLog processor"); all others
     /// use the built-in human-factor screen.
     ///
-    /// The result is epoch-cached: it is recomputed only when the worker
-    /// population changed ([`WorkerManager::version`]) or the project's
-    /// fact base changed (its epoch), and served from the cache otherwise.
+    /// The result is cached: it is served from the cache while the cache
+    /// is exact for the current [`WorkerManager::version`] (and, for a
+    /// declarative screen, the project's epoch), and recomputed over every
+    /// registered profile otherwise. Registrations keep a factor-screen
+    /// project's cache exact by patching it
+    /// ([`install_worker_delta`](Crowd4U::install_worker_delta)); any other
+    /// profile change leaves it behind, so this version check is the
+    /// safety net and the recompute below is the one implementation of
+    /// "who is eligible".
     pub fn eligible_set(&mut self, project: ProjectId) -> Result<Vec<WorkerId>, PlatformError> {
         let worker_version = self.workers.version();
         {
@@ -396,19 +465,12 @@ impl Crowd4U {
         self.telemetry.cache_misses.incr();
         let proj = self.projects.get_mut(&project).expect("checked above");
         let workers = if proj.declarative {
-            // The declarative path writes worker facts into the project
-            // engine while reading profiles, so it needs owned copies.
-            let profiles: Vec<crowd4u_crowd::profile::WorkerProfile> =
-                self.workers.profiles().cloned().collect();
-            for p in &profiles {
+            for p in self.workers.profiles() {
                 crate::declarative::sync_worker_facts(&mut proj.engine, p)?;
             }
             proj.engine.run()?;
             crate::declarative::eligible_workers(&proj.engine)?
         } else {
-            // The factor screen only reads: no reason to clone the whole
-            // population (this path runs on every cache miss, over every
-            // registered worker of the slice).
             self.workers
                 .profiles()
                 .filter(|p| eligibility::is_eligible(p, &proj.factors))
@@ -1392,6 +1454,9 @@ impl ProjectSlice {
 }
 
 #[cfg(test)]
+mod eligibility_diff;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crowd4u_crowd::profile::WorkerProfile;
@@ -1830,10 +1895,25 @@ published(S, T) :- sentence(S), translate(S, T).
         );
         assert!(p.counters.get("eligibility_cache_hits") >= 5);
 
-        // A new worker invalidates (worker version bump).
+        // A new worker patches the cached set instead of dropping it: the
+        // set grows, and the read after it is still a hit.
         p.register_worker(WorkerProfile::new(WorkerId(9), "late"));
         assert_eq!(p.eligible_set(proj).unwrap().len(), 4);
-        assert!(p.counters.get("eligibility_cache_misses") > misses_after_first);
+        assert_eq!(
+            p.counters.get("eligibility_cache_misses"),
+            misses_after_first
+        );
+        assert_eq!(p.counters.get("eligibility_cache_patches"), 1);
+
+        // A profile edit behind the platform's back moves the version
+        // without a patch: exactly one miss, then hits again.
+        p.workers.get_mut(WorkerId(9)).unwrap().factors.logged_in = false;
+        assert_eq!(p.eligible_set(proj).unwrap().len(), 3);
+        assert_eq!(p.eligible_set(proj).unwrap().len(), 3);
+        assert_eq!(
+            p.counters.get("eligibility_cache_misses"),
+            misses_after_first + 1
+        );
 
         // The factor screen is a pure function of profiles × factors, so
         // new facts do NOT invalidate it (the set is served from cache).
@@ -1862,6 +1942,43 @@ published(S, T) :- sentence(S), translate(S, T).
         p.seed_fact(decl, "flag", vec![Value::Id(1)]).unwrap();
         assert_eq!(p.eligible_set(decl).unwrap(), vec![WorkerId(1)]);
         assert_eq!(p.counters.get("eligibility_cache_misses"), misses + 1);
+    }
+
+    #[test]
+    fn a_registration_counts_one_patch_however_many_projects() {
+        let registry = crowd4u_telemetry::Registry::new();
+        let mut p = platform_with_workers(2);
+        p.set_telemetry(&registry.handle());
+        let patches = |p: &Crowd4U| {
+            let total = registry
+                .snapshot()
+                .counter_total("crowd4u_core_eligibility_cache_patches_total");
+            assert_eq!(total, p.counters.get("eligibility_cache_patches"));
+            total
+        };
+        let a = p
+            .register_project("a", SRC, factors(), Scheme::Sequential)
+            .unwrap();
+        let b = p
+            .register_project("b", SRC, factors(), Scheme::Sequential)
+            .unwrap();
+        // No project has read its eligible set yet: nothing to patch.
+        p.register_worker(WorkerProfile::new(WorkerId(7), "early"));
+        assert_eq!(patches(&p), 0);
+        // Two live caches, one registration: one patch event, both sets.
+        p.eligible_set(a).unwrap();
+        p.eligible_set(b).unwrap();
+        p.register_worker(WorkerProfile::new(WorkerId(5), "mid"));
+        assert_eq!(patches(&p), 1);
+        let want = vec![WorkerId(1), WorkerId(2), WorkerId(5), WorkerId(7)];
+        assert_eq!(p.eligible_set(a).unwrap(), want);
+        assert_eq!(p.eligible_set(b).unwrap(), want);
+        // Re-registering as ineligible patches the worker back out.
+        let mut gone = WorkerProfile::new(WorkerId(5), "mid");
+        gone.factors.logged_in = false;
+        p.register_worker(gone);
+        assert_eq!(patches(&p), 2);
+        assert_eq!(p.eligible_set(a).unwrap().len(), 3);
     }
 
     /// Compile-time shardability audit: every type a shard thread owns (or

@@ -24,6 +24,18 @@ pub trait AffinityLookup {
     /// Symmetric affinity between two workers; 0.0 when unknown. The
     /// affinity of a worker with itself is defined as 0 (no self-pairs).
     fn affinity(&self, a: WorkerId, b: WorkerId) -> f64;
+
+    /// Row-major `n × n` table of the pair affinities among `ids`: entry
+    /// `p * n + q` is exactly `affinity(ids[p], ids[q])`. A search that
+    /// reads the same pairs many times fills this once and then works on
+    /// positions in `ids` instead of worker ids.
+    fn table(&self, ids: &[WorkerId]) -> Vec<f64> {
+        let mut tab = Vec::with_capacity(ids.len() * ids.len());
+        for &a in ids {
+            tab.extend(ids.iter().map(|&b| self.affinity(a, b)));
+        }
+        tab
+    }
 }
 
 /// Dense symmetric affinity matrix over a fixed worker universe.
@@ -66,12 +78,7 @@ impl AffinityMatrix {
     }
 
     fn slot(&self, a: WorkerId, b: WorkerId) -> Option<usize> {
-        let (&i, &j) = (self.index.get(&a)?, self.index.get(&b)?);
-        if i == j {
-            return None;
-        }
-        let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-        Some(hi * (hi - 1) / 2 + lo)
+        tri_slot(*self.index.get(&a)?, *self.index.get(&b)?)
     }
 
     /// Set the symmetric affinity (clamped to `[0,1]`). Unknown workers or
@@ -91,9 +98,37 @@ impl AffinityMatrix {
     }
 }
 
+/// Position of the unordered pair of matrix indices `(i, j)` in the lower
+/// triangle; `None` for the diagonal.
+fn tri_slot(i: usize, j: usize) -> Option<usize> {
+    if i == j {
+        return None;
+    }
+    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+    Some(hi * (hi - 1) / 2 + lo)
+}
+
 impl AffinityLookup for AffinityMatrix {
     fn affinity(&self, a: WorkerId, b: WorkerId) -> f64 {
         self.slot(a, b).map(|s| self.tri[s]).unwrap_or(0.0)
+    }
+
+    /// Resolves each id to its matrix index once (`n` hash probes, not
+    /// `2n²`) and copies from the triangle; unknown ids and self-pairs
+    /// stay 0.0, as in [`affinity`](AffinityLookup::affinity).
+    fn table(&self, ids: &[WorkerId]) -> Vec<f64> {
+        let n = ids.len();
+        let at: Vec<Option<usize>> = ids.iter().map(|w| self.index.get(w).copied()).collect();
+        let mut tab = vec![0.0; n * n];
+        for (p, i) in at.iter().enumerate() {
+            for (q, j) in at.iter().enumerate().skip(p + 1) {
+                if let Some(s) = i.zip(*j).and_then(|(i, j)| tri_slot(i, j)) {
+                    tab[p * n + q] = self.tri[s];
+                    tab[q * n + p] = self.tri[s];
+                }
+            }
+        }
+        tab
     }
 }
 
@@ -171,30 +206,19 @@ pub fn affinity_from_profile_refs(
 ) -> AffinityMatrix {
     let (wg, wl, ws) = normalised_weights(w_geo, w_lang, w_skill);
     let mut m = AffinityMatrix::new(workers.iter().map(|w| w.id).collect());
-    // The pair loop is O(n²) and runs over the full registered population
-    // of a platform slice — hoist every per-worker feature (fluent
-    // languages, skill names) out of it so the inner body allocates only
-    // one reusable scratch buffer. Same arithmetic, same iteration
-    // orders, bit-identical affinities.
+    // The pair loop is O(n²) — hoist every per-worker feature (fluent
+    // languages, skill names with their levels) out of it so the inner
+    // body neither allocates nor probes a profile's maps. Same arithmetic,
+    // same iteration orders, bit-identical affinities.
     let fluent: Vec<Vec<&str>> = workers.iter().map(|w| fluent_langs(w)).collect();
-    let skill_names: Vec<Vec<&str>> = workers.iter().map(|w| skill_name_list(w)).collect();
-    let mut names: Vec<&str> = Vec::new();
+    let skills: Vec<Vec<(&str, f64)>> = workers.iter().map(|w| skill_levels(w)).collect();
     for (i, a) in workers.iter().enumerate() {
         for (j, b) in workers.iter().enumerate().skip(i + 1) {
             // Write the lower-triangle slot directly — ids arrived in
             // matrix order, so the position is arithmetic, not a hash
             // lookup per pair.
             m.tri[j * (j - 1) / 2 + i] = pair_value(
-                a,
-                b,
-                &fluent[i],
-                &fluent[j],
-                &skill_names[i],
-                &skill_names[j],
-                &mut names,
-                wg,
-                wl,
-                ws,
+                a, b, &fluent[i], &fluent[j], &skills[i], &skills[j], wg, wl, ws,
             );
         }
     }
@@ -216,24 +240,31 @@ fn fluent_langs(w: &WorkerProfile) -> Vec<&str> {
         .collect()
 }
 
-fn skill_name_list(w: &WorkerProfile) -> Vec<&str> {
-    w.factors.skills.keys().map(String::as_str).collect()
+/// A worker's named skills with their levels, in profile map order.
+fn skill_levels(w: &WorkerProfile) -> Vec<(&str, f64)> {
+    w.factors
+        .skills
+        .iter()
+        .map(|(name, &level)| (name.as_str(), level))
+        .collect()
+}
+
+fn level_of(skills: &[(&str, f64)], name: &str) -> Option<f64> {
+    skills.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
 }
 
 /// The single-pair affinity body shared by the matrix builder and the lazy
-/// provider. Callers pass the hoisted per-worker features; `names` is a
-/// reusable scratch buffer. The arithmetic here is the *only* place a pair
-/// affinity is computed, which is what makes the lazy path bit-identical
-/// to the dense one by construction.
+/// provider. Callers pass the hoisted per-worker features. The arithmetic
+/// here is the *only* place a pair affinity is computed, which is what
+/// makes the lazy path bit-identical to the dense one by construction.
 #[allow(clippy::too_many_arguments)]
-fn pair_value<'p>(
+fn pair_value(
     a: &WorkerProfile,
     b: &WorkerProfile,
     la: &[&str],
     lb: &[&str],
-    sa: &[&'p str],
-    sb: &[&'p str],
-    names: &mut Vec<&'p str>,
+    sa: &[(&str, f64)],
+    sb: &[(&str, f64)],
     wg: f64,
     wl: f64,
     ws: f64,
@@ -249,23 +280,24 @@ fn pair_value<'p>(
     } else {
         inter as f64 / union as f64
     };
-    // Skills: 1 - mean |Δ| over the union of named skills.
-    names.clear();
-    names.extend_from_slice(sa);
-    for k in sb {
-        if !names.contains(k) {
-            names.push(k);
+    // Skills: 1 - mean |Δ| over the union of named skills, summed over
+    // a's names and then the names only b has (the sum is order-sensitive
+    // in the last ulp); a skill a worker does not list is 0.0.
+    let mut names = sa.len();
+    let mut diff = 0.0;
+    for &(name, level) in sa {
+        diff += (level - level_of(sb, name).unwrap_or(0.0)).abs();
+    }
+    for &(name, level) in sb {
+        if level_of(sa, name).is_none() {
+            diff += (0.0 - level).abs();
+            names += 1;
         }
     }
-    let skill = if names.is_empty() {
+    let skill = if names == 0 {
         0.0
     } else {
-        let diff: f64 = names
-            .iter()
-            .map(|n| (a.factors.skill(n) - b.factors.skill(n)).abs())
-            .sum::<f64>()
-            / names.len() as f64;
-        1.0 - diff
+        1.0 - diff / names as f64
     };
     wg * geo + wl * lang + ws * skill
 }
@@ -289,9 +321,8 @@ pub fn pair_affinity_of(
     let (a, b) = if a.id <= b.id { (a, b) } else { (b, a) };
     let (wg, wl, ws) = normalised_weights(w_geo, w_lang, w_skill);
     let (la, lb) = (fluent_langs(a), fluent_langs(b));
-    let (sa, sb) = (skill_name_list(a), skill_name_list(b));
-    let mut names = Vec::new();
-    pair_value(a, b, &la, &lb, &sa, &sb, &mut names, wg, wl, ws)
+    let (sa, sb) = (skill_levels(a), skill_levels(b));
+    pair_value(a, b, &la, &lb, &sa, &sb, wg, wl, ws)
 }
 
 /// Lazy affinity source for large populations: pair values are computed
@@ -562,6 +593,130 @@ mod tests {
                     a.id,
                     b.id
                 );
+            }
+        }
+    }
+
+    /// A pair's affinity as it was computed while the skill term probed
+    /// both profiles' skill maps for every name of the union — the oracle
+    /// the hoisted `(name, level)` form is held bit-equal to.
+    fn pair_affinity_by_map_probes(
+        a: &WorkerProfile,
+        b: &WorkerProfile,
+        (wg, wl, ws): (f64, f64, f64),
+    ) -> f64 {
+        let (wg, wl, ws) = normalised_weights(wg, wl, ws);
+        let d = a.factors.region.distance(&b.factors.region);
+        let geo = (1.0 - d / std::f64::consts::SQRT_2).clamp(0.0, 1.0);
+        let (la, lb) = (fluent_langs(a), fluent_langs(b));
+        let inter = la.iter().filter(|l| lb.contains(l)).count();
+        let union = la.len() + lb.len() - inter;
+        let lang = if union == 0 {
+            0.0
+        } else {
+            inter as f64 / union as f64
+        };
+        let mut names: Vec<&str> = a.factors.skills.keys().map(String::as_str).collect();
+        for k in b.factors.skills.keys() {
+            if !names.contains(&k.as_str()) {
+                names.push(k);
+            }
+        }
+        let skill = if names.is_empty() {
+            0.0
+        } else {
+            let diff: f64 = names
+                .iter()
+                .map(|n| (a.factors.skill(n) - b.factors.skill(n)).abs())
+                .sum::<f64>()
+                / names.len() as f64;
+            1.0 - diff
+        };
+        wg * geo + wl * lang + ws * skill
+    }
+
+    /// A crowd whose skill maps are empty, disjoint, overlapping and equal
+    /// in name sets: worker `i` lists the skills whose bit is set in
+    /// `masks[i]`, at levels that differ per worker.
+    fn crew_with_skill_masks(masks: &[u8]) -> Vec<WorkerProfile> {
+        const SKILLS: [&str; 4] = ["survey", "drafting", "edit", "translate"];
+        masks
+            .iter()
+            .enumerate()
+            .map(|(i, mask)| {
+                let x = (i as f64 + 1.0) / (masks.len() as f64 + 1.0);
+                let mut w = WorkerProfile::new(WorkerId(3 * i as u64 + 1), format!("w{i}"))
+                    .with_native_lang(if i % 2 == 0 { "en" } else { "ja" })
+                    .with_region(Region::new("r", x, 1.0 - x));
+                for (bit, name) in SKILLS.iter().enumerate() {
+                    if mask & (1 << bit) != 0 {
+                        w = w.with_skill(*name, (x * (bit as f64 + 1.7)).fract());
+                    }
+                }
+                w
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hoisted_skill_levels_match_map_probes_bitwise() {
+        // Every pair of name sets over four skills: empty × empty, empty ×
+        // some, disjoint, overlapping, nested, equal.
+        let workers = crew_with_skill_masks(&(0..16).collect::<Vec<u8>>());
+        let refs: Vec<&WorkerProfile> = workers.iter().collect();
+        for weights in [(1.0, 1.0, 0.5), (0.0, 0.0, 1.0), (0.3, 1.9, 0.7)] {
+            let (wg, wl, ws) = weights;
+            let m = affinity_from_profile_refs(&refs, wg, wl, ws);
+            for (i, a) in workers.iter().enumerate() {
+                for b in &workers[i + 1..] {
+                    let want = pair_affinity_by_map_probes(a, b, weights);
+                    assert_eq!(
+                        m.affinity(a.id, b.id).to_bits(),
+                        want.to_bits(),
+                        "matrix entry ({:?}, {:?})",
+                        a.id,
+                        b.id
+                    );
+                    // Either argument order: the lazy path canonicalises.
+                    assert_eq!(pair_affinity_of(b, a, wg, wl, ws).to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+
+    /// Answers pairs from a matrix but inherits `table`'s default.
+    struct PairsOnly<'a>(&'a AffinityMatrix);
+
+    impl AffinityLookup for PairsOnly<'_> {
+        fn affinity(&self, a: WorkerId, b: WorkerId) -> f64 {
+            self.0.affinity(a, b)
+        }
+    }
+
+    #[test]
+    fn matrix_table_matches_the_default() {
+        let workers = crew(7);
+        let m = affinity_from_profiles(&workers, 1.0, 1.0, 0.5);
+        // Permuted, with an id the matrix does not know (99), a repeat
+        // (3) and the empty and one-id edge cases.
+        for ids in [
+            vec![5, 2, 99, 7, 3, 1, 3, 6],
+            vec![4, 1],
+            vec![99, 98],
+            vec![2],
+            vec![],
+        ] {
+            let ids: Vec<WorkerId> = ids.into_iter().map(WorkerId).collect();
+            let n = ids.len();
+            let table = m.table(&ids);
+            assert_eq!(table.len(), n * n);
+            let default = PairsOnly(&m).table(&ids);
+            for p in 0..n {
+                for q in 0..n {
+                    let want = m.affinity(ids[p], ids[q]).to_bits();
+                    assert_eq!(table[p * n + q].to_bits(), want, "override at ({p}, {q})");
+                    assert_eq!(default[p * n + q].to_bits(), want, "default at ({p}, {q})");
+                }
             }
         }
     }

@@ -32,6 +32,14 @@ impl Lang {
     }
 }
 
+/// A `Lang` orders, compares and hashes as its code, so a map keyed by
+/// `Lang` can be probed with a `&str`.
+impl std::borrow::Borrow<str> for Lang {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl fmt::Display for Lang {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
@@ -96,10 +104,17 @@ impl Default for HumanFactors {
 impl HumanFactors {
     /// Fluency in a language (native ⇒ 1.0; unknown ⇒ 0.0).
     pub fn fluency_in(&self, lang: &Lang) -> f64 {
-        if self.native_langs.contains(lang) {
+        self.fluency_in_code(lang.code())
+    }
+
+    /// [`fluency_in`](Self::fluency_in) by language code, for callers that
+    /// hold a `&str` (the eligibility screen runs this once per worker and
+    /// must not build a [`Lang`] to ask).
+    pub fn fluency_in_code(&self, code: &str) -> f64 {
+        if self.native_langs.iter().any(|l| l.code() == code) {
             return 1.0;
         }
-        self.fluency.get(lang).copied().unwrap_or(0.0)
+        self.fluency.get(code).copied().unwrap_or(0.0)
     }
 
     pub fn speaks_natively(&self, lang: &Lang) -> bool {
@@ -185,6 +200,9 @@ mod tests {
         assert_eq!(w.factors.fluency_in(&Lang::new("en")), 1.0);
         assert_eq!(w.factors.fluency_in(&Lang::new("fr")), 0.6);
         assert_eq!(w.factors.fluency_in(&Lang::new("zz")), 0.0);
+        assert_eq!(w.factors.fluency_in_code("en"), 1.0);
+        assert_eq!(w.factors.fluency_in_code("fr"), 0.6);
+        assert_eq!(w.factors.fluency_in_code("zz"), 0.0);
         assert_eq!(w.factors.skill("journalism"), 0.9);
         assert_eq!(w.factors.skill("nothing"), 0.0);
         assert_eq!(w.cost, 2.0);

@@ -10,7 +10,10 @@
 #                                  and the e2e benchmark as BENCHMARK.json builds it
 #   4. cargo test -q            — unit + property + integration + doc tests
 #   5. RUNTIME_SHARDS=4 pass    — the integration suite on the parallel path
-#   6. pinned-seed replays      — chaos and shared-crowd proptests, and the two
+#   6. pinned-seed replays      — chaos (with the two worker-log truncation
+#                                  regressions: a replica recovers, a project
+#                                  migrates, both past three truncation chunks)
+#                                  and shared-crowd proptests, and the two
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility), reproducible
@@ -74,7 +77,9 @@ step env RUNTIME_SHARDS=4 cargo test -q -p crowd4u --tests
 # proptest under a pinned seed so the exact crash schedules (FaultPlan
 # kill points derived from PROPTEST_SEED) are reproduced byte-for-byte on
 # every CI run — a regression here replays identically on a dev box with
-# the same seed.
+# the same seed. The same file holds the worker-log truncation
+# regressions (recovery and migration past TRUNCATE_CHUNK registrations),
+# and its generator's crowd-burst op crosses truncation under this seed.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u --test recovery_equivalence
 # Shared-crowd replay: rerun the marketplace differential proptest (three
@@ -125,8 +130,11 @@ bench_smoke e12_scenario_streaming
 # provider and the coordinator-owned worker service. The bench itself
 # gates O(1) amortised registration, the 2*top_k*n affinity-state bound,
 # population-independent p99 assignment latency, worker-version lockstep
-# across 4 shards, and peak RSS far below the dense-matrix footprint
-# (full-size 10^6 baseline in BENCH_workers.json; regenerate with
+# across 4 shards (which guards the filed-delta path: each replica takes
+# the whole crowd as one pull, files it in its ledger slot and installs it
+# delta by delta), and peak RSS far below the dense-matrix footprint
+# (full-size baseline in BENCH_workers.json, which names its population
+# and core count; regenerate with
 # `cargo run --release -p crowd4u-bench --bin report -- workers`).
 # The first and third of those gates are also what guard
 # `install_worker_delta`'s per-registration loop over projects (the

@@ -17,8 +17,9 @@
 //!   `run_assignment` over a fixed candidate slice is flat as the
 //!   population grows 25×;
 //! * **coordinator-owned replication** — the same stream through the
-//!   4-shard runtime (workers first: the snapshot fast-forward phase)
-//!   lands every shard on identical `(workers, version)`.
+//!   4-shard runtime (workers first: each replica files and installs the
+//!   whole crowd in one pull) lands every shard on identical
+//!   `(workers, version)`.
 //!
 //! `ci.sh` runs this bench on a tiny budget with the default 10⁵-worker
 //! smoke; `report -- workers` records the full-size baseline to
@@ -127,9 +128,10 @@ fn smoke_gates(w: &WorkerScaleWorkload) {
          {p99_small:.2?} → {p99_large:.2?}"
     );
 
-    // Gate 4: the runtime leg — same stream, 4 shards, workers first (the
-    // snapshot fast-forward phase), churn included. Every shard must land
-    // on the same (workers, version), and peak RSS must stay far below the
+    // Gate 4: the runtime leg — same stream, 4 shards, workers first (one
+    // bulk pull per replica, filed in its ledger slot and installed delta
+    // by delta), churn included. Every shard must land on the same
+    // (workers, version), and peak RSS must stay far below the
     // dense-matrix footprint.
     let (elapsed, applied, per_shard) = run_worker_scale_runtime(4, w);
     // The version a serial register reaches: one bump per worker event

@@ -461,8 +461,9 @@ fn workers_baseline() {
         w.workers = n;
     }
     let n = w.workers;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "## E13 — worker scale: {n} workers + {}% churn, {} eligible, top_k {}\n",
+        "## E13 — worker scale: {n} workers + {}% churn, {} eligible, top_k {}, {nproc} cores\n",
         w.churn_percent, w.eligible, w.top_k
     );
 
@@ -536,7 +537,7 @@ fn workers_baseline() {
     println!("{}", t.render());
 
     let json = format!(
-        "{{\n  \"experiment\": \"e13_worker_scale\",\n  \"workers\": {n},\n  \
+        "{{\n  \"experiment\": \"e13_worker_scale\",\n  \"nproc\": {nproc},\n  \"workers\": {n},\n  \
          \"churn_percent\": {},\n  \"eligible\": {},\n  \"top_k\": {},\n  \
          \"registrations\": {events},\n  \"first_decile_ms\": {:.3},\n  \
          \"last_decile_ms\": {:.3},\n  \"decile_ratio\": {ratio:.2},\n  \

@@ -1045,8 +1045,8 @@ pub fn scale_profile(i: u64, eligible: usize) -> WorkerProfile {
 
 /// The E13 event stream: `workers` registrations followed by churn
 /// re-registrations (every `100 / churn_percent`-th worker comes back with
-/// a bumped skill). Workers come **first** — the bulk-onboarding phase the
-/// worker service's snapshot fast-forward exists for.
+/// a bumped skill). Workers come **first** — bulk onboarding, which a
+/// replica takes as one pull of the worker service's delta log.
 pub fn worker_scale_events(w: &WorkerScaleWorkload) -> Vec<crowd4u_core::events::PlatformEvent> {
     use crowd4u_core::events::PlatformEvent;
     let churn = w.workers * w.churn_percent / 100;
@@ -1164,7 +1164,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// The E13 runtime leg: the registration + churn stream through the
-/// sharded runtime (workers first — the snapshot fast-forward phase), then
+/// sharded runtime (workers first — one bulk pull per replica), then
 /// the project, a collaborative assignment, and `finish`. Returns the wall
 /// time, total applied events, and each shard's `(workers, version)` —
 /// which must agree across shards and with a serial register.

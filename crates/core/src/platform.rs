@@ -376,29 +376,6 @@ impl Crowd4U {
         }
     }
 
-    /// Bulk-install a compacted worker snapshot on a **completely fresh**
-    /// replica (no workers, no projects) — the fast-forward path a shard
-    /// takes instead of replaying every registration delta one by one.
-    /// `events_covered` is the number of registration events the snapshot
-    /// compacts; it keeps the worker version in lockstep with a replica
-    /// that installed each delta individually. With no projects there is
-    /// no eligibility state to repair, which is exactly why the
-    /// freshness precondition exists.
-    ///
-    /// # Panics
-    /// If the platform already has workers or projects.
-    pub fn install_worker_snapshot(
-        &mut self,
-        profiles: impl IntoIterator<Item = crowd4u_crowd::profile::WorkerProfile>,
-        events_covered: u64,
-    ) {
-        assert!(
-            self.workers.is_empty() && self.projects.is_empty(),
-            "worker snapshots may only fast-forward a fresh replica"
-        );
-        self.workers.install_snapshot(profiles, events_covered);
-    }
-
     /// Post-registration eligibility repair for one project with open
     /// tasks: mark the new worker on them if the factor screen admitted
     /// them (`screened`), or fall back to the full recompute for a project

@@ -59,22 +59,6 @@ impl WorkerManager {
         self.version += 1;
     }
 
-    /// Bulk-install a compacted profile snapshot shipped by the runtime's
-    /// worker service. `events_covered` is how many registration events
-    /// the snapshot compacts; adding it keeps `version()` in lockstep with
-    /// a replica that applied every event individually — the invariant the
-    /// eligibility epoch cache and the shard determinism contract key on.
-    pub fn install_snapshot(
-        &mut self,
-        profiles: impl IntoIterator<Item = WorkerProfile>,
-        events_covered: u64,
-    ) {
-        for p in profiles {
-            self.profiles.insert(p.id, p);
-        }
-        self.version += events_covered;
-    }
-
     /// Profile-set version; changes whenever any profile may have changed.
     pub fn version(&self) -> u64 {
         self.version
@@ -289,24 +273,6 @@ mod tests {
             }
         }
         assert!(m.cached_affinity_entries() <= 2 * m.len());
-    }
-
-    #[test]
-    fn snapshot_install_keeps_version_lockstep() {
-        let mut serial = WorkerManager::new();
-        let mut replica = WorkerManager::new();
-        let profiles: Vec<WorkerProfile> = (1..=5)
-            .map(|i| WorkerProfile::new(WorkerId(i), format!("w{i}")))
-            .collect();
-        for p in &profiles {
-            serial.register(p.clone());
-        }
-        // A snapshot compacting re-registrations covers more events than
-        // it carries profiles.
-        serial.register(profiles[0].clone());
-        replica.install_snapshot(profiles, 6);
-        assert_eq!(replica.version(), serial.version());
-        assert_eq!(replica.len(), serial.len());
     }
 
     #[test]

@@ -736,7 +736,7 @@ impl GateCore {
         !s.closed
     }
 
-    /// Seq-less control messages (jobs, finishes) carry a *bound*: the
+    /// Seq-less control messages (jobs, flushes, finishes) carry a *bound*: the
     /// worker-service log length at enqueue time, captured under the
     /// destination mailbox lock. A replica installs log entries up to the
     /// bound before running the message, which reproduces exactly the
@@ -747,10 +747,10 @@ impl GateCore {
     /// seq-stamped) after it.
     fn capture_bound(&self, msg: &mut ToShard) {
         match msg {
-            ToShard::Job { bound, .. } | ToShard::Finish { bound, .. } => {
-                *bound = self.service.log_len();
-            }
-            _ => {}
+            ToShard::Job { bound, .. }
+            | ToShard::Flush { bound, .. }
+            | ToShard::Finish { bound, .. } => *bound = self.service.log_len(),
+            ToShard::Apply { .. } | ToShard::Drain { .. } => {}
         }
     }
 
@@ -967,7 +967,7 @@ mod tests {
         let core = Arc::new(GateCore::new(
             shards,
             capacity,
-            Arc::new(WorkerService::new(0)),
+            Arc::new(WorkerService::new()),
             &TelemetryHandle::disabled(),
         ));
         (IngestGate::new(Arc::clone(&core)), core)

@@ -22,9 +22,10 @@
 //!   and applied by every shard in the same global sequence order; worker
 //!   events go to the coordinator (shard 0) alone, which owns the profile
 //!   registry via the [`workers::WorkerService`] — other shards pull
-//!   version-keyed deltas/snapshots on demand at the exact points the old
-//!   broadcast would have interleaved them, so replicated state (worker
-//!   manager, project-id sequence) still advances in lockstep.
+//!   seq-keyed deltas on demand at the exact points the old broadcast
+//!   would have interleaved them (and file them in their own ledger slot
+//!   before installing them), so replicated state (worker manager,
+//!   project-id sequence) still advances in lockstep.
 //! * **Determinism**: every event is stamped with a global sequence
 //!   number; each mailbox is delivered in sequence order; the entries
 //!   each slice journals are moved, seq-tagged, into the runtime's ledger
@@ -112,8 +113,8 @@
 //! respawned in place: its mailbox is held (blocking submitters park;
 //! [`gate::GateError::Recovering`] on `try_submit`), its slice is rebuilt
 //! by replaying the runtime-owned [ledger](recovery) — project events it
-//! owns, broadcasts, and the worker feed re-interleaved at their exact
-//! sequence positions — and held traffic then resumes, with the merged
+//! owns, broadcasts, and (on a replica) the worker deltas it filed there
+//! before installing them — and held traffic then resumes, with the merged
 //! journal byte-identical to a run where the failure never happened
 //! (`tests/recovery_equivalence.rs` proptests this). Projects can also be
 //! rebalanced while the runtime runs:

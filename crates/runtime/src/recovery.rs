@@ -16,13 +16,14 @@
 //!   ledger slot (broadcast copies are ledgered even on shards that
 //!   don't record them, because the coordinator may not have applied the
 //!   broadcast yet when a replica dies);
-//! * **worker deltas** are re-pulled from the
-//!   [`WorkerService`](crate::workers::WorkerService) — compacted
-//!   snapshot prefix plus resident deltas — and re-interleaved at
-//!   exactly the sequence positions the live shard installed them,
-//!   **up to the dead shard's last reported cursor**. Stopping at the
-//!   old cursor matters: the service log may already contain deltas
-//!   stamped *after* events still waiting in the mailbox, and
+//! * **worker deltas** come from the same slot: a replica files every
+//!   delta it pulls from the
+//!   [`WorkerService`](crate::workers::WorkerService) *before* installing
+//!   it (`Applied::WorkerDelta`, keyed by the registration's sequence
+//!   number), so the slot already holds them at exactly the positions the
+//!   live shard installed them — and holds no delta the live shard had
+//!   not reached, which matters: the service log may already contain
+//!   deltas stamped *after* events still waiting in the mailbox, and
 //!   installing those early would change how the pending events apply.
 //! * entries for projects the routing table has since moved elsewhere
 //!   are filtered out (the rebuilt shard keeps only the shell every
@@ -52,18 +53,28 @@ use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_storage::journal::JournalEntry;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// One applied message in a shard's history: its sort key, the journal
-/// entry the platform itself wrote for it (moved out of the slice, never
-/// re-encoded), the scope it was routed by, and whether this shard is the
-/// event's unique recorder (broadcast copies on replica shards are
-/// ledgered but not recorded).
+/// What a ledger entry replays.
+#[derive(Debug, Clone)]
+pub(crate) enum Applied {
+    /// The journal entry the platform itself wrote for an applied message
+    /// (moved out of the slice, never re-encoded).
+    Journaled(JournalEntry),
+    /// A registration a replica pulled from the worker service, filed
+    /// before it was installed; the `Arc` is the service log's own.
+    WorkerDelta(Arc<WorkerProfile>),
+}
+
+/// One applied message in a shard's history: its sort key, what it
+/// replays, the scope it was routed by, and whether this shard is the
+/// event's unique recorder (broadcast copies and pulled worker deltas on
+/// replica shards are ledgered but not recorded).
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerEntry {
     pub key: SeqKey,
-    pub entry: JournalEntry,
+    pub entry: Applied,
     /// What the slice filters select on, so none of them decodes `entry`:
     /// the event's own scope; `Global` for a drain barrier; `Project(p)`
-    /// for an auto-drain sync of `p`.
+    /// for an auto-drain sync of `p`; `Worker` for a pulled delta.
     pub scope: EventScope,
     pub recorded: bool,
 }
@@ -120,11 +131,12 @@ impl ShardLedger {
     }
 
     /// The slice a rebuild of `shard` replays: from its own slot every
-    /// drain and broadcast, the worker events (only the coordinator
-    /// ledgers those) and the project events it owns under the *current*
-    /// routing table `owner_of`; and, when projects have `migrated`,
-    /// the recorded events of projects migrated in, which earlier owners
-    /// applied and therefore hold in their slots. In key order.
+    /// drain, broadcast and worker entry (the coordinator's journaled
+    /// registrations, a replica's filed deltas) and the project events it
+    /// owns under the *current* routing table `owner_of`; and, when
+    /// projects have `migrated`, the recorded events of projects migrated
+    /// in, which earlier owners applied and therefore hold in their
+    /// slots. In key order.
     pub(crate) fn shard_slice(
         &self,
         shard: usize,
@@ -132,8 +144,7 @@ impl ShardLedger {
         migrated: bool,
     ) -> Vec<LedgerEntry> {
         let mut entries = self.select(shard, |e| match e.scope {
-            EventScope::Global => true,
-            EventScope::Worker => shard == 0,
+            EventScope::Global | EventScope::Worker => true,
             EventScope::Project(p) => owner_of(p) == shard,
         });
         if migrated {
@@ -150,15 +161,14 @@ impl ShardLedger {
 
     /// The slice a migration of `project` off shard `from` replays: the
     /// project's recorded events from every slot (earlier owners keep the
-    /// pre-migration history), interleaved with `from`'s drain barriers
-    /// and broadcast copies. In key order.
+    /// pre-migration history), interleaved with `from`'s drain barriers,
+    /// broadcast copies and worker entries. In key order.
     pub(crate) fn project_slice(&self, project: ProjectId, from: usize) -> Vec<LedgerEntry> {
         let mut entries = Vec::new();
         for shard in 0..self.shards() {
             entries.extend(self.select(shard, |e| match e.scope {
-                EventScope::Global => shard == from,
+                EventScope::Global | EventScope::Worker => shard == from,
                 EventScope::Project(p) => e.recorded && p == project,
-                EventScope::Worker => false,
             }));
         }
         entries.sort_by_key(|e| e.key);
@@ -171,7 +181,10 @@ impl ShardLedger {
             .entries
             .iter()
             .filter(|e| e.recorded)
-            .map(|e| (e.key, e.entry.clone()))
+            .filter_map(|e| match &e.entry {
+                Applied::Journaled(entry) => Some((e.key, entry.clone())),
+                Applied::WorkerDelta(_) => None,
+            })
             .collect()
     }
 }
@@ -246,99 +259,37 @@ impl FaultPlan {
     }
 }
 
-/// The worker-registration history a rebuilding shard re-syncs from —
-/// a point-in-time view of the [`WorkerService`](crate::workers) state:
-/// an optional compacted prefix (everything folded below the truncation
-/// point) and the resident delta suffix.
-pub(crate) struct WorkerFeed {
-    /// Compacted prefix: `(profiles, events_covered, last_covered_seq)`.
-    pub prefix: Option<(Vec<Arc<WorkerProfile>>, usize, u64)>,
-    /// Resident log entries from `base` upward, as `(seq, profile)`.
-    pub deltas: Vec<(u64, Arc<WorkerProfile>)>,
-    /// Logical index of `deltas[0]` (entries below it were truncated and
-    /// live only in the prefix).
-    pub base: usize,
-}
-
-/// Replay one shard slice — ledger entries plus (for worker-service
-/// consumers) the re-interleaved worker feed up to `upto` installed
-/// registrations — onto a fresh `platform`. Returns the rebuilt
-/// platform — its journal empty, like every live slice's: the entries
-/// just replayed are the ledger's already — and the final worker-log
-/// cursor.
-///
-/// `feed: None` is the coordinator shape: its worker events are ledger
-/// entries, there is nothing to re-interleave. With a feed, deltas are
-/// installed before each entry exactly as the live shard's
-/// `sync_below_seq` did — every delta stamped below the entry's
-/// sequence number, capped at `upto` (the dead shard's last reported
-/// cursor, or the full log for a migration slice).
-pub(crate) fn replay_slice(
-    mut platform: Crowd4U,
-    entries: &[LedgerEntry],
-    feed: Option<(&WorkerFeed, usize)>,
-) -> (Crowd4U, usize) {
-    let mut cursor = 0usize;
-    let mut delta_at = 0usize; // index into feed.deltas
-    if let Some((feed, upto)) = feed {
-        // Fast-forward through the compacted prefix when it fits below
-        // both the target cursor and the first entry's sequence number
-        // (the platform is fresh here by construction, the other half of
-        // `install_worker_snapshot`'s precondition).
-        if let Some((profiles, covered, covered_seq)) = &feed.prefix {
-            let first_seq = entries.first().map(|e| e.key.0);
-            if *covered > 0 && *covered <= upto && first_seq.is_none_or(|s| *covered_seq < s) {
-                platform.install_worker_snapshot(
-                    profiles.iter().map(|p| (**p).clone()),
-                    *covered as u64,
-                );
-                cursor = *covered;
-            }
-        }
-        assert!(
-            cursor >= feed.base,
-            "recovery replay needs worker-log entries below the truncation \
-             point (cursor {cursor} < base {}) and the compacted prefix does \
-             not fit below the slice",
-            feed.base
-        );
-        delta_at = cursor - feed.base;
-    }
+/// Replay one shard slice onto a fresh `platform`: journaled entries
+/// re-apply (a drain re-drains), filed worker deltas re-install, each at
+/// the position the live shard reached it. Returns the rebuilt platform —
+/// its journal empty, like every live slice's: the entries just replayed
+/// are the ledger's already.
+pub(crate) fn replay_slice(mut platform: Crowd4U, entries: &[LedgerEntry]) -> Crowd4U {
     for e in entries {
-        if let Some((feed, upto)) = feed {
-            while cursor < upto && delta_at < feed.deltas.len() && feed.deltas[delta_at].0 < e.key.0
-            {
-                platform.install_worker_delta((*feed.deltas[delta_at].1).clone());
-                delta_at += 1;
-                cursor += 1;
+        match &e.entry {
+            Applied::WorkerDelta(profile) => platform.install_worker_delta((**profile).clone()),
+            Applied::Journaled(entry) if entry.kind == DRAIN_KIND => {
+                platform
+                    .drain_events()
+                    .expect("ledgered drain must replay — it applied cleanly live");
             }
-        }
-        if e.entry.kind == DRAIN_KIND {
-            platform
-                .drain_events()
-                .expect("ledgered drain must replay — it applied cleanly live");
-        } else {
-            let event = PlatformEvent::decode(&e.entry)
-                .expect("ledgered entry must decode — the platform journaled it");
-            platform
-                .apply_event(event)
-                .expect("ledgered event must re-apply — it applied cleanly live");
-        }
-    }
-    if let Some((feed, upto)) = feed {
-        while cursor < upto && delta_at < feed.deltas.len() {
-            platform.install_worker_delta((*feed.deltas[delta_at].1).clone());
-            delta_at += 1;
-            cursor += 1;
+            Applied::Journaled(entry) => {
+                let event = PlatformEvent::decode(entry)
+                    .expect("ledgered entry must decode — the platform journaled it");
+                platform
+                    .apply_event(event)
+                    .expect("ledgered event must re-apply — it applied cleanly live");
+            }
         }
     }
     drop(platform.take_journal());
-    (platform, cursor)
+    platform
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd4u_crowd::profile::WorkerId;
 
     #[test]
     fn fault_plans_parse_and_fire_exactly() {
@@ -366,16 +317,23 @@ mod tests {
     fn ledger_slots_filter_recorded_streams() {
         let entry = |seq: u64, kind: &str, scope: EventScope, recorded: bool| LedgerEntry {
             key: (seq, 0),
-            entry: JournalEntry::new(kind, vec![]),
+            entry: Applied::Journaled(JournalEntry::new(kind, vec![])),
             scope,
             recorded,
         };
+        let delta = |seq: u64| LedgerEntry {
+            key: (seq, 0),
+            entry: Applied::WorkerDelta(Arc::new(WorkerProfile::new(WorkerId(seq), "w"))),
+            scope: EventScope::Worker,
+            recorded: false,
+        };
         let project = |p: u64| EventScope::Project(ProjectId(p));
         // Two shards, round-robin ownership: project 1 on shard 0, project
-        // 2 on shard 1. Shard 0 coordinates: it ledgers the worker event
-        // and records the broadcast and the drain; shard 1 holds unrecorded
-        // copies of both. The unrecorded project entry at 6 stands for a
-        // copy only the slot that applied it may replay.
+        // 2 on shard 1. Shard 0 coordinates: it journals the worker event
+        // and records the broadcast and the drain; shard 1 holds the
+        // worker delta it pulled and unrecorded copies of the other two.
+        // The unrecorded project entry at 6 stands for a copy only the
+        // slot that applied it may replay.
         let ledger = ShardLedger::new(2);
         {
             let mut slot = ledger.slot(0);
@@ -390,6 +348,7 @@ mod tests {
         {
             let mut slot = ledger.slot(1);
             slot.entries.extend([
+                delta(1),
                 entry(2, "clock", EventScope::Global, false),
                 entry(4, "seed", project(2), true),
                 entry(5, "sync", project(2), true),
@@ -402,11 +361,15 @@ mod tests {
             entries.into_iter().map(|e| e.key.0).collect()
         };
 
+        // The filed delta is never part of the merged journal: shard 0's
+        // journaled registration at the same seq is.
         let stream = ledger.recorded_stream(1);
         assert_eq!(stream.len(), 2);
         assert_eq!(stream[0].0, (4, 0));
         assert_eq!(ledger.stats(1).applied, 1);
-        assert_eq!(ledger.recorded_stream(0).len(), 4);
+        let stream = ledger.recorded_stream(0);
+        assert_eq!(stream.len(), 4);
+        assert_eq!(stream[0].1.kind, "worker");
 
         // Own slice, no migration: everything the slot holds, recorded or
         // not — and nothing of the other slot's.
@@ -417,25 +380,32 @@ mod tests {
         );
         assert_eq!(
             seqs(ledger.shard_slice(1, round_robin, false)),
-            [2, 4, 5, 6, 7]
+            [1, 2, 4, 5, 6, 7]
         );
 
         // Project 2 migrated to shard 0. Shard 1's slice loses it (the
-        // broadcast copy and the drain stay); shard 0's gains the recorded
-        // history from shard 1's slot — not the unrecorded entry, not the
-        // broadcast copy or the drain it already has — merged in key order.
+        // delta, the broadcast copy and the drain stay); shard 0's gains
+        // the recorded history from shard 1's slot — not the unrecorded
+        // entry, not the delta, the broadcast copy or the drain it already
+        // has its own of — merged in key order.
         let moved = |_: ProjectId| 0;
-        assert_eq!(seqs(ledger.shard_slice(1, moved, true)), [2, 7]);
-        assert_eq!(seqs(ledger.shard_slice(0, moved, true)), [1, 2, 3, 4, 5, 7]);
+        let is_delta = |e: &LedgerEntry| matches!(e.entry, Applied::WorkerDelta(_));
+        assert_eq!(seqs(ledger.shard_slice(1, moved, true)), [1, 2, 7]);
+        let rebuilt_zero = ledger.shard_slice(0, moved, true);
+        assert!(!rebuilt_zero.iter().any(is_delta));
+        assert_eq!(seqs(rebuilt_zero), [1, 2, 3, 4, 5, 7]);
 
         // Migration slice of project 2 off shard 1: its recorded events,
-        // between the *source's* broadcast copies and drains — no worker
-        // event, no other project, nothing global from the other slot.
-        assert_eq!(seqs(ledger.project_slice(ProjectId(2), 1)), [2, 4, 5, 7]);
+        // between the *source's* worker delta, broadcast copies and drains
+        // — no other project, nothing worker or global from the other slot.
+        let off_one = ledger.project_slice(ProjectId(2), 1);
+        assert!(is_delta(&off_one[0]));
+        assert_eq!(seqs(off_one), [1, 2, 4, 5, 7]);
         // The same project read off shard 0 after the move: its history
-        // still comes from shard 1's slot, the barriers now from shard 0's.
+        // still comes from shard 1's slot, the registration and the
+        // barriers now from shard 0's — journaled, so no delta.
         let off_zero = ledger.project_slice(ProjectId(2), 0);
         assert!(off_zero.iter().all(|e| e.recorded));
-        assert_eq!(seqs(off_zero), [2, 4, 5, 7]);
+        assert_eq!(seqs(off_zero), [1, 2, 4, 5, 7]);
     }
 }

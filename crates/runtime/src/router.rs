@@ -189,7 +189,7 @@ impl ShardedRuntime {
     ) -> ShardedRuntime {
         let shards = config.shards.max(1);
         let handle = telemetry.handle();
-        let mut service = crate::workers::WorkerService::new(crate::workers::SNAPSHOT_EVERY);
+        let mut service = crate::workers::WorkerService::new();
         // Replica attachment must precede telemetry: the per-replica lag
         // gauges are created from the attached replica count.
         service.attach_replicas(shards);
@@ -328,14 +328,12 @@ impl ShardedRuntime {
     /// Wait until every shard has processed its mailbox; returns per-shard
     /// statistics snapshots. This flushes events already enqueued, but
     /// concurrent gate handles may enqueue more while the barrier settles.
+    /// A flush also pulls a replica up to the worker-log bound captured
+    /// when the flush was enqueued, so every registration logged before
+    /// the barrier is in every shard's ledger slot when it returns.
     pub fn barrier(&self) -> Vec<ShardStats> {
-        let replies: Vec<Receiver<ShardStats>> = (0..self.shards())
-            .map(|i| {
-                let (reply_tx, reply_rx) = channel();
-                self.push_control(i, ToShard::Flush(reply_tx));
-                reply_rx
-            })
-            .collect();
+        let replies: Vec<Receiver<ShardStats>> =
+            (0..self.shards()).map(|i| self.push_flush(i)).collect();
         replies
             .into_iter()
             .map(|rx| rx.recv().expect("shard thread alive"))
@@ -354,9 +352,15 @@ impl ShardedRuntime {
     /// Wait until one shard has processed everything already in its
     /// mailbox (the single-shard [`barrier`](Self::barrier)).
     fn barrier_one(&self, shard: usize) -> ShardStats {
-        let (reply_tx, reply_rx) = channel();
-        self.push_control(shard, ToShard::Flush(reply_tx));
-        reply_rx.recv().expect("shard thread alive")
+        self.push_flush(shard).recv().expect("shard thread alive")
+    }
+
+    fn push_flush(&self, shard: usize) -> Receiver<ShardStats> {
+        let (reply, reply_rx) = channel();
+        // The gate captures the real worker-log bound under the mailbox
+        // lock; 0 is just the placeholder.
+        self.push_control(shard, ToShard::Flush { bound: 0, reply });
+        reply_rx
     }
 
     /// Move a project to another shard while the runtime keeps running —
@@ -368,16 +372,12 @@ impl ShardedRuntime {
     /// [`GateError::Migrating`](crate::gate::GateError::Migrating)); flush
     /// the source shard so everything admitted is ledgered; **replay** the
     /// project's slice — its recorded ledger entries interleaved with the
-    /// source's drains, broadcasts and the worker feed — onto a fresh
+    /// source's drains, broadcasts and worker entries — onto a fresh
     /// base; extract the project from the replay and adopt it into the
     /// destination shard; drop it from the source; flip the routing
     /// table; release the hold. Unrelated projects keep flowing the whole
     /// time, and the merged journal is untouched — recorded entries stay
     /// in the slots that recorded them, sorted by global sequence number.
-    ///
-    /// Requires the worker history below the project's first event to be
-    /// reconstructable (compacted prefix or resident deltas) — see
-    /// ARCHITECTURE.md §10 for the exact contract.
     pub fn migrate_project(
         &self,
         project: ProjectId,
@@ -405,22 +405,21 @@ impl ShardedRuntime {
         }
         let _release = Release { core, project };
         // Flush the source: every event admitted before the hold's fence
-        // is applied and ledgered before the slice is read.
+        // is applied and ledgered before the slice is read — and, worker
+        // admission being held, the flush's bound is the *full* worker
+        // log, so the source's slot holds every registration. The
+        // destination's adopt job syncs to this same bound before
+        // adopting: eligibility rows in the slice must cover every worker
+        // the destination will have installed.
         self.barrier_one(from);
         let entries = core.ledger().project_slice(project, from);
-        // Worker feed to the *full* log: worker admission is held, so the
-        // log is stable, and the destination's adopt job syncs to this
-        // same bound before adopting — eligibility rows in the slice must
-        // cover every worker the destination will have installed.
-        let service = core.worker_service();
-        let feed = service.recovery_feed();
-        let upto = service.log_len();
-        let (mut replayed, _) = replay_slice((self.base)(from), &entries, Some((&feed, upto)));
+        let mut replayed = replay_slice((self.base)(from), &entries);
         let slice = replayed.extract_project(project)?;
         let moved = slice.task_count();
         // Demote at the source (extract and drop) and adopt at the
         // destination; the jobs run concurrently on their shards, and the
-        // adopt's captured bound equals `upto` (the log is held stable).
+        // adopt's captured bound equals the flush's (the log is held
+        // stable).
         let demoted = self.submit_job(from, move |p| p.extract_project(project).map(drop));
         let adopted = self.submit_job(to_shard, move |p| p.adopt_project(slice));
         demoted.recv().expect("source shard alive")?;

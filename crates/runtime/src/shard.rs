@@ -17,7 +17,8 @@
 //! the pre-PR 9 behaviour, scoped to the dead shard.
 
 use crate::gate::GateCore;
-use crate::recovery::{replay_slice, FaultPlan, LedgerEntry, LedgerSlot};
+use crate::recovery::{replay_slice, Applied, FaultPlan, LedgerEntry, LedgerSlot};
+use crate::workers::{Delta, WorkerService};
 use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_core::platform::Crowd4U;
 use crowd4u_telemetry::{stage, TelemetryHandle};
@@ -62,8 +63,13 @@ pub(crate) enum ToShard {
         run: Box<dyn FnOnce(&mut Crowd4U) + Send>,
     },
     /// Synchronisation point: reply with a statistics snapshot once every
-    /// prior message has been processed.
-    Flush(Sender<ShardStats>),
+    /// prior message has been processed. `bound` as for [`ToShard::Job`]:
+    /// a flushed replica's slot holds every registration logged before
+    /// the flush was enqueued.
+    Flush {
+        bound: usize,
+        reply: Sender<ShardStats>,
+    },
     /// Hand everything back and stop. `bound` as for [`ToShard::Job`]; the
     /// coordinator's mailbox closes first, so a finish bound always covers
     /// the whole log and every replica hands back the full worker registry.
@@ -157,8 +163,8 @@ impl Drop for MailboxGuard<'_> {
 /// return (mailbox closed, or [`ToShard::Finish`]) ends the thread; a
 /// panic either propagates (recovery off — the mailbox guard abandons the
 /// queue, scoping the failure) or triggers an in-place restart: hold the
-/// mailbox, replay the ledger slice onto a fresh base, re-attach to the
-/// worker service, release, resume consuming.
+/// mailbox, replay the ledger slice onto a fresh base, re-report the
+/// worker-log cursor, release, resume consuming.
 pub(crate) fn shard_main(ctx: ShardCtx) {
     let _guard = MailboxGuard {
         gate: &ctx.gate,
@@ -213,39 +219,31 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
 /// Rebuild a dead shard's platform from the runtime-owned ledger: the
 /// shard's slice under the current routing table (see
 /// [`ShardLedger::shard_slice`](crate::recovery::ShardLedger::shard_slice)),
-/// replayed against the worker feed capped at the dead incarnation's last
-/// reported service cursor.
+/// replayed. The worker-log cursor is the number of deltas the slot holds
+/// — what the dead incarnation filed, whether or not it lived to report
+/// or install them — and is re-reported before the shard resumes.
 fn rebuild(ctx: &ShardCtx) -> (Crowd4U, usize) {
     let gate = &ctx.gate;
     let shard = ctx.shard;
     let entries = gate
         .ledger()
         .shard_slice(shard, |p| gate.owner_of(p), gate.has_overrides());
-    let service = gate.worker_service();
-    let base = (ctx.base)(shard);
-    if shard == 0 {
-        // The coordinator's worker events are ledger entries of its own
-        // slot; there is no service feed to re-interleave.
-        replay_slice(base, &entries, None)
-    } else {
-        let feed = service.recovery_feed();
-        let upto = service.replica_cursor(shard);
-        let (platform, cursor) = replay_slice(base, &entries, Some((&feed, upto)));
-        // Re-register the cursor so service truncation stays safe: the
-        // dead incarnation's reports are stale the moment we replace it.
-        service.reattach(shard, cursor);
-        (platform, cursor)
-    }
+    let cursor = entries
+        .iter()
+        .filter(|e| matches!(e.entry, Applied::WorkerDelta(_)))
+        .count();
+    let platform = replay_slice((ctx.base)(shard), &entries);
+    gate.worker_service().report_cursor(shard, cursor);
+    (platform, cursor)
 }
 
 /// Drain the gate mailbox until it closes (or a [`ToShard::Finish`]
 /// arrives), applying each message against `platform`.
 ///
 /// Non-coordinator shards (shard != 0) interleave worker-service pulls
-/// with their mailbox: before a seq-stamped message at `S` they install
-/// every worker delta with seq < `S`, and before a seq-less control
-/// message they install up to its captured log bound. The coordinator
-/// never pulls — worker events arrive in its own mailbox.
+/// with their mailbox: before a seq-stamped message at `S` they file and
+/// install every worker delta with seq < `S`, and before a seq-less
+/// control message up to its captured log bound (see [`sync`]).
 ///
 /// `platform` is `Option` only so [`ToShard::Finish`] can move the slice
 /// out through the reply channel; it is `Some` on entry and on every
@@ -258,7 +256,6 @@ fn shard_loop(
 ) {
     let gate = &ctx.gate;
     let shard = ctx.shard;
-    let service = Arc::clone(gate.worker_service());
     // Pre-fetched once per incarnation: recording an observation is a
     // single atomic add, never a registry lookup.
     let apply_hist = ctx.telemetry.histogram(stage::SHARD_APPLY);
@@ -276,7 +273,6 @@ fn shard_loop(
         apply_one(
             ctx,
             p,
-            &service,
             cursor,
             seq,
             event,
@@ -303,7 +299,6 @@ fn shard_loop(
                 apply_one(
                     ctx,
                     p,
-                    &service,
                     cursor,
                     seq,
                     event,
@@ -314,9 +309,7 @@ fn shard_loop(
                 );
             }
             ToShard::Drain { seq, record } => {
-                if shard != 0 {
-                    service.sync_below_seq(shard, cursor, seq, p);
-                }
+                sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
                 p.drain_events()
                     .expect("drain failed on shard — dirty project unsyncable");
                 let mut slot = gate.ledger().slot(shard);
@@ -326,23 +319,20 @@ fn shard_loop(
                 ledger_journaled(p, &mut slot, (seq, 0), EventScope::Global, record);
             }
             ToShard::Job { bound, run } => {
-                if shard != 0 {
-                    service.sync_to_index(shard, cursor, bound, p);
-                }
+                sync(ctx, p, cursor, |log, at| log.pull_to_index(at, bound));
                 run(p);
                 // Job effects are not ledgered: whatever the closure
                 // journaled goes, so it cannot ride along with the next
                 // event's entry.
                 drop(p.take_journal());
             }
-            ToShard::Flush(reply) => {
+            ToShard::Flush { bound, reply } => {
+                sync(ctx, p, cursor, |log, at| log.pull_to_index(at, bound));
                 let _ = reply.send(gate.ledger().stats(shard));
             }
             ToShard::Finish { bound, reply } => {
                 let mut p = platform.take().expect("platform present at finish");
-                if shard != 0 {
-                    service.sync_to_index(shard, cursor, bound, &mut p);
-                }
+                sync(ctx, &mut p, cursor, |log, at| log.pull_to_index(at, bound));
                 let _ = reply.send(ShardReport { platform: p });
                 return;
             }
@@ -352,7 +342,7 @@ fn shard_loop(
 
 /// Apply one routed data event against the slice — the body of
 /// [`ToShard::Apply`], shared with the post-recovery redo. Syncs the
-/// worker feed below `seq`, applies, ledgers on success (dropping +
+/// worker log below `seq`, applies, ledgers on success (dropping +
 /// counting on platform rejection), runs the auto-drain policy, and
 /// clears the `in_flight` slot the moment the outcome is durable in the
 /// ledger. `inject` is true on the normal mailbox path only: the redo
@@ -362,7 +352,6 @@ fn shard_loop(
 fn apply_one(
     ctx: &ShardCtx,
     p: &mut Crowd4U,
-    service: &crate::workers::WorkerService,
     cursor: &mut usize,
     seq: u64,
     event: PlatformEvent,
@@ -373,9 +362,7 @@ fn apply_one(
 ) {
     let gate = &ctx.gate;
     let shard = ctx.shard;
-    if shard != 0 {
-        service.sync_below_seq(shard, cursor, seq, p);
-    }
+    sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
     if inject && record {
         let next = gate.ledger().slot(shard).stats.applied + 1;
         if ctx.faults.fires_mid(shard, next) {
@@ -435,6 +422,41 @@ fn apply_one(
     }
 }
 
+/// Take a pull into a replica (the coordinator never pulls — worker
+/// events arrive in its own mailbox), in the one order that survives a
+/// crash at any point: **file** the deltas in the shard's ledger slot,
+/// **report** the new cursor to the service, **install** them on the
+/// slice. A report before the filing could let the service truncate
+/// entries a rebuild then needs; an install before the filing would be
+/// state the slot does not hold yet, lost to a rebuild — which replays the
+/// slot and nothing else — while events applied on top of it are replayed.
+fn sync(
+    ctx: &ShardCtx,
+    platform: &mut Crowd4U,
+    cursor: &mut usize,
+    pull: impl FnOnce(&WorkerService, usize) -> Vec<Delta>,
+) {
+    if ctx.shard == 0 {
+        return;
+    }
+    let pulled = pull(ctx.gate.worker_service(), *cursor);
+    if pulled.is_empty() {
+        return;
+    }
+    let filed = pulled.iter().map(|(seq, profile)| LedgerEntry {
+        key: (*seq, 0),
+        entry: Applied::WorkerDelta(Arc::clone(profile)),
+        scope: EventScope::Worker,
+        recorded: false,
+    });
+    ctx.gate.ledger().slot(ctx.shard).entries.extend(filed);
+    *cursor += pulled.len();
+    ctx.gate.worker_service().report_cursor(ctx.shard, *cursor);
+    for (_, profile) in pulled {
+        platform.install_worker_delta((*profile).clone());
+    }
+}
+
 /// File the one entry the platform journaled for the message just applied
 /// — an event, a drain barrier, an auto-drain sync — in the ledger slot,
 /// moving it out of the slice.
@@ -455,7 +477,7 @@ fn ledger_journaled(
     );
     slot.entries.push(LedgerEntry {
         key,
-        entry,
+        entry: Applied::Journaled(entry),
         scope,
         recorded,
     });

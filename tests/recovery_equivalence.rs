@@ -14,9 +14,11 @@
 //! migration** (`migrate_project`) to another shard mid-stream — the
 //! routing flip moves where events record, not what the merged journal
 //! says. Shard count 1 exercises coordinator death (worker-service owner);
-//! the multi-shard counts exercise replica death with the worker feed
-//! re-interleaved from snapshots + deltas. CI replays this file under
-//! `RUNTIME_SHARDS=4` and a pinned `PROPTEST_SEED`.
+//! the multi-shard counts exercise replica death, rebuilt from the worker
+//! deltas the replica filed in its own ledger slot — past the worker
+//! service's truncation point too: the generator's crowd bursts and the
+//! two `churn_beside_a_live_project` regressions below cross it. CI
+//! replays this file under `RUNTIME_SHARDS=4` and a pinned `PROPTEST_SEED`.
 //!
 //! PR 10 extends the property to **mid-apply** crashes: a kill firing
 //! *inside* `apply_event` — after the message left the mailbox, before
@@ -25,86 +27,18 @@
 //! without it, exactly one event would silently vanish from the journal
 //! (the regression pinned by [`a_mid_apply_crash_keeps_the_popped_event`]).
 
-use crowd4u::collab::Scheme;
-use crowd4u::core::error::{ProjectId, TaskId, WorkerId};
+mod common;
+
+use common::{build_events, project, raw_op, sentence, setup_events, worker};
+use crowd4u::core::error::ProjectId;
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
-use crowd4u::crowd::profile::WorkerProfile;
-use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
+use crowd4u::runtime::workers::TRUNCATE_CHUNK;
 use crowd4u::runtime::RunReport;
 use crowd4u::sim::time::SimTime;
-use crowd4u::storage::prelude::Value;
+use crowd4u::telemetry::Registry;
 use proptest::prelude::*;
-
-const SRC: &str = "\
-rel item(x: str).
-open label(x: str) -> (l: str) points 1.
-rel out(x: str, l: str).
-out(X, L) :- item(X), label(X, L).
-";
-
-/// One generated operation, mapped onto the platform's event space below.
-type RawOp = (u8, usize, usize, u64, String);
-
-fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
-    let mut events = Vec::new();
-    for w in 1..=3u64 {
-        events.push(PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(w), format!("w{w}")),
-        });
-    }
-    for p in 0..n_projects {
-        events.push(PlatformEvent::ProjectRegistered {
-            name: format!("proj-{p}"),
-            source: SRC.into(),
-            factors: DesiredFactors::default(),
-            scheme: Scheme::Sequential,
-            owner: 0,
-        });
-    }
-    for i in 0..items {
-        for p in 0..n_projects {
-            events.push(PlatformEvent::FactSeeded {
-                project: ProjectId(p as u64 + 1),
-                pred: "item".into(),
-                values: vec![format!("s{i}").into()],
-            });
-        }
-    }
-    events
-}
-
-fn op_event(n_projects: usize, op: &RawOp) -> PlatformEvent {
-    let (kind, p, i, w, s) = op;
-    let project = ProjectId((*p % n_projects) as u64 + 1);
-    let task = TaskId::compose(project, *i as u64 + 1);
-    let worker = WorkerId(*w);
-    match kind % 6 {
-        // Answer guesses on the predictable task-id stride — some valid,
-        // some dropped; both outcomes must match the clean run exactly.
-        0..=2 => PlatformEvent::AnswerSubmitted {
-            worker,
-            task,
-            outputs: vec![Value::Str(s.clone())],
-        },
-        3 => PlatformEvent::FactSeeded {
-            project,
-            pred: "item".into(),
-            values: vec![format!("late-{s}").into()],
-        },
-        4 => PlatformEvent::ClockAdvanced {
-            to: SimTime(*i as u64 * 101),
-            owner: 0,
-        },
-        // Worker churn rides the coordinator + delta-log path that a
-        // recovering replica re-syncs from.
-        _ => PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(*w), format!("re{w}"))
-                .with_skill("label", *i as f64 / 8.0),
-        },
-    }
-}
 
 fn config(shards: usize) -> RuntimeConfig {
     RuntimeConfig {
@@ -166,16 +100,12 @@ proptest! {
         n_projects in 2usize..4,
         items in 2usize..4,
         split in 2usize..8,
-        ops in proptest::collection::vec(
-            (0u8..6, 0usize..4, 0usize..6, 1u64..4, "[a-k]{1,4}"),
-            6..32,
-        ),
+        ops in proptest::collection::vec(raw_op(), 6..32),
         kill_pick in 0usize..16,
         kill_after in 1u64..6,
         migrate_pick in 0usize..16,
     ) {
-        let mut events = setup_events(n_projects, items);
-        events.extend(ops.iter().map(|op| op_event(n_projects, op)));
+        let events = build_events(n_projects, items, &ops);
         let cut = (events.len() * split / 8).min(events.len());
         let (first, second) = events.split_at(cut);
 
@@ -242,7 +172,7 @@ fn a_mid_apply_crash_keeps_the_popped_event() {
 
     for shards in [1usize, 2] {
         // Kill the coordinator inside its 4th recorded apply — well within
-        // the 5 registrations it records, so the fault always fires.
+        // the 6 registrations it records, so the fault always fires.
         let rt = ShardedRuntime::new_chaos(config(shards), FaultPlan::kill_mid_apply(0, 4));
         rt.submit_batch(events.clone());
         rt.drain();
@@ -302,7 +232,7 @@ fn migrated_away_projects_leave_no_source_residue_even_across_recovery() {
     let shell = rt
         .submit_job(0, |p| {
             p.project(ProjectId(1))
-                .map(|proj| proj.engine.fact_count("item").unwrap())
+                .map(|proj| proj.engine.fact_count("sentence").unwrap())
                 .ok()
         })
         .recv()
@@ -325,14 +255,133 @@ fn migrated_away_projects_leave_no_source_residue_even_across_recovery() {
     // The destination holds the real project, tasks and all.
     assert!(run.platforms[1]
         .project(ProjectId(1))
-        .map(|p| p.engine.fact_count("item").unwrap() > 0)
+        .map(|p| p.engine.fact_count("sentence").unwrap() > 0)
         .unwrap_or(false));
     // The finished source still reports the shell shape.
     assert_eq!(
         run.platforms[0]
             .project(ProjectId(1))
-            .map(|p| p.engine.fact_count("item").unwrap())
+            .map(|p| p.engine.fact_count("sentence").unwrap())
             .ok(),
         Some(0)
     );
+}
+
+/// The stream the pre-ISSUE-19 runtime could neither recover nor migrate
+/// under: two projects first, then `rounds` × (a registration, a seed
+/// owned by replica shard 1), a broadcast every 16 rounds so that every
+/// replica keeps pulling and the worker service's log truncates while the
+/// run is live. Every fourth registration re-registers an earlier worker.
+fn churn_beside_a_live_project(rounds: u64) -> Vec<PlatformEvent> {
+    let mut events = vec![project("on-shard-0"), project("on-shard-1")];
+    for r in 0..rounds {
+        let id = if r % 4 == 3 { r / 2 } else { r } + 1;
+        events.push(worker(id, format!("churn{r}")));
+        events.push(sentence(2, format!("s{r}")));
+        if r % 16 == 15 {
+            events.push(PlatformEvent::ClockAdvanced {
+                to: SimTime(r),
+                owner: 0,
+            });
+        }
+    }
+    events
+}
+
+/// Regression (ISSUE 19): a replica that dies after the worker service
+/// truncated below the registrations it had installed. The rebuild used
+/// to re-interleave a service feed whose truncated prefix had lost its
+/// sequence positions, and panicked a second time — outside
+/// `catch_unwind`, so the shard stayed down (`recovery replay needs
+/// worker-log entries below the truncation point`). The replica now
+/// replays the deltas it filed in its own slot.
+#[test]
+fn a_replica_recovers_past_the_worker_log_truncation_point() {
+    let rounds = 3 * TRUNCATE_CHUNK as u64 + 8;
+    let events = churn_beside_a_live_project(rounds);
+    // Shard 1 records one seed per round: 150 is inside the churn, well
+    // past the first truncation.
+    let faults = [FaultPlan::kill(1, 150), FaultPlan::kill_mid_apply(1, 150)];
+    for shards in [2usize, 4] {
+        let clean = run_halves(ShardedRuntime::new(config(shards)), &events, &[], |_| {});
+        for plan in &faults {
+            let registry = Registry::new();
+            let rt = ShardedRuntime::new_chaos_instrumented(
+                config(shards),
+                registry.clone(),
+                plan.clone(),
+            );
+            let run = run_halves(rt, &events, &[], |_| {});
+            let label = format!("{plan:?} at {shards} shards");
+            assert_equivalent(&clean, &run, &label).unwrap();
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter_total("crowd4u_recoveries_total"), 1, "{label}");
+            // Truncation really happened: fewer entries resident than
+            // logged (`resident_log_len() < events_logged()`, read off the
+            // service's gauges — one registration per round was logged).
+            let resident = snap.gauge_total("crowd4u_worker_delta_log_len").unwrap();
+            assert!(
+                snap.counter_total("crowd4u_worker_log_truncated_total") > 0
+                    && (resident as u64) < rounds,
+                "the worker log never truncated: {label}"
+            );
+            // Every slice — the rebuilt one included — holds the same
+            // registry at the same version.
+            let registries: Vec<(usize, u64)> = run
+                .platforms
+                .iter()
+                .map(|p| (p.workers.len(), p.workers.version()))
+                .collect();
+            assert!(
+                registries.iter().all(|r| *r == registries[0]) && registries[0].1 == rounds,
+                "worker registries out of lockstep ({registries:?}): {label}"
+            );
+        }
+    }
+}
+
+/// Regression (ISSUE 19): hot migration after the same stream. The
+/// migration replay took the same service feed and panicked its caller
+/// (`cursor 0 < base 192`); it now replays the source's slot, which the
+/// flush under the migration hold brings up to the full worker log.
+#[test]
+fn a_project_migrates_past_the_worker_log_truncation_point() {
+    let rounds = 3 * TRUNCATE_CHUNK as u64 + 8;
+    let first = churn_beside_a_live_project(rounds);
+    // The migrated project keeps taking traffic at its new owner, beside
+    // more churn.
+    let second: Vec<PlatformEvent> = (0..TRUNCATE_CHUNK as u64 + 8)
+        .flat_map(|r| {
+            [
+                worker(r + 1, format!("after{r}")),
+                sentence(2, format!("t{r}")),
+            ]
+        })
+        .collect();
+    for shards in [2usize, 4] {
+        let clean = run_halves(ShardedRuntime::new(config(shards)), &first, &second, |_| {});
+        // Off replica 1: to the coordinator, and to every other replica.
+        for to in (0..shards).filter(|&to| to != 1) {
+            let rt = ShardedRuntime::new(config(shards));
+            let run = run_halves(rt, &first, &second, |rt| {
+                assert_eq!(rt.owner_of(ProjectId(2)), 1);
+                let moved = rt.migrate_project(ProjectId(2), to).unwrap();
+                assert!(moved > 0, "the seeded project carries tasks");
+                assert_eq!(rt.owner_of(ProjectId(2)), to);
+            });
+            let label = format!("migrate 1 → {to} at {shards} shards");
+            assert_equivalent(&clean, &run, &label).unwrap();
+            let sentences = run.platforms[to]
+                .project(ProjectId(2))
+                .unwrap()
+                .engine
+                .fact_count("sentence")
+                .unwrap();
+            assert_eq!(
+                sentences as u64,
+                rounds + TRUNCATE_CHUNK as u64 + 8,
+                "{label}"
+            );
+        }
+    }
 }

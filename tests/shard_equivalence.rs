@@ -1,6 +1,7 @@
 //! Property: sharded execution is observationally identical to
 //! single-threaded execution. For any multi-project event stream — worker
-//! registrations **and re-registration churn** (replicated through the
+//! registrations, **re-registration churn and crowd bursts** long enough
+//! to truncate the worker service's log (replicated through the
 //! coordinator-owned worker service since PR 7, not broadcast), fact
 //! seeds, blind-guess answers/interest/assignment on predictable
 //! project-strided task ids, clock advances — a run through the
@@ -25,114 +26,14 @@
 //! Set `RUNTIME_SHARDS` to test an extra shard count (CI runs with
 //! `RUNTIME_SHARDS=4`).
 
-use crowd4u::collab::Scheme;
-use crowd4u::core::error::{ProjectId, TaskId, WorkerId};
+mod common;
+
+use common::{build_events, op_events, raw_op, setup_events};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
-use crowd4u::crowd::profile::WorkerProfile;
-use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
-use crowd4u::sim::time::SimTime;
-use crowd4u::storage::prelude::Value;
 use crowd4u::storage::snapshot;
 use proptest::prelude::*;
-
-const SRC: &str = "\
-rel sentence(s: str).
-open translate(s: str) -> (t: str) points 2.
-open check(s: str, t: str) -> (ok: bool) points 1.
-rel approved(s: str, t: str).
-approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
-";
-
-/// One generated operation; ids are blind guesses into the predictable
-/// project-strided id space, so validity is decided identically by the
-/// serial platform and the owning shard — which is exactly the property
-/// under test.
-type RawOp = (u8, usize, usize, u64, String, bool);
-
-/// Worker registrations, project registrations and interleaved seed facts
-/// — the mixed multi-project shape a router has to unpick.
-fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
-    let mut events = Vec::new();
-    for w in 1..=4u64 {
-        events.push(PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(w), format!("w{w}")),
-        });
-    }
-    for p in 0..n_projects {
-        events.push(PlatformEvent::ProjectRegistered {
-            name: format!("proj-{p}"),
-            source: SRC.into(),
-            factors: DesiredFactors {
-                min_team: 1,
-                max_team: 3,
-                recruitment_secs: 600,
-                ..Default::default()
-            },
-            scheme: Scheme::Sequential,
-            owner: 0,
-        });
-    }
-    for i in 0..items {
-        for p in 0..n_projects {
-            events.push(PlatformEvent::FactSeeded {
-                project: ProjectId(p as u64 + 1),
-                pred: "sentence".into(),
-                values: vec![format!("s{i}").into()],
-            });
-        }
-    }
-    events
-}
-
-/// Map one generated op onto a platform event.
-fn op_event(n_projects: usize, items: usize, op: &RawOp) -> PlatformEvent {
-    let (kind, p, i, w, s, b) = op;
-    let project = ProjectId((*p % n_projects) as u64 + 1);
-    let task = TaskId::compose(project, *i as u64 + 1);
-    let worker = WorkerId(*w);
-    match kind % 9 {
-        // Translate-level answer guesses (valid while the task is open).
-        0 | 1 => PlatformEvent::AnswerSubmitted {
-            worker,
-            task,
-            outputs: vec![Value::Str(s.clone())],
-        },
-        // Check-level answer guesses (tasks appear after drains).
-        2 => PlatformEvent::AnswerSubmitted {
-            worker,
-            task: TaskId::compose(project, (items + i) as u64 + 1),
-            outputs: vec![Value::Bool(*b)],
-        },
-        3 => PlatformEvent::InterestExpressed { worker, task },
-        4 => PlatformEvent::ClockAdvanced {
-            to: SimTime(*i as u64 * 137),
-            owner: 0,
-        },
-        5 => PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(10 + w), format!("late{w}")),
-        },
-        6 => PlatformEvent::CollabTaskCreated {
-            project,
-            description: format!("collab {s}"),
-        },
-        7 => PlatformEvent::AssignmentRun { task },
-        // Worker churn: re-register a setup worker with an updated profile
-        // — the delta-log compaction/versioning path under the
-        // coordinator-owned worker service.
-        _ => PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(*w), format!("re{w}"))
-                .with_skill("survey", *i as f64 / 8.0),
-        },
-    }
-}
-
-fn build_events(n_projects: usize, items: usize, ops: &[RawOp]) -> Vec<PlatformEvent> {
-    let mut events = setup_events(n_projects, items);
-    events.extend(ops.iter().map(|op| op_event(n_projects, items, op)));
-    events
-}
 
 fn chunked(events: &[PlatformEvent], batch: usize) -> Vec<Vec<PlatformEvent>> {
     events.chunks(batch.max(1)).map(|c| c.to_vec()).collect()
@@ -146,7 +47,7 @@ proptest! {
         items in 2usize..5,
         batch in 3usize..10,
         ops in proptest::collection::vec(
-            (0u8..9, 0usize..4, 0usize..8, 1u64..5, "[a-k]{1,4}", any::<bool>()),
+            raw_op(),
             0..40,
         ),
     ) {
@@ -256,7 +157,7 @@ proptest! {
         n_projects in 2usize..5,
         items in 2usize..4,
         ops in proptest::collection::vec(
-            (0u8..9, 0usize..4, 0usize..8, 1u64..5, "[a-k]{1,4}", any::<bool>()),
+            raw_op(),
             4..48,
         ),
     ) {
@@ -277,8 +178,9 @@ proptest! {
             // thread keeps (seq, event) for the serial reference.
             let mut streams: Vec<Vec<PlatformEvent>> = vec![Vec::new(); SUBMITTERS];
             for (k, op) in ops.iter().enumerate() {
-                streams[k % SUBMITTERS].push(op_event(n_projects, items, op));
+                streams[k % SUBMITTERS].extend(op_events(n_projects, items, op));
             }
+            let submitted: usize = streams.iter().map(Vec::len).sum();
             let handles: Vec<_> = streams
                 .into_iter()
                 .map(|stream| {
@@ -312,7 +214,7 @@ proptest! {
             );
             prop_assert_eq!(
                 run.stats.applied + run.stats.dropped,
-                (setup.len() + ops.len()) as u64,
+                (setup.len() + submitted) as u64,
                 "event accounting mismatch at {} shards", shards
             );
             prop_assert_eq!(
@@ -343,7 +245,7 @@ proptest! {
         n_projects in 2usize..5,
         items in 2usize..4,
         ops in proptest::collection::vec(
-            (0u8..9, 0usize..4, 0usize..8, 1u64..5, "[a-k]{1,4}", any::<bool>()),
+            raw_op(),
             8..40,
         ),
         kill_pick in 0usize..16,
@@ -367,8 +269,9 @@ proptest! {
 
             let mut streams: Vec<Vec<PlatformEvent>> = vec![Vec::new(); SUBMITTERS];
             for (k, op) in ops.iter().enumerate() {
-                streams[k % SUBMITTERS].push(op_event(n_projects, items, op));
+                streams[k % SUBMITTERS].extend(op_events(n_projects, items, op));
             }
+            let submitted: usize = streams.iter().map(Vec::len).sum();
             let handles: Vec<_> = streams
                 .into_iter()
                 .map(|stream| {
@@ -401,7 +304,7 @@ proptest! {
             );
             prop_assert_eq!(
                 run.stats.applied + run.stats.dropped,
-                (setup.len() + ops.len()) as u64,
+                (setup.len() + submitted) as u64,
                 "event accounting mismatch at {} shards (chaos)", shards
             );
             prop_assert_eq!(

@@ -14,101 +14,20 @@
 //! blocks) producers. The enabled run must also actually record: the
 //! shard-apply stage histogram covers at least every applied event.
 //!
-//! Ops reuse the shard-equivalence generator shape: blind-guess answers
-//! and interest on project-strided task ids, worker churn, clock
-//! advances, collab tasks — so drops (stale/invalid events) are part of
-//! the property too.
+//! Ops come from the shard-equivalence generator (`tests/common`):
+//! blind-guess answers and interest on project-strided task ids, worker
+//! churn and crowd bursts (so the worker service's truncation gauges move
+//! under the scrape), clock advances, collab tasks — so drops
+//! (stale/invalid events) are part of the property too.
 
-use crowd4u::collab::Scheme;
-use crowd4u::core::error::{ProjectId, TaskId, WorkerId};
+mod common;
+
+use common::{build_events, raw_op};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
-use crowd4u::crowd::profile::WorkerProfile;
-use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
-use crowd4u::sim::time::SimTime;
-use crowd4u::storage::prelude::Value;
 use crowd4u::telemetry::{stage, Registry};
 use proptest::prelude::*;
-
-const SRC: &str = "\
-rel sentence(s: str).
-open translate(s: str) -> (t: str) points 2.
-open check(s: str, t: str) -> (ok: bool) points 1.
-rel approved(s: str, t: str).
-approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
-";
-
-type RawOp = (u8, usize, usize, u64, String, bool);
-
-fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
-    let mut events = Vec::new();
-    for w in 1..=4u64 {
-        events.push(PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(w), format!("w{w}")),
-        });
-    }
-    for p in 0..n_projects {
-        events.push(PlatformEvent::ProjectRegistered {
-            name: format!("proj-{p}"),
-            source: SRC.into(),
-            factors: DesiredFactors {
-                min_team: 1,
-                max_team: 3,
-                recruitment_secs: 600,
-                ..Default::default()
-            },
-            scheme: Scheme::Sequential,
-            owner: 0,
-        });
-    }
-    for i in 0..items {
-        for p in 0..n_projects {
-            events.push(PlatformEvent::FactSeeded {
-                project: ProjectId(p as u64 + 1),
-                pred: "sentence".into(),
-                values: vec![format!("s{i}").into()],
-            });
-        }
-    }
-    events
-}
-
-fn op_event(n_projects: usize, items: usize, op: &RawOp) -> PlatformEvent {
-    let (kind, p, i, w, s, b) = op;
-    let project = ProjectId((*p % n_projects) as u64 + 1);
-    let task = TaskId::compose(project, *i as u64 + 1);
-    let worker = WorkerId(*w);
-    match kind % 9 {
-        0 | 1 => PlatformEvent::AnswerSubmitted {
-            worker,
-            task,
-            outputs: vec![Value::Str(s.clone())],
-        },
-        2 => PlatformEvent::AnswerSubmitted {
-            worker,
-            task: TaskId::compose(project, (items + i) as u64 + 1),
-            outputs: vec![Value::Bool(*b)],
-        },
-        3 => PlatformEvent::InterestExpressed { worker, task },
-        4 => PlatformEvent::ClockAdvanced {
-            to: SimTime(*i as u64 * 137),
-            owner: 0,
-        },
-        5 => PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(10 + w), format!("late{w}")),
-        },
-        6 => PlatformEvent::CollabTaskCreated {
-            project,
-            description: format!("collab {s}"),
-        },
-        7 => PlatformEvent::AssignmentRun { task },
-        _ => PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(WorkerId(*w), format!("re{w}"))
-                .with_skill("survey", *i as f64 / 8.0),
-        },
-    }
-}
 
 /// How a variant run treats telemetry.
 #[derive(Clone, Copy, PartialEq)]
@@ -178,12 +97,11 @@ proptest! {
         items in 2usize..4,
         batch in 3usize..10,
         ops in proptest::collection::vec(
-            (0u8..9, 0usize..4, 0usize..8, 1u64..5, "[a-k]{1,4}", any::<bool>()),
+            raw_op(),
             0..32,
         ),
     ) {
-        let mut events = setup_events(n_projects, items);
-        events.extend(ops.iter().map(|op| op_event(n_projects, items, op)));
+        let events = build_events(n_projects, items, &ops);
         let batches: Vec<Vec<PlatformEvent>> =
             events.chunks(batch.max(1)).map(|c| c.to_vec()).collect();
 

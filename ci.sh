@@ -17,7 +17,12 @@
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility), reproducible
-#   7. cargo doc --no-deps      — docs build with zero warnings
+#   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
+#                                  runtime's mid-batch / blocked-submit unit
+#                                  tests assert on blocking with timeouts; a
+#                                  race that shows one run in ten must not pass
+#                                  by luck
+#   8. cargo doc --no-deps      — docs build with zero warnings
 #
 # Part 2 — bench smokes and `report --` gates. These assert on timings, so
 # one noisy or known-red gate must not hide the ones behind it: every gate
@@ -95,6 +100,16 @@ step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff
+# The tests that assert a thread *is* blocked (a timeout elapsing) or *gets*
+# unblocked (a reply arriving) — backpressure on a full mailbox, the credit
+# return that releases it, a shard stalled, killed or panicking inside a
+# batch — twenty times over: one green run says little about a race.
+echo
+echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit"
+for _ in $(seq 20); do
+    cargo test -q -p crowd4u --test gate_backpressure --test mailbox_batches
+    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit
+done
 # Docs must be warning-free, not just successful.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 

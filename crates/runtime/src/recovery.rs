@@ -248,6 +248,13 @@ impl FaultPlan {
         self.kills.iter().any(|&(s, k)| s == shard && k == applied)
     }
 
+    /// Does the plan hold any mid-apply kill for `shard`? When it does
+    /// not — every shard of a run without chaos — the apply path skips the
+    /// ledger-slot lock that reading `next_applied` takes.
+    pub(crate) fn kills_mid_apply(&self, shard: usize) -> bool {
+        self.mid_kills.iter().any(|&(s, _)| s == shard)
+    }
+
     /// Does the plan fire for `shard` *inside* its `next_applied`-th
     /// recorded apply? Checked before the ledger sees the event; the
     /// post-recovery redo path skips injection, so a mid-apply kill also

@@ -33,7 +33,10 @@ pub struct RuntimeConfig {
     /// fixpoints, and one sync amortises over the whole mailbox batch.
     pub drain_every: usize,
     /// Per-shard mailbox capacity for data events — the backpressure
-    /// bound. A producer hitting a full mailbox blocks
+    /// bound on events admitted and not yet applied (the mailbox plus the
+    /// batch the shard has taken from it: up to a quarter of the capacity,
+    /// at most 64 messages, whose slots free when the shard returns for
+    /// the next batch). A producer hitting a full mailbox blocks
     /// ([`IngestGate::submit`]) or gets the event back
     /// ([`IngestGate::try_submit`]). `0` disables the bound (unbounded
     /// queues, no backpressure). Control messages (drain barriers, jobs,
@@ -527,8 +530,9 @@ impl ShardedRuntime {
             reply: reply_txs[i].clone(),
         });
         // The queued clones are now the only live senders: if a shard died
-        // (its mailbox guard drops everything queued), the matching `recv`
-        // below fails fast instead of waiting on a reply that cannot come.
+        // (its unwind drops the batch it had taken, its mailbox guard
+        // everything still queued), the matching `recv` below fails fast
+        // instead of waiting on a reply that cannot come.
         drop(reply_txs);
         let mut platforms = Vec::new();
         for rx in reply_rxs {
@@ -814,6 +818,56 @@ out(X, Y) :- item(X), label(X, Y).
         }
         // Shard 0 is untouched and still serves queries.
         assert!(rt.with_project(ProjectId(1), |p| p.project(ProjectId(1)).is_ok()));
+    }
+
+    #[test]
+    fn a_job_panicking_mid_batch_closes_the_replies_queued_behind_it() {
+        let rt = ShardedRuntime::new(config(2, 0));
+        let gate = rt.gate();
+        rt.submit_batch(vec![project("a"), project("b")]);
+        rt.barrier();
+        // Stall shard 1 inside a job, so that what is queued meanwhile —
+        // a panicking job, events, a flush — is taken as *one* batch.
+        let (running_tx, running_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let _ = rt.submit_job(1, move |_| {
+            running_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        running_rx.recv().unwrap();
+        let _ = rt.submit_job(1, |_| panic!("boom mid-batch"));
+        for s in ["x", "y", "z"] {
+            gate.submit(seed(2, s)).unwrap();
+        }
+        let flushed = rt.push_flush(1);
+        release_tx.send(()).unwrap();
+        // The flush left the mailbox with the batch, so abandoning the
+        // mailbox cannot reach it: the unwind has to drop the batch, or
+        // `barrier()` would wait forever on this receiver.
+        assert_eq!(
+            flushed.recv_timeout(std::time::Duration::from_secs(10)),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+        );
+        // Producers for the dead shard get the scoped error …
+        loop {
+            match gate.submit(seed(2, "late")) {
+                Ok(_) => std::thread::yield_now(),
+                Err(err) => {
+                    assert!(
+                        matches!(err, crate::gate::GateError::ShardDown { shard: 1, .. }),
+                        "a shard death must scope its error, got {err:?}"
+                    );
+                    break;
+                }
+            }
+        }
+        // … and the healthy shard keeps accepting and applying.
+        gate.submit(seed(1, "alive")).unwrap();
+        let items = rt.with_project(ProjectId(1), |p| {
+            let project = p.project(ProjectId(1)).unwrap();
+            project.engine.fact_count("item").unwrap()
+        });
+        assert_eq!(items, 1);
     }
 
     #[test]

@@ -5,18 +5,24 @@
 //!
 //! A shard's mailbox is one of the [`IngestGate`](crate::gate::IngestGate)'s
 //! bounded per-shard queues; the gate guarantees the mailbox is already in
-//! global sequence order, so the shard just applies front to back.
+//! global sequence order, so the shard just applies front to back — a
+//! **batch** at a time: one mailbox lock moves up to K messages into a
+//! queue the supervisor owns, the shard applies them in order (ledgering
+//! each apply as before), and the slots they held go back to producers
+//! when it returns for the next batch (see the gate's "Consumer side").
 //!
 //! Since PR 9 the thread body is a **supervisor**: the apply loop runs
 //! under `catch_unwind`, and when a panic escapes it (an injected
-//! [`FaultPlan`] kill, a job closure blowing
-//! up) a recovery-enabled runtime holds the mailbox, rebuilds the slice by
-//! replaying the shard's runtime-ledger slice, and
-//! resumes consuming exactly where the dead incarnation stopped. With
-//! recovery disabled the panic propagates and the mailbox is abandoned —
-//! the pre-PR 9 behaviour, scoped to the dead shard.
+//! [`FaultPlan`] kill, a job closure blowing up) a recovery-enabled
+//! runtime holds the mailbox, rebuilds the slice by replaying the shard's
+//! runtime-ledger slice, and resumes consuming exactly where the dead
+//! incarnation stopped — the event in flight first, then the rest of the
+//! batch it had taken, then the mailbox. With recovery disabled the panic
+//! propagates, the unwind drops the batch (and every reply `Sender` queued
+//! in it) and the mailbox is abandoned — the pre-PR 9 behaviour, scoped to
+//! the dead shard.
 
-use crate::gate::GateCore;
+use crate::gate::{Batch, GateCore};
 use crate::recovery::{replay_slice, Applied, FaultPlan, LedgerEntry, LedgerSlot};
 use crate::workers::{Delta, WorkerService};
 use crowd4u_core::events::{EventScope, PlatformEvent};
@@ -107,14 +113,17 @@ pub(crate) struct ShardReport {
     pub platform: Crowd4U,
 }
 
-/// The one data event a shard incarnation may be holding *outside* the
-/// mailbox and *outside* the ledger: popped by `recv`, not yet applied
-/// (or applied but not yet ledgered). The supervisor owns the slot, so a
-/// panic inside `apply_event` no longer loses the event — the next
-/// incarnation redoes it once before resuming the mailbox. Injected
-/// boundary faults fire *after* ledgering (the slot is already clear);
-/// only a genuine mid-apply crash — or [`FaultPlan::kill_mid_apply`],
-/// which simulates one — leaves the slot occupied.
+/// The one data event a shard incarnation has picked from its batch and
+/// not yet made durable: not yet applied, or applied but not yet
+/// ledgered. Together with the batch it came from, this is everything a
+/// shard holds *outside* the mailbox and *outside* the ledger, and the
+/// supervisor owns both, so a panic inside `apply_event` loses neither —
+/// the next incarnation redoes this event once, then resumes the batch.
+/// Parked (a copy of the event) only when `ShardCtx::recovery` gives a
+/// supervisor that will read it. Injected boundary faults fire *after*
+/// ledgering (the slot is already clear); only a genuine mid-apply crash —
+/// or [`FaultPlan::kill_mid_apply`], which simulates one — leaves the slot
+/// occupied.
 pub(crate) struct InFlight {
     seq: u64,
     event: PlatformEvent,
@@ -145,9 +154,10 @@ pub(crate) struct ShardCtx {
 /// panic (a [`ToShard::Job`] closure or a drain `expect` unwinding past
 /// the supervisor). Without it a dead shard leaves its mailbox open:
 /// producers blocked on a full queue would park forever, and the reply
-/// channels behind `finish()`/`barrier()` would never close. On a normal
-/// exit the mailbox is already closed and drained, so abandoning it is a
-/// no-op.
+/// channels behind `finish()`/`barrier()` still queued there would never
+/// close (those already taken into the supervisor's batch close as the
+/// same unwind drops it). On a normal exit the mailbox is already closed
+/// and drained, so abandoning it is a no-op.
 struct MailboxGuard<'a> {
     gate: &'a GateCore,
     shard: usize,
@@ -175,9 +185,22 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
     let mut platform = Some((ctx.base)(ctx.shard));
     let mut cursor = 0usize; // worker-service log position (replicas only)
     let mut in_flight: Option<InFlight> = None;
+    // The batch taken from the mailbox and the capacity credit its data
+    // events still hold. Owned here, not by the loop: a rebuilt
+    // incarnation resumes the same batch, and a panic that propagates
+    // drops it, closing every reply channel queued in it.
+    let mut batch = Batch::new();
+    let mut credit = 0usize;
     loop {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shard_loop(&ctx, &mut platform, &mut cursor, &mut in_flight)
+            shard_loop(
+                &ctx,
+                &mut platform,
+                &mut cursor,
+                &mut in_flight,
+                &mut batch,
+                &mut credit,
+            )
         }));
         match outcome {
             Ok(()) => return,
@@ -189,10 +212,11 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
                 }
                 // The half-applied incarnation is gone. Rebuild the slice
                 // the ledger describes; if the panic struck *inside* an
-                // apply (mid-apply crash), the popped-but-unledgered event
+                // apply (mid-apply crash), the picked-but-unledgered event
                 // survives in `in_flight` and the fresh incarnation redoes
-                // it first — unless a redo already failed once, in which
-                // case the event is poison and gets dropped.
+                // it first, ahead of the rest of `batch` — unless a redo
+                // already failed once, in which case the event is poison
+                // and gets dropped.
                 if let Some(f) = in_flight.as_mut() {
                     if f.retried {
                         if f.record {
@@ -238,7 +262,9 @@ fn rebuild(ctx: &ShardCtx) -> (Crowd4U, usize) {
 }
 
 /// Drain the gate mailbox until it closes (or a [`ToShard::Finish`]
-/// arrives), applying each message against `platform`.
+/// arrives), a batch per mailbox lock, applying each message against
+/// `platform`. `batch` may arrive non-empty: what a dead incarnation had
+/// taken and not reached.
 ///
 /// Non-coordinator shards (shard != 0) interleave worker-service pulls
 /// with their mailbox: before a seq-stamped message at `S` they file and
@@ -253,6 +279,8 @@ fn shard_loop(
     platform: &mut Option<Crowd4U>,
     cursor: &mut usize,
     in_flight: &mut Option<InFlight>,
+    batch: &mut Batch,
+    credit: &mut usize,
 ) {
     let gate = &ctx.gate;
     let shard = ctx.shard;
@@ -261,8 +289,8 @@ fn shard_loop(
     let apply_hist = ctx.telemetry.histogram(stage::SHARD_APPLY);
 
     // Redo prologue: the previous incarnation died *inside* an apply, so
-    // the rebuild above could not replay this event — it was popped from
-    // the mailbox but never ledgered. Redo it before touching the mailbox;
+    // the rebuild above could not replay this event — it was picked from
+    // the batch but never ledgered. Redo it before touching the batch;
     // injection is skipped here, so a mid-apply kill fires at most once.
     if in_flight.is_some() {
         let (seq, event, record) = {
@@ -283,19 +311,29 @@ fn shard_loop(
         );
     }
 
-    while let Some(msg) = gate.recv(shard) {
+    loop {
+        let Some((msg, enqueued)) = batch.pop_front() else {
+            if gate.recv_batch(shard, batch, credit) {
+                continue;
+            }
+            return;
+        };
+        gate.observe_dwell(enqueued);
         let p = platform.as_mut().expect("platform present while looping");
         match msg {
             ToShard::Apply { seq, event, record } => {
                 // Park the event in the supervisor-owned slot for the
                 // duration of the apply: a mid-apply panic must not lose
-                // it (satellite of PR 10 — see `InFlight`).
-                *in_flight = Some(InFlight {
-                    seq,
-                    event: event.clone(),
-                    record,
-                    retried: false,
-                });
+                // it (see `InFlight`). Without recovery nothing reads the
+                // slot, so the copy is not made.
+                if ctx.recovery {
+                    *in_flight = Some(InFlight {
+                        seq,
+                        event: event.clone(),
+                        record,
+                        retried: false,
+                    });
+                }
                 apply_one(
                     ctx,
                     p,
@@ -363,7 +401,7 @@ fn apply_one(
     let gate = &ctx.gate;
     let shard = ctx.shard;
     sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
-    if inject && record {
+    if inject && record && ctx.faults.kills_mid_apply(shard) {
         let next = gate.ledger().slot(shard).stats.applied + 1;
         if ctx.faults.fires_mid(shard, next) {
             panic!("injected fault: shard {shard} killed inside apply #{next}");

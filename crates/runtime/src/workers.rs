@@ -182,11 +182,16 @@ impl WorkerService {
     /// Append a worker event, drawing its sequence number **inside** the
     /// service critical section. The caller must already hold the
     /// coordinator mailbox lock (lock order: mailbox → service); `stamp`
-    /// is the gate's stamper. Returns the drawn seq.
-    pub(crate) fn append_with(&self, profile: WorkerProfile, stamp: impl FnOnce() -> u64) -> u64 {
+    /// is the gate's stamper, and `profile` arrives allocated, so neither
+    /// lock is held across a profile copy. Returns the drawn seq.
+    pub(crate) fn append_with(
+        &self,
+        profile: Arc<WorkerProfile>,
+        stamp: impl FnOnce() -> u64,
+    ) -> u64 {
         let mut s = self.state();
         let seq = stamp();
-        s.log.push((seq, Arc::new(profile)));
+        s.log.push((seq, profile));
         self.truncate_and_observe(&mut s);
         seq
     }
@@ -274,7 +279,7 @@ mod tests {
 
     fn fill(svc: &WorkerService, ids: impl IntoIterator<Item = u64>, seq: &mut u64) {
         for i in ids {
-            svc.append_with(profile(i), || {
+            svc.append_with(Arc::new(profile(i)), || {
                 *seq += 1;
                 *seq
             });

@@ -65,7 +65,8 @@ pub const TELEMETRY_ENV: &str = "TELEMETRY";
 pub mod stage {
     /// Front-door admission: routing + stamping + mailbox push.
     pub const GATE_ADMIT: &str = "crowd4u_stage_gate_admit_ns";
-    /// Dwell between mailbox enqueue and the shard popping the message.
+    /// Dwell between mailbox enqueue and the shard picking the message
+    /// from its batch for apply.
     pub const MAILBOX_DWELL: &str = "crowd4u_stage_mailbox_dwell_ns";
     /// A shard applying one event to its platform slice.
     pub const SHARD_APPLY: &str = "crowd4u_stage_shard_apply_ns";

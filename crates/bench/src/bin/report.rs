@@ -5,7 +5,6 @@
 //! cargo run --release -p crowd4u-bench --bin report -- e6 e7   # subset
 //! cargo run --release -p crowd4u-bench --bin report -- e8full  # full 600k
 //! cargo run --release -p crowd4u-bench --bin report -- ingest  # BENCH_ingest.json
-//! cargo run --release -p crowd4u-bench --bin report -- obs     # BENCH_obs.json
 //! ```
 //!
 //! The output of this binary is what EXPERIMENTS.md records. The `ingest`
@@ -82,11 +81,6 @@ fn main() {
     // override with E13_WORKERS).
     if args.iter().any(|a| a == "workers") {
         workers_baseline();
-    }
-    // Explicit only: the telemetry-overhead baseline and observability
-    // surface check (records BENCH_obs.json).
-    if args.iter().any(|a| a == "obs") {
-        obs_baseline();
     }
     // Explicit only: the crash-recovery latency baseline (records
     // BENCH_recovery.json).
@@ -275,168 +269,6 @@ fn recovery_baseline() {
         "recovery replay must be ≥10× faster than rerunning the workload \
          (got {ratio:.1}×: replay {recovery_best:.4}s vs workload {clean_best:.4}s)"
     );
-}
-
-/// E14 baseline: what the PR 8 telemetry layer costs, and whether the
-/// exposition surface holds. Runs the E10 shard workload with telemetry
-/// enabled vs disabled (min-of-N), the engine-level ingest path plain vs
-/// with disabled handles attached, renders the enabled run's metrics in
-/// Prometheus text format, validates it, and prints the full metric
-/// inventory. Records `BENCH_obs.json` and exits non-zero if enabled
-/// telemetry costs more than 5% ingest throughput, disabled telemetry is
-/// not free (>3% at the engine level), the exposition fails to parse, or
-/// any of the five pipeline-stage histograms is empty.
-fn obs_baseline() {
-    use crowd4u_bench::{ingest_workload, run_shard_workload_instrumented, ShardWorkload};
-    use crowd4u_telemetry::{stage, validate_exposition, Registry};
-    const SHARDS: usize = 4;
-    const REPS: usize = 5;
-    let w = ShardWorkload::default();
-    println!(
-        "## E14 — telemetry overhead: {} projects x {} items, {SHARDS} shards, best of {REPS}\n",
-        w.projects, w.items
-    );
-
-    // Runtime-level A/B: the full five-stage span pipeline against a
-    // registry whose every cell is a no-op. The derived facts must match
-    // (telemetry is observe-only) before any timing is compared.
-    let best = |mk: fn() -> Registry| {
-        let mut min = std::time::Duration::MAX;
-        let mut good = 0;
-        for _ in 0..REPS {
-            let (t, _, g) = run_shard_workload_instrumented(SHARDS, &w, mk());
-            min = min.min(t);
-            good = g;
-        }
-        (min, good)
-    };
-    let (t_on, good_on) = best(Registry::new);
-    let (t_off, good_off) = best(Registry::disabled);
-    assert_eq!(good_on, good_off, "telemetry changed derived facts");
-    let enabled_pct = (t_on.as_secs_f64() / t_off.as_secs_f64() - 1.0) * 100.0;
-
-    // Engine-level A/B: the same `answer_batch` path E9 measures, plain
-    // vs with disabled telemetry cells attached — the evidence that the
-    // disabled registry is free on the hot path.
-    const ANSWERS: u64 = 10_000;
-    let engine_best = |attach: bool| {
-        let mut min = std::time::Duration::MAX;
-        for _ in 0..7 {
-            let (mut engine, answers) = ingest_workload(ANSWERS);
-            if attach {
-                engine.set_telemetry(&Registry::disabled().handle());
-            }
-            let start = Instant::now();
-            engine.answer_batch(&answers).unwrap();
-            min = min.min(start.elapsed());
-        }
-        min
-    };
-    let t_plain = engine_best(false);
-    let t_disabled = engine_best(true);
-    let disabled_pct = (t_disabled.as_secs_f64() / t_plain.as_secs_f64() - 1.0) * 100.0;
-
-    let mut t = TablePrinter::new(&["path", "telemetry", "time", "overhead"]);
-    t.row(vec![
-        "runtime (4 shards)".into(),
-        "disabled".into(),
-        format!("{t_off:.2?}"),
-        String::new(),
-    ]);
-    t.row(vec![
-        "runtime (4 shards)".into(),
-        "enabled".into(),
-        format!("{t_on:.2?}"),
-        format!("{enabled_pct:+.1}%"),
-    ]);
-    t.row(vec![
-        "engine (answer_batch)".into(),
-        "none".into(),
-        format!("{t_plain:.2?}"),
-        String::new(),
-    ]);
-    t.row(vec![
-        "engine (answer_batch)".into(),
-        "disabled handles".into(),
-        format!("{t_disabled:.2?}"),
-        format!("{disabled_pct:+.1}%"),
-    ]);
-    println!("{}", t.render());
-
-    // Exposition surface: one more instrumented run, scraped and rendered.
-    let registry = Registry::new();
-    run_shard_workload_instrumented(SHARDS, &w, registry.clone());
-    let snap = registry.snapshot();
-    let text = snap.render();
-    let series = validate_exposition(&text).expect("exposition must parse");
-    for name in stage::ALL {
-        assert!(
-            snap.histogram_count(name) > 0,
-            "stage histogram {name} empty after the workload"
-        );
-    }
-
-    println!("### Metric inventory ({series} series rendered)\n");
-    let mut inv = TablePrinter::new(&["metric", "type", "value"]);
-    for ((name, labels), v) in &snap.counters {
-        inv.row(vec![
-            label_key(name, labels),
-            "counter".into(),
-            v.to_string(),
-        ]);
-    }
-    for ((name, labels), v) in &snap.gauges {
-        inv.row(vec![label_key(name, labels), "gauge".into(), v.to_string()]);
-    }
-    for ((name, labels), h) in &snap.histograms {
-        inv.row(vec![
-            label_key(name, labels),
-            "histogram".into(),
-            format!("count {} sum {}", h.count, h.sum),
-        ]);
-    }
-    println!("{}", inv.render());
-
-    let stages: Vec<String> = stage::ALL
-        .iter()
-        .map(|name| format!("    \"{name}\": {}", snap.histogram_count(name)))
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"e14_telemetry_overhead\",\n  \"shards\": {SHARDS},\n  \
-         \"projects\": {},\n  \"items\": {},\n  \"reps\": {REPS},\n  \
-         \"runtime_enabled_ms\": {:.3},\n  \"runtime_disabled_ms\": {:.3},\n  \
-         \"enabled_overhead_pct\": {enabled_pct:.2},\n  \"engine_answers\": {ANSWERS},\n  \
-         \"engine_plain_ms\": {:.3},\n  \"engine_disabled_ms\": {:.3},\n  \
-         \"disabled_overhead_pct\": {disabled_pct:.2},\n  \"series_rendered\": {series},\n  \
-         \"stage_histogram_counts\": {{\n{}\n  }}\n}}\n",
-        w.projects,
-        w.items,
-        t_on.as_secs_f64() * 1e3,
-        t_off.as_secs_f64() * 1e3,
-        t_plain.as_secs_f64() * 1e3,
-        t_disabled.as_secs_f64() * 1e3,
-        stages.join(",\n"),
-    );
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    println!("baseline recorded to BENCH_obs.json");
-
-    assert!(
-        enabled_pct <= 5.0,
-        "enabled telemetry costs {enabled_pct:.1}% ingest throughput (budget: 5%)"
-    );
-    assert!(
-        disabled_pct <= 3.0,
-        "disabled telemetry is not free: {disabled_pct:.1}% on the engine hot path"
-    );
-}
-
-/// `name{labels}` or bare `name` for the inventory table.
-fn label_key(name: &str, labels: &str) -> String {
-    if labels.is_empty() {
-        name.to_string()
-    } else {
-        format!("{name}{{{labels}}}")
-    }
 }
 
 /// E13 baseline: a million-worker crowd with churn through the lazy

@@ -172,7 +172,46 @@ pub fn shard_workload_events(
 /// `good` count is the correctness check — every shard count must derive
 /// the same facts.
 pub fn run_shard_workload(shards: usize, w: &ShardWorkload) -> (std::time::Duration, u64, usize) {
-    run_shard_workload_instrumented(shards, w, crowd4u_telemetry::Registry::from_env())
+    use crowd4u_core::error::ProjectId;
+    use crowd4u_runtime::prelude::*;
+
+    let (setup, answers) = shard_workload_events(w);
+    let total = (setup.len() + answers.len()) as u64;
+    let rt = ShardedRuntime::new_instrumented(
+        RuntimeConfig {
+            shards,
+            drain_every: w.drain_every,
+            mailbox_capacity: 0, // unbounded: E10 measures shard scaling, not admission
+            recovery: false,
+        },
+        crowd4u_telemetry::Registry::from_env(),
+    );
+    let start = std::time::Instant::now();
+    rt.submit_batch(setup);
+    rt.drain();
+    rt.barrier(); // every judge task exists before the answer stream starts
+    rt.submit_batch(answers);
+    rt.drain();
+    rt.barrier();
+    let elapsed = start.elapsed();
+    // Capture placements from the router itself before it shuts down —
+    // the owner's slice holds the real facts, replicas are empty.
+    let owners: Vec<usize> = (0..w.projects)
+        .map(|p| rt.owner_of(ProjectId(p as u64 + 1)))
+        .collect();
+    let run = rt.finish().expect("runtime finish");
+    assert_eq!(run.stats.dropped, 0, "E10 workload must be fully valid");
+    let mut good = 0usize;
+    for (p, &owner) in owners.iter().enumerate() {
+        let project = ProjectId(p as u64 + 1);
+        good += run.platforms[owner]
+            .project(project)
+            .expect("registered")
+            .engine
+            .fact_count("good")
+            .expect("derived");
+    }
+    (elapsed, total, good)
 }
 
 /// E10 linearity gate: one shard's cost per event at the full size may be
@@ -214,57 +253,6 @@ pub fn shard_linearity(w: &ShardWorkload, reps: usize) -> (f64, f64) {
     (0..reps.max(1)).fold((f64::MAX, f64::MAX), |(small, full), _| {
         (small.min(us_per_event(&quarter)), full.min(us_per_event(w)))
     })
-}
-
-/// [`run_shard_workload`] with an explicit telemetry registry instead of
-/// the environment default — the E14 overhead A/B harness: run the same
-/// stream with `Registry::new()` and `Registry::disabled()` and compare
-/// elapsed times. Scrape the registry afterwards for coverage checks.
-pub fn run_shard_workload_instrumented(
-    shards: usize,
-    w: &ShardWorkload,
-    telemetry: crowd4u_telemetry::Registry,
-) -> (std::time::Duration, u64, usize) {
-    use crowd4u_core::error::ProjectId;
-    use crowd4u_runtime::prelude::*;
-
-    let (setup, answers) = shard_workload_events(w);
-    let total = (setup.len() + answers.len()) as u64;
-    let rt = ShardedRuntime::new_instrumented(
-        RuntimeConfig {
-            shards,
-            drain_every: w.drain_every,
-            mailbox_capacity: 0, // unbounded: E10 measures shard scaling, not admission
-            recovery: false,
-        },
-        telemetry,
-    );
-    let start = std::time::Instant::now();
-    rt.submit_batch(setup);
-    rt.drain();
-    rt.barrier(); // every judge task exists before the answer stream starts
-    rt.submit_batch(answers);
-    rt.drain();
-    rt.barrier();
-    let elapsed = start.elapsed();
-    // Capture placements from the router itself before it shuts down —
-    // the owner's slice holds the real facts, replicas are empty.
-    let owners: Vec<usize> = (0..w.projects)
-        .map(|p| rt.owner_of(ProjectId(p as u64 + 1)))
-        .collect();
-    let run = rt.finish().expect("runtime finish");
-    assert_eq!(run.stats.dropped, 0, "E10 workload must be fully valid");
-    let mut good = 0usize;
-    for (p, &owner) in owners.iter().enumerate() {
-        let project = ProjectId(p as u64 + 1);
-        good += run.platforms[owner]
-            .project(project)
-            .expect("registered")
-            .engine
-            .fact_count("good")
-            .expect("derived");
-    }
-    (elapsed, total, good)
 }
 
 /// What one chaos run of the E10 workload measured (E15).
@@ -608,7 +596,7 @@ pub fn run_gate_workload(
     // Telemetry is pinned off: the admission hop is ~150ns/event, so the
     // per-event span/stamp clock reads would dominate both doors and
     // compress the ratio the 1.5x gate watches. Telemetry cost has its
-    // own budget and bench (e14 / `report -- obs`).
+    // own budget (e2e's `telemetry.overhead_pct`, gated in `ci.sh`).
     let rt = ShardedRuntime::new_instrumented(
         RuntimeConfig {
             shards,

@@ -33,7 +33,7 @@ use crowd4u_forms::admin::DesiredFactors;
 use crowd4u_sim::stats::Counters;
 use crowd4u_sim::time::{SimDuration, SimTime};
 use crowd4u_storage::prelude::{EventJournal, JournalEntry, Value};
-use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
+use crowd4u_telemetry::{stage, Counter, Histogram, Span, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The eligibility cache of one project: valid while both epochs match.
@@ -107,6 +107,8 @@ struct PlatformTelemetry {
     /// Kept so project engines registered later attach to the same registry.
     handle: TelemetryHandle,
     journal_append: Histogram,
+    /// Journal appends on this slice so far: the sample key of the next.
+    appends: u64,
     events_applied: Counter,
     events_dropped: Counter,
     cache_hits: Counter,
@@ -119,12 +121,20 @@ impl PlatformTelemetry {
         PlatformTelemetry {
             handle: handle.clone(),
             journal_append: handle.histogram(stage::JOURNAL_APPEND),
+            appends: 0,
             events_applied: handle.counter("crowd4u_core_events_applied_total"),
             events_dropped: handle.counter("crowd4u_core_events_dropped_total"),
             cache_hits: handle.counter("crowd4u_core_eligibility_cache_hits_total"),
             cache_misses: handle.counter("crowd4u_core_eligibility_cache_misses_total"),
             cache_patches: handle.counter("crowd4u_core_eligibility_cache_patches_total"),
         }
+    }
+
+    /// Span one journal append, keyed by the slice's own append count:
+    /// timed if that count is in the sample, counted either way.
+    fn append_span(&mut self) -> Span<'_> {
+        self.appends += 1;
+        self.journal_append.span_for(self.appends)
     }
 }
 
@@ -196,7 +206,7 @@ impl Crowd4U {
     /// Append one event to the journal (call only after the event's effects
     /// were applied successfully).
     fn record(&mut self, event: &PlatformEvent) {
-        let _span = self.telemetry.journal_append.span();
+        let _span = self.telemetry.append_span();
         let entry = event.encode();
         self.journal
             .append(entry.kind, entry.args)
@@ -204,9 +214,10 @@ impl Crowd4U {
         self.counters.incr("events_journaled");
     }
 
-    /// Attach telemetry: journal appends record in the `journal.append`
-    /// stage histogram, applied/dropped events and eligibility-cache
-    /// hits/misses/patches count into `crowd4u_core_*_total`, and every project
+    /// Attach telemetry: journal appends count in the `journal.append`
+    /// stage histogram (a sample of them timed), applied/dropped events and
+    /// eligibility-cache hits/misses/patches count into
+    /// `crowd4u_core_*_total`, and every project
     /// engine — current and future — records its fixpoint stage and
     /// `EvalStats` counters (see [`CylogEngine::set_telemetry`]).
     /// Observe-only: two platforms differing only in telemetry produce
@@ -1126,7 +1137,7 @@ impl Crowd4U {
         for p in &dirty {
             self.sync_tasks_inner(*p)?;
         }
-        let _span = self.telemetry.journal_append.span();
+        let _span = self.telemetry.append_span();
         self.journal
             .append(DRAIN_KIND, vec![])
             .expect("static kind");

@@ -297,12 +297,15 @@ impl CylogEngine {
     /// produce byte-identical state — see ARCHITECTURE.md, "Incremental
     /// evaluation contract".
     pub fn run(&mut self) -> Result<EvalStats, CylogError> {
-        let _span = self.telemetry.fixpoint.span();
-        let stats = if self.mode == EvalMode::Incremental && !self.needs_full {
+        // Once per sync, not per event: every pass is timed.
+        let started = self.telemetry.fixpoint.stamp();
+        let outcome = if self.mode == EvalMode::Incremental && !self.needs_full {
             self.run_incremental()
         } else {
             self.run_full()
-        }?;
+        };
+        self.telemetry.fixpoint.since(started);
+        let stats = outcome?;
         self.telemetry.observe(&stats);
         Ok(stats)
     }

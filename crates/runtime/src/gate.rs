@@ -198,9 +198,11 @@ struct ShardQueue {
     not_empty: Condvar,
 }
 
-/// Messages in mailbox order, each with its enqueue timestamp (`None`
-/// when telemetry is off): the mailbox's own queue, and the batch a shard
-/// takes from it (see [`GateCore::recv_batch`]).
+/// Messages in mailbox order, each with its enqueue timestamp — `None`
+/// unless telemetry is on and the message is a data event whose seq is in
+/// the timed sample (`crowd4u_telemetry::sampled`): the mailbox's own
+/// queue, and the batch a shard takes from it (see
+/// [`GateCore::recv_batch`]).
 pub(crate) type Batch = VecDeque<(ToShard, Option<Instant>)>;
 
 /// How many messages one [`GateCore::recv_batch`] moves at most: a quarter
@@ -264,6 +266,56 @@ fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Park a producer on `q`'s `not_full` — for room, or for the end of a
+/// recovery — and hand the lock back once woken. The admission is timed
+/// from here on (see [`Admission`]).
+fn park<'q>(
+    q: &'q ShardQueue,
+    mut s: MutexGuard<'q, QueueState>,
+    admit: &mut Admission<'_>,
+) -> MutexGuard<'q, QueueState> {
+    admit.waits();
+    s.producers_waiting += 1;
+    s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
+    s.producers_waiting -= 1;
+    s
+}
+
+/// The `crowd4u_stage_gate_admit_ns` span of one admission, in one of two
+/// label sets. An admission that goes straight through is `path="direct"`
+/// and timed only when its key is sampled. One that has to wait —
+/// backpressure, a recovery, a migration hold — is `path="waited"` and
+/// timed every time: from its start when sampled, else from its first
+/// wait (the fast prefix that misses is ~0.1 µs against waits of µs to
+/// ms). Each label set's scaled sum is unbiased on its own and together
+/// they estimate the whole. A sample alone cannot: under backpressure one
+/// admission in K per shard carries nearly all the wait (the one a credit
+/// return releases), and a 1-in-64 sample of a run's few dozen such
+/// admissions catches none or two of them.
+struct Admission<'a> {
+    gate: &'a GateCore,
+    start: Option<Instant>,
+    waited_since: Option<Instant>,
+}
+
+impl Admission<'_> {
+    /// Called before every producer wait.
+    fn waits(&mut self) {
+        if self.waited_since.is_none() {
+            self.waited_since = self.gate.admit_waited.stamp();
+        }
+    }
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        match self.waited_since {
+            Some(w) => self.gate.admit_waited.since(Some(self.start.unwrap_or(w))),
+            None => self.gate.admit.since(self.start),
+        }
+    }
+}
+
 /// The shared state behind every [`IngestGate`] handle and every shard
 /// consumer.
 pub(crate) struct GateCore {
@@ -278,10 +330,16 @@ pub(crate) struct GateCore {
     /// The coordinator-owned worker registry side channel; worker events
     /// are appended here (instead of broadcast) and replicas pull them.
     service: Arc<WorkerService>,
-    /// Gate-admission span histogram (the whole route: lock, stamp, push).
+    /// Gate-admission span histogram (the whole route: lock, stamp, push),
+    /// counting every admission: `path="direct"` times a sample of those
+    /// that never wait, `path="waited"` every one that does (see
+    /// [`Admission`]).
     admit: Histogram,
+    admit_waited: Histogram,
     /// Mailbox-dwell histogram: enqueue → picked from its batch for
-    /// apply, observed by the consumer outside the mailbox lock.
+    /// apply, observed by the consumer outside the mailbox lock. Only a
+    /// sampled data event reads the clock at enqueue (under the mailbox
+    /// lock, where its seq is drawn); every message is counted.
     dwell: Histogram,
     /// `crowd4u_mailbox_batches_total{shard="i"}`: batch takes that
     /// returned messages. Dwell count ÷ batches is the mean batch size —
@@ -317,7 +375,8 @@ impl GateCore {
         GateCore {
             stamper: AtomicU64::new(0),
             service,
-            admit: telemetry.histogram(stage::GATE_ADMIT),
+            admit: telemetry.histogram_with(stage::GATE_ADMIT, "path=\"direct\""),
+            admit_waited: telemetry.histogram_with(stage::GATE_ADMIT, "path=\"waited\""),
             dwell: telemetry.histogram(stage::MAILBOX_DWELL),
             batches: (0..shards.max(1))
                 .map(|i| {
@@ -455,7 +514,8 @@ impl GateCore {
     }
 
     /// Park until no migration hold is active (or the gate closes).
-    fn wait_for_release(&self) {
+    fn wait_for_release(&self, admit: &mut Admission<'_>) {
+        admit.waits();
         let mut holds = lock_plain(&self.holds);
         while self.holding.load(Ordering::Acquire) != 0 {
             holds = self
@@ -490,13 +550,11 @@ impl GateCore {
 
     /// Park until `shard` leaves recovery (or closes); the caller
     /// re-validates under its own locks afterwards.
-    fn wait_for_recovery(&self, shard: usize) {
+    fn wait_for_recovery(&self, shard: usize, admit: &mut Admission<'_>) {
         let q = &self.queues[shard];
         let mut s = lock(q);
         while s.recovering && !s.closed {
-            s.producers_waiting += 1;
-            s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-            s.producers_waiting -= 1;
+            s = park(q, s, admit);
         }
     }
 
@@ -511,11 +569,18 @@ impl GateCore {
     /// enqueue it on its destination mailbox(es). `wait` selects the
     /// backpressure policy.
     fn route(&self, event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
-        let _span = self.admit.span();
+        // Keyed by the seq the stamper is about to issue. A concurrent
+        // producer may draw it first, which moves the sample, not the count.
+        let key = self.stamper.load(Ordering::Relaxed);
+        let admit = &mut Admission {
+            gate: self,
+            start: self.admit.stamp_for(key),
+            waited_since: None,
+        };
         match event.scope() {
-            EventScope::Project(p) => self.route_project(p, event, wait),
-            EventScope::Worker => self.route_worker(event, wait),
-            EventScope::Global => self.route_global(event, wait),
+            EventScope::Project(p) => self.route_project(p, event, wait, admit),
+            EventScope::Worker => self.route_worker(event, wait, admit),
+            EventScope::Global => self.route_global(event, wait, admit),
         }
     }
 
@@ -528,7 +593,12 @@ impl GateCore {
     /// see `crate::workers` for the full argument. Lock order is
     /// mailbox → service, same as the control-plane bound capture, so the
     /// pair cannot deadlock.
-    fn route_worker(&self, event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
+    fn route_worker(
+        &self,
+        event: PlatformEvent,
+        wait: bool,
+        admit: &mut Admission<'_>,
+    ) -> Result<u64, GateError> {
         let PlatformEvent::WorkerRegistered { profile } = &event else {
             unreachable!("EventScope::Worker classifies worker registrations only");
         };
@@ -558,7 +628,7 @@ impl GateCore {
                         event: Box::new(event),
                     });
                 }
-                self.wait_for_release();
+                self.wait_for_release(admit);
                 s = lock(q);
                 continue;
             }
@@ -569,9 +639,7 @@ impl GateCore {
                         event: Box::new(event),
                     });
                 }
-                s.producers_waiting += 1;
-                s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-                s.producers_waiting -= 1;
+                s = park(q, s, admit);
                 continue;
             }
             if s.data_len < self.capacity {
@@ -583,9 +651,7 @@ impl GateCore {
                     event: Box::new(event),
                 });
             }
-            s.producers_waiting += 1;
-            s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-            s.producers_waiting -= 1;
+            s = park(q, s, admit);
         }
         let seq = self
             .service
@@ -593,7 +659,7 @@ impl GateCore {
         // Still holding the mailbox lock: stamp (inside the append) and
         // push are adjacent, so the coordinator mailbox stays in sequence
         // order, and the log entry is visible before the lock drops.
-        let at = self.dwell.stamp();
+        let at = self.dwell.stamp_for(seq);
         s.push_data(
             ToShard::Apply {
                 seq,
@@ -614,6 +680,7 @@ impl GateCore {
         project: ProjectId,
         event: PlatformEvent,
         wait: bool,
+        admit: &mut Admission<'_>,
     ) -> Result<u64, GateError> {
         'resolve: loop {
             let shard = self.owner_of(project);
@@ -640,7 +707,7 @@ impl GateCore {
                             event: Box::new(event),
                         });
                     }
-                    self.wait_for_release();
+                    self.wait_for_release(admit);
                     continue 'resolve;
                 }
                 if s.recovering {
@@ -650,9 +717,7 @@ impl GateCore {
                             event: Box::new(event),
                         });
                     }
-                    s.producers_waiting += 1;
-                    s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-                    s.producers_waiting -= 1;
+                    s = park(q, s, admit);
                     continue;
                 }
                 if s.data_len < self.capacity {
@@ -664,14 +729,12 @@ impl GateCore {
                         event: Box::new(event),
                     });
                 }
-                s.producers_waiting += 1;
-                s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-                s.producers_waiting -= 1;
+                s = park(q, s, admit);
             }
             // Still holding the lock: nothing can interleave between the
             // stamp and the push, so this mailbox stays in sequence order.
             let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
-            let at = self.dwell.stamp();
+            let at = self.dwell.stamp_for(seq);
             s.push_data(
                 ToShard::Apply {
                     seq,
@@ -692,7 +755,12 @@ impl GateCore {
     /// shard's broadcasts on a corpse would globalise a scoped failure —
     /// unless the coordinator itself died, which leaves the broadcast with
     /// no recorder and must error.
-    fn route_global(&self, event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
+    fn route_global(
+        &self,
+        event: PlatformEvent,
+        wait: bool,
+        admit: &mut Admission<'_>,
+    ) -> Result<u64, GateError> {
         loop {
             let mut guards: Vec<MutexGuard<'_, QueueState>> =
                 self.queues.iter().map(lock).collect();
@@ -716,7 +784,7 @@ impl GateCore {
                         event: Box::new(event),
                     });
                 }
-                self.wait_for_release();
+                self.wait_for_release(admit);
                 continue;
             }
             if let Some(r) = guards.iter().position(|g| g.recovering) {
@@ -727,7 +795,7 @@ impl GateCore {
                         event: Box::new(event),
                     });
                 }
-                self.wait_for_recovery(r);
+                self.wait_for_recovery(r, admit);
                 continue;
             }
             if let Some(full) = guards
@@ -746,12 +814,12 @@ impl GateCore {
                 // On a close (or death) of the full shard, re-validate from
                 // the top: a genuine shutdown hits the closed check, a dead
                 // shard is skipped by the dead check.
-                self.wait_for_room(full);
+                self.wait_for_room(full, admit);
                 continue;
             }
             let live: Vec<usize> = (0..guards.len()).filter(|&i| !guards[i].dead).collect();
             let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
-            let at = self.dwell.stamp();
+            let at = self.dwell.stamp_for(seq);
             let last = *live.last().expect("the coordinator is live");
             let mut event = Some(event);
             for &i in &live {
@@ -776,13 +844,11 @@ impl GateCore {
 
     /// Block until `shard`'s mailbox has room (or the gate closes —
     /// returns `false`).
-    fn wait_for_room(&self, shard: usize) -> bool {
+    fn wait_for_room(&self, shard: usize, admit: &mut Admission<'_>) -> bool {
         let q = &self.queues[shard];
         let mut s = lock(q);
         while !s.closed && s.data_len >= self.capacity {
-            s.producers_waiting += 1;
-            s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-            s.producers_waiting -= 1;
+            s = park(q, s, admit);
         }
         !s.closed
     }
@@ -814,8 +880,7 @@ impl GateCore {
             return false;
         }
         self.capture_bound(&mut msg);
-        let at = self.dwell.stamp();
-        s.queue.push_back((msg, at));
+        s.queue.push_back((msg, None));
         s.notify_consumer(q);
         true
     }
@@ -830,9 +895,8 @@ impl GateCore {
             return None;
         }
         let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
-        let at = self.dwell.stamp();
         for (i, g) in guards.iter_mut().enumerate() {
-            g.queue.push_back((mk(i, seq), at));
+            g.queue.push_back((mk(i, seq), None));
             g.notify_consumer(&self.queues[i]);
         }
         Some(seq)
@@ -854,8 +918,7 @@ impl GateCore {
             if !s.closed {
                 let mut msg = mk(i);
                 self.capture_bound(&mut msg);
-                let at = self.dwell.stamp();
-                s.queue.push_back((msg, at));
+                s.queue.push_back((msg, None));
                 s.closed = true;
             }
             q.not_empty.notify_all();
@@ -937,6 +1000,8 @@ impl GateCore {
 
     /// Close a message's mailbox-dwell measurement: the shard calls this
     /// as it picks the message from its batch, outside the mailbox lock.
+    /// A `None` stamp — an unsampled event, or a control message, which is
+    /// never timed — is counted only.
     pub(crate) fn observe_dwell(&self, enqueued: Option<Instant>) {
         self.dwell.since(enqueued);
     }
@@ -1288,6 +1353,40 @@ mod tests {
             .expect("blocked submit must complete once room appears");
         assert_eq!(seq, 1);
         assert_eq!(gate.queued(0), 1);
+    }
+
+    #[test]
+    fn an_admission_that_waits_is_timed_in_its_own_label_set() {
+        let registry = crowd4u_telemetry::Registry::new();
+        let core = Arc::new(GateCore::new(
+            1,
+            1,
+            Arc::new(WorkerService::new()),
+            &registry.handle(),
+        ));
+        let gate = IngestGate::new(Arc::clone(&core));
+        gate.submit(seed(1, "first")).unwrap();
+        let g = gate.clone();
+        let blocked = std::thread::spawn(move || g.submit(seed(1, "second")).unwrap());
+        // Release the producer only once it is parked on the full mailbox.
+        while lock(&core.queues[0]).producers_waiting == 0 {
+            std::thread::yield_now();
+        }
+        let mut consumer = Consumer::default();
+        assert!(consumer.next_batch(&core, 0));
+        assert!(consumer.next_batch(&core, 0));
+        blocked.join().unwrap();
+        let snap = registry.snapshot();
+        let admit = |path: &str| {
+            let key = (stage::GATE_ADMIT.to_string(), format!("path=\"{path}\""));
+            let h = &snap.histograms[&key];
+            (h.count, h.sampled, h.sum > 0)
+        };
+        // Seq 0 is in the sample, seq 1 is not: the direct admission is
+        // timed, and so is the waiting one — every time, whatever its key.
+        assert_eq!(admit("direct"), (1, 1, true));
+        assert_eq!(admit("waited"), (1, 1, true));
+        assert_eq!(snap.histogram_count(stage::GATE_ADMIT), 2);
     }
 
     #[test]

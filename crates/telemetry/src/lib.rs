@@ -6,20 +6,20 @@
 //! format. Zero external dependencies (same vendored-shim discipline as
 //! the rest of the workspace — this crate needs none at all).
 //!
-//! ## Design: per-shard handles, merge on scrape
+//! ## Design: handles, merge on scrape
 //!
-//! Hot paths never share metric state across shards. Each shard (or
-//! subsystem) asks the registry for its own [`TelemetryHandle`]; every
-//! metric fetched through a handle is a private atomic cell owned by that
-//! handle. A scrape ([`Registry::snapshot`]) walks all handles and merges
-//! same-named cells — counters and gauges by summation, histograms
-//! bucket-wise. Two consequences:
+//! Each subsystem asks the registry for a [`TelemetryHandle`]; every metric
+//! fetched through a handle is an atomic cell owned by that handle. A scrape
+//! ([`Registry::snapshot`]) walks all handles and merges same-named cells —
+//! counters and gauges by summation, histograms bucket-wise. Recording is a
+//! relaxed atomic add on a pre-fetched cell, and **scrapes never block
+//! producers**: the per-handle mutex only guards the name→cell map (locked
+//! when a metric is first fetched and during a scrape).
 //!
-//! * **no cross-shard contention**: an `incr`/`observe` touches an atomic
-//!   no other shard writes;
-//! * **scrapes never block producers**: the per-handle mutex only guards
-//!   the name→cell map (locked when a metric is first fetched and during
-//!   a scrape); recording goes straight to the atomics, lock-free.
+//! Handles do not imply disjoint cells: the sharded runtime hands **one**
+//! handle to all its shards, so shard threads add into the same stage
+//! histograms. A handle per shard was measured and bought nothing, with or
+//! without sampling, so shared cells stay.
 //!
 //! ## Observe-only and cheap
 //!
@@ -30,24 +30,37 @@
 //! inside — an `incr` is a branch on a niche-optimised option, a
 //! [`Span`] never reads the clock.
 //!
-//! ## Spans
+//! ## Spans and the sample
 //!
-//! A [`Span`] is an RAII timer: created via [`Histogram::span`] (or the
-//! [`span!`] macro), it observes its elapsed nanoseconds into the
-//! histogram on drop. The five pipeline-stage histograms are named in
-//! [`stage`].
+//! The four per-event stages (gate admit, mailbox dwell, shard apply,
+//! journal append; named in [`stage`]) time a deterministic sample of one
+//! event in [`SAMPLE_EVERY`] and **count every event**. An event
+//! is timed when [`sampled`] holds for its key — a Fibonacci hash of the
+//! key with its top bits zero, so no routing stride aliases with the
+//! sample. A [`Span`] from [`Histogram::span_for`] reads the clock twice
+//! for a sampled key and on drop observes the elapsed nanoseconds; for any
+//! other key it reads no clock and on drop adds one to the count. A
+//! [`HistogramSnapshot`] says what it holds: `count` is every
+//! observation, `sampled` the timed ones, and `sum` the sample's sum
+//! scaled to the whole. Once-per-sync and rare spans (the CyLog fixpoint,
+//! recovery) are timed every time with [`Histogram::stamp`] and
+//! [`Histogram::since`].
 //!
 //! ```
-//! use crowd4u_telemetry::{stage, Registry};
+//! use crowd4u_telemetry::{sampled, stage, Registry};
 //! let registry = Registry::new();
 //! let handle = registry.handle();
 //! let hist = handle.histogram(stage::GATE_ADMIT);
-//! {
-//!     let _span = hist.span(); // observed on drop
+//! for key in 0..128 {
+//!     let _span = hist.span_for(key); // counted on drop; timed if sampled
 //! }
 //! let snap = registry.snapshot();
-//! assert_eq!(snap.histogram_count(stage::GATE_ADMIT), 1);
-//! assert!(snap.render().contains("crowd4u_stage_gate_admit_ns_count"));
+//! let admit = &snap.histograms[&(stage::GATE_ADMIT.to_string(), String::new())];
+//! assert_eq!(admit.count, 128);
+//! assert_eq!(admit.sampled, (0..128).filter(|&k| sampled(k)).count() as u64);
+//! assert!(snap
+//!     .render()
+//!     .contains("crowd4u_stage_gate_admit_ns_observed_total 128"));
 //! ```
 
 use std::collections::BTreeMap;
@@ -59,20 +72,46 @@ use std::time::Instant;
 /// built by [`Registry::from_env`]; anything else (or unset) enables it.
 pub const TELEMETRY_ENV: &str = "TELEMETRY";
 
+/// One event in this many is timed at a per-event stage (see [`sampled`]).
+/// A constant, not a knob: at ~300 k events/s it still times ~4.7 k events
+/// per second per stage, and one clock pair per 64 events is well under 1 %
+/// of a ~3 µs event.
+pub const SAMPLE_EVERY: u64 = 1 << SAMPLE_BITS;
+const SAMPLE_BITS: u32 = 6;
+
+/// Is the event keyed `key` in the timed sample? True for one key in
+/// [`SAMPLE_EVERY`]: those whose Fibonacci hash (`key × 2⁶⁴/φ`) has its
+/// top bits zero. A hash and not `key % 64`, because keys are sequence
+/// numbers and events are routed round-robin: a modulus would time the
+/// same few projects — and so the same shard — every time, where the hash
+/// picks close to 1/64 of every residue class of every small stride.
+#[inline]
+pub fn sampled(key: u64) -> bool {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SAMPLE_BITS) == 0
+}
+
 /// Canonical metric names of the five pipeline-stage histograms (elapsed
 /// nanoseconds per event at each stage), plus the shard-lifecycle
-/// recovery/migration metrics.
+/// recovery/migration metrics. The four per-event stages time a
+/// [`sampled`] subset of events and count all of them; the fixpoint and
+/// the recovery span time every observation.
 pub mod stage {
-    /// Front-door admission: routing + stamping + mailbox push.
+    /// Front-door admission: routing + stamping + mailbox push, waits for
+    /// room included. Two label sets: `path="direct"`, sampled and keyed
+    /// by the sequence number the stamper is about to issue, and
+    /// `path="waited"`, every admission that had to wait, all timed.
     pub const GATE_ADMIT: &str = "crowd4u_stage_gate_admit_ns";
     /// Dwell between mailbox enqueue and the shard picking the message
-    /// from its batch for apply.
+    /// from its batch for apply. Sampled, keyed by the event's sequence
+    /// number; control messages are counted, never timed.
     pub const MAILBOX_DWELL: &str = "crowd4u_stage_mailbox_dwell_ns";
-    /// A shard applying one event to its platform slice.
+    /// A shard applying one event to its platform slice. Sampled, keyed
+    /// by the event's sequence number.
     pub const SHARD_APPLY: &str = "crowd4u_stage_shard_apply_ns";
-    /// One CyLog fixpoint pass (`CylogEngine::run`).
+    /// One CyLog fixpoint pass (`CylogEngine::run`); every pass timed.
     pub const CYLOG_FIXPOINT: &str = "crowd4u_stage_cylog_fixpoint_ns";
-    /// Appending one entry to the event journal.
+    /// Appending one entry to the event journal. Sampled, keyed by the
+    /// slice's own append count.
     pub const JOURNAL_APPEND: &str = "crowd4u_stage_journal_append_ns";
     /// All five, in pipeline order.
     pub const ALL: [&str; 5] = [
@@ -341,10 +380,12 @@ impl Gauge {
 
 /// Lock-free log-bucketed histogram core: bucket `i` counts values whose
 /// bit length, divided by the bucket base's bit width (rounded up), is
-/// `i` — i.e. boundaries at `base^i`.
+/// `i` — i.e. boundaries at `base^i`. `count` is every observation;
+/// `sampled`, `sum` and the buckets describe the timed ones.
 struct HistogramCore {
     bits: u32,
     count: AtomicU64,
+    sampled: AtomicU64,
     sum: AtomicU64,
     buckets: Vec<AtomicU64>,
 }
@@ -358,14 +399,10 @@ fn bucket_index(bits: u32, v: u64) -> usize {
     significant.div_ceil(bits as usize)
 }
 
-/// Inclusive upper bound of bucket `i` (`base^i − 1`), as a decimal
-/// string, or `+Inf` for the top bucket.
-fn bucket_bound(bits: u32, i: usize) -> String {
-    if i + 1 >= bucket_count(bits) {
-        "+Inf".to_string()
-    } else {
-        ((1u128 << (i as u32 * bits)) - 1).to_string()
-    }
+/// Inclusive upper bound of bucket `i`: `base^i − 1`, saturating at
+/// `u64::MAX` for the top bucket (rendered as `+Inf`).
+fn bucket_upper(bits: u32, i: usize) -> u64 {
+    u64::try_from((1u128 << (i as u32 * bits)) - 1).unwrap_or(u64::MAX)
 }
 
 impl HistogramCore {
@@ -373,15 +410,23 @@ impl HistogramCore {
         HistogramCore {
             bits,
             count: AtomicU64::new(0),
+            sampled: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             buckets: (0..bucket_count(bits)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
+    /// A timed observation: counted, and recorded in the sample.
     fn observe(&self, v: u64) {
         self.buckets[bucket_index(self.bits, v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.sampled.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// An observation that was not timed: counted only.
+    fn count_only(&self) {
+        self.count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -395,6 +440,7 @@ impl Histogram {
         Histogram(None)
     }
 
+    /// Record one timed observation of `v`.
     #[inline]
     pub fn observe(&self, v: u64) {
         if let Some(h) = &self.0 {
@@ -402,30 +448,46 @@ impl Histogram {
         }
     }
 
-    /// Start an RAII span feeding this histogram: elapsed nanoseconds are
-    /// observed when the returned [`Span`] drops. Disabled histograms
-    /// never read the clock.
+    /// Start an RAII span for the event keyed `key`: when [`sampled`]
+    /// holds it times the event and observes the elapsed nanoseconds on
+    /// drop; otherwise it reads no clock and only counts the event on
+    /// drop. Disabled histograms do neither.
     #[inline]
-    pub fn span(&self) -> Span {
+    pub fn span_for(&self, key: u64) -> Span<'_> {
         Span {
-            core: self.0.clone(),
-            start: self.0.as_ref().map(|_| Instant::now()),
+            core: self.0.as_deref(),
+            start: self.stamp_for(key),
         }
     }
 
-    /// A timestamp for a deferred dwell measurement ([`Histogram::since`]
-    /// closes it), `None` when disabled — the producer side of a
-    /// cross-thread span whose two ends live in different scopes.
+    /// A timestamp for a measurement closed later by [`Histogram::since`]
+    /// — the producer side of a cross-thread span whose two ends live in
+    /// different scopes. Every observation stamped this way is timed;
+    /// `None` when disabled.
     #[inline]
     pub fn stamp(&self) -> Option<Instant> {
         self.0.as_ref().map(|_| Instant::now())
     }
 
-    /// Close a [`Histogram::stamp`]: observe the elapsed nanoseconds.
+    /// [`Histogram::stamp`] for the event keyed `key`: `None`, with no
+    /// clock read, unless the key is [`sampled`].
+    #[inline]
+    pub fn stamp_for(&self, key: u64) -> Option<Instant> {
+        match &self.0 {
+            Some(_) if sampled(key) => Some(Instant::now()),
+            _ => None,
+        }
+    }
+
+    /// Close a stamp: observe the elapsed nanoseconds, or — for `None`,
+    /// an observation that was not sampled — count it only.
     #[inline]
     pub fn since(&self, stamp: Option<Instant>) {
-        if let (Some(h), Some(t)) = (&self.0, stamp) {
-            h.observe(elapsed_ns(t));
+        if let Some(h) = &self.0 {
+            match stamp {
+                Some(t) => h.observe(elapsed_ns(t)),
+                None => h.count_only(),
+            }
         }
     }
 }
@@ -434,41 +496,42 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// RAII stage timer: observes elapsed nanoseconds into its histogram on
-/// drop. Obtained from [`Histogram::span`] or the [`span!`] macro.
-pub struct Span {
-    core: Option<Arc<HistogramCore>>,
+/// RAII stage timer from [`Histogram::span_for`]: on drop it observes the
+/// elapsed nanoseconds when its event was sampled, and counts the event
+/// otherwise. Borrows its histogram — starting one clones nothing.
+pub struct Span<'a> {
+    core: Option<&'a HistogramCore>,
     start: Option<Instant>,
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let (Some(h), Some(t)) = (&self.core, self.start) {
-            h.observe(elapsed_ns(t));
+        if let Some(h) = self.core {
+            match self.start {
+                Some(t) => h.observe(elapsed_ns(t)),
+                None => h.count_only(),
+            }
         }
     }
-}
-
-/// `span!(hist)` starts an RAII timer on a pre-fetched [`Histogram`];
-/// `span!(handle, "gate.admit")` fetches the histogram from a
-/// [`TelemetryHandle`] first (map lookup — keep off hot paths).
-#[macro_export]
-macro_rules! span {
-    ($hist:expr) => {
-        $hist.span()
-    };
-    ($handle:expr, $name:expr) => {
-        $handle.histogram($name).span()
-    };
 }
 
 /// One merged histogram in a [`MetricsSnapshot`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
+    /// Every observation, timed or not: exact.
     pub count: u64,
+    /// The timed observations — the sample the buckets describe. Equal
+    /// to `count` on a histogram that times every observation.
+    pub sampled: u64,
+    /// Estimated sum of every observation: the sample's sum scaled to the
+    /// whole, `sampled_sum × count / sampled` (0 while nothing was
+    /// timed). Exact whenever every observation was timed.
     pub sum: u64,
+    /// The sample's own sum (what the exposition's `_sum` reports).
+    sampled_sum: u64,
     bits: u32,
-    /// Per-bucket (non-cumulative) counts; rendering accumulates.
+    /// Per-bucket (non-cumulative) counts of the sample; rendering
+    /// accumulates.
     buckets: Vec<u64>,
 }
 
@@ -476,7 +539,9 @@ impl HistogramSnapshot {
     fn empty(bits: u32) -> HistogramSnapshot {
         HistogramSnapshot {
             count: 0,
+            sampled: 0,
             sum: 0,
+            sampled_sum: 0,
             bits,
             buckets: vec![0; bucket_count(bits)],
         }
@@ -485,10 +550,46 @@ impl HistogramSnapshot {
     fn absorb(&mut self, core: &HistogramCore) {
         debug_assert_eq!(self.bits, core.bits, "one bucket base per registry");
         self.count += core.count.load(Ordering::Relaxed);
-        self.sum += core.sum.load(Ordering::Relaxed);
+        self.sampled += core.sampled.load(Ordering::Relaxed);
+        self.sampled_sum = self
+            .sampled_sum
+            .wrapping_add(core.sum.load(Ordering::Relaxed));
         for (b, c) in self.buckets.iter_mut().zip(&core.buckets) {
             *b += c.load(Ordering::Relaxed);
         }
+        self.sum = match self.sampled {
+            0 => 0,
+            n => {
+                let scaled = u128::from(self.sampled_sum) * u128::from(self.count) / u128::from(n);
+                u64::try_from(scaled).unwrap_or(u64::MAX)
+            }
+        };
+    }
+
+    /// The upper bound of the bucket holding the `q`-th sampled
+    /// observation (nearest rank; `q` is clamped to `0..=1`, so `q = 0` is
+    /// the smallest and `q = 1` the largest), or `None` when nothing was
+    /// timed. Error bound: the observation lies within one bucket base
+    /// below the result — in `(result / base, result]`, exactly 0 for a
+    /// result of 0 — and `u64::MAX` stands for the unbounded top bucket.
+    /// It is a quantile of the sample, which on a sampled stage is a
+    /// 1-in-[`SAMPLE_EVERY`] subset of the observations.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let total: u64 = self.buckets.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        let i = self
+            .buckets
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .unwrap_or(self.buckets.len() - 1);
+        Some(bucket_upper(self.bits, i))
     }
 }
 
@@ -543,7 +644,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Total observation count of a histogram across all label sets.
+    /// Total observation count of a histogram across all label sets —
+    /// every observation, sampled or not.
     pub fn histogram_count(&self, name: &str) -> u64 {
         self.histograms
             .iter()
@@ -553,8 +655,11 @@ impl MetricsSnapshot {
     }
 
     /// Render in the Prometheus text exposition format: `# TYPE` headers,
-    /// cumulative `_bucket{le=…}` series (zero-delta buckets elided),
-    /// `_sum`/`_count` per histogram.
+    /// then per histogram the cumulative `_bucket{le=…}` series
+    /// (zero-delta buckets elided), `_sum` and `_count` — all three
+    /// describing the timed sample, so `_count` equals the `+Inf` bucket —
+    /// and, after every histogram, an exact `<name>_observed_total`
+    /// counter per histogram: every observation, timed or not.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let mut last_type: Option<(char, String)> = None;
@@ -582,23 +687,22 @@ impl MetricsSnapshot {
                     continue;
                 }
                 cumulative += c;
-                let le = format!("le=\"{}\"", bucket_bound(h.bits, i));
+                let le = if last {
+                    "le=\"+Inf\"".to_string()
+                } else {
+                    format!("le=\"{}\"", bucket_upper(h.bits, i))
+                };
                 sample_line(&mut out, &bucket_name, labels, &le, &cumulative.to_string());
             }
-            sample_line(
-                &mut out,
-                &format!("{name}_sum"),
-                labels,
-                "",
-                &h.sum.to_string(),
-            );
-            sample_line(
-                &mut out,
-                &format!("{name}_count"),
-                labels,
-                "",
-                &h.count.to_string(),
-            );
+            let sum = format!("{name}_sum");
+            sample_line(&mut out, &sum, labels, "", &h.sampled_sum.to_string());
+            let count = format!("{name}_count");
+            sample_line(&mut out, &count, labels, "", &cumulative.to_string());
+        }
+        for ((name, labels), h) in &self.histograms {
+            let observed = format!("{name}_observed_total");
+            typed(&mut out, 'o', &observed, "counter");
+            sample_line(&mut out, &observed, labels, "", &h.count.to_string());
         }
         out
     }
@@ -661,7 +765,8 @@ mod tests {
         h.gauge("crowd4u_test_gauge").set(7);
         let hist = h.histogram("crowd4u_test_ns");
         hist.observe(9);
-        drop(hist.span());
+        drop(hist.span_for(0));
+        hist.since(hist.stamp());
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.render().is_empty());
@@ -703,9 +808,14 @@ mod tests {
         assert_eq!(bucket_index(2, 4), 2);
         assert_eq!(bucket_index(2, 15), 2);
         assert_eq!(bucket_index(2, 16), 3);
-        assert_eq!(bucket_bound(1, 1), "1");
-        assert_eq!(bucket_bound(1, 3), "7");
-        assert_eq!(bucket_bound(1, 64), "+Inf");
+        assert_eq!(bucket_upper(1, 1), 1);
+        assert_eq!(bucket_upper(1, 3), 7);
+        assert_eq!(bucket_upper(1, 64), u64::MAX);
+        assert_eq!(bucket_upper(3, bucket_count(3) - 1), u64::MAX);
+    }
+
+    fn only(snap: &MetricsSnapshot, name: &str) -> HistogramSnapshot {
+        snap.histograms[&(name.to_string(), String::new())].clone()
     }
 
     #[test]
@@ -713,13 +823,13 @@ mod tests {
         let r = Registry::new();
         let h = r.handle();
         let hist = h.histogram(stage::SHARD_APPLY);
-        for _ in 0..3 {
-            let _span = span!(hist);
+        // Keys 0 and 1: the first sampled, the second not.
+        assert!(sampled(0) && !sampled(1));
+        for key in [0, 1, 1] {
+            let _span = hist.span_for(key);
         }
-        drop(span!(h, stage::GATE_ADMIT));
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram_count(stage::SHARD_APPLY), 3);
-        assert_eq!(snap.histogram_count(stage::GATE_ADMIT), 1);
+        let apply = only(&r.snapshot(), stage::SHARD_APPLY);
+        assert_eq!((apply.count, apply.sampled), (3, 1));
     }
 
     #[test]
@@ -730,9 +840,99 @@ mod tests {
         let t = hist.stamp();
         assert!(t.is_some());
         hist.since(t);
-        hist.since(None); // lost stamp: no observation
-        assert_eq!(r.snapshot().histogram_count(stage::MAILBOX_DWELL), 1);
+        // A key outside the sample stamps nothing, and its `None` still
+        // counts: it means "not sampled", not "lost".
+        assert!(hist.stamp_for(1).is_none());
+        assert!(hist.stamp_for(0).is_some());
+        hist.since(None);
+        let dwell = only(&r.snapshot(), stage::MAILBOX_DWELL);
+        assert_eq!((dwell.count, dwell.sampled), (2, 1));
         assert!(Histogram::disabled().stamp().is_none());
+        assert!(Histogram::disabled().stamp_for(0).is_none());
+    }
+
+    #[test]
+    fn the_sample_does_not_alias_with_any_small_stride() {
+        // Round-robin routing hands a shard or a project every s-th
+        // sequence number; each residue class must still be sampled at
+        // close to 1 in 64, never all or nothing.
+        for s in [1u64, 2, 3, 4, 8, 16, 64] {
+            for r in 0..s {
+                let keys = (r..1 << 16).step_by(s as usize);
+                let n = keys.clone().count() as f64;
+                let hits = keys.filter(|&k| sampled(k)).count() as f64;
+                let share = hits / n;
+                assert!(
+                    (1.0 / 128.0..=1.0 / 32.0).contains(&share),
+                    "stride {s} residue {r}: {hits} of {n} sampled"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn count_only_and_timed_paths_add_up() {
+        let r = Registry::new();
+        let h = r.handle();
+        let hist = h.histogram(stage::JOURNAL_APPEND);
+        // Two timed observations of 100 and 300 among ten counted ones.
+        hist.observe(100);
+        hist.observe(300);
+        for _ in 0..8 {
+            hist.since(None);
+        }
+        let snap = r.snapshot();
+        let j = only(&snap, stage::JOURNAL_APPEND);
+        assert_eq!((j.count, j.sampled), (10, 2));
+        assert_eq!(snap.histogram_count(stage::JOURNAL_APPEND), 10);
+        // The sample's sum scaled to the whole: 400 × 10 / 2.
+        assert_eq!(j.sum, 2000);
+        // Merging across handles scales the merged totals, and when every
+        // observation is timed the estimate is the exact sum.
+        let exact = Registry::new();
+        let (a, b) = (exact.handle(), exact.handle());
+        a.histogram(stage::SHARD_APPLY).observe(7);
+        b.histogram(stage::SHARD_APPLY).observe(8);
+        let e = only(&exact.snapshot(), stage::SHARD_APPLY);
+        assert_eq!((e.count, e.sampled, e.sum), (2, 2, 15));
+        // Counted but never timed: no estimate.
+        let blind = Registry::new();
+        blind.handle().histogram(stage::GATE_ADMIT).since(None);
+        let g = only(&blind.snapshot(), stage::GATE_ADMIT);
+        assert_eq!((g.count, g.sampled, g.sum), (1, 0, 0));
+    }
+
+    #[test]
+    fn quantile_is_the_upper_bound_of_the_ranked_bucket() {
+        let r = Registry::new();
+        let hist = r.handle().histogram(stage::SHARD_APPLY);
+        let empty = || only(&r.snapshot(), stage::SHARD_APPLY);
+        hist.since(None);
+        assert_eq!(empty().quantile(0.5), None, "nothing timed");
+        // Base 2: 0 → le 0, 5 → le 7, 6 → le 7, 100 → le 127, 3000 → le 4095.
+        for v in [100, 0, 5, 3000, 6] {
+            hist.observe(v);
+        }
+        let h = only(&r.snapshot(), stage::SHARD_APPLY);
+        assert_eq!(h.quantile(0.0), Some(0));
+        assert_eq!(h.quantile(0.1), Some(0));
+        assert_eq!(h.quantile(0.5), Some(7));
+        assert_eq!(h.quantile(0.55), Some(7));
+        assert_eq!(h.quantile(0.75), Some(127));
+        assert_eq!(h.quantile(1.0), Some(4095));
+        assert_eq!(h.quantile(7.0), Some(4095), "q is clamped");
+        // The error bound: each observation lies in (result / 2, result].
+        for (v, q) in [(5u64, 0.3), (100, 0.75), (3000, 1.0)] {
+            let upper = h.quantile(q).unwrap();
+            assert!(upper / 2 < v && v <= upper, "{v} vs {upper}");
+        }
+        // The unbounded top bucket reads as u64::MAX.
+        hist.observe(u64::MAX);
+        assert_eq!(empty().quantile(1.0), Some(u64::MAX));
+        let base4 = Registry::with_bucket_base(4);
+        base4.handle().histogram(stage::GATE_ADMIT).observe(20);
+        let h4 = only(&base4.snapshot(), stage::GATE_ADMIT);
+        assert_eq!(h4.quantile(0.5), Some(63));
     }
 
     #[test]
@@ -746,6 +946,7 @@ mod tests {
         hist.observe(0);
         hist.observe(5);
         hist.observe(300);
+        hist.since(None); // counted, not timed
         let text = r.snapshot().render();
         assert!(text.contains("# TYPE crowd4u_events_total counter"));
         assert!(text.contains("crowd4u_events_total{shard=\"1\"} 1"));
@@ -757,8 +958,13 @@ mod tests {
         assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"0\"} 1"));
         assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"15\"} 2"));
         assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"1023\"} 3"));
+        // `_count` is the sample (= the +Inf bucket); the exact count of
+        // every observation is its own counter.
+        assert!(text.contains("crowd4u_stage_journal_append_ns_count 3"));
+        assert!(text.contains("# TYPE crowd4u_stage_journal_append_ns_observed_total counter"));
+        assert!(text.contains("crowd4u_stage_journal_append_ns_observed_total 4"));
         let samples = validate_exposition(&text).expect("valid exposition");
-        assert!(samples >= 9);
+        assert!(samples >= 10);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility), reproducible
 #   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
-#                                  runtime's mid-batch / blocked-submit unit
-#                                  tests assert on blocking with timeouts; a
-#                                  race that shows one run in ten must not pass
-#                                  by luck
+#                                  runtime's mid-batch / blocked-submit /
+#                                  dead-shard / finish-surfaces unit tests
+#                                  assert on blocking with timeouts or on a
+#                                  reply closing; a race that shows one run in
+#                                  ten must not pass by luck
 #   8. cargo doc --no-deps      — docs build with zero warnings
 #
 # Part 2 — bench smokes, `report --` gates and the telemetry budget. These
@@ -125,12 +126,14 @@ step env PROPTEST_SEED=1707 \
 # The tests that assert a thread *is* blocked (a timeout elapsing) or *gets*
 # unblocked (a reply arriving) — backpressure on a full mailbox, the credit
 # return that releases it, a shard stalled, killed or panicking inside a
-# batch — twenty times over: one green run says little about a race.
+# batch, a flush or finish reply closing when the job carrying it is
+# dropped or abandoned — twenty times over: one green run says little
+# about a race.
 echo
-echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit"
+echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit + dead_shard + finish_surfaces"
 for _ in $(seq 20); do
     cargo test -q -p crowd4u --test gate_backpressure --test mailbox_batches
-    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit
+    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit dead_shard finish_surfaces
 done
 # Docs must be warning-free, not just successful.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

@@ -184,7 +184,7 @@ pub fn run_shard_workload(shards: usize, w: &ShardWorkload) -> (std::time::Durat
             mailbox_capacity: 0, // unbounded: E10 measures shard scaling, not admission
             recovery: false,
         },
-        crowd4u_telemetry::Registry::from_env(),
+        crowd4u_telemetry::Registry::new(),
     );
     let start = std::time::Instant::now();
     rt.submit_batch(setup);

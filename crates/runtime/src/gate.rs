@@ -91,7 +91,7 @@
 //! per cent of one another.
 
 use crate::recovery::ShardLedger;
-use crate::shard::ToShard;
+use crate::shard::{Job, ToShard};
 use crate::workers::WorkerService;
 use crowd4u_core::error::ProjectId;
 use crowd4u_core::events::{EventScope, PlatformEvent};
@@ -219,7 +219,7 @@ struct QueueState {
     /// the consumer: those queued here **plus** those in the batch the
     /// shard has in hand, whose credit returns with its next
     /// [`GateCore::recv_batch`]. The capacity bound applies to this count
-    /// only — control messages (jobs, flushes, barriers) ride along
+    /// only — control messages (jobs, drain barriers) ride along
     /// unbounded, so a full mailbox can never wedge the control plane, and
     /// a queued job never eats a data slot.
     data_len: usize,
@@ -853,34 +853,31 @@ impl GateCore {
         !s.closed
     }
 
-    /// Seq-less control messages (jobs, flushes, finishes) carry a *bound*: the
-    /// worker-service log length at enqueue time, captured under the
-    /// destination mailbox lock. A replica installs log entries up to the
-    /// bound before running the message, which reproduces exactly the
-    /// worker events the old broadcast would have delivered ahead of it —
-    /// any worker event already queued ahead of this message appended
-    /// before this capture (its append happens under the same mailbox
-    /// lock), and any event that appends after it will also be queued (or
-    /// seq-stamped) after it.
-    fn capture_bound(&self, msg: &mut ToShard) {
-        match msg {
-            ToShard::Job { bound, .. }
-            | ToShard::Flush { bound, .. }
-            | ToShard::Finish { bound, .. } => *bound = self.service.log_len(),
-            ToShard::Apply { .. } | ToShard::Drain { .. } => {}
+    /// Wrap `run` as the job message it is enqueued as — called under the
+    /// destination mailbox lock, which is what makes its *bound* right: the
+    /// worker-service log length at enqueue time. A replica installs log
+    /// entries up to the bound before running the job, which reproduces
+    /// exactly the worker events the old broadcast would have delivered
+    /// ahead of it — any worker event already queued ahead of the job
+    /// appended before this capture (its append happens under the same
+    /// mailbox lock), and any event that appends after it will also be
+    /// queued (or seq-stamped) after it.
+    fn job(&self, run: Job) -> ToShard {
+        ToShard::Job {
+            bound: self.service.log_len(),
+            run,
         }
     }
 
-    /// Enqueue a runtime control message (job, flush) on one mailbox,
-    /// capacity-exempt. Returns `false` if the gate is closed.
-    pub(crate) fn push_control(&self, shard: usize, mut msg: ToShard) -> bool {
+    /// Enqueue a job on one mailbox, capacity-exempt. Returns `false` if
+    /// the gate is closed.
+    pub(crate) fn push_job(&self, shard: usize, run: Job) -> bool {
         let q = &self.queues[shard];
         let mut s = lock(q);
         if s.closed {
             return false;
         }
-        self.capture_bound(&mut msg);
-        s.queue.push_back((msg, None));
+        s.queue.push_back((self.job(run), None));
         s.notify_consumer(q);
         true
     }
@@ -902,23 +899,21 @@ impl GateCore {
         Some(seq)
     }
 
-    /// Close every mailbox, enqueueing `mk(shard)` as each one's final
-    /// message (atomically with the close, so no later submission can slip
-    /// in behind it — so a `Finish` is always the last message of a
-    /// shard's last batch, and the shard returns on it with nothing left
-    /// in hand). Queued messages are still delivered; new submissions
-    /// fail with [`GateError::Closed`].
-    pub(crate) fn close_each(&self, mk: impl Fn(usize) -> ToShard) {
+    /// Close every mailbox, enqueueing the job `mk(shard)` as each one's
+    /// final message (atomically with the close, so no later submission
+    /// can slip in behind it — so the close-time job is always the last
+    /// message of a shard's last batch, and the shard returns after it
+    /// with nothing left in hand). Queued messages are still delivered;
+    /// new submissions fail with [`GateError::Closed`].
+    pub(crate) fn close_each(&self, mut mk: impl FnMut(usize) -> Job) {
         // Ascending order matters: the coordinator's mailbox (shard 0)
         // closes first, so no further worker event can append once the
-        // replicas' final messages capture their log bounds — a finish
+        // replicas' final jobs capture their log bounds — a close-time
         // bound therefore always covers the whole log.
         for (i, q) in self.queues.iter().enumerate() {
             let mut s = lock(q);
             if !s.closed {
-                let mut msg = mk(i);
-                self.capture_bound(&mut msg);
-                s.queue.push_back((msg, None));
+                s.queue.push_back((self.job(mk(i)), None));
                 s.closed = true;
             }
             q.not_empty.notify_all();
@@ -1268,15 +1263,14 @@ mod tests {
     fn control_messages_ride_in_a_batch_without_holding_credit() {
         let (gate, core) = gate(1, 16); // K = 4
         gate.submit(seed(1, "a")).unwrap();
-        let (reply, _rx) = std::sync::mpsc::channel();
-        assert!(core.push_control(0, ToShard::Flush { bound: 0, reply }));
+        assert!(core.push_job(0, Box::new(|_| ())));
         gate.submit(seed(1, "b")).unwrap();
         let mut consumer = Consumer::default();
         assert!(consumer.next_batch(&core, 0));
-        // Mailbox order, the flush between the two events; only the two
+        // Mailbox order, the job between the two events; only the two
         // data events count against the bound.
         assert_eq!(consumer.batch.len(), 3);
-        assert!(matches!(consumer.batch[1].0, ToShard::Flush { .. }));
+        assert!(matches!(consumer.batch[1].0, ToShard::Job { .. }));
         assert_eq!(consumer.credit, 2);
         assert_eq!(gate.queued(0), 2);
     }

@@ -154,8 +154,6 @@ pub mod prelude {
     pub use crate::marketplace::{market_snapshot, propose_team, MarketSnapshot};
     pub use crate::recovery::FaultPlan;
     pub use crate::router::{RunReport, RuntimeConfig, ShardedRuntime};
-    pub use crate::scenario::{
-        run_mixed, run_mixed_shared, run_scenarios, stream_traces, stream_traces_shared,
-    };
+    pub use crate::scenario::{run_mixed, run_scenarios, stream_traces, stream_traces_shared};
     pub use crate::shard::ShardStats;
 }

@@ -11,7 +11,7 @@
 
 use crate::gate::{GateCore, IngestGate};
 use crate::recovery::{replay_slice, FaultPlan};
-use crate::shard::{shard_main, SeqKey, ShardCtx, ShardStats, ToShard};
+use crate::shard::{fresh_slice, shard_main, SeqKey, ShardCtx, ShardStats, ToShard};
 use crowd4u_core::error::{PlatformError, ProjectId};
 use crowd4u_core::events::PlatformEvent;
 use crowd4u_core::platform::Crowd4U;
@@ -39,9 +39,9 @@ pub struct RuntimeConfig {
     /// the next batch). A producer hitting a full mailbox blocks
     /// ([`IngestGate::submit`]) or gets the event back
     /// ([`IngestGate::try_submit`]). `0` disables the bound (unbounded
-    /// queues, no backpressure). Control messages (drain barriers, jobs,
-    /// flushes) are always exempt, so a full mailbox cannot wedge the
-    /// barrier that would drain it.
+    /// queues, no backpressure). Control messages (drain barriers, jobs)
+    /// are always exempt, so a full mailbox cannot wedge the barrier that
+    /// would drain it.
     pub mailbox_capacity: usize,
     /// Restart a shard whose thread panics by replaying its ledger slice
     /// (see `crate::recovery`), instead of abandoning its mailbox and
@@ -109,58 +109,33 @@ pub struct RunReport {
 /// [`submit_batch`](ShardedRuntime::submit_batch),
 /// [`drain`](ShardedRuntime::drain)) delegate to an internal handle and
 /// only need `&self`.
+///
+/// Every slice the runtime builds — at spawn, on a recovery, for a
+/// migration — is a default-configured platform: configuration is not
+/// journaled, so a slice configured any other way would silently lose it
+/// at the first rebuild. The four constructors differ only in the
+/// telemetry registry and the fault plan.
 pub struct ShardedRuntime {
     gate: IngestGate,
     handles: Vec<JoinHandle<()>>,
     drain_every: usize,
     telemetry: Registry,
-    /// The per-shard platform builder (telemetry pre-wired) — the replay
-    /// base migrations rebuild slices against. Shard recoveries hold
-    /// their own clone inside the shard context.
-    base: Arc<dyn Fn(usize) -> Crowd4U + Send + Sync>,
 }
 
 impl ShardedRuntime {
-    /// Spawn the runtime with default (fresh) platform slices.
+    /// Spawn the runtime with an enabled telemetry registry
+    /// ([`Registry::new`]).
     pub fn new(config: RuntimeConfig) -> ShardedRuntime {
-        ShardedRuntime::new_with(config, |_| Crowd4U::new())
+        ShardedRuntime::spawn(config, Registry::new(), FaultPlan::none())
     }
 
-    /// Spawn the runtime with configured platform slices. The builder runs
-    /// once per shard — use it to install a controller algorithm or retry
-    /// budget on every slice (configuration is not journaled, so replay
-    /// bases must be built the same way; recovery and migration re-run
-    /// the builder, which is why it must be `Send + Sync`).
-    ///
-    /// Telemetry comes from the environment (the `TELEMETRY` variable; see
-    /// [`Registry::from_env`]) — use
-    /// [`new_instrumented_with`](Self::new_instrumented_with) to inject a
-    /// registry explicitly.
-    pub fn new_with(
-        config: RuntimeConfig,
-        base: impl Fn(usize) -> Crowd4U + Send + Sync + 'static,
-    ) -> ShardedRuntime {
-        ShardedRuntime::new_instrumented_with(config, Registry::from_env(), base)
-    }
-
-    /// Spawn the runtime with default platform slices and an explicit
-    /// telemetry registry (pass [`Registry::disabled`] to force telemetry
-    /// off regardless of the environment).
+    /// Spawn the runtime with an explicit telemetry registry (pass
+    /// [`Registry::disabled`] to turn telemetry off). Every layer shares
+    /// the one registry: the gate (admission + mailbox-dwell histograms),
+    /// the worker service (delta-log gauges), each shard's platform slice
+    /// (apply/journal/fixpoint stages, event and cache counters).
     pub fn new_instrumented(config: RuntimeConfig, telemetry: Registry) -> ShardedRuntime {
-        ShardedRuntime::new_instrumented_with(config, telemetry, |_| Crowd4U::new())
-    }
-
-    /// Spawn the runtime with configured platform slices and an explicit
-    /// telemetry registry. Every layer shares the one registry: the gate
-    /// (admission + mailbox-dwell histograms), the worker service (delta-log
-    /// gauges), each shard's platform slice (apply/journal/fixpoint stages,
-    /// event and cache counters).
-    pub fn new_instrumented_with(
-        config: RuntimeConfig,
-        telemetry: Registry,
-        base: impl Fn(usize) -> Crowd4U + Send + Sync + 'static,
-    ) -> ShardedRuntime {
-        ShardedRuntime::spawn(config, telemetry, Arc::new(base), FaultPlan::none())
+        ShardedRuntime::spawn(config, telemetry, FaultPlan::none())
     }
 
     /// Spawn the runtime with an explicit [`FaultPlan`] — the deterministic
@@ -169,7 +144,7 @@ impl ShardedRuntime {
     /// `config.recovery = true` to exercise crash recovery; with recovery
     /// off an injected kill behaves like any shard panic.
     pub fn new_chaos(config: RuntimeConfig, faults: FaultPlan) -> ShardedRuntime {
-        ShardedRuntime::new_chaos_instrumented(config, Registry::from_env(), faults)
+        ShardedRuntime::spawn(config, Registry::new(), faults)
     }
 
     /// [`new_chaos`](Self::new_chaos) with an explicit telemetry registry —
@@ -181,15 +156,10 @@ impl ShardedRuntime {
         telemetry: Registry,
         faults: FaultPlan,
     ) -> ShardedRuntime {
-        ShardedRuntime::spawn(config, telemetry, Arc::new(|_| Crowd4U::new()), faults)
+        ShardedRuntime::spawn(config, telemetry, faults)
     }
 
-    fn spawn(
-        config: RuntimeConfig,
-        telemetry: Registry,
-        base: Arc<dyn Fn(usize) -> Crowd4U + Send + Sync>,
-        faults: FaultPlan,
-    ) -> ShardedRuntime {
+    fn spawn(config: RuntimeConfig, telemetry: Registry, faults: FaultPlan) -> ShardedRuntime {
         let shards = config.shards.max(1);
         let handle = telemetry.handle();
         let mut service = crate::workers::WorkerService::new();
@@ -204,16 +174,6 @@ impl ShardedRuntime {
             service,
             &handle,
         ));
-        // Wrap the builder so every platform it produces — initial spawn,
-        // recovery rebuild, migration replay — carries the telemetry.
-        let base: Arc<dyn Fn(usize) -> Crowd4U + Send + Sync> = {
-            let th = handle.clone();
-            Arc::new(move |i| {
-                let mut p = base(i);
-                p.set_telemetry(&th);
-                p
-            })
-        };
         let faults = Arc::new(faults);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
@@ -222,7 +182,6 @@ impl ShardedRuntime {
                 shard: i,
                 drain_every: config.drain_every,
                 telemetry: handle.clone(),
-                base: Arc::clone(&base),
                 recovery: config.recovery,
                 faults: Arc::clone(&faults),
             };
@@ -237,7 +196,6 @@ impl ShardedRuntime {
             handles,
             drain_every: config.drain_every,
             telemetry,
-            base,
         }
     }
 
@@ -321,19 +279,12 @@ impl ShardedRuntime {
             .expect("runtime alive")
     }
 
-    fn push_control(&self, shard: usize, msg: ToShard) {
-        assert!(
-            self.gate.core().push_control(shard, msg),
-            "shard {shard} mailbox closed under a live ShardedRuntime (shard thread died?)"
-        );
-    }
-
     /// Wait until every shard has processed its mailbox; returns per-shard
     /// statistics snapshots. This flushes events already enqueued, but
     /// concurrent gate handles may enqueue more while the barrier settles.
-    /// A flush also pulls a replica up to the worker-log bound captured
-    /// when the flush was enqueued, so every registration logged before
-    /// the barrier is in every shard's ledger slot when it returns.
+    /// A flush is a job, so it also pulls a replica up to the worker-log
+    /// bound captured when it was enqueued: every registration logged
+    /// before the barrier is in every shard's ledger slot when it returns.
     pub fn barrier(&self) -> Vec<ShardStats> {
         let replies: Vec<Receiver<ShardStats>> =
             (0..self.shards()).map(|i| self.push_flush(i)).collect();
@@ -359,11 +310,8 @@ impl ShardedRuntime {
     }
 
     fn push_flush(&self, shard: usize) -> Receiver<ShardStats> {
-        let (reply, reply_rx) = channel();
-        // The gate captures the real worker-log bound under the mailbox
-        // lock; 0 is just the placeholder.
-        self.push_control(shard, ToShard::Flush { bound: 0, reply });
-        reply_rx
+        let core = Arc::clone(self.gate.core());
+        self.submit_job(shard, move |_| core.ledger().stats(shard))
     }
 
     /// Move a project to another shard while the runtime keeps running —
@@ -416,56 +364,74 @@ impl ShardedRuntime {
         // the destination will have installed.
         self.barrier_one(from);
         let entries = core.ledger().project_slice(project, from);
-        let mut replayed = replay_slice((self.base)(from), &entries);
+        let telemetry = self.telemetry.handle();
+        let mut replayed = replay_slice(fresh_slice(&telemetry), &entries);
         let slice = replayed.extract_project(project)?;
         let moved = slice.task_count();
         // Demote at the source (extract and drop) and adopt at the
         // destination; the jobs run concurrently on their shards, and the
         // adopt's captured bound equals the flush's (the log is held
         // stable).
-        let demoted = self.submit_job(from, move |p| p.extract_project(project).map(drop));
-        let adopted = self.submit_job(to_shard, move |p| p.adopt_project(slice));
+        let demoted = self.run_on(from, move |p| p.extract_project(project).map(drop));
+        let adopted = self.run_on(to_shard, move |p| p.adopt_project(slice));
         demoted.recv().expect("source shard alive")?;
         adopted.recv().expect("destination shard alive");
         core.set_owner(project, to_shard);
-        self.telemetry.handle().counter(stage::MIGRATIONS).incr();
+        telemetry.counter(stage::MIGRATIONS).incr();
         Ok(moved)
     }
 
-    /// Ship a job to a shard and return a receiver for its result without
-    /// blocking — jobs on different shards run in parallel. The job sees
-    /// the shard's platform slice after every event enqueued before it.
-    /// Jobs are the control plane (queries, migration, configuration):
-    /// their effects are in neither the merged journal nor the recovery
-    /// ledger, and anything a job journals on the slice is dropped when it
-    /// returns — submit an event for a change that must be part of the
-    /// history.
+    /// Ship a read-only job to a shard and return a receiver for its
+    /// result without blocking — jobs on different shards run in parallel.
+    /// The job sees the shard's platform slice after every event enqueued
+    /// before it. Jobs are the control plane (queries, flushes), not
+    /// events: the slice is borrowed shared, so a job can change nothing
+    /// a replay would have to rebuild — submit an event for a change that
+    /// must be part of the history.
+    ///
+    /// ```compile_fail
+    /// use crowd4u_core::error::ProjectId;
+    /// use crowd4u_runtime::prelude::*;
+    ///
+    /// let rt = ShardedRuntime::new(RuntimeConfig::default());
+    /// // A journaling platform call needs `&mut Crowd4U`: it does not compile.
+    /// let _ = rt.submit_job(0, |p| p.seed_fact(ProjectId(1), "item", vec!["x".into()]));
+    /// ```
     pub fn submit_job<R: Send + 'static>(
+        &self,
+        shard: usize,
+        job: impl FnOnce(&Crowd4U) -> R + Send + 'static,
+    ) -> Receiver<R> {
+        self.run_on(shard, move |p| job(p))
+    }
+
+    /// [`submit_job`](Self::submit_job) with the slice borrowed mutably —
+    /// for migration's extract and adopt only: neither journals, and a
+    /// rebuild re-derives both from the routing table. (The runtime's one
+    /// other mutating job, the hand-back at [`finish`](Self::finish), is
+    /// enqueued as the gate closes.)
+    fn run_on<R: Send + 'static>(
         &self,
         shard: usize,
         job: impl FnOnce(&mut Crowd4U) -> R + Send + 'static,
     ) -> Receiver<R> {
         let (tx, rx) = channel();
-        self.push_control(
-            shard,
-            ToShard::Job {
-                // The gate captures the real worker-log bound under the
-                // mailbox lock; 0 is just the placeholder.
-                bound: 0,
-                run: Box::new(move |platform: &mut Crowd4U| {
-                    let _ = tx.send(job(platform));
-                }),
-            },
+        let run = Box::new(move |p: &mut Crowd4U| {
+            let _ = tx.send(job(p));
+        });
+        assert!(
+            self.gate.core().push_job(shard, run),
+            "shard {shard} mailbox closed under a live ShardedRuntime (shard thread died?)"
         );
         rx
     }
 
-    /// Run a closure against the owner slice of a project and wait for the
-    /// result (a synchronous cross-shard query).
+    /// Run a read-only closure against the owner slice of a project and
+    /// wait for the result (a synchronous cross-shard query).
     pub fn with_project<R: Send + 'static>(
         &self,
         project: ProjectId,
-        job: impl FnOnce(&mut Crowd4U) -> R + Send + 'static,
+        job: impl FnOnce(&Crowd4U) -> R + Send + 'static,
     ) -> R {
         self.submit_job(self.owner_of(project), job)
             .recv()
@@ -516,18 +482,16 @@ impl ShardedRuntime {
     /// recorded streams are read from the runtime-owned ledger, and the
     /// streams are stitched into the merged journal.
     pub fn finish(mut self) -> Result<RunReport, PlatformError> {
-        let mut reply_txs = Vec::with_capacity(self.shards());
-        let mut reply_rxs = Vec::with_capacity(self.shards());
-        for _ in 0..self.shards() {
-            let (tx, rx) = channel();
-            reply_txs.push(tx);
-            reply_rxs.push(rx);
-        }
-        // Closing with the Finish message in the same critical section
-        // means no submission can slip in behind it.
-        self.gate.core().close_each(|i| ToShard::Finish {
-            bound: 0, // patched by the gate under the mailbox lock
-            reply: reply_txs[i].clone(),
+        let (reply_txs, reply_rxs): (Vec<_>, Vec<_>) =
+            (0..self.shards()).map(|_| channel::<Crowd4U>()).unzip();
+        // Closing with the hand-back job in the same critical section
+        // means no submission can slip in behind it. The shard keeps an
+        // empty platform for the few instructions it has left.
+        self.gate.core().close_each(|i| {
+            let reply = reply_txs[i].clone();
+            Box::new(move |p: &mut Crowd4U| {
+                let _ = reply.send(std::mem::take(p));
+            })
         });
         // The queued clones are now the only live senders: if a shard died
         // (its unwind drops the batch it had taken, its mailbox guard
@@ -537,7 +501,7 @@ impl ShardedRuntime {
         let mut platforms = Vec::new();
         for rx in reply_rxs {
             match rx.recv() {
-                Ok(report) => platforms.push(report.platform),
+                Ok(platform) => platforms.push(platform),
                 // A shard died before reporting — join to surface its
                 // original panic rather than a bare channel error.
                 Err(_) => {
@@ -767,30 +731,6 @@ out(X, Y) :- item(X), label(X, Y).
         let n1 = rt.with_project(ProjectId(1), |p| p.workers.len());
         assert_eq!(n1, 1); // the worker delta reached the owning shard
         rt.finish().unwrap();
-    }
-
-    #[test]
-    fn a_journaling_job_leaves_no_entry_and_does_not_shift_the_next_one() {
-        let rt = ShardedRuntime::new(config(1, 0));
-        rt.submit(project("a"));
-        // A job that goes through a journaling platform API: its effect
-        // is on the slice, its journal entry must be nowhere.
-        let fresh = rt.submit_job(0, |p| {
-            p.seed_fact(ProjectId(1), "item", vec!["from-job".into()])
-        });
-        assert!(fresh.recv().unwrap().unwrap());
-        rt.submit(seed(1, "x"));
-        rt.drain();
-        let run = rt.finish().unwrap();
-        let entries: Vec<_> = run.journal.iter().cloned().collect();
-        let kinds: Vec<&str> = entries.iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, ["project", "seed", "drain"]);
-        // The event after the job is ledgered as itself, not as the job's
-        // leftover entry.
-        assert_eq!(entries[1].args.last().unwrap().to_string(), "x");
-        assert!(run.platforms[0].journal().is_empty());
-        let items = run.platforms[0].project(ProjectId(1)).unwrap();
-        assert_eq!(items.engine.fact_count("item").unwrap(), 2);
     }
 
     #[test]

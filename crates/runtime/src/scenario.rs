@@ -64,9 +64,10 @@
 use crate::gate::{GateError, IngestGate};
 use crate::router::ShardedRuntime;
 use crowd4u_collab::Scheme;
+use crowd4u_core::controller::AlgorithmChoice;
 use crowd4u_core::error::PlatformError;
 use crowd4u_core::events::PlatformEvent;
-use crowd4u_scenarios::mixed::{reports_from, splits_from, MixedReport, SharedMixedReport};
+use crowd4u_scenarios::mixed::{reports_from, splits_from, MixedReport};
 use crowd4u_scenarios::stream::{
     merge_traces, merge_traces_with, platform_side, project_split, record_scheme, CrowdMode,
     MergedStream, ScenarioTrace, SplitLedger, StreamOp,
@@ -200,26 +201,25 @@ fn stream_merged(
 /// gate. Reports come back in job order and match single-threaded
 /// `run_scheme` runs exactly.
 ///
-/// The controller algorithm is platform-global, so every job must agree
-/// on it; it is installed on every shard slice before the stream starts
-/// (configuration is not journaled — a replay base needs the same
-/// algorithm, see ARCHITECTURE.md §2).
+/// The controller algorithm is platform configuration, not an event, and
+/// the runtime's slices are default-configured — a recovery or migration
+/// rebuilds them that way (ARCHITECTURE.md §2). So every job must use
+/// [`AlgorithmChoice::default`]; any other is refused with a typed error
+/// before anything is submitted. Another algorithm runs on a standalone
+/// platform (`run_scheme`; `Crowd4U::replay_with` over a configured base).
 pub fn run_scenarios(
     rt: &ShardedRuntime,
     jobs: &[(Scheme, ScenarioConfig)],
 ) -> Result<Vec<ScenarioReport>, PlatformError> {
-    let Some(algorithm) = jobs.first().map(|(_, c)| c.algorithm) else {
-        return Ok(Vec::new());
-    };
-    if jobs.iter().any(|(_, c)| c.algorithm != algorithm) {
+    if jobs
+        .iter()
+        .any(|(_, c)| c.algorithm != AlgorithmChoice::default())
+    {
         return Err(PlatformError::BadEvent(
-            "streamed scenarios share one runtime: every job must use the same \
-             controller algorithm"
+            "the sharded runtime runs the default controller algorithm only: a slice \
+             configured otherwise would lose it at the next recovery or migration"
                 .into(),
         ));
-    }
-    for shard in 0..rt.shards() {
-        rt.submit_job(shard, move |p| p.controller.algorithm = algorithm);
     }
     let traces: Vec<ScenarioTrace> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
@@ -247,38 +247,6 @@ pub fn run_mixed(
         .map(|s| (s, config.clone()))
         .collect();
     Ok(MixedReport::combine(run_scenarios(rt, &jobs)?))
-}
-
-/// The mixed workload over one **shared crowd** on the sharded runtime:
-/// all three schemes recorded from the same seeded population, merged in
-/// [`CrowdMode::Shared`], and streamed through the gate. The marketplace
-/// counterpart of [`run_mixed`] — one worker accrues points and affinity
-/// history across all three applications, and the returned report carries
-/// each scheme's per-worker split of that shared accounting.
-pub fn run_mixed_shared(
-    rt: &ShardedRuntime,
-    config: &ScenarioConfig,
-) -> Result<SharedMixedReport, PlatformError> {
-    let algorithm = config.algorithm;
-    for shard in 0..rt.shards() {
-        rt.submit_job(shard, move |p| p.controller.algorithm = algorithm);
-    }
-    let traces: Vec<ScenarioTrace> = std::thread::scope(|scope| {
-        let handles: Vec<_> = Scheme::all()
-            .into_iter()
-            .map(|scheme| scope.spawn(move || record_scheme(scheme, config)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("recording thread"))
-            .collect::<Result<Vec<_>, PlatformError>>()
-    })?;
-    let (reports, splits) = stream_traces_shared(rt, &traces)?;
-    Ok(SharedMixedReport {
-        mixed: MixedReport::combine(reports),
-        splits,
-        crowd: traces.first().map(|t| t.crowd).unwrap_or(0),
-    })
 }
 
 #[cfg(test)]
@@ -406,16 +374,24 @@ mod tests {
 
     #[test]
     fn mismatched_algorithms_are_rejected() {
-        use crowd4u_core::controller::AlgorithmChoice;
         let rt = ShardedRuntime::new(config(2, 64));
-        let jobs = vec![
+        let greedy = ScenarioConfig::default().with_algorithm(AlgorithmChoice::Greedy);
+        let mixed = vec![
             (Scheme::Sequential, ScenarioConfig::default()),
-            (
-                Scheme::Hybrid,
-                ScenarioConfig::default().with_algorithm(AlgorithmChoice::Greedy),
-            ),
+            (Scheme::Hybrid, greedy.clone()),
         ];
-        assert!(run_scenarios(&rt, &jobs).is_err());
+        // Agreeing on a non-default algorithm is refused too: a recovery or
+        // migration would rebuild the slices with the default one.
+        let all_greedy = vec![
+            (Scheme::Sequential, greedy.clone()),
+            (Scheme::Hybrid, greedy),
+        ];
+        for jobs in [mixed, all_greedy] {
+            let err = run_scenarios(&rt, &jobs).unwrap_err();
+            assert!(matches!(err, PlatformError::BadEvent(_)), "{err}");
+        }
+        // Refused before anything was submitted.
+        assert_eq!(rt.stats().applied, 0);
         rt.finish().unwrap();
     }
 

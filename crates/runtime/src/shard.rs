@@ -29,7 +29,6 @@ use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_core::platform::Crowd4U;
 use crowd4u_telemetry::{stage, TelemetryHandle};
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// Sort key of a recorded entry: (global sequence number, sub-position).
@@ -39,8 +38,8 @@ use std::sync::Arc;
 pub type SeqKey = (u64, u32);
 
 /// Messages a shard consumes, in mailbox order. Data events
-/// ([`ToShard::Apply`]) are subject to the gate's capacity bound; the
-/// other variants are runtime control messages and are capacity-exempt.
+/// ([`ToShard::Apply`]) are subject to the gate's capacity bound; drain
+/// barriers and jobs are runtime control messages and are capacity-exempt.
 pub(crate) enum ToShard {
     /// Apply one routed event. `record` is true on exactly one shard per
     /// event (the owner; the coordinator for broadcasts), so the merged
@@ -53,37 +52,22 @@ pub(crate) enum ToShard {
     /// Coordinated drain barrier: sync every dirty project. The coordinator
     /// records the single `drain` entry at `seq`.
     Drain { seq: u64, record: bool },
-    /// Run an arbitrary job against the shard's platform slice — the
-    /// control plane: queries, migration, configuration. Job effects are
-    /// not part of the merged journal nor of the recovery ledger: whatever
-    /// a job journals on the slice is dropped when it returns, so
-    /// mutations made by a job (other than the runtime's own migration
-    /// jobs, which are re-derived from the routing table) do not survive a
-    /// shard restart.
-    /// `bound` is the worker-service log length captured at enqueue time
-    /// (under the mailbox lock); replicas install worker deltas up to it
-    /// before running the job, so the job sees every worker the old
-    /// broadcast would have delivered ahead of it.
-    Job {
-        bound: usize,
-        run: Box<dyn FnOnce(&mut Crowd4U) + Send>,
-    },
-    /// Synchronisation point: reply with a statistics snapshot once every
-    /// prior message has been processed. `bound` as for [`ToShard::Job`]:
-    /// a flushed replica's slot holds every registration logged before
-    /// the flush was enqueued.
-    Flush {
-        bound: usize,
-        reply: Sender<ShardStats>,
-    },
-    /// Hand everything back and stop. `bound` as for [`ToShard::Job`]; the
-    /// coordinator's mailbox closes first, so a finish bound always covers
-    /// the whole log and every replica hands back the full worker registry.
-    Finish {
-        bound: usize,
-        reply: Sender<ShardReport>,
-    },
+    /// Run a job against the shard's platform slice once every prior
+    /// message has been processed — the control plane: queries, flushes,
+    /// migration, the hand-back at finish. No job journals: public jobs
+    /// see the slice read-only, and the runtime's own jobs (migration's
+    /// extract and adopt, the finish hand-back) do not journal, so a job
+    /// can neither change what a replay rebuilds nor shift the next
+    /// event's ledger entry.
+    /// `bound` is the worker-service log length the gate captured under
+    /// the mailbox lock as it enqueued the job; replicas install worker
+    /// deltas up to it before running the job, so the job sees every
+    /// worker the old broadcast would have delivered ahead of it.
+    Job { bound: usize, run: Job },
 }
+
+/// The body of a [`ToShard::Job`].
+pub(crate) type Job = Box<dyn FnOnce(&mut Crowd4U) + Send>;
 
 /// Counters a shard maintains while applying events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,12 +89,15 @@ impl ShardStats {
     }
 }
 
-/// What a shard returns on [`ToShard::Finish`]. Statistics and the
-/// event history live in the runtime-owned ledger (they must survive
-/// shard deaths); only the platform slice travels back here, its journal
-/// empty.
-pub(crate) struct ShardReport {
-    pub platform: Crowd4U,
+/// A default-configured platform slice recording into `telemetry`: what a
+/// shard starts from, what a recovery replays onto and what a migration
+/// replays a project's slice onto. Configuration is not journaled (see
+/// ARCHITECTURE.md §2), so every slice the runtime builds is built here —
+/// one way, with nothing a replay could miss.
+pub(crate) fn fresh_slice(telemetry: &TelemetryHandle) -> Crowd4U {
+    let mut platform = Crowd4U::new();
+    platform.set_telemetry(telemetry);
+    platform
 }
 
 /// The one data event a shard incarnation has picked from its batch and
@@ -135,16 +122,13 @@ pub(crate) struct InFlight {
     retried: bool,
 }
 
-/// Everything a shard thread needs to run — and to *re-run*: the base
-/// builder and fault plan stay with the supervisor across incarnations.
+/// Everything a shard thread needs to run — and to *re-run*: the fault
+/// plan stays with the supervisor across incarnations.
 pub(crate) struct ShardCtx {
     pub gate: Arc<GateCore>,
     pub shard: usize,
     pub drain_every: usize,
     pub telemetry: TelemetryHandle,
-    /// Builds a fresh, configured platform slice (the same builder the
-    /// runtime constructor used) — the replay base for recovery.
-    pub base: Arc<dyn Fn(usize) -> Crowd4U + Send + Sync>,
     /// Recover from panics by slice replay instead of propagating them.
     pub recovery: bool,
     pub faults: Arc<FaultPlan>,
@@ -170,7 +154,7 @@ impl Drop for MailboxGuard<'_> {
 }
 
 /// The shard thread body: a supervisor around [`shard_loop`]. A normal
-/// return (mailbox closed, or [`ToShard::Finish`]) ends the thread; a
+/// return (mailbox closed and drained) ends the thread; a
 /// panic either propagates (recovery off — the mailbox guard abandons the
 /// queue, scoping the failure) or triggers an in-place restart: hold the
 /// mailbox, replay the ledger slice onto a fresh base, re-report the
@@ -182,7 +166,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
     };
     let recoveries = ctx.telemetry.counter(stage::RECOVERIES);
     let recovery_ns = ctx.telemetry.histogram(stage::RECOVERY_SPAN);
-    let mut platform = Some((ctx.base)(ctx.shard));
+    let mut platform = fresh_slice(&ctx.telemetry);
     let mut cursor = 0usize; // worker-service log position (replicas only)
     let mut in_flight: Option<InFlight> = None;
     // The batch taken from the mailbox and the capacity credit its data
@@ -229,9 +213,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
                 }
                 ctx.gate.begin_recovery(ctx.shard);
                 let span = recovery_ns.stamp();
-                let (rebuilt, new_cursor) = rebuild(&ctx);
-                platform = Some(rebuilt);
-                cursor = new_cursor;
+                (platform, cursor) = rebuild(&ctx);
                 recoveries.incr();
                 recovery_ns.since(span);
                 ctx.gate.end_recovery(ctx.shard);
@@ -256,27 +238,22 @@ fn rebuild(ctx: &ShardCtx) -> (Crowd4U, usize) {
         .iter()
         .filter(|e| matches!(e.entry, Applied::WorkerDelta(_)))
         .count();
-    let platform = replay_slice((ctx.base)(shard), &entries);
+    let platform = replay_slice(fresh_slice(&ctx.telemetry), &entries);
     gate.worker_service().report_cursor(shard, cursor);
     (platform, cursor)
 }
 
-/// Drain the gate mailbox until it closes (or a [`ToShard::Finish`]
-/// arrives), a batch per mailbox lock, applying each message against
-/// `platform`. `batch` may arrive non-empty: what a dead incarnation had
-/// taken and not reached.
+/// Drain the gate mailbox until it is closed and empty, a batch per
+/// mailbox lock, applying each message against the slice `p`. `batch` may
+/// arrive non-empty: what a dead incarnation had taken and not reached.
 ///
 /// Non-coordinator shards (shard != 0) interleave worker-service pulls
 /// with their mailbox: before a seq-stamped message at `S` they file and
-/// install every worker delta with seq < `S`, and before a seq-less
-/// control message up to its captured log bound (see [`sync`]).
-///
-/// `platform` is `Option` only so [`ToShard::Finish`] can move the slice
-/// out through the reply channel; it is `Some` on entry and on every
-/// panic edge (the supervisor replaces it wholesale on recovery).
+/// install every worker delta with seq < `S`, and before a job up to its
+/// captured log bound (see [`sync`]).
 fn shard_loop(
     ctx: &ShardCtx,
-    platform: &mut Option<Crowd4U>,
+    p: &mut Crowd4U,
     cursor: &mut usize,
     in_flight: &mut Option<InFlight>,
     batch: &mut Batch,
@@ -298,7 +275,6 @@ fn shard_loop(
             let f = in_flight.as_ref().expect("checked is_some");
             (f.seq, f.event.clone(), f.record)
         };
-        let p = platform.as_mut().expect("platform present while looping");
         apply_one(
             ctx,
             p,
@@ -320,7 +296,6 @@ fn shard_loop(
             return;
         };
         gate.observe_dwell(enqueued);
-        let p = platform.as_mut().expect("platform present while looping");
         match msg {
             ToShard::Apply { seq, event, record } => {
                 // Park the event in the supervisor-owned slot for the
@@ -360,20 +335,11 @@ fn shard_loop(
             ToShard::Job { bound, run } => {
                 sync(ctx, p, cursor, |log, at| log.pull_to_index(at, bound));
                 run(p);
-                // Job effects are not ledgered: whatever the closure
-                // journaled goes, so it cannot ride along with the next
-                // event's entry.
-                drop(p.take_journal());
-            }
-            ToShard::Flush { bound, reply } => {
-                sync(ctx, p, cursor, |log, at| log.pull_to_index(at, bound));
-                let _ = reply.send(gate.ledger().stats(shard));
-            }
-            ToShard::Finish { bound, reply } => {
-                let mut p = platform.take().expect("platform present at finish");
-                sync(ctx, &mut p, cursor, |log, at| log.pull_to_index(at, bound));
-                let _ = reply.send(ShardReport { platform: p });
-                return;
+                debug_assert!(
+                    p.journal().is_empty(),
+                    "a job journaled: jobs are not ledgered, so its entry would ride \
+                     along with the next event's"
+                );
             }
         }
     }

@@ -28,8 +28,8 @@
 //!
 //! * before applying a seq-stamped message (event or drain) at seq `S`:
 //!   every log entry with seq < `S` (`pull_below_seq`);
-//! * before running a seq-less control message (job, flush, finish): up
-//!   to the log length captured when the message was enqueued (the
+//! * before running a job (a query, a flush, the hand-back at finish): up
+//!   to the log length captured when the job was enqueued (the
 //!   *bound*, recorded under the mailbox lock by the gate;
 //!   `pull_to_index`).
 //!

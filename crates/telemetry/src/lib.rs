@@ -68,10 +68,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Env knob: `TELEMETRY=0|off|false|no` disables the default registry
-/// built by [`Registry::from_env`]; anything else (or unset) enables it.
-pub const TELEMETRY_ENV: &str = "TELEMETRY";
-
 /// One event in this many is timed at a per-event stage (see [`sampled`]).
 /// A constant, not a knob: at ~300 k events/s it still times ~4.7 k events
 /// per second per stage, and one clock pair per 64 events is well under 1 %
@@ -174,19 +170,6 @@ impl Registry {
     /// a branch on `None`.
     pub fn disabled() -> Registry {
         Registry { inner: None }
-    }
-
-    /// Registry configured by [`TELEMETRY_ENV`] (enabled unless told
-    /// otherwise).
-    pub fn from_env() -> Registry {
-        let off = std::env::var(TELEMETRY_ENV)
-            .map(|v| matches!(v.trim(), "0" | "off" | "false" | "no"))
-            .unwrap_or(false);
-        if off {
-            Registry::disabled()
-        } else {
-            Registry::new()
-        }
     }
 
     pub fn is_enabled(&self) -> bool {

@@ -13,10 +13,11 @@
 #   6. pinned-seed replays      — chaos (with the two worker-log truncation
 #                                  regressions: a replica recovers, a project
 #                                  migrates, both past three truncation chunks)
-#                                  and shared-crowd proptests, and the two
+#                                  and shared-crowd proptests, and the three
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
-#                                  eligibility), reproducible
+#                                  eligibility, memoised vs fresh affinity),
+#                                  reproducible
 #   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
 #                                  runtime's mid-batch / blocked-submit /
 #                                  dead-shard / finish-surfaces unit tests
@@ -117,12 +118,16 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1016 \
     cargo test -q -p crowd4u --test shared_crowd
 # Collaborative-path replays, same rationale (a failure reproduces
 # byte-for-byte on a dev box with the same seed): the table-indexed team
-# search against the id-based reference it replaced, and the patched
-# eligibility cache against a twin with no cache.
+# search, with its seed bound, against the id-based reference it replaced
+# (uniform, quantised, tie-heavy and all-zero tables); the patched
+# eligibility cache against a twin with no cache; and the pair memo
+# against submatrices computed from scratch.
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-core --lib workers::memo_diff
 # The tests that assert a thread *is* blocked (a timeout elapsing) or *gets*
 # unblocked (a reply arriving) — backpressure on a full mailbox, the credit
 # return that releases it, a shard stalled, killed or panicking inside a

@@ -6,7 +6,7 @@
 //! modules. An optional affinity upper-bound pruning step (DESIGN.md §5
 //! ablation 3) keeps the search practical into the low twenties of workers.
 
-use crate::types::{Candidate, Team, TeamConstraints, TeamFormation};
+use crate::types::{mean_bound, pair_count, Candidate, Team, TeamConstraints, TeamFormation};
 use crowd4u_crowd::affinity::AffinityLookup;
 use crowd4u_crowd::profile::WorkerId;
 
@@ -56,25 +56,15 @@ struct Search<'a> {
     best: Option<(f64, Vec<WorkerId>)>,
 }
 
-fn pairs(k: usize) -> f64 {
-    (k * k.saturating_sub(1) / 2) as f64
-}
-
 impl<'a> Search<'a> {
     /// Mean pairwise affinity achievable from the current partial team, in
-    /// the most optimistic completion; used for pruning.
+    /// the most optimistic completion (every pair still to come at the
+    /// pool's largest affinity); used for pruning.
     fn upper_bound(&self, pair_sum: f64, size: usize) -> f64 {
         let lo = size.max(self.constraints.min_size).max(2);
-        let hi = self.constraints.max_size;
-        let mut best = f64::NEG_INFINITY;
-        for k in lo..=hi {
-            let extra = pairs(k) - pairs(size);
-            let ub = (pair_sum + extra * self.max_edge) / pairs(k).max(1.0);
-            if ub > best {
-                best = ub;
-            }
-        }
-        best
+        mean_bound(lo..=self.constraints.max_size, |k| {
+            pair_sum + (pair_count(k) - pair_count(size)) * self.max_edge
+        })
     }
 
     fn consider(&mut self, team: &[WorkerId], pair_sum: f64, skill_sum: f64, cost_sum: f64) {
@@ -88,7 +78,7 @@ impl<'a> Search<'a> {
         if cost_sum > self.constraints.max_cost + 1e-12 {
             return;
         }
-        let mean = if n < 2 { 0.0 } else { pair_sum / pairs(n) };
+        let mean = if n < 2 { 0.0 } else { pair_sum / pair_count(n) };
         let better = match &self.best {
             None => true,
             Some((b, members)) => {

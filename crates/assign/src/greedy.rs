@@ -9,10 +9,17 @@
 //! `tab[a * n + b]` is the affinity of `cands[a]` and `cands[b]`. Team
 //! identity depends on the order floating-point sums are taken in, so the
 //! orders are part of the contract: a marginal is summed over the team in
-//! join order, a team's pair sum over `i < j` in member order — the order
-//! [`Team::assemble`] uses.
+//! join order (kept as a running sum, one addition per join), a team's pair
+//! sum over `i < j` in member order — the order [`Team::assemble`] uses.
+//!
+//! The multi-seed greedy grows only the seeds that can still win: a seed
+//! whose admissible bound — the one [`ExactBB`](crate::exact::ExactBB)
+//! prunes with, specialised to a team through one seed — cannot strictly
+//! beat the best team found so far is skipped. A skipped seed could only
+//! have tied or lost, and ties go to the first seen, so the result is the
+//! one every seed would give.
 
-use crate::types::{Candidate, Team, TeamConstraints, TeamFormation};
+use crate::types::{mean_bound, pair_count, Candidate, Team, TeamConstraints, TeamFormation};
 use crowd4u_crowd::affinity::AffinityLookup;
 use crowd4u_crowd::profile::WorkerId;
 
@@ -35,8 +42,16 @@ impl GreedyAff {
     }
 }
 
-fn pair_count(k: usize) -> f64 {
-    (k * k.saturating_sub(1) / 2) as f64
+/// The seed bound's slack, relative to the table's largest magnitude `M`.
+/// A team mean over `m` pairs carries a summation error of at most about
+/// `m · 2⁻⁵³ · M`; `1e-9 · M` is far above that up to `10⁶` pairs, and the
+/// slack grows with `m` past them.
+const BOUND_SLACK: f64 = 1e-9;
+
+#[cfg(test)]
+thread_local! {
+    /// Seeds `greedy_start` skipped by the bound on this thread.
+    pub(crate) static SEEDS_SKIPPED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Mean pair affinity of a team given as candidate positions, summed over
@@ -101,35 +116,99 @@ fn grow_from_seed(
     };
     consider(&team, pair_sum, skill_sum, cost_sum, &mut best);
 
+    // Each candidate's marginal — its pair sum with the team — kept as a
+    // running sum: it starts where an empty `sum()` starts and adds each
+    // member's row as the member joins, which is the fold
+    // `team.iter().map(..).sum()` performs, addition for addition.
+    let mut marginal = vec![std::iter::empty::<f64>().sum::<f64>(); n];
+    let mut joined = seed;
     while team.len() < constraints.max_size {
+        for (m, &a) in marginal.iter_mut().zip(&tab[joined * n..(joined + 1) * n]) {
+            *m += a;
+        }
         // Pick the addition that maximises (greedily) the new mean affinity,
         // breaking ties toward higher skill to help the quality constraint.
-        let mut pick: Option<(usize, f64, f64)> = None;
+        let mut pick: Option<(usize, f64)> = None;
         for (i, c) in cands.iter().enumerate() {
             if in_team[i] || cost_sum + c.cost > constraints.max_cost + 1e-12 {
                 continue;
             }
-            let marginal: f64 = team.iter().map(|&m| tab[m * n + i]).sum();
-            let new_mean = (pair_sum + marginal) / pair_count(team.len() + 1);
+            let new_mean = (pair_sum + marginal[i]) / pair_count(team.len() + 1);
             let score = new_mean + 1e-9 * c.skill;
-            if pick.as_ref().is_none_or(|(_, s, _)| score > *s) {
-                pick = Some((i, score, marginal));
+            if pick.as_ref().is_none_or(|(_, s)| score > *s) {
+                pick = Some((i, score));
             }
         }
-        let Some((i, _, marginal)) = pick else { break };
+        let Some((i, _)) = pick else { break };
         in_team[i] = true;
         team.push(i);
-        pair_sum += marginal;
+        pair_sum += marginal[i];
         skill_sum += cands[i].skill;
         cost_sum += cands[i].cost;
         consider(&team, pair_sum, skill_sum, cost_sum, &mut best);
+        joined = i;
     }
     best
 }
 
+/// The seed bound: no team grown from seed `s` has a mean above
+/// [`of(s)`](SeedBound::of). Such a team of `k` members has `k − 1` pairs
+/// through `s`, each at most `s`'s row maximum, and its other pairs at most
+/// the table maximum; a singleton, where allowed, has mean 0.
+struct SeedBound {
+    row_max: Vec<f64>,
+    tab_max: f64,
+    slack: f64,
+    sizes: std::ops::RangeInclusive<usize>,
+    singleton: bool,
+}
+
+impl SeedBound {
+    fn new(tab: &[f64], n: usize, constraints: &TeamConstraints) -> SeedBound {
+        let mut row_max = vec![f64::NEG_INFINITY; n];
+        let mut magnitude: f64 = 0.0;
+        for (a, row) in tab.chunks_exact(n).enumerate() {
+            for (b, &v) in row.iter().enumerate() {
+                if a != b {
+                    row_max[a] = row_max[a].max(v);
+                    magnitude = magnitude.max(v.abs());
+                }
+            }
+        }
+        let hi = constraints.max_size.min(n);
+        SeedBound {
+            tab_max: row_max.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            row_max,
+            slack: BOUND_SLACK * magnitude * (pair_count(hi) / 1e6).max(1.0),
+            sizes: constraints.min_size.max(2)..=hi,
+            singleton: constraints.min_size <= 1,
+        }
+    }
+
+    fn of(&self, seed: usize) -> f64 {
+        let row = self.row_max[seed];
+        let pairs = mean_bound(self.sizes.clone(), |k| {
+            let through = (k - 1) as f64;
+            through * row + (pair_count(k) - through) * self.tab_max
+        });
+        if self.singleton {
+            pairs.max(0.0)
+        } else {
+            pairs
+        }
+    }
+
+    /// Whether no team grown from `seed` can strictly beat `incumbent` —
+    /// the only way a later seed replaces the best team.
+    fn cannot_beat(&self, seed: usize, incumbent: f64) -> bool {
+        self.of(seed) + self.slack <= incumbent
+    }
+}
+
 /// Fill the candidates' pair table and run the multi-seed greedy over it:
 /// the table and the best team over the seeds tried, as candidate
-/// positions.
+/// positions. A seed whose [`SeedBound`] cannot strictly beat the best
+/// team so far is not grown.
 fn greedy_start(
     cands: &[Candidate],
     aff: &dyn AffinityLookup,
@@ -141,6 +220,7 @@ fn greedy_start(
     }
     let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
     let tab = aff.table(&ids);
+    let bound = SeedBound::new(&tab, cands.len(), constraints);
     // Seed order: by descending skill (helps meet quality constraints).
     let mut seeds: Vec<usize> = (0..cands.len()).collect();
     seeds.sort_by(|&a, &b| cands[b].skill.total_cmp(&cands[a].skill));
@@ -149,6 +229,11 @@ fn greedy_start(
     }
     let mut best: Option<(f64, Vec<usize>)> = None;
     for s in seeds {
+        if best.as_ref().is_some_and(|(b, _)| bound.cannot_beat(s, *b)) {
+            #[cfg(test)]
+            SEEDS_SKIPPED.with(|c| c.set(c.get() + 1));
+            continue;
+        }
         if let Some((mean, team)) = grow_from_seed(s, cands, &tab, constraints) {
             if best.as_ref().is_none_or(|(b, _)| mean > *b) {
                 best = Some((mean, team));
@@ -374,6 +459,35 @@ mod tests {
         let mut members = t.members.clone();
         members.sort();
         assert_eq!(members, vec![WorkerId(2), WorkerId(3)]);
+    }
+
+    #[test]
+    fn a_seed_with_weak_pairs_of_its_own_still_wins() {
+        // Seeds in skill order: a (0.9), s, x, y, b, c. Seed a finds
+        // {a, b, c} at 0.6. Seed s's own pairs are 0.5 — below the
+        // incumbent — but it grows {s, x, y} at 2/3 because x–y is 1.0; the
+        // bound must let it grow, or x would find the same team later and
+        // the members would come back as [x, y, s].
+        let ids = ["a", "s", "x", "y", "b", "c"];
+        let cands: Vec<Candidate> = (0..6u64)
+            .map(|i| Candidate::new(WorkerId(i), 0.9 - 0.1 * i as f64, 0.0))
+            .collect();
+        let at = |name| WorkerId(ids.iter().position(|n| *n == name).unwrap() as u64);
+        let mut m = AffinityMatrix::new(cands.iter().map(|c| c.id).collect());
+        for (p, q, v) in [
+            ("a", "b", 0.6),
+            ("a", "c", 0.6),
+            ("b", "c", 0.6),
+            ("s", "x", 0.5),
+            ("s", "y", 0.5),
+            ("x", "y", 1.0),
+        ] {
+            m.set(at(p), at(q), v);
+        }
+        let t = GreedyAff::default()
+            .form(&cands, &m, &TeamConstraints::sized(3, 3))
+            .unwrap();
+        assert_eq!(t.members, vec![at("s"), at("x"), at("y")]);
     }
 
     #[test]

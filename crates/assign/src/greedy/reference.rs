@@ -3,8 +3,8 @@
 //! fresh `Team::assemble` — kept verbatim as the oracle the table search is
 //! held bit-equal to. Test-only: nothing outside this module calls it.
 
-use crate::greedy::{pair_count, GreedyAff, LocalSearch};
-use crate::types::{Candidate, Team, TeamConstraints, TeamFormation};
+use crate::greedy::{GreedyAff, LocalSearch, SEEDS_SKIPPED};
+use crate::types::{pair_count, Candidate, Team, TeamConstraints, TeamFormation};
 use crowd4u_crowd::affinity::{AffinityLookup, AffinityMatrix, SparseAffinity};
 use crowd4u_crowd::profile::WorkerId;
 use proptest::prelude::*;
@@ -136,7 +136,7 @@ fn local_search_form(
     Some(Team::assemble(members, cands, aff))
 }
 
-/// A pool drawn by the proptest below: candidates with distinct,
+/// A pool drawn by the proptests below: candidates with distinct,
 /// non-contiguous ids in shuffled order, and the same pair affinities held
 /// two ways — densely (a matrix that was not told about one id in eight,
 /// whose pairs therefore read 0.0) and sparsely (only the non-zero pairs).
@@ -150,13 +150,47 @@ struct Pool {
 /// unless the last draw is 0.
 type RawCandidate = (u64, f64, f64, u8);
 
-fn pool(raw: &[RawCandidate], seed: u64, quantised: bool) -> Pool {
+/// How a pool's pair affinities are drawn.
+#[derive(Debug, Clone, Copy)]
+enum Table {
+    Uniform,
+    /// Quarter steps: equal means and equal scores are common, so the
+    /// first-wins tie rules are exercised.
+    Quantised,
+    /// A clique of two to four candidates whose pairs all sit at the
+    /// table's maximum, 1.0, over quarter steps up to 0.75 — the incumbent
+    /// reaches the seed bound, so seeds are skipped. `poor` makes the
+    /// clique's members skill 0.05 and cost 9, so a quality or cost limit
+    /// can rule the maximum pairs out.
+    TieHeavy {
+        poor: bool,
+    },
+    /// Every pair 0.0.
+    Zero,
+}
+
+impl Table {
+    fn of(draw: u8) -> Table {
+        match draw % 5 {
+            0 => Table::Uniform,
+            1 => Table::Quantised,
+            2 => Table::TieHeavy { poor: false },
+            3 => Table::TieHeavy { poor: true },
+            _ => Table::Zero,
+        }
+    }
+}
+
+fn pool(raw: &[RawCandidate], seed: u64, table: Table) -> Pool {
     let mut rng = crowd4u_sim::rng::SimRng::seed_from(seed);
+    let clique = 2 + (seed % 3) as usize;
     let mut id = 0u64;
     let mut cands = Vec::new();
     let mut known = Vec::new();
-    for &(gap, skill, cost, knows) in raw {
+    for (i, &(gap, skill, cost, knows)) in raw.iter().enumerate() {
         id += 1 + gap;
+        let poor = matches!(table, Table::TieHeavy { poor: true }) && i < clique;
+        let (skill, cost) = if poor { (0.05, 9.0) } else { (skill, cost) };
         cands.push(Candidate::new(WorkerId(id), skill, cost));
         if knows != 0 {
             known.push(WorkerId(id));
@@ -165,14 +199,14 @@ fn pool(raw: &[RawCandidate], seed: u64, quantised: bool) -> Pool {
     let mut dense = AffinityMatrix::new(known.clone());
     let mut sparse = SparseAffinity::new();
     for (i, a) in cands.iter().enumerate() {
-        for b in &cands[i + 1..] {
+        for (j, b) in cands.iter().enumerate().skip(i + 1) {
             let v = rng.unit();
-            // Quarter steps make equal means and equal scores common, so
-            // the first-wins tie rules are exercised.
-            let v = if quantised {
-                (v * 4.0).round() / 4.0
-            } else {
-                v
+            let v = match table {
+                Table::Uniform => v,
+                Table::Quantised => (v * 4.0).round() / 4.0,
+                Table::TieHeavy { .. } if j < clique => 1.0,
+                Table::TieHeavy { .. } => (v * 3.0).round() / 4.0,
+                Table::Zero => 0.0,
             };
             dense.set(a.id, b.id, v);
             if known.contains(&a.id) && known.contains(&b.id) {
@@ -210,30 +244,104 @@ proptest! {
     fn table_search_is_bit_identical_to_the_reference(
         raw in proptest::collection::vec((0u64..7, 0.0f64..1.0, 0.0f64..3.0, 0u8..8), 0..49),
         seed in any::<u64>(),
-        quantised in any::<bool>(),
+        table in any::<u8>(),
         (min_size, max_size) in (0usize..5, 0usize..8),
         min_quality in prop_oneof![Just(0.0f64), 0.0f64..0.8],
         max_cost in prop_oneof![Just(f64::INFINITY), 0.0f64..12.0],
         max_seeds in 0usize..6,
         max_iterations in prop_oneof![Just(1000usize), 0usize..3],
     ) {
-        let p = pool(&raw, seed, quantised);
+        let p = pool(&raw, seed, Table::of(table));
         let constraints = TeamConstraints::sized(min_size, max_size)
             .with_quality(min_quality)
             .with_budget(max_cost);
-        for aff in [&p.dense as &dyn AffinityLookup, &p.sparse] {
-            let greedy = GreedyAff::with_seed_cap(max_seeds).form(&p.cands, aff, &constraints);
-            prop_assert_eq!(
-                bits(&greedy),
-                bits(&greedy_form(max_seeds, &p.cands, aff, &constraints)),
-                "greedy, {} candidates", p.cands.len()
-            );
-            let local = LocalSearch { max_iterations }.form(&p.cands, aff, &constraints);
-            prop_assert_eq!(
-                bits(&local),
-                bits(&local_search_form(max_iterations, &p.cands, aff, &constraints)),
-                "local search, {} candidates", p.cands.len()
-            );
-        }
+        both_match(&p, &constraints, max_seeds, max_iterations)?;
     }
+
+    /// The seed bound where it bites: tables whose maximum is reached by
+    /// several pairs, or every pair; `min_size` 1, 2 and 3; and quality and
+    /// cost limits that rule the maximum pairs out (a poor clique), so the
+    /// incumbent stays below a bound the infeasible pairs keep high.
+    #[test]
+    fn seed_bound_is_exact_on_tie_heavy_tables(
+        raw in proptest::collection::vec((0u64..3, 0.0f64..1.0, 0.0f64..3.0, 1u8..8), 2..41),
+        seed in any::<u64>(),
+        table in prop_oneof![Just(2u8), Just(3u8), Just(4u8)],
+        min_size in 1usize..4,
+        extra in 0usize..5,
+        min_quality in prop_oneof![Just(0.0f64), Just(0.5f64), 0.0f64..0.8],
+        max_cost in prop_oneof![Just(f64::INFINITY), Just(8.5f64), 0.0f64..12.0],
+        max_seeds in prop_oneof![Just(0usize), 1usize..6],
+    ) {
+        let p = pool(&raw, seed, Table::of(table));
+        let constraints = TeamConstraints::sized(min_size, min_size + extra)
+            .with_quality(min_quality)
+            .with_budget(max_cost);
+        both_match(&p, &constraints, max_seeds, 1000)?;
+    }
+}
+
+/// Both searches, through both `table` implementations, equal the
+/// reference to the bit.
+fn both_match(
+    p: &Pool,
+    constraints: &TeamConstraints,
+    max_seeds: usize,
+    max_iterations: usize,
+) -> Result<(), TestCaseError> {
+    for aff in [&p.dense as &dyn AffinityLookup, &p.sparse] {
+        let greedy = GreedyAff::with_seed_cap(max_seeds).form(&p.cands, aff, constraints);
+        prop_assert_eq!(
+            bits(&greedy),
+            bits(&greedy_form(max_seeds, &p.cands, aff, constraints)),
+            "greedy, {} candidates, {:?}",
+            p.cands.len(),
+            constraints
+        );
+        let local = LocalSearch { max_iterations }.form(&p.cands, aff, constraints);
+        prop_assert_eq!(
+            bits(&local),
+            bits(&local_search_form(
+                max_iterations,
+                &p.cands,
+                aff,
+                constraints
+            )),
+            "local search, {} candidates, {:?}",
+            p.cands.len(),
+            constraints
+        );
+    }
+    Ok(())
+}
+
+/// The bound is not vacuous: on tie-heavy pools whose maximum pairs are
+/// feasible, it skips at least one seed in most `form` calls, and the
+/// result still equals the reference.
+#[test]
+fn the_seed_bound_skips_seeds_on_most_tie_heavy_pools() {
+    let (mut calls, mut skipping) = (0, 0);
+    for seed in 0..200u64 {
+        let mut rng = crowd4u_sim::rng::SimRng::seed_from(seed);
+        let n = 8 + (seed % 33) as usize;
+        let raw: Vec<RawCandidate> = (0..n)
+            .map(|_| (rng.range_u64(0, 3), rng.unit(), rng.range_f64(0.0, 3.0), 1))
+            .collect();
+        let p = pool(&raw, seed, Table::of(2));
+        let min_size = 1 + (seed % 3) as usize;
+        let constraints = TeamConstraints::sized(min_size, min_size + (seed % 4) as usize);
+        let before = SEEDS_SKIPPED.with(|c| c.get());
+        let greedy = GreedyAff::default().form(&p.cands, &p.dense, &constraints);
+        calls += 1;
+        skipping += usize::from(SEEDS_SKIPPED.with(|c| c.get()) > before);
+        assert_eq!(
+            bits(&greedy),
+            bits(&greedy_form(0, &p.cands, &p.dense, &constraints)),
+            "seed {seed}"
+        );
+    }
+    assert!(
+        2 * skipping > calls,
+        "the bound skipped seeds in {skipping} of {calls} calls"
+    );
 }

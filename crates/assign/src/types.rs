@@ -140,6 +140,24 @@ impl fmt::Display for Team {
     }
 }
 
+/// The number of unordered pairs among `k` members, as a mean's divisor.
+pub(crate) fn pair_count(k: usize) -> f64 {
+    (k * k.saturating_sub(1) / 2) as f64
+}
+
+/// The admissible bound both pruning searches share: the largest mean pair
+/// affinity over final team sizes `k` in `sizes` (each `k ≥ 2`), when a
+/// team of `k` members can have a pair sum of at most `sum_bound(k)`.
+/// `f64::NEG_INFINITY` for an empty range.
+pub(crate) fn mean_bound(
+    sizes: std::ops::RangeInclusive<usize>,
+    sum_bound: impl Fn(usize) -> f64,
+) -> f64 {
+    sizes
+        .map(|k| sum_bound(k) / pair_count(k))
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
 /// Common interface of all team-formation algorithms.
 pub trait TeamFormation {
     /// Algorithm name for reports and benches.

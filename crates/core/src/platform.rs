@@ -114,6 +114,8 @@ struct PlatformTelemetry {
     cache_hits: Counter,
     cache_misses: Counter,
     cache_patches: Counter,
+    pairs_computed: Counter,
+    pairs_reused: Counter,
 }
 
 impl PlatformTelemetry {
@@ -127,6 +129,8 @@ impl PlatformTelemetry {
             cache_hits: handle.counter("crowd4u_core_eligibility_cache_hits_total"),
             cache_misses: handle.counter("crowd4u_core_eligibility_cache_misses_total"),
             cache_patches: handle.counter("crowd4u_core_eligibility_cache_patches_total"),
+            pairs_computed: handle.counter("crowd4u_core_affinity_pairs_computed_total"),
+            pairs_reused: handle.counter("crowd4u_core_affinity_pairs_reused_total"),
         }
     }
 
@@ -215,8 +219,9 @@ impl Crowd4U {
     }
 
     /// Attach telemetry: journal appends count in the `journal.append`
-    /// stage histogram (a sample of them timed), applied/dropped events and
-    /// eligibility-cache hits/misses/patches count into
+    /// stage histogram (a sample of them timed), applied/dropped events,
+    /// eligibility-cache hits/misses/patches and the assignment path's
+    /// computed/reused pair affinities count into
     /// `crowd4u_core_*_total`, and every project
     /// engine — current and future — records its fixpoint stage and
     /// `EvalStats` counters (see [`CylogEngine::set_telemetry`]).
@@ -741,12 +746,18 @@ impl Crowd4U {
         let constraints = constraints_from_factors(&factors);
         // The algorithms only ever look up affinities among the
         // candidates, and pair affinity is a pure function of the two
-        // profiles — so ask the worker manager's lazy provider for the
-        // candidate submatrix instead of materialising (or cloning) a full
-        // population matrix (which no longer exists anywhere). This makes
-        // assignment cost independent of how many workers the platform
-        // hosts: O(candidates²), not O(population²).
-        let affinity = self.workers.submatrix_of(&profiles);
+        // profiles — so ask the worker manager for the candidate submatrix
+        // instead of materialising (or cloning) a full population matrix
+        // (which no longer exists anywhere). This makes assignment cost
+        // independent of how many workers the platform hosts:
+        // O(candidates²), not O(population²). `interested_workers` is in
+        // ascending id order, so every pair is one the memo keeps: a pair
+        // is computed once per change of either profile.
+        let (affinity, work) = self.workers.fill_candidate_affinity(&eligible);
+        self.counters.add("affinity_pairs_computed", work.computed);
+        self.counters.add("affinity_pairs_reused", work.reused);
+        self.telemetry.pairs_computed.add(work.computed);
+        self.telemetry.pairs_reused.add(work.reused);
         let team = self
             .controller
             .suggest_team(&candidates, &affinity, &constraints);
@@ -1531,6 +1542,27 @@ published(S, T) :- sentence(S), translate(S, T).
         assert_eq!(p.workers.history_len(), 1);
         assert_eq!(p.counters.get("teams_suggested"), 1);
         assert_eq!(p.counters.get("teams_started"), 1);
+    }
+
+    #[test]
+    fn assignment_computes_each_pair_once() {
+        let mut p = platform_with_workers(4);
+        let proj = p
+            .register_project("collab", SRC, factors(), Scheme::Sequential)
+            .unwrap();
+        for round in 0..2 {
+            let task = p
+                .create_collab_task(proj, format!("video {round}"))
+                .unwrap();
+            for i in 1..=3 {
+                p.express_interest(WorkerId(i), task).unwrap();
+            }
+            p.run_assignment(task).unwrap();
+        }
+        // Three candidates, three pairs: computed by the first run, read
+        // from the memo by the second.
+        assert_eq!(p.counters.get("affinity_pairs_computed"), 3);
+        assert_eq!(p.counters.get("affinity_pairs_reused"), 3);
     }
 
     #[test]

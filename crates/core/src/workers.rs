@@ -7,25 +7,89 @@
 //! demand (with a small above-floor / top-k cache) and builds dense
 //! candidate-set submatrices for assignment — so registering worker N is
 //! O(1) in the population size instead of an O(n²) cache invalidation.
+//! The assignment path pays for a pair once per change of either profile:
+//! a pair memo keeps what `WorkerManager::fill_candidate_affinity`
+//! computed until one of the two workers changes.
 
 use crate::error::{PlatformError, WorkerId};
-use crowd4u_crowd::affinity::{group_affinity, AffinityMatrix, AffinityProvider};
+use crowd4u_crowd::affinity::{
+    affinity_from_profile_refs_with, group_affinity, AffinityMatrix, AffinityProvider,
+};
 use crowd4u_crowd::estimate::{estimate_skills, EstimatorConfig, TeamObservation};
 use crowd4u_crowd::profile::WorkerProfile;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// The memo holds every pair of a pool this large: four times the largest
+/// mean candidate pool the collaborative workloads form teams over (66), so
+/// a crowd of up to this many interested workers is memoised in full.
+const MEMO_POOL: usize = 256;
+
+/// The memo's bound in pairs. Reaching it empties the memo, which costs
+/// only recomputation: an absent pair is computed, never guessed.
+const MEMO_PAIRS: usize = MEMO_POOL * (MEMO_POOL - 1) / 2;
+
+/// A registered profile and the [`WorkerManager::version`] it last changed
+/// at — its *change stamp*.
+struct Registered {
+    profile: WorkerProfile,
+    changed: u64,
+}
+
+/// Pair affinities the assignment path computed, keyed `(smaller id,
+/// larger id)`. An entry holds the value — [`pair_affinity_of`] of the two
+/// profiles — and the version it was computed at; it answers only while
+/// that version is at or past both workers' change stamps, and only under
+/// the weights it was computed with.
+///
+/// [`pair_affinity_of`]: crowd4u_crowd::affinity::pair_affinity_of
+#[derive(Default)]
+struct PairMemo {
+    weights: (f64, f64, f64),
+    pairs: HashMap<(WorkerId, WorkerId), (f64, u64)>,
+}
+
+impl PairMemo {
+    /// Keep `fresh`, computed at version `at` under `weights`.
+    fn store(
+        &mut self,
+        weights: (f64, f64, f64),
+        at: u64,
+        fresh: Vec<((WorkerId, WorkerId), f64)>,
+    ) {
+        if self.weights != weights {
+            self.pairs.clear();
+            self.weights = weights;
+        }
+        for (key, value) in fresh {
+            if self.pairs.len() >= MEMO_PAIRS {
+                self.pairs.clear();
+            }
+            self.pairs.insert(key, (value, at));
+        }
+    }
+}
+
+/// How an affinity submatrix was served: pair values computed from
+/// profiles, and pair values read from the memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PairWork {
+    pub computed: u64,
+    pub reused: u64,
+}
 
 /// Registry of worker profiles + lazy affinity provider + team-task history.
 pub struct WorkerManager {
-    profiles: BTreeMap<WorkerId, WorkerProfile>,
-    /// Lazy pair-affinity source; its small cache is dropped (not rebuilt)
+    profiles: BTreeMap<WorkerId, Registered>,
+    /// Lazy pair-affinity source and the one copy of the synthesis weights
+    /// (geo, language, skill); its small cache is dropped (not rebuilt)
     /// whenever profiles change, keyed off `version`.
     provider: AffinityProvider,
     /// The `version` the provider's cache was filled under.
     provider_version: u64,
+    /// The assignment path's pair memo.
+    memo: PairMemo,
     /// Observed team outcomes, for skill estimation ([10]).
     history: Vec<TeamObservation>,
-    /// Affinity synthesis weights (geo, language, skill).
-    pub weights: (f64, f64, f64),
     /// Bumped on every profile change (registration, mutable access, skill
     /// refresh). Epoch-based caches — the platform's eligibility cache —
     /// compare this to detect staleness without scanning profiles.
@@ -34,13 +98,12 @@ pub struct WorkerManager {
 
 impl Default for WorkerManager {
     fn default() -> Self {
-        let weights = (1.0, 1.0, 0.5);
         WorkerManager {
             profiles: BTreeMap::new(),
-            provider: AffinityProvider::new(weights.0, weights.1, weights.2),
+            provider: AffinityProvider::new(1.0, 1.0, 0.5),
             provider_version: 0,
+            memo: PairMemo::default(),
             history: Vec::new(),
-            weights,
             version: 0,
         }
     }
@@ -53,10 +116,13 @@ impl WorkerManager {
 
     /// Register (or re-register) a worker. O(log n): one map insert and a
     /// version bump — no affinity state exists to invalidate eagerly; the
-    /// provider's cache is dropped lazily on the next affinity query.
+    /// provider's cache is dropped lazily on the next affinity query, and
+    /// the worker's new change stamp retires its memoised pairs.
     pub fn register(&mut self, profile: WorkerProfile) {
-        self.profiles.insert(profile.id, profile);
         self.version += 1;
+        let changed = self.version;
+        self.profiles
+            .insert(profile.id, Registered { profile, changed });
     }
 
     /// Profile-set version; changes whenever any profile may have changed.
@@ -67,18 +133,21 @@ impl WorkerManager {
     pub fn get(&self, id: WorkerId) -> Result<&WorkerProfile, PlatformError> {
         self.profiles
             .get(&id)
+            .map(|r| &r.profile)
             .ok_or(PlatformError::UnknownWorker(id))
     }
 
-    /// Mutable profile access. Conservatively bumps the version: the caller
-    /// may change factors, which invalidates eligibility caches.
+    /// Mutable profile access. Conservatively bumps the version and the
+    /// worker's change stamp: the caller may change factors, which
+    /// invalidates eligibility caches and the worker's memoised pairs.
     pub fn get_mut(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, PlatformError> {
-        let p = self
+        let r = self
             .profiles
             .get_mut(&id)
             .ok_or(PlatformError::UnknownWorker(id))?;
         self.version += 1;
-        Ok(p)
+        r.changed = self.version;
+        Ok(&mut r.profile)
     }
 
     pub fn len(&self) -> usize {
@@ -103,7 +172,20 @@ impl WorkerManager {
     }
 
     pub fn profiles(&self) -> impl Iterator<Item = &WorkerProfile> {
-        self.profiles.values()
+        self.profiles.values().map(|r| &r.profile)
+    }
+
+    /// The affinity synthesis weights (geo, language, skill).
+    pub fn weights(&self) -> (f64, f64, f64) {
+        self.provider.weights()
+    }
+
+    /// Replace the affinity synthesis weights. Every pair value depends on
+    /// them, so the provider's cache is dropped, and the pair memo — keyed
+    /// on the weights — stops answering at once and is emptied by the next
+    /// fill.
+    pub fn set_weights(&mut self, w_geo: f64, w_lang: f64, w_skill: f64) {
+        self.provider.set_weights(w_geo, w_lang, w_skill);
     }
 
     /// Pairwise affinity, computed lazily from the two profiles (cached
@@ -112,32 +194,99 @@ impl WorkerManager {
     pub fn pair_affinity(&mut self, a: WorkerId, b: WorkerId) -> f64 {
         self.ensure_provider_fresh();
         match (self.profiles.get(&a), self.profiles.get(&b)) {
-            (Some(pa), Some(pb)) => self.provider.pair(pa, pb),
+            (Some(pa), Some(pb)) => self.provider.pair(&pa.profile, &pb.profile),
             _ => 0.0,
         }
     }
 
-    /// Dense affinity submatrix over borrowed candidate profiles — the
-    /// assignment-time path. O(k²) in the candidate count, independent of
-    /// the population size; entries are bit-identical to what a full
-    /// population matrix would hold.
+    /// Dense affinity submatrix over borrowed candidate profiles. O(k²) in
+    /// the candidate count, independent of the population size; entries
+    /// are bit-identical to what a full population matrix would hold.
+    /// Memoised pairs are read, nothing is stored: a profile that is not
+    /// the one registered under its id is never served from the memo.
     pub fn submatrix_of(&self, profiles: &[&WorkerProfile]) -> AffinityMatrix {
-        let (wg, wl, ws) = self.weights;
-        crowd4u_crowd::affinity::affinity_from_profile_refs(profiles, wg, wl, ws)
+        self.memo_submatrix(profiles, |_, _| {}).0
     }
 
     /// Dense affinity submatrix over a candidate id set (unknown ids are
     /// skipped, so they read as affinity 0 — the dense matrix convention).
     pub fn candidate_affinity(&self, ids: &[WorkerId]) -> AffinityMatrix {
-        let profiles: Vec<&WorkerProfile> =
-            ids.iter().filter_map(|w| self.profiles.get(w)).collect();
-        self.submatrix_of(&profiles)
+        self.submatrix_of(&self.registered(ids))
+    }
+
+    /// [`candidate_affinity`](WorkerManager::candidate_affinity) for the
+    /// assignment path: pairs in ascending id order come from the memo
+    /// while both workers are unchanged, and every such pair computed here
+    /// is kept for the next call. Returns the matrix and how it was served.
+    pub(crate) fn fill_candidate_affinity(
+        &mut self,
+        ids: &[WorkerId],
+    ) -> (AffinityMatrix, PairWork) {
+        let mut fresh = Vec::new();
+        let (matrix, work) =
+            self.memo_submatrix(&self.registered(ids), |key, value| fresh.push((key, value)));
+        let (weights, at) = (self.weights(), self.version);
+        self.memo.store(weights, at, fresh);
+        (matrix, work)
     }
 
     /// Mean pairwise affinity of a team, via a candidate submatrix —
     /// O(k²) instead of the O(n²) full-matrix build this used to force.
     pub fn team_affinity(&self, members: &[WorkerId]) -> f64 {
         group_affinity(&self.candidate_affinity(members), members)
+    }
+
+    /// The registered profiles among `ids`, in `ids` order.
+    fn registered(&self, ids: &[WorkerId]) -> Vec<&WorkerProfile> {
+        ids.iter()
+            .filter_map(|w| self.profiles.get(w).map(|r| &r.profile))
+            .collect()
+    }
+
+    /// The one submatrix builder: memo hits where the memo is exact, a
+    /// fresh computation elsewhere, `fresh(key, value)` told of every
+    /// computed pair the memo may keep.
+    fn memo_submatrix(
+        &self,
+        profiles: &[&WorkerProfile],
+        mut fresh: impl FnMut((WorkerId, WorkerId), f64),
+    ) -> (AffinityMatrix, PairWork) {
+        let weights = self.weights();
+        let memo = (self.memo.weights == weights).then_some(&self.memo.pairs);
+        // Each position's change stamp, or `None` for a profile that is not
+        // the registered one (an unregistered id, or a copy).
+        let stamps: Vec<Option<u64>> = profiles
+            .iter()
+            .map(|p| {
+                self.profiles
+                    .get(&p.id)
+                    .filter(|r| std::ptr::eq(&r.profile, *p))
+                    .map(|r| r.changed)
+            })
+            .collect();
+        let mut reused = 0;
+        let (wg, wl, ws) = weights;
+        let matrix = affinity_from_profile_refs_with(
+            profiles,
+            wg,
+            wl,
+            ws,
+            |i, j| {
+                let (si, sj) = (stamps[i]?, stamps[j]?);
+                let &(value, at) = memo?.get(&(profiles[i].id, profiles[j].id))?;
+                let exact = at >= si && at >= sj;
+                reused += u64::from(exact);
+                exact.then_some(value)
+            },
+            |i, j, value| {
+                if stamps[i].is_some() && stamps[j].is_some() {
+                    fresh((profiles[i].id, profiles[j].id), value);
+                }
+            },
+        );
+        let n = profiles.len() as u64;
+        let computed = n * n.saturating_sub(1) / 2 - reused;
+        (matrix, PairWork { computed, reused })
     }
 
     /// Configure the provider's pair cache (floor + per-worker top-k).
@@ -151,16 +300,14 @@ impl WorkerManager {
         self.provider.cached_entries()
     }
 
-    /// Drop the provider's cache when profiles or weights changed since it
-    /// was filled. O(1) when nothing changed; clearing is O(cache), never
+    /// Drop the provider's cache when profiles changed since it was
+    /// filled. O(1) when nothing changed; clearing is O(cache), never
     /// O(population²).
     fn ensure_provider_fresh(&mut self) {
         if self.provider_version != self.version {
             self.provider.clear();
             self.provider_version = self.version;
         }
-        let (wg, wl, ws) = self.weights;
-        self.provider.set_weights(wg, wl, ws); // no-op unless changed
     }
 
     /// Record an observed team outcome (drives skill estimation).
@@ -174,27 +321,33 @@ impl WorkerManager {
 
     /// Re-estimate the named skill for every worker appearing in history
     /// ("computed by the system based on previously performed tasks", §2.4).
-    /// Returns how many profiles were updated.
+    /// Returns how many profiles were updated; each gets a new change
+    /// stamp.
     pub fn refresh_skills(&mut self, skill_name: &str) -> usize {
         if self.history.is_empty() {
             return 0;
         }
         let est = estimate_skills(&self.history, &EstimatorConfig::default());
+        let next = self.version + 1;
         let mut updated = 0;
         for (w, s) in &est.skills {
-            if let Some(p) = self.profiles.get_mut(w) {
-                p.factors.set_skill(skill_name.to_string(), *s);
+            if let Some(r) = self.profiles.get_mut(w) {
+                r.profile.factors.set_skill(skill_name.to_string(), *s);
+                r.changed = next;
                 updated += 1;
             }
         }
         if updated > 0 {
             // Skills feed pair affinity; the version bump drops the
             // provider's cache on the next query.
-            self.version += 1;
+            self.version = next;
         }
         updated
     }
 }
+
+#[cfg(test)]
+mod memo_diff;
 
 #[cfg(test)]
 mod tests {
@@ -261,6 +414,33 @@ mod tests {
         // exactly as a full-population matrix lookup would score them.
         assert!(m.team_affinity(&[WorkerId(1), WorkerId(99)]) == 0.0);
         assert_eq!(m.team_affinity(&[WorkerId(1)]), 0.0);
+    }
+
+    #[test]
+    fn the_memo_pays_once_per_pair_and_change() {
+        let mut m = manager();
+        m.register(WorkerProfile::new(WorkerId(4), "dan").with_native_lang("en"));
+        let ids = m.ids();
+        let work = |computed, reused| PairWork { computed, reused };
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(6, 0));
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(0, 6));
+        // A re-registration, a mutable access and a skill refresh each
+        // retire exactly the changed worker's three pairs.
+        m.register(WorkerProfile::new(WorkerId(2), "bob").with_native_lang("fr"));
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
+        m.get_mut(WorkerId(3)).unwrap();
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
+        m.record_outcome(vec![WorkerId(1)], 0.9);
+        m.refresh_skills("x");
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
+        // Descending pairs are computed in slice order and never kept.
+        let reversed: Vec<WorkerId> = ids.iter().rev().copied().collect();
+        assert_eq!(m.fill_candidate_affinity(&reversed).1, work(6, 0));
+        // New weights: nothing memoised answers, the next fill starts over.
+        m.set_weights(0.0, 1.0, 0.0);
+        assert_eq!(m.weights(), (0.0, 1.0, 0.0));
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(6, 0));
+        assert_eq!(m.fill_candidate_affinity(&ids).1, work(0, 6));
     }
 
     #[test]

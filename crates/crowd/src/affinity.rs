@@ -17,6 +17,7 @@
 //! and answers single-pair queries directly.
 
 use crate::profile::{WorkerId, WorkerProfile};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Read interface used by team-formation algorithms.
@@ -204,22 +205,52 @@ pub fn affinity_from_profile_refs(
     w_lang: f64,
     w_skill: f64,
 ) -> AffinityMatrix {
+    affinity_from_profile_refs_with(workers, w_geo, w_lang, w_skill, |_, _| None, |_, _, _| {})
+}
+
+/// [`affinity_from_profile_refs`] with a pair memo around it. Positions
+/// `i < j` whose ids ascend (`workers[i].id < workers[j].id`) are the pairs
+/// whose slice-order value *is* [`pair_affinity_of`]: for those,
+/// `known(i, j)` is asked first, and `computed(i, j, value)` hears every
+/// one it did not answer. Every other pair — a descending or repeated id —
+/// is computed in slice order and reported to neither, because the
+/// skill-union sum is order-sensitive in the last ulp. A worker's features
+/// are read out of its profile the first time one of its pairs is
+/// computed, so a submatrix `known` serves in full reads no profile maps.
+pub fn affinity_from_profile_refs_with(
+    workers: &[&WorkerProfile],
+    w_geo: f64,
+    w_lang: f64,
+    w_skill: f64,
+    mut known: impl FnMut(usize, usize) -> Option<f64>,
+    mut computed: impl FnMut(usize, usize, f64),
+) -> AffinityMatrix {
     let (wg, wl, ws) = normalised_weights(w_geo, w_lang, w_skill);
     let mut m = AffinityMatrix::new(workers.iter().map(|w| w.id).collect());
     // The pair loop is O(n²) — hoist every per-worker feature (fluent
     // languages, skill names with their levels) out of it so the inner
     // body neither allocates nor probes a profile's maps. Same arithmetic,
     // same iteration orders, bit-identical affinities.
-    let fluent: Vec<Vec<&str>> = workers.iter().map(|w| fluent_langs(w)).collect();
-    let skills: Vec<Vec<(&str, f64)>> = workers.iter().map(|w| skill_levels(w)).collect();
+    let features: Vec<OnceCell<Features>> = workers.iter().map(|_| OnceCell::new()).collect();
     for (i, a) in workers.iter().enumerate() {
         for (j, b) in workers.iter().enumerate().skip(i + 1) {
+            let ascending = a.id < b.id;
+            let value = match ascending.then(|| known(i, j)).flatten() {
+                Some(v) => v,
+                None => {
+                    let fa = features[i].get_or_init(|| Features::of(a));
+                    let fb = features[j].get_or_init(|| Features::of(b));
+                    let v = pair_value(a, b, fa, fb, wg, wl, ws);
+                    if ascending {
+                        computed(i, j, v);
+                    }
+                    v
+                }
+            };
             // Write the lower-triangle slot directly — ids arrived in
             // matrix order, so the position is arithmetic, not a hash
             // lookup per pair.
-            m.tri[j * (j - 1) / 2 + i] = pair_value(
-                a, b, &fluent[i], &fluent[j], &skills[i], &skills[j], wg, wl, ws,
-            );
+            m.tri[j * (j - 1) / 2 + i] = value;
         }
     }
     m
@@ -253,22 +284,36 @@ fn level_of(skills: &[(&str, f64)], name: &str) -> Option<f64> {
     skills.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
 }
 
+/// A worker's hoisted pair features: fluent languages and `(skill, level)`
+/// pairs, each in profile map order.
+struct Features<'a> {
+    langs: Vec<&'a str>,
+    skills: Vec<(&'a str, f64)>,
+}
+
+impl<'a> Features<'a> {
+    fn of(w: &'a WorkerProfile) -> Features<'a> {
+        Features {
+            langs: fluent_langs(w),
+            skills: skill_levels(w),
+        }
+    }
+}
+
 /// The single-pair affinity body shared by the matrix builder and the lazy
 /// provider. Callers pass the hoisted per-worker features. The arithmetic
 /// here is the *only* place a pair affinity is computed, which is what
 /// makes the lazy path bit-identical to the dense one by construction.
-#[allow(clippy::too_many_arguments)]
 fn pair_value(
     a: &WorkerProfile,
     b: &WorkerProfile,
-    la: &[&str],
-    lb: &[&str],
-    sa: &[(&str, f64)],
-    sb: &[(&str, f64)],
+    fa: &Features,
+    fb: &Features,
     wg: f64,
     wl: f64,
     ws: f64,
 ) -> f64 {
+    let (la, lb, sa, sb) = (&fa.langs, &fb.langs, &fa.skills, &fb.skills);
     // Geography: map distance in [0, sqrt(2)] to closeness in [0,1].
     let d = a.factors.region.distance(&b.factors.region);
     let geo = (1.0 - d / std::f64::consts::SQRT_2).clamp(0.0, 1.0);
@@ -320,9 +365,7 @@ pub fn pair_affinity_of(
     }
     let (a, b) = if a.id <= b.id { (a, b) } else { (b, a) };
     let (wg, wl, ws) = normalised_weights(w_geo, w_lang, w_skill);
-    let (la, lb) = (fluent_langs(a), fluent_langs(b));
-    let (sa, sb) = (skill_levels(a), skill_levels(b));
-    pair_value(a, b, &la, &lb, &sa, &sb, wg, wl, ws)
+    pair_value(a, b, &Features::of(a), &Features::of(b), wg, wl, ws)
 }
 
 /// Lazy affinity source for large populations: pair values are computed
@@ -682,6 +725,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memo_hooks_see_only_ascending_pairs() {
+        let workers = crew(5);
+        // Slice order 2, 4, 1, 5: of its six pairs, (2,4), (2,5), (4,5)
+        // and (1,5) ascend; (2,1) and (4,1) do not.
+        let refs: Vec<&WorkerProfile> = [1, 3, 0, 4].iter().map(|&i| &workers[i]).collect();
+        let plain = affinity_from_profile_refs(&refs, 1.0, 1.0, 0.5);
+        let (mut asked, mut heard) = (Vec::new(), Vec::new());
+        let memo = affinity_from_profile_refs_with(
+            &refs,
+            1.0,
+            1.0,
+            0.5,
+            |i, j| {
+                asked.push((i, j));
+                // Answer one pair, with its true value.
+                ((i, j) == (0, 1)).then(|| pair_affinity_of(refs[0], refs[1], 1.0, 1.0, 0.5))
+            },
+            |i, j, v| heard.push((i, j, v)),
+        );
+        assert_eq!(asked, vec![(0, 1), (0, 3), (1, 3), (2, 3)]);
+        let heard_pairs: Vec<(usize, usize)> = heard.iter().map(|&(i, j, _)| (i, j)).collect();
+        assert_eq!(heard_pairs, vec![(0, 3), (1, 3), (2, 3)]);
+        for (i, j, v) in heard {
+            assert_eq!(
+                v.to_bits(),
+                pair_affinity_of(refs[i], refs[j], 1.0, 1.0, 0.5).to_bits()
+            );
+        }
+        let ids: Vec<WorkerId> = refs.iter().map(|w| w.id).collect();
+        let bits = |m: &AffinityMatrix| -> Vec<u64> {
+            m.table(&ids).iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&memo), bits(&plain));
+        assert_eq!(memo.mean().to_bits(), plain.mean().to_bits());
     }
 
     /// Answers pairs from a matrix but inherits `table`'s default.

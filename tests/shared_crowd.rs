@@ -55,8 +55,9 @@ fn config(shards: usize, recovery: bool) -> RuntimeConfig {
 /// Serial reference: the shared-crowd merge applied by one thread to one
 /// platform. Returns (journal dump, state dump, dropped). The scenarios
 /// run the default `LocalSearch` algorithm, which is also what a fresh
-/// (and crash-rebuilt) shard slice carries — chaos recovery re-runs the
-/// base builder, so the test pins the config's algorithm to the default.
+/// (and crash-rebuilt) shard slice carries — chaos recovery replays the
+/// shard's ledger onto a default slice, so the test pins the config's
+/// algorithm to the default.
 fn serial_shared_reference(traces: &[ScenarioTrace]) -> (String, String, u64) {
     let merged = merge_traces_with(traces, CrowdMode::Shared).expect("shared merge");
     let mut platform = Crowd4U::new();

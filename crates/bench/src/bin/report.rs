@@ -4,13 +4,12 @@
 //! cargo run --release -p crowd4u-bench --bin report            # all
 //! cargo run --release -p crowd4u-bench --bin report -- e6 e7   # subset
 //! cargo run --release -p crowd4u-bench --bin report -- e8full  # full 600k
-//! cargo run --release -p crowd4u-bench --bin report -- ingest  # BENCH_ingest.json
 //! ```
 //!
-//! The output of this binary is what EXPERIMENTS.md records. The `ingest`
-//! experiment (explicit only — its per-answer baseline runs ~10⁴ fixpoints
-//! and takes minutes) records the batched-vs-per-answer ingestion baseline
-//! to `BENCH_ingest.json` and fails if batching is less than 5× faster.
+//! Each experiment, E1–E9 (the map is in the `crowd4u_bench` crate docs),
+//! prints one or two markdown tables to stdout and writes no file.
+//! Performance of the running system is the `e2e` benchmark's job, not
+//! this binary's.
 
 use crowd4u_assign::prelude::*;
 use crowd4u_bench::{all_algorithms, clustered_instance, random_instance, TablePrinter};
@@ -57,407 +56,6 @@ fn main() {
     if want("e9") {
         e9_scenarios();
     }
-    // Explicit only: the per-answer baseline takes minutes by design.
-    if args.iter().any(|a| a == "ingest") {
-        ingest_baseline();
-    }
-    // Explicit only: the shard-scaling sweep ingests the full workload at
-    // four shard counts (records BENCH_shard.json).
-    if args.iter().any(|a| a == "shard") {
-        shard_baseline();
-    }
-    // Explicit only: the ingestion front-door comparison (records
-    // BENCH_gate.json).
-    if args.iter().any(|a| a == "gate") {
-        gate_baseline();
-    }
-    // Explicit only: the scenario-streaming comparison (records
-    // BENCH_scenario.json).
-    if args.iter().any(|a| a == "scenario") {
-        scenario_baseline();
-    }
-    // Explicit only: the million-worker crowd baseline (records
-    // BENCH_workers.json; ~minutes at the default 10⁶ population —
-    // override with E13_WORKERS).
-    if args.iter().any(|a| a == "workers") {
-        workers_baseline();
-    }
-    // Explicit only: the crash-recovery latency baseline (records
-    // BENCH_recovery.json).
-    if args.iter().any(|a| a == "recovery") {
-        recovery_baseline();
-    }
-    // Explicit only: the shared-crowd marketplace baseline (records
-    // BENCH_marketplace.json).
-    if args.iter().any(|a| a == "marketplace") {
-        marketplace_baseline();
-    }
-}
-
-/// E16 baseline: the shared-crowd marketplace. Streams the three §2.5
-/// scenarios over one population at 1/2/4 shards — byte-identity against
-/// the serial shared composite and the exact split partition are asserted
-/// inside every run — then measures what the least-loaded proposal buys
-/// over a skill-only formation on a star-skewed crowd. Records
-/// `BENCH_marketplace.json` and exits non-zero if any run's totals drift
-/// across shard counts or the marketplace proposal fields a busier team
-/// than the base algorithm.
-fn marketplace_baseline() {
-    use crowd4u_bench::{run_marketplace_proposal, run_marketplace_workload};
-    const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
-    const REPS: usize = 3;
-    const PROPOSAL_CROWD: u64 = 12;
-    let cfg = ScenarioConfig::default()
-        .with_crowd(20)
-        .with_items(3)
-        .with_seed(1016);
-    println!(
-        "\n## E16 — shared-crowd marketplace (3 scenarios, one crowd of 20, \
-         best of {REPS})\n"
-    );
-
-    let mut t = TablePrinter::new(&["shards", "seconds", "platform points"]);
-    let mut per_shard_s = Vec::new();
-    let mut reference: Option<crowd4u_bench::MarketplaceRun> = None;
-    for shards in SHARD_SWEEP {
-        let mut best = f64::MAX;
-        let mut last = None;
-        for _ in 0..REPS {
-            let run = run_marketplace_workload(shards, &cfg);
-            best = best.min(run.elapsed.as_secs_f64());
-            last = Some(run);
-        }
-        let run = last.expect("at least one rep");
-        if let Some(r) = &reference {
-            assert_eq!(
-                r.scheme_points, run.scheme_points,
-                "per-scheme totals drifted between shard counts"
-            );
-            assert_eq!(
-                r.platform_points, run.platform_points,
-                "platform total drifted between shard counts"
-            );
-        }
-        t.row(vec![
-            shards.to_string(),
-            format!("{best:.4}"),
-            run.platform_points.to_string(),
-        ]);
-        per_shard_s.push((shards, best));
-        reference.get_or_insert(run);
-    }
-    println!("{}", t.render());
-    let reference = reference.expect("sweep ran");
-
-    let prop = run_marketplace_proposal(4, PROPOSAL_CROWD);
-    assert!(
-        prop.market_max_load <= prop.base_max_load,
-        "least-loaded proposal ({}) busier than the base pick ({})",
-        prop.market_max_load,
-        prop.base_max_load
-    );
-    let mut t = TablePrinter::new(&["proposal", "busiest member's load"]);
-    t.row(vec![
-        "base algorithm (skill only)".into(),
-        prop.base_max_load.to_string(),
-    ]);
-    t.row(vec![
-        "marketplace (least-loaded)".into(),
-        prop.market_max_load.to_string(),
-    ]);
-    println!("{}", t.render());
-
-    let scheme_points: Vec<String> = reference
-        .scheme_points
-        .iter()
-        .map(|p| p.to_string())
-        .collect();
-    let shard_json: Vec<String> = per_shard_s
-        .iter()
-        .map(|(s, secs)| format!("{{\"shards\": {s}, \"seconds\": {secs:.6}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_marketplace\",\n  \"crowd\": 20,\n  \
-         \"items\": 3,\n  \"reps\": {REPS},\n  \
-         \"runs\": [{}],\n  \"scheme_points\": [{}],\n  \
-         \"platform_points\": {},\n  \"proposal_crowd\": {PROPOSAL_CROWD},\n  \
-         \"base_max_load\": {},\n  \"market_max_load\": {}\n}}\n",
-        shard_json.join(", "),
-        scheme_points.join(", "),
-        reference.platform_points,
-        prop.base_max_load,
-        prop.market_max_load,
-    );
-    std::fs::write("BENCH_marketplace.json", &json).expect("write BENCH_marketplace.json");
-    println!("baseline recorded to BENCH_marketplace.json");
-}
-
-/// E15 baseline: what crash recovery costs relative to rerunning the
-/// workload. Runs the E10 stream clean, then under a chaos plan that
-/// kills one shard mid-answer-stream and crash-recovers it by
-/// journal-slice replay. Records `BENCH_recovery.json` and exits non-zero
-/// if the kill never fired, the chaos run derived different facts, or
-/// recovery replay is less than 10× faster than the full workload — the
-/// whole point of slice replay is paying for one shard's history, not
-/// everyone's.
-fn recovery_baseline() {
-    use crowd4u_bench::{run_recovery_workload, run_shard_workload, ShardWorkload};
-    const SHARDS: usize = 4;
-    const REPS: usize = 3;
-    let w = ShardWorkload::default();
-    // Kill shard 1 midway through its seed stream: it owns 2 of the 8
-    // projects, each contributing `items` seeds + `items` answers, so the
-    // replayed slice is a quarter of one shard's history — small enough
-    // that the ≥10× gate below holds with real margin.
-    let kill = (1usize, w.items as u64 / 2);
-    println!(
-        "\n## E15 — crash-recovery latency ({} projects × {} items, {SHARDS} shards, \
-         kill shard {} after {} applies)\n",
-        w.projects, w.items, kill.0, kill.1
-    );
-
-    let mut clean_best = f64::MAX;
-    let mut good_clean = 0usize;
-    for _ in 0..REPS {
-        let (elapsed, _, good) = run_shard_workload(SHARDS, &w);
-        clean_best = clean_best.min(elapsed.as_secs_f64());
-        good_clean = good;
-    }
-    let mut chaos_best = f64::MAX;
-    let mut recovery_best = f64::MAX;
-    for _ in 0..REPS {
-        let run = run_recovery_workload(SHARDS, &w, kill);
-        assert!(run.recoveries >= 1, "the planned kill never fired");
-        assert_eq!(run.good, good_clean, "recovery changed derived facts");
-        chaos_best = chaos_best.min(run.elapsed.as_secs_f64());
-        recovery_best = recovery_best.min(run.recovery_ns as f64 / 1e9);
-    }
-    let ratio = clean_best / recovery_best;
-
-    let mut t = TablePrinter::new(&["measure", "seconds"]);
-    t.row(vec![
-        "full workload (no fault)".into(),
-        format!("{clean_best:.4}"),
-    ]);
-    t.row(vec![
-        "full workload (kill + recover)".into(),
-        format!("{chaos_best:.4}"),
-    ]);
-    t.row(vec![
-        "recovery replay alone".into(),
-        format!("{recovery_best:.4}"),
-    ]);
-    t.row(vec![
-        "workload / recovery ratio".into(),
-        format!("{ratio:.1}×"),
-    ]);
-    println!("{}", t.render());
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e15_recovery_latency\",\n  \"shards\": {SHARDS},\n  \
-         \"projects\": {},\n  \"items\": {},\n  \"reps\": {REPS},\n  \
-         \"kill_shard\": {},\n  \"kill_after_applies\": {},\n  \
-         \"clean_run_s\": {clean_best:.6},\n  \"chaos_run_s\": {chaos_best:.6},\n  \
-         \"recovery_replay_s\": {recovery_best:.6},\n  \"workload_over_recovery\": {ratio:.2},\n  \
-         \"good_facts\": {good_clean}\n}}\n",
-        w.projects, w.items, kill.0, kill.1,
-    );
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    println!("baseline recorded to BENCH_recovery.json");
-    assert!(
-        ratio >= 10.0,
-        "recovery replay must be ≥10× faster than rerunning the workload \
-         (got {ratio:.1}×: replay {recovery_best:.4}s vs workload {clean_best:.4}s)"
-    );
-}
-
-/// E13 baseline: a million-worker crowd with churn through the lazy
-/// affinity provider and the coordinator-owned worker service. Records
-/// `BENCH_workers.json` and exits non-zero if registration stops being
-/// O(1) amortised, the provider's resident affinity state outgrows its
-/// `2·top_k·n` bound, p99 assignment latency scales with the population,
-/// or the 4-shard runtime drops worker-version lockstep.
-fn workers_baseline() {
-    use crowd4u_bench::{
-        assignment_p99, peak_rss_bytes, registration_deciles, run_worker_scale_runtime,
-        worker_scale_project, WorkerScaleWorkload,
-    };
-    let mut w = WorkerScaleWorkload {
-        workers: 1_000_000,
-        ..WorkerScaleWorkload::default()
-    };
-    if let Some(n) = std::env::var("E13_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        w.workers = n;
-    }
-    let n = w.workers;
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "## E13 — worker scale: {n} workers + {}% churn, {} eligible, top_k {}, {nproc} cores\n",
-        w.churn_percent, w.eligible, w.top_k
-    );
-
-    let (first, last, events, mut platform) = registration_deciles(&w);
-    let ratio = last.as_secs_f64() / first.as_secs_f64().max(1e-9);
-
-    platform.workers.set_affinity_cache(0.0, w.top_k);
-    let sample = (4 * n).min(200_000) as u64;
-    for k in 0..sample {
-        let a = 1 + k % n as u64;
-        let b = 1 + (k * 7 + 13) % n as u64;
-        platform.workers.pair_affinity(WorkerId(a), WorkerId(b));
-    }
-    let entries = platform.workers.cached_affinity_entries();
-    let entry_bound = 2 * w.top_k * n;
-
-    let small = WorkerScaleWorkload {
-        workers: (n / 25).max(w.eligible * 2),
-        ..w
-    };
-    let (_, _, _, mut small_platform) = registration_deciles(&small);
-    let sp = worker_scale_project(&mut small_platform);
-    let p99_small = assignment_p99(&mut small_platform, sp, w.eligible, 100);
-    let lp = worker_scale_project(&mut platform);
-    let p99_large = assignment_p99(&mut platform, lp, w.eligible, 100);
-    drop(platform);
-    drop(small_platform);
-
-    let (elapsed, applied, per_shard) = run_worker_scale_runtime(4, &w);
-    let churn = n * w.churn_percent / 100;
-    let lockstep = per_shard
-        .iter()
-        .all(|(len, v)| *len == n && *v == (n + churn) as u64);
-    let peak_mib = peak_rss_bytes().map(|b| b >> 20).unwrap_or(0);
-    let dense_mib = ((n as u64) * (n as u64 - 1) / 2 * 8) >> 20;
-
-    let mut t = TablePrinter::new(&["measure", "value"]);
-    t.row(vec![
-        "registrations (incl. churn)".into(),
-        events.to_string(),
-    ]);
-    t.row(vec!["first decile".into(), format!("{:.1?}", first)]);
-    t.row(vec![
-        "last decile".into(),
-        format!("{:.1?} ({ratio:.2}x)", last),
-    ]);
-    t.row(vec![
-        "cached affinity entries".into(),
-        format!("{entries} (bound {entry_bound})"),
-    ]);
-    t.row(vec![
-        format!("p99 assignment, {} workers", small.workers),
-        format!("{p99_small:.1?}"),
-    ]);
-    t.row(vec![
-        format!("p99 assignment, {n} workers"),
-        format!("{p99_large:.1?}"),
-    ]);
-    t.row(vec![
-        "4-shard runtime (workers first)".into(),
-        format!("{elapsed:.2?} / {applied} applied"),
-    ]);
-    t.row(vec![
-        "worker lockstep across shards".into(),
-        lockstep.to_string(),
-    ]);
-    t.row(vec![
-        "peak RSS".into(),
-        format!("{peak_mib} MiB (dense matrix: {dense_mib} MiB)"),
-    ]);
-    println!("{}", t.render());
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e13_worker_scale\",\n  \"nproc\": {nproc},\n  \"workers\": {n},\n  \
-         \"churn_percent\": {},\n  \"eligible\": {},\n  \"top_k\": {},\n  \
-         \"registrations\": {events},\n  \"first_decile_ms\": {:.3},\n  \
-         \"last_decile_ms\": {:.3},\n  \"decile_ratio\": {ratio:.2},\n  \
-         \"cached_affinity_entries\": {entries},\n  \"entry_bound\": {entry_bound},\n  \
-         \"p99_small_us\": {:.1},\n  \"p99_large_us\": {:.1},\n  \
-         \"runtime_4_shards_ms\": {:.1},\n  \"runtime_applied\": {applied},\n  \
-         \"worker_lockstep\": {lockstep},\n  \"peak_rss_mib\": {peak_mib},\n  \
-         \"dense_matrix_mib\": {dense_mib}\n}}\n",
-        w.churn_percent,
-        w.eligible,
-        w.top_k,
-        first.as_secs_f64() * 1e3,
-        last.as_secs_f64() * 1e3,
-        p99_small.as_secs_f64() * 1e6,
-        p99_large.as_secs_f64() * 1e6,
-        elapsed.as_secs_f64() * 1e3,
-    );
-    std::fs::write("BENCH_workers.json", &json).expect("write BENCH_workers.json");
-    println!("baseline recorded to BENCH_workers.json");
-
-    assert!(
-        ratio < 8.0,
-        "registration is not O(1) amortised: last decile {ratio:.2}x the first"
-    );
-    assert!(
-        entries <= entry_bound,
-        "affinity cache exceeded its 2·top_k·n bound: {entries}"
-    );
-    assert!(
-        p99_large.as_secs_f64() < 5.0 * p99_small.as_secs_f64() + 2e-3,
-        "p99 assignment latency scales with population: {p99_small:.2?} → {p99_large:.2?}"
-    );
-    assert!(lockstep, "worker registry out of lockstep: {per_shard:?}");
-}
-
-/// E12 baseline: multi-project scenarios (one crowd driving all three
-/// schemes — three projects each) recorded once and streamed through the
-/// ingestion gate at 1/2/4 shards (projects span shards). Records the
-/// sweep to `BENCH_scenario.json`; byte-level correctness is asserted
-/// inline (streamed merged journal == serial reference at every shard
-/// count). No timing gate: read the times against `nproc` — broadcasts
-/// apply on every shard, so added shards only pay back on added cores
-/// (see ARCHITECTURE.md §5; e10 gates the scaling).
-fn scenario_baseline() {
-    use crowd4u_bench::{
-        best_multi_project_run, multi_project_configs, multi_project_serial_reference,
-        record_multi_project_trace, run_multi_project_streamed, ScenarioStreamWorkload,
-    };
-    const REPS: usize = 5;
-    let w = ScenarioStreamWorkload::default();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "## E12 — scenario streaming: {} drivers x 3 projects, {} workers, {} items, \
-         {nproc} cores, best of {REPS}\n",
-        w.drivers, w.crowd, w.items
-    );
-    let configs = multi_project_configs(&w);
-    let traces: Vec<_> = configs.iter().map(record_multi_project_trace).collect();
-    let serial_ref = multi_project_serial_reference(&traces);
-
-    let mut t = TablePrinter::new(&["shards", "time"]);
-    let mut runs: Vec<String> = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        let (ts, streamed_journal) =
-            best_multi_project_run(REPS, || run_multi_project_streamed(shards, &traces));
-        assert_eq!(
-            streamed_journal, serial_ref,
-            "streamed journal != serial reference at {shards} shards"
-        );
-        t.row(vec![shards.to_string(), format!("{ts:.2?}")]);
-        runs.push(format!(
-            "    {{ \"shards\": {shards}, \"ms\": {:.3} }}",
-            ts.as_secs_f64() * 1e3
-        ));
-    }
-    println!("{}", t.render());
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e12_scenario_streaming\",\n  \"nproc\": {nproc},\n  \
-         \"drivers\": {},\n  \"crowd\": {},\n  \"items\": {},\n  \
-         \"journals_byte_identical\": true,\n  \"runs\": [\n{}\n  ]\n}}\n",
-        w.drivers,
-        w.crowd,
-        w.items,
-        runs.join(",\n"),
-    );
-    std::fs::write("BENCH_scenario.json", &json).expect("write BENCH_scenario.json");
-    println!("baseline recorded to BENCH_scenario.json");
 }
 
 /// E1 (Figure 1): deployment pipeline decomposition → assignment →
@@ -876,293 +474,6 @@ fn e8_scale(full: bool) {
     println!("{}", t.render());
     let summary = engine.facts("summary").unwrap();
     println!("summary fact: {} good items of {n}\n", summary.rows[0][0]);
-}
-
-/// Ingest baseline: batched (`answer_batch`, one fixpoint) vs per-answer
-/// (`answer` + `run` each) ingestion of 10k answers, plus the
-/// many-small-batches regime (100-item waves) where cross-batch
-/// incremental evaluation is compared against clear-and-rerun on a
-/// byte-identical final state. Records all figures to `BENCH_ingest.json`
-/// so CI and future sessions can compare against them, and exits non-zero
-/// if the batched path or the incremental path is less than 5× faster
-/// than its baseline.
-fn ingest_baseline() {
-    const N: u64 = 10_000;
-    println!("## Ingest baseline — batched vs per-answer at {N} answers\n");
-
-    let (mut engine, answers) = crowd4u_bench::ingest_workload(N);
-    let start = Instant::now();
-    engine.answer_batch(&answers).unwrap();
-    let t_batched = start.elapsed();
-    let good_batched = engine.fact_count("good").unwrap();
-
-    let (mut engine, answers) = crowd4u_bench::ingest_workload(N);
-    let start = Instant::now();
-    for a in answers {
-        engine
-            .answer(&a.pred, a.inputs, a.outputs, a.worker)
-            .unwrap();
-        engine.run().unwrap();
-    }
-    let t_per_answer = start.elapsed();
-    assert_eq!(engine.fact_count("good").unwrap(), good_batched);
-
-    let speedup = t_per_answer.as_secs_f64() / t_batched.as_secs_f64();
-    let mut t = TablePrinter::new(&["path", "fixpoint runs", "time", "answers/s"]);
-    t.row(vec![
-        "batched (answer_batch)".into(),
-        "1".into(),
-        format!("{t_batched:.2?}"),
-        format!("{:.0}", N as f64 / t_batched.as_secs_f64()),
-    ]);
-    t.row(vec![
-        "per-answer (answer + run)".into(),
-        N.to_string(),
-        format!("{t_per_answer:.2?}"),
-        format!("{:.0}", N as f64 / t_per_answer.as_secs_f64()),
-    ]);
-    println!("{}", t.render());
-    println!("speedup: {speedup:.1}×\n");
-
-    // Many-small-batches regime: the same items and answers arriving in
-    // `WAVE`-sized waves, each fixpointed and answered before the next.
-    // Cross-batch incremental evaluation (the default mode) must beat
-    // clear-and-rerun by ≥5× *and* land on byte-identical state.
-    use crowd4u_cylog::eval::EvalMode;
-    const WAVE: u64 = 100;
-    println!(
-        "## Ingest baseline — incremental vs clear-and-rerun at {N} items in {WAVE}-item waves\n"
-    );
-
-    let start = Instant::now();
-    let inc = crowd4u_bench::incremental_stream_workload(N, WAVE, EvalMode::Incremental);
-    let t_inc = start.elapsed();
-    let start = Instant::now();
-    let rerun = crowd4u_bench::incremental_stream_workload(N, WAVE, EvalMode::SemiNaive);
-    let t_rerun = start.elapsed();
-    assert_eq!(
-        crowd4u_storage::snapshot::dump(inc.database()),
-        crowd4u_storage::snapshot::dump(rerun.database()),
-        "incremental and clear-and-rerun must reach byte-identical state"
-    );
-    assert_eq!(inc.leaderboard(), rerun.leaderboard());
-    assert_eq!(inc.pending_requests(), rerun.pending_requests());
-    assert_eq!(inc.fact_count("good").unwrap(), good_batched);
-
-    let inc_speedup = t_rerun.as_secs_f64() / t_inc.as_secs_f64();
-    let waves = N.div_ceil(WAVE);
-    let mut t = TablePrinter::new(&["mode", "waves", "time", "items/s"]);
-    t.row(vec![
-        "incremental (default)".into(),
-        waves.to_string(),
-        format!("{t_inc:.2?}"),
-        format!("{:.0}", N as f64 / t_inc.as_secs_f64()),
-    ]);
-    t.row(vec![
-        "clear-and-rerun (SemiNaive)".into(),
-        waves.to_string(),
-        format!("{t_rerun:.2?}"),
-        format!("{:.0}", N as f64 / t_rerun.as_secs_f64()),
-    ]);
-    println!("{}", t.render());
-    println!("incremental speedup: {inc_speedup:.1}×\n");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e9_ingest_throughput\",\n  \"answers\": {N},\n  \
-         \"batched_ms\": {:.3},\n  \"per_answer_ms\": {:.3},\n  \"speedup\": {:.1},\n  \
-         \"wave_items\": {WAVE},\n  \"incremental_ms\": {:.3},\n  \
-         \"clear_rerun_ms\": {:.3},\n  \"incremental_speedup\": {:.1},\n  \
-         \"good_facts\": {good_batched}\n}}\n",
-        t_batched.as_secs_f64() * 1e3,
-        t_per_answer.as_secs_f64() * 1e3,
-        speedup,
-        t_inc.as_secs_f64() * 1e3,
-        t_rerun.as_secs_f64() * 1e3,
-        inc_speedup,
-    );
-    std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
-    println!("baseline recorded to BENCH_ingest.json");
-    assert!(
-        speedup >= 5.0,
-        "batched ingestion regressed: only {speedup:.1}× faster than per-answer"
-    );
-    assert!(
-        inc_speedup >= 5.0,
-        "cross-batch incremental evaluation regressed: only {inc_speedup:.1}× \
-         faster than clear-and-rerun"
-    );
-}
-
-/// E10 baseline: the mixed multi-project workload through the sharded
-/// runtime at 1/2/4/8 shards (streaming mode). Records the sweep and the
-/// machine's core count to `BENCH_shard.json`, and exits non-zero if one
-/// shard's cost per event at the full size exceeds
-/// [`SHARD_LINEARITY_MAX`]× its cost at a quarter of the items, or if 4
-/// shards are slower than 1. Speed-up beyond that comes only from cores:
-/// read `speedup` against `nproc`.
-///
-/// [`SHARD_LINEARITY_MAX`]: crowd4u_bench::SHARD_LINEARITY_MAX
-fn shard_baseline() {
-    use crowd4u_bench::{
-        best_shard_run, shard_linearity, ShardWorkload, SHARD_LINEARITY_MAX, SHARD_NOT_SLOWER_MIN,
-    };
-    const REPS: usize = 3;
-    let w = ShardWorkload::default();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "## E10 — shard scaling: {} projects x {} items, drain_every {}, {nproc} cores, best of {REPS}\n",
-        w.projects, w.items, w.drain_every
-    );
-    let mut t = TablePrinter::new(&["shards", "time", "events/s", "speedup"]);
-    let mut rows = Vec::new();
-    let mut t1 = 0.0f64;
-    let mut good_ref = None;
-    for &shards in &[1usize, 2, 4, 8] {
-        let (secs, events, good) = best_shard_run(shards, &w, REPS);
-        match good_ref {
-            None => good_ref = Some(good),
-            Some(g) => assert_eq!(g, good, "shard counts must derive identical facts"),
-        }
-        if shards == 1 {
-            t1 = secs;
-        }
-        let rate = events as f64 / secs;
-        let speedup = t1 / secs;
-        t.row(vec![
-            shards.to_string(),
-            format!("{:.2} ms", secs * 1e3),
-            format!("{rate:.0}"),
-            format!("{speedup:.2}x"),
-        ]);
-        rows.push((shards, secs * 1e3, rate, speedup));
-    }
-    println!("{}", t.render());
-
-    let (us_small, us_full) = shard_linearity(&w, 2 * REPS);
-    let growth = us_full / us_small;
-    println!(
-        "1 shard: {us_small:.2} us/event at {} items, {us_full:.2} us/event at {} items ({growth:.2}x)\n",
-        w.items / 4,
-        w.items
-    );
-
-    let speedup_4 = rows
-        .iter()
-        .find(|(s, ..)| *s == 4)
-        .map(|(_, _, _, x)| *x)
-        .expect("4-shard row");
-    let runs: Vec<String> = rows
-        .iter()
-        .map(|(s, ms, rate, x)| {
-            format!(
-                "    {{ \"shards\": {s}, \"ms\": {ms:.3}, \"events_per_sec\": {rate:.0}, \
-                 \"speedup\": {x:.2} }}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"e10_shard_scaling\",\n  \"nproc\": {nproc},\n  \
-         \"projects\": {},\n  \"items\": {},\n  \"drain_every\": {},\n  \
-         \"good_facts\": {},\n  \"runs\": [\n{}\n  ],\n  \
-         \"speedup_4_shards\": {:.2},\n  \
-         \"one_shard_us_per_event\": {{ \"items_{}\": {us_small:.2}, \"items_{}\": {us_full:.2}, \
-         \"growth\": {growth:.2} }}\n}}\n",
-        w.projects,
-        w.items,
-        w.drain_every,
-        good_ref.unwrap_or(0),
-        runs.join(",\n"),
-        speedup_4,
-        w.items / 4,
-        w.items,
-    );
-    std::fs::write("BENCH_shard.json", &json).expect("write BENCH_shard.json");
-    println!("baseline recorded to BENCH_shard.json");
-    assert!(
-        growth <= SHARD_LINEARITY_MAX,
-        "apply path is super-linear again: 1-shard cost per event grew {growth:.2}x \
-         with 4x the items (limit {SHARD_LINEARITY_MAX}x)"
-    );
-    assert!(
-        speedup_4 >= SHARD_NOT_SLOWER_MIN,
-        "4 shards are slower than 1 ({speedup_4:.2}x)"
-    );
-}
-
-/// E11 baseline: concurrent-client admission through the two front doors
-/// at 4 shards, with every shard busy (the regime where door capacity
-/// matters) — `submitters` client threads staging events over a channel
-/// to the one permitted submitter thread (the PR 3 shape) vs the same
-/// clients pushing through cloned `IngestGate` handles. Records the
-/// comparison to `BENCH_gate.json` and exits non-zero if the gate is less
-/// than 1.5× the single-submitter front door.
-fn gate_baseline() {
-    use crowd4u_bench::{best_gate_admission, FrontDoor, GateWorkload};
-    const SHARDS: usize = 4;
-    const REPS: usize = 5;
-    let w = GateWorkload::default();
-    println!(
-        "## E11 — ingestion front door: {} clients, {} projects x {} items, {} shards, best of {}\n",
-        w.submitters, w.shape.projects, w.shape.items, SHARDS, REPS
-    );
-    let mut t = TablePrinter::new(&["front door", "admission", "events/s", "speedup"]);
-    let mut rows = Vec::new();
-    let mut single_secs = 0.0f64;
-    let mut good_ref = None;
-    for door in [FrontDoor::SingleSubmitter, FrontDoor::Gate] {
-        let (elapsed, events, good) = best_gate_admission(door, SHARDS, &w, REPS);
-        match good_ref {
-            None => good_ref = Some(good),
-            Some(g) => assert_eq!(g, good, "front doors must derive identical facts"),
-        }
-        let secs = elapsed.as_secs_f64();
-        if door == FrontDoor::SingleSubmitter {
-            single_secs = secs;
-        }
-        let rate = events as f64 / secs;
-        let speedup = single_secs / secs;
-        t.row(vec![
-            door.name().into(),
-            format!("{elapsed:.2?}"),
-            format!("{rate:.0}"),
-            format!("{speedup:.2}x"),
-        ]);
-        rows.push((door, secs * 1e3, rate, speedup));
-    }
-    println!("{}", t.render());
-
-    let speedup = rows
-        .iter()
-        .find(|(d, ..)| *d == FrontDoor::Gate)
-        .map(|(_, _, _, x)| *x)
-        .expect("gate row");
-    let runs: Vec<String> = rows
-        .iter()
-        .map(|(d, ms, rate, x)| {
-            format!(
-                "    {{ \"front_door\": \"{}\", \"ms\": {ms:.3}, \"events_per_sec\": {rate:.0}, \
-                 \"speedup\": {x:.2} }}",
-                d.name()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"e11_gate_throughput\",\n  \"shards\": {SHARDS},\n  \
-         \"submitters\": {},\n  \"projects\": {},\n  \"items\": {},\n  \"drain_every\": {},\n  \
-         \"good_facts\": {},\n  \"runs\": [\n{}\n  ],\n  \"gate_speedup\": {speedup:.2}\n}}\n",
-        w.submitters,
-        w.shape.projects,
-        w.shape.items,
-        w.shape.drain_every,
-        good_ref.unwrap_or(0),
-        runs.join(",\n"),
-    );
-    std::fs::write("BENCH_gate.json", &json).expect("write BENCH_gate.json");
-    println!("baseline recorded to BENCH_gate.json");
-    assert!(
-        speedup >= 1.5,
-        "gate front door regressed: only {speedup:.2}x the single-submitter front door"
-    );
 }
 
 /// E9: the three demo scenarios at demo scale, all algorithms.

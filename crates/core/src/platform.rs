@@ -1546,23 +1546,27 @@ published(S, T) :- sentence(S), translate(S, T).
 
     #[test]
     fn assignment_computes_each_pair_once() {
-        let mut p = platform_with_workers(4);
-        let proj = p
-            .register_project("collab", SRC, factors(), Scheme::Sequential)
-            .unwrap();
-        for round in 0..2 {
-            let task = p
-                .create_collab_task(proj, format!("video {round}"))
+        // The work follows the candidates, not the crowd: the same three
+        // pairs at 4 registered workers and at 2 000.
+        for population in [4u64, 2_000] {
+            let mut p = platform_with_workers(population);
+            let proj = p
+                .register_project("collab", SRC, factors(), Scheme::Sequential)
                 .unwrap();
-            for i in 1..=3 {
-                p.express_interest(WorkerId(i), task).unwrap();
+            for round in 0..2 {
+                let task = p
+                    .create_collab_task(proj, format!("video {round}"))
+                    .unwrap();
+                for i in 1..=3 {
+                    p.express_interest(WorkerId(i), task).unwrap();
+                }
+                p.run_assignment(task).unwrap();
             }
-            p.run_assignment(task).unwrap();
+            // Three candidates, three pairs: computed by the first run,
+            // read from the memo by the second.
+            assert_eq!(p.counters.get("affinity_pairs_computed"), 3);
+            assert_eq!(p.counters.get("affinity_pairs_reused"), 3);
         }
-        // Three candidates, three pairs: computed by the first run, read
-        // from the memo by the second.
-        assert_eq!(p.counters.get("affinity_pairs_computed"), 3);
-        assert_eq!(p.counters.get("affinity_pairs_reused"), 3);
     }
 
     #[test]
@@ -1966,39 +1970,55 @@ published(S, T) :- sentence(S), translate(S, T).
 
     #[test]
     fn a_registration_counts_one_patch_however_many_projects() {
-        let registry = crowd4u_telemetry::Registry::new();
-        let mut p = platform_with_workers(2);
-        p.set_telemetry(&registry.handle());
-        let patches = |p: &Crowd4U| {
-            let total = registry
-                .snapshot()
-                .counter_total("crowd4u_core_eligibility_cache_patches_total");
-            assert_eq!(total, p.counters.get("eligibility_cache_patches"));
-            total
-        };
-        let a = p
-            .register_project("a", SRC, factors(), Scheme::Sequential)
-            .unwrap();
-        let b = p
-            .register_project("b", SRC, factors(), Scheme::Sequential)
-            .unwrap();
-        // No project has read its eligible set yet: nothing to patch.
-        p.register_worker(WorkerProfile::new(WorkerId(7), "early"));
-        assert_eq!(patches(&p), 0);
-        // Two live caches, one registration: one patch event, both sets.
-        p.eligible_set(a).unwrap();
-        p.eligible_set(b).unwrap();
-        p.register_worker(WorkerProfile::new(WorkerId(5), "mid"));
-        assert_eq!(patches(&p), 1);
-        let want = vec![WorkerId(1), WorkerId(2), WorkerId(5), WorkerId(7)];
-        assert_eq!(p.eligible_set(a).unwrap(), want);
-        assert_eq!(p.eligible_set(b).unwrap(), want);
-        // Re-registering as ineligible patches the worker back out.
-        let mut gone = WorkerProfile::new(WorkerId(5), "mid");
-        gone.factors.logged_in = false;
-        p.register_worker(gone);
-        assert_eq!(patches(&p), 2);
-        assert_eq!(p.eligible_set(a).unwrap().len(), 3);
+        // The second population makes "registration is O(1) amortised" an
+        // exact count: at 2 000 workers, 100 registrations are still 100
+        // patches and not one re-screen of the crowd.
+        for population in [2u64, 2_000] {
+            let registry = crowd4u_telemetry::Registry::new();
+            let mut p = platform_with_workers(population);
+            p.set_telemetry(&registry.handle());
+            let patches = |p: &Crowd4U| {
+                let total = registry
+                    .snapshot()
+                    .counter_total("crowd4u_core_eligibility_cache_patches_total");
+                assert_eq!(total, p.counters.get("eligibility_cache_patches"));
+                total
+            };
+            let a = p
+                .register_project("a", SRC, factors(), Scheme::Sequential)
+                .unwrap();
+            let b = p
+                .register_project("b", SRC, factors(), Scheme::Sequential)
+                .unwrap();
+            let (early, mid) = (WorkerId(population + 5), WorkerId(population + 3));
+            // No project has read its eligible set yet: nothing to patch.
+            p.register_worker(WorkerProfile::new(early, "early"));
+            assert_eq!(patches(&p), 0);
+            // Two live caches, one registration: one patch event, both sets.
+            p.eligible_set(a).unwrap();
+            p.eligible_set(b).unwrap();
+            p.register_worker(WorkerProfile::new(mid, "mid"));
+            assert_eq!(patches(&p), 1);
+            let want: Vec<WorkerId> = (1..=population).map(WorkerId).chain([mid, early]).collect();
+            assert_eq!(p.eligible_set(a).unwrap(), want);
+            assert_eq!(p.eligible_set(b).unwrap(), want);
+            // Re-registering as ineligible patches the worker back out.
+            let mut gone = WorkerProfile::new(mid, "mid");
+            gone.factors.logged_in = false;
+            p.register_worker(gone);
+            assert_eq!(patches(&p), 2);
+            let live = population as usize + 1;
+            assert_eq!(p.eligible_set(a).unwrap().len(), live);
+            // A hundred more: one patch each, and every read stays a hit.
+            let misses = p.counters.get("eligibility_cache_misses");
+            for k in 1..=100 {
+                p.register_worker(WorkerProfile::new(WorkerId(population + 10 + k), "late"));
+            }
+            assert_eq!(patches(&p), 102);
+            assert_eq!(p.eligible_set(a).unwrap().len(), live + 100);
+            assert_eq!(p.eligible_set(b).unwrap().len(), live + 100);
+            assert_eq!(p.counters.get("eligibility_cache_misses"), misses);
+        }
     }
 
     /// Compile-time shardability audit: every type a shard thread owns (or

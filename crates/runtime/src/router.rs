@@ -148,9 +148,9 @@ impl ShardedRuntime {
     }
 
     /// [`new_chaos`](Self::new_chaos) with an explicit telemetry registry —
-    /// the recovery-latency harness (`report -- recovery`) scrapes the
+    /// the `e2e` benchmark's `crash_recover` workload scrapes the
     /// `crowd4u_recoveries_total` / `crowd4u_recovery_ns` cells from it
-    /// after the run.
+    /// after the run (`runtime.recovery.replay_ms`).
     pub fn new_chaos_instrumented(
         config: RuntimeConfig,
         telemetry: Registry,

@@ -236,7 +236,9 @@ mod tests {
         for (split, rep) in r.splits.iter().zip(&r.mixed.reports) {
             assert_eq!(split.total_points(), rep.points_awarded, "{}", rep.scheme);
         }
-        // …and the whole platform total is the sum of the parts.
+        // …and the whole platform total, which is not empty, is the sum of
+        // the parts.
+        assert!(r.mixed.points_awarded > 0);
         assert_eq!(
             r.splits.iter().map(|s| s.total_points()).sum::<i64>(),
             r.mixed.points_awarded

@@ -13,10 +13,13 @@
 #   6. pinned-seed replays      — chaos (with the two worker-log truncation
 #                                  regressions: a replica recovers, a project
 #                                  migrates, both past three truncation chunks)
-#                                  and shared-crowd proptests, and the three
+#                                  and shared-crowd proptests, the three
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
-#                                  eligibility, memoised vs fresh affinity),
+#                                  eligibility, memoised vs fresh affinity) and
+#                                  the two CyLog evaluator differentials
+#                                  (incremental vs semi-naive vs naive on layered
+#                                  programs, and the cylog lib proptests),
 #                                  reproducible
 #   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
 #                                  runtime's mid-batch / blocked-submit /
@@ -157,6 +160,14 @@ step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib workers::memo_diff
+# The CyLog evaluator's oracles, same rationale: the three evaluation modes
+# on random layered programs and op streams (their stats pinned by the
+# same file's table test), and the cylog crate's own proptests (naive vs
+# semi-naive vs incremental closure, parser round trip, determinism).
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u --test cylog_incremental
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-cylog --lib proptests
 # The tests that assert a thread *is* blocked (a timeout elapsing) or *gets*
 # unblocked (a reply arriving) — backpressure on a full mailbox, the credit
 # return that releases it, a shard stalled, killed or panicking inside a

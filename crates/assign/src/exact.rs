@@ -3,8 +3,9 @@
 //! Optimal but exponential — \[9\] proves the problem NP-complete, and
 //! experiment E7 shows exactly where this algorithm stops being viable,
 //! which is the paper's motivation for the approximations in the sibling
-//! modules. An optional affinity upper-bound pruning step (DESIGN.md §5
-//! ablation 3) keeps the search practical into the low twenties of workers.
+//! modules. An optional affinity upper-bound pruning step (ablation 3 of
+//! the `ablations` bench) keeps the search practical into the low twenties
+//! of workers.
 
 use crate::types::{mean_bound, pair_count, Candidate, Team, TeamConstraints, TeamFormation};
 use crowd4u_crowd::affinity::AffinityLookup;

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md §5:
+//! Ablation benches for four design choices:
 //!
 //! 1. semi-naive vs naive Datalog evaluation (recursive workload);
 //! 2. dense vs sparse affinity representation (team-objective reads);

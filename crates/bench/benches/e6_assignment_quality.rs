@@ -4,7 +4,7 @@
 //! exact ≥ local-search ≥ greedy ≫ random.
 //!
 //! Quality numbers are printed once at startup (criterion measures time;
-//! the table is the paper-facing result — see EXPERIMENTS.md).
+//! the table is the paper-facing result — `report -- e6` prints it).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crowd4u_assign::prelude::*;

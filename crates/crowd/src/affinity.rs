@@ -4,7 +4,8 @@
 //! how a pair of workers is expected to work well". Affinities are symmetric
 //! values in `[0, 1]` over unordered worker pairs.
 //!
-//! Three representations are provided (DESIGN.md §5 ablation 2):
+//! Three representations are provided (the `ablations` bench's ablation 2
+//! compares the first two):
 //! * [`AffinityMatrix`] — dense lower-triangular storage, O(1) lookup;
 //! * [`SparseAffinity`] — hash-map storage for sparse populations;
 //! * [`AffinityProvider`] — *lazy* computation from profiles with an

@@ -9,10 +9,7 @@
 use crate::analysis::{compile, CompiledProgram, PredId, PredKind};
 use crate::ast::Program;
 use crate::error::CylogError;
-use crate::eval::{
-    compute_demands, compute_demands_delta, eval_program, eval_program_incremental, EvalMode,
-    EvalStats,
-};
+use crate::eval::{compute_demands, eval_program, eval_program_incremental, EvalMode, EvalStats};
 use crate::parser::parse;
 use crowd4u_storage::prelude::*;
 use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
@@ -329,7 +326,7 @@ impl CylogEngine {
 
         // Compact pending entries answered since the last run.
         self.compact_pending();
-        let demands = compute_demands(&self.program, &self.db)?;
+        let demands = compute_demands(&self.program, &self.db, None)?;
         self.push_new_demands(demands)?;
         Ok(stats)
     }
@@ -356,11 +353,8 @@ impl CylogEngine {
         // A rebuilt stratum may have shrunk, so deltas alone cannot prove a
         // demand new — recompute the full demand set in that case (the
         // `asked` ledger still dedups).
-        let demands = if outcome.any_rebuild {
-            compute_demands(&self.program, &self.db)?
-        } else {
-            compute_demands_delta(&self.program, &self.db, &outcome.changed)?
-        };
+        let changed = (!outcome.any_rebuild).then_some(&outcome.changed);
+        let demands = compute_demands(&self.program, &self.db, changed)?;
         self.push_new_demands(demands)?;
         Ok(outcome.stats)
     }

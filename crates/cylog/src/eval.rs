@@ -9,18 +9,23 @@
 //! insertion (the incremental driver additionally clears strata it decides
 //! to rebuild), which keeps borrow scopes simple and makes the evaluator
 //! easy to test in isolation.
+//!
+//! Every mode runs through one stratum fixpoint ([`eval_stratum`]), one
+//! body walk and one demand pass ([`compute_demands`]); a delta only
+//! restricts the rows one body atom reads.
 
-use crate::analysis::{CAtom, CExpr, CHeadTerm, CLit, CRule, CompiledProgram, PredId};
+use crate::analysis::{CAtom, CExpr, CHeadTerm, CLit, CRule, CTerm, CompiledProgram, PredId};
 use crate::ast::{AggFunc, ArithOp, CmpOp};
 use crate::error::CylogError;
 use crowd4u_storage::prelude::{Database, Tuple, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Evaluation strategy; see DESIGN.md §5 ablation 1 and ARCHITECTURE.md's
-/// "Incremental evaluation contract". `Incremental` behaves like
-/// `SemiNaive` within a single from-scratch fixpoint; the difference lives
-/// in the engine, which persists derived relations across `run()` calls and
-/// seeds the next fixpoint from the facts inserted since the last one.
+/// Evaluation strategy; the `ablations` bench compares the three, and
+/// ARCHITECTURE.md §6 ("Incremental evaluation contract") states what they
+/// must agree on. `Incremental` behaves like `SemiNaive` within a single
+/// from-scratch fixpoint; the difference lives in the engine, which
+/// persists derived relations across `run()` calls and seeds the next
+/// fixpoint from the facts inserted since the last one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     Naive,
@@ -65,7 +70,11 @@ impl EvalStats {
     }
 }
 
-/// Evaluate a scalar expression under bindings. `None` on type error.
+/// Tuples per predicate: a seed, one round's delta, or what a pass derived.
+pub type Deltas = HashMap<PredId, Vec<Tuple>>;
+
+/// Evaluate a scalar expression under bindings. An unbound variable, a
+/// division by zero or arithmetic on non-numeric values is an error.
 fn eval_expr(e: &CExpr, bind: &[Option<Value>]) -> Result<Value, CylogError> {
     match e {
         CExpr::Var(v) => bind[*v as usize]
@@ -138,13 +147,13 @@ fn unify_atom(atom: &CAtom, row: &Tuple, bind: &mut [Option<Value>]) -> Option<V
     let mut newly = Vec::new();
     for (t, v) in atom.terms.iter().zip(row.values()) {
         match t {
-            crate::analysis::CTerm::Const(c) => {
+            CTerm::Const(c) => {
                 if c != v {
                     undo(bind, &newly);
                     return None;
                 }
             }
-            crate::analysis::CTerm::Var(var) => match &bind[*var as usize] {
+            CTerm::Var(var) => match &bind[*var as usize] {
                 Some(bound) => {
                     if bound != v {
                         undo(bind, &newly);
@@ -167,7 +176,7 @@ fn undo(bind: &mut [Option<Value>], vars: &[u32]) {
     }
 }
 
-/// Check whether any tuple of `rows` matches the (fully ground) atom.
+/// Check whether the relation holds the (fully ground) atom.
 fn exists_match(
     atom: &CAtom,
     db: &Database,
@@ -183,8 +192,8 @@ fn exists_match(
         .terms
         .iter()
         .map(|t| match t {
-            crate::analysis::CTerm::Const(c) => c.clone(),
-            crate::analysis::CTerm::Var(v) => bind[*v as usize].clone().expect("ground negation"),
+            CTerm::Const(c) => c.clone(),
+            CTerm::Var(v) => bind[*v as usize].clone().expect("ground negation"),
         })
         .collect();
     rel.contains(&Tuple::new(key))
@@ -194,140 +203,145 @@ fn exists_match(
 type EmitFn<'a> = dyn FnMut(&[Option<Value>]) -> Result<(), CylogError> + 'a;
 
 /// Evaluate a body (already safety-ordered) and call `emit` for every
-/// complete binding. `delta_at`, when set, restricts the positive atom at
-/// that body index to the given delta tuples (semi-naive rewriting).
-#[allow(clippy::too_many_arguments)]
+/// complete binding. `delta`, when set, restricts the positive atom at
+/// that body index to the given tuples (semi-naive rewriting).
+///
+/// The delta atom is walked first when that is safe. Enumerating the
+/// (small) delta first binds its variables before any other atom is
+/// touched, so every later positive atom gets a bound-column index lookup
+/// instead of a scan — the difference between O(Δ) and O(|relation|·Δ) per
+/// delta join. The hoist preserves safety-ordered semantics: every other
+/// literal keeps its relative order and only *gains* bindings. The one
+/// exception is a `let` assigning a variable the delta atom binds (the
+/// assignment would clobber the join binding), so such bodies — and a
+/// delta at position 0, where the hoist is a no-op — walk in declared
+/// order.
 fn eval_body(
     program: &CompiledProgram,
     db: &Database,
     body: &[CLit],
-    idx: usize,
-    bind: &mut Vec<Option<Value>>,
-    delta_at: Option<usize>,
-    delta: Option<&[Tuple]>,
+    bind: &mut [Option<Value>],
+    delta: Option<(usize, &[Tuple])>,
     stats: &mut EvalStats,
     emit: &mut EmitFn<'_>,
 ) -> Result<(), CylogError> {
-    if idx == body.len() {
-        return emit(bind);
+    let hoist = delta.map(|(pos, _)| pos).filter(|&pos| {
+        let CLit::Pos(atom) = &body[pos] else {
+            return false;
+        };
+        pos > 0
+            && body.iter().all(|l| match l {
+                CLit::Let(v, _) => !atom.terms.contains(&CTerm::Var(*v)),
+                _ => true,
+            })
+    });
+    BodyWalk {
+        program,
+        db,
+        body,
+        delta,
+        hoist,
+        stats,
+        emit,
     }
-    match &body[idx] {
-        CLit::Pos(atom) => {
-            let use_delta = delta_at == Some(idx);
-            if use_delta {
-                let rows = delta.expect("delta provided");
-                for row in rows {
-                    stats.firings += 1;
-                    if let Some(newly) = unify_atom(atom, row, bind) {
-                        eval_body(
-                            program,
-                            db,
-                            body,
-                            idx + 1,
-                            bind,
-                            delta_at,
-                            delta,
-                            stats,
-                            emit,
-                        )?;
-                        undo(bind, &newly);
-                    }
-                }
-            } else {
-                let name = &program.preds[atom.pred].name;
-                let Ok(rel) = db.relation(name) else {
-                    return Ok(()); // no facts yet
+    .walk(0, bind)
+}
+
+/// What stays fixed while [`eval_body`] recurses over a body's literals.
+struct BodyWalk<'a, 'e> {
+    program: &'a CompiledProgram,
+    db: &'a Database,
+    body: &'a [CLit],
+    delta: Option<(usize, &'a [Tuple])>,
+    /// The delta atom's position when it is walked first.
+    hoist: Option<usize>,
+    stats: &'a mut EvalStats,
+    emit: &'a mut EmitFn<'e>,
+}
+
+impl<'a> BodyWalk<'a, '_> {
+    /// Walk the body from step `step` on. Step `s` is literal `s`, except
+    /// that a hoisted delta atom is step 0 and the literals before it
+    /// shift one step later.
+    fn walk(&mut self, step: usize, bind: &mut [Option<Value>]) -> Result<(), CylogError> {
+        let body = self.body;
+        if step == body.len() {
+            return (self.emit)(bind);
+        }
+        let i = match self.hoist {
+            Some(h) if step == 0 => h,
+            Some(h) if step <= h => step - 1,
+            _ => step,
+        };
+        match &body[i] {
+            CLit::Pos(atom) => {
+                let (delta, looked_up) = match self.delta {
+                    Some((at, rows)) if at == i => (rows, Vec::new()),
+                    _ => (&[][..], self.lookup(atom, bind)),
                 };
-                // Bound-column lookup (uses an index when one exists).
-                let mut cols = Vec::new();
-                let mut key = Vec::new();
-                for (i, t) in atom.terms.iter().enumerate() {
-                    match t {
-                        crate::analysis::CTerm::Const(c) => {
-                            cols.push(i);
-                            key.push(c.clone());
-                        }
-                        crate::analysis::CTerm::Var(v) => {
-                            if let Some(val) = &bind[*v as usize] {
-                                cols.push(i);
-                                key.push(val.clone());
-                            }
-                        }
-                    }
-                }
-                let rows = rel.lookup(&cols, &key);
-                for row in rows {
-                    stats.firings += 1;
+                for row in delta.iter().chain(looked_up) {
+                    self.stats.firings += 1;
                     if let Some(newly) = unify_atom(atom, row, bind) {
-                        eval_body(
-                            program,
-                            db,
-                            body,
-                            idx + 1,
-                            bind,
-                            delta_at,
-                            delta,
-                            stats,
-                            emit,
-                        )?;
+                        self.walk(step + 1, bind)?;
                         undo(bind, &newly);
                     }
                 }
             }
-            Ok(())
-        }
-        CLit::Neg(atom) => {
-            if !exists_match(atom, db, program, bind) {
-                eval_body(
-                    program,
-                    db,
-                    body,
-                    idx + 1,
-                    bind,
-                    delta_at,
-                    delta,
-                    stats,
-                    emit,
-                )?;
+            CLit::Neg(atom) => {
+                if !exists_match(atom, self.db, self.program, bind) {
+                    self.walk(step + 1, bind)?;
+                }
             }
-            Ok(())
-        }
-        CLit::Cmp(op, a, b) => {
-            let va = eval_expr(a, bind)?;
-            let vb = eval_expr(b, bind)?;
-            if cmp_holds(*op, &va, &vb) {
-                eval_body(
-                    program,
-                    db,
-                    body,
-                    idx + 1,
-                    bind,
-                    delta_at,
-                    delta,
-                    stats,
-                    emit,
-                )?;
+            CLit::Cmp(op, a, b) => {
+                if cmp_holds(*op, &eval_expr(a, bind)?, &eval_expr(b, bind)?) {
+                    self.walk(step + 1, bind)?;
+                }
             }
-            Ok(())
+            CLit::Let(v, e) => {
+                bind[*v as usize] = Some(eval_expr(e, bind)?);
+                self.walk(step + 1, bind)?;
+                bind[*v as usize] = None;
+            }
         }
-        CLit::Let(v, e) => {
-            let val = eval_expr(e, bind)?;
-            bind[*v as usize] = Some(val);
-            eval_body(
-                program,
-                db,
-                body,
-                idx + 1,
-                bind,
-                delta_at,
-                delta,
-                stats,
-                emit,
-            )?;
-            bind[*v as usize] = None;
-            Ok(())
-        }
+        Ok(())
     }
+
+    /// The rows of the atom's relation that agree with its constants and
+    /// bound variables (through an index when one exists).
+    fn lookup(&self, atom: &CAtom, bind: &[Option<Value>]) -> Vec<&'a Tuple> {
+        let Ok(rel) = self.db.relation(&self.program.preds[atom.pred].name) else {
+            return Vec::new(); // no facts yet
+        };
+        let mut cols = Vec::new();
+        let mut key = Vec::new();
+        for (i, t) in atom.terms.iter().enumerate() {
+            let val = match t {
+                CTerm::Const(c) => c,
+                CTerm::Var(v) => match &bind[*v as usize] {
+                    Some(val) => val,
+                    None => continue,
+                },
+            };
+            cols.push(i);
+            key.push(val.clone());
+        }
+        rel.lookup(&cols, &key)
+    }
+}
+
+/// The positive atoms of `body` whose predicate has tuples in `deltas`, as
+/// `(body index, those tuples)`: the delta joins one body needs.
+fn delta_positions<'a>(
+    body: &'a [CLit],
+    deltas: &'a Deltas,
+) -> impl Iterator<Item = (usize, &'a [Tuple])> + 'a {
+    body.iter().enumerate().filter_map(|(i, lit)| match lit {
+        CLit::Pos(atom) => deltas
+            .get(&atom.pred)
+            .filter(|d| !d.is_empty())
+            .map(|d| (i, d.as_slice())),
+        _ => None,
+    })
 }
 
 /// Build the head tuple from a complete binding (non-aggregate rules).
@@ -342,109 +356,32 @@ fn head_tuple(rule: &CRule, bind: &[Option<Value>]) -> Vec<Value> {
         .collect()
 }
 
-/// Evaluate a body restricted to a delta at `pos`, hoisting the delta atom
-/// to the front when that is safe. Enumerating the (small) delta first
-/// binds its variables before any other atom is touched, so every later
-/// positive atom gets a bound-column index lookup instead of a scan — the
-/// difference between O(Δ) and O(|relation|·Δ) per delta join. The hoist
-/// preserves safety-ordered semantics: every other literal keeps its
-/// relative order and only *gains* bindings. The one exception is a `let`
-/// assigning a variable the delta atom binds (the assignment would clobber
-/// the join binding), so such bodies — and `pos == 0`, where the hoist is
-/// a no-op — evaluate in declared order.
-#[allow(clippy::too_many_arguments)]
-fn eval_body_delta_hoisted(
+/// Fire a non-aggregate rule (restricted to `delta`, when given), insert
+/// its head tuples and add the new ones to `fresh`.
+fn fire(
     program: &CompiledProgram,
-    db: &Database,
-    body: &[CLit],
-    bind: &mut Vec<Option<Value>>,
-    pos: usize,
-    delta: &[Tuple],
-    stats: &mut EvalStats,
-    emit: &mut EmitFn<'_>,
-) -> Result<(), CylogError> {
-    let hoistable = pos > 0
-        && match &body[pos] {
-            CLit::Pos(atom) => {
-                let dvars: Vec<u32> = atom
-                    .terms
-                    .iter()
-                    .filter_map(|t| match t {
-                        crate::analysis::CTerm::Var(v) => Some(*v),
-                        crate::analysis::CTerm::Const(_) => None,
-                    })
-                    .collect();
-                body.iter().all(|l| match l {
-                    CLit::Let(v, _) => !dvars.contains(v),
-                    _ => true,
-                })
-            }
-            _ => false,
-        };
-    if !hoistable {
-        return eval_body(
-            program,
-            db,
-            body,
-            0,
-            bind,
-            Some(pos),
-            Some(delta),
-            stats,
-            emit,
-        );
-    }
-    let mut reordered: Vec<CLit> = Vec::with_capacity(body.len());
-    reordered.push(body[pos].clone());
-    reordered.extend(
-        body.iter()
-            .enumerate()
-            .filter(|(i, _)| *i != pos)
-            .map(|(_, l)| l.clone()),
-    );
-    eval_body(
-        program,
-        db,
-        &reordered,
-        0,
-        bind,
-        Some(0),
-        Some(delta),
-        stats,
-        emit,
-    )
-}
-
-/// Evaluate a non-aggregate rule, returning derived tuples (possibly with
-/// duplicates; the caller dedups on insert).
-pub fn eval_rule(
-    program: &CompiledProgram,
-    db: &Database,
+    db: &mut Database,
     rule: &CRule,
-    delta_at: Option<usize>,
-    delta: Option<&[Tuple]>,
+    delta: Option<(usize, &[Tuple])>,
     stats: &mut EvalStats,
-) -> Result<Vec<Vec<Value>>, CylogError> {
-    let mut out = Vec::new();
+    fresh: &mut Deltas,
+) -> Result<(), CylogError> {
+    let mut rows = Vec::new();
     let mut bind: Vec<Option<Value>> = vec![None; rule.num_vars];
-    let mut emit = |b: &[Option<Value>]| -> Result<(), CylogError> {
-        out.push(head_tuple(rule, b));
+    eval_body(program, db, &rule.body, &mut bind, delta, stats, &mut |b| {
+        rows.push(head_tuple(rule, b));
         Ok(())
-    };
-    match (delta_at, delta) {
-        (Some(pos), Some(d)) => {
-            eval_body_delta_hoisted(program, db, &rule.body, &mut bind, pos, d, stats, &mut emit)?
-        }
-        _ => eval_body(
-            program, db, &rule.body, 0, &mut bind, None, None, stats, &mut emit,
-        )?,
+    })?;
+    let new = insert_all(program, db, rule.head_pred, rows, stats)?;
+    if !new.is_empty() {
+        fresh.entry(rule.head_pred).or_default().extend(new);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Evaluate an aggregate rule: group bindings by the plain head terms and
 /// fold the aggregate functions.
-pub fn eval_agg_rule(
+fn eval_agg_rule(
     program: &CompiledProgram,
     db: &Database,
     rule: &CRule,
@@ -462,72 +399,62 @@ pub fn eval_agg_rule(
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut bind: Vec<Option<Value>> = vec![None; rule.num_vars];
     let head = &rule.head;
-    eval_body(
-        program,
-        db,
-        &rule.body,
-        0,
-        &mut bind,
-        None,
-        None,
-        stats,
-        &mut |b| {
-            let key: Vec<Value> = head
-                .iter()
+    eval_body(program, db, &rule.body, &mut bind, None, stats, &mut |b| {
+        let key: Vec<Value> = head
+            .iter()
+            .filter_map(|t| match t {
+                CHeadTerm::Var(v) => Some(b[*v as usize].clone().expect("bound")),
+                CHeadTerm::Const(c) => Some(c.clone()),
+                CHeadTerm::Agg(..) => None,
+            })
+            .collect();
+        let accs = groups.entry(key.clone()).or_insert_with(|| {
+            order.push(key);
+            head.iter()
                 .filter_map(|t| match t {
-                    CHeadTerm::Var(v) => Some(b[*v as usize].clone().expect("bound")),
-                    CHeadTerm::Const(c) => Some(c.clone()),
-                    CHeadTerm::Agg(..) => None,
+                    CHeadTerm::Agg(f, _) => Some(match f {
+                        AggFunc::Count => Acc::Count(0),
+                        AggFunc::Sum => Acc::Sum(0.0),
+                        AggFunc::Min => Acc::Min(None),
+                        AggFunc::Max => Acc::Max(None),
+                        AggFunc::Avg => Acc::Avg(0.0, 0),
+                    }),
+                    _ => None,
                 })
-                .collect();
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                head.iter()
-                    .filter_map(|t| match t {
-                        CHeadTerm::Agg(f, _) => Some(match f {
-                            AggFunc::Count => Acc::Count(0),
-                            AggFunc::Sum => Acc::Sum(0.0),
-                            AggFunc::Min => Acc::Min(None),
-                            AggFunc::Max => Acc::Max(None),
-                            AggFunc::Avg => Acc::Avg(0.0, 0),
-                        }),
-                        _ => None,
-                    })
-                    .collect()
-            });
-            let mut ai = 0;
-            for t in head {
-                let CHeadTerm::Agg(_, v) = t else { continue };
-                let val = b[*v as usize].clone().expect("agg var bound");
-                match &mut accs[ai] {
-                    Acc::Count(n) => *n += 1,
-                    Acc::Sum(s) => {
-                        if let Some(f) = val.as_float() {
-                            *s += f;
-                        }
-                    }
-                    Acc::Min(m) => {
-                        if !val.is_null() && m.as_ref().is_none_or(|c| &val < c) {
-                            *m = Some(val);
-                        }
-                    }
-                    Acc::Max(m) => {
-                        if !val.is_null() && m.as_ref().is_none_or(|c| &val > c) {
-                            *m = Some(val);
-                        }
-                    }
-                    Acc::Avg(s, n) => {
-                        if let Some(f) = val.as_float() {
-                            *s += f;
-                            *n += 1;
-                        }
+                .collect()
+        });
+        let mut ai = 0;
+        for t in head {
+            let CHeadTerm::Agg(_, v) = t else { continue };
+            let val = b[*v as usize].clone().expect("agg var bound");
+            match &mut accs[ai] {
+                Acc::Count(n) => *n += 1,
+                Acc::Sum(s) => {
+                    if let Some(f) = val.as_float() {
+                        *s += f;
                     }
                 }
-                ai += 1;
+                Acc::Min(m) => {
+                    if !val.is_null() && m.as_ref().is_none_or(|c| &val < c) {
+                        *m = Some(val);
+                    }
+                }
+                Acc::Max(m) => {
+                    if !val.is_null() && m.as_ref().is_none_or(|c| &val > c) {
+                        *m = Some(val);
+                    }
+                }
+                Acc::Avg(s, n) => {
+                    if let Some(f) = val.as_float() {
+                        *s += f;
+                        *n += 1;
+                    }
+                }
             }
-            Ok(())
-        },
-    )?;
+            ai += 1;
+        }
+        Ok(())
+    })?;
 
     let mut out = Vec::with_capacity(order.len());
     for key in order {
@@ -564,119 +491,98 @@ pub fn eval_agg_rule(
     Ok(out)
 }
 
-/// Run one stratum to fixpoint. `insert` pushes a derived tuple into the
-/// database and reports whether it was new.
+/// Run one stratum to fixpoint. Returns its stats and, on a seeded start,
+/// the distinct new tuples per head predicate (a full start returns no
+/// tuples: its caller reads whole relations).
+///
+/// Round 0 starts the loop one of two ways. Without a `seed` it evaluates
+/// every rule in full, aggregates first (their inputs live strictly below
+/// this stratum). With a `seed` — the tuples new since the previous
+/// fixpoint — it joins each rule once per positive body position whose
+/// predicate the seed changed: the other positions see full relations, so
+/// every derivation using at least one seeded tuple is found, and those
+/// using none were already present at the previous fixpoint. Aggregate
+/// rules are skipped then — the caller rebuilds a stratum instead whenever
+/// an aggregate's input changed.
+///
+/// Every later round joins each rule once per positive body position whose
+/// predicate has tuples in the previous round's delta (distinct insertion
+/// dedups derivations that use more than one delta tuple). Delta keys are
+/// always this stratum's heads. `Naive` instead re-evaluates in full every
+/// rule that reads a head of this stratum.
 pub fn eval_stratum(
     program: &CompiledProgram,
     db: &mut Database,
-    rule_indices: &[usize],
+    rules: &[usize],
     mode: EvalMode,
-) -> Result<EvalStats, CylogError> {
+    seed: Option<&Deltas>,
+) -> Result<(EvalStats, Deltas), CylogError> {
     let mut stats = EvalStats::default();
-
-    // Aggregate rules first (their inputs live strictly below this stratum).
-    for &ri in rule_indices {
-        let rule = &program.rules[ri];
-        if !rule.is_agg {
-            continue;
+    let mut derived = Deltas::new();
+    let all = || rules.iter().map(|&ri| &program.rules[ri]);
+    let regular = || all().filter(|r| !r.is_agg);
+    if seed.is_none() {
+        for rule in all().filter(|r| r.is_agg) {
+            let rows = eval_agg_rule(program, db, rule, &mut stats)?;
+            insert_all(program, db, rule.head_pred, rows, &mut stats)?;
         }
-        let rows = eval_agg_rule(program, db, rule, &mut stats)?;
-        insert_all(
-            program,
-            db,
-            rule.head_pred,
-            rows,
-            &mut stats,
-            &mut Vec::new(),
-        )?;
+    }
+    if regular().next().is_none() {
+        return Ok((stats, derived));
     }
 
-    let regular: Vec<usize> = rule_indices
-        .iter()
-        .copied()
-        .filter(|&ri| !program.rules[ri].is_agg)
-        .collect();
-    if regular.is_empty() {
-        return Ok(stats);
-    }
-
-    // Which predicates are derived by regular rules *in this stratum*
-    // (semi-naive deltas only make sense for those).
-    let stratum_preds: HashSet<PredId> = regular
-        .iter()
-        .map(|&ri| program.rules[ri].head_pred)
-        .collect();
-
-    // Round 0: full evaluation.
-    let mut delta: HashMap<PredId, Vec<Tuple>> = HashMap::new();
+    let mut delta = Deltas::new();
     stats.rounds += 1;
-    for &ri in &regular {
-        let rule = &program.rules[ri];
-        let rows = eval_rule(program, db, rule, None, None, &mut stats)?;
-        let mut fresh = Vec::new();
-        insert_all(program, db, rule.head_pred, rows, &mut stats, &mut fresh)?;
-        delta.entry(rule.head_pred).or_default().extend(fresh);
+    for rule in regular() {
+        match seed {
+            None => fire(program, db, rule, None, &mut stats, &mut delta)?,
+            Some(seed) => {
+                for d in delta_positions(&rule.body, seed) {
+                    fire(program, db, rule, Some(d), &mut stats, &mut delta)?;
+                }
+            }
+        }
     }
 
-    // Iterate to fixpoint.
-    loop {
-        let any = delta.values().any(|v| !v.is_empty());
-        if !any {
-            return Ok(stats);
-        }
+    while !delta.is_empty() {
         stats.rounds += 1;
-        let mut next_delta: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-        for &ri in &regular {
-            let rule = &program.rules[ri];
-            // Does the rule read any predicate derived in this stratum?
-            let positions: Vec<(usize, PredId)> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter_map(|(i, l)| match l {
-                    CLit::Pos(a) if stratum_preds.contains(&a.pred) => Some((i, a.pred)),
-                    _ => None,
-                })
-                .collect();
-            if positions.is_empty() {
-                continue; // already fully evaluated in round 0
-            }
-            match mode {
-                EvalMode::Naive => {
-                    // Re-evaluate the whole rule against full relations.
-                    let rows = eval_rule(program, db, rule, None, None, &mut stats)?;
-                    let mut fresh = Vec::new();
-                    insert_all(program, db, rule.head_pred, rows, &mut stats, &mut fresh)?;
-                    next_delta.entry(rule.head_pred).or_default().extend(fresh);
+        let mut next = Deltas::new();
+        for rule in regular() {
+            if mode == EvalMode::Naive {
+                let reads_head = rule
+                    .body
+                    .iter()
+                    .any(|l| matches!(l, CLit::Pos(a) if regular().any(|r| r.head_pred == a.pred)));
+                if reads_head {
+                    fire(program, db, rule, None, &mut stats, &mut next)?;
                 }
-                EvalMode::SemiNaive | EvalMode::Incremental => {
-                    for (pos, pred) in &positions {
-                        let Some(d) = delta.get(pred) else { continue };
-                        if d.is_empty() {
-                            continue;
-                        }
-                        let rows = eval_rule(program, db, rule, Some(*pos), Some(d), &mut stats)?;
-                        let mut fresh = Vec::new();
-                        insert_all(program, db, rule.head_pred, rows, &mut stats, &mut fresh)?;
-                        next_delta.entry(rule.head_pred).or_default().extend(fresh);
-                    }
+            } else {
+                for d in delta_positions(&rule.body, &delta) {
+                    fire(program, db, rule, Some(d), &mut stats, &mut next)?;
                 }
             }
         }
-        delta = next_delta;
+        let done = std::mem::replace(&mut delta, next);
+        if seed.is_some() {
+            for (p, rows) in done {
+                derived.entry(p).or_default().extend(rows);
+            }
+        }
     }
+    Ok((stats, derived))
 }
 
+/// Insert rows into a predicate's relation, counting derivations and
+/// duplicates; returns the rows that were new.
 fn insert_all(
     program: &CompiledProgram,
     db: &mut Database,
     pred: PredId,
     rows: Vec<Vec<Value>>,
     stats: &mut EvalStats,
-    fresh: &mut Vec<Tuple>,
-) -> Result<(), CylogError> {
-    let name = &program.preds[pred].name;
-    let rel = db.relation_mut(name)?;
+) -> Result<Vec<Tuple>, CylogError> {
+    let rel = db.relation_mut(&program.preds[pred].name)?;
+    let mut fresh = Vec::new();
     for row in rows {
         let t = Tuple::new(row);
         let (_, new) = rel.insert_distinct(t.clone())?;
@@ -687,7 +593,7 @@ fn insert_all(
             stats.duplicates += 1;
         }
     }
-    Ok(())
+    Ok(fresh)
 }
 
 /// Run the whole program (all strata in order) to fixpoint.
@@ -698,97 +604,9 @@ pub fn eval_program(
 ) -> Result<EvalStats, CylogError> {
     let mut stats = EvalStats::default();
     for stratum in &program.strata {
-        stats.absorb(eval_stratum(program, db, stratum, mode)?);
+        stats.absorb(eval_stratum(program, db, stratum, mode, None)?.0);
     }
     Ok(stats)
-}
-
-/// Run one stratum starting from an externally seeded delta instead of a
-/// full round-0 evaluation: each rule is joined once per body position whose
-/// predicate appears in `seed` (the other positions see full relations, so
-/// every derivation using at least one seeded tuple is found; derivations
-/// using none were already present at the previous fixpoint). Aggregate
-/// rules are skipped — the caller guarantees their inputs are unchanged by
-/// rebuilding the stratum instead when they are not.
-///
-/// Returns the stats and the distinct new tuples per head predicate.
-pub fn eval_stratum_seeded(
-    program: &CompiledProgram,
-    db: &mut Database,
-    rule_indices: &[usize],
-    seed: &HashMap<PredId, Vec<Tuple>>,
-) -> Result<(EvalStats, HashMap<PredId, Vec<Tuple>>), CylogError> {
-    let mut stats = EvalStats::default();
-    let mut changed_out: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-
-    let regular: Vec<usize> = rule_indices
-        .iter()
-        .copied()
-        .filter(|&ri| !program.rules[ri].is_agg)
-        .collect();
-    if regular.is_empty() {
-        return Ok((stats, changed_out));
-    }
-    let stratum_preds: HashSet<PredId> = regular
-        .iter()
-        .map(|&ri| program.rules[ri].head_pred)
-        .collect();
-
-    // Round 0: join each seeded delta against full relations, one body
-    // position at a time (distinct insertion dedups derivations that use
-    // more than one seeded tuple).
-    let mut delta: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-    stats.rounds += 1;
-    for &ri in &regular {
-        let rule = &program.rules[ri];
-        for (pos, lit) in rule.body.iter().enumerate() {
-            let CLit::Pos(atom) = lit else { continue };
-            let Some(d) = seed.get(&atom.pred) else {
-                continue;
-            };
-            if d.is_empty() {
-                continue;
-            }
-            let rows = eval_rule(program, db, rule, Some(pos), Some(d), &mut stats)?;
-            let mut fresh = Vec::new();
-            insert_all(program, db, rule.head_pred, rows, &mut stats, &mut fresh)?;
-            delta.entry(rule.head_pred).or_default().extend(fresh);
-        }
-    }
-
-    // Iterate within the stratum exactly as semi-naive does.
-    loop {
-        for (&p, d) in &delta {
-            if !d.is_empty() {
-                changed_out.entry(p).or_default().extend(d.iter().cloned());
-            }
-        }
-        if delta.values().all(|v| v.is_empty()) {
-            return Ok((stats, changed_out));
-        }
-        stats.rounds += 1;
-        let mut next_delta: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-        for &ri in &regular {
-            let rule = &program.rules[ri];
-            for (pos, lit) in rule.body.iter().enumerate() {
-                let CLit::Pos(atom) = lit else { continue };
-                if !stratum_preds.contains(&atom.pred) {
-                    continue;
-                }
-                let Some(d) = delta.get(&atom.pred) else {
-                    continue;
-                };
-                if d.is_empty() {
-                    continue;
-                }
-                let rows = eval_rule(program, db, rule, Some(pos), Some(d), &mut stats)?;
-                let mut fresh = Vec::new();
-                insert_all(program, db, rule.head_pred, rows, &mut stats, &mut fresh)?;
-                next_delta.entry(rule.head_pred).or_default().extend(fresh);
-            }
-        }
-        delta = next_delta;
-    }
 }
 
 /// What one cross-batch incremental pass did.
@@ -798,7 +616,7 @@ pub struct IncrementalOutcome {
     /// Every tuple that is new since the previous fixpoint, per predicate:
     /// the seed itself plus everything derived from it. For rebuilt strata
     /// the head's full relation stands in for its (unknown) delta.
-    pub changed: HashMap<PredId, Vec<Tuple>>,
+    pub changed: Deltas,
     /// True when any stratum was rebuilt — derived relations may have
     /// *shrunk*, so demand computation must not rely on deltas alone.
     pub any_rebuild: bool,
@@ -849,8 +667,8 @@ pub fn eval_program_incremental(
                         .insert_distinct(Tuple::new(vals.clone()))?;
                 }
             }
-            out.stats
-                .absorb(eval_stratum(program, db, rule_idx, EvalMode::SemiNaive)?);
+            let (s, _) = eval_stratum(program, db, rule_idx, EvalMode::SemiNaive, None)?;
+            out.stats.absorb(s);
             out.stats.strata_recomputed += 1;
             out.any_rebuild = true;
             for &hp in &info.heads {
@@ -859,15 +677,16 @@ pub fn eval_program_incremental(
                     .insert(hp, db.relation(&program.preds[hp].name)?.to_rows());
             }
         } else {
-            let mut stratum_seed: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-            for p in &info.pos_reads {
-                if let Some(rows) = out.changed.get(p) {
-                    if !rows.is_empty() {
-                        stratum_seed.insert(*p, rows.clone());
-                    }
-                }
-            }
-            let (s, fresh) = eval_stratum_seeded(program, db, rule_idx, &stratum_seed)?;
+            // The seed is everything changed so far, uncopied: a body joins
+            // only on the predicates it reads, and none of this stratum's
+            // own heads has changed yet.
+            let (s, fresh) = eval_stratum(
+                program,
+                db,
+                rule_idx,
+                EvalMode::Incremental,
+                Some(&out.changed),
+            )?;
             out.stats.absorb(s);
             for (p, rows) in fresh {
                 out.changed.entry(p).or_default().extend(rows);
@@ -879,101 +698,45 @@ pub fn eval_program_incremental(
 
 /// Compute open-predicate demands: the distinct input bindings each rule
 /// requests from the crowd, given the current database.
+///
+/// With `changed` (the tuples new since the previous fixpoint), each
+/// demand sub-body is joined once per positive position whose predicate
+/// changed, restricted to that predicate's new tuples. That is sound as
+/// long as no relation shrank since the previous fixpoint: a demand
+/// derivable without any new tuple was already derivable then and has
+/// already been posed (or answered). The engine passes `None`, a full
+/// pass, whenever a stratum was rebuilt.
 pub fn compute_demands(
     program: &CompiledProgram,
     db: &Database,
+    changed: Option<&Deltas>,
 ) -> Result<Vec<(PredId, Vec<Value>)>, CylogError> {
     let mut out: Vec<(PredId, Vec<Value>)> = Vec::new();
     let mut seen: HashSet<(PredId, Vec<Value>)> = HashSet::new();
     let mut stats = EvalStats::default();
-    for rule in &program.rules {
-        for demand in &rule.demands {
-            let mut bind: Vec<Option<Value>> = vec![None; demand.num_vars];
-            let input_terms = &demand.input_terms;
-            let open_pred = demand.open_pred;
-            let mut emit = |b: &[Option<Value>]| -> Result<(), CylogError> {
-                let key: Vec<Value> = input_terms
-                    .iter()
-                    .map(|t| match t {
-                        crate::analysis::CTerm::Const(c) => c.clone(),
-                        crate::analysis::CTerm::Var(v) => {
-                            b[*v as usize].clone().expect("demand inputs bound")
-                        }
-                    })
-                    .collect();
-                if seen.insert((open_pred, key.clone())) {
-                    out.push((open_pred, key));
+    for demand in program.rules.iter().flat_map(|r| &r.demands) {
+        let mut bind: Vec<Option<Value>> = vec![None; demand.num_vars];
+        let mut emit = |b: &[Option<Value>]| -> Result<(), CylogError> {
+            let key: Vec<Value> = demand
+                .input_terms
+                .iter()
+                .map(|t| match t {
+                    CTerm::Const(c) => c.clone(),
+                    CTerm::Var(v) => b[*v as usize].clone().expect("demand inputs bound"),
+                })
+                .collect();
+            if seen.insert((demand.open_pred, key.clone())) {
+                out.push((demand.open_pred, key));
+            }
+            Ok(())
+        };
+        let body = &demand.sub_body;
+        match changed {
+            None => eval_body(program, db, body, &mut bind, None, &mut stats, &mut emit)?,
+            Some(changed) => {
+                for d in delta_positions(body, changed) {
+                    eval_body(program, db, body, &mut bind, Some(d), &mut stats, &mut emit)?;
                 }
-                Ok(())
-            };
-            eval_body(
-                program,
-                db,
-                &demand.sub_body,
-                0,
-                &mut bind,
-                None,
-                None,
-                &mut stats,
-                &mut emit,
-            )?;
-        }
-    }
-    Ok(out)
-}
-
-/// Compute only the demands reachable from `changed` predicates: each demand
-/// sub-body is evaluated once per positive position whose predicate changed,
-/// restricted to that predicate's delta. Sound as long as no relation shrank
-/// since the previous fixpoint — a demand derivable without any new tuple
-/// was already derivable then and has already been posed (or answered). The
-/// engine falls back to [`compute_demands`] whenever a stratum was rebuilt.
-pub fn compute_demands_delta(
-    program: &CompiledProgram,
-    db: &Database,
-    changed: &HashMap<PredId, Vec<Tuple>>,
-) -> Result<Vec<(PredId, Vec<Value>)>, CylogError> {
-    let mut out: Vec<(PredId, Vec<Value>)> = Vec::new();
-    let mut seen: HashSet<(PredId, Vec<Value>)> = HashSet::new();
-    let mut stats = EvalStats::default();
-    for rule in &program.rules {
-        for demand in &rule.demands {
-            for (pos, lit) in demand.sub_body.iter().enumerate() {
-                let CLit::Pos(atom) = lit else { continue };
-                let Some(d) = changed.get(&atom.pred) else {
-                    continue;
-                };
-                if d.is_empty() {
-                    continue;
-                }
-                let mut bind: Vec<Option<Value>> = vec![None; demand.num_vars];
-                let input_terms = &demand.input_terms;
-                let open_pred = demand.open_pred;
-                let mut emit = |b: &[Option<Value>]| -> Result<(), CylogError> {
-                    let key: Vec<Value> = input_terms
-                        .iter()
-                        .map(|t| match t {
-                            crate::analysis::CTerm::Const(c) => c.clone(),
-                            crate::analysis::CTerm::Var(v) => {
-                                b[*v as usize].clone().expect("demand inputs bound")
-                            }
-                        })
-                        .collect();
-                    if seen.insert((open_pred, key.clone())) {
-                        out.push((open_pred, key));
-                    }
-                    Ok(())
-                };
-                eval_body_delta_hoisted(
-                    program,
-                    db,
-                    &demand.sub_body,
-                    &mut bind,
-                    pos,
-                    d,
-                    &mut stats,
-                    &mut emit,
-                )?;
             }
         }
     }
@@ -1140,7 +903,7 @@ mod tests {
              out(S, T) :- sentence(S), translate(S, T).\n",
         );
         eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
-        let demands = compute_demands(&p, &db).unwrap();
+        let demands = compute_demands(&p, &db, None).unwrap();
         assert_eq!(demands.len(), 2);
         // Supply one answer: out derives for it; demand remains for the other.
         db.relation_mut("translate")
@@ -1151,7 +914,7 @@ mod tests {
         assert_eq!(rows(&db, "out"), vec![tuple!["hello", "bonjour"]]);
         // Demands are still both "wanted" by the rule; the engine layer
         // dedups against already-asked questions.
-        let demands = compute_demands(&p, &db).unwrap();
+        let demands = compute_demands(&p, &db, None).unwrap();
         assert_eq!(demands.len(), 2);
     }
 
@@ -1359,13 +1122,13 @@ mod tests {
         let mut seed = BTreeMap::new();
         seed.insert(sentence, vec![new]);
         let outcome = eval_program_incremental(&p, &mut db, &seed).unwrap();
-        let delta = compute_demands_delta(&p, &db, &outcome.changed).unwrap();
+        let delta = compute_demands(&p, &db, Some(&outcome.changed)).unwrap();
         assert_eq!(
             delta,
             vec![(p.pred("translate").unwrap(), vec!["bye".into()])]
         );
         // The full set contains the delta set plus the already-known demand.
-        let full = compute_demands(&p, &db).unwrap();
+        let full = compute_demands(&p, &db, None).unwrap();
         assert_eq!(full.len(), 2);
         for d in &delta {
             assert!(full.contains(d));

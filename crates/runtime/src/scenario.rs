@@ -18,18 +18,20 @@
 //! 2. **Stream** — [`stream_traces`] interleaves the recorded streams by
 //!    `SimTime` (deterministically, with per-scenario worker/project id
 //!    remapping — see [`crowd4u_scenarios::stream::merge_traces`]) and
-//!    pushes every op through an [`IngestGate`] handle: project
-//!    registrations broadcast like any other global event, project-scoped
-//!    ops land on their owner shard, and
+//!    pushes every op through an [`IngestGate`](crate::gate::IngestGate)
+//!    handle: project registrations broadcast like any other global event,
+//!    project-scoped ops land on their owner shard, and
 //!    [`StreamOp::Drain`](crowd4u_scenarios::stream::StreamOp) markers
 //!    become coordinated drain barriers. One scenario's projects span
 //!    shards; many scenarios interleave through the same gate.
 //!
-//! Submission uses [`IngestGate::try_submit`] with a resubmit-same-event
-//! retry: a [`GateError::Full`] hands the event back and it is retried
-//! until admitted, so backpressure can delay the stream but **never
-//! reorder it** — the determinism contract (ARCHITECTURE.md §5) depends
-//! on stream order surviving full mailboxes.
+//! Submission uses the blocking
+//! [`IngestGate::submit`](crate::gate::IngestGate::submit): on a full
+//! mailbox, a recovering shard or a migration hold the producer parks
+//! until the event is admitted, and no later op is submitted before it, so
+//! backpressure can delay the stream but **never reorder it** — the
+//! determinism contract (ARCHITECTURE.md §5) depends on stream order
+//! surviving full mailboxes.
 //!
 //! Reports are scenario-scoped without resident-slice counter deltas:
 //! platform observables (items completed, teams suggested, reassignments,
@@ -61,40 +63,16 @@
 //! rt.finish().unwrap();
 //! ```
 
-use crate::gate::{GateError, IngestGate};
 use crate::router::ShardedRuntime;
 use crowd4u_collab::Scheme;
 use crowd4u_core::controller::AlgorithmChoice;
 use crowd4u_core::error::PlatformError;
-use crowd4u_core::events::PlatformEvent;
 use crowd4u_scenarios::mixed::{reports_from, splits_from, MixedReport};
 use crowd4u_scenarios::stream::{
     merge_traces, merge_traces_with, platform_side, project_split, record_scheme, CrowdMode,
     MergedStream, ScenarioTrace, SplitLedger, StreamOp,
 };
 use crowd4u_scenarios::{ScenarioConfig, ScenarioReport};
-
-/// Submit one event through the gate, resubmitting the **same** event
-/// when its destination mailbox is full. `GateError::Full` hands the
-/// event back, and the retry goes through the *blocking* `submit` — the
-/// producer parks on the mailbox's condvar instead of spinning — so
-/// backpressure costs no CPU and, crucially, the stream cannot reorder
-/// around it: no later op is submitted until this one is admitted.
-/// Returns the event's global sequence number.
-pub fn submit_retrying(gate: &IngestGate, event: PlatformEvent) -> Result<u64, PlatformError> {
-    let closed =
-        |_| PlatformError::BadEvent("runtime closed while a scenario stream was in flight".into());
-    match gate.try_submit(event) {
-        Ok(seq) => Ok(seq),
-        // Full, Recovering and Migrating all hand the event back and are
-        // transient: the blocking `submit` parks until the mailbox drains,
-        // the shard finishes its rebuild, or the project's hold lifts.
-        Err(GateError::Full { event, .. })
-        | Err(GateError::Recovering { event, .. })
-        | Err(GateError::Migrating { event, .. }) => gate.submit(*event).map_err(closed),
-        Err(e @ (GateError::Closed(_) | GateError::ShardDown { .. })) => Err(closed(e)),
-    }
-}
 
 /// Stream recorded scenario traces through the runtime's ingestion gate
 /// and rebuild each scenario's report from the shards.
@@ -175,12 +153,15 @@ fn stream_merged(
     }
     let gate = rt.gate();
     // Consume the merged ops by value: the gate takes ownership of each
-    // event (and hands it back on backpressure), so the submit loop never
-    // clones the payload.
+    // event, so the submit loop never clones the payload.
     for (_, op) in merged.ops.drain(..) {
         match op {
             StreamOp::Event(e) => {
-                submit_retrying(&gate, e)?;
+                gate.submit(e).map_err(|_| {
+                    PlatformError::BadEvent(
+                        "runtime closed while a scenario stream was in flight".into(),
+                    )
+                })?;
             }
             StreamOp::Drain => {
                 rt.drain();
@@ -252,8 +233,10 @@ pub fn run_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::GateError;
     use crate::router::RuntimeConfig;
     use crowd4u_core::error::ProjectId;
+    use crowd4u_core::events::PlatformEvent;
     use crowd4u_scenarios::run_scheme;
 
     fn config(shards: usize, mailbox_capacity: usize) -> RuntimeConfig {
@@ -395,10 +378,10 @@ mod tests {
         rt.finish().unwrap();
     }
 
-    /// Satellite pin: a `GateError::Full` handback must not reorder the
-    /// stream. With a capacity-1 mailbox and the owner shard stalled in a
-    /// job, the second submission is rejected and handed back; resubmitting
-    /// it before anything later keeps the journal in stream order.
+    /// A `GateError::Full` handback must not reorder the stream. With a
+    /// capacity-1 mailbox and the owner shard stalled in a job, the second
+    /// submission is rejected and handed back; resubmitting it before
+    /// anything later keeps the journal in stream order.
     #[test]
     fn full_mailbox_handback_preserves_stream_order() {
         use crowd4u_core::error::WorkerId;
@@ -433,11 +416,12 @@ mod tests {
             panic!("expected Full, got Closed");
         };
         assert_eq!(shard, 0);
-        assert_eq!(*event, seed("second")); // the event comes back intact
-                                            // The streaming scheduler's policy: retry the handed-back event
-                                            // before anything later due.
-        submit_retrying(&gate, *event).unwrap();
-        submit_retrying(&gate, seed("third")).unwrap();
+        // The event comes back intact.
+        assert_eq!(*event, seed("second"));
+        // The streaming scheduler's policy: the handed-back event goes
+        // through the blocking submit before anything later due.
+        gate.submit(*event).unwrap();
+        gate.submit(seed("third")).unwrap();
         release.recv().unwrap();
         rt.drain();
         let run = rt.finish().unwrap();

@@ -21,19 +21,20 @@
 //! applied by one thread), so the byte-identity holds across shard counts
 //! *and* against the serial composite.
 //!
-//! A deliberately tiny mailbox (and a dedicated capacity-1 test) forces
-//! the `try_submit` → `GateError::Full` → resubmit-same-event path, so
-//! the properties also pin that backpressure retries never reorder a
-//! stream.
+//! Deliberately tiny mailboxes (capacity 8 and 1, and a dedicated
+//! capacity-1 test on the mixed workload) make the producer block on
+//! backpressure, so the properties also pin that a blocked submission
+//! never reorders a stream and is admitted, and counted, once.
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
 use crowd4u::runtime::scenario::stream_traces;
 use crowd4u::scenarios::stream::{
-    apply_stream, merge_traces, record_scheme, MergedStream, ScenarioTrace,
+    apply_stream, merge_traces, record_scheme, MergedStream, ScenarioTrace, StreamOp,
 };
 use crowd4u::scenarios::{mixed, ScenarioConfig, ScenarioReport};
+use crowd4u::telemetry::stage;
 use proptest::prelude::*;
 
 fn shard_counts() -> Vec<usize> {
@@ -88,7 +89,8 @@ proptest! {
     /// One scenario, streamed: merged journal byte-identical to the
     /// serial `Driver` journal, replay byte-identical, report equal to
     /// the single-threaded run — at every shard count, through a small
-    /// mailbox so backpressure retries are exercised.
+    /// mailbox and a capacity-1 one so producers block on backpressure,
+    /// with every event admitted through the gate exactly once.
     #[test]
     fn streamed_scenario_is_byte_identical_to_the_serial_driver_run(
         scheme_idx in 0usize..3,
@@ -108,9 +110,21 @@ proptest! {
             serial_reference(std::slice::from_ref(&trace));
         prop_assert_eq!(serial_dropped, 0, "a lone stream never drops");
 
-        for shards in shard_counts() {
-            let rt = runtime(shards, 8);
+        let events = merge_traces(std::slice::from_ref(&trace))
+            .ops
+            .iter()
+            .filter(|(_, op)| matches!(op, StreamOp::Event(_)))
+            .count() as u64;
+        for (shards, capacity) in shard_counts().into_iter().flat_map(|s| [(s, 8), (s, 1)]) {
+            let rt = runtime(shards, capacity);
             let reports = stream_traces(&rt, std::slice::from_ref(&trace)).expect("stream");
+            // One admission per event, whether it went straight through
+            // (`path="direct"`) or waited on a full mailbox
+            // (`path="waited"`): a bounced event is not counted twice.
+            prop_assert_eq!(
+                rt.metrics().histogram_count(stage::GATE_ADMIT), events,
+                "admissions at {} shards, capacity {}", shards, capacity
+            );
             let run = rt.finish().expect("finish");
             prop_assert_eq!(run.stats.dropped, 0, "dropped at {} shards", shards);
             prop_assert_eq!(
@@ -168,10 +182,9 @@ proptest! {
     }
 }
 
-/// Satellite pin: with a **capacity-1** mailbox every second submission
-/// bounces with `GateError::Full`, so the whole stream goes through the
-/// handback-and-retry path — and the merged journal must still be
-/// byte-identical to the serial run (a single reordering would surface
+/// With a **capacity-1** mailbox nearly every submission waits for the
+/// shard to take the one before it — and the merged journal must still
+/// be byte-identical to the serial run (a single reordering would surface
 /// here as a journal or replay diff).
 #[test]
 fn capacity_one_mailbox_stream_replays_byte_identically_after_retries() {

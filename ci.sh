@@ -23,10 +23,10 @@
 #                                  reproducible
 #   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
 #                                  runtime's mid-batch / blocked-submit /
-#                                  dead-shard / finish-surfaces unit tests
-#                                  assert on blocking with timeouts or on a
-#                                  reply closing; a race that shows one run in
-#                                  ten must not pass by luck
+#                                  dead-shard / finish-surfaces / admission-
+#                                  ladder unit tests assert on blocking with
+#                                  timeouts or on a reply closing; a race that
+#                                  shows one run in ten must not pass by luck
 #   8. cargo doc --no-deps      — docs build with zero warnings
 #
 # Part 2 — one `e2e --all` document (every workload, untraced then traced,
@@ -172,13 +172,14 @@ step env PROPTEST_SEED=1707 \
 # unblocked (a reply arriving) — backpressure on a full mailbox, the credit
 # return that releases it, a shard stalled, killed or panicking inside a
 # batch, a flush or finish reply closing when the job carrying it is
-# dropped or abandoned — twenty times over: one green run says little
+# dropped or abandoned, a blocked admission of each scope completing once
+# its mailbox state clears — twenty times over: one green run says little
 # about a race.
 echo
-echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit + dead_shard + finish_surfaces"
+echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit + dead_shard + finish_surfaces + admission_ladder"
 for _ in $(seq 20); do
     cargo test -q -p crowd4u --test gate_backpressure --test mailbox_batches
-    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit dead_shard finish_surfaces
+    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit dead_shard finish_surfaces admission_ladder
 done
 # Docs must be warning-free, not just successful.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

@@ -614,8 +614,11 @@ pub fn eval_program(
 pub struct IncrementalOutcome {
     pub stats: EvalStats,
     /// Every tuple that is new since the previous fixpoint, per predicate:
-    /// the seed itself plus everything derived from it. For rebuilt strata
-    /// the head's full relation stands in for its (unknown) delta.
+    /// the seed itself plus everything delta joins derived from it. A
+    /// rebuilt stratum adds no rows for its heads: nothing would read them,
+    /// since a stratum that reads a rebuilt head is rebuilt too, and any
+    /// rebuild sets [`any_rebuild`](Self::any_rebuild), after which
+    /// demands are computed in full.
     pub changed: Deltas,
     /// True when any stratum was rebuilt — derived relations may have
     /// *shrunk*, so demand computation must not rely on deltas alone.
@@ -671,11 +674,7 @@ pub fn eval_program_incremental(
             out.stats.absorb(s);
             out.stats.strata_recomputed += 1;
             out.any_rebuild = true;
-            for &hp in &info.heads {
-                rebuilt.insert(hp);
-                out.changed
-                    .insert(hp, db.relation(&program.preds[hp].name)?.to_rows());
-            }
+            rebuilt.extend(info.heads.iter().copied());
         } else {
             // The seed is everything changed so far, uncopied: a body joins
             // only on the predicates it reads, and none of this stratum's

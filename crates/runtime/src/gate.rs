@@ -2,9 +2,7 @@
 //! event order.
 //!
 //! [`IngestGate`] is a cloneable handle that any number of client threads
-//! can submit [`PlatformEvent`]s through simultaneously. It replaces the
-//! single-submitter router bottleneck (the PR 3 `&mut self` API, where
-//! every client had to funnel through one thread) with:
+//! can submit [`PlatformEvent`]s through simultaneously, built from:
 //!
 //! * a **lock-free global sequence stamper** — one `AtomicU64` fetch-add
 //!   is the only state all producers share;
@@ -29,6 +27,29 @@
 //!   lost. Migrations quiesce a single project the same way
 //!   ([`GateError::Migrating`]).
 //!
+//! # Admission (one loop for every scope)
+//!
+//! Every event goes through the same steps in `GateCore::admit`. Its
+//! [`EventScope`] names the destination shards and the one *recorder*
+//! among them: a project event goes to its owner, which records it; a
+//! worker event goes to shard 0, which records it; a broadcast goes to
+//! every shard, and shard 0 records it. The destinations are locked in
+//! ascending order and one ladder is checked, first match wins:
+//!
+//! 1. the recorder is dead → [`GateError::ShardDown`];
+//! 2. a live destination is closed → [`GateError::Closed`];
+//! 3. a migration holds the scope (a project event: its own project; a
+//!    worker event or a broadcast: any project) → [`GateError::Migrating`];
+//! 4. a live destination is recovering → [`GateError::Recovering`];
+//! 5. a live destination is full → [`GateError::Full`].
+//!
+//! A refused `try_submit` gets its event back. A blocking `submit` drops
+//! the locks, waits out the refusal (the hold's release, or room on or the
+//! recovery of the refusing shard) and resolves the destination again —
+//! a migration may have moved the owner meanwhile. Closed and dead are
+//! final. An admitted event is stamped and pushed to every live
+//! destination in one step, `record` set on the recorder only.
+//!
 //! # Ordering guarantee (why the stamp happens inside the shard lock)
 //!
 //! The determinism contract (ARCHITECTURE.md) requires each shard to apply
@@ -37,9 +58,9 @@
 //! "stamp, then enqueue" scheme breaks it: producer A could take seq 5,
 //! get preempted, and producer B could take seq 6 and enqueue to the same
 //! shard first. The gate therefore acquires the destination mailbox lock
-//! *first*, waits for room (waiting releases the lock, so it never blocks
-//! the consumer), and only then stamps and pushes while still holding the
-//! lock. Two consequences:
+//! *first*, and stamps and pushes while still holding it (a producer
+//! waits for room with every lock dropped, so it never blocks the
+//! consumer). Two consequences:
 //!
 //! * per mailbox, queue order == sequence order, always;
 //! * sequence numbers may have gaps (a `try_submit` that found the queue
@@ -48,22 +69,20 @@
 //!   Nothing in the runtime requires density: the merged journal sorts by
 //!   sequence number, not by counting.
 //!
-//! Global-scope events (see [`EventScope`]) are fanned out to **every**
-//! mailbox under **all** shard locks (acquired in ascending index order, so
-//! two broadcasts cannot deadlock), which keeps the broadcast-lockstep rule
-//! intact: every shard sees a broadcast at the same position relative to
-//! its project-scoped events. Broadcast admission is all-or-nothing — with
-//! every lock held, room is verified on every mailbox before any push, so
-//! `try_submit` can never leave a partial broadcast behind.
+//! A broadcast is pushed under **all** shard locks (ascending order, so
+//! two broadcasts cannot deadlock): every shard sees it at the same
+//! position relative to its project events, and admission is
+//! all-or-nothing — `try_submit` never leaves a partial broadcast. A dead
+//! replica is skipped (its slice is lost already; stalling every healthy
+//! shard on it would globalise a scoped failure), a dead recorder is not.
 //!
-//! Worker-scoped events are **not** broadcast: they are delivered to the
-//! coordinator's mailbox only and simultaneously appended to the
-//! [`WorkerService`] delta log, with the
-//! sequence number drawn inside the service's critical section (while the
-//! mailbox lock is still held). Replicas pull seq-keyed deltas from the
-//! service before applying any later-stamped message, reproducing the
-//! broadcast's interleaving at O(1) submission cost per event instead of
-//! O(shards) — see `crate::workers` for the ordering argument.
+//! A worker event is **not** broadcast: it reaches shard 0's mailbox and,
+//! in the same step, the [`WorkerService`] delta log, its seq drawn inside
+//! the service's critical section while the mailbox lock is held (lock
+//! order mailbox → service, as for a job's bound). Replicas pull the
+//! seq-keyed deltas before applying any later-stamped message, which
+//! reproduces a broadcast's interleaving at O(1) submission cost — see
+//! `crate::workers` for the argument.
 //!
 //! Producers to distinct shards share nothing but the atomic stamper; the
 //! per-shard critical section is a few `VecDeque` operations. The gate is
@@ -264,21 +283,6 @@ fn lock(q: &ShardQueue) -> MutexGuard<'_, QueueState> {
 
 fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Park a producer on `q`'s `not_full` — for room, or for the end of a
-/// recovery — and hand the lock back once woken. The admission is timed
-/// from here on (see [`Admission`]).
-fn park<'q>(
-    q: &'q ShardQueue,
-    mut s: MutexGuard<'q, QueueState>,
-    admit: &mut Admission<'_>,
-) -> MutexGuard<'q, QueueState> {
-    admit.waits();
-    s.producers_waiting += 1;
-    s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
-    s.producers_waiting -= 1;
-    s
 }
 
 /// The `crowd4u_stage_gate_admit_ns` span of one admission, in one of two
@@ -502,33 +506,22 @@ impl GateCore {
         }
         drop(holds);
         self.released.notify_all();
-        for q in &self.queues {
-            q.not_full.notify_all();
+    }
+
+    /// The held project that stops an event of `scope`, if any: a project
+    /// event waits for its own project only; worker events and broadcasts,
+    /// which interleave with every slice, for any. Only meaningful inside
+    /// a destination's critical section (see [`hold_for_migration`]'s
+    /// fence).
+    fn hold_on(&self, scope: EventScope) -> Option<ProjectId> {
+        if self.holding.load(Ordering::Acquire) == 0 {
+            return None;
         }
-    }
-
-    /// Is `project` currently quiesced? Only meaningful inside a mailbox
-    /// critical section (see [`hold_for_migration`]'s fence).
-    fn project_held(&self, project: u64) -> bool {
-        self.holding.load(Ordering::Acquire) != 0 && lock_plain(&self.holds).contains(&project)
-    }
-
-    /// Park until no migration hold is active (or the gate closes).
-    fn wait_for_release(&self, admit: &mut Admission<'_>) {
-        admit.waits();
-        let mut holds = lock_plain(&self.holds);
-        while self.holding.load(Ordering::Acquire) != 0 {
-            holds = self
-                .released
-                .wait(holds)
-                .unwrap_or_else(PoisonError::into_inner);
+        let holds = lock_plain(&self.holds);
+        match scope {
+            EventScope::Project(p) => holds.contains(&p.0).then_some(p),
+            EventScope::Worker | EventScope::Global => holds.first().copied().map(ProjectId),
         }
-    }
-
-    /// Any project currently held (for typed errors on broadcast/worker
-    /// submissions, which aren't project-scoped themselves).
-    fn held_project(&self) -> ProjectId {
-        ProjectId(lock_plain(&self.holds).iter().next().copied().unwrap_or(0))
     }
 
     /// Mark one shard as recovering: its mailbox holds new data events
@@ -548,16 +541,6 @@ impl GateCore {
         q.not_empty.notify_all();
     }
 
-    /// Park until `shard` leaves recovery (or closes); the caller
-    /// re-validates under its own locks afterwards.
-    fn wait_for_recovery(&self, shard: usize, admit: &mut Admission<'_>) {
-        let q = &self.queues[shard];
-        let mut s = lock(q);
-        while s.recovering && !s.closed {
-            s = park(q, s, admit);
-        }
-    }
-
     /// Data events admitted for a shard and not yet given back by its
     /// consumer: the mailbox plus the batch in hand (diagnostics; racy by
     /// nature).
@@ -565,10 +548,11 @@ impl GateCore {
         lock(&self.queues[shard]).data_len
     }
 
-    /// Route one event: stamp it with the next global sequence number and
-    /// enqueue it on its destination mailbox(es). `wait` selects the
-    /// backpressure policy.
-    fn route(&self, event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
+    /// Admit one event (see the module docs' *Admission*): resolve its
+    /// destination, check the ladder under the destination locks, then
+    /// stamp and push — or refuse, handing the event back (`wait` false)
+    /// or waiting the refusal out and resolving again (`wait` true).
+    fn admit(&self, mut event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
         // Keyed by the seq the stamper is about to issue. A concurrent
         // producer may draw it first, which moves the sample, not the count.
         let key = self.stamper.load(Ordering::Relaxed);
@@ -577,280 +561,136 @@ impl GateCore {
             start: self.admit.stamp_for(key),
             waited_since: None,
         };
-        match event.scope() {
-            EventScope::Project(p) => self.route_project(p, event, wait, admit),
-            EventScope::Worker => self.route_worker(event, wait, admit),
-            EventScope::Global => self.route_global(event, wait, admit),
-        }
-    }
-
-    /// Worker-scoped delivery: the coordinator's mailbox only, plus an
-    /// append to the worker service's delta log for replicas to pull.
-    /// The sequence number is drawn **inside the service's critical
-    /// section** (while the mailbox lock is still held): that is what
-    /// lets a replica, by briefly holding the service lock, know that
-    /// every worker event below its current seq has finished appending —
-    /// see `crate::workers` for the full argument. Lock order is
-    /// mailbox → service, same as the control-plane bound capture, so the
-    /// pair cannot deadlock.
-    fn route_worker(
-        &self,
-        event: PlatformEvent,
-        wait: bool,
-        admit: &mut Admission<'_>,
-    ) -> Result<u64, GateError> {
-        let PlatformEvent::WorkerRegistered { profile } = &event else {
-            unreachable!("EventScope::Worker classifies worker registrations only");
+        let scope = event.scope();
+        // The replicas' copy of a registration — a deep clone and an
+        // allocation — is made before any lock: shard 0's batch take
+        // contends on that one.
+        let mut delta = match &event {
+            PlatformEvent::WorkerRegistered { profile } => Some(Arc::new(profile.clone())),
+            _ => None,
         };
-        // The replicas' copy — a deep clone and an allocation — is made
-        // before either lock: shard 0's batch take contends on this one.
-        let delta = Arc::new(profile.clone());
-        let q = &self.queues[0];
-        let mut s = lock(q);
         loop {
-            if s.dead {
-                return Err(GateError::ShardDown {
-                    shard: 0,
-                    event: Box::new(event),
-                });
-            }
-            if s.closed {
-                return Err(GateError::Closed(Box::new(event)));
-            }
-            // Worker events interleave with every shard's slice, so any
-            // active migration hold quiesces them too (checked inside the
-            // critical section — see `hold_for_migration`'s fence).
-            if self.holding.load(Ordering::Acquire) != 0 {
-                drop(s);
-                if !wait {
-                    return Err(GateError::Migrating {
-                        project: self.held_project(),
-                        event: Box::new(event),
-                    });
-                }
-                self.wait_for_release(admit);
-                s = lock(q);
-                continue;
-            }
-            if s.recovering {
-                if !wait {
-                    return Err(GateError::Recovering {
-                        shard: 0,
-                        event: Box::new(event),
-                    });
-                }
-                s = park(q, s, admit);
-                continue;
-            }
-            if s.data_len < self.capacity {
-                break;
-            }
-            if !wait {
-                return Err(GateError::Full {
-                    shard: 0,
-                    event: Box::new(event),
-                });
-            }
-            s = park(q, s, admit);
-        }
-        let seq = self
-            .service
-            .append_with(delta, || self.stamper.fetch_add(1, Ordering::Relaxed));
-        // Still holding the mailbox lock: stamp (inside the append) and
-        // push are adjacent, so the coordinator mailbox stays in sequence
-        // order, and the log entry is visible before the lock drops.
-        let at = self.dwell.stamp_for(seq);
-        s.push_data(
-            ToShard::Apply {
-                seq,
-                event,
-                record: true,
-            },
-            at,
-        );
-        s.notify_consumer(q);
-        Ok(seq)
-    }
-
-    /// Project-scoped delivery: one mailbox, `record: true` (the owner is
-    /// the unique recorder). The owner is re-resolved after any migration
-    /// wait — the hold exists precisely because ownership may flip.
-    fn route_project(
-        &self,
-        project: ProjectId,
-        event: PlatformEvent,
-        wait: bool,
-        admit: &mut Admission<'_>,
-    ) -> Result<u64, GateError> {
-        'resolve: loop {
-            let shard = self.owner_of(project);
-            let q = &self.queues[shard];
-            let mut s = lock(q);
-            loop {
-                if s.dead {
-                    return Err(GateError::ShardDown {
-                        shard,
-                        event: Box::new(event),
-                    });
-                }
-                if s.closed {
-                    return Err(GateError::Closed(Box::new(event)));
-                }
-                // Hold check inside the critical section: a submission
-                // that misses the flag completes before the migration's
-                // fence and is therefore swept up by its source flush.
-                if self.project_held(project.0) {
-                    drop(s);
-                    if !wait {
-                        return Err(GateError::Migrating {
-                            project,
-                            event: Box::new(event),
-                        });
-                    }
-                    self.wait_for_release(admit);
-                    continue 'resolve;
-                }
-                if s.recovering {
-                    if !wait {
-                        return Err(GateError::Recovering {
-                            shard,
-                            event: Box::new(event),
-                        });
-                    }
-                    s = park(q, s, admit);
-                    continue;
-                }
-                if s.data_len < self.capacity {
-                    break;
-                }
-                if !wait {
-                    return Err(GateError::Full {
-                        shard,
-                        event: Box::new(event),
-                    });
-                }
-                s = park(q, s, admit);
-            }
-            // Still holding the lock: nothing can interleave between the
-            // stamp and the push, so this mailbox stays in sequence order.
-            let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
-            let at = self.dwell.stamp_for(seq);
-            s.push_data(
-                ToShard::Apply {
-                    seq,
-                    event,
-                    record: true,
-                },
-                at,
-            );
-            s.notify_consumer(q);
-            return Ok(seq);
-        }
-    }
-
-    /// Global-scope delivery: every mailbox, under every shard lock
-    /// (ascending order), all-or-nothing; the coordinator (shard 0) is the
-    /// unique recorder. Dead shards (thread gone, recovery disabled) are
-    /// skipped — their slice is already lost, and stalling every healthy
-    /// shard's broadcasts on a corpse would globalise a scoped failure —
-    /// unless the coordinator itself died, which leaves the broadcast with
-    /// no recorder and must error.
-    fn route_global(
-        &self,
-        event: PlatformEvent,
-        wait: bool,
-        admit: &mut Admission<'_>,
-    ) -> Result<u64, GateError> {
-        loop {
-            let mut guards: Vec<MutexGuard<'_, QueueState>> =
-                self.queues.iter().map(lock).collect();
-            if guards[0].dead {
-                return Err(GateError::ShardDown {
-                    shard: 0,
-                    event: Box::new(event),
-                });
-            }
-            if guards.iter().any(|g| g.closed && !g.dead) {
-                return Err(GateError::Closed(Box::new(event)));
-            }
-            // Broadcasts interleave with every slice: any migration hold
-            // quiesces them (checked under all locks, same fence argument
-            // as the project route).
-            if self.holding.load(Ordering::Acquire) != 0 {
-                drop(guards);
-                if !wait {
-                    return Err(GateError::Migrating {
-                        project: self.held_project(),
-                        event: Box::new(event),
-                    });
-                }
-                self.wait_for_release(admit);
-                continue;
-            }
-            if let Some(r) = guards.iter().position(|g| g.recovering) {
-                drop(guards);
-                if !wait {
-                    return Err(GateError::Recovering {
-                        shard: r,
-                        event: Box::new(event),
-                    });
-                }
-                self.wait_for_recovery(r, admit);
-                continue;
-            }
-            if let Some(full) = guards
-                .iter()
-                .position(|g| !g.dead && g.data_len >= self.capacity)
-            {
-                // Drop every lock before waiting so no consumer is stalled
-                // while we sleep; re-validate from scratch afterwards.
-                drop(guards);
-                if !wait {
-                    return Err(GateError::Full {
-                        shard: full,
-                        event: Box::new(event),
-                    });
-                }
-                // On a close (or death) of the full shard, re-validate from
-                // the top: a genuine shutdown hits the closed check, a dead
-                // shard is skipped by the dead check.
-                self.wait_for_room(full, admit);
-                continue;
-            }
-            let live: Vec<usize> = (0..guards.len()).filter(|&i| !guards[i].dead).collect();
-            let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
-            let at = self.dwell.stamp_for(seq);
-            let last = *live.last().expect("the coordinator is live");
-            let mut event = Some(event);
-            for &i in &live {
-                let ev = if i == last {
-                    event.take().expect("event consumed once")
-                } else {
-                    event.as_ref().expect("event alive").clone()
+            // Every lock this pass takes is dropped at the end of this
+            // block, before any wait.
+            let refused = {
+                // The destinations: a run of shards, locked in ascending
+                // order, whose first is the recorder.
+                let (first, len) = match scope {
+                    EventScope::Project(p) => (self.owner_of(p), 1),
+                    EventScope::Worker => (0, 1),
+                    EventScope::Global => (0, self.queues.len()),
                 };
-                guards[i].push_data(
-                    ToShard::Apply {
+                let queues = &self.queues[first..first + len];
+                // One destination locks into an array, not a `Vec`: the
+                // common admission allocates nothing.
+                let (mut one, mut all);
+                let guards: &mut [MutexGuard<'_, QueueState>] = match queues {
+                    [q] => {
+                        one = [lock(q)];
+                        &mut one
+                    }
+                    _ => {
+                        all = queues.iter().map(lock).collect::<Vec<_>>();
+                        &mut all
+                    }
+                };
+                if guards[0].dead {
+                    GateError::ShardDown {
+                        shard: first,
+                        event: Box::new(event),
+                    }
+                } else if guards.iter().any(|g| g.closed && !g.dead) {
+                    GateError::Closed(Box::new(event))
+                } else if let Some(project) = self.hold_on(scope) {
+                    GateError::Migrating {
+                        project,
+                        event: Box::new(event),
+                    }
+                } else if let Some(i) = guards.iter().position(|g| g.recovering) {
+                    GateError::Recovering {
+                        shard: first + i,
+                        event: Box::new(event),
+                    }
+                } else if let Some(i) = guards
+                    .iter()
+                    .position(|g| !g.dead && g.data_len >= self.capacity)
+                {
+                    GateError::Full {
+                        shard: first + i,
+                        event: Box::new(event),
+                    }
+                } else {
+                    // Admitted. Stamp and push with every destination lock
+                    // held, so each mailbox stays in sequence order. A worker
+                    // event draws its seq inside the service's critical
+                    // section, so its log entry is visible before the lock
+                    // drops (see `crate::workers`).
+                    let stamp = || self.stamper.fetch_add(1, Ordering::Relaxed);
+                    let seq = match delta.take() {
+                        Some(delta) => self.service.append_with(delta, stamp),
+                        None => stamp(),
+                    };
+                    let at = self.dwell.stamp_for(seq);
+                    for (i, g) in guards.iter_mut().enumerate().skip(1) {
+                        if !g.dead {
+                            let event = event.clone();
+                            g.push_data(
+                                ToShard::Apply {
+                                    seq,
+                                    event,
+                                    record: false,
+                                },
+                                at,
+                            );
+                            g.notify_consumer(&queues[i]);
+                        }
+                    }
+                    let record = ToShard::Apply {
                         seq,
-                        event: ev,
-                        record: i == 0,
-                    },
-                    at,
-                );
-                guards[i].notify_consumer(&self.queues[i]);
+                        event,
+                        record: true,
+                    };
+                    guards[0].push_data(record, at);
+                    guards[0].notify_consumer(&queues[0]);
+                    return Ok(seq);
+                }
+            };
+            if !wait || !self.wait_out(&refused, admit) {
+                return Err(refused);
             }
-            return Ok(seq);
+            event = refused.into_event();
         }
     }
 
-    /// Block until `shard`'s mailbox has room (or the gate closes —
-    /// returns `false`).
-    fn wait_for_room(&self, shard: usize, admit: &mut Admission<'_>) -> bool {
+    /// The one wait of a blocking admission, with every destination lock
+    /// dropped: until no migration hold is active, or until the refusing
+    /// shard has room and is not recovering (or closes). `false` when the
+    /// refusal is final — closed, or the recorder dead.
+    fn wait_out(&self, refused: &GateError, admit: &mut Admission<'_>) -> bool {
+        let shard = match refused {
+            GateError::Closed(_) | GateError::ShardDown { .. } => return false,
+            GateError::Migrating { .. } => None,
+            GateError::Full { shard, .. } | GateError::Recovering { shard, .. } => Some(*shard),
+        };
+        admit.waits();
+        let Some(shard) = shard else {
+            let mut holds = lock_plain(&self.holds);
+            while self.holding.load(Ordering::Acquire) != 0 {
+                holds = self
+                    .released
+                    .wait(holds)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            return true;
+        };
         let q = &self.queues[shard];
         let mut s = lock(q);
-        while !s.closed && s.data_len >= self.capacity {
-            s = park(q, s, admit);
+        while !s.closed && (s.recovering || s.data_len >= self.capacity) {
+            s.producers_waiting += 1;
+            s = q.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.producers_waiting -= 1;
         }
-        !s.closed
+        true
     }
 
     /// Wrap `run` as the job message it is enqueued as — called under the
@@ -1023,12 +863,14 @@ impl IngestGate {
         &self.core
     }
 
-    /// Submit one event, **blocking** while the destination mailbox is
-    /// full (the backpressure default). Returns the event's global
-    /// sequence number, or [`GateError::Closed`] with the event handed
-    /// back if the runtime has shut down.
+    /// Submit one event, **blocking** while a destination mailbox is full
+    /// (the backpressure default), a destination shard recovers, or a
+    /// migration holds the event's scope. Returns the event's global
+    /// sequence number, or hands the event back in [`GateError::Closed`]
+    /// if the runtime has shut down, or in [`GateError::ShardDown`] if the
+    /// shard that would record it died with recovery disabled.
     pub fn submit(&self, event: PlatformEvent) -> Result<u64, GateError> {
-        self.core.route(event, true)
+        self.core.admit(event, true)
     }
 
     /// Submit one event, **failing fast** when the destination mailbox is
@@ -1037,7 +879,7 @@ impl IngestGate {
     /// back to the blocking [`submit`](Self::submit). Broadcast events are
     /// admitted all-or-nothing: on `Full`, no shard received anything.
     pub fn try_submit(&self, event: PlatformEvent) -> Result<u64, GateError> {
-        self.core.route(event, false)
+        self.core.admit(event, false)
     }
 
     /// Submit a batch in order (blocking policy). Sequence numbers of a
@@ -1443,6 +1285,125 @@ mod tests {
         core.release_migration(ProjectId(1));
         parked.join().unwrap().unwrap();
         assert_eq!(gate.queued(1), 2); // "flows" + re-routed "after"
+    }
+
+    /// A mailbox state one admission is tried against, on a two-shard gate
+    /// of capacity 2 where project 2 is owned by shard 1 and project 1 by
+    /// shard 0.
+    #[derive(Clone, Copy, Debug)]
+    enum State {
+        Open,
+        Shard1Full,
+        Shard1Recovering,
+        ThisProjectHeld,
+        OtherProjectHeld,
+        Shard1Dead,
+        Shard0Dead,
+        Closed,
+    }
+
+    /// What an admission returned, without the event.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Outcome {
+        Ok,
+        Closed,
+        Full(usize),
+        ShardDown(usize),
+        Recovering(usize),
+        Migrating(u64),
+    }
+
+    fn outcome(result: &Result<u64, GateError>) -> Outcome {
+        match result {
+            Ok(_) => Outcome::Ok,
+            Err(GateError::Closed(_)) => Outcome::Closed,
+            Err(GateError::Full { shard, .. }) => Outcome::Full(*shard),
+            Err(GateError::ShardDown { shard, .. }) => Outcome::ShardDown(*shard),
+            Err(GateError::Recovering { shard, .. }) => Outcome::Recovering(*shard),
+            Err(GateError::Migrating { project, .. }) => Outcome::Migrating(project.0),
+        }
+    }
+
+    fn enter(state: State, gate: &IngestGate, core: &GateCore) {
+        match state {
+            State::Open => {}
+            State::Shard1Full => {
+                gate.try_submit(seed(2, "a")).unwrap();
+                gate.try_submit(seed(2, "b")).unwrap();
+            }
+            State::Shard1Recovering => core.begin_recovery(1),
+            State::ThisProjectHeld => core.hold_for_migration(ProjectId(2)),
+            State::OtherProjectHeld => core.hold_for_migration(ProjectId(1)),
+            State::Shard1Dead => core.abandon(1),
+            State::Shard0Dead => core.abandon(0),
+            State::Closed => core.close(),
+        }
+    }
+
+    /// Lift a waiting state: shard 1's consumer takes a batch and returns
+    /// its credit, its recovery ends, or the hold is released.
+    fn clear(state: State, core: &GateCore, consumer: &mut Consumer) {
+        match state {
+            State::Shard1Full => {
+                assert!(consumer.next_batch(core, 1));
+                assert!(consumer.next_batch(core, 1));
+            }
+            State::Shard1Recovering => core.end_recovery(1),
+            State::ThisProjectHeld => core.release_migration(ProjectId(2)),
+            State::OtherProjectHeld => core.release_migration(ProjectId(1)),
+            other => panic!("{other:?} is not a state a submitter waits out"),
+        }
+    }
+
+    #[test]
+    fn admission_ladder_per_scope_and_mailbox_state() {
+        use Outcome::*;
+        // Per state: a project event for shard 1, a worker event, a
+        // broadcast.
+        let table = [
+            (State::Open, [Ok, Ok, Ok]),
+            (State::Shard1Full, [Full(1), Ok, Full(1)]),
+            (State::Shard1Recovering, [Recovering(1), Ok, Recovering(1)]),
+            (
+                State::ThisProjectHeld,
+                [Migrating(2), Migrating(2), Migrating(2)],
+            ),
+            (State::OtherProjectHeld, [Ok, Migrating(1), Migrating(1)]),
+            (State::Shard1Dead, [ShardDown(1), Ok, Ok]),
+            (State::Shard0Dead, [Ok, ShardDown(0), ShardDown(0)]),
+            (State::Closed, [Closed, Closed, Closed]),
+        ];
+        let scopes = [seed(2, "p"), worker(1), clock(1)];
+        for (state, expected) in table {
+            for (event, want) in scopes.iter().zip(expected) {
+                let (gate, core) = gate(2, 2);
+                enter(state, &gate, &core);
+                let result = gate.try_submit(event.clone());
+                assert_eq!(outcome(&result), want, "{state:?}, {event:?}");
+                let Err(err) = result else { continue };
+                if !matches!(want, Full(_) | Recovering(_) | Migrating(_)) {
+                    assert_eq!(err.into_event(), *event, "{state:?}: event handed back");
+                    continue;
+                }
+                // A blocking submit of the same event waits the state out.
+                let g = gate.clone();
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    done_tx.send(outcome(&g.submit(err.into_event()))).unwrap();
+                });
+                assert!(
+                    done_rx
+                        .recv_timeout(std::time::Duration::from_millis(20))
+                        .is_err(),
+                    "{state:?}, {event:?}: admitted before the state cleared"
+                );
+                clear(state, &core, &mut Consumer::default());
+                let done = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{state:?}, {event:?}: still blocked"));
+                assert_eq!(done, Ok, "{state:?}, {event:?}");
+            }
+        }
     }
 
     #[test]

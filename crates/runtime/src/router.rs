@@ -2,12 +2,11 @@
 //! [`IngestGate`] submission handles, and stitches the ledger's per-shard
 //! recorded streams back into one replayable log when the run finishes.
 //!
-//! Since PR 4 the routing itself — sequence stamping, ownership/broadcast
-//! dispatch, backpressure — lives in the concurrent [`gate`](crate::gate):
-//! any number of client threads submit through cloned gate handles without
+//! The routing itself — sequence stamping, ownership/broadcast dispatch,
+//! backpressure — lives in the concurrent [`gate`](crate::gate): any
+//! number of client threads submit through cloned gate handles without
 //! serialising on one submitter. `ShardedRuntime`'s own submission methods
-//! delegate to an internal handle, so single-client code keeps working
-//! unchanged (and no longer needs `&mut`).
+//! delegate to an internal handle and take `&self`.
 
 use crate::gate::{GateCore, IngestGate};
 use crate::recovery::{replay_slice, FaultPlan};
@@ -29,8 +28,9 @@ pub struct RuntimeConfig {
     /// Streaming-mode mailbox batching: after this many applied events a
     /// shard syncs its dirty projects (`0` = coordinated mode, drains only
     /// at explicit [`ShardedRuntime::drain`] barriers). Batching this way
-    /// rides the PR 2 fast path: answers accumulate without per-answer
-    /// fixpoints, and one sync amortises over the whole mailbox batch.
+    /// rides the batched-answer fast path: answers accumulate without
+    /// per-answer fixpoints, and one sync amortises over the whole mailbox
+    /// batch.
     pub drain_every: usize,
     /// Per-shard mailbox capacity for data events — the backpressure
     /// bound on events admitted and not yet applied (the mailbox plus the

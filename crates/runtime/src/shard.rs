@@ -11,16 +11,15 @@
 //! each apply as before), and the slots they held go back to producers
 //! when it returns for the next batch (see the gate's "Consumer side").
 //!
-//! Since PR 9 the thread body is a **supervisor**: the apply loop runs
-//! under `catch_unwind`, and when a panic escapes it (an injected
-//! [`FaultPlan`] kill, a job closure blowing up) a recovery-enabled
-//! runtime holds the mailbox, rebuilds the slice by replaying the shard's
-//! runtime-ledger slice, and resumes consuming exactly where the dead
-//! incarnation stopped — the event in flight first, then the rest of the
-//! batch it had taken, then the mailbox. With recovery disabled the panic
-//! propagates, the unwind drops the batch (and every reply `Sender` queued
-//! in it) and the mailbox is abandoned — the pre-PR 9 behaviour, scoped to
-//! the dead shard.
+//! The thread body is a **supervisor**: the apply loop runs under
+//! `catch_unwind`, and when a panic escapes it (an injected [`FaultPlan`]
+//! kill, a job closure blowing up) a recovery-enabled runtime holds the
+//! mailbox, rebuilds the slice by replaying the shard's runtime-ledger
+//! slice, and resumes consuming exactly where the dead incarnation
+//! stopped — the event in flight first, then the rest of the batch it had
+//! taken, then the mailbox. With recovery disabled the panic propagates,
+//! the unwind drops the batch (and every reply `Sender` queued in it) and
+//! the mailbox is abandoned, which scopes the failure to the dead shard.
 
 use crate::gate::{Batch, GateCore};
 use crate::recovery::{replay_slice, Applied, FaultPlan, LedgerEntry, LedgerSlot};
@@ -266,43 +265,37 @@ fn shard_loop(
     // events outside the sample, the only cost.
     let apply_hist = ctx.telemetry.histogram(stage::SHARD_APPLY);
 
-    // Redo prologue: the previous incarnation died *inside* an apply, so
-    // the rebuild above could not replay this event — it was picked from
-    // the batch but never ledgered. Redo it before touching the batch;
-    // injection is skipped here, so a mid-apply kill fires at most once.
-    if in_flight.is_some() {
-        let (seq, event, record) = {
-            let f = in_flight.as_ref().expect("checked is_some");
-            (f.seq, f.event.clone(), f.record)
-        };
-        apply_one(
-            ctx,
-            p,
-            cursor,
-            seq,
-            event,
-            record,
-            in_flight,
-            &apply_hist,
-            false,
-        );
-    }
-
     loop {
-        let Some((msg, enqueued)) = batch.pop_front() else {
-            if gate.recv_batch(shard, batch, credit) {
-                continue;
+        // The next message: the redo of an event a dead incarnation picked
+        // and never ledgered — it outlives that incarnation in `in_flight`,
+        // which is clear between applies otherwise, and its dwell was
+        // observed when it was first picked — else the batch front, else
+        // the next batch.
+        let msg = if let Some(f) = in_flight.as_ref() {
+            ToShard::Apply {
+                seq: f.seq,
+                event: f.event.clone(),
+                record: f.record,
             }
+        } else if let Some((msg, enqueued)) = batch.pop_front() {
+            gate.observe_dwell(enqueued);
+            msg
+        } else if gate.recv_batch(shard, batch, credit) {
+            continue;
+        } else {
             return;
         };
-        gate.observe_dwell(enqueued);
         match msg {
             ToShard::Apply { seq, event, record } => {
+                // A redo skips fault injection, so an injected kill cannot
+                // re-fire on its own retry: each fires at most once.
+                let inject = in_flight.is_none();
                 // Park the event in the supervisor-owned slot for the
                 // duration of the apply: a mid-apply panic must not lose
-                // it (see `InFlight`). Without recovery nothing reads the
-                // slot, so the copy is not made.
-                if ctx.recovery {
+                // it (see `InFlight`). A redo's copy is parked already;
+                // without recovery nothing reads the slot, so no copy is
+                // made.
+                if ctx.recovery && inject {
                     *in_flight = Some(InFlight {
                         seq,
                         event: event.clone(),
@@ -310,17 +303,61 @@ fn shard_loop(
                         retried: false,
                     });
                 }
-                apply_one(
-                    ctx,
-                    p,
-                    cursor,
-                    seq,
-                    event,
-                    record,
-                    in_flight,
-                    &apply_hist,
-                    true,
-                );
+                sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
+                if inject && record && ctx.faults.kills_mid_apply(shard) {
+                    let next = gate.ledger().slot(shard).stats.applied + 1;
+                    if ctx.faults.fires_mid(shard, next) {
+                        panic!("injected fault: shard {shard} killed inside apply #{next}");
+                    }
+                }
+                // Taken up front (apply consumes the event): the slice
+                // filters of recovery and migration select on it.
+                let scope = event.scope();
+                let applied = {
+                    let _span = apply_hist.span_for(seq);
+                    p.apply_event(event)
+                };
+                if applied.is_err() {
+                    // Per-event error tolerance, mirroring `apply_batch`
+                    // and the scenario driver: a stale or invalid worker
+                    // action is dropped and counted, not fatal — and never
+                    // ledgered, so replays skip it identically. Nor may
+                    // anything it journaled before failing stay behind.
+                    drop(p.take_journal());
+                    if record {
+                        gate.ledger().slot(shard).stats.dropped += 1;
+                    }
+                    *in_flight = None;
+                    continue;
+                }
+                // Every Ok apply is ledgered — broadcast copies included —
+                // because the ledger slice is what a recovery replays.
+                let mut slot = gate.ledger().slot(shard);
+                ledger_journaled(p, &mut slot, (seq, 0), scope, record);
+                let fired = if record {
+                    slot.stats.applied += 1;
+                    inject && ctx.faults.fires(shard, slot.stats.applied)
+                } else {
+                    false
+                };
+                slot.since_drain += 1;
+                if ctx.drain_every > 0 && slot.since_drain >= ctx.drain_every {
+                    slot.since_drain = 0;
+                    auto_drain(p, &mut slot, seq);
+                }
+                let applied_so_far = slot.stats.applied;
+                drop(slot);
+                // Ledgered: from here on a crash re-derives this event
+                // from the ledger, so the in-flight copy is obsolete — and
+                // must be cleared *before* a boundary fault fires, or the
+                // recovery would redo an already-ledgered event.
+                *in_flight = None;
+                if fired {
+                    panic!(
+                        "injected fault: shard {shard} killed after \
+                         {applied_so_far} applied events"
+                    );
+                }
             }
             ToShard::Drain { seq, record } => {
                 sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
@@ -341,88 +378,6 @@ fn shard_loop(
                      along with the next event's"
                 );
             }
-        }
-    }
-}
-
-/// Apply one routed data event against the slice — the body of
-/// [`ToShard::Apply`], shared with the post-recovery redo. Syncs the
-/// worker log below `seq`, applies, ledgers on success (dropping +
-/// counting on platform rejection), runs the auto-drain policy, and
-/// clears the `in_flight` slot the moment the outcome is durable in the
-/// ledger. `inject` is true on the normal mailbox path only: the redo
-/// path skips fault injection so an injected mid-apply kill cannot
-/// re-fire on its own retry.
-#[allow(clippy::too_many_arguments)]
-fn apply_one(
-    ctx: &ShardCtx,
-    p: &mut Crowd4U,
-    cursor: &mut usize,
-    seq: u64,
-    event: PlatformEvent,
-    record: bool,
-    in_flight: &mut Option<InFlight>,
-    apply_hist: &crowd4u_telemetry::Histogram,
-    inject: bool,
-) {
-    let gate = &ctx.gate;
-    let shard = ctx.shard;
-    sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
-    if inject && record && ctx.faults.kills_mid_apply(shard) {
-        let next = gate.ledger().slot(shard).stats.applied + 1;
-        if ctx.faults.fires_mid(shard, next) {
-            panic!("injected fault: shard {shard} killed inside apply #{next}");
-        }
-    }
-    // Taken up front (apply consumes the event): the slice filters of
-    // recovery and migration select on it.
-    let scope = event.scope();
-    let applied = {
-        let _span = apply_hist.span_for(seq);
-        p.apply_event(event)
-    };
-    match applied {
-        Ok(()) => {
-            // Every Ok apply is ledgered — broadcast copies included —
-            // because the ledger slice is what a recovery replays.
-            let mut slot = gate.ledger().slot(shard);
-            ledger_journaled(p, &mut slot, (seq, 0), scope, record);
-            let fired = if record {
-                slot.stats.applied += 1;
-                inject && ctx.faults.fires(shard, slot.stats.applied)
-            } else {
-                false
-            };
-            slot.since_drain += 1;
-            if ctx.drain_every > 0 && slot.since_drain >= ctx.drain_every {
-                slot.since_drain = 0;
-                auto_drain(p, &mut slot, seq);
-            }
-            let applied_so_far = slot.stats.applied;
-            drop(slot);
-            // Ledgered: from here on a crash re-derives this event from
-            // the ledger, so the in-flight copy is obsolete — and must be
-            // cleared *before* a boundary fault fires, or the recovery
-            // would redo an already-ledgered event.
-            *in_flight = None;
-            if fired {
-                panic!(
-                    "injected fault: shard {shard} killed after \
-                     {applied_so_far} applied events"
-                );
-            }
-        }
-        Err(_) => {
-            // Per-event error tolerance, mirroring `apply_batch`
-            // and the scenario driver: a stale or invalid worker
-            // action is dropped and counted, not fatal — and
-            // never ledgered, so replays skip it identically. Nor
-            // may anything it journaled before failing stay behind.
-            drop(p.take_journal());
-            if record {
-                gate.ledger().slot(shard).stats.dropped += 1;
-            }
-            *in_flight = None;
         }
     }
 }

@@ -1,12 +1,12 @@
 //! The coordinator-owned worker service.
 //!
-//! Before PR 7, every `WorkerRegistered` event was broadcast to all shard
-//! mailboxes, so one registration cost O(shards) queue pushes and O(shards)
-//! full applies — the fan-out that made million-worker churn infeasible.
-//! Now the event is routed to **shard 0 (the coordinator) only**, which
-//! journals and applies it; this service is the side channel the other
-//! shards use to replicate the effect *exactly where the broadcast would
-//! have placed it* in their own apply order.
+//! A `WorkerRegistered` event is not broadcast: a broadcast would cost
+//! O(shards) queue pushes and O(shards) full applies per registration, the
+//! fan-out that makes million-worker churn infeasible. The event is routed
+//! to **shard 0 (the coordinator) only**, which journals and applies it;
+//! this service is the side channel the other shards use to replicate the
+//! effect *exactly where a broadcast would have placed it* in their own
+//! apply order.
 //!
 //! ## The seq-keyed delta log
 //!
@@ -23,8 +23,8 @@
 //!
 //! ## Sync points
 //!
-//! A non-coordinator shard pulls at exactly the places the old broadcast
-//! interleaved worker events with its stream:
+//! A non-coordinator shard pulls at exactly the places a broadcast would
+//! have interleaved worker events with its stream:
 //!
 //! * before applying a seq-stamped message (event or drain) at seq `S`:
 //!   every log entry with seq < `S` (`pull_below_seq`);

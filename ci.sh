@@ -17,9 +17,10 @@
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility, memoised vs fresh affinity) and
-#                                  the two CyLog evaluator differentials
+#                                  the three CyLog evaluator oracles
 #                                  (incremental vs semi-naive vs naive on layered
-#                                  programs, and the cylog lib proptests),
+#                                  programs, the cylog lib proptests, and joins
+#                                  and aggregates against in-test references),
 #                                  reproducible
 #   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
 #                                  runtime's mid-batch / blocked-submit /
@@ -162,12 +163,17 @@ step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib workers::memo_diff
 # The CyLog evaluator's oracles, same rationale: the three evaluation modes
 # on random layered programs and op streams (their stats pinned by the
-# same file's table test), and the cylog crate's own proptests (naive vs
-# semi-naive vs incremental closure, parser round trip, determinism).
+# same file's table test), the cylog crate's own proptests (naive vs
+# semi-naive vs incremental closure, parser round trip, determinism), and
+# join and aggregate rules against a nested-loop join and a per-group fold
+# written in the test (CyLog is the only evaluator, so the references
+# live there).
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test cylog_incremental
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-cylog --lib proptests
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u --test cross_validation
 # The tests that assert a thread *is* blocked (a timeout elapsing) or *gets*
 # unblocked (a reply arriving) — backpressure on a full mailbox, the credit
 # return that releases it, a shard stalled, killed or panicking inside a

@@ -57,11 +57,11 @@ fn bench_worker_factors(c: &mut Criterion) {
         });
     }
     // Single-pair lazy queries against a large population: O(1) per probe,
-    // cache warm after the first pass.
+    // each computed from the two profiles.
     group.bench_function("pair_probe_10k", |b| {
         b.iter_batched(
             || manager(5_000),
-            |mut m| {
+            |m| {
                 let mut acc = 0.0;
                 for k in 0..10_000u64 {
                     let a = WorkerId(1 + (k % 5_000));

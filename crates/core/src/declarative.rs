@@ -21,20 +21,31 @@
 //! ```
 //!
 //! Projects without an `eligible` predicate fall back to the built-in
-//! screen in [`crate::eligibility`].
+//! screen in [`crate::eligibility`]. A project that derives `eligible` must
+//! declare each conventional predicate it uses with the column types above,
+//! and derive no worker-factor predicate by a rule; registration refuses
+//! it otherwise.
 
 use crate::error::{PlatformError, WorkerId};
 use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_cylog::engine::CylogEngine;
-use crowd4u_storage::prelude::Value;
+use crowd4u_cylog::error::CylogError;
+use crowd4u_storage::prelude::{Value, ValueType};
 
-/// The conventional worker-factor predicates a project may declare.
-pub const WORKER_PREDS: [&str; 5] = [
-    "worker",
-    "worker_online",
-    "worker_native",
-    "worker_fluent",
-    "worker_skill",
+/// The conventional worker-factor predicates a project may declare, with
+/// the column types the platform writes into them.
+pub const WORKER_PREDS: [(&str, &[ValueType]); 5] = [
+    ("worker", &[ValueType::Id]),
+    ("worker_online", &[ValueType::Id]),
+    ("worker_native", &[ValueType::Id, ValueType::Str]),
+    (
+        "worker_fluent",
+        &[ValueType::Id, ValueType::Str, ValueType::Float],
+    ),
+    (
+        "worker_skill",
+        &[ValueType::Id, ValueType::Str, ValueType::Float],
+    ),
 ];
 
 /// Does the project description compute eligibility declaratively?
@@ -45,6 +56,35 @@ pub fn uses_declarative_eligibility(engine: &CylogEngine) -> bool {
         .is_some_and(|p| engine.program().pred_info(p).derived)
 }
 
+/// Check a declarative project's conventional predicates: each worker-factor
+/// predicate it declares is a base relation with the column types in
+/// [`WORKER_PREDS`], and `eligible`'s first column is an id. A mismatch
+/// would make every later [`sync_worker_facts`] fail, or
+/// [`eligible_workers`] find no one, so it is a semantic error of the
+/// project description.
+pub(crate) fn check_conventions(engine: &CylogEngine) -> Result<(), PlatformError> {
+    let program = engine.program();
+    let refuse = |expected: String| {
+        Err(CylogError::Semantic(format!("declarative eligibility expects {expected}")).into())
+    };
+    for (name, types) in WORKER_PREDS {
+        let Some(pid) = program.pred(name) else {
+            continue;
+        };
+        let info = program.pred_info(pid);
+        if info.col_types != types || info.derived {
+            let cols: Vec<String> = types.iter().map(ToString::to_string).collect();
+            return refuse(format!("`{name}({})`, derived by no rule", cols.join(", ")));
+        }
+    }
+    if let Some(pid) = program.pred("eligible") {
+        if program.pred_info(pid).col_types.first() != Some(&ValueType::Id) {
+            return refuse("`eligible` with an id first column".to_owned());
+        }
+    }
+    Ok(())
+}
+
 /// Push one worker's human factors into the engine as facts. Existing
 /// facts for this worker are retracted first, so factor *updates* (e.g.
 /// logging out) are reflected on the next evaluation.
@@ -53,11 +93,11 @@ pub fn sync_worker_facts(
     profile: &WorkerProfile,
 ) -> Result<(), PlatformError> {
     let wid = Value::Id(profile.id.0);
-    for pred in WORKER_PREDS {
+    for (pred, _) in WORKER_PREDS {
         if engine.program().pred(pred).is_none() {
             continue;
         }
-        engine.retract_where(pred, |t| t[0] == wid)?;
+        engine.retract_by_key(pred, &wid)?;
     }
     let has = |engine: &CylogEngine, pred: &str| engine.program().pred(pred).is_some();
     if has(engine, "worker") {
@@ -171,6 +211,69 @@ out(X, Y) :- item(X), label(X, Y).
         // and back in
         sync_worker_facts(&mut e, &worker(1, "en", 0.8, true)).unwrap();
         e.run().unwrap();
+        assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(1)]);
+    }
+
+    /// A declarative project whose conventional predicates have the wrong
+    /// shape is refused at registration, with nothing journaled — not
+    /// admitted to fail every later worker sync.
+    #[test]
+    fn malformed_conventions_are_refused_at_registration() {
+        use crate::platform::Crowd4U;
+        use crowd4u_collab::Scheme;
+        use crowd4u_forms::admin::DesiredFactors;
+        let malformed = [
+            "rel worker_online(w: id, since: int).\nrel eligible(w: id).\n\
+             eligible(W) :- worker_online(W, S).\n",
+            "rel worker_native(w: id, lang: int).\nrel eligible(w: id).\n\
+             eligible(W) :- worker_native(W, 1).\n",
+            "rel worker(w: id).\nrel worker_online(w: id).\nrel eligible(w: id).\n\
+             worker_online(W) :- worker(W).\neligible(W) :- worker_online(W).\n",
+            "rel worker(w: id).\nrel eligible(w: str).\neligible(\"x\") :- worker(W).\n",
+        ];
+        let mut p = Crowd4U::new();
+        p.register_worker(worker(1, "en", 0.8, true));
+        let journaled = p.journal().len();
+        for src in malformed {
+            CylogEngine::from_source(src).expect("the program itself compiles");
+            let got = p.register_project("bad", src, DesiredFactors::default(), Scheme::Sequential);
+            assert!(
+                matches!(got, Err(PlatformError::Cylog(CylogError::Semantic(_)))),
+                "{src}: {got:?}"
+            );
+            assert_eq!(p.journal().len(), journaled, "{src}: journaled");
+        }
+        assert!(p.project_ids().is_empty());
+        // The conventional shapes register, and the worker syncs.
+        let proj = p
+            .register_project("ok", SRC, DesiredFactors::default(), Scheme::Sequential)
+            .unwrap();
+        assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
+    }
+
+    /// Every conventional predicate declared with its listed types accepts
+    /// what the sync writes into it: the types in [`WORKER_PREDS`] and the
+    /// values `sync_worker_facts` builds cannot drift apart.
+    #[test]
+    fn listed_shapes_accept_every_synced_fact() {
+        let mut src = String::new();
+        for (name, types) in WORKER_PREDS {
+            let cols: Vec<String> = types
+                .iter()
+                .enumerate()
+                .map(|(i, t)| format!("c{i}: {t}"))
+                .collect();
+            src += &format!("rel {name}({}).\n", cols.join(", "));
+        }
+        src += "rel eligible(w: id, n: int).\neligible(W, 1) :- worker(W).\n";
+        let mut e = CylogEngine::from_source(&src).unwrap();
+        check_conventions(&e).unwrap();
+        let p = worker(1, "en", 0.8, true).with_fluency("ja", 0.6);
+        sync_worker_facts(&mut e, &p).unwrap();
+        e.run().unwrap();
+        for (name, _) in WORKER_PREDS {
+            assert!(!e.facts(name).unwrap().is_empty(), "{name}");
+        }
         assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(1)]);
     }
 

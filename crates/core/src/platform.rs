@@ -522,6 +522,9 @@ impl Crowd4U {
         let mut engine = CylogEngine::from_source(cylog_source)?;
         engine.set_telemetry(&self.telemetry.handle);
         let declarative = crate::declarative::uses_declarative_eligibility(&engine);
+        if declarative {
+            crate::declarative::check_conventions(&engine)?;
+        }
         let name = name.into();
         self.record(&PlatformEvent::ProjectRegistered {
             name: name.clone(),

@@ -2,18 +2,17 @@
 //! lazy pair affinity, and system-computed skill refreshes from task
 //! history.
 //!
-//! Affinity is never materialised for the whole population. The manager
-//! owns an [`AffinityProvider`] that computes pair values from profiles on
-//! demand (with a small above-floor / top-k cache) and builds dense
-//! candidate-set submatrices for assignment — so registering worker N is
-//! O(1) in the population size instead of an O(n²) cache invalidation.
-//! The assignment path pays for a pair once per change of either profile:
-//! a pair memo keeps what `WorkerManager::fill_candidate_affinity`
-//! computed until one of the two workers changes.
+//! Affinity is never materialised for the whole population. Pair values
+//! are computed from profiles on demand and dense candidate-set
+//! submatrices are built for assignment — so registering worker N is O(1)
+//! in the population size instead of an O(n²) cache invalidation. The
+//! assignment path pays for a pair once per change of either profile: a
+//! pair memo keeps what `WorkerManager::fill_candidate_affinity` computed
+//! until one of the two workers changes.
 
 use crate::error::{PlatformError, WorkerId};
 use crowd4u_crowd::affinity::{
-    affinity_from_profile_refs_with, group_affinity, AffinityMatrix, AffinityProvider,
+    affinity_from_profile_refs_with, group_affinity, pair_affinity_of, AffinityMatrix,
 };
 use crowd4u_crowd::estimate::{estimate_skills, EstimatorConfig, TeamObservation};
 use crowd4u_crowd::profile::WorkerProfile;
@@ -40,8 +39,6 @@ struct Registered {
 /// profiles — and the version it was computed at; it answers only while
 /// that version is at or past both workers' change stamps, and only under
 /// the weights it was computed with.
-///
-/// [`pair_affinity_of`]: crowd4u_crowd::affinity::pair_affinity_of
 #[derive(Default)]
 struct PairMemo {
     weights: (f64, f64, f64),
@@ -77,16 +74,12 @@ pub(crate) struct PairWork {
     pub reused: u64,
 }
 
-/// Registry of worker profiles + lazy affinity provider + team-task history.
+/// Registry of worker profiles + lazy pair affinity + team-task history.
 pub struct WorkerManager {
     profiles: BTreeMap<WorkerId, Registered>,
-    /// Lazy pair-affinity source and the one copy of the synthesis weights
-    /// (geo, language, skill); its small cache is dropped (not rebuilt)
-    /// whenever profiles change, keyed off `version`.
-    provider: AffinityProvider,
-    /// The `version` the provider's cache was filled under.
-    provider_version: u64,
-    /// The assignment path's pair memo.
+    /// The affinity synthesis weights (geo, language, skill).
+    weights: (f64, f64, f64),
+    /// Pair values computed so far, kept while exact.
     memo: PairMemo,
     /// Observed team outcomes, for skill estimation ([10]).
     history: Vec<TeamObservation>,
@@ -100,8 +93,7 @@ impl Default for WorkerManager {
     fn default() -> Self {
         WorkerManager {
             profiles: BTreeMap::new(),
-            provider: AffinityProvider::new(1.0, 1.0, 0.5),
-            provider_version: 0,
+            weights: (1.0, 1.0, 0.5),
             memo: PairMemo::default(),
             history: Vec::new(),
             version: 0,
@@ -116,8 +108,7 @@ impl WorkerManager {
 
     /// Register (or re-register) a worker. O(log n): one map insert and a
     /// version bump — no affinity state exists to invalidate eagerly; the
-    /// provider's cache is dropped lazily on the next affinity query, and
-    /// the worker's new change stamp retires its memoised pairs.
+    /// worker's new change stamp retires its memoised pairs.
     pub fn register(&mut self, profile: WorkerProfile) {
         self.version += 1;
         let changed = self.version;
@@ -177,24 +168,24 @@ impl WorkerManager {
 
     /// The affinity synthesis weights (geo, language, skill).
     pub fn weights(&self) -> (f64, f64, f64) {
-        self.provider.weights()
+        self.weights
     }
 
     /// Replace the affinity synthesis weights. Every pair value depends on
-    /// them, so the provider's cache is dropped, and the pair memo — keyed
-    /// on the weights — stops answering at once and is emptied by the next
-    /// fill.
+    /// them, so the pair memo — keyed on the weights — stops answering at
+    /// once and is emptied by the next fill.
     pub fn set_weights(&mut self, w_geo: f64, w_lang: f64, w_skill: f64) {
-        self.provider.set_weights(w_geo, w_lang, w_skill);
+        self.weights = (w_geo, w_lang, w_skill);
     }
 
-    /// Pairwise affinity, computed lazily from the two profiles (cached
-    /// per the provider's floor / top-k policy). Unknown workers and
-    /// self-pairs are 0, matching the dense matrix's convention.
-    pub fn pair_affinity(&mut self, a: WorkerId, b: WorkerId) -> f64 {
-        self.ensure_provider_fresh();
+    /// Pairwise affinity, computed from the two profiles. Unknown workers
+    /// and self-pairs are 0, matching the dense matrix's convention.
+    pub fn pair_affinity(&self, a: WorkerId, b: WorkerId) -> f64 {
         match (self.profiles.get(&a), self.profiles.get(&b)) {
-            (Some(pa), Some(pb)) => self.provider.pair(&pa.profile, &pb.profile),
+            (Some(ra), Some(rb)) => {
+                let (wg, wl, ws) = self.weights;
+                pair_affinity_of(&ra.profile, &rb.profile, wg, wl, ws)
+            }
             _ => 0.0,
         }
     }
@@ -289,27 +280,6 @@ impl WorkerManager {
         (matrix, PairWork { computed, reused })
     }
 
-    /// Configure the provider's pair cache (floor + per-worker top-k).
-    pub fn set_affinity_cache(&mut self, floor: f64, top_k: usize) {
-        self.provider.set_cache_policy(floor, top_k);
-    }
-
-    /// Resident affinity cache entries — the manager's entire affinity
-    /// footprint (there is no dense matrix).
-    pub fn cached_affinity_entries(&self) -> usize {
-        self.provider.cached_entries()
-    }
-
-    /// Drop the provider's cache when profiles changed since it was
-    /// filled. O(1) when nothing changed; clearing is O(cache), never
-    /// O(population²).
-    fn ensure_provider_fresh(&mut self) {
-        if self.provider_version != self.version {
-            self.provider.clear();
-            self.provider_version = self.version;
-        }
-    }
-
     /// Record an observed team outcome (drives skill estimation).
     pub fn record_outcome(&mut self, members: Vec<WorkerId>, quality: f64) {
         self.history.push(TeamObservation::new(members, quality));
@@ -338,8 +308,8 @@ impl WorkerManager {
             }
         }
         if updated > 0 {
-            // Skills feed pair affinity; the version bump drops the
-            // provider's cache on the next query.
+            // Skills feed pair affinity; the new change stamps retire the
+            // updated workers' memoised pairs.
             self.version = next;
         }
         updated
@@ -352,6 +322,7 @@ mod memo_diff;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd4u_crowd::affinity::AffinityLookup;
     use crowd4u_crowd::profile::Region;
 
     fn manager() -> WorkerManager {
@@ -394,13 +365,22 @@ mod tests {
         let near = m.pair_affinity(WorkerId(1), WorkerId(2));
         let far = m.pair_affinity(WorkerId(1), WorkerId(3));
         assert!(near > far);
-        assert!(m.cached_affinity_entries() > 0, "queried pairs are cached");
-        // Registration is O(1): no dense state to rebuild. The stale cache
-        // is dropped on the next query and the new worker is visible.
+        // Registration is O(1): no dense state to rebuild, and the new
+        // worker is visible to the next query.
         m.register(WorkerProfile::new(WorkerId(4), "dan").with_native_lang("en"));
         assert!(m.pair_affinity(WorkerId(2), WorkerId(4)) > 0.0);
         assert_eq!(m.pair_affinity(WorkerId(9), WorkerId(1)), 0.0, "unknown id");
-        assert_eq!(m.candidate_affinity(&m.ids()).len(), 4);
+        assert_eq!(m.pair_affinity(WorkerId(2), WorkerId(2)), 0.0, "self-pair");
+        // Single-pair values are bit-identical to the dense submatrix's.
+        let ids = m.ids();
+        let dense = m.candidate_affinity(&ids);
+        assert_eq!(dense.len(), 4);
+        for &a in &ids {
+            for &b in &ids {
+                let pair = m.pair_affinity(a, b).to_bits();
+                assert_eq!(pair, dense.affinity(a, b).to_bits(), "({a:?}, {b:?})");
+            }
+        }
     }
 
     #[test]
@@ -441,18 +421,6 @@ mod tests {
         assert_eq!(m.weights(), (0.0, 1.0, 0.0));
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(6, 0));
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(0, 6));
-    }
-
-    #[test]
-    fn affinity_cache_policy_bounds_entries() {
-        let mut m = manager();
-        m.set_affinity_cache(0.0, 1);
-        for a in m.ids() {
-            for b in m.ids() {
-                m.pair_affinity(a, b);
-            }
-        }
-        assert!(m.cached_affinity_entries() <= 2 * m.len());
     }
 
     #[test]

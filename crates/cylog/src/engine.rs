@@ -575,22 +575,30 @@ impl CylogEngine {
         Ok(self.db.relation(&self.program.preds[pid].name)?.len())
     }
 
-    /// Remove base facts matching a predicate name and filter. Any actual
-    /// deletion forces the next `run` to recompute derived relations from
-    /// scratch — deltas only describe growth, never removal.
-    pub fn retract_where(
-        &mut self,
-        pred: &str,
-        filter: impl FnMut(&Tuple) -> bool,
-    ) -> Result<usize, CylogError> {
+    /// Remove every base fact of `pred` whose first column is `key`; returns
+    /// how many were removed. The victims are found through the relation's
+    /// first-column index, so the cost is the matching rows, not the
+    /// relation. Any actual deletion forces the next `run` to recompute
+    /// derived relations from scratch — deltas only describe growth, never
+    /// removal.
+    pub fn retract_by_key(&mut self, pred: &str, key: &Value) -> Result<usize, CylogError> {
         let pid = self.pred_id(pred)?;
-        if self.program.preds[pid].derived {
+        let info = &self.program.preds[pid];
+        if info.derived {
             return Err(CylogError::Eval(format!(
                 "cannot retract from derived predicate `{pred}`"
             )));
         }
-        let name = self.program.preds[pid].name.clone();
-        let n = self.db.relation_mut(&name)?.delete_where(filter);
+        if info.arity() == 0 {
+            return Err(CylogError::Eval(format!(
+                "`{pred}` has no column to retract by"
+            )));
+        }
+        let name = info.name.clone();
+        let n = self
+            .db
+            .relation_mut(&name)?
+            .delete_matching(&[0], std::slice::from_ref(key));
         if n > 0 {
             self.needs_full = true;
         }
@@ -814,12 +822,14 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
         e.add_fact("a", vec![Value::Int(2)]).unwrap();
         e.run().unwrap();
         assert_eq!(e.fact_count("b").unwrap(), 2);
-        let n = e.retract_where("a", |t| t[0] == Value::Int(1)).unwrap();
+        let n = e.retract_by_key("a", &Value::Int(1)).unwrap();
         assert_eq!(n, 1);
         e.run().unwrap();
         assert_eq!(e.fact_count("b").unwrap(), 1);
-        // cannot retract from derived
-        assert!(e.retract_where("b", |_| true).is_err());
+        // cannot retract from derived, nor by the key of a column-less fact
+        assert!(e.retract_by_key("b", &Value::Int(2)).is_err());
+        let mut flag = CylogEngine::from_source("rel go().\ngo().\n").unwrap();
+        assert!(flag.retract_by_key("go", &Value::Int(1)).is_err());
     }
 
     /// The incremental default stays on the delta path across growth-only
@@ -842,7 +852,7 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
         assert_eq!(e.cumulative_stats().recomputes, 1);
         assert_eq!(e.fact_count("b").unwrap(), 2);
 
-        e.retract_where("a", |t| t[0] == Value::Int(1)).unwrap();
+        e.retract_by_key("a", &Value::Int(1)).unwrap();
         let stats = e.run().unwrap(); // retraction forces the fallback
         assert_eq!(stats.recomputes, 1);
         assert_eq!(e.cumulative_stats().recomputes, 2);
@@ -862,7 +872,7 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
             CylogEngine::from_source("rel a(x: int).\nrel b(x: int).\nb(X) :- a(X).\n").unwrap();
         e.add_fact("a", vec![Value::Int(1)]).unwrap();
         e.run().unwrap();
-        assert_eq!(e.retract_where("a", |t| t[0] == Value::Int(99)).unwrap(), 0);
+        assert_eq!(e.retract_by_key("a", &Value::Int(99)).unwrap(), 0);
         e.add_fact("a", vec![Value::Int(2)]).unwrap();
         let stats = e.run().unwrap();
         assert_eq!(stats.recomputes, 0);
@@ -910,7 +920,7 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
         assert_eq!(e.pending_requests().len(), 1);
         // Retracting the answer does not resurrect the question: answering
         // put judge(1) in the asked ledger.
-        e.retract_where("judge", |t| t[0] == Value::Int(1)).unwrap();
+        e.retract_by_key("judge", &Value::Int(1)).unwrap();
         e.run().unwrap();
         let inputs: Vec<i64> = e
             .pending_requests()

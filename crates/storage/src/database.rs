@@ -55,27 +55,6 @@ impl Database {
         Ok(self.relations.get_mut(name).expect("just inserted"))
     }
 
-    /// Create the relation if absent; error if present with a different schema.
-    pub fn create_relation_if_absent(
-        &mut self,
-        name: &str,
-        schema: Schema,
-    ) -> Result<&mut Relation, StorageError> {
-        if let Some(existing) = self.relations.get(name) {
-            if existing.schema() != &schema {
-                return Err(StorageError::RelationExists(name.to_owned()));
-            }
-            return Ok(self.relations.get_mut(name).expect("present"));
-        }
-        self.create_relation(name, schema)
-    }
-
-    pub fn drop_relation(&mut self, name: &str) -> Result<Relation, StorageError> {
-        self.relations
-            .remove(name)
-            .ok_or_else(|| StorageError::NoSuchRelation(name.to_owned()))
-    }
-
     pub fn relation(&self, name: &str) -> Result<&Relation, StorageError> {
         self.relations
             .get(name)
@@ -88,10 +67,6 @@ impl Database {
             .ok_or_else(|| StorageError::NoSuchRelation(name.to_owned()))
     }
 
-    pub fn has_relation(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
-    }
-
     /// Names of all relations in deterministic (sorted) order.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
         self.relations.keys().map(String::as_str)
@@ -101,14 +76,9 @@ impl Database {
         self.relations.values()
     }
 
-    /// Materialise a whole relation as a [`ResultSet`] to start a query chain.
+    /// Snapshot a whole relation as a [`ResultSet`].
     pub fn scan(&self, name: &str) -> Result<ResultSet, StorageError> {
         Ok(ResultSet::from_relation(self.relation(name)?))
-    }
-
-    /// Total number of live rows across all relations.
-    pub fn total_rows(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
     }
 }
 
@@ -125,12 +95,7 @@ mod tests {
             .unwrap();
         db.relation_mut("t").unwrap().insert(tuple![5i64]).unwrap();
         assert_eq!(db.scan("t").unwrap().len(), 1);
-        assert_eq!(db.total_rows(), 1);
-        assert!(db.has_relation("t"));
-        let r = db.drop_relation("t").unwrap();
-        assert_eq!(r.len(), 1);
-        assert!(!db.has_relation("t"));
-        assert!(db.scan("t").is_err());
+        assert!(db.scan("u").is_err());
     }
 
     #[test]
@@ -142,19 +107,6 @@ mod tests {
             db.create_relation("t", Schema::of(&[("x", ValueType::Int)])),
             Err(StorageError::RelationExists(_))
         ));
-    }
-
-    #[test]
-    fn create_if_absent_checks_schema() {
-        let mut db = Database::new();
-        let s = Schema::of(&[("x", ValueType::Int)]);
-        db.create_relation_if_absent("t", s.clone()).unwrap();
-        // same schema: ok
-        db.create_relation_if_absent("t", s).unwrap();
-        // different schema: error
-        assert!(db
-            .create_relation_if_absent("t", Schema::of(&[("y", ValueType::Str)]))
-            .is_err());
     }
 
     #[test]
@@ -186,6 +138,5 @@ mod tests {
         let mut db = Database::new();
         assert!(db.relation("nope").is_err());
         assert!(db.relation_mut("nope").is_err());
-        assert!(db.drop_relation("nope").is_err());
     }
 }

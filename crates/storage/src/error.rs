@@ -17,7 +17,6 @@ pub enum StorageError {
         got: Option<ValueType>,
     },
     NullViolation(String),
-    ColumnIndexOutOfRange(usize),
     NoSuchColumn(String),
     NoSuchRelation(String),
     RelationExists(String),
@@ -26,8 +25,6 @@ pub enum StorageError {
         key: String,
     },
     NoSuchRow(u64),
-    /// An expression evaluated to a type unusable in its context.
-    ExprType(String),
     /// Malformed CSV input.
     Csv {
         line: usize,
@@ -64,9 +61,6 @@ impl fmt::Display for StorageError {
             StorageError::NullViolation(n) => {
                 write!(f, "null value in non-nullable column `{n}`")
             }
-            StorageError::ColumnIndexOutOfRange(i) => {
-                write!(f, "column index {i} out of range")
-            }
             StorageError::NoSuchColumn(n) => write!(f, "no such column `{n}`"),
             StorageError::NoSuchRelation(n) => write!(f, "no such relation `{n}`"),
             StorageError::RelationExists(n) => write!(f, "relation `{n}` already exists"),
@@ -74,7 +68,6 @@ impl fmt::Display for StorageError {
                 write!(f, "unique violation in `{relation}` on key {key}")
             }
             StorageError::NoSuchRow(id) => write!(f, "no such row id {id}"),
-            StorageError::ExprType(m) => write!(f, "expression type error: {m}"),
             StorageError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             StorageError::Snapshot { line, message } => {
                 write!(f, "snapshot error at line {line}: {message}")
@@ -118,7 +111,6 @@ mod tests {
                 got: None,
             },
             StorageError::NullViolation("c".into()),
-            StorageError::ColumnIndexOutOfRange(9),
             StorageError::NoSuchColumn("q".into()),
             StorageError::NoSuchRelation("r".into()),
             StorageError::RelationExists("r".into()),
@@ -127,7 +119,6 @@ mod tests {
                 key: "[1]".into(),
             },
             StorageError::NoSuchRow(1),
-            StorageError::ExprType("bad".into()),
             StorageError::Csv {
                 line: 3,
                 message: "oops".into(),

@@ -3,9 +3,9 @@
 //! The production Crowd4U platform keeps workers, tasks, worker↔task
 //! relationships and CyLog facts in a relational database. This crate is the
 //! in-process equivalent: typed schemas, slab-backed relations with secondary
-//! hash indexes, a small set of relational operators (filter / project /
-//! hash-join / aggregate / sort / distinct), CSV import/export for
+//! hash indexes, the platform's event journal, CSV import/export for
 //! spreadsheet-defined tasks, and a textual snapshot format for persistence.
+//! It evaluates no queries: what is derived from the facts, CyLog computes.
 //!
 //! Everything is deterministic: iteration orders are stable, snapshots are
 //! canonical, and floats use a total order so they can appear in keys.
@@ -24,18 +24,13 @@
 //! rel.insert(tuple![1u64, "en"]).unwrap();
 //! rel.insert(tuple![2u64, "ja"]).unwrap();
 //!
-//! let english = db
-//!     .scan("worker")
-//!     .unwrap()
-//!     .filter(&Expr::col(1).eq(Expr::lit("en")))
-//!     .unwrap();
-//! assert_eq!(english.len(), 1);
+//! let hits = db.relation("worker").unwrap().lookup(&[0], &[Value::Id(2)]);
+//! assert_eq!(hits, vec![&tuple![2u64, "ja"]]);
 //! ```
 
 pub mod csv;
 pub mod database;
 pub mod error;
-pub mod expr;
 pub mod journal;
 pub mod query;
 pub mod relation;
@@ -48,9 +43,8 @@ pub mod value;
 pub mod prelude {
     pub use crate::database::Database;
     pub use crate::error::StorageError;
-    pub use crate::expr::{ArithOp, CmpOp, Expr};
     pub use crate::journal::{EventJournal, JournalEntry};
-    pub use crate::query::{AggFunc, AggSpec, ResultSet};
+    pub use crate::query::ResultSet;
     pub use crate::relation::{Relation, RowId};
     pub use crate::schema::{Column, Schema};
     pub use crate::tuple;
@@ -185,22 +179,6 @@ mod proptests {
             let text = crate::csv::write_csv(&recs);
             let back = crate::csv::parse_csv(&text).unwrap();
             prop_assert_eq!(back, recs);
-        }
-
-        /// Filter + project never panic and preserve schema arity.
-        #[test]
-        fn filter_preserves_schema(vals in proptest::collection::vec((any::<i64>(), any::<i64>()), 0..50), cut in any::<i64>()) {
-            let rs = ResultSet::new(
-                Schema::of(&[("x", ValueType::Int), ("y", ValueType::Int)]),
-                vals.iter().map(|(x, y)| tuple![*x, *y]).collect(),
-            );
-            let filtered = rs.filter(&Expr::col(0).lt(Expr::lit(cut))).unwrap();
-            prop_assert_eq!(filtered.schema.arity(), 2);
-            for row in &filtered.rows {
-                prop_assert!(row[0].as_int().unwrap() < cut);
-            }
-            let expected = vals.iter().filter(|(x, _)| *x < cut).count();
-            prop_assert_eq!(filtered.len(), expected);
         }
     }
 }

@@ -1,18 +1,13 @@
-//! Relational operators: filter, project, join, aggregate, sort, distinct.
+//! Query results: a schema plus materialised rows.
 //!
-//! Operators consume/produce [`ResultSet`]s — schema-carrying row batches —
-//! so they can be chained without materialising a full `Relation` (indexes
-//! are not needed mid-pipeline).
+//! Storage evaluates no queries; CyLog (`crowd4u-cylog`) derives facts, and
+//! a [`ResultSet`] is the snapshot it hands out of one relation.
 
-use crate::error::StorageError;
-use crate::expr::Expr;
 use crate::relation::Relation;
-use crate::schema::{Column, Schema};
+use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::{Value, ValueType};
-use std::collections::HashMap;
 
-/// An intermediate query result: a schema plus materialised rows.
+/// A snapshot of a relation's rows, with their schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultSet {
     pub schema: Schema,
@@ -38,445 +33,5 @@ impl ResultSet {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Keep rows matching the predicate expression.
-    pub fn filter(self, pred: &Expr) -> Result<ResultSet, StorageError> {
-        let mut rows = Vec::with_capacity(self.rows.len());
-        for r in self.rows {
-            if pred.matches(&r)? {
-                rows.push(r);
-            }
-        }
-        Ok(ResultSet {
-            schema: self.schema,
-            rows,
-        })
-    }
-
-    /// Project onto named columns.
-    pub fn project(self, cols: &[&str]) -> Result<ResultSet, StorageError> {
-        let mut idx = Vec::with_capacity(cols.len());
-        for c in cols {
-            idx.push(
-                self.schema
-                    .index_of(c)
-                    .ok_or_else(|| StorageError::NoSuchColumn((*c).to_owned()))?,
-            );
-        }
-        let schema = self.schema.project(&idx)?;
-        let rows = self.rows.iter().map(|t| t.project(&idx)).collect();
-        Ok(ResultSet { schema, rows })
-    }
-
-    /// Equi-join with another result set on `(left_col, right_col)` name
-    /// pairs, using a hash table built over the smaller side's keys.
-    pub fn join(self, right: ResultSet, on: &[(&str, &str)]) -> Result<ResultSet, StorageError> {
-        let mut lcols = Vec::with_capacity(on.len());
-        let mut rcols = Vec::with_capacity(on.len());
-        for (l, r) in on {
-            lcols.push(
-                self.schema
-                    .index_of(l)
-                    .ok_or_else(|| StorageError::NoSuchColumn((*l).to_owned()))?,
-            );
-            rcols.push(
-                right
-                    .schema
-                    .index_of(r)
-                    .ok_or_else(|| StorageError::NoSuchColumn((*r).to_owned()))?,
-            );
-        }
-        let schema = self.schema.join(&right.schema);
-        // Null keys never join (SQL semantics).
-        let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-        for t in &right.rows {
-            let key = t.key(&rcols);
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            table.entry(key).or_default().push(t);
-        }
-        let mut rows = Vec::new();
-        for l in &self.rows {
-            let key = l.key(&lcols);
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            if let Some(matches) = table.get(&key) {
-                for r in matches {
-                    rows.push(l.concat(r));
-                }
-            }
-        }
-        Ok(ResultSet { schema, rows })
-    }
-
-    /// Remove duplicate rows, keeping first occurrence order.
-    pub fn distinct(mut self) -> ResultSet {
-        let mut seen = std::collections::HashSet::with_capacity(self.rows.len());
-        self.rows.retain(|r| seen.insert(r.clone()));
-        self
-    }
-
-    /// Sort by the named columns ascending (stable).
-    pub fn sort_by(mut self, cols: &[&str]) -> Result<ResultSet, StorageError> {
-        let mut idx = Vec::with_capacity(cols.len());
-        for c in cols {
-            idx.push(
-                self.schema
-                    .index_of(c)
-                    .ok_or_else(|| StorageError::NoSuchColumn((*c).to_owned()))?,
-            );
-        }
-        self.rows.sort_by_key(|a| a.key(&idx));
-        Ok(self)
-    }
-
-    /// Group by `group_cols` and compute `aggs`; output columns are the group
-    /// columns followed by one column per aggregate.
-    pub fn aggregate(
-        self,
-        group_cols: &[&str],
-        aggs: &[AggSpec<'_>],
-    ) -> Result<ResultSet, StorageError> {
-        let mut gidx = Vec::with_capacity(group_cols.len());
-        for c in group_cols {
-            gidx.push(
-                self.schema
-                    .index_of(c)
-                    .ok_or_else(|| StorageError::NoSuchColumn((*c).to_owned()))?,
-            );
-        }
-        let mut acols = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.func {
-                AggFunc::Count => acols.push(usize::MAX), // ignores the column
-                _ => acols.push(
-                    self.schema
-                        .index_of(a.col)
-                        .ok_or_else(|| StorageError::NoSuchColumn(a.col.to_owned()))?,
-                ),
-            }
-        }
-        // Preserve first-seen group order for deterministic output.
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-        for row in &self.rows {
-            let key = row.key(&gidx);
-            let states = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                aggs.iter().map(|a| AggState::new(a.func)).collect()
-            });
-            for (st, &ci) in states.iter_mut().zip(&acols) {
-                let v = if ci == usize::MAX {
-                    Value::Int(1)
-                } else {
-                    row[ci].clone()
-                };
-                st.feed(&v)?;
-            }
-        }
-        // Output schema.
-        let mut cols: Vec<Column> = gidx
-            .iter()
-            .map(|&i| self.schema.columns()[i].clone())
-            .collect();
-        for a in aggs {
-            cols.push(Column::nullable(a.name.to_owned(), a.func.output_type()));
-        }
-        let schema = Schema::new(cols)?;
-        let mut rows = Vec::with_capacity(order.len());
-        for key in order {
-            let states = groups.remove(&key).expect("group disappeared");
-            let mut vals = key;
-            for st in states {
-                vals.push(st.finish());
-            }
-            rows.push(Tuple::new(vals));
-        }
-        Ok(ResultSet { schema, rows })
-    }
-}
-
-/// Supported aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggFunc {
-    fn output_type(self) -> ValueType {
-        match self {
-            AggFunc::Count => ValueType::Int,
-            AggFunc::Avg => ValueType::Float,
-            // Sum/Min/Max keep numeric flavour; declared Float for generality.
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => ValueType::Float,
-        }
-    }
-}
-
-/// One aggregate column request: function, input column, output name.
-#[derive(Debug, Clone, Copy)]
-pub struct AggSpec<'a> {
-    pub func: AggFunc,
-    pub col: &'a str,
-    pub name: &'a str,
-}
-
-impl<'a> AggSpec<'a> {
-    pub fn new(func: AggFunc, col: &'a str, name: &'a str) -> AggSpec<'a> {
-        AggSpec { func, col, name }
-    }
-}
-
-#[derive(Debug)]
-enum AggState {
-    Count(i64),
-    Sum(f64, bool),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg(f64, i64),
-}
-
-impl AggState {
-    fn new(f: AggFunc) -> AggState {
-        match f {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(0.0, false),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg(0.0, 0),
-        }
-    }
-
-    fn feed(&mut self, v: &Value) -> Result<(), StorageError> {
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(acc, seen) => {
-                if !v.is_null() {
-                    *acc += v
-                        .as_float()
-                        .ok_or_else(|| StorageError::ExprType("sum of non-numeric".into()))?;
-                    *seen = true;
-                }
-            }
-            AggState::Min(cur) => {
-                if !v.is_null() && cur.as_ref().is_none_or(|c| v < c) {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Max(cur) => {
-                if !v.is_null() && cur.as_ref().is_none_or(|c| v > c) {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Avg(acc, n) => {
-                if !v.is_null() {
-                    *acc += v
-                        .as_float()
-                        .ok_or_else(|| StorageError::ExprType("avg of non-numeric".into()))?;
-                    *n += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int(n),
-            AggState::Sum(acc, seen) => {
-                if seen {
-                    Value::Float(acc)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-            AggState::Avg(acc, n) => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(acc / n as f64)
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tuple;
-
-    fn people() -> ResultSet {
-        ResultSet::new(
-            Schema::of(&[
-                ("id", ValueType::Id),
-                ("country", ValueType::Str),
-                ("score", ValueType::Float),
-            ]),
-            vec![
-                tuple![1u64, "jp", 0.9],
-                tuple![2u64, "jp", 0.7],
-                tuple![3u64, "fr", 0.8],
-                tuple![4u64, "us", 0.4],
-            ],
-        )
-    }
-
-    fn tasks() -> ResultSet {
-        ResultSet::new(
-            Schema::of(&[("worker", ValueType::Id), ("task", ValueType::Str)]),
-            vec![
-                tuple![1u64, "translate"],
-                tuple![1u64, "review"],
-                tuple![3u64, "report"],
-                tuple![9u64, "orphan"],
-            ],
-        )
-    }
-
-    #[test]
-    fn filter_project() {
-        let rs = people()
-            .filter(&Expr::col(2).ge(Expr::lit(0.7)))
-            .unwrap()
-            .project(&["country"])
-            .unwrap();
-        assert_eq!(rs.len(), 3);
-        assert_eq!(rs.schema.arity(), 1);
-    }
-
-    #[test]
-    fn filter_bad_column_errors() {
-        assert!(people().project(&["nope"]).is_err());
-    }
-
-    #[test]
-    fn hash_join_matches_pairs() {
-        let rs = people().join(tasks(), &[("id", "worker")]).unwrap();
-        assert_eq!(rs.len(), 3); // worker 1 twice, worker 3 once
-        assert_eq!(rs.schema.arity(), 5);
-        // join keeps left values then right values
-        let first = &rs.rows[0];
-        assert_eq!(first[0], Value::Id(1));
-    }
-
-    #[test]
-    fn join_on_missing_column_errors() {
-        assert!(people().join(tasks(), &[("id", "nope")]).is_err());
-        assert!(people().join(tasks(), &[("nope", "worker")]).is_err());
-    }
-
-    #[test]
-    fn null_keys_do_not_join() {
-        let left = ResultSet::new(
-            Schema::new(vec![Column::nullable("k", ValueType::Int)]).unwrap(),
-            vec![tuple![Value::Null], tuple![1i64]],
-        );
-        let right = ResultSet::new(
-            Schema::new(vec![Column::nullable("k", ValueType::Int)]).unwrap(),
-            vec![tuple![Value::Null], tuple![1i64]],
-        );
-        let rs = left.join(right, &[("k", "k")]).unwrap();
-        assert_eq!(rs.len(), 1);
-    }
-
-    #[test]
-    fn distinct_removes_dupes_in_order() {
-        let rs = ResultSet::new(
-            Schema::of(&[("x", ValueType::Int)]),
-            vec![tuple![2i64], tuple![1i64], tuple![2i64], tuple![3i64]],
-        )
-        .distinct();
-        assert_eq!(rs.rows, vec![tuple![2i64], tuple![1i64], tuple![3i64]]);
-    }
-
-    #[test]
-    fn sort_is_stable_and_ordered() {
-        let rs = people().sort_by(&["country", "score"]).unwrap();
-        let countries: Vec<&str> = rs.rows.iter().map(|r| r[1].as_str().unwrap()).collect();
-        assert_eq!(countries, vec!["fr", "jp", "jp", "us"]);
-        assert!(rs.rows[1][2] < rs.rows[2][2]);
-    }
-
-    #[test]
-    fn aggregate_group_by() {
-        let rs = people()
-            .aggregate(
-                &["country"],
-                &[
-                    AggSpec::new(AggFunc::Count, "", "n"),
-                    AggSpec::new(AggFunc::Avg, "score", "avg_score"),
-                    AggSpec::new(AggFunc::Max, "score", "best"),
-                ],
-            )
-            .unwrap();
-        assert_eq!(rs.len(), 3);
-        // first-seen order: jp, fr, us
-        assert_eq!(rs.rows[0][0], Value::Str("jp".into()));
-        assert_eq!(rs.rows[0][1], Value::Int(2));
-        assert!(
-            (rs.rows[0][2].as_float().unwrap() - 0.8).abs() < 1e-12,
-            "avg of 0.9 and 0.7"
-        );
-        assert_eq!(rs.rows[0][3], Value::Float(0.9));
-    }
-
-    #[test]
-    fn aggregate_global_no_groups() {
-        let rs = people()
-            .aggregate(
-                &[],
-                &[
-                    AggSpec::new(AggFunc::Sum, "score", "total"),
-                    AggSpec::new(AggFunc::Min, "score", "worst"),
-                ],
-            )
-            .unwrap();
-        assert_eq!(rs.len(), 1);
-        assert!((rs.rows[0][0].as_float().unwrap() - 2.8).abs() < 1e-12);
-        assert_eq!(rs.rows[0][1], Value::Float(0.4));
-    }
-
-    #[test]
-    fn aggregate_empty_input() {
-        let rs = ResultSet::new(Schema::of(&[("x", ValueType::Int)]), vec![])
-            .aggregate(&[], &[AggSpec::new(AggFunc::Count, "", "n")])
-            .unwrap();
-        // With no rows there is no group at all, even for global aggregates.
-        assert!(rs.is_empty());
-    }
-
-    #[test]
-    fn aggregate_nulls_ignored() {
-        let rs = ResultSet::new(
-            Schema::new(vec![Column::nullable("x", ValueType::Int)]).unwrap(),
-            vec![tuple![Value::Null], tuple![4i64]],
-        )
-        .aggregate(
-            &[],
-            &[
-                AggSpec::new(AggFunc::Avg, "x", "a"),
-                AggSpec::new(AggFunc::Count, "", "n"),
-            ],
-        )
-        .unwrap();
-        assert_eq!(rs.rows[0][0], Value::Float(4.0));
-        assert_eq!(rs.rows[0][1], Value::Int(2)); // count counts rows
-    }
-
-    #[test]
-    fn sum_of_strings_is_error() {
-        let rs = ResultSet::new(Schema::of(&[("s", ValueType::Str)]), vec![tuple!["a"]]);
-        assert!(rs
-            .aggregate(&[], &[AggSpec::new(AggFunc::Sum, "s", "t")])
-            .is_err());
     }
 }

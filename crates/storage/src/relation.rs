@@ -155,11 +155,6 @@ impl Relation {
         Ok(())
     }
 
-    /// Whether an index exactly covering `cols` (by position) exists.
-    pub fn has_index_on(&self, cols: &[usize]) -> bool {
-        self.indexes.iter().any(|i| i.cols == cols)
-    }
-
     fn unique_violation(&self, ix: &HashIndex, t: &Tuple) -> StorageError {
         StorageError::UniqueViolation {
             relation: self.name.clone(),
@@ -287,20 +282,6 @@ impl Relation {
         Ok(t)
     }
 
-    /// Delete every row matching `pred`; returns how many were removed.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Tuple) -> bool) -> usize {
-        let victims: Vec<RowId> = self
-            .iter_ids()
-            .filter(|(_, t)| pred(t))
-            .map(|(rid, _)| rid)
-            .collect();
-        let n = victims.len();
-        for rid in victims {
-            let _ = self.delete(rid);
-        }
-        n
-    }
-
     /// Replace the row at `rid` with `row` (schema checked, indexes updated).
     pub fn update(&mut self, rid: RowId, row: impl Into<Tuple>) -> Result<(), StorageError> {
         let t: Tuple = row.into();
@@ -376,8 +357,7 @@ impl Relation {
     }
 
     /// Delete every row matching `key` on `cols`, resolved through an index
-    /// like [`lookup`](Self::lookup) — the indexed counterpart of
-    /// [`delete_where`](Self::delete_where), which always scans every slot.
+    /// like [`lookup`](Self::lookup).
     /// Finding the victims costs one posting-list walk; removing them costs,
     /// per index, one direct removal for each victim that is alone under
     /// its key (a scan of that key's posting list for the id, no hashing)
@@ -421,23 +401,6 @@ impl Relation {
             }
         }
         victims.len()
-    }
-
-    /// Like [`lookup`](Self::lookup) but resolving column names first.
-    pub fn lookup_by_name(
-        &self,
-        cols: &[&str],
-        key: &[Value],
-    ) -> Result<Vec<&Tuple>, StorageError> {
-        let mut idx = Vec::with_capacity(cols.len());
-        for c in cols {
-            idx.push(
-                self.schema
-                    .index_of(c)
-                    .ok_or_else(|| StorageError::NoSuchColumn((*c).to_owned()))?,
-            );
-        }
-        Ok(self.lookup(&idx, key))
     }
 
     /// Remove all rows but keep schema and index definitions.
@@ -527,10 +490,7 @@ mod tests {
         let t = r.delete(a).unwrap();
         assert_eq!(t[0], Value::Id(1));
         assert!(r.get(a).is_none());
-        assert!(r
-            .lookup_by_name(&["id"], &[Value::Id(1)])
-            .unwrap()
-            .is_empty());
+        assert!(r.lookup(&[0], &[Value::Id(1)]).is_empty());
         // Slot reuse keeps ids stable for other rows.
         let b = r.insert(tuple![2u64, "bob", 0.5]).unwrap();
         assert_eq!(a, b, "slab reuses freed slot");
@@ -542,11 +502,8 @@ mod tests {
         let mut r = workers();
         let a = r.insert(tuple![1u64, "ann", 0.9]).unwrap();
         r.update(a, tuple![3u64, "ann", 0.9]).unwrap();
-        assert!(r
-            .lookup_by_name(&["id"], &[Value::Id(1)])
-            .unwrap()
-            .is_empty());
-        assert_eq!(r.lookup_by_name(&["id"], &[Value::Id(3)]).unwrap().len(), 1);
+        assert!(r.lookup(&[0], &[Value::Id(1)]).is_empty());
+        assert_eq!(r.lookup(&[0], &[Value::Id(3)]).len(), 1);
     }
 
     #[test]
@@ -579,20 +536,20 @@ mod tests {
         r.insert(tuple![1u64, "ann", 0.9]).unwrap();
         r.insert(tuple![2u64, "bob", 0.9]).unwrap();
         // no index on skill
-        let hits = r.lookup_by_name(&["skill"], &[Value::Float(0.9)]).unwrap();
+        let hits = r.lookup(&[2], &[Value::Float(0.9)]);
         assert_eq!(hits.len(), 2);
-        assert!(r.lookup_by_name(&["nope"], &[Value::Null]).is_err());
     }
 
     #[test]
-    fn delete_where_counts() {
+    fn delete_matching_counts() {
         let mut r = workers();
         for i in 0..10u64 {
-            r.insert(tuple![i, "w", (i as f64) / 10.0]).unwrap();
+            r.insert(tuple![i, "w", (i % 2) as f64]).unwrap();
         }
-        let n = r.delete_where(|t| t[2].as_float().unwrap() < 0.5);
-        assert_eq!(n, 5);
+        assert_eq!(r.delete_matching(&[2], &[Value::Float(0.0)]), 5);
         assert_eq!(r.len(), 5);
+        assert!(r.lookup(&[0], &[Value::Id(4)]).is_empty());
+        assert_eq!(r.lookup(&[0], &[Value::Id(5)]).len(), 1);
     }
 
     #[test]
@@ -602,7 +559,7 @@ mod tests {
         r.clear();
         assert!(r.is_empty());
         r.insert(tuple![1u64, "ann", 0.9]).unwrap();
-        assert_eq!(r.lookup_by_name(&["id"], &[Value::Id(1)]).unwrap().len(), 1);
+        assert_eq!(r.lookup(&[0], &[Value::Id(1)]).len(), 1);
     }
 
     #[test]
@@ -615,8 +572,6 @@ mod tests {
         for i in 0..6i64 {
             r.insert(tuple![i % 2, i]).unwrap();
         }
-        assert_eq!(r.lookup_by_name(&["g"], &[Value::Int(0)]).unwrap().len(), 3);
-        assert!(r.has_index_on(&[0]));
-        assert!(!r.has_index_on(&[1]));
+        assert_eq!(r.lookup(&[0], &[Value::Int(0)]).len(), 3);
     }
 }

@@ -96,44 +96,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Schema produced by keeping only the columns at `indices`, in order.
-    pub fn project(&self, indices: &[usize]) -> Result<Schema, StorageError> {
-        let mut cols = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let c = self
-                .columns
-                .get(i)
-                .ok_or(StorageError::ColumnIndexOutOfRange(i))?;
-            cols.push(c.clone());
-        }
-        // Projection may duplicate a column; disambiguate with a suffix.
-        let mut out: Vec<Column> = Vec::with_capacity(cols.len());
-        for c in cols {
-            let mut name = c.name.clone();
-            let mut n = 1;
-            while out.iter().any(|p| p.name == name) {
-                n += 1;
-                name = format!("{}_{n}", c.name);
-            }
-            out.push(Column { name, ..c });
-        }
-        Schema::new(out)
-    }
-
-    /// Schema of the concatenation `self ++ other` (for joins). Name clashes
-    /// from the right side get a `right_` prefix.
-    pub fn join(&self, other: &Schema) -> Schema {
-        let mut cols = self.columns.clone();
-        for c in &other.columns {
-            let mut name = c.name.clone();
-            while cols.iter().any(|p| p.name == name) {
-                name = format!("right_{name}");
-            }
-            cols.push(Column { name, ..c.clone() });
-        }
-        Schema { columns: cols }
-    }
 }
 
 impl fmt::Display for Schema {
@@ -229,29 +191,6 @@ mod tests {
         s.check_row(&[Value::Int(1), Value::Null]).unwrap();
         let err = s.check_row(&[Value::Null, Value::Null]).unwrap_err();
         assert!(matches!(err, StorageError::NullViolation(_)));
-    }
-
-    #[test]
-    fn project_renames_duplicates() {
-        let s = abc();
-        let p = s.project(&[0, 0, 1]).unwrap();
-        assert_eq!(p.columns()[0].name, "a");
-        assert_eq!(p.columns()[1].name, "a_2");
-        assert_eq!(p.columns()[2].name, "b");
-    }
-
-    #[test]
-    fn project_out_of_range() {
-        let err = abc().project(&[5]).unwrap_err();
-        assert!(matches!(err, StorageError::ColumnIndexOutOfRange(5)));
-    }
-
-    #[test]
-    fn join_prefixes_clashes() {
-        let s = abc();
-        let j = s.join(&abc());
-        assert_eq!(j.arity(), 6);
-        assert_eq!(j.columns()[3].name, "right_a");
     }
 
     #[test]

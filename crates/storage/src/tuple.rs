@@ -25,21 +25,7 @@ impl Tuple {
         self.0.get(idx)
     }
 
-    /// New tuple keeping only the columns at `indices`, in order.
-    /// Indices must be in range (checked by the caller against the schema).
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple(indices.iter().map(|&i| self.0[i].clone()).collect())
-    }
-
-    /// Concatenation of two tuples (for join output).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Tuple(v.into_boxed_slice())
-    }
-
-    /// Extract the key values at the given columns (for indexes / joins).
+    /// Extract the key values at the given columns (for index keys).
     pub fn key(&self, cols: &[usize]) -> Vec<Value> {
         cols.iter().map(|&i| self.0[i].clone()).collect()
     }
@@ -94,15 +80,6 @@ mod tests {
         assert_eq!(t[0], Value::Int(1));
         assert_eq!(t[1], Value::Str("x".into()));
         assert_eq!(t[4], Value::Id(7));
-    }
-
-    #[test]
-    fn project_and_concat() {
-        let t = tuple![1i64, "x", 0.5];
-        let p = t.project(&[2, 0]);
-        assert_eq!(p, tuple![0.5, 1i64]);
-        let c = p.concat(&tuple![true]);
-        assert_eq!(c, tuple![0.5, 1i64, true]);
     }
 
     #[test]

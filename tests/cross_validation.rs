@@ -1,10 +1,11 @@
-//! Cross-validation properties spanning crates: the storage hash join
-//! against a nested-loop reference, CyLog aggregates against the storage
-//! aggregation operator, and CyLog joins against the query engine.
+//! Cross-validation properties for the CyLog evaluator: a join rule against
+//! a nested-loop reference join, and grouped aggregates against a fold over
+//! the same facts.
 
 use crowd4u::cylog::engine::CylogEngine;
 use crowd4u::storage::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Nested-loop reference join for the property test.
 fn reference_join(left: &[(i64, i64)], right: &[(i64, i64)]) -> Vec<(i64, i64, i64, i64)> {
@@ -20,45 +21,19 @@ fn reference_join(left: &[(i64, i64)], right: &[(i64, i64)]) -> Vec<(i64, i64, i
     out
 }
 
+/// The facts as a set: sorted, duplicates removed.
+fn dedup(mut facts: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
+    facts.sort_unstable();
+    facts.dedup();
+    facts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Hash join ≡ nested-loop join on arbitrary relations.
+    /// CyLog join rule ≡ nested-loop join of the same (set-semantics) facts.
     #[test]
-    fn hash_join_matches_reference(
-        left in proptest::collection::vec((0i64..8, 0i64..8), 0..30),
-        right in proptest::collection::vec((0i64..8, 0i64..8), 0..30),
-    ) {
-        let schema_l = Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]);
-        let schema_r = Schema::of(&[("c", ValueType::Int), ("d", ValueType::Int)]);
-        let rs_l = ResultSet::new(
-            schema_l,
-            left.iter().map(|(a, b)| tuple![*a, *b]).collect(),
-        );
-        let rs_r = ResultSet::new(
-            schema_r,
-            right.iter().map(|(c, d)| tuple![*c, *d]).collect(),
-        );
-        let joined = rs_l.join(rs_r, &[("b", "c")]).unwrap();
-        let mut got: Vec<(i64, i64, i64, i64)> = joined
-            .rows
-            .iter()
-            .map(|t| {
-                (
-                    t[0].as_int().unwrap(),
-                    t[1].as_int().unwrap(),
-                    t[2].as_int().unwrap(),
-                    t[3].as_int().unwrap(),
-                )
-            })
-            .collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, reference_join(&left, &right));
-    }
-
-    /// CyLog join rule ≡ storage query-engine join on the same data.
-    #[test]
-    fn cylog_join_matches_query_engine(
+    fn cylog_join_matches_reference(
         left in proptest::collection::vec((0i64..6, 0i64..6), 0..20),
         right in proptest::collection::vec((0i64..6, 0i64..6), 0..20),
     ) {
@@ -78,23 +53,18 @@ proptest! {
         let mut cylog_rows = engine.facts("j").unwrap().rows;
         cylog_rows.sort();
 
-        // The same join through the query engine (with dedup = set semantics).
-        let l = engine.facts("l").unwrap();
-        let r = engine.facts("r").unwrap();
-        let joined = l
-            .join(r, &[("b", "b")])
-            .unwrap()
-            .project(&["a", "b", "c"])
-            .unwrap()
-            .distinct();
-        let mut sql_rows = joined.rows;
-        sql_rows.sort();
-        prop_assert_eq!(cylog_rows, sql_rows);
+        let mut expect: Vec<Tuple> = reference_join(&dedup(left), &dedup(right))
+            .into_iter()
+            .map(|(a, b, _, c)| tuple![a, b, c])
+            .collect();
+        expect.sort();
+        expect.dedup();
+        prop_assert_eq!(cylog_rows, expect);
     }
 
-    /// CyLog aggregates ≡ storage aggregation operator.
+    /// CyLog aggregates ≡ a per-group fold over the same facts.
     #[test]
-    fn cylog_aggregates_match_query_engine(
+    fn cylog_aggregates_match_reference(
         facts in proptest::collection::vec((0i64..4, -100i64..100), 1..30),
     ) {
         let mut engine = CylogEngine::from_source(
@@ -103,9 +73,6 @@ proptest! {
              s(G, count<V>, min<V>, max<V>) :- w(G, V).\n",
         )
         .unwrap();
-        let mut deduped: Vec<(i64, i64)> = facts.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
         for (g, v) in &facts {
             engine.add_fact("w", vec![(*g).into(), (*v).into()]).unwrap();
         }
@@ -113,55 +80,19 @@ proptest! {
         let mut cylog_rows = engine.facts("s").unwrap().rows;
         cylog_rows.sort();
 
-        let rs = engine.facts("w").unwrap();
-        let agg = rs
-            .aggregate(
-                &["g"],
-                &[
-                    AggSpec::new(AggFunc::Count, "", "n"),
-                    AggSpec::new(AggFunc::Min, "v", "lo"),
-                    AggSpec::new(AggFunc::Max, "v", "hi"),
-                ],
-            )
-            .unwrap();
-        let mut sql_rows = agg.rows;
-        sql_rows.sort();
-        // Min/Max agree exactly; counts agree because both sides see the
-        // deduplicated fact set (set semantics on `w`).
-        prop_assert_eq!(cylog_rows.len(), sql_rows.len());
-        for (c, s) in cylog_rows.iter().zip(&sql_rows) {
-            prop_assert_eq!(&c[0], &s[0], "group");
-            prop_assert_eq!(c[1].as_int(), s[1].as_int(), "count");
-            prop_assert_eq!(&c[2], &s[2], "min");
-            prop_assert_eq!(&c[3], &s[3], "max");
+        // Counts agree because both sides see the deduplicated fact set
+        // (set semantics on `w`).
+        let mut groups: BTreeMap<i64, (i64, i64, i64)> = BTreeMap::new();
+        for (g, v) in dedup(facts) {
+            let (n, lo, hi) = groups.entry(g).or_insert((0, v, v));
+            *n += 1;
+            *lo = (*lo).min(v);
+            *hi = (*hi).max(v);
         }
-    }
-
-    /// Sort → distinct → filter chains keep set semantics (no row invented,
-    /// none lost) under arbitrary permutations.
-    #[test]
-    fn operator_chain_preserves_rows(
-        rows in proptest::collection::vec((0i64..10, 0i64..10), 0..40),
-    ) {
-        let rs = ResultSet::new(
-            Schema::of(&[("x", ValueType::Int), ("y", ValueType::Int)]),
-            rows.iter().map(|(x, y)| tuple![*x, *y]).collect(),
-        );
-        let processed = rs
-            .clone()
-            .sort_by(&["y", "x"]) .unwrap()
-            .distinct()
-            .filter(&Expr::col(0).ge(Expr::lit(0i64)))
-            .unwrap();
-        let mut expect: Vec<(i64, i64)> = rows.clone();
-        expect.sort_unstable();
-        expect.dedup();
-        let mut got: Vec<(i64, i64)> = processed
-            .rows
-            .iter()
-            .map(|t| (t[0].as_int().unwrap(), t[1].as_int().unwrap()))
+        let expect: Vec<Tuple> = groups
+            .into_iter()
+            .map(|(g, (n, lo, hi))| tuple![g, n, lo, hi])
             .collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(cylog_rows, expect);
     }
 }

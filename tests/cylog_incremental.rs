@@ -110,9 +110,7 @@ fn apply_op(engine: &mut CylogEngine, n_base: usize, op: &RawOp) {
         }
         k => {
             let pred = format!("b{}", (k as usize) % n_base);
-            engine
-                .retract_where(&pred, |t| t[0] == Value::Int(a))
-                .unwrap();
+            engine.retract_by_key(&pred, &Value::Int(a)).unwrap();
         }
     }
 }

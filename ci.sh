@@ -10,10 +10,12 @@
 #                                  and the e2e benchmark as BENCHMARK.json builds it
 #   4. cargo test -q            — unit + property + integration + doc tests
 #   5. RUNTIME_SHARDS=4 pass    — the integration suite on the parallel path
-#   6. pinned-seed replays      — chaos (with the two worker-log truncation
+#   6. pinned-seed replays      — chaos (with the two worker-churn
 #                                  regressions: a replica recovers, a project
-#                                  migrates, both past three truncation chunks)
-#                                  and shared-crowd proptests, the three
+#                                  migrates, both after 200 registrations),
+#                                  the shard-equivalence op mix (its worker
+#                                  churn installed on every replica at 4
+#                                  shards) and shared-crowd proptests, the three
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility, memoised vs fresh affinity) and
@@ -139,11 +141,17 @@ step env RUNTIME_SHARDS=4 cargo test -q -p crowd4u --tests
 # proptest under a pinned seed so the exact crash schedules (FaultPlan
 # kill points derived from PROPTEST_SEED) are reproduced byte-for-byte on
 # every CI run — a regression here replays identically on a dev box with
-# the same seed. The same file holds the worker-log truncation
-# regressions (recovery and migration past TRUNCATE_CHUNK registrations),
-# and its generator's crowd-burst op crosses truncation under this seed.
+# the same seed. The same file holds the worker-churn regressions
+# (recovery and migration after 200 registrations), and its generator's
+# crowd-burst op files long runs of worker installs under this seed.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u --test recovery_equivalence
+# The sharded-vs-serial differential under a pinned seed: its op mix's
+# worker churn (re-registrations and crowd bursts) reaches each of the
+# four shards' mailboxes, recorded on the coordinator and installed on
+# every replica, between the project events and drains it interleaves with.
+step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u --test shard_equivalence
 # Shared-crowd replay: rerun the marketplace differential proptest (three
 # scenarios, one population, chaos leg included) under a pinned seed so
 # its crash schedules and generated configs reproduce byte-for-byte.

@@ -97,23 +97,14 @@ pub const DRAIN_KIND: &str = "drain";
 ///   (CyLog engine, tasks, relations, points ledger) and may be applied on
 ///   the owning partition alone, concurrently with other projects' events.
 /// * [`EventScope::Global`] events mutate state every partition replicates
-///   (the clock, the project-id sequence) and must be applied by **every**
-///   partition **in the same relative order** — the broadcast-lockstep
-///   rule that keeps the project-id sequence identical across replicas.
-/// * [`EventScope::Worker`] events mutate the worker registry. They are
-///   delivered to the **coordinator partition only** (which journals
-///   them); other partitions replicate the effect by pulling seq-keyed
-///   deltas from the coordinator's worker service *before* applying any
-///   later-stamped event, which preserves the same relative order the old
-///   broadcast gave while making worker churn O(1) platform-wide instead
-///   of O(partitions).
+///   (the clock, the project-id sequence, the worker registry) and must be
+///   applied by **every** partition **in the same relative order** — the
+///   broadcast-lockstep rule that keeps the project-id sequence and the
+///   worker registry identical across replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventScope {
     /// Replicated state: every partition must apply it, in sequence order.
     Global,
-    /// Worker-registry state: applied by the coordinator partition;
-    /// replicas sync it on demand from the worker service.
-    Worker,
     /// Partitioned state: only the owner of this project applies it.
     Project(ProjectId),
 }
@@ -125,10 +116,9 @@ impl PlatformEvent {
     /// classification is pure bit arithmetic.
     pub fn scope(&self) -> EventScope {
         match self {
-            PlatformEvent::WorkerRegistered { .. } => EventScope::Worker,
-            PlatformEvent::ClockAdvanced { .. } | PlatformEvent::ProjectRegistered { .. } => {
-                EventScope::Global
-            }
+            PlatformEvent::WorkerRegistered { .. }
+            | PlatformEvent::ClockAdvanced { .. }
+            | PlatformEvent::ProjectRegistered { .. } => EventScope::Global,
             PlatformEvent::FactSeeded { project, .. }
             | PlatformEvent::TasksSynced { project }
             | PlatformEvent::CollabTaskCreated { project, .. } => EventScope::Project(*project),
@@ -635,8 +625,7 @@ mod tests {
         // out of the strided task id.
         for e in all_events() {
             match (e.kind(), e.scope()) {
-                ("worker", EventScope::Worker) => {}
-                ("clock" | "project", EventScope::Global) => {}
+                ("worker" | "clock" | "project", EventScope::Global) => {}
                 ("seed" | "sync" | "collab", EventScope::Project(p)) => {
                     assert_eq!(p, ProjectId(3));
                 }

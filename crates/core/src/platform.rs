@@ -313,12 +313,12 @@ impl Crowd4U {
 
     /// The state effects of a worker registration, without the journal
     /// entry or the platform counter. This is the runtime's replica path:
-    /// the coordinator shard journals [`PlatformEvent::WorkerRegistered`]
-    /// via [`register_worker`](Crowd4U::register_worker); other shards
-    /// mirror its effects by installing the same profile deltas, in the
-    /// same seq order, through this method — keeping
-    /// `WorkerManager::version()` in lockstep without the event ever being
-    /// broadcast.
+    /// a registration is broadcast, the coordinator shard journals it
+    /// via [`register_worker`](Crowd4U::register_worker), and every other
+    /// shard receives the profile at the same mailbox position and
+    /// installs it through this method — keeping
+    /// `WorkerManager::version()` in lockstep with one journal entry per
+    /// registration across the runtime.
     ///
     /// A registration changes one worker, so under the factor screen it
     /// changes each project's eligible set by at most that worker. Every

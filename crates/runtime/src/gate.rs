@@ -32,14 +32,14 @@
 //! Every event goes through the same steps in `GateCore::admit`. Its
 //! [`EventScope`] names the destination shards and the one *recorder*
 //! among them: a project event goes to its owner, which records it; a
-//! worker event goes to shard 0, which records it; a broadcast goes to
-//! every shard, and shard 0 records it. The destinations are locked in
-//! ascending order and one ladder is checked, first match wins:
+//! global event — a clock advance, a project or a worker registration —
+//! goes to every shard, and shard 0 records it. The destinations are
+//! locked in ascending order and one ladder is checked, first match wins:
 //!
 //! 1. the recorder is dead → [`GateError::ShardDown`];
 //! 2. a live destination is closed → [`GateError::Closed`];
 //! 3. a migration holds the scope (a project event: its own project; a
-//!    worker event or a broadcast: any project) → [`GateError::Migrating`];
+//!    broadcast: any project) → [`GateError::Migrating`];
 //! 4. a live destination is recovering → [`GateError::Recovering`];
 //! 5. a live destination is full → [`GateError::Full`].
 //!
@@ -76,13 +76,13 @@
 //! replica is skipped (its slice is lost already; stalling every healthy
 //! shard on it would globalise a scoped failure), a dead recorder is not.
 //!
-//! A worker event is **not** broadcast: it reaches shard 0's mailbox and,
-//! in the same step, the [`WorkerService`] delta log, its seq drawn inside
-//! the service's critical section while the mailbox lock is held (lock
-//! order mailbox → service, as for a job's bound). Replicas pull the
-//! seq-keyed deltas before applying any later-stamped message, which
-//! reproduces a broadcast's interleaving at O(1) submission cost — see
-//! `crate::workers` for the argument.
+//! A worker registration is a broadcast like any other, with one
+//! difference in what the replicas receive: the recorder gets the event,
+//! each live replica a `ToShard::Install` of the profile — one `Arc`
+//! shared by every replica, allocated before any lock — which it files in
+//! its ledger slot and installs without journaling. Mailbox order then
+//! places every job, drain and event after each registration admitted
+//! before it, on every shard.
 //!
 //! Producers to distinct shards share nothing but the atomic stamper; the
 //! per-shard critical section is a few `VecDeque` operations. The gate is
@@ -111,7 +111,6 @@
 
 use crate::recovery::ShardLedger;
 use crate::shard::{Job, ToShard};
-use crate::workers::WorkerService;
 use crowd4u_core::error::ProjectId;
 use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
@@ -139,7 +138,7 @@ pub enum GateError {
     },
     /// The destination shard's thread died and recovery is disabled —
     /// the error is scoped to that shard: events owned by healthy
-    /// shards (and worker events, while the coordinator lives) keep
+    /// shards (and broadcasts, while the coordinator lives) keep
     /// flowing. The dead shard's panic resurfaces from
     /// `ShardedRuntime::finish`.
     ShardDown {
@@ -159,9 +158,9 @@ pub enum GateError {
     },
     /// `try_submit` only: admission is briefly held while a project
     /// migrates between shards (the quiesced project's events, plus
-    /// broadcasts and worker events — they interleave with every
-    /// slice). Retry shortly, or use the blocking
-    /// [`IngestGate::submit`], which waits out the migration.
+    /// broadcasts — they interleave with every slice). Retry shortly, or
+    /// use the blocking [`IngestGate::submit`], which waits out the
+    /// migration.
     Migrating {
         /// A project currently being migrated.
         project: ProjectId,
@@ -234,7 +233,8 @@ fn batch_limit(capacity: usize) -> usize {
 
 struct QueueState {
     queue: Batch,
-    /// Data events ([`ToShard::Apply`]) admitted and not yet given back by
+    /// Data events ([`ToShard::Apply`], [`ToShard::Install`]) admitted and
+    /// not yet given back by
     /// the consumer: those queued here **plus** those in the batch the
     /// shard has in hand, whose credit returns with its next
     /// [`GateCore::recv_batch`]. The capacity bound applies to this count
@@ -331,9 +331,6 @@ pub(crate) struct GateCore {
     /// barrier).
     capacity: usize,
     queues: Vec<ShardQueue>,
-    /// The coordinator-owned worker registry side channel; worker events
-    /// are appended here (instead of broadcast) and replicas pull them.
-    service: Arc<WorkerService>,
     /// Gate-admission span histogram (the whole route: lock, stamp, push),
     /// counting every admission: `path="direct"` times a sample of those
     /// that never wait, `path="waited"` every one that does (see
@@ -359,8 +356,8 @@ pub(crate) struct GateCore {
     /// Number of projects with a routing override (fast-path guard).
     overridden: AtomicUsize,
     /// Projects currently quiesced by an in-flight migration. While any
-    /// hold is active, broadcasts and worker events are held too — they
-    /// interleave with every shard's slice.
+    /// hold is active, broadcasts are held too — they interleave with
+    /// every shard's slice.
     holds: Mutex<BTreeSet<u64>>,
     /// Number of active migration holds (fast-path guard, checked inside
     /// mailbox critical sections so admission cannot race a hold).
@@ -370,15 +367,9 @@ pub(crate) struct GateCore {
 }
 
 impl GateCore {
-    pub(crate) fn new(
-        shards: usize,
-        capacity: usize,
-        service: Arc<WorkerService>,
-        telemetry: &TelemetryHandle,
-    ) -> GateCore {
+    pub(crate) fn new(shards: usize, capacity: usize, telemetry: &TelemetryHandle) -> GateCore {
         GateCore {
             stamper: AtomicU64::new(0),
-            service,
             admit: telemetry.histogram_with(stage::GATE_ADMIT, "path=\"direct\""),
             admit_waited: telemetry.histogram_with(stage::GATE_ADMIT, "path=\"waited\""),
             dwell: telemetry.histogram(stage::MAILBOX_DWELL),
@@ -429,12 +420,6 @@ impl GateCore {
         self.queues.len()
     }
 
-    /// The worker service replicas sync from (shard consumers hold a
-    /// clone; tests and benches introspect it).
-    pub(crate) fn worker_service(&self) -> &Arc<WorkerService> {
-        &self.service
-    }
-
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
@@ -475,8 +460,8 @@ impl GateCore {
         self.overridden.load(Ordering::Acquire) != 0
     }
 
-    /// Quiesce one project's admission (plus broadcasts and worker
-    /// events) for a migration. After this returns, no new event that
+    /// Quiesce one project's admission (plus broadcasts) for a
+    /// migration. After this returns, no new event that
     /// could touch the project's slice can enter any mailbox until
     /// [`release_migration`](GateCore::release_migration).
     pub(crate) fn hold_for_migration(&self, project: ProjectId) {
@@ -509,8 +494,8 @@ impl GateCore {
     }
 
     /// The held project that stops an event of `scope`, if any: a project
-    /// event waits for its own project only; worker events and broadcasts,
-    /// which interleave with every slice, for any. Only meaningful inside
+    /// event waits for its own project only; a broadcast, which
+    /// interleaves with every slice, for any. Only meaningful inside
     /// a destination's critical section (see [`hold_for_migration`]'s
     /// fence).
     fn hold_on(&self, scope: EventScope) -> Option<ProjectId> {
@@ -520,7 +505,7 @@ impl GateCore {
         let holds = lock_plain(&self.holds);
         match scope {
             EventScope::Project(p) => holds.contains(&p.0).then_some(p),
-            EventScope::Worker | EventScope::Global => holds.first().copied().map(ProjectId),
+            EventScope::Global => holds.first().copied().map(ProjectId),
         }
     }
 
@@ -563,10 +548,13 @@ impl GateCore {
         };
         let scope = event.scope();
         // The replicas' copy of a registration — a deep clone and an
-        // allocation — is made before any lock: shard 0's batch take
-        // contends on that one.
-        let mut delta = match &event {
-            PlatformEvent::WorkerRegistered { profile } => Some(Arc::new(profile.clone())),
+        // allocation, shared by every replica — is made before any lock, so
+        // the mailbox locks the shards' batch takes contend on are not held
+        // across it.
+        let install = match &event {
+            PlatformEvent::WorkerRegistered { profile } if self.queues.len() > 1 => {
+                Some(Arc::new(profile.clone()))
+            }
             _ => None,
         };
         loop {
@@ -577,7 +565,6 @@ impl GateCore {
                 // order, whose first is the recorder.
                 let (first, len) = match scope {
                     EventScope::Project(p) => (self.owner_of(p), 1),
-                    EventScope::Worker => (0, 1),
                     EventScope::Global => (0, self.queues.len()),
                 };
                 let queues = &self.queues[first..first + len];
@@ -621,27 +608,23 @@ impl GateCore {
                     }
                 } else {
                     // Admitted. Stamp and push with every destination lock
-                    // held, so each mailbox stays in sequence order. A worker
-                    // event draws its seq inside the service's critical
-                    // section, so its log entry is visible before the lock
-                    // drops (see `crate::workers`).
-                    let stamp = || self.stamper.fetch_add(1, Ordering::Relaxed);
-                    let seq = match delta.take() {
-                        Some(delta) => self.service.append_with(delta, stamp),
-                        None => stamp(),
-                    };
+                    // held, so each mailbox stays in sequence order.
+                    let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
                     let at = self.dwell.stamp_for(seq);
                     for (i, g) in guards.iter_mut().enumerate().skip(1) {
                         if !g.dead {
-                            let event = event.clone();
-                            g.push_data(
-                                ToShard::Apply {
+                            let copy = match &install {
+                                Some(profile) => ToShard::Install {
                                     seq,
-                                    event,
+                                    profile: Arc::clone(profile),
+                                },
+                                None => ToShard::Apply {
+                                    seq,
+                                    event: event.clone(),
                                     record: false,
                                 },
-                                at,
-                            );
+                            };
+                            g.push_data(copy, at);
                             g.notify_consumer(&queues[i]);
                         }
                     }
@@ -693,22 +676,6 @@ impl GateCore {
         true
     }
 
-    /// Wrap `run` as the job message it is enqueued as — called under the
-    /// destination mailbox lock, which is what makes its *bound* right: the
-    /// worker-service log length at enqueue time. A replica installs log
-    /// entries up to the bound before running the job, which reproduces
-    /// exactly the worker events the old broadcast would have delivered
-    /// ahead of it — any worker event already queued ahead of the job
-    /// appended before this capture (its append happens under the same
-    /// mailbox lock), and any event that appends after it will also be
-    /// queued (or seq-stamped) after it.
-    fn job(&self, run: Job) -> ToShard {
-        ToShard::Job {
-            bound: self.service.log_len(),
-            run,
-        }
-    }
-
     /// Enqueue a job on one mailbox, capacity-exempt. Returns `false` if
     /// the gate is closed.
     pub(crate) fn push_job(&self, shard: usize, run: Job) -> bool {
@@ -717,7 +684,7 @@ impl GateCore {
         if s.closed {
             return false;
         }
-        s.queue.push_back((self.job(run), None));
+        s.queue.push_back((ToShard::Job(run), None));
         s.notify_consumer(q);
         true
     }
@@ -746,14 +713,10 @@ impl GateCore {
     /// with nothing left in hand). Queued messages are still delivered;
     /// new submissions fail with [`GateError::Closed`].
     pub(crate) fn close_each(&self, mut mk: impl FnMut(usize) -> Job) {
-        // Ascending order matters: the coordinator's mailbox (shard 0)
-        // closes first, so no further worker event can append once the
-        // replicas' final jobs capture their log bounds — a close-time
-        // bound therefore always covers the whole log.
         for (i, q) in self.queues.iter().enumerate() {
             let mut s = lock(q);
             if !s.closed {
-                s.queue.push_back((self.job(mk(i)), None));
+                s.queue.push_back((ToShard::Job(mk(i)), None));
                 s.closed = true;
             }
             q.not_empty.notify_all();
@@ -827,7 +790,7 @@ impl GateCore {
         drop(s);
         *credit = batch
             .iter()
-            .filter(|(msg, _)| matches!(msg, ToShard::Apply { .. }))
+            .filter(|(msg, _)| matches!(msg, ToShard::Apply { .. } | ToShard::Install { .. }))
             .count();
         self.batches[shard].incr();
         true
@@ -948,7 +911,6 @@ mod tests {
         let core = Arc::new(GateCore::new(
             shards,
             capacity,
-            Arc::new(WorkerService::new()),
             &TelemetryHandle::disabled(),
         ));
         (IngestGate::new(Arc::clone(&core)), core)
@@ -1016,8 +978,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut seqs = Vec::new();
                 for i in 0..200u64 {
-                    // Both shards, plus occasional coordinator-only worker
-                    // events and true broadcasts.
+                    // Both shards, plus occasional worker registrations
+                    // and clock broadcasts.
                     let ev = if i % 50 == 49 {
                         worker(t * 1000 + i)
                     } else if i % 50 == 24 {
@@ -1139,29 +1101,47 @@ mod tests {
     }
 
     #[test]
-    fn worker_events_reach_the_coordinator_only() {
+    fn worker_events_reach_every_shard() {
         let (gate, core) = gate(3, 0);
-        gate.submit(worker(1)).unwrap();
-        gate.submit(worker(2)).unwrap();
-        // No broadcast: replicas' mailboxes stay empty; the delta log has
-        // both events for them to pull instead.
-        assert_eq!(gate.queued(0), 2);
-        assert_eq!(gate.queued(1), 0);
-        assert_eq!(gate.queued(2), 0);
-        assert_eq!(core.worker_service().events_logged(), 2);
+        let seqs = [
+            gate.submit(worker(1)).unwrap(),
+            gate.submit(worker(2)).unwrap(),
+        ];
+        for shard in 0..3 {
+            assert_eq!(gate.queued(shard), 2, "shard {shard}");
+        }
         core.close();
-        // The coordinator records them (it is the unique recorder).
-        let applies = drain_applies(&core, 0);
-        assert_eq!(applies.len(), 2);
-        assert!(applies.iter().all(|(_, record)| *record));
+        // The coordinator applies and records each registration; every
+        // replica installs it, at the same seq.
+        for shard in 0..3 {
+            let mut consumer = Consumer::default();
+            let mut got = Vec::new();
+            while consumer.next_batch(&core, shard) {
+                for (msg, _) in &consumer.batch {
+                    got.push(match msg {
+                        ToShard::Apply {
+                            seq, record: true, ..
+                        } if shard == 0 => *seq,
+                        ToShard::Install { seq, profile } if shard > 0 => {
+                            assert_eq!(profile.id.0, *seq + 1);
+                            *seq
+                        }
+                        _ => panic!("shard {shard}: unexpected message"),
+                    });
+                }
+            }
+            assert_eq!(got, seqs, "shard {shard}");
+        }
     }
 
     #[test]
-    fn worker_backpressure_reports_the_coordinator() {
+    fn worker_backpressure_reports_the_full_replica() {
         let (gate, _core) = gate(2, 1);
-        gate.try_submit(worker(1)).unwrap();
-        let err = gate.try_submit(worker(2)).unwrap_err();
-        assert!(matches!(err, GateError::Full { shard: 0, .. }));
+        // Project 2 is owned by shard 1: its event fills the replica only.
+        gate.try_submit(seed(2, "fill")).unwrap();
+        let err = gate.try_submit(worker(1)).unwrap_err();
+        assert!(matches!(err, GateError::Full { shard: 1, .. }));
+        assert_eq!(gate.queued(0), 0, "nothing leaked to the coordinator");
     }
 
     #[test]
@@ -1194,12 +1174,7 @@ mod tests {
     #[test]
     fn an_admission_that_waits_is_timed_in_its_own_label_set() {
         let registry = crowd4u_telemetry::Registry::new();
-        let core = Arc::new(GateCore::new(
-            1,
-            1,
-            Arc::new(WorkerService::new()),
-            &registry.handle(),
-        ));
+        let core = Arc::new(GateCore::new(1, 1, &registry.handle()));
         let gate = IngestGate::new(Arc::clone(&core));
         gate.submit(seed(1, "first")).unwrap();
         let g = gate.clone();
@@ -1362,8 +1337,11 @@ mod tests {
         // broadcast.
         let table = [
             (State::Open, [Ok, Ok, Ok]),
-            (State::Shard1Full, [Full(1), Ok, Full(1)]),
-            (State::Shard1Recovering, [Recovering(1), Ok, Recovering(1)]),
+            (State::Shard1Full, [Full(1), Full(1), Full(1)]),
+            (
+                State::Shard1Recovering,
+                [Recovering(1), Recovering(1), Recovering(1)],
+            ),
             (
                 State::ThisProjectHeld,
                 [Migrating(2), Migrating(2), Migrating(2)],

@@ -18,14 +18,13 @@
 //! and [`shard`] cover the mechanics. The short version:
 //!
 //! * **Ownership**: project-scoped events go to the owner shard only
-//!   (round-robin by project id); clock/registration events are broadcast
-//!   and applied by every shard in the same global sequence order; worker
-//!   events go to the coordinator (shard 0) alone, which owns the profile
-//!   registry via the [`workers::WorkerService`] — other shards pull
-//!   seq-keyed deltas on demand at the exact points the old broadcast
-//!   would have interleaved them (and file them in their own ledger slot
-//!   before installing them), so replicated state (worker manager,
-//!   project-id sequence) still advances in lockstep.
+//!   (round-robin by project id); clock, project and worker registrations
+//!   are broadcast and applied by every shard in the same global sequence
+//!   order, so replicated state (worker manager, project-id sequence)
+//!   advances in lockstep. The coordinator (shard 0) records a worker
+//!   registration; the other shards take it as an install — the profile
+//!   filed in their own ledger slot, then installed without a journal
+//!   entry.
 //! * **Determinism**: every event is stamped with a global sequence
 //!   number; each mailbox is delivered in sequence order; the entries
 //!   each slice journals are moved, seq-tagged, into the runtime's ledger
@@ -55,9 +54,8 @@
 //!     recovery: false,    // shard panics propagate (set true to replay)
 //! });
 //!
-//! // Register a worker (coordinator-owned, replicated on demand) and four
-//! // single-question projects (broadcasts), then surface the micro-tasks
-//! // with a drain barrier.
+//! // Register a worker and four single-question projects (broadcasts),
+//! // then surface the micro-tasks with a drain barrier.
 //! rt.submit(PlatformEvent::WorkerRegistered {
 //!     profile: WorkerProfile::new(WorkerId(1), "ann"),
 //! });
@@ -113,9 +111,9 @@
 //! respawned in place: its mailbox is held (blocking submitters park;
 //! [`gate::GateError::Recovering`] on `try_submit`), its slice is rebuilt
 //! by replaying the runtime-owned [ledger](recovery) — project events it
-//! owns, broadcasts, and (on a replica) the worker deltas it filed there
-//! before installing them — and held traffic then resumes, with the merged
-//! journal byte-identical to a run where the failure never happened
+//! owns, broadcasts, and (on a replica) the worker installs it filed
+//! there — and held traffic then resumes, with the merged journal
+//! byte-identical to a run where the failure never happened
 //! (`tests/recovery_equivalence.rs` proptests this). Projects can also be
 //! rebalanced while the runtime runs:
 //! [`ShardedRuntime::migrate_project`] quiesces one project, replays its
@@ -141,13 +139,11 @@ pub mod recovery;
 pub mod router;
 pub mod scenario;
 pub mod shard;
-pub mod workers;
 
 pub use gate::{GateError, IngestGate};
 pub use recovery::FaultPlan;
 pub use router::{RunReport, RuntimeConfig, ShardedRuntime};
 pub use shard::ShardStats;
-pub use workers::WorkerService;
 
 pub mod prelude {
     pub use crate::gate::{GateError, IngestGate};

@@ -6,7 +6,7 @@
 //!
 //! Everything a shard's platform slice *is* was produced by applying a
 //! prefix of the global event stream: its owned projects' events, every
-//! broadcast, and (replicas) the worker deltas interleaved at their
+//! broadcast, and (replicas) the worker registrations installed at their
 //! sequence positions. The runtime therefore keeps each shard's applied
 //! stream in a shared per-shard ledger — outside the shard thread, so a
 //! panic cannot take it down — and a restart is nothing more than
@@ -16,15 +16,13 @@
 //!   ledger slot (broadcast copies are ledgered even on shards that
 //!   don't record them, because the coordinator may not have applied the
 //!   broadcast yet when a replica dies);
-//! * **worker deltas** come from the same slot: a replica files every
-//!   delta it pulls from the
-//!   [`WorkerService`](crate::workers::WorkerService) *before* installing
+//! * **worker installs** come from the same slot: a replica files every
+//!   registration its mailbox delivers as an install *before* installing
 //!   it (`Applied::WorkerDelta`, keyed by the registration's sequence
-//!   number), so the slot already holds them at exactly the positions the
-//!   live shard installed them — and holds no delta the live shard had
-//!   not reached, which matters: the service log may already contain
-//!   deltas stamped *after* events still waiting in the mailbox, and
-//!   installing those early would change how the pending events apply.
+//!   number), so the slot holds them at exactly the positions the live
+//!   shard installed them, and none it had not reached — installs still
+//!   queued behind the dead shard's position stay in its mailbox, the
+//!   future it resumes with.
 //! * entries for projects the routing table has since moved elsewhere
 //!   are filtered out (the rebuilt shard keeps only the shell every
 //!   platform holds), and entries for projects migrated *in* are pulled
@@ -59,22 +57,23 @@ pub(crate) enum Applied {
     /// The journal entry the platform itself wrote for an applied message
     /// (moved out of the slice, never re-encoded).
     Journaled(JournalEntry),
-    /// A registration a replica pulled from the worker service, filed
-    /// before it was installed; the `Arc` is the service log's own.
+    /// A registration a replica took as a `ToShard::Install`, filed before
+    /// it was installed; the `Arc` is the one the gate allocated.
     WorkerDelta(Arc<WorkerProfile>),
 }
 
 /// One applied message in a shard's history: its sort key, what it
 /// replays, the scope it was routed by, and whether this shard is the
-/// event's unique recorder (broadcast copies and pulled worker deltas on
+/// event's unique recorder (broadcast copies and worker installs on
 /// replica shards are ledgered but not recorded).
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerEntry {
     pub key: SeqKey,
     pub entry: Applied,
     /// What the slice filters select on, so none of them decodes `entry`:
-    /// the event's own scope; `Global` for a drain barrier; `Project(p)`
-    /// for an auto-drain sync of `p`; `Worker` for a pulled delta.
+    /// the event's own scope, which is `Global` for a worker install too;
+    /// `Global` for a drain barrier; `Project(p)` for an auto-drain sync
+    /// of `p`.
     pub scope: EventScope,
     pub recorded: bool,
 }
@@ -131,9 +130,9 @@ impl ShardLedger {
     }
 
     /// The slice a rebuild of `shard` replays: from its own slot every
-    /// drain, broadcast and worker entry (the coordinator's journaled
-    /// registrations, a replica's filed deltas) and the project events it
-    /// owns under the *current* routing table `owner_of`; and, when
+    /// drain and broadcast (worker registrations included: journaled on
+    /// the coordinator, filed installs on a replica) and the project
+    /// events it owns under the *current* routing table `owner_of`; and, when
     /// projects have `migrated`, the recorded events of projects migrated
     /// in, which earlier owners applied and therefore hold in their
     /// slots. In key order.
@@ -144,14 +143,14 @@ impl ShardLedger {
         migrated: bool,
     ) -> Vec<LedgerEntry> {
         let mut entries = self.select(shard, |e| match e.scope {
-            EventScope::Global | EventScope::Worker => true,
+            EventScope::Global => true,
             EventScope::Project(p) => owner_of(p) == shard,
         });
         if migrated {
             for other in (0..self.shards()).filter(|&other| other != shard) {
                 entries.extend(self.select(other, |e| match e.scope {
                     EventScope::Project(p) => e.recorded && owner_of(p) == shard,
-                    EventScope::Global | EventScope::Worker => false,
+                    EventScope::Global => false,
                 }));
             }
             entries.sort_by_key(|e| e.key);
@@ -161,13 +160,13 @@ impl ShardLedger {
 
     /// The slice a migration of `project` off shard `from` replays: the
     /// project's recorded events from every slot (earlier owners keep the
-    /// pre-migration history), interleaved with `from`'s drain barriers,
-    /// broadcast copies and worker entries. In key order.
+    /// pre-migration history), interleaved with `from`'s drain barriers
+    /// and broadcast copies, worker registrations included. In key order.
     pub(crate) fn project_slice(&self, project: ProjectId, from: usize) -> Vec<LedgerEntry> {
         let mut entries = Vec::new();
         for shard in 0..self.shards() {
             entries.extend(self.select(shard, |e| match e.scope {
-                EventScope::Global | EventScope::Worker => shard == from,
+                EventScope::Global => shard == from,
                 EventScope::Project(p) => e.recorded && p == project,
             }));
         }
@@ -267,7 +266,7 @@ impl FaultPlan {
 }
 
 /// Replay one shard slice onto a fresh `platform`: journaled entries
-/// re-apply (a drain re-drains), filed worker deltas re-install, each at
+/// re-apply (a drain re-drains), filed worker installs re-install, each at
 /// the position the live shard reached it. Returns the rebuilt platform —
 /// its journal empty, like every live slice's: the entries just replayed
 /// are the ledger's already.
@@ -331,21 +330,21 @@ mod tests {
         let delta = |seq: u64| LedgerEntry {
             key: (seq, 0),
             entry: Applied::WorkerDelta(Arc::new(WorkerProfile::new(WorkerId(seq), "w"))),
-            scope: EventScope::Worker,
+            scope: EventScope::Global,
             recorded: false,
         };
         let project = |p: u64| EventScope::Project(ProjectId(p));
         // Two shards, round-robin ownership: project 1 on shard 0, project
         // 2 on shard 1. Shard 0 coordinates: it journals the worker event
         // and records the broadcast and the drain; shard 1 holds the
-        // worker delta it pulled and unrecorded copies of the other two.
+        // worker install it filed and unrecorded copies of the other two.
         // The unrecorded project entry at 6 stands for a copy only the
         // slot that applied it may replay.
         let ledger = ShardLedger::new(2);
         {
             let mut slot = ledger.slot(0);
             slot.entries.extend([
-                entry(1, "worker", EventScope::Worker, true),
+                entry(1, "worker", EventScope::Global, true),
                 entry(2, "clock", EventScope::Global, true),
                 entry(3, "seed", project(1), true),
                 entry(7, DRAIN_KIND, EventScope::Global, true),

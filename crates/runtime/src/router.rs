@@ -97,10 +97,9 @@ pub struct RunReport {
 /// bounded mailboxes, a lock-free global sequence stamper, and round-robin
 /// project ownership. Shard 0 doubles as the **coordinator**: it records
 /// broadcast events and drain barriers in the merged journal (every shard
-/// *applies* broadcasts; exactly one records them), and it alone receives
-/// worker events — the other shards pull profile deltas from the
-/// coordinator-owned [`WorkerService`](crate::workers::WorkerService)
-/// exactly where the old broadcast would have interleaved them.
+/// *applies* broadcasts; exactly one records them). A worker registration
+/// is a broadcast too, which the other shards take as an install: the
+/// profile filed in their ledger slot and installed, not journaled.
 ///
 /// Submission is concurrent: clone handles with
 /// [`gate()`](ShardedRuntime::gate) and submit from as many threads as you
@@ -131,9 +130,9 @@ impl ShardedRuntime {
 
     /// Spawn the runtime with an explicit telemetry registry (pass
     /// [`Registry::disabled`] to turn telemetry off). Every layer shares
-    /// the one registry: the gate (admission + mailbox-dwell histograms),
-    /// the worker service (delta-log gauges), each shard's platform slice
-    /// (apply/journal/fixpoint stages, event and cache counters).
+    /// the one registry: the gate (admission + mailbox-dwell histograms)
+    /// and each shard's platform slice (apply/journal/fixpoint stages,
+    /// event and cache counters).
     pub fn new_instrumented(config: RuntimeConfig, telemetry: Registry) -> ShardedRuntime {
         ShardedRuntime::spawn(config, telemetry, FaultPlan::none())
     }
@@ -162,18 +161,7 @@ impl ShardedRuntime {
     fn spawn(config: RuntimeConfig, telemetry: Registry, faults: FaultPlan) -> ShardedRuntime {
         let shards = config.shards.max(1);
         let handle = telemetry.handle();
-        let mut service = crate::workers::WorkerService::new();
-        // Replica attachment must precede telemetry: the per-replica lag
-        // gauges are created from the attached replica count.
-        service.attach_replicas(shards);
-        service.set_telemetry(&handle);
-        let service = Arc::new(service);
-        let core = Arc::new(GateCore::new(
-            shards,
-            config.mailbox_capacity,
-            service,
-            &handle,
-        ));
+        let core = Arc::new(GateCore::new(shards, config.mailbox_capacity, &handle));
         let faults = Arc::new(faults);
         let mut handles = Vec::with_capacity(shards);
         for i in 0..shards {
@@ -282,9 +270,8 @@ impl ShardedRuntime {
     /// Wait until every shard has processed its mailbox; returns per-shard
     /// statistics snapshots. This flushes events already enqueued, but
     /// concurrent gate handles may enqueue more while the barrier settles.
-    /// A flush is a job, so it also pulls a replica up to the worker-log
-    /// bound captured when it was enqueued: every registration logged
-    /// before the barrier is in every shard's ledger slot when it returns.
+    /// A flush is a job behind every registration admitted before it, so
+    /// each of those is in every shard's ledger slot when it returns.
     pub fn barrier(&self) -> Vec<ShardStats> {
         let replies: Vec<Receiver<ShardStats>> =
             (0..self.shards()).map(|i| self.push_flush(i)).collect();
@@ -318,7 +305,7 @@ impl ShardedRuntime {
     /// hot rebalancing. Returns the number of tasks that moved.
     ///
     /// The sequence: quiesce the project at the gate (its events, plus
-    /// broadcasts and worker events, are held — blocking submitters park,
+    /// broadcasts, are held — blocking submitters park,
     /// `try_submit` gets
     /// [`GateError::Migrating`](crate::gate::GateError::Migrating)); flush
     /// the source shard so everything admitted is ledgered; **replay** the
@@ -357,11 +344,10 @@ impl ShardedRuntime {
         let _release = Release { core, project };
         // Flush the source: every event admitted before the hold's fence
         // is applied and ledgered before the slice is read — and, worker
-        // admission being held, the flush's bound is the *full* worker
-        // log, so the source's slot holds every registration. The
-        // destination's adopt job syncs to this same bound before
-        // adopting: eligibility rows in the slice must cover every worker
-        // the destination will have installed.
+        // registrations being held, the source's slot holds every one of
+        // them. The destination's adopt job is queued behind the same
+        // registrations: eligibility rows in the slice must cover every
+        // worker the destination will have installed.
         self.barrier_one(from);
         let entries = core.ledger().project_slice(project, from);
         let telemetry = self.telemetry.handle();
@@ -369,9 +355,7 @@ impl ShardedRuntime {
         let slice = replayed.extract_project(project)?;
         let moved = slice.task_count();
         // Demote at the source (extract and drop) and adopt at the
-        // destination; the jobs run concurrently on their shards, and the
-        // adopt's captured bound equals the flush's (the log is held
-        // stable).
+        // destination; the jobs run concurrently on their shards.
         let demoted = self.run_on(from, move |p| p.extract_project(project).map(drop));
         let adopted = self.run_on(to_shard, move |p| p.adopt_project(slice));
         demoted.recv().expect("source shard alive")?;
@@ -665,6 +649,46 @@ out(X, Y) :- item(X), label(X, Y).
                 .unwrap(),
             0
         );
+    }
+
+    /// Mailbox order alone places a registration ahead of a job: at 2 and
+    /// 4 shards, with one-slot mailboxes (so installs wait for room beside
+    /// project events and drains), a job on any shard — replica or
+    /// coordinator — reads exactly the registrations submitted before it:
+    /// the distinct workers and the registry version.
+    #[test]
+    fn replica_jobs_see_every_registration_admitted_before_them() {
+        for shards in [2usize, 4] {
+            let rt = ShardedRuntime::new(RuntimeConfig {
+                shards,
+                drain_every: 0,
+                mailbox_capacity: 1,
+                recovery: false,
+            });
+            rt.submit_batch(vec![project("a"), project("b")]);
+            let mut distinct = std::collections::BTreeSet::new();
+            let mut checks = Vec::new();
+            for r in 0..96u64 {
+                // Every third registration re-registers an earlier worker.
+                let id = if r % 3 == 2 { r / 3 + 1 } else { r + 1 };
+                rt.submit(worker(id));
+                distinct.insert(id);
+                rt.submit(seed(1 + r % 2, &format!("s{r}")));
+                if r % 8 == 7 {
+                    rt.drain();
+                }
+                for shard in 0..shards {
+                    let seen = rt.submit_job(shard, |p| (p.workers.len(), p.workers.version()));
+                    checks.push((shard, r, seen, (distinct.len(), r + 1)));
+                }
+            }
+            for (shard, r, seen, want) in checks {
+                let seen = seen.recv().expect("shard alive");
+                assert_eq!(seen, want, "{shards} shards, shard {shard}, round {r}");
+            }
+            let run = rt.finish().unwrap();
+            assert_eq!(run.stats.dropped, 0);
+        }
     }
 
     #[test]

@@ -104,8 +104,9 @@ pub fn stream_traces(
 /// [`stream_traces`] over **one shared crowd**: the traces are merged in
 /// [`CrowdMode::Shared`] — all worker references stay on the shared
 /// registration order, duplicate registrations are deduplicated before
-/// submission (so each shared worker's registration routes through the
-/// coordinator exactly once), and each trace keeps its own clock domain.
+/// submission (so each shared worker's registration is broadcast, and
+/// installed on every replica, exactly once), and each trace keeps its own
+/// clock domain.
 /// Alongside the per-scenario reports, returns each scenario's per-worker
 /// [`SplitLedger`] read off the owner shards — the marketplace accounting
 /// whose sums must reproduce the platform totals exactly.

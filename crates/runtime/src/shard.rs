@@ -10,6 +10,11 @@
 //! queue the supervisor owns, the shard applies them in order (ledgering
 //! each apply as before), and the slots they held go back to producers
 //! when it returns for the next batch (see the gate's "Consumer side").
+//! Every shard keeps a replica of the worker registry: shard 0 applies and
+//! records each registration, every other shard receives it in the same
+//! mailbox position as an install, which it files in its ledger slot and
+//! installs without journaling — so a job, a drain or an event sees
+//! exactly the registrations admitted before it.
 //!
 //! The thread body is a **supervisor**: the apply loop runs under
 //! `catch_unwind`, and when a panic escapes it (an injected [`FaultPlan`]
@@ -23,9 +28,9 @@
 
 use crate::gate::{Batch, GateCore};
 use crate::recovery::{replay_slice, Applied, FaultPlan, LedgerEntry, LedgerSlot};
-use crate::workers::{Delta, WorkerService};
 use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_core::platform::Crowd4U;
+use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_telemetry::{stage, TelemetryHandle};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -37,8 +42,9 @@ use std::sync::Arc;
 pub type SeqKey = (u64, u32);
 
 /// Messages a shard consumes, in mailbox order. Data events
-/// ([`ToShard::Apply`]) are subject to the gate's capacity bound; drain
-/// barriers and jobs are runtime control messages and are capacity-exempt.
+/// ([`ToShard::Apply`], [`ToShard::Install`]) are subject to the gate's
+/// capacity bound; drain barriers and jobs are runtime control messages
+/// and are capacity-exempt.
 pub(crate) enum ToShard {
     /// Apply one routed event. `record` is true on exactly one shard per
     /// event (the owner; the coordinator for broadcasts), so the merged
@@ -47,6 +53,16 @@ pub(crate) enum ToShard {
         seq: u64,
         event: PlatformEvent,
         record: bool,
+    },
+    /// A replica's copy of the worker registration stamped `seq`: the
+    /// coordinator applies and records the event, every other shard files
+    /// the profile in its ledger slot and installs it
+    /// (`Crowd4U::install_worker_delta`) — no journal encode, no recorded
+    /// apply, no auto-drain count. The `Arc` is one allocation shared by
+    /// every replica and every ledger slot.
+    Install {
+        seq: u64,
+        profile: Arc<WorkerProfile>,
     },
     /// Coordinated drain barrier: sync every dirty project. The coordinator
     /// records the single `drain` entry at `seq`.
@@ -58,11 +74,7 @@ pub(crate) enum ToShard {
     /// extract and adopt, the finish hand-back) do not journal, so a job
     /// can neither change what a replay rebuilds nor shift the next
     /// event's ledger entry.
-    /// `bound` is the worker-service log length the gate captured under
-    /// the mailbox lock as it enqueued the job; replicas install worker
-    /// deltas up to it before running the job, so the job sees every
-    /// worker the old broadcast would have delivered ahead of it.
-    Job { bound: usize, run: Job },
+    Job(Job),
 }
 
 /// The body of a [`ToShard::Job`].
@@ -156,8 +168,8 @@ impl Drop for MailboxGuard<'_> {
 /// return (mailbox closed and drained) ends the thread; a
 /// panic either propagates (recovery off — the mailbox guard abandons the
 /// queue, scoping the failure) or triggers an in-place restart: hold the
-/// mailbox, replay the ledger slice onto a fresh base, re-report the
-/// worker-log cursor, release, resume consuming.
+/// mailbox, replay the ledger slice onto a fresh base, release, resume
+/// consuming.
 pub(crate) fn shard_main(ctx: ShardCtx) {
     let _guard = MailboxGuard {
         gate: &ctx.gate,
@@ -166,7 +178,6 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
     let recoveries = ctx.telemetry.counter(stage::RECOVERIES);
     let recovery_ns = ctx.telemetry.histogram(stage::RECOVERY_SPAN);
     let mut platform = fresh_slice(&ctx.telemetry);
-    let mut cursor = 0usize; // worker-service log position (replicas only)
     let mut in_flight: Option<InFlight> = None;
     // The batch taken from the mailbox and the capacity credit its data
     // events still hold. Owned here, not by the loop: a rebuilt
@@ -176,14 +187,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
     let mut credit = 0usize;
     loop {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shard_loop(
-                &ctx,
-                &mut platform,
-                &mut cursor,
-                &mut in_flight,
-                &mut batch,
-                &mut credit,
-            )
+            shard_loop(&ctx, &mut platform, &mut in_flight, &mut batch, &mut credit)
         }));
         match outcome {
             Ok(()) => return,
@@ -212,7 +216,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
                 }
                 ctx.gate.begin_recovery(ctx.shard);
                 let span = recovery_ns.stamp();
-                (platform, cursor) = rebuild(&ctx);
+                platform = rebuild(&ctx);
                 recoveries.incr();
                 recovery_ns.since(span);
                 ctx.gate.end_recovery(ctx.shard);
@@ -224,36 +228,21 @@ pub(crate) fn shard_main(ctx: ShardCtx) {
 /// Rebuild a dead shard's platform from the runtime-owned ledger: the
 /// shard's slice under the current routing table (see
 /// [`ShardLedger::shard_slice`](crate::recovery::ShardLedger::shard_slice)),
-/// replayed. The worker-log cursor is the number of deltas the slot holds
-/// — what the dead incarnation filed, whether or not it lived to report
-/// or install them — and is re-reported before the shard resumes.
-fn rebuild(ctx: &ShardCtx) -> (Crowd4U, usize) {
+/// replayed.
+fn rebuild(ctx: &ShardCtx) -> Crowd4U {
     let gate = &ctx.gate;
-    let shard = ctx.shard;
     let entries = gate
         .ledger()
-        .shard_slice(shard, |p| gate.owner_of(p), gate.has_overrides());
-    let cursor = entries
-        .iter()
-        .filter(|e| matches!(e.entry, Applied::WorkerDelta(_)))
-        .count();
-    let platform = replay_slice(fresh_slice(&ctx.telemetry), &entries);
-    gate.worker_service().report_cursor(shard, cursor);
-    (platform, cursor)
+        .shard_slice(ctx.shard, |p| gate.owner_of(p), gate.has_overrides());
+    replay_slice(fresh_slice(&ctx.telemetry), &entries)
 }
 
 /// Drain the gate mailbox until it is closed and empty, a batch per
 /// mailbox lock, applying each message against the slice `p`. `batch` may
 /// arrive non-empty: what a dead incarnation had taken and not reached.
-///
-/// Non-coordinator shards (shard != 0) interleave worker-service pulls
-/// with their mailbox: before a seq-stamped message at `S` they file and
-/// install every worker delta with seq < `S`, and before a job up to its
-/// captured log bound (see [`sync`]).
 fn shard_loop(
     ctx: &ShardCtx,
     p: &mut Crowd4U,
-    cursor: &mut usize,
     in_flight: &mut Option<InFlight>,
     batch: &mut Batch,
     credit: &mut usize,
@@ -303,7 +292,6 @@ fn shard_loop(
                         retried: false,
                     });
                 }
-                sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
                 if inject && record && ctx.faults.kills_mid_apply(shard) {
                     let next = gate.ledger().slot(shard).stats.applied + 1;
                     if ctx.faults.fires_mid(shard, next) {
@@ -359,8 +347,21 @@ fn shard_loop(
                     );
                 }
             }
+            ToShard::Install { seq, profile } => {
+                // File, then install: an install the slot did not hold yet
+                // would be lost to a rebuild — which replays the slot and
+                // nothing else — while the events applied on top of it are
+                // replayed.
+                gate.ledger().slot(shard).entries.push(LedgerEntry {
+                    key: (seq, 0),
+                    entry: Applied::WorkerDelta(Arc::clone(&profile)),
+                    scope: EventScope::Global,
+                    recorded: false,
+                });
+                let _span = apply_hist.span_for(seq);
+                p.install_worker_delta((*profile).clone());
+            }
             ToShard::Drain { seq, record } => {
-                sync(ctx, p, cursor, |log, at| log.pull_below_seq(at, seq));
                 p.drain_events()
                     .expect("drain failed on shard — dirty project unsyncable");
                 let mut slot = gate.ledger().slot(shard);
@@ -369,8 +370,7 @@ fn shard_loop(
                 // recorded in the merged journal by the coordinator only.
                 ledger_journaled(p, &mut slot, (seq, 0), EventScope::Global, record);
             }
-            ToShard::Job { bound, run } => {
-                sync(ctx, p, cursor, |log, at| log.pull_to_index(at, bound));
+            ToShard::Job(run) => {
                 run(p);
                 debug_assert!(
                     p.journal().is_empty(),
@@ -379,41 +379,6 @@ fn shard_loop(
                 );
             }
         }
-    }
-}
-
-/// Take a pull into a replica (the coordinator never pulls — worker
-/// events arrive in its own mailbox), in the one order that survives a
-/// crash at any point: **file** the deltas in the shard's ledger slot,
-/// **report** the new cursor to the service, **install** them on the
-/// slice. A report before the filing could let the service truncate
-/// entries a rebuild then needs; an install before the filing would be
-/// state the slot does not hold yet, lost to a rebuild — which replays the
-/// slot and nothing else — while events applied on top of it are replayed.
-fn sync(
-    ctx: &ShardCtx,
-    platform: &mut Crowd4U,
-    cursor: &mut usize,
-    pull: impl FnOnce(&WorkerService, usize) -> Vec<Delta>,
-) {
-    if ctx.shard == 0 {
-        return;
-    }
-    let pulled = pull(ctx.gate.worker_service(), *cursor);
-    if pulled.is_empty() {
-        return;
-    }
-    let filed = pulled.iter().map(|(seq, profile)| LedgerEntry {
-        key: (*seq, 0),
-        entry: Applied::WorkerDelta(Arc::clone(profile)),
-        scope: EventScope::Worker,
-        recorded: false,
-    });
-    ctx.gate.ledger().slot(ctx.shard).entries.extend(filed);
-    *cursor += pulled.len();
-    ctx.gate.worker_service().report_cursor(ctx.shard, *cursor);
-    for (_, profile) in pulled {
-        platform.install_worker_delta((*profile).clone());
     }
 }
 

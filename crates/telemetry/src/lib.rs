@@ -121,7 +121,7 @@ pub mod stage {
     /// shard-thread death.
     pub const RECOVERIES: &str = "crowd4u_recoveries_total";
     /// One shard recovery end to end (histogram, ns): mailbox hold →
-    /// ledger slice replay → worker re-attach → release.
+    /// ledger slice replay → release.
     pub const RECOVERY_SPAN: &str = "crowd4u_recovery_ns";
     /// Hot project migrations committed (counter).
     pub const MIGRATIONS: &str = "crowd4u_migrations_total";

@@ -118,15 +118,15 @@ pub fn op_events(n_projects: usize, items: usize, op: &RawOp) -> Vec<PlatformEve
         },
         7 => PlatformEvent::AssignmentRun { task },
         // Worker churn: re-register a setup worker with an updated profile
-        // — the versioning path under the coordinator-owned worker service.
+        // — the versioning path, installed on every replica.
         8 => PlatformEvent::WorkerRegistered {
             profile: WorkerProfile::new(worker, format!("re{w}"))
                 .with_skill("survey", *i as f64 / 8.0),
         },
         // Crowd burst: 64–96 registrations in a row, ids `w..w + n` — the
         // setup workers, the late ones and earlier bursts re-register,
-        // the rest are new. One burst is at least a `TRUNCATE_CHUNK`, so
-        // the worker service's log truncates under every suite.
+        // the rest are new. One burst is at least 64 registrations, so
+        // every suite runs long install runs on every replica.
         _ => {
             return (0..64 + 8 * (*i as u64 % 5))
                 .map(|k| PlatformEvent::WorkerRegistered {

@@ -13,11 +13,11 @@
 //! and the same must hold when the fault is followed by a **hot project
 //! migration** (`migrate_project`) to another shard mid-stream — the
 //! routing flip moves where events record, not what the merged journal
-//! says. Shard count 1 exercises coordinator death (worker-service owner);
-//! the multi-shard counts exercise replica death, rebuilt from the worker
-//! deltas the replica filed in its own ledger slot — past the worker
-//! service's truncation point too: the generator's crowd bursts and the
-//! two `churn_beside_a_live_project` regressions below cross it. CI
+//! says. Shard count 1 exercises coordinator death (the shard that
+//! records registrations); the multi-shard counts exercise replica death,
+//! rebuilt from the worker installs the replica filed in its own ledger
+//! slot — the generator's crowd bursts and the two
+//! `churn_beside_a_live_project` regressions below file hundreds. CI
 //! replays this file under `RUNTIME_SHARDS=4` and a pinned `PROPTEST_SEED`.
 //!
 //! PR 10 extends the property to **mid-apply** crashes: a kill firing
@@ -34,7 +34,6 @@ use crowd4u::core::error::ProjectId;
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
-use crowd4u::runtime::workers::TRUNCATE_CHUNK;
 use crowd4u::runtime::RunReport;
 use crowd4u::sim::time::SimTime;
 use crowd4u::telemetry::Registry;
@@ -267,11 +266,11 @@ fn migrated_away_projects_leave_no_source_residue_even_across_recovery() {
     );
 }
 
-/// The stream the pre-ISSUE-19 runtime could neither recover nor migrate
-/// under: two projects first, then `rounds` × (a registration, a seed
-/// owned by replica shard 1), a broadcast every 16 rounds so that every
-/// replica keeps pulling and the worker service's log truncates while the
-/// run is live. Every fourth registration re-registers an earlier worker.
+/// Worker churn beside a live project: two projects first, then `rounds` ×
+/// (a registration, a seed owned by replica shard 1), a clock broadcast
+/// every 16 rounds, so every replica installs registrations between the
+/// events it applies. Every fourth registration re-registers an earlier
+/// worker.
 fn churn_beside_a_live_project(rounds: u64) -> Vec<PlatformEvent> {
     let mut events = vec![project("on-shard-0"), project("on-shard-1")];
     for r in 0..rounds {
@@ -288,19 +287,16 @@ fn churn_beside_a_live_project(rounds: u64) -> Vec<PlatformEvent> {
     events
 }
 
-/// Regression (ISSUE 19): a replica that dies after the worker service
-/// truncated below the registrations it had installed. The rebuild used
-/// to re-interleave a service feed whose truncated prefix had lost its
-/// sequence positions, and panicked a second time — outside
-/// `catch_unwind`, so the shard stayed down (`recovery replay needs
-/// worker-log entries below the truncation point`). The replica now
-/// replays the deltas it filed in its own slot.
+/// Regression: a replica that dies inside 200 registrations of churn
+/// rebuilds from the installs it filed in its own slot — every one of
+/// them, at its position between the replica's own events — and ends with
+/// the same registry as every other slice.
 #[test]
-fn a_replica_recovers_past_the_worker_log_truncation_point() {
-    let rounds = 3 * TRUNCATE_CHUNK as u64 + 8;
+fn a_replica_recovers_after_200_registrations() {
+    let rounds = 200;
     let events = churn_beside_a_live_project(rounds);
-    // Shard 1 records one seed per round: 150 is inside the churn, well
-    // past the first truncation.
+    // Shard 1 records one seed per round: 150 is inside the churn, with
+    // 150 installs filed before it.
     let faults = [FaultPlan::kill(1, 150), FaultPlan::kill_mid_apply(1, 150)];
     for shards in [2usize, 4] {
         let clean = run_halves(ShardedRuntime::new(config(shards)), &events, &[], |_| {});
@@ -316,15 +312,6 @@ fn a_replica_recovers_past_the_worker_log_truncation_point() {
             assert_equivalent(&clean, &run, &label).unwrap();
             let snap = registry.snapshot();
             assert_eq!(snap.counter_total("crowd4u_recoveries_total"), 1, "{label}");
-            // Truncation really happened: fewer entries resident than
-            // logged (`resident_log_len() < events_logged()`, read off the
-            // service's gauges — one registration per round was logged).
-            let resident = snap.gauge_total("crowd4u_worker_delta_log_len").unwrap();
-            assert!(
-                snap.counter_total("crowd4u_worker_log_truncated_total") > 0
-                    && (resident as u64) < rounds,
-                "the worker log never truncated: {label}"
-            );
             // Every slice — the rebuilt one included — holds the same
             // registry at the same version.
             let registries: Vec<(usize, u64)> = run
@@ -340,17 +327,16 @@ fn a_replica_recovers_past_the_worker_log_truncation_point() {
     }
 }
 
-/// Regression (ISSUE 19): hot migration after the same stream. The
-/// migration replay took the same service feed and panicked its caller
-/// (`cursor 0 < base 192`); it now replays the source's slot, which the
-/// flush under the migration hold brings up to the full worker log.
+/// Regression: hot migration after the same stream. The migration replays
+/// the source's slot, which the flush under the migration hold brings up
+/// to every registration admitted.
 #[test]
-fn a_project_migrates_past_the_worker_log_truncation_point() {
-    let rounds = 3 * TRUNCATE_CHUNK as u64 + 8;
+fn a_project_migrates_after_200_registrations() {
+    let rounds = 200;
     let first = churn_beside_a_live_project(rounds);
     // The migrated project keeps taking traffic at its new owner, beside
     // more churn.
-    let second: Vec<PlatformEvent> = (0..TRUNCATE_CHUNK as u64 + 8)
+    let second: Vec<PlatformEvent> = (0..72)
         .flat_map(|r| {
             [
                 worker(r + 1, format!("after{r}")),
@@ -377,11 +363,7 @@ fn a_project_migrates_past_the_worker_log_truncation_point() {
                 .engine
                 .fact_count("sentence")
                 .unwrap();
-            assert_eq!(
-                sentences as u64,
-                rounds + TRUNCATE_CHUNK as u64 + 8,
-                "{label}"
-            );
+            assert_eq!(sentences as u64, rounds + 72, "{label}");
         }
     }
 }

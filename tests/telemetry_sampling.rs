@@ -71,7 +71,6 @@ fn run(shards: usize, registry: &Registry, kill: Option<(usize, u64)>) -> Run {
     for event in events {
         let on = match event.scope() {
             EventScope::Global => (0..shards).collect(),
-            EventScope::Worker => vec![0],
             EventScope::Project(p) => vec![rt.owner_of(p)],
         };
         let seq = gate.submit(event).expect("the runtime accepts the stream");
@@ -149,14 +148,21 @@ fn stage_counts_are_exact_and_the_sample_is_the_hashed_seqs() {
         assert_eq!(waited.count, 0);
 
         // Journal: each slice appends one entry per apply and one for the
-        // drain, and times the appends its own count picks.
+        // drain — a replica's worker installs append none — and times the
+        // appends its own count picks.
+        let registrations = stream()
+            .iter()
+            .filter(|e| matches!(e, PlatformEvent::WorkerRegistered { .. }))
+            .count() as u64;
         let per_shard: Vec<u64> = (0..shards)
             .map(|k| {
+                let installs = if k == 0 { 0 } else { registrations };
                 1 + run
                     .applied_on
                     .iter()
                     .filter(|(_, on)| on.contains(&k))
                     .count() as u64
+                    - installs
             })
             .collect();
         let journal = hist(&run.snap, stage::JOURNAL_APPEND);

@@ -13,9 +13,11 @@
 #   6. pinned-seed replays      — chaos (with the two worker-churn
 #                                  regressions: a replica recovers, a project
 #                                  migrates, both after 200 registrations),
-#                                  the shard-equivalence op mix (its worker
-#                                  churn installed on every replica at 4
-#                                  shards) and shared-crowd proptests, the three
+#                                  the shard- and telemetry-equivalence op mix
+#                                  (its worker churn installed on every replica
+#                                  at 4 shards, each registration re-screening
+#                                  the declarative project) and shared-crowd
+#                                  proptests, the three
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility, memoised vs fresh affinity) and
@@ -149,9 +151,14 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
 # The sharded-vs-serial differential under a pinned seed: its op mix's
 # worker churn (re-registrations and crowd bursts) reaches each of the
 # four shards' mailboxes, recorded on the coordinator and installed on
-# every replica, between the project events and drains it interleaves with.
+# every replica, between the project events and drains it interleaves with;
+# each registration re-evaluates the declarative project's eligibility rule
+# on its owner. The telemetry differential draws the same ops, scraped
+# mid-run.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test shard_equivalence
+step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u --test telemetry_equivalence
 # Shared-crowd replay: rerun the marketplace differential proptest (three
 # scenarios, one population, chaos leg included) under a pinned seed so
 # its crash schedules and generated configs reproduce byte-for-byte.
@@ -161,8 +168,9 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1016 \
 # byte-for-byte on a dev box with the same seed): the table-indexed team
 # search, with its seed bound, against the id-based reference it replaced
 # (uniform, quantised, tie-heavy and all-zero tables); the patched
-# eligibility cache against a twin with no cache; and the pair memo
-# against submatrices computed from scratch.
+# eligibility cache against a twin with no cache (factor screens and three
+# CyLog programs: the paper's rule, a skill gate, a stratified `not`); and
+# the pair memo against submatrices computed from scratch.
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \

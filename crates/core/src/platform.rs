@@ -267,8 +267,8 @@ impl Crowd4U {
 
     /// A project-scoped counter (see the mirrored increments:
     /// `teams_suggested`, `deadlines_missed`, `answers`,
-    /// `collab_completed`, `tasks_abandoned`). Zero for never-touched
-    /// projects.
+    /// `collab_completed`, `tasks_abandoned`, `eligibility_errors`). Zero
+    /// for never-touched projects.
     pub fn project_counter(&self, project: ProjectId, name: &str) -> u64 {
         self.counters.get(&format!("p{}.{name}", project.0))
     }
@@ -335,7 +335,10 @@ impl Crowd4U {
     /// screen. A worker who stops qualifying leaves the cached set but
     /// keeps the open-task rows they already have. Declarative projects
     /// recompute in full: a new worker fact may flip *other* workers'
-    /// derived eligibility.
+    /// derived eligibility. A recompute that fails (a rule erring at run
+    /// time) leaves that project's open tasks unscreened for this
+    /// registration; it is counted in `eligibility_errors` and its
+    /// project-scoped twin, not journaled, so a replay counts it again.
     pub fn install_worker_delta(&mut self, profile: crowd4u_crowd::profile::WorkerProfile) {
         let worker = profile.id;
         if self.projects.is_empty() {
@@ -388,7 +391,13 @@ impl Crowd4U {
                 .binary_search_by_key(&project, |&(id, _)| id)
                 .ok()
                 .map(|at| verdicts[at].1);
-            let _ = self.refresh_registered_eligibility(worker, project, screened);
+            if self
+                .refresh_registered_eligibility(worker, project, screened)
+                .is_err()
+            {
+                self.counters.incr("eligibility_errors");
+                self.bump_project_counter(project, "eligibility_errors");
+            }
         }
     }
 
@@ -2100,6 +2109,73 @@ published(S, T) :- sentence(S), translate(S, T).
         assert_eq!(p.project_counter(a, "collab_completed"), 0);
         // Scoped counters stay out of the canonical state dump.
         assert!(!p.state_dump().contains("teams_suggested"));
+    }
+
+    /// Declarative eligibility beside a rule that divides by `online − 3`:
+    /// the project's fixpoint fails exactly while three workers are online.
+    fn poisoned_src(poisoned: bool) -> String {
+        let headroom = if poisoned { "12 / (N - 3)" } else { "N" };
+        format!(
+            "\
+rel worker_online(w: id).
+rel eligible(w: id).
+eligible(W) :- worker_online(W).
+rel online(n: int).
+online(count<W>) :- worker_online(W).
+rel headroom(z: int).
+headroom(Z) :- online(N), Z := {headroom}.
+rel sentence(s: str).
+open translate(s: str) -> (t: str) points 2.
+rel published(s: str, t: str).
+published(S, T) :- sentence(S), translate(S, T).
+"
+        )
+    }
+
+    #[test]
+    fn a_failing_registration_refresh_is_counted_not_journaled() {
+        // One open task, then four registrations: each one's declarative
+        // refresh recomputes the project's eligible set.
+        let run = |poisoned: bool| {
+            let mut p = Crowd4U::new();
+            let id = p
+                .register_project("p", &poisoned_src(poisoned), factors(), Scheme::Sequential)
+                .unwrap();
+            p.seed_fact(id, "sentence", vec!["s".into()]).unwrap();
+            p.sync_tasks(id).unwrap();
+            let task = p.pool.open_tasks(Some(id))[0].id;
+            let mut steps = Vec::new();
+            for w in 1..=4 {
+                p.register_worker(WorkerProfile::new(WorkerId(w), format!("w{w}")));
+                steps.push((
+                    p.project_counter(id, "eligibility_errors"),
+                    p.relations.eligible_workers(task).len(),
+                ));
+            }
+            (p, id, steps)
+        };
+        let (clean, _, clean_steps) = run(false);
+        assert_eq!(clean_steps, [(0, 1), (0, 2), (0, 3), (0, 4)]);
+        assert_eq!(clean.counters.get("eligibility_errors"), 0);
+        // The third registration's refresh fails: counted once, globally
+        // and for the project, and the third worker stays unmarked until
+        // the fourth registration's refresh succeeds.
+        let (p, id, steps) = run(true);
+        assert_eq!(steps, [(0, 1), (0, 2), (1, 2), (1, 4)]);
+        assert_eq!(p.counters.get("eligibility_errors"), 1);
+        // Nothing is journaled for it: past the project entry, whose
+        // source differs, the journal is the clean run's.
+        assert_eq!(p.journal().len(), clean.journal().len());
+        assert!(p
+            .journal()
+            .iter()
+            .skip(1)
+            .eq(clean.journal().iter().skip(1)));
+        // A replay re-applies the registrations and counts the error again.
+        let replayed = Crowd4U::replay(p.journal()).unwrap();
+        assert_eq!(replayed.counters.get("eligibility_errors"), 1);
+        assert_eq!(replayed.project_counter(id, "eligibility_errors"), 1);
+        assert_eq!(replayed.state_dump(), p.state_dump());
     }
 
     #[test]

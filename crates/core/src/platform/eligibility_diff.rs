@@ -13,6 +13,10 @@
 //! Reads happen on marked steps only, so a registration also meets caches
 //! that an unrepaired `get_mut` or `refresh_skills` left one version
 //! behind.
+//!
+//! Projects screen by factors (with and without requirements) or by one
+//! of three CyLog programs: the paper's rule, a skill gate, and a
+//! stratified `not` over a derived predicate.
 
 use super::*;
 use crowd4u_crowd::profile::WorkerProfile;
@@ -25,6 +29,8 @@ rel published(s: str, t: str).
 published(S, T) :- sentence(S), translate(S, T).
 ";
 
+/// The declarative programs, each with a project fact `flag(W)` that a
+/// step seeds. The paper's rule, with `flag` admitting a worker beside it.
 const DECLARATIVE_SRC: &str = "\
 rel worker_online(w: id).
 rel worker_native(w: id, lang: str).
@@ -36,6 +42,35 @@ rel sentence(s: str).
 open translate(s: str) -> (t: str).
 rel published(s: str, t: str).
 published(S, T) :- sentence(S), translate(S, T).
+";
+
+/// Skill-gated: online workers whose translation skill clears a bar, so
+/// `refresh_skills` moves verdicts.
+const SKILL_SRC: &str = "\
+rel worker_online(w: id).
+rel worker_skill(w: id, skill: str, level: float).
+rel flag(w: id).
+rel eligible(w: id).
+eligible(W) :- worker_online(W), worker_skill(W, \"translation\", L), L >= 0.5.
+eligible(W) :- flag(W).
+rel sentence(s: str).
+open translate(s: str) -> (t: str).
+";
+
+/// Stratified `not`: online workers not `blocked`, where `blocked` is
+/// derived from native Japanese or from `flag` — so a seed *removes* a
+/// worker from the set.
+const NEGATION_SRC: &str = "\
+rel worker_online(w: id).
+rel worker_native(w: id, lang: str).
+rel flag(w: id).
+rel blocked(w: id).
+blocked(W) :- worker_native(W, \"ja\").
+blocked(W) :- flag(W).
+rel eligible(w: id).
+eligible(W) :- worker_online(W), not blocked(W).
+rel sentence(s: str).
+open translate(s: str) -> (t: str).
 ";
 
 /// Worker ids the steps draw from: non-contiguous, so a registration lands
@@ -59,7 +94,7 @@ fn worker(slot: u8, variant: u8, skill: f64) -> WorkerProfile {
 }
 
 fn register_project(p: &mut Crowd4U, kind: u8) {
-    let (source, factors) = match kind % 3 {
+    let (source, factors) = match kind % 5 {
         0 => (FACTOR_SRC, DesiredFactors::default()),
         1 => (
             FACTOR_SRC,
@@ -70,10 +105,12 @@ fn register_project(p: &mut Crowd4U, kind: u8) {
                 ..Default::default()
             },
         ),
-        _ => (DECLARATIVE_SRC, DesiredFactors::default()),
+        2 => (DECLARATIVE_SRC, DesiredFactors::default()),
+        3 => (SKILL_SRC, DesiredFactors::default()),
+        _ => (NEGATION_SRC, DesiredFactors::default()),
     };
     p.register_project(format!("p{kind}"), source, factors, Scheme::Sequential)
-        .expect("both sources compile");
+        .expect("every source compiles");
 }
 
 /// Apply one step. Calls that fail (an unknown worker, a project that is
@@ -149,7 +186,7 @@ proptest! {
 
     #[test]
     fn cached_reads_equal_rescreened_reads(
-        first_project in 0u8..4,
+        first_project in 0u8..6,
         steps in proptest::collection::vec(
             (0u8..11, 0u8..8, 0u8..8, 0.0f64..1.0, any::<bool>()),
             1..48,
@@ -157,9 +194,9 @@ proptest! {
     ) {
         let mut cached = Crowd4U::new();
         let mut twin = Crowd4U::new();
-        // Three in four runs start with a project, so the first
+        // Five in six runs start with a project, so the first
         // registrations already meet a cache; the rest register one late.
-        if first_project < 3 {
+        if first_project < 5 {
             register_project(&mut cached, first_project);
             register_project(&mut twin, first_project);
         }

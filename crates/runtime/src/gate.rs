@@ -346,8 +346,8 @@ pub(crate) struct GateCore {
     /// returned messages. Dwell count ÷ batches is the mean batch size —
     /// ≈ 1 on a starved shard, ≈ K on a saturated one.
     batches: Vec<Counter>,
-    /// Per-shard applied-history slots: the replay source for recovery
-    /// and migration, and where `finish()` collects the merged journal.
+    /// Per-shard applied-history slots: the replay source for recovery,
+    /// and where `finish()` collects the merged journal.
     ledger: ShardLedger,
     /// Routing-table overrides installed by migrations. `owner_of`
     /// consults this only while `overridden != 0` — the common

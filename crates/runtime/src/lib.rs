@@ -116,8 +116,8 @@
 //! byte-identical to a run where the failure never happened
 //! (`tests/recovery_equivalence.rs` proptests this). Projects can also be
 //! rebalanced while the runtime runs:
-//! [`ShardedRuntime::migrate_project`] quiesces one project, replays its
-//! slice into another shard, and flips the routing table.
+//! [`ShardedRuntime::migrate_project`] quiesces one project, extracts it
+//! from its shard, adopts it into another, and flips the routing table.
 //! Deterministic crash schedules come from [`recovery::FaultPlan`],
 //! handed to `ShardedRuntime::new_chaos`.
 //!

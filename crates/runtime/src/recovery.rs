@@ -1,6 +1,6 @@
 //! Crash recovery: the shared apply ledger, deterministic fault
 //! injection, and the journal-slice replay that rebuilds a dead shard's
-//! platform (and powers hot-project migration).
+//! platform.
 //!
 //! # Why recovery is replay
 //!
@@ -93,8 +93,8 @@ pub(crate) struct LedgerSlot {
     pub since_drain: usize,
 }
 
-/// The per-shard apply ledger: the replay source of truth for recovery,
-/// migration slices, and the runtime's merged journal.
+/// The per-shard apply ledger: the replay source of truth for recovery
+/// and the runtime's merged journal.
 #[derive(Debug)]
 pub(crate) struct ShardLedger {
     slots: Vec<Mutex<LedgerSlot>>,
@@ -155,22 +155,6 @@ impl ShardLedger {
             }
             entries.sort_by_key(|e| e.key);
         }
-        entries
-    }
-
-    /// The slice a migration of `project` off shard `from` replays: the
-    /// project's recorded events from every slot (earlier owners keep the
-    /// pre-migration history), interleaved with `from`'s drain barriers
-    /// and broadcast copies, worker registrations included. In key order.
-    pub(crate) fn project_slice(&self, project: ProjectId, from: usize) -> Vec<LedgerEntry> {
-        let mut entries = Vec::new();
-        for shard in 0..self.shards() {
-            entries.extend(self.select(shard, |e| match e.scope {
-                EventScope::Global => shard == from,
-                EventScope::Project(p) => e.recorded && p == project,
-            }));
-        }
-        entries.sort_by_key(|e| e.key);
         entries
     }
 
@@ -400,18 +384,5 @@ mod tests {
         let rebuilt_zero = ledger.shard_slice(0, moved, true);
         assert!(!rebuilt_zero.iter().any(is_delta));
         assert_eq!(seqs(rebuilt_zero), [1, 2, 3, 4, 5, 7]);
-
-        // Migration slice of project 2 off shard 1: its recorded events,
-        // between the *source's* worker delta, broadcast copies and drains
-        // — no other project, nothing worker or global from the other slot.
-        let off_one = ledger.project_slice(ProjectId(2), 1);
-        assert!(is_delta(&off_one[0]));
-        assert_eq!(seqs(off_one), [1, 2, 4, 5, 7]);
-        // The same project read off shard 0 after the move: its history
-        // still comes from shard 1's slot, the registration and the
-        // barriers now from shard 0's — journaled, so no delta.
-        let off_zero = ledger.project_slice(ProjectId(2), 0);
-        assert!(off_zero.iter().all(|e| e.recorded));
-        assert_eq!(seqs(off_zero), [1, 2, 4, 5, 7]);
     }
 }

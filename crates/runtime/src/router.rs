@@ -9,8 +9,8 @@
 //! delegate to an internal handle and take `&self`.
 
 use crate::gate::{GateCore, IngestGate};
-use crate::recovery::{replay_slice, FaultPlan};
-use crate::shard::{fresh_slice, shard_main, SeqKey, ShardCtx, ShardStats, ToShard};
+use crate::recovery::FaultPlan;
+use crate::shard::{shard_main, SeqKey, ShardCtx, ShardStats, ToShard};
 use crowd4u_core::error::{PlatformError, ProjectId};
 use crowd4u_core::events::PlatformEvent;
 use crowd4u_core::platform::Crowd4U;
@@ -290,12 +290,6 @@ impl ShardedRuntime {
         total
     }
 
-    /// Wait until one shard has processed everything already in its
-    /// mailbox (the single-shard [`barrier`](Self::barrier)).
-    fn barrier_one(&self, shard: usize) -> ShardStats {
-        self.push_flush(shard).recv().expect("shard thread alive")
-    }
-
     fn push_flush(&self, shard: usize) -> Receiver<ShardStats> {
         let core = Arc::clone(self.gate.core());
         self.submit_job(shard, move |_| core.ledger().stats(shard))
@@ -307,15 +301,15 @@ impl ShardedRuntime {
     /// The sequence: quiesce the project at the gate (its events, plus
     /// broadcasts, are held — blocking submitters park,
     /// `try_submit` gets
-    /// [`GateError::Migrating`](crate::gate::GateError::Migrating)); flush
-    /// the source shard so everything admitted is ledgered; **replay** the
-    /// project's slice — its recorded ledger entries interleaved with the
-    /// source's drains, broadcasts and worker entries — onto a fresh
-    /// base; extract the project from the replay and adopt it into the
-    /// destination shard; drop it from the source; flip the routing
-    /// table; release the hold. Unrelated projects keep flowing the whole
-    /// time, and the merged journal is untouched — recorded entries stay
-    /// in the slots that recorded them, sorted by global sequence number.
+    /// [`GateError::Migrating`](crate::gate::GateError::Migrating));
+    /// **extract** the project at the source, in a job queued behind
+    /// everything admitted before the hold; **adopt** the slice at the
+    /// destination, in a job queued behind the same registrations; flip
+    /// the routing table; release the hold. Unrelated projects keep
+    /// flowing the whole time, and the merged journal is untouched —
+    /// recorded entries stay in the slots that recorded them, sorted by
+    /// global sequence number, which is all a later rebuild of either
+    /// shard replays.
     pub fn migrate_project(
         &self,
         project: ProjectId,
@@ -342,26 +336,22 @@ impl ShardedRuntime {
             }
         }
         let _release = Release { core, project };
-        // Flush the source: every event admitted before the hold's fence
-        // is applied and ledgered before the slice is read — and, worker
-        // registrations being held, the source's slot holds every one of
-        // them. The destination's adopt job is queued behind the same
-        // registrations: eligibility rows in the slice must cover every
-        // worker the destination will have installed.
-        self.barrier_one(from);
-        let entries = core.ledger().project_slice(project, from);
-        let telemetry = self.telemetry.handle();
-        let mut replayed = replay_slice(fresh_slice(&telemetry), &entries);
-        let slice = replayed.extract_project(project)?;
+        // The extract job runs after every event admitted before the
+        // hold's fence, so the slice carries all of the project's history.
+        // Worker registrations being held, the destination's adopt job is
+        // queued behind the same registrations the source had installed:
+        // eligibility rows in the slice cover every worker the
+        // destination has.
+        let slice = self
+            .run_on(from, move |p| p.extract_project(project))
+            .recv()
+            .expect("source shard alive")?;
         let moved = slice.task_count();
-        // Demote at the source (extract and drop) and adopt at the
-        // destination; the jobs run concurrently on their shards.
-        let demoted = self.run_on(from, move |p| p.extract_project(project).map(drop));
-        let adopted = self.run_on(to_shard, move |p| p.adopt_project(slice));
-        demoted.recv().expect("source shard alive")?;
-        adopted.recv().expect("destination shard alive");
+        self.run_on(to_shard, move |p| p.adopt_project(slice))
+            .recv()
+            .expect("destination shard alive");
         core.set_owner(project, to_shard);
-        telemetry.counter(stage::MIGRATIONS).incr();
+        self.telemetry.handle().counter(stage::MIGRATIONS).incr();
         Ok(moved)
     }
 

@@ -101,10 +101,9 @@ impl ShardStats {
 }
 
 /// A default-configured platform slice recording into `telemetry`: what a
-/// shard starts from, what a recovery replays onto and what a migration
-/// replays a project's slice onto. Configuration is not journaled (see
-/// ARCHITECTURE.md §2), so every slice the runtime builds is built here —
-/// one way, with nothing a replay could miss.
+/// shard starts from and what a recovery replays onto. Configuration is
+/// not journaled (see ARCHITECTURE.md §2), so every slice the runtime
+/// builds is built here — one way, with nothing a replay could miss.
 pub(crate) fn fresh_slice(telemetry: &TelemetryHandle) -> Crowd4U {
     let mut platform = Crowd4U::new();
     platform.set_telemetry(telemetry);

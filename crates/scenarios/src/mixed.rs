@@ -16,8 +16,8 @@
 
 use crate::config::{ScenarioConfig, ScenarioReport};
 use crate::stream::{
-    apply_stream, assemble_report, merge_traces, merge_traces_with, platform_side, project_split,
-    record_scheme, CrowdMode, PlatformSide, ScenarioTrace, SplitLedger,
+    apply_stream, assemble_report, merge_traces, platform_side, record_scheme, PlatformSide,
+    ScenarioTrace, SplitLedger,
 };
 use crowd4u_collab::Scheme;
 use crowd4u_core::prelude::*;
@@ -124,19 +124,6 @@ pub fn run(config: &ScenarioConfig) -> Result<MixedReport, PlatformError> {
     Ok(MixedReport::combine(reports))
 }
 
-/// The mixed workload over **one shared crowd**: per-scheme reports plus
-/// each scheme's per-worker split of the shared population's points and
-/// collaboration contributions.
-#[derive(Debug, Clone)]
-pub struct SharedMixedReport {
-    /// The combined per-scheme view, same shape as [`run`]'s.
-    pub mixed: MixedReport,
-    /// Per-scheme split ledgers, in [`Scheme::all`] (= trace) order.
-    pub splits: Vec<SplitLedger>,
-    /// Size of the one shared population.
-    pub crowd: u64,
-}
-
 /// Build each trace's [`SplitLedger`] from the authoritative runtime:
 /// `lookup` resolves one (authoritative) project's per-worker split off
 /// its owning platform slice, and a trace's ledger absorbs all of its
@@ -157,31 +144,6 @@ pub fn splits_from<E>(
             Ok(ledger)
         })
         .collect()
-}
-
-/// Run the mixed workload serially over one shared crowd: every scheme's
-/// trace is recorded from the same seeded population (same config → same
-/// shadow crowd), merged in [`CrowdMode::Shared`], and applied to one
-/// fresh platform where each worker exists **once** and collects points
-/// and affinity history across all three applications. This is the serial
-/// reference for `crowd4u-runtime`'s shared streamed run.
-pub fn run_shared(config: &ScenarioConfig) -> Result<SharedMixedReport, PlatformError> {
-    let traces = record(config)?;
-    let merged = merge_traces_with(&traces, CrowdMode::Shared)?;
-    let mut platform = Crowd4U::new();
-    platform.controller.algorithm = config.algorithm;
-    apply_stream(&mut platform, &merged)?;
-    let reports = reports_from(&traces, &merged, |project, completion| {
-        platform_side(&platform, project, completion)
-    })?;
-    let splits = splits_from(&traces, &merged, |project| {
-        Ok::<_, PlatformError>(project_split(&platform, project))
-    })?;
-    Ok(SharedMixedReport {
-        mixed: MixedReport::combine(reports),
-        splits,
-        crowd: traces.first().map(|t| t.crowd).unwrap_or(0),
-    })
 }
 
 #[cfg(test)]
@@ -224,37 +186,6 @@ mod tests {
             assert_eq!(x.points_awarded, y.points_awarded);
             assert_eq!(x.makespan, y.makespan);
         }
-    }
-
-    #[test]
-    fn shared_crowd_splits_sum_to_the_whole() {
-        let r = run_shared(&cfg()).unwrap();
-        assert_eq!(r.crowd, 24);
-        assert_eq!(r.splits.len(), 3);
-        // Each scheme's per-worker points split sums to exactly that
-        // scheme's report total…
-        for (split, rep) in r.splits.iter().zip(&r.mixed.reports) {
-            assert_eq!(split.total_points(), rep.points_awarded, "{}", rep.scheme);
-        }
-        // …and the whole platform total, which is not empty, is the sum of
-        // the parts.
-        assert!(r.mixed.points_awarded > 0);
-        assert_eq!(
-            r.splits.iter().map(|s| s.total_points()).sum::<i64>(),
-            r.mixed.points_awarded
-        );
-        // One population, several applications: some shared worker shows
-        // up in more than one scheme's ledger.
-        let mut seen = std::collections::BTreeMap::new();
-        for split in &r.splits {
-            for w in split.points.keys().chain(split.collabs.keys()) {
-                *seen.entry(*w).or_insert(0usize) += 1;
-            }
-        }
-        assert!(
-            seen.values().any(|&n| n >= 2),
-            "no worker contributed to two applications: {seen:?}"
-        );
     }
 
     #[test]

@@ -1,72 +1,52 @@
-//! The simulation driver: pops events in time order and hands them to a
-//! handler which may schedule further events through a [`Scheduler`].
+//! The simulation's event queue and clock: events pop a tick at a time in
+//! time order, FIFO within a tick.
 
-use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// Interface the event handler uses to schedule follow-up events.
-/// Newly scheduled events are merged into the main queue after each
-/// handler invocation, so a handler can never starve the queue.
-pub struct Scheduler<E> {
-    now: SimTime,
-    pending: Vec<(SimTime, E)>,
-    stop: bool,
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
 }
 
-impl<E> Scheduler<E> {
-    /// Current simulated time (time of the event being handled).
-    pub fn now(&self) -> SimTime {
-        self.now
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
     }
-
-    /// Schedule an event at an absolute time. Events scheduled in the past
-    /// are clamped to "now" (they run next, preserving causality).
-    pub fn at(&mut self, time: SimTime, event: E) {
-        let t = time.max(self.now);
-        self.pending.push((t, event));
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-
-    /// Schedule an event after a delay.
-    pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.pending.push((self.now + delay, event));
-    }
-
-    /// Request the run loop to stop after this handler returns.
-    pub fn stop(&mut self) {
-        self.stop = true;
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; reverse for earliest-first, with the
+        // insertion sequence breaking ties so same-time events pop FIFO.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// Outcome of [`Simulation::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Queue drained.
-    Exhausted,
-    /// Handler called [`Scheduler::stop`].
-    Stopped,
-    /// Event horizon reached (events beyond the horizon remain queued).
-    HorizonReached,
-    /// Step budget exhausted.
-    StepLimit,
-}
-
-/// A discrete-event simulation over events of type `E`.
+/// A discrete-event simulation over events of type `E`: a time-ordered
+/// queue and the clock of the last tick popped.
 pub struct Simulation<E> {
-    queue: EventQueue<E>,
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
     now: SimTime,
-    steps: u64,
-    max_steps: u64,
-    horizon: Option<SimTime>,
 }
 
 impl<E> Default for Simulation<E> {
     fn default() -> Self {
         Simulation {
-            queue: EventQueue::new(),
+            heap: BinaryHeap::new(),
+            next_seq: 0,
             now: SimTime::ZERO,
-            steps: 0,
-            max_steps: u64::MAX,
-            horizon: None,
         }
     }
 }
@@ -76,222 +56,99 @@ impl<E> Simulation<E> {
         Self::default()
     }
 
-    /// Hard cap on handled events (guards against runaway feedback loops).
-    pub fn with_max_steps(mut self, max: u64) -> Simulation<E> {
-        self.max_steps = max;
-        self
-    }
-
-    /// Stop once simulated time would pass `horizon`.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Simulation<E> {
-        self.horizon = Some(horizon);
-        self
-    }
-
+    /// The tick of the last batch popped.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedule before the run starts (or between runs).
+    /// Queue `event` at `time`. A time before [`now`](Self::now) is not
+    /// clamped: the event pops in the next batch, at its own time.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        self.queue.schedule(time, event);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Pop every event scheduled for the earliest pending tick as one
-    /// batch, advancing the clock to that tick. Within a batch, events keep
-    /// their FIFO scheduling order.
-    ///
-    /// This is the pull-style counterpart of [`run`](Self::run) for
-    /// batch-ingesting consumers (the platform applies a whole tick's
-    /// worth of worker actions in one go, then synchronises task state
-    /// once). Returns `None` when the queue is exhausted, the horizon would
-    /// be passed (the clock then rests at the horizon), or the step budget
-    /// is spent.
+    /// batch, in FIFO scheduling order, and set the clock to that tick.
+    /// The platform applies a whole tick's worth of worker actions in one
+    /// go, then synchronises task state once. `None` when the queue is
+    /// empty.
     pub fn next_batch(&mut self) -> Option<(SimTime, Vec<E>)> {
-        if self.steps >= self.max_steps {
-            return None;
-        }
-        let time = self.queue.peek_time()?;
-        if let Some(h) = self.horizon {
-            if time > h {
-                self.now = h;
-                return None;
-            }
-        }
+        let time = self.heap.peek()?.time;
         let mut batch = Vec::new();
-        while self.queue.peek_time() == Some(time) && self.steps < self.max_steps {
-            let (_, event) = self.queue.pop().expect("peeked");
-            batch.push(event);
-            self.steps += 1;
+        while self.heap.peek().is_some_and(|e| e.time == time) {
+            batch.push(self.heap.pop().expect("peeked").event);
         }
         self.now = time;
         Some((time, batch))
-    }
-
-    /// Drive the simulation until exhaustion, stop request, horizon or step
-    /// budget, whichever comes first.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Scheduler<E>, E)) -> RunOutcome {
-        loop {
-            if self.steps >= self.max_steps {
-                return RunOutcome::StepLimit;
-            }
-            let Some(next_time) = self.queue.peek_time() else {
-                return RunOutcome::Exhausted;
-            };
-            if let Some(h) = self.horizon {
-                if next_time > h {
-                    self.now = h;
-                    return RunOutcome::HorizonReached;
-                }
-            }
-            let (time, event) = self.queue.pop().expect("peeked");
-            self.now = time;
-            self.steps += 1;
-            let mut sched = Scheduler {
-                now: time,
-                pending: Vec::new(),
-                stop: false,
-            };
-            handler(&mut sched, event);
-            let stop = sched.stop;
-            for (t, e) in sched.pending {
-                self.queue.schedule(t, e);
-            }
-            if stop {
-                return RunOutcome::Stopped;
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Debug, PartialEq)]
-    enum Ev {
-        Ping(u32),
-        Stop,
-    }
-
-    #[test]
-    fn chain_of_events_until_exhausted() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime(0), Ev::Ping(0));
-        let mut seen = Vec::new();
-        let out = sim.run(|s, e| {
-            if let Ev::Ping(n) = e {
-                seen.push((s.now(), n));
-                if n < 4 {
-                    s.after(SimDuration::secs(10), Ev::Ping(n + 1));
-                }
-            }
-        });
-        assert_eq!(out, RunOutcome::Exhausted);
-        assert_eq!(seen.len(), 5);
-        assert_eq!(seen[4], (SimTime(40), 4));
-        assert_eq!(sim.steps(), 5);
-        assert_eq!(sim.now(), SimTime(40));
-    }
-
-    #[test]
-    fn stop_request_halts_immediately() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime(1), Ev::Stop);
-        sim.schedule(SimTime(2), Ev::Ping(1));
-        let out = sim.run(|s, e| {
-            if matches!(e, Ev::Stop) {
-                s.stop();
-            } else {
-                panic!("should not reach the later event");
-            }
-        });
-        assert_eq!(out, RunOutcome::Stopped);
-        assert_eq!(sim.pending_events(), 1);
-    }
-
-    #[test]
-    fn horizon_leaves_future_events_queued() {
-        let mut sim = Simulation::new().with_horizon(SimTime(100));
-        sim.schedule(SimTime(50), Ev::Ping(1));
-        sim.schedule(SimTime(150), Ev::Ping(2));
-        let mut handled = 0;
-        let out = sim.run(|_, _| handled += 1);
-        assert_eq!(out, RunOutcome::HorizonReached);
-        assert_eq!(handled, 1);
-        assert_eq!(sim.now(), SimTime(100));
-        assert_eq!(sim.pending_events(), 1);
-    }
-
-    #[test]
-    fn step_limit_bounds_feedback_loops() {
-        let mut sim = Simulation::new().with_max_steps(10);
-        sim.schedule(SimTime(0), Ev::Ping(0));
-        let out = sim.run(|s, _| s.after(SimDuration::ZERO, Ev::Ping(0)));
-        assert_eq!(out, RunOutcome::StepLimit);
-        assert_eq!(sim.steps(), 10);
-    }
-
-    #[test]
-    fn past_scheduling_clamped_to_now() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime(10), Ev::Ping(0));
-        let mut times = Vec::new();
-        sim.run(|s, e| {
-            times.push(s.now());
-            if let Ev::Ping(0) = e {
-                s.at(SimTime(3), Ev::Ping(1)); // "in the past"
-            }
-        });
-        assert_eq!(times, vec![SimTime(10), SimTime(10)]);
-    }
-
-    #[test]
-    fn empty_simulation_exhausts_immediately() {
-        let mut sim: Simulation<Ev> = Simulation::new();
-        assert_eq!(sim.run(|_, _| {}), RunOutcome::Exhausted);
-        assert_eq!(sim.steps(), 0);
-    }
+    use crate::time::SimDuration;
 
     #[test]
     fn next_batch_groups_same_tick_events_fifo() {
         let mut sim = Simulation::new();
-        sim.schedule(SimTime(10), Ev::Ping(1));
-        sim.schedule(SimTime(5), Ev::Ping(0));
-        sim.schedule(SimTime(10), Ev::Ping(2));
-        let (t, batch) = sim.next_batch().unwrap();
-        assert_eq!(t, SimTime(5));
-        assert_eq!(batch, vec![Ev::Ping(0)]);
-        let (t, batch) = sim.next_batch().unwrap();
-        assert_eq!(t, SimTime(10));
-        assert_eq!(batch, vec![Ev::Ping(1), Ev::Ping(2)]);
+        sim.schedule(SimTime(10), "b");
+        sim.schedule(SimTime(5), "a");
+        sim.schedule(SimTime(10), "c");
+        assert_eq!(sim.next_batch(), Some((SimTime(5), vec!["a"])));
+        assert_eq!(sim.now(), SimTime(5));
+        assert_eq!(sim.next_batch(), Some((SimTime(10), vec!["b", "c"])));
         assert_eq!(sim.now(), SimTime(10));
-        assert_eq!(sim.steps(), 3);
-        assert!(sim.next_batch().is_none());
+        assert_eq!(sim.next_batch(), None);
+        assert_eq!(sim.now(), SimTime(10), "an empty pop leaves the clock");
     }
 
     #[test]
-    fn next_batch_respects_horizon_and_step_budget() {
-        let mut sim = Simulation::new().with_horizon(SimTime(50));
-        sim.schedule(SimTime(60), Ev::Ping(1));
-        assert!(sim.next_batch().is_none());
-        assert_eq!(sim.now(), SimTime(50));
-        assert_eq!(sim.pending_events(), 1);
-
-        let mut sim = Simulation::new().with_max_steps(2);
-        for i in 0..3 {
-            sim.schedule(SimTime(1), Ev::Ping(i));
+    fn chain_of_events_until_exhausted() {
+        // Each event schedules the next one ten ticks on, as the driver
+        // schedules follow-ups while it applies a batch.
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime(0), 0u32);
+        let mut seen = Vec::new();
+        while let Some((now, batch)) = sim.next_batch() {
+            for n in batch {
+                seen.push((now, n));
+                if n < 4 {
+                    sim.schedule(now + SimDuration::secs(10), n + 1);
+                }
+            }
         }
-        let (_, batch) = sim.next_batch().unwrap();
-        assert_eq!(batch.len(), 2); // budget splits the tick
+        assert_eq!(seen.len(), 5);
+        assert_eq!(seen[4], (SimTime(40), 4));
+        assert_eq!(sim.now(), SimTime(40));
+    }
+
+    #[test]
+    fn empty_simulation_exhausts_immediately() {
+        let mut sim: Simulation<()> = Simulation::new();
         assert!(sim.next_batch().is_none());
+        assert_eq!(sim.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn interleaved_schedule_pop() {
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime(10), "late");
+        sim.schedule(SimTime(1), "early");
+        assert_eq!(sim.next_batch().unwrap().1, ["early"]);
+        sim.schedule(SimTime(5), "mid");
+        assert_eq!(sim.next_batch().unwrap().1, ["mid"]);
+        assert_eq!(sim.next_batch().unwrap().1, ["late"]);
+    }
+
+    #[test]
+    fn past_times_are_not_clamped() {
+        let mut sim = Simulation::new();
+        sim.schedule(SimTime(10), 0);
+        assert_eq!(sim.next_batch(), Some((SimTime(10), vec![0])));
+        sim.schedule(SimTime(3), 1);
+        assert_eq!(sim.next_batch(), Some((SimTime(3), vec![1])));
+        assert_eq!(sim.now(), SimTime(3));
     }
 }

@@ -7,10 +7,10 @@
 //! Reproducing that offline needs a clock we control. This crate provides:
 //!
 //! * [`time::SimTime`] / [`time::SimDuration`] — logical seconds;
-//! * [`queue::EventQueue`] — time-ordered, FIFO tie-broken event queue;
-//! * [`engine::Simulation`] — the run loop, with stop / horizon / step caps;
+//! * [`engine::Simulation`] — a time-ordered event queue, FIFO within a
+//!   tick, that a driver pops one tick at a time;
 //! * [`rng::SimRng`] — seeded RNG with gaussian/exponential/weighted helpers;
-//! * [`stats`] — counters, Welford moments, histograms, percentiles.
+//! * [`stats::Counters`] — named monotonic counters.
 //!
 //! Determinism guarantee: a simulation with the same seed, same initial
 //! events and same handler logic replays identically, tick for tick.
@@ -21,27 +21,27 @@
 //! let mut sim = Simulation::new();
 //! sim.schedule(SimTime(0), "worker-arrives");
 //! let mut arrivals = 0;
-//! sim.run(|s, _ev| {
-//!     arrivals += 1;
-//!     if arrivals < 3 {
-//!         s.after(SimDuration::minutes(5), "worker-arrives");
+//! while let Some((now, batch)) = sim.next_batch() {
+//!     for _event in batch {
+//!         arrivals += 1;
+//!         if arrivals < 3 {
+//!             sim.schedule(now + SimDuration::minutes(5), "worker-arrives");
+//!         }
 //!     }
-//! });
+//! }
 //! assert_eq!(arrivals, 3);
 //! assert_eq!(sim.now(), SimTime(600));
 //! ```
 
 pub mod engine;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub mod prelude {
-    pub use crate::engine::{RunOutcome, Scheduler, Simulation};
-    pub use crate::queue::EventQueue;
+    pub use crate::engine::Simulation;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Counters, Histogram, Running, Samples};
+    pub use crate::stats::Counters;
     pub use crate::time::{SimDuration, SimTime};
 }
 
@@ -51,36 +51,38 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Events always pop in nondecreasing time order, FIFO within ties.
+        /// Batches pop in increasing time order, each event at its own
+        /// time, FIFO within a tick.
         #[test]
         fn queue_orders_events(times in proptest::collection::vec(0u64..100, 1..200)) {
-            let mut q = EventQueue::new();
+            let mut sim = Simulation::new();
             for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime(t), i);
+                sim.schedule(SimTime(t), i);
             }
-            let mut last: Option<(SimTime, usize)> = None;
-            while let Some((t, i)) = q.pop() {
-                if let Some((lt, li)) = last {
-                    prop_assert!(t >= lt);
-                    if t == lt {
-                        prop_assert!(i > li, "FIFO violated on tie");
-                    }
-                }
-                last = Some((t, i));
+            let mut last: Option<SimTime> = None;
+            while let Some((t, batch)) = sim.next_batch() {
+                prop_assert!(last.is_none_or(|lt| t > lt), "ticks out of order");
+                prop_assert_eq!(sim.now(), t);
+                prop_assert!(batch.iter().all(|&i| SimTime(times[i]) == t));
+                prop_assert!(batch.windows(2).all(|w| w[0] < w[1]), "FIFO violated on tie");
+                last = Some(t);
             }
         }
 
-        /// The engine visits every scheduled event exactly once (no feedback).
+        /// Every scheduled event pops exactly once (no feedback).
         #[test]
         fn engine_visits_all(times in proptest::collection::vec(0u64..1000, 0..100)) {
             let mut sim = Simulation::new();
             for (i, &t) in times.iter().enumerate() {
                 sim.schedule(SimTime(t), i);
             }
-            let mut seen = vec![false; times.len()];
-            sim.run(|_, i| { seen[i] = true; });
-            prop_assert!(seen.iter().all(|&b| b));
-            prop_assert_eq!(sim.steps(), times.len() as u64);
+            let mut seen = vec![0u32; times.len()];
+            while let Some((_, batch)) = sim.next_batch() {
+                for i in batch {
+                    seen[i] += 1;
+                }
+            }
+            prop_assert!(seen.iter().all(|&n| n == 1));
         }
 
         /// Two RNGs with the same seed agree on any mix of draws.
@@ -97,14 +99,6 @@ mod proptests {
                     _ => prop_assert_eq!(a.index(10), b.index(10)),
                 }
             }
-        }
-
-        /// Welford never produces negative variance.
-        #[test]
-        fn variance_nonnegative(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-            let mut r = Running::new();
-            for x in xs { r.push(x); }
-            prop_assert!(r.variance() >= -1e-6);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! # crowd4u-telemetry — sharded metrics, span tracing, Prometheus text
 //!
 //! The platform-wide observability layer: a [`Registry`] of named
-//! **counters**, **gauges** and **log-bucketed histograms**, scraped into a
-//! [`MetricsSnapshot`] and rendered in the Prometheus text exposition
-//! format. Zero external dependencies (same vendored-shim discipline as
+//! **counters** and **log-bucketed histograms** (boundaries at powers of
+//! two), scraped into a [`MetricsSnapshot`] and rendered in the Prometheus
+//! text exposition format. Zero external dependencies (same vendored-shim discipline as
 //! the rest of the workspace — this crate needs none at all).
 //!
 //! ## Design: handles, merge on scrape
@@ -11,7 +11,7 @@
 //! Each subsystem asks the registry for a [`TelemetryHandle`]; every metric
 //! fetched through a handle is an atomic cell owned by that handle. A scrape
 //! ([`Registry::snapshot`]) walks all handles and merges same-named cells —
-//! counters and gauges by summation, histograms bucket-wise. Recording is a
+//! counters by summation, histograms bucket-wise. Recording is a
 //! relaxed atomic add on a pre-fetched cell, and **scrapes never block
 //! producers**: the per-handle mutex only guards the name→cell map (locked
 //! when a metric is first fetched and during a scrape).
@@ -64,7 +64,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -131,69 +131,49 @@ pub mod stage {
 /// registry is a `None` and everything downstream of it is a no-op.
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<RegistryInner>>,
+    /// Every handle ever issued; scrapes walk this list and merge.
+    handles: Option<Arc<Mutex<Vec<Cells>>>>,
 }
 
-struct RegistryInner {
-    /// log2 of the histogram bucket base (1 ⇒ boundaries double).
-    bucket_bits: u32,
-    /// Every handle ever issued; scrapes walk this list and merge.
-    handles: Mutex<Vec<Arc<Mutex<HandleCells>>>>,
-}
+/// One handle's name→cell maps.
+type Cells = Arc<Mutex<HandleCells>>;
 
 #[derive(Default)]
 struct HandleCells {
     counters: BTreeMap<(String, String), Arc<AtomicU64>>,
-    gauges: BTreeMap<(String, String), Arc<AtomicI64>>,
     histograms: BTreeMap<(String, String), Arc<HistogramCore>>,
 }
 
 impl Registry {
-    /// An enabled registry with the default bucket base (2).
+    /// An enabled registry.
     pub fn new() -> Registry {
-        Registry::with_bucket_base(2)
-    }
-
-    /// An enabled registry whose histogram boundaries grow by `base`
-    /// (rounded down to a power of two, minimum 2).
-    pub fn with_bucket_base(base: u32) -> Registry {
-        let bits = 31 - base.max(2).leading_zeros();
         Registry {
-            inner: Some(Arc::new(RegistryInner {
-                bucket_bits: bits,
-                handles: Mutex::new(Vec::new()),
-            })),
+            handles: Some(Arc::default()),
         }
     }
 
     /// The no-op registry: handles, metrics and spans all compile down to
     /// a branch on `None`.
     pub fn disabled() -> Registry {
-        Registry { inner: None }
+        Registry { handles: None }
     }
 
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.handles.is_some()
     }
 
     /// Issue a fresh handle (one per shard / subsystem). Metrics fetched
     /// through distinct handles never share atomics.
     pub fn handle(&self) -> TelemetryHandle {
-        match &self.inner {
+        match &self.handles {
             None => TelemetryHandle::disabled(),
-            Some(inner) => {
+            Some(handles) => {
                 let cells = Arc::new(Mutex::new(HandleCells::default()));
-                inner
-                    .handles
+                handles
                     .lock()
                     .expect("telemetry registry poisoned")
                     .push(Arc::clone(&cells));
-                TelemetryHandle {
-                    inner: Some(HandleInner {
-                        registry: Arc::clone(inner),
-                        cells,
-                    }),
-                }
+                TelemetryHandle { cells: Some(cells) }
             }
         }
     }
@@ -203,27 +183,20 @@ impl Registry {
     /// never the atomics being written.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let Some(inner) = &self.inner else {
+        let Some(handles) = &self.handles else {
             return snap;
         };
-        let handles = inner
-            .handles
-            .lock()
-            .expect("telemetry registry poisoned")
-            .clone();
+        let handles = handles.lock().expect("telemetry registry poisoned").clone();
         for h in handles {
             let cells = h.lock().expect("telemetry handle poisoned");
             for (key, c) in &cells.counters {
                 *snap.counters.entry(key.clone()).or_insert(0) += c.load(Ordering::Relaxed);
             }
-            for (key, g) in &cells.gauges {
-                *snap.gauges.entry(key.clone()).or_insert(0) += g.load(Ordering::Relaxed);
-            }
             for (key, hc) in &cells.histograms {
                 let entry = snap
                     .histograms
                     .entry(key.clone())
-                    .or_insert_with(|| HistogramSnapshot::empty(hc.bits));
+                    .or_insert_with(HistogramSnapshot::empty);
                 entry.absorb(hc);
             }
         }
@@ -231,28 +204,22 @@ impl Registry {
     }
 }
 
-#[derive(Clone)]
-struct HandleInner {
-    registry: Arc<RegistryInner>,
-    cells: Arc<Mutex<HandleCells>>,
-}
-
 /// A per-shard (or per-subsystem) metric handle. Fetch metrics once at
-/// wiring time and keep the returned [`Counter`]/[`Gauge`]/[`Histogram`]
+/// wiring time and keep the returned [`Counter`]/[`Histogram`]
 /// — fetching locks the handle's map, recording does not.
 #[derive(Clone, Default)]
 pub struct TelemetryHandle {
-    inner: Option<HandleInner>,
+    cells: Option<Cells>,
 }
 
 impl TelemetryHandle {
     /// The no-op handle (what [`Registry::disabled`] issues).
     pub fn disabled() -> TelemetryHandle {
-        TelemetryHandle { inner: None }
+        TelemetryHandle { cells: None }
     }
 
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.cells.is_some()
     }
 
     /// Fetch (or create) an unlabelled counter.
@@ -263,29 +230,11 @@ impl TelemetryHandle {
     /// Fetch (or create) a counter carrying a pre-formatted Prometheus
     /// label set, e.g. `shard="2"`.
     pub fn counter_with(&self, name: &str, labels: &str) -> Counter {
-        Counter(self.inner.as_ref().map(|h| {
-            let mut cells = h.cells.lock().expect("telemetry handle poisoned");
+        Counter(self.cells.as_ref().map(|h| {
+            let mut cells = h.lock().expect("telemetry handle poisoned");
             Arc::clone(
                 cells
                     .counters
-                    .entry((name.to_string(), labels.to_string()))
-                    .or_default(),
-            )
-        }))
-    }
-
-    /// Fetch (or create) an unlabelled gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, "")
-    }
-
-    /// Fetch (or create) a labelled gauge.
-    pub fn gauge_with(&self, name: &str, labels: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|h| {
-            let mut cells = h.cells.lock().expect("telemetry handle poisoned");
-            Arc::clone(
-                cells
-                    .gauges
                     .entry((name.to_string(), labels.to_string()))
                     .or_default(),
             )
@@ -299,14 +248,13 @@ impl TelemetryHandle {
 
     /// Fetch (or create) a labelled log-bucketed histogram.
     pub fn histogram_with(&self, name: &str, labels: &str) -> Histogram {
-        Histogram(self.inner.as_ref().map(|h| {
-            let bits = h.registry.bucket_bits;
-            let mut cells = h.cells.lock().expect("telemetry handle poisoned");
+        Histogram(self.cells.as_ref().map(|h| {
+            let mut cells = h.lock().expect("telemetry handle poisoned");
             Arc::clone(
                 cells
                     .histograms
                     .entry((name.to_string(), labels.to_string()))
-                    .or_insert_with(|| Arc::new(HistogramCore::new(bits))),
+                    .or_insert_with(|| Arc::new(HistogramCore::new())),
             )
         }))
     }
@@ -335,73 +283,42 @@ impl Counter {
     }
 }
 
-/// Last-write-wins gauge handle (merged across shards by summation, so
-/// per-shard gauges should carry a `shard="i"` label). `None` ⇒ no-op.
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicI64>>);
-
-impl Gauge {
-    /// The no-op gauge (for default struct fields).
-    pub fn disabled() -> Gauge {
-        Gauge(None)
-    }
-
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub fn add(&self, n: i64) {
-        if let Some(g) = &self.0 {
-            g.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Lock-free log-bucketed histogram core: bucket `i` counts values whose
-/// bit length, divided by the bucket base's bit width (rounded up), is
-/// `i` — i.e. boundaries at `base^i`. `count` is every observation;
-/// `sampled`, `sum` and the buckets describe the timed ones.
+/// bit length is `i` — i.e. boundaries at `2^i`. `count` is every
+/// observation; `sampled`, `sum` and the buckets describe the timed ones.
 struct HistogramCore {
-    bits: u32,
     count: AtomicU64,
     sampled: AtomicU64,
     sum: AtomicU64,
     buckets: Vec<AtomicU64>,
 }
 
-fn bucket_count(bits: u32) -> usize {
-    64usize.div_ceil(bits as usize) + 1
+/// One bucket per bit length, 0 to 64.
+const BUCKETS: usize = 65;
+
+fn bucket_index(v: u64) -> usize {
+    64 - v.leading_zeros() as usize // 0 for v == 0
 }
 
-fn bucket_index(bits: u32, v: u64) -> usize {
-    let significant = 64 - v.leading_zeros() as usize; // 0 for v == 0
-    significant.div_ceil(bits as usize)
-}
-
-/// Inclusive upper bound of bucket `i`: `base^i − 1`, saturating at
+/// Inclusive upper bound of bucket `i`: `2^i − 1`, saturating at
 /// `u64::MAX` for the top bucket (rendered as `+Inf`).
-fn bucket_upper(bits: u32, i: usize) -> u64 {
-    u64::try_from((1u128 << (i as u32 * bits)) - 1).unwrap_or(u64::MAX)
+fn bucket_upper(i: usize) -> u64 {
+    u64::try_from((1u128 << i) - 1).unwrap_or(u64::MAX)
 }
 
 impl HistogramCore {
-    fn new(bits: u32) -> HistogramCore {
+    fn new() -> HistogramCore {
         HistogramCore {
-            bits,
             count: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            buckets: (0..bucket_count(bits)).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// A timed observation: counted, and recorded in the sample.
     fn observe(&self, v: u64) {
-        self.buckets[bucket_index(self.bits, v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sampled.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -512,26 +429,23 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// The sample's own sum (what the exposition's `_sum` reports).
     sampled_sum: u64,
-    bits: u32,
     /// Per-bucket (non-cumulative) counts of the sample; rendering
     /// accumulates.
     buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
-    fn empty(bits: u32) -> HistogramSnapshot {
+    fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             count: 0,
             sampled: 0,
             sum: 0,
             sampled_sum: 0,
-            bits,
-            buckets: vec![0; bucket_count(bits)],
+            buckets: vec![0; BUCKETS],
         }
     }
 
     fn absorb(&mut self, core: &HistogramCore) {
-        debug_assert_eq!(self.bits, core.bits, "one bucket base per registry");
         self.count += core.count.load(Ordering::Relaxed);
         self.sampled += core.sampled.load(Ordering::Relaxed);
         self.sampled_sum = self
@@ -552,8 +466,8 @@ impl HistogramSnapshot {
     /// The upper bound of the bucket holding the `q`-th sampled
     /// observation (nearest rank; `q` is clamped to `0..=1`, so `q = 0` is
     /// the smallest and `q = 1` the largest), or `None` when nothing was
-    /// timed. Error bound: the observation lies within one bucket base
-    /// below the result — in `(result / base, result]`, exactly 0 for a
+    /// timed. Error bound: the observation lies within a factor of two
+    /// below the result — in `(result / 2, result]`, exactly 0 for a
     /// result of 0 — and `u64::MAX` stands for the unbounded top bucket.
     /// It is a quantile of the sample, which on a sampled stage is a
     /// 1-in-[`SAMPLE_EVERY`] subset of the observations.
@@ -572,7 +486,7 @@ impl HistogramSnapshot {
                 seen >= rank
             })
             .unwrap_or(self.buckets.len() - 1);
-        Some(bucket_upper(self.bits, i))
+        Some(bucket_upper(i))
     }
 }
 
@@ -582,7 +496,6 @@ impl HistogramSnapshot {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<(String, String), u64>,
-    pub gauges: BTreeMap<(String, String), i64>,
     pub histograms: BTreeMap<(String, String), HistogramSnapshot>,
 }
 
@@ -610,21 +523,6 @@ impl MetricsSnapshot {
             .filter(|((n, _), _)| n == name)
             .map(|(_, v)| *v)
             .sum()
-    }
-
-    /// Sum of a gauge across all label sets (`None` if never set).
-    pub fn gauge_total(&self, name: &str) -> Option<i64> {
-        let vals: Vec<i64> = self
-            .gauges
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum())
-        }
     }
 
     /// Total observation count of a histogram across all label sets —
@@ -656,10 +554,6 @@ impl MetricsSnapshot {
             typed(&mut out, 'c', name, "counter");
             sample_line(&mut out, name, labels, "", &v.to_string());
         }
-        for ((name, labels), v) in &self.gauges {
-            typed(&mut out, 'g', name, "gauge");
-            sample_line(&mut out, name, labels, "", &v.to_string());
-        }
         for ((name, labels), h) in &self.histograms {
             typed(&mut out, 'h', name, "histogram");
             let bucket_name = format!("{name}_bucket");
@@ -673,7 +567,7 @@ impl MetricsSnapshot {
                 let le = if last {
                     "le=\"+Inf\"".to_string()
                 } else {
-                    format!("le=\"{}\"", bucket_upper(h.bits, i))
+                    format!("le=\"{}\"", bucket_upper(i))
                 };
                 sample_line(&mut out, &bucket_name, labels, &le, &cumulative.to_string());
             }
@@ -707,7 +601,7 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
                 return Err(format!("line {n}: unknown comment {line:?}"));
             }
             let (name, ty) = (parts.next(), parts.next());
-            if name.is_none() || !matches!(ty, Some("counter" | "gauge" | "histogram")) {
+            if name.is_none() || !matches!(ty, Some("counter" | "histogram")) {
                 return Err(format!("line {n}: malformed TYPE comment {line:?}"));
             }
             continue;
@@ -745,7 +639,6 @@ mod tests {
         let h = r.handle();
         let c = h.counter("crowd4u_test_total");
         c.incr();
-        h.gauge("crowd4u_test_gauge").set(7);
         let hist = h.histogram("crowd4u_test_ns");
         hist.observe(9);
         drop(hist.span_for(0));
@@ -761,16 +654,16 @@ mod tests {
         let (h0, h1) = (r.handle(), r.handle());
         h0.counter("crowd4u_events_total").add(3);
         h1.counter("crowd4u_events_total").add(4);
-        h0.gauge_with("crowd4u_lag", "shard=\"0\"").set(2);
-        h1.gauge_with("crowd4u_lag", "shard=\"1\"").set(5);
+        h0.counter_with("crowd4u_lag_total", "shard=\"0\"").add(2);
+        h1.counter_with("crowd4u_lag_total", "shard=\"1\"").add(5);
         h0.histogram("crowd4u_apply_ns").observe(10);
         h1.histogram("crowd4u_apply_ns").observe(1000);
         let snap = r.snapshot();
         assert_eq!(snap.counter_total("crowd4u_events_total"), 7);
-        assert_eq!(snap.gauge_total("crowd4u_lag"), Some(7));
+        assert_eq!(snap.counter_total("crowd4u_lag_total"), 7);
         assert_eq!(
-            snap.gauges
-                .get(&("crowd4u_lag".into(), "shard=\"1\"".into())),
+            snap.counters
+                .get(&("crowd4u_lag_total".into(), "shard=\"1\"".into())),
             Some(&5)
         );
         let h = &snap.histograms[&("crowd4u_apply_ns".into(), String::new())];
@@ -779,22 +672,15 @@ mod tests {
 
     #[test]
     fn bucket_indexing_is_logarithmic() {
-        assert_eq!(bucket_index(1, 0), 0);
-        assert_eq!(bucket_index(1, 1), 1);
-        assert_eq!(bucket_index(1, 2), 2);
-        assert_eq!(bucket_index(1, 3), 2);
-        assert_eq!(bucket_index(1, 4), 3);
-        assert_eq!(bucket_index(1, u64::MAX), 64);
-        assert_eq!(bucket_count(1), 65);
-        // base 4 = 2 bits per bucket: 0, 1..=3, 4..=15, …
-        assert_eq!(bucket_index(2, 3), 1);
-        assert_eq!(bucket_index(2, 4), 2);
-        assert_eq!(bucket_index(2, 15), 2);
-        assert_eq!(bucket_index(2, 16), 3);
-        assert_eq!(bucket_upper(1, 1), 1);
-        assert_eq!(bucket_upper(1, 3), 7);
-        assert_eq!(bucket_upper(1, 64), u64::MAX);
-        assert_eq!(bucket_upper(3, bucket_count(3) - 1), u64::MAX);
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 2);
+        assert_eq!(bucket_index(4), 3);
+        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_upper(1), 1);
+        assert_eq!(bucket_upper(3), 7);
+        assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
     }
 
     fn only(snap: &MetricsSnapshot, name: &str) -> HistogramSnapshot {
@@ -912,19 +798,14 @@ mod tests {
         // The unbounded top bucket reads as u64::MAX.
         hist.observe(u64::MAX);
         assert_eq!(empty().quantile(1.0), Some(u64::MAX));
-        let base4 = Registry::with_bucket_base(4);
-        base4.handle().histogram(stage::GATE_ADMIT).observe(20);
-        let h4 = only(&base4.snapshot(), stage::GATE_ADMIT);
-        assert_eq!(h4.quantile(0.5), Some(63));
     }
 
     #[test]
     fn render_is_valid_exposition() {
-        let r = Registry::with_bucket_base(4);
+        let r = Registry::new();
         let h = r.handle();
         h.counter("crowd4u_events_total").add(2);
         h.counter_with("crowd4u_events_total", "shard=\"1\"").incr();
-        h.gauge("crowd4u_worker_min_cursor").set(42);
         let hist = h.histogram(stage::JOURNAL_APPEND);
         hist.observe(0);
         hist.observe(5);
@@ -933,21 +814,20 @@ mod tests {
         let text = r.snapshot().render();
         assert!(text.contains("# TYPE crowd4u_events_total counter"));
         assert!(text.contains("crowd4u_events_total{shard=\"1\"} 1"));
-        assert!(text.contains("crowd4u_worker_min_cursor 42"));
         assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("crowd4u_stage_journal_append_ns_sum 305"));
-        // Cumulative le series: 0 lands in le="0", 5 in le="15", 300 in
-        // le="1023" (base 4 ⇒ boundaries 4^i − 1).
+        // Cumulative le series: 0 lands in le="0", 5 in le="7", 300 in
+        // le="511" (boundaries 2^i − 1).
         assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"0\"} 1"));
-        assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"15\"} 2"));
-        assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"1023\"} 3"));
+        assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"7\"} 2"));
+        assert!(text.contains("crowd4u_stage_journal_append_ns_bucket{le=\"511\"} 3"));
         // `_count` is the sample (= the +Inf bucket); the exact count of
         // every observation is its own counter.
         assert!(text.contains("crowd4u_stage_journal_append_ns_count 3"));
         assert!(text.contains("# TYPE crowd4u_stage_journal_append_ns_observed_total counter"));
         assert!(text.contains("crowd4u_stage_journal_append_ns_observed_total 4"));
-        let samples = validate_exposition(&text).expect("valid exposition");
-        assert!(samples >= 10);
+        // Two counters, four buckets, `_sum`, `_count` and the observed total.
+        assert_eq!(validate_exposition(&text), Ok(9));
     }
 
     #[test]
@@ -956,6 +836,7 @@ mod tests {
         assert!(validate_exposition("name{unclosed 1\n").is_err());
         assert!(validate_exposition("name one\n").is_err());
         assert!(validate_exposition("# HELP x y\n").is_err());
+        assert!(validate_exposition("# TYPE a gauge\na 1\n").is_err());
         assert_eq!(validate_exposition("# TYPE a counter\na 1\n"), Ok(1));
     }
 
@@ -965,7 +846,6 @@ mod tests {
         assert_send_sync::<Registry>();
         assert_send_sync::<TelemetryHandle>();
         assert_send_sync::<Counter>();
-        assert_send_sync::<Gauge>();
         assert_send_sync::<Histogram>();
         assert_send_sync::<MetricsSnapshot>();
     }

@@ -2,6 +2,9 @@
 //! set-up and one mapping from generated raw ops onto the platform's event
 //! space, used by `shard_equivalence`, `recovery_equivalence` and
 //! `telemetry_equivalence`, so a new op kind reaches every oracle at once.
+//! Project 2 screens eligibility declaratively with the paper's rule, and
+//! every registration is a profile that rule admits or refuses, so each
+//! suite runs the CyLog recompute a registration triggers.
 #![allow(dead_code)] // each suite uses its own subset
 
 use crowd4u::collab::Scheme;
@@ -19,6 +22,16 @@ open translate(s: str) -> (t: str) points 2.
 open check(s: str, t: str) -> (ok: bool) points 1.
 rel approved(s: str, t: str).
 approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
+";
+
+/// The paper's declarative eligibility (§2.2): "only workers who log in to
+/// Crowd4U and speak English as a native language are eligible". Project 2
+/// carries it beside [`SRC`].
+pub const ELIGIBLE_SRC: &str = "\
+rel worker_online(w: id).
+rel worker_native(w: id, lang: str).
+rel eligible(w: id).
+eligible(W) :- worker_online(W), worker_native(W, \"en\").
 ";
 
 /// One generated operation; ids are blind guesses into the predictable
@@ -39,16 +52,34 @@ pub fn raw_op() -> impl Strategy<Value = RawOp> {
     )
 }
 
+/// A profile [`ELIGIBLE_SRC`] admits on even ids not divisible by three:
+/// native English on even ids, logged out on multiples of three.
+pub fn profile(id: u64, name: impl Into<String>) -> WorkerProfile {
+    let lang = if id.is_multiple_of(2) { "en" } else { "ja" };
+    let mut p = WorkerProfile::new(WorkerId(id), name).with_native_lang(lang);
+    p.factors.logged_in = !id.is_multiple_of(3);
+    p
+}
+
 pub fn worker(id: u64, name: impl Into<String>) -> PlatformEvent {
     PlatformEvent::WorkerRegistered {
-        profile: WorkerProfile::new(WorkerId(id), name),
+        profile: profile(id, name),
     }
 }
 
 pub fn project(name: impl Into<String>) -> PlatformEvent {
+    project_with(name, SRC.into())
+}
+
+/// A project whose eligibility is [`ELIGIBLE_SRC`]'s rule.
+pub fn declarative_project(name: impl Into<String>) -> PlatformEvent {
+    project_with(name, format!("{ELIGIBLE_SRC}{SRC}"))
+}
+
+fn project_with(name: impl Into<String>, source: String) -> PlatformEvent {
     PlatformEvent::ProjectRegistered {
         name: name.into(),
-        source: SRC.into(),
+        source,
         factors: DesiredFactors {
             min_team: 1,
             max_team: 3,
@@ -68,15 +99,19 @@ pub fn sentence(project: u64, s: impl Into<String>) -> PlatformEvent {
     }
 }
 
-/// Worker registrations, project registrations and interleaved seed facts
-/// — the mixed multi-project shape a router has to unpick.
+/// Worker registrations, project registrations (project 2 declarative)
+/// and interleaved seed facts — the mixed multi-project shape a router has
+/// to unpick.
 pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
     let mut events = Vec::new();
     for w in 1..=4u64 {
         events.push(worker(w, format!("w{w}")));
     }
     for p in 0..n_projects {
-        events.push(project(format!("proj-{p}")));
+        events.push(match p {
+            1 => declarative_project(format!("proj-{p}")),
+            _ => project(format!("proj-{p}")),
+        });
     }
     for i in 0..items {
         for p in 0..n_projects {
@@ -118,11 +153,13 @@ pub fn op_events(n_projects: usize, items: usize, op: &RawOp) -> Vec<PlatformEve
         },
         7 => PlatformEvent::AssignmentRun { task },
         // Worker churn: re-register a setup worker with an updated profile
-        // — the versioning path, installed on every replica.
-        8 => PlatformEvent::WorkerRegistered {
-            profile: WorkerProfile::new(worker, format!("re{w}"))
-                .with_skill("survey", *i as f64 / 8.0),
-        },
+        // — the versioning path, installed on every replica — that logs
+        // in or out, flipping the declarative project's verdict.
+        8 => {
+            let mut profile = profile(*w, format!("re{w}")).with_skill("survey", *i as f64 / 8.0);
+            profile.factors.logged_in = *b;
+            PlatformEvent::WorkerRegistered { profile }
+        }
         // Crowd burst: 64–96 registrations in a row, ids `w..w + n` — the
         // setup workers, the late ones and earlier bursts re-register,
         // the rest are new. One burst is at least 64 registrations, so
@@ -130,7 +167,7 @@ pub fn op_events(n_projects: usize, items: usize, op: &RawOp) -> Vec<PlatformEve
         _ => {
             return (0..64 + 8 * (*i as u64 % 5))
                 .map(|k| PlatformEvent::WorkerRegistered {
-                    profile: WorkerProfile::new(WorkerId(w + k), format!("b{k}-{s}"))
+                    profile: profile(w + k, format!("b{k}-{s}"))
                         .with_skill("survey", (k % 8) as f64 / 8.0),
                 })
                 .collect()

@@ -1,11 +1,12 @@
 //! Property: sharded execution is observationally identical to
 //! single-threaded execution. For any multi-project event stream — worker
-//! registrations, **re-registration churn and crowd bursts** long enough
-//! to truncate the worker service's log (replicated through the
-//! coordinator-owned worker service since PR 7, not broadcast), fact
-//! seeds, blind-guess answers/interest/assignment on predictable
-//! project-strided task ids, clock advances — a run through the
-//! `ShardedRuntime` at 1, 2 and 4 shards must:
+//! registrations, **re-registration churn and crowd bursts** (each a
+//! broadcast: recorded on the coordinator, installed on every replica
+//! from its mailbox), a project that screens eligibility with a CyLog
+//! rule beside factor-screened ones, fact seeds, blind-guess
+//! answers/interest/assignment on predictable project-strided task ids,
+//! clock advances — a run through the `ShardedRuntime` at 1, 2 and 4
+//! shards must:
 //!
 //! * drop exactly the events the single-threaded `apply_batch` path
 //!   rejects (stale/invalid worker actions), and count them identically;

@@ -16,9 +16,10 @@
 //!
 //! Ops come from the shard-equivalence generator (`tests/common`):
 //! blind-guess answers and interest on project-strided task ids, worker
-//! churn and crowd bursts (so the worker service's truncation gauges move
-//! under the scrape), clock advances, collab tasks — so drops
-//! (stale/invalid events) are part of the property too.
+//! churn and crowd bursts (installed on every replica under the scrape,
+//! each one re-evaluating the declarative project's eligibility rule),
+//! clock advances, collab tasks — so drops (stale/invalid events) are
+//! part of the property too.
 
 mod common;
 

@@ -20,7 +20,9 @@
 #                                  proptests, the three
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
-#                                  eligibility, memoised vs fresh affinity) and
+#                                  eligibility, memoised vs fresh affinity), the
+#                                  worker↔task relation store vs a pair-set
+#                                  model (its dump vs the storage snapshot) and
 #                                  the three CyLog evaluator oracles
 #                                  (incremental vs semi-naive vs naive on layered
 #                                  programs, the cylog lib proptests, and joins
@@ -169,14 +171,18 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1016 \
 # search, with its seed bound, against the id-based reference it replaced
 # (uniform, quantised, tie-heavy and all-zero tables); the patched
 # eligibility cache against a twin with no cache (factor screens and three
-# CyLog programs: the paper's rule, a skill gate, a stratified `not`); and
-# the pair memo against submatrices computed from scratch.
+# CyLog programs: the paper's rule, a skill gate, a stratified `not`); the
+# pair memo against submatrices computed from scratch; and the
+# Eligible / InterestedIn / Undertakes store against a pair-set model, its
+# dump against the storage snapshot text `state_dump()` carries.
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib workers::memo_diff
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-core --lib relations::model_diff
 # The CyLog evaluator's oracles, same rationale: the three evaluation modes
 # on random layered programs and op streams (their stats pinned by the
 # same file's table test), the cylog crate's own proptests (naive vs

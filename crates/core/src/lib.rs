@@ -10,7 +10,7 @@
 //! | Task pool                   | [`task::TaskPool`] |
 //! | Worker manager (user properties, affinity matrix) | [`workers::WorkerManager`] |
 //! | Task assignment controller  | [`controller::AssignmentController`] |
-//! | Eligible / InterestedIn / Undertakes | [`relations::RelationStore`] (stored relationally) |
+//! | Eligible / InterestedIn / Undertakes | [`relations::RelationStore`] (ordered pair sets) |
 //! | Project admin pages         | [`pages::AdminPage`] |
 //! | User pages                  | [`pages::UserPage`] |
 //!

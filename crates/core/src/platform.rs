@@ -423,7 +423,7 @@ impl Crowd4U {
             .map(|t| t.id)
             .collect();
         for task in tasks {
-            self.relations.mark_eligible(worker, task)?;
+            self.relations.mark_eligible(worker, task);
         }
         Ok(())
     }
@@ -498,7 +498,7 @@ impl Crowd4U {
             .collect();
         for task in tasks {
             for &w in &eligible {
-                self.relations.mark_eligible(w, task)?;
+                self.relations.mark_eligible(w, task);
             }
         }
         Ok(())
@@ -664,7 +664,7 @@ impl Crowd4U {
             let eligible = self.eligible_set(project)?;
             for task in &new_tasks {
                 for &w in &eligible {
-                    self.relations.mark_eligible(w, *task)?;
+                    self.relations.mark_eligible(w, *task);
                 }
             }
         }
@@ -689,7 +689,7 @@ impl Crowd4U {
         self.counters.incr("collab_tasks_created");
         let eligible = self.eligible_set(project)?;
         for w in eligible {
-            self.relations.mark_eligible(w, id)?;
+            self.relations.mark_eligible(w, id);
         }
         self.record(&PlatformEvent::CollabTaskCreated {
             project,
@@ -919,7 +919,7 @@ impl Crowd4U {
                 _ => continue,
             };
             for w in non_committers(&team, &undertaken) {
-                self.relations.withdraw_interest(w, task)?;
+                self.relations.withdraw_interest(w, task);
             }
             self.counters.incr("deadlines_missed");
             self.bump_project_counter(task.project(), "deadlines_missed");
@@ -930,7 +930,7 @@ impl Crowd4U {
                         reason: "no team undertook before the deadline".into(),
                     },
                 )?;
-                self.relations.clear_task(task)?;
+                self.relations.clear_task(task);
                 self.counters.incr("tasks_abandoned");
                 self.bump_project_counter(task.project(), "tasks_abandoned");
                 continue;
@@ -983,7 +983,7 @@ impl Crowd4U {
             .answer(&predicate, inputs, outputs.clone(), Some(worker.0))?;
         self.pool
             .set_state(task, TaskState::Completed { team: vec![worker] })?;
-        self.relations.clear_task(task)?;
+        self.relations.clear_task(task);
         self.counters.incr("micro_tasks_completed");
         self.bump_project_counter(project, "answers");
         self.touch_project(project);
@@ -1017,7 +1017,7 @@ impl Crowd4U {
             },
         )?;
         self.workers.record_outcome(members.clone(), quality);
-        self.relations.clear_task(task)?;
+        self.relations.clear_task(task);
         self.counters.incr("collab_tasks_completed");
         self.bump_project_counter(task.project(), "collab_completed");
         // Per-(project, worker) split of the affinity feed: on a shared
@@ -1197,7 +1197,7 @@ impl Crowd4U {
             self.workers.version()
         );
         out.push_str("## relations\n");
-        out.push_str(&crowd4u_storage::snapshot::dump(self.relations.database()));
+        out.push_str(&self.relations.dump());
         for (id, p) in &self.projects {
             let _ = write!(out, "## project {id} {} epoch {}", p.name, p.epoch);
             if p.owner != 0 {
@@ -1295,7 +1295,7 @@ impl Crowd4U {
             let interested = self.relations.interested_workers(t.id);
             let undertaking = self.relations.undertaking_workers(t.id);
             if !(eligible.is_empty() && interested.is_empty() && undertaking.is_empty()) {
-                self.relations.clear_task(t.id)?;
+                self.relations.clear_task(t.id);
                 rows.push((t.id, eligible, interested, undertaking));
             }
         }
@@ -1344,9 +1344,7 @@ impl Crowd4U {
         self.pool.adopt_project(id, tasks, next_local);
         for (task, eligible, interested, undertaking) in rows {
             for w in eligible {
-                self.relations
-                    .mark_eligible(w, task)
-                    .expect("adopted eligibility row re-inserts");
+                self.relations.mark_eligible(w, task);
             }
             for w in interested {
                 self.relations
@@ -1786,10 +1784,7 @@ published(S, T) :- sentence(S), translate(S, T).
         let replayed = Crowd4U::replay(&journal).unwrap();
 
         // Relations byte-identical.
-        assert_eq!(
-            crowd4u_storage::snapshot::dump(live.relations.database()),
-            crowd4u_storage::snapshot::dump(replayed.relations.database())
-        );
+        assert_eq!(live.relations.dump(), replayed.relations.dump());
         // Every project engine byte-identical (facts, derived, everything).
         for id in live.project_ids() {
             assert_eq!(

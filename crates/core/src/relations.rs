@@ -1,4 +1,4 @@
-//! The three worker↔task relationships, stored relationally.
+//! The three worker↔task relationships, as typed pair sets.
 //!
 //! Paper §2.2: "Crowd4U manages three types of relationships between
 //! workers and tasks explicitly. (1) *Eligible* … computed by the CyLog
@@ -7,38 +7,79 @@
 //! eligible tasks. (3) *Undertakes* … A (worker,task) pair can go into this
 //! relationship status only when the worker is Eligible for that task."
 //!
-//! The relationships live in indexed `crowd4u-storage` relations — the same
-//! substrate the production platform's SQL tables provide — so scans,
-//! lookups and cascading deletes exercise the storage engine.
+//! Each relationship is a set of `(worker, task)` pairs held twice, by task
+//! and by worker, in B-trees: an insert, probe or removal costs O(log n)
+//! per pair, clearing a task costs in proportion to that task's own rows,
+//! and every read comes out sorted. [`RelationStore::dump`] prints the
+//! `crowd4u-storage` snapshot of the three relations as `(worker id,
+//! task id)` tables.
 
 use crate::error::{PlatformError, TaskId, WorkerId};
 use crowd4u_storage::prelude::*;
+use crowd4u_storage::snapshot;
+use std::collections::{BTreeMap, BTreeSet};
 
-const RELS: [&str; 3] = ["eligible", "interested_in", "undertakes"];
-
-/// Relational store of Eligible / InterestedIn / Undertakes.
-pub struct RelationStore {
-    db: Database,
+/// One relationship: a set of `(worker, task)` pairs, indexed both ways.
+#[derive(Default)]
+struct Pairs {
+    by_task: BTreeMap<TaskId, BTreeSet<WorkerId>>,
+    by_worker: BTreeMap<WorkerId, BTreeSet<TaskId>>,
+    len: usize,
 }
 
-impl Default for RelationStore {
-    fn default() -> Self {
-        let mut db = Database::new();
-        for name in RELS {
-            let rel = db
-                .create_relation(
-                    name,
-                    Schema::of(&[("worker", ValueType::Id), ("task", ValueType::Id)]),
-                )
-                .expect("fresh database");
-            // A `(worker, task)` probe can use either index; the storage
-            // layer walks the shorter posting list (a task's few workers,
-            // not a worker's every task) and, on a tie, the first declared.
-            rel.create_index(&["task"], false).expect("index");
-            rel.create_index(&["worker"], false).expect("index");
-        }
-        RelationStore { db }
+/// Take `v` out of `k`'s set, dropping the set once it is empty.
+fn unlink<K: Ord, V: Ord>(map: &mut BTreeMap<K, BTreeSet<V>>, k: K, v: &V) -> bool {
+    let Some(set) = map.get_mut(&k) else {
+        return false;
+    };
+    let removed = set.remove(v);
+    if set.is_empty() {
+        map.remove(&k);
     }
+    removed
+}
+
+/// The members of `k`'s set, in order.
+fn members<K: Ord, V: Copy>(map: &BTreeMap<K, BTreeSet<V>>, k: &K) -> Vec<V> {
+    map.get(k)
+        .map_or_else(Vec::new, |set| set.iter().copied().collect())
+}
+
+impl Pairs {
+    fn insert(&mut self, w: WorkerId, t: TaskId) -> bool {
+        let fresh = self.by_task.entry(t).or_default().insert(w);
+        if fresh {
+            self.by_worker.entry(w).or_default().insert(t);
+            self.len += 1;
+        }
+        fresh
+    }
+
+    fn contains(&self, w: WorkerId, t: TaskId) -> bool {
+        self.by_task.get(&t).is_some_and(|ws| ws.contains(&w))
+    }
+
+    fn remove(&mut self, w: WorkerId, t: TaskId) {
+        if unlink(&mut self.by_task, t, &w) {
+            unlink(&mut self.by_worker, w, &t);
+            self.len -= 1;
+        }
+    }
+
+    fn remove_task(&mut self, t: TaskId) {
+        for w in self.by_task.remove(&t).unwrap_or_default() {
+            unlink(&mut self.by_worker, w, &t);
+            self.len -= 1;
+        }
+    }
+}
+
+/// Eligible / InterestedIn / Undertakes.
+#[derive(Default)]
+pub struct RelationStore {
+    eligible: Pairs,
+    interested: Pairs,
+    undertakes: Pairs,
 }
 
 impl RelationStore {
@@ -46,75 +87,32 @@ impl RelationStore {
         RelationStore::default()
     }
 
-    fn insert(&mut self, rel: &str, w: WorkerId, t: TaskId) -> Result<bool, PlatformError> {
-        let (_, fresh) = self
-            .db
-            .relation_mut(rel)?
-            .insert_distinct(tuple![w.0, t.0])?;
-        Ok(fresh)
-    }
-
-    fn contains(&self, rel: &str, w: WorkerId, t: TaskId) -> bool {
-        self.db
-            .relation(rel)
-            .map(|r| r.contains(&tuple![w.0, t.0]))
-            .unwrap_or(false)
-    }
-
-    fn workers_of(&self, rel: &str, t: TaskId) -> Vec<WorkerId> {
-        let Ok(r) = self.db.relation(rel) else {
-            return Vec::new();
-        };
-        let mut out: Vec<WorkerId> = r
-            .lookup(&[1], &[Value::Id(t.0)])
-            .into_iter()
-            .filter_map(|row| row[0].as_id().map(WorkerId))
-            .collect();
-        out.sort();
-        out
-    }
-
-    fn tasks_of(&self, rel: &str, w: WorkerId) -> Vec<TaskId> {
-        let Ok(r) = self.db.relation(rel) else {
-            return Vec::new();
-        };
-        let mut out: Vec<TaskId> = r
-            .lookup(&[0], &[Value::Id(w.0)])
-            .into_iter()
-            .filter_map(|row| row[1].as_id().map(TaskId))
-            .collect();
-        out.sort();
-        out
-    }
-
     // ---- Eligible ----
 
-    /// Mark a worker eligible for a task (computed by the platform).
-    pub fn mark_eligible(&mut self, w: WorkerId, t: TaskId) -> Result<bool, PlatformError> {
-        self.insert("eligible", w, t)
+    /// Mark a worker eligible for a task (computed by the platform);
+    /// `false` when the pair was already there.
+    pub fn mark_eligible(&mut self, w: WorkerId, t: TaskId) -> bool {
+        self.eligible.insert(w, t)
     }
 
     pub fn is_eligible(&self, w: WorkerId, t: TaskId) -> bool {
-        self.contains("eligible", w, t)
+        self.eligible.contains(w, t)
     }
 
     pub fn eligible_workers(&self, t: TaskId) -> Vec<WorkerId> {
-        self.workers_of("eligible", t)
+        members(&self.eligible.by_task, &t)
     }
 
     pub fn eligible_tasks(&self, w: WorkerId) -> Vec<TaskId> {
-        self.tasks_of("eligible", w)
+        members(&self.eligible.by_worker, &w)
     }
 
     /// Withdraw eligibility (e.g. worker logged out); cascades to
     /// InterestedIn and Undertakes, preserving the state-machine invariant.
-    pub fn revoke_eligibility(&mut self, w: WorkerId, t: TaskId) -> Result<(), PlatformError> {
-        for rel in RELS {
-            self.db
-                .relation_mut(rel)?
-                .delete_matching(&[0, 1], &[Value::Id(w.0), Value::Id(t.0)]);
-        }
-        Ok(())
+    pub fn revoke_eligibility(&mut self, w: WorkerId, t: TaskId) {
+        self.eligible.remove(w, t);
+        self.interested.remove(w, t);
+        self.undertakes.remove(w, t);
     }
 
     // ---- InterestedIn ----
@@ -125,23 +123,20 @@ impl RelationStore {
         if !self.is_eligible(w, t) {
             return Err(PlatformError::NotEligible { worker: w, task: t });
         }
-        self.insert("interested_in", w, t)
+        Ok(self.interested.insert(w, t))
     }
 
     pub fn is_interested(&self, w: WorkerId, t: TaskId) -> bool {
-        self.contains("interested_in", w, t)
+        self.interested.contains(w, t)
     }
 
     pub fn interested_workers(&self, t: TaskId) -> Vec<WorkerId> {
-        self.workers_of("interested_in", t)
+        members(&self.interested.by_task, &t)
     }
 
     /// Withdraw interest (does not touch undertakes).
-    pub fn withdraw_interest(&mut self, w: WorkerId, t: TaskId) -> Result<(), PlatformError> {
-        self.db
-            .relation_mut("interested_in")?
-            .delete_matching(&[0, 1], &[Value::Id(w.0), Value::Id(t.0)]);
-        Ok(())
+    pub fn withdraw_interest(&mut self, w: WorkerId, t: TaskId) {
+        self.interested.remove(w, t);
     }
 
     // ---- Undertakes ----
@@ -152,50 +147,58 @@ impl RelationStore {
         if !self.is_eligible(w, t) {
             return Err(PlatformError::NotEligible { worker: w, task: t });
         }
-        self.insert("undertakes", w, t)
+        Ok(self.undertakes.insert(w, t))
     }
 
     pub fn is_undertaking(&self, w: WorkerId, t: TaskId) -> bool {
-        self.contains("undertakes", w, t)
+        self.undertakes.contains(w, t)
     }
 
     pub fn undertaking_workers(&self, t: TaskId) -> Vec<WorkerId> {
-        self.workers_of("undertakes", t)
+        members(&self.undertakes.by_task, &t)
     }
 
     /// Remove every relationship of a finished/abandoned task.
-    pub fn clear_task(&mut self, t: TaskId) -> Result<(), PlatformError> {
-        // Runs on every answer and completion. The task index finds the
-        // rows (one per worker of the task); taking each out of its
-        // worker's posting list then scans that list for the row id, so
-        // the cost is the task's rows plus a cheap pass over those
-        // workers' lists — not O(matches), and not a hash probe per entry.
-        for rel in RELS {
-            self.db
-                .relation_mut(rel)?
-                .delete_matching(&[1], &[Value::Id(t.0)]);
-        }
-        Ok(())
+    pub fn clear_task(&mut self, t: TaskId) {
+        self.eligible.remove_task(t);
+        self.interested.remove_task(t);
+        self.undertakes.remove_task(t);
     }
 
-    /// The underlying database (read-only), e.g. for snapshots and
-    /// replay-equality checks.
-    pub fn database(&self) -> &Database {
-        &self.db
+    /// The three relations as the `crowd4u-storage` snapshot of a database
+    /// holding them as `eligible`, `interested_in` and `undertakes` tables
+    /// of `(worker id, task id)`: the text `state_dump()` carries.
+    pub fn dump(&self) -> String {
+        let mut db = Database::new();
+        for (name, pairs) in [
+            ("eligible", &self.eligible),
+            ("interested_in", &self.interested),
+            ("undertakes", &self.undertakes),
+        ] {
+            let rel = db
+                .create_relation(
+                    name,
+                    Schema::of(&[("worker", ValueType::Id), ("task", ValueType::Id)]),
+                )
+                .expect("fresh database");
+            for (w, ts) in &pairs.by_worker {
+                for t in ts {
+                    rel.insert(tuple![w.0, t.0])
+                        .expect("an id pair fits the schema");
+                }
+            }
+        }
+        snapshot::dump(&db)
     }
 
     /// Relationship row counts `(eligible, interested, undertakes)`.
     pub fn counts(&self) -> (usize, usize, usize) {
-        (
-            self.db.relation("eligible").map(|r| r.len()).unwrap_or(0),
-            self.db
-                .relation("interested_in")
-                .map(|r| r.len())
-                .unwrap_or(0),
-            self.db.relation("undertakes").map(|r| r.len()).unwrap_or(0),
-        )
+        (self.eligible.len, self.interested.len, self.undertakes.len)
     }
 }
+
+#[cfg(test)]
+mod model_diff;
 
 #[cfg(test)]
 mod tests {
@@ -222,7 +225,7 @@ mod tests {
             rs.undertake(w(1), t(1)),
             Err(PlatformError::NotEligible { .. })
         ));
-        assert!(rs.mark_eligible(w(1), t(1)).unwrap());
+        assert!(rs.mark_eligible(w(1), t(1)));
         assert!(rs.express_interest(w(1), t(1)).unwrap());
         assert!(rs.undertake(w(1), t(1)).unwrap());
         assert!(rs.is_eligible(w(1), t(1)));
@@ -234,8 +237,8 @@ mod tests {
     #[test]
     fn duplicates_are_idempotent() {
         let mut rs = RelationStore::new();
-        rs.mark_eligible(w(1), t(1)).unwrap();
-        assert!(!rs.mark_eligible(w(1), t(1)).unwrap());
+        rs.mark_eligible(w(1), t(1));
+        assert!(!rs.mark_eligible(w(1), t(1)));
         rs.express_interest(w(1), t(1)).unwrap();
         assert!(!rs.express_interest(w(1), t(1)).unwrap());
         assert_eq!(rs.counts(), (1, 1, 0));
@@ -245,12 +248,12 @@ mod tests {
     fn lookups_sorted() {
         let mut rs = RelationStore::new();
         for i in [3u64, 1, 2] {
-            rs.mark_eligible(w(i), t(7)).unwrap();
+            rs.mark_eligible(w(i), t(7));
             rs.express_interest(w(i), t(7)).unwrap();
         }
         assert_eq!(rs.eligible_workers(t(7)), vec![w(1), w(2), w(3)]);
         assert_eq!(rs.interested_workers(t(7)), vec![w(1), w(2), w(3)]);
-        rs.mark_eligible(w(1), t(9)).unwrap();
+        rs.mark_eligible(w(1), t(9));
         assert_eq!(rs.eligible_tasks(w(1)), vec![t(7), t(9)]);
         assert!(rs.undertaking_workers(t(7)).is_empty());
     }
@@ -258,10 +261,10 @@ mod tests {
     #[test]
     fn revoke_cascades() {
         let mut rs = RelationStore::new();
-        rs.mark_eligible(w(1), t(1)).unwrap();
+        rs.mark_eligible(w(1), t(1));
         rs.express_interest(w(1), t(1)).unwrap();
         rs.undertake(w(1), t(1)).unwrap();
-        rs.revoke_eligibility(w(1), t(1)).unwrap();
+        rs.revoke_eligibility(w(1), t(1));
         assert!(!rs.is_eligible(w(1), t(1)));
         assert!(!rs.is_interested(w(1), t(1)));
         assert!(!rs.is_undertaking(w(1), t(1)));
@@ -271,9 +274,9 @@ mod tests {
     #[test]
     fn withdraw_interest_keeps_eligibility() {
         let mut rs = RelationStore::new();
-        rs.mark_eligible(w(1), t(1)).unwrap();
+        rs.mark_eligible(w(1), t(1));
         rs.express_interest(w(1), t(1)).unwrap();
-        rs.withdraw_interest(w(1), t(1)).unwrap();
+        rs.withdraw_interest(w(1), t(1));
         assert!(rs.is_eligible(w(1), t(1)));
         assert!(!rs.is_interested(w(1), t(1)));
     }
@@ -282,10 +285,10 @@ mod tests {
     fn clear_task_removes_only_that_task() {
         let mut rs = RelationStore::new();
         for task in [t(1), t(2)] {
-            rs.mark_eligible(w(1), task).unwrap();
+            rs.mark_eligible(w(1), task);
             rs.express_interest(w(1), task).unwrap();
         }
-        rs.clear_task(t(1)).unwrap();
+        rs.clear_task(t(1));
         assert!(!rs.is_eligible(w(1), t(1)));
         assert!(rs.is_eligible(w(1), t(2)));
         assert!(rs.is_interested(w(1), t(2)));

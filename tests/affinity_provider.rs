@@ -13,8 +13,9 @@
 //!   exceeds `top_k`, and a probed pair missing from a full list is ≤
 //!   that list's minimum (eviction only ever drops a worker's smallest);
 //! * the same bit-identity holds through the sharded runtime: every
-//!   shard's replica (fed by the coordinator-owned worker service, not a
-//!   broadcast) computes the same team affinities as a serial platform.
+//!   shard's replica (each registration is a broadcast the replica
+//!   installs from its mailbox) computes the same team affinities as a
+//!   serial platform.
 //!   Set `RUNTIME_SHARDS` to test an extra shard count (CI runs with
 //!   `RUNTIME_SHARDS=4`).
 

@@ -176,7 +176,7 @@ fn eligibility_revocation_cascades_cleanly() {
     let task = p.create_collab_task(proj, "x").unwrap();
     p.express_interest(WorkerId(1), task).unwrap();
     // Worker logs out → platform revokes eligibility (manual trigger here).
-    p.relations.revoke_eligibility(WorkerId(1), task).unwrap();
+    p.relations.revoke_eligibility(WorkerId(1), task);
     assert!(!p.relations.is_interested(WorkerId(1), task));
     // They can no longer undertake or re-express interest.
     assert!(matches!(

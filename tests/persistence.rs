@@ -168,10 +168,7 @@ fn event_journal_replay_round_trip() {
     let restored = Crowd4U::replay_with(&journal, base).unwrap();
 
     // Byte-identical relations and project databases.
-    assert_eq!(
-        snapshot::dump(live.relations.database()),
-        snapshot::dump(restored.relations.database())
-    );
+    assert_eq!(live.relations.dump(), restored.relations.dump());
     assert_eq!(
         snapshot::dump(live.project(proj).unwrap().engine.database()),
         snapshot::dump(restored.project(proj).unwrap().engine.database())

@@ -8,9 +8,11 @@
 #   2. cargo clippy -D warnings — lint-clean across all targets
 #   3. cargo build --release    — the whole workspace builds optimized,
 #                                  and the e2e benchmark as BENCHMARK.json builds it
-#   4. cargo test -q            — unit + property + integration + doc tests
-#   5. RUNTIME_SHARDS=4 pass    — the integration suite on the parallel path
-#   6. pinned-seed replays      — chaos (with the two worker-churn
+#   4. report                   — the paper harness prints every figure,
+#                                  experiment and ablation without a panic
+#   5. cargo test -q            — unit + property + integration + doc tests
+#   6. RUNTIME_SHARDS=4 pass    — the integration suite on the parallel path
+#   7. pinned-seed replays      — chaos (with the two worker-churn
 #                                  regressions: a replica recovers, a project
 #                                  migrates, both after 200 registrations),
 #                                  the shard- and telemetry-equivalence op mix
@@ -28,13 +30,13 @@
 #                                  programs, the cylog lib proptests, and joins
 #                                  and aggregates against in-test references),
 #                                  reproducible
-#   7. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
+#   8. blocking tests, 20x      — gate_backpressure, mailbox_batches and the
 #                                  runtime's mid-batch / blocked-submit /
 #                                  dead-shard / finish-surfaces / admission-
 #                                  ladder unit tests assert on blocking with
 #                                  timeouts or on a reply closing; a race that
 #                                  shows one run in ten must not pass by luck
-#   8. cargo doc --no-deps      — docs build with zero warnings
+#   9. cargo doc --no-deps      — docs build with zero warnings
 #
 # Part 2 — one `e2e --all` document (every workload, untraced then traced,
 # as BENCHMARK.json builds the benchmark), read by three gates. Two of them
@@ -133,6 +135,11 @@ step cargo build --release
 # measured crate's public surface that breaks the standalone package fails
 # CI and not the benchmark driver.
 step cargo build --release --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+# The paper harness: every section of `report` (E1–E9 and the ablations)
+# must run to the end; its tables are read by people, not gated.
+echo
+echo "==> report (every section; tables discarded)"
+cargo run --release -q -p crowd4u-bench --bin report >/dev/null
 step cargo test -q
 # Exercise the parallel path on every CI run: the integration suite again,
 # with the runtime pinned to 4 shards (shard_equivalence,

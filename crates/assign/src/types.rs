@@ -160,7 +160,7 @@ pub(crate) fn mean_bound(
 
 /// Common interface of all team-formation algorithms.
 pub trait TeamFormation {
-    /// Algorithm name for reports and benches.
+    /// Algorithm name for reports.
     fn name(&self) -> &'static str;
 
     /// Form the best team the algorithm can find, or `None` when no feasible

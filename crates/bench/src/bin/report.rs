@@ -1,61 +1,96 @@
-//! Regenerate every paper figure/experiment as a text report.
+//! Regenerate every paper figure, experiment and ablation as a text report.
 //!
 //! ```text
-//! cargo run --release -p crowd4u-bench --bin report            # all
-//! cargo run --release -p crowd4u-bench --bin report -- e6 e7   # subset
-//! cargo run --release -p crowd4u-bench --bin report -- e8full  # full 600k
+//! cargo run --release -p crowd4u-bench --bin report                # all
+//! cargo run --release -p crowd4u-bench --bin report -- e6 ablations # subset
+//! cargo run --release -p crowd4u-bench --bin report -- e8full      # full 600k
 //! ```
 //!
 //! Each experiment, E1–E9 (the map is in the `crowd4u_bench` crate docs),
-//! prints one or two markdown tables to stdout and writes no file.
-//! Performance of the running system is the `e2e` benchmark's job, not
-//! this binary's.
+//! and the ablations print one or more markdown tables to stdout and write
+//! no file. An unknown section name exits 2. Performance of the running
+//! system is the `e2e` benchmark's job, not this binary's.
 
 use crowd4u_assign::prelude::*;
 use crowd4u_bench::{all_algorithms, clustered_instance, random_instance, TablePrinter};
 use crowd4u_collab::Scheme;
 use crowd4u_core::controller::AlgorithmChoice;
+use crowd4u_crowd::affinity::{group_affinity, AffinityLookup, AffinityMatrix, SparseAffinity};
 use crowd4u_crowd::estimate::{estimate_skills, EstimatorConfig, TeamObservation};
 use crowd4u_crowd::profile::WorkerId;
 use crowd4u_cylog::engine::CylogEngine;
+use crowd4u_cylog::eval::EvalMode;
 use crowd4u_forms::admin::{constraint_form, parse_constraints};
 use crowd4u_forms::form::FormResponse;
 use crowd4u_scenarios::{journalism, surveillance, translation, ScenarioConfig};
 use crowd4u_sim::rng::SimRng;
-use std::time::Instant;
+use crowd4u_storage::prelude::*;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// A report section: its name on the command line and what prints it.
+type Section = (&'static str, fn());
+
+/// Every section in print order. `e8full` is E8 at the paper's 600 000
+/// items instead of 60 000; it runs only when named.
+const SECTIONS: [Section; 11] = [
+    ("e1", e1_pipeline),
+    ("e2", e2_workflow),
+    ("e3", e3_admin_form),
+    ("e4", e4_worker_factors),
+    ("e5", e5_simultaneous),
+    ("e6", e6_assignment_quality),
+    ("e7", e7_assignment_runtime),
+    ("e8", || e8_scale(false)),
+    ("e8full", || e8_scale(true)),
+    ("e9", e9_scenarios),
+    ("ablations", ablations),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    let sections = parse_args(&args).unwrap_or_else(|bad| {
+        let valid: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "report: unknown section `{bad}`; valid: {}",
+            valid.join(" ")
+        );
+        std::process::exit(2)
+    });
 
     println!("# Crowd4U reproduction report\n");
-    if want("e1") {
-        e1_pipeline();
+    for (_, print) in sections {
+        print();
     }
-    if want("e2") {
-        e2_workflow();
+}
+
+/// The sections `args` selects, in print order: every one but `e8full`
+/// when `args` is empty, else exactly those named (`e8full` replaces
+/// `e8`). An unknown name is returned as the error.
+fn parse_args(args: &[String]) -> Result<Vec<Section>, String> {
+    let known = |a: &String| SECTIONS.iter().any(|(name, _)| name == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        return Err(bad.clone());
     }
-    if want("e3") {
-        e3_admin_form();
+    let named = |s: &str| args.iter().any(|a| a == s);
+    let full = named("e8full");
+    Ok(SECTIONS
+        .into_iter()
+        .filter(|&(s, _)| match s {
+            "e8full" => full,
+            "e8" if full => false,
+            _ => args.is_empty() || named(s),
+        })
+        .collect())
+}
+
+/// Mean wall time of one call of `f` over `reps` calls.
+fn mean_time<T>(reps: u32, mut f: impl FnMut() -> T) -> Duration {
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(f());
     }
-    if want("e4") {
-        e4_worker_factors();
-    }
-    if want("e5") {
-        e5_simultaneous();
-    }
-    if want("e6") {
-        e6_assignment_quality();
-    }
-    if want("e7") {
-        e7_assignment_runtime();
-    }
-    if want("e8") || args.iter().any(|a| a == "e8full") {
-        e8_scale(args.iter().any(|a| a == "e8full"));
-    }
-    if want("e9") {
-        e9_scenarios();
-    }
+    start.elapsed() / reps
 }
 
 /// E1 (Figure 1): deployment pipeline decomposition → assignment →
@@ -359,50 +394,40 @@ fn e6_assignment_quality() {
 }
 
 /// E7: assignment runtime — where exact explodes (why \[9\]'s approximations
-/// exist).
+/// exist), and Grp&Split forming three groups from the same pool.
 fn e7_assignment_runtime() {
     println!("## E7 — assignment runtime vs pool size\n");
     let constraints = TeamConstraints::sized(3, 5);
-    let mut t = TablePrinter::new(&["n", "exact", "exact (no prune)", "local-search", "greedy"]);
-    for &n in &[8usize, 12, 16, 20, 24] {
+    let mut t = TablePrinter::new(&[
+        "n",
+        "exact",
+        "exact (no prune)",
+        "local-search",
+        "greedy",
+        "grp-split",
+    ]);
+    let time = |d: Duration| format!("{d:>9.3?}");
+    for &n in &[8usize, 12, 16, 20, 24, 100, 400] {
         let (cands, aff) = random_instance(n, 3);
-        let time = |f: &dyn Fn() -> Option<Team>| -> String {
-            let start = Instant::now();
-            let _ = f();
-            format!("{:>9.3?}", start.elapsed())
-        };
-        let exact = ExactBB::default();
-        let noprune = ExactBB::without_pruning();
-        let local = LocalSearch::default();
-        let greedy = GreedyAff::default();
-        t.row(vec![
-            n.to_string(),
-            time(&|| exact.form(&cands, &aff, &constraints)),
-            if n <= 20 {
-                time(&|| noprune.form(&cands, &aff, &constraints))
-            } else {
+        let exact = |alg: ExactBB, max_n: usize| {
+            if n <= max_n {
+                time(mean_time(1, || alg.form(&cands, &aff, &constraints)))
+            } else if n <= 24 {
                 "(skipped)".into()
-            },
-            time(&|| local.form(&cands, &aff, &constraints)),
-            time(&|| greedy.form(&cands, &aff, &constraints)),
-        ]);
-    }
-    for &n in &[100usize, 400] {
-        let (cands, aff) = random_instance(n, 3);
+            } else {
+                "(infeasible)".into()
+            }
+        };
         let local = LocalSearch::default();
         let greedy = GreedyAff::default();
-        let t0 = Instant::now();
-        let _ = local.form(&cands, &aff, &constraints);
-        let tl = t0.elapsed();
-        let t0 = Instant::now();
-        let _ = greedy.form(&cands, &aff, &constraints);
-        let tg = t0.elapsed();
+        let split = GrpSplit::new(3);
         t.row(vec![
             n.to_string(),
-            "(infeasible)".into(),
-            "(infeasible)".into(),
-            format!("{tl:>9.3?}"),
-            format!("{tg:>9.3?}"),
+            exact(ExactBB::default(), 24),
+            exact(ExactBB::without_pruning(), 20),
+            time(mean_time(1, || local.form(&cands, &aff, &constraints))),
+            time(mean_time(1, || greedy.form(&cands, &aff, &constraints))),
+            time(mean_time(1, || split.split(&cands, &aff, &constraints))),
         ]);
     }
     println!("{}", t.render());
@@ -509,4 +534,136 @@ fn e9_scenarios() {
         }
     }
     println!("{}", t.render());
+}
+
+/// Ablations: three design choices, each timed against its alternative on
+/// one fixed instance. Branch-and-bound pruning is E7's "exact (no prune)"
+/// column.
+fn ablations() {
+    println!("## Ablations — each design choice against its alternative\n");
+
+    // CyLog evaluation: the transitive closure of a 150-node path with a
+    // chord every tenth node, then one more edge at its end.
+    let src = "rel edge(a: int, b: int).\nrel path(a: int, b: int).\n\
+               path(X, Y) :- edge(X, Y).\n\
+               path(X, Z) :- edge(X, Y), path(Y, Z).\n";
+    let mut t = TablePrinter::new(&["evaluation", "fixpoint", "+1 edge", "path facts"]);
+    for (name, mode) in [
+        ("naive", EvalMode::Naive),
+        ("semi-naive", EvalMode::SemiNaive),
+        ("incremental", EvalMode::Incremental),
+    ] {
+        let mut e = CylogEngine::from_source(src).unwrap();
+        e.set_mode(mode);
+        for i in 0..150i64 {
+            e.add_fact("edge", vec![i.into(), (i + 1).into()]).unwrap();
+            if i % 10 == 0 {
+                e.add_fact("edge", vec![i.into(), (i + 5).min(150).into()])
+                    .unwrap();
+            }
+        }
+        let full = mean_time(1, || e.run().unwrap());
+        e.add_fact("edge", vec![150.into(), 151.into()]).unwrap();
+        let step = mean_time(1, || e.run().unwrap());
+        t.row(vec![
+            name.into(),
+            format!("{full:.2?}"),
+            format!("{step:.2?}"),
+            e.fact_count("path").unwrap().to_string(),
+        ]);
+    }
+    println!("### CyLog evaluation: transitive closure over 150 nodes\n");
+    println!("{}", t.render());
+
+    // Affinity storage: team formation reads O(k²) pairs per candidate
+    // team; 300 workers, every pair set, a 20-member group read.
+    let n = 300u64;
+    let mut rng = SimRng::seed_from(2);
+    let mut dense = AffinityMatrix::new((0..n).map(WorkerId).collect());
+    let mut sparse = SparseAffinity::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let v = rng.unit();
+            dense.set(WorkerId(i), WorkerId(j), v);
+            sparse.set(WorkerId(i), WorkerId(j), v);
+        }
+    }
+    let group: Vec<WorkerId> = (0..20).map(WorkerId).collect();
+    let mut t = TablePrinter::new(&["representation", "group_affinity", "value"]);
+    for (name, aff) in [
+        ("dense", &dense as &dyn AffinityLookup),
+        ("sparse", &sparse),
+    ] {
+        let per = mean_time(10_000, || group_affinity(black_box(aff), black_box(&group)));
+        t.row(vec![
+            name.into(),
+            format!("{per:.2?}"),
+            format!("{:.4}", group_affinity(aff, &group)),
+        ]);
+    }
+    println!("### Affinity storage: a 20-member group of 300 workers\n");
+    println!("{}", t.render());
+
+    // Storage point lookups, 10 000 rows over 1 000 keys: a secondary
+    // index against a scan.
+    let mut t = TablePrinter::new(&["relation", "point lookup", "rows per key"]);
+    for (name, indexed) in [("indexed", true), ("scan", false)] {
+        let mut rel = Relation::new(
+            "t",
+            Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]),
+        );
+        if indexed {
+            rel.create_index(&["k"], false).unwrap();
+        }
+        for i in 0..10_000i64 {
+            rel.insert(tuple![i % 1000, i]).unwrap();
+        }
+        let mut k = 0i64;
+        let per = mean_time(1_000, || {
+            k = (k + 7) % 1000;
+            rel.lookup(&[0], &[Value::Int(k)]).len()
+        });
+        t.row(vec![
+            name.into(),
+            format!("{per:.2?}"),
+            rel.lookup(&[0], &[Value::Int(7)]).len().to_string(),
+        ]);
+    }
+    println!("### Storage: point lookups over 10 000 rows\n");
+    println!("{}", t.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|sections| sections.into_iter().map(|(name, _)| name).collect())
+    }
+
+    #[test]
+    fn no_arguments_select_every_section_but_the_full_e8() {
+        let all = parse(&[]).unwrap();
+        assert_eq!(all.len(), SECTIONS.len() - 1);
+        assert!(!all.contains(&"e8full"));
+        assert_eq!(all.first(), Some(&"e1"));
+        assert_eq!(all.last(), Some(&"ablations"));
+    }
+
+    #[test]
+    fn named_sections_print_once_in_report_order() {
+        assert_eq!(
+            parse(&["ablations", "e7", "e1", "e7"]).unwrap(),
+            ["e1", "e7", "ablations"]
+        );
+        assert_eq!(parse(&["e8", "e8full"]).unwrap(), ["e8full"]);
+        assert_eq!(parse(&["e8"]).unwrap(), ["e8"]);
+    }
+
+    #[test]
+    fn an_unknown_name_is_an_error() {
+        assert_eq!(parse(&["e6", "bogus"]), Err("bogus".to_string()));
+        assert_eq!(parse(&["E6"]), Err("E6".to_string()));
+    }
 }

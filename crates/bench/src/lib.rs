@@ -1,18 +1,19 @@
 //! # crowd4u-bench — paper-figure support
 //!
-//! Team-formation instance generators and the table printer shared by the
-//! Criterion benches (`crates/bench/benches/`) and by the `report` binary
-//! that regenerates the paper's figures and experiments as text tables
-//! (`cargo run -p crowd4u-bench --bin report`).
+//! Team-formation instance generators and the table printer for the
+//! `report` binary, which regenerates the paper's figures and experiments
+//! as text tables (`cargo run -p crowd4u-bench --bin report`).
 //!
-//! Experiment map (one `report` section each): E1 = Figure 1 pipeline,
+//! Section map (one `report` section each): E1 = Figure 1 pipeline,
 //! E2 = Figure 2 workflow, E3 = Figure 3 admin form, E4 = Figure 4 worker
 //! factors, E5 = Figure 5 simultaneous session, E6/E7 = the
 //! assignment-algorithm quality/runtime evaluation the demo adapts from
-//! Rahman et al. \[9\], E8 = platform scale ("600,000 tasks performed"),
-//! E9 = the three demo scenarios. The running system's performance is
-//! measured by the `e2e` benchmark (`src/bin/e2e/`), which imports nothing
-//! from this library.
+//! Rahman et al. \[9\] (E7 with Grp&Split beside it), E8 = platform scale
+//! ("600,000 tasks performed"), E9 = the three demo scenarios, and
+//! `ablations` = CyLog evaluation modes, affinity storage and indexed
+//! lookups, each against its alternative. The running system's
+//! performance is measured by the `e2e` benchmark (`src/bin/e2e/`), which
+//! imports nothing from this library.
 
 use crowd4u_assign::prelude::*;
 use crowd4u_crowd::affinity::AffinityMatrix;

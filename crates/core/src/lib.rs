@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::events::PlatformEvent;
     pub use crate::pages::{admin_page, user_page, AdminPage, UserPage};
     pub use crate::platform::{BatchReport, Crowd4U, Project, ProjectSlice};
-    pub use crate::qualification::{take_test, QualificationTest};
+    pub use crate::qualification::QualificationTest;
     pub use crate::relations::RelationStore;
     pub use crate::task::{Task, TaskBody, TaskPool, TaskState};
     pub use crate::workers::WorkerManager;

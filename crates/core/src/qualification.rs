@@ -6,8 +6,8 @@
 //! (fraction of correctly answered questions) becomes the worker's level
 //! on the tested skill.
 
-use crate::error::{PlatformError, WorkerId};
-use crate::workers::WorkerManager;
+use crate::error::PlatformError;
+use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_forms::field::{Field, FieldType};
 use crowd4u_forms::form::{Form, FormResponse};
 use crowd4u_storage::prelude::Value;
@@ -74,26 +74,27 @@ impl QualificationTest {
             .count();
         Ok(correct as f64 / self.answer_key.len() as f64)
     }
-}
 
-/// Grade a worker's submission and record the score as their skill level
-/// (system-computed human factor). Returns the score.
-pub fn take_test(
-    workers: &mut WorkerManager,
-    worker: WorkerId,
-    test: &QualificationTest,
-    response: &FormResponse,
-) -> Result<f64, PlatformError> {
-    let score = test.grade(response)?;
-    let profile = workers.get_mut(worker)?;
-    profile.factors.set_skill(test.skill.clone(), score);
-    Ok(score)
+    /// Grade `profile`'s submission: the score, and the profile with the
+    /// score as its level on the tested skill (a system-computed human
+    /// factor). The caller registers that profile — `register_worker`, or a
+    /// runtime's gate — so the change is journaled and a replay has it.
+    pub fn graded(
+        &self,
+        profile: &WorkerProfile,
+        response: &FormResponse,
+    ) -> Result<(f64, WorkerProfile), PlatformError> {
+        let score = self.grade(response)?;
+        let mut graded = profile.clone();
+        graded.factors.set_skill(self.skill.clone(), score);
+        Ok((score, graded))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd4u_crowd::profile::WorkerProfile;
+    use crowd4u_crowd::profile::WorkerId;
 
     fn test_fixture() -> QualificationTest {
         QualificationTest::multiple_choice(
@@ -141,22 +142,20 @@ mod tests {
 
     #[test]
     fn score_becomes_skill_level() {
-        let mut wm = WorkerManager::new();
-        wm.register(WorkerProfile::new(WorkerId(1), "ann"));
+        let ann = WorkerProfile::new(WorkerId(1), "ann");
         let t = test_fixture();
         let resp = FormResponse::new()
             .set("q0", "hello")
             .set("q1", "thanks")
             .set("q2", "cat")
             .set("q3", "hurt");
-        let score = take_test(&mut wm, WorkerId(1), &t, &resp).unwrap();
+        let (score, graded) = t.graded(&ann, &resp).unwrap();
         assert_eq!(score, 0.75);
-        assert_eq!(
-            wm.get(WorkerId(1)).unwrap().factors.skill("translation"),
-            0.75
-        );
-        // unknown worker errors
-        assert!(take_test(&mut wm, WorkerId(9), &t, &resp).is_err());
+        assert_eq!(graded.factors.skill("translation"), 0.75);
+        assert_eq!(graded.id, ann.id);
+        // The input profile is untouched; an invalid submission errors.
+        assert_eq!(ann.factors.skill("translation"), 0.0);
+        assert!(t.graded(&ann, &FormResponse::new()).is_err());
     }
 
     #[test]

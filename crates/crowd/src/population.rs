@@ -1,7 +1,6 @@
 //! Synthetic crowd generation: seeded populations of worker agents with
-//! realistic human-factor diversity, plus the derived affinity matrix.
+//! realistic human-factor diversity.
 
-use crate::affinity::{affinity_from_profiles, AffinityMatrix};
 use crate::agent::{Behavior, WorkerAgent};
 use crate::profile::{Region, WorkerId, WorkerProfile};
 use crowd4u_sim::rng::SimRng;
@@ -59,10 +58,10 @@ impl Default for PopulationConfig {
     }
 }
 
-/// A generated crowd: agents plus their affinity matrix.
+/// A generated crowd. Pair affinity is the platform's to compute from the
+/// profiles (`WorkerManager` memoises it), so none is stored here.
 pub struct Population {
     pub agents: Vec<WorkerAgent>,
-    pub affinity: AffinityMatrix,
 }
 
 impl Population {
@@ -137,16 +136,13 @@ pub fn generate(config: &PopulationConfig, rng: &mut SimRng) -> Population {
         let agent_rng = rng.fork(id.0);
         agents.push(WorkerAgent::new(profile, behavior, agent_rng));
     }
-
-    let profiles: Vec<WorkerProfile> = agents.iter().map(|a| a.profile.clone()).collect();
-    let affinity = affinity_from_profiles(&profiles, 1.0, 1.0, 0.5);
-    Population { agents, affinity }
+    Population { agents }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affinity::AffinityLookup;
+    use crate::affinity::{affinity_from_profiles, AffinityLookup};
 
     #[test]
     fn generation_is_deterministic() {
@@ -157,13 +153,12 @@ mod tests {
         let p1 = generate(&cfg, &mut SimRng::seed_from(42));
         let p2 = generate(&cfg, &mut SimRng::seed_from(42));
         assert_eq!(p1.profiles(), p2.profiles());
+        let a1 = affinity_from_profiles(&p1.profiles(), 1.0, 1.0, 0.5);
+        let a2 = affinity_from_profiles(&p2.profiles(), 1.0, 1.0, 0.5);
         let ids = p1.ids();
         for i in 0..ids.len().min(10) {
             for j in (i + 1)..ids.len().min(10) {
-                assert_eq!(
-                    p1.affinity.affinity(ids[i], ids[j]),
-                    p2.affinity.affinity(ids[i], ids[j])
-                );
+                assert_eq!(a1.affinity(ids[i], ids[j]), a2.affinity(ids[i], ids[j]));
             }
         }
     }
@@ -225,11 +220,12 @@ mod tests {
             },
             &mut SimRng::seed_from(3),
         );
+        let affinity = affinity_from_profiles(&p.profiles(), 1.0, 1.0, 0.5);
         let mut same = Vec::new();
         let mut diff = Vec::new();
         for (i, a) in p.agents.iter().enumerate() {
             for b in p.agents.iter().skip(i + 1) {
-                let aff = p.affinity.affinity(a.profile.id, b.profile.id);
+                let aff = affinity.affinity(a.profile.id, b.profile.id);
                 if a.profile.factors.region.name == b.profile.factors.region.name {
                     same.push(aff);
                 } else {

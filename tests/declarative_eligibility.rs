@@ -152,14 +152,13 @@ out(X, Y) :- item(X), label(X, Y).
         .set("q1", "please")
         .set("q2", "dog")
         .set("q3", "bread");
-    assert_eq!(
-        take_test(&mut p.workers, WorkerId(1), &test, &ann).unwrap(),
-        1.0
-    );
-    assert_eq!(
-        take_test(&mut p.workers, WorkerId(2), &test, &bob).unwrap(),
-        0.5
-    );
+    for (id, response, expect) in [(1, ann, 1.0), (2, bob, 0.5)] {
+        let profile = p.workers.get(WorkerId(id)).unwrap();
+        let (score, graded) = test.graded(profile, &response).unwrap();
+        assert_eq!(score, expect);
+        // Re-registering journals the graded profile.
+        p.register_worker(graded);
+    }
 
     let proj = p
         .register_project(
@@ -171,4 +170,8 @@ out(X, Y) :- item(X), label(X, Y).
         .unwrap();
     let task = p.create_collab_task(proj, "translate things").unwrap();
     assert_eq!(p.relations.eligible_workers(task), vec![WorkerId(1)]);
+    assert_eq!(
+        Crowd4U::replay(p.journal()).unwrap().state_dump(),
+        p.state_dump()
+    );
 }

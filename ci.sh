@@ -17,9 +17,12 @@
 #                                  migrates, both after 200 registrations),
 #                                  the shard- and telemetry-equivalence op mix
 #                                  (its worker churn installed on every replica
-#                                  at 4 shards, each registration re-screening
-#                                  the declarative project) and shared-crowd
-#                                  proptests, the three
+#                                  at 4 shards, each registration seeding the
+#                                  declarative project's fixpoint) and
+#                                  shared-crowd proptests, the engine→platform
+#                                  demand hand-off with and without migration
+#                                  (its declarative engine reading the worker
+#                                  registry live), the three
 #                                  collaborative-path differentials (table search
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility, memoised vs fresh affinity), the
@@ -161,9 +164,10 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
 # worker churn (re-registrations and crowd bursts) reaches each of the
 # four shards' mailboxes, recorded on the coordinator and installed on
 # every replica, between the project events and drains it interleaves with;
-# each registration re-evaluates the declarative project's eligibility rule
-# on its owner. The telemetry differential draws the same ops, scraped
-# mid-run.
+# on its owner, each registration seeds the declarative project's
+# eligibility fixpoint with the registered worker's rows, read from the
+# registry (a full recompute only when a re-registration takes a row
+# away). The telemetry differential draws the same ops, scraped mid-run.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test shard_equivalence
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
@@ -173,6 +177,13 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
 # its crash schedules and generated configs reproduce byte-for-byte.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1016 \
     cargo test -q -p crowd4u --test shared_crowd
+# The engine→platform demand hand-off, same rationale: a reference platform
+# against a twin whose project migrates between two instances, over a
+# declarative program whose engine reads the worker registry live — run
+# inside a sync and outside one (an eligibility run), and failing at run
+# time while three workers are online.
+step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u --test sync_handoff
 # Collaborative-path replays, same rationale (a failure reproduces
 # byte-for-byte on a dev box with the same seed): the table-indexed team
 # search, with its seed bound, against the id-based reference it replaced

@@ -62,15 +62,14 @@ impl GrpSplit {
             return None;
         }
         // Order workers by total affinity to everyone (strong connectors
-        // first, so early placements anchor coherent groups).
+        // first, so early placements anchor coherent groups). Each total is
+        // summed once, not once per comparison.
+        let total_aff: Vec<f64> = cands
+            .iter()
+            .map(|ci| cands.iter().map(|c| aff.affinity(ci.id, c.id)).sum())
+            .collect();
         let mut order: Vec<usize> = (0..cands.len()).collect();
-        let total_aff = |i: usize| -> f64 {
-            cands
-                .iter()
-                .map(|c| aff.affinity(cands[i].id, c.id))
-                .sum::<f64>()
-        };
-        order.sort_by(|&a, &b| total_aff(b).total_cmp(&total_aff(a)));
+        order.sort_by(|&a, &b| total_aff[b].total_cmp(&total_aff[a]));
 
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); g];
         let mut group_cost = vec![0.0; g];

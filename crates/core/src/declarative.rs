@@ -7,8 +7,11 @@
 //! tasks."
 //!
 //! A project opts in by declaring the conventional predicates below and
-//! deriving `eligible(w: id)` with ordinary rules. The platform feeds the
-//! worker-factor facts in and reads `eligible` back out:
+//! deriving `eligible(w: id)` with ordinary rules. The platform binds each
+//! worker-factor predicate the project declares to the worker registry:
+//! the project's engine reads their rows from it at every run
+//! ([`facts_of`] builds them from the registered profiles) and holds none
+//! itself. The platform reads `eligible` back out:
 //!
 //! ```text
 //! rel worker(w: id).
@@ -23,17 +26,19 @@
 //! Projects without an `eligible` predicate fall back to the built-in
 //! screen in [`crate::eligibility`]. A project that derives `eligible` must
 //! declare each conventional predicate it uses with the column types above,
-//! and derive no worker-factor predicate by a rule; registration refuses
-//! it otherwise.
+//! as a `rel` that no rule derives and no program fact fills; registration
+//! refuses it otherwise. A fact seeded into a bound predicate is refused
+//! too: only a registration changes what the registry says of a worker.
 
 use crate::error::{PlatformError, WorkerId};
 use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_cylog::engine::CylogEngine;
 use crowd4u_cylog::error::CylogError;
-use crowd4u_storage::prelude::{Value, ValueType};
+use crowd4u_storage::prelude::{Tuple, Value, ValueType};
+use std::collections::BTreeMap;
 
 /// The conventional worker-factor predicates a project may declare, with
-/// the column types the platform writes into them.
+/// the column types of the rows [`facts_of`] builds.
 pub const WORKER_PREDS: [(&str, &[ValueType]); 5] = [
     ("worker", &[ValueType::Id]),
     ("worker_online", &[ValueType::Id]),
@@ -59,7 +64,7 @@ pub fn uses_declarative_eligibility(engine: &CylogEngine) -> bool {
 /// Check a declarative project's conventional predicates: each worker-factor
 /// predicate it declares is a base relation with the column types in
 /// [`WORKER_PREDS`], and `eligible`'s first column is an id. A mismatch
-/// would make every later [`sync_worker_facts`] fail, or
+/// would make every row [`facts_of`] builds ill-typed, or
 /// [`eligible_workers`] find no one, so it is a semantic error of the
 /// project description.
 pub(crate) fn check_conventions(engine: &CylogEngine) -> Result<(), PlatformError> {
@@ -85,59 +90,73 @@ pub(crate) fn check_conventions(engine: &CylogEngine) -> Result<(), PlatformErro
     Ok(())
 }
 
-/// Push one worker's human factors into the engine as facts. Existing
-/// facts for this worker are retracted first, so factor *updates* (e.g.
-/// logging out) are reflected on the next evaluation.
-pub fn sync_worker_facts(
-    engine: &mut CylogEngine,
-    profile: &WorkerProfile,
-) -> Result<(), PlatformError> {
-    let wid = Value::Id(profile.id.0);
-    for (pred, _) in WORKER_PREDS {
-        if engine.program().pred(pred).is_none() {
-            continue;
-        }
-        engine.retract_by_key(pred, &wid)?;
-    }
-    let has = |engine: &CylogEngine, pred: &str| engine.program().pred(pred).is_some();
-    if has(engine, "worker") {
-        engine.add_fact("worker", vec![wid.clone()])?;
-    }
-    if has(engine, "worker_online") && profile.factors.logged_in {
-        engine.add_fact("worker_online", vec![wid.clone()])?;
-    }
-    if has(engine, "worker_native") {
-        for lang in &profile.factors.native_langs {
-            engine.add_fact(
-                "worker_native",
-                vec![wid.clone(), Value::Str(lang.code().to_owned())],
-            )?;
-        }
-    }
-    if has(engine, "worker_fluent") {
-        for (lang, level) in &profile.factors.fluency {
-            engine.add_fact(
-                "worker_fluent",
-                vec![
-                    wid.clone(),
-                    Value::Str(lang.code().to_owned()),
-                    Value::Float(*level),
-                ],
-            )?;
-        }
-    }
-    if has(engine, "worker_skill") {
-        for (skill, level) in &profile.factors.skills {
-            engine.add_fact(
-                "worker_skill",
-                vec![wid.clone(), Value::Str(skill.clone()), Value::Float(*level)],
-            )?;
-        }
-    }
-    Ok(())
+/// Bind every worker-factor predicate the program declares to the host,
+/// the worker registry (call after [`check_conventions`]).
+pub(crate) fn bind_worker_preds(engine: &mut CylogEngine) -> Result<(), PlatformError> {
+    let declared: Vec<&str> = WORKER_PREDS
+        .iter()
+        .map(|&(name, _)| name)
+        .filter(|name| engine.program().pred(name).is_some())
+        .collect();
+    Ok(engine.bind_host(&declared)?)
 }
 
-/// Read the CyLog-computed eligible set (call after `engine.run()`).
+/// The rows one registered profile holds in the worker-factor predicate
+/// `pred`, handed to `emit`: the one definition of what a declarative
+/// program reads about a worker. A name outside [`WORKER_PREDS`] holds
+/// none.
+pub fn facts_of(profile: &WorkerProfile, pred: &str, mut emit: impl FnMut(Tuple)) {
+    let f = &profile.factors;
+    let id = || Value::Id(profile.id.0);
+    match pred {
+        "worker" => emit(Tuple::new(vec![id()])),
+        "worker_online" if f.logged_in => emit(Tuple::new(vec![id()])),
+        "worker_native" => {
+            for (i, lang) in f.native_langs.iter().enumerate() {
+                // A relation is a set: a language listed twice is one row.
+                if !f.native_langs[..i].contains(lang) {
+                    emit(Tuple::new(vec![id(), Value::Str(lang.code().to_owned())]));
+                }
+            }
+        }
+        "worker_fluent" => {
+            for (lang, level) in &f.fluency {
+                let lang = Value::Str(lang.code().to_owned());
+                emit(Tuple::new(vec![id(), lang, Value::Float(*level)]));
+            }
+        }
+        "worker_skill" => {
+            for (skill, level) in &f.skills {
+                let skill = Value::Str(skill.clone());
+                emit(Tuple::new(vec![id(), skill, Value::Float(*level)]));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Per predicate of [`WORKER_PREDS`], in its order: whether re-registering
+/// `old` as `new` takes a row of it away — a logout, a dropped native
+/// language, or a fluency or skill dropped or at another level. Compares
+/// fields and allocates nothing.
+pub(crate) fn lost_rows(old: &WorkerProfile, new: &WorkerProfile) -> [bool; WORKER_PREDS.len()] {
+    let (old, new) = (&old.factors, &new.factors);
+    fn levels_lost<K: Ord>(old: &BTreeMap<K, f64>, new: &BTreeMap<K, f64>) -> bool {
+        old.iter()
+            .any(|(k, v)| new.get(k).map(|n| n.to_bits()) != Some(v.to_bits()))
+    }
+    [
+        false,
+        old.logged_in && !new.logged_in,
+        old.native_langs
+            .iter()
+            .any(|l| !new.native_langs.contains(l)),
+        levels_lost(&old.fluency, &new.fluency),
+        levels_lost(&old.skills, &new.skills),
+    ]
+}
+
+/// Read the CyLog-computed eligible set (call after the engine ran).
 pub fn eligible_workers(engine: &CylogEngine) -> Result<Vec<WorkerId>, PlatformError> {
     let rs = engine.facts("eligible")?;
     let mut out: Vec<WorkerId> = rs
@@ -153,7 +172,10 @@ pub fn eligible_workers(engine: &CylogEngine) -> Result<Vec<WorkerId>, PlatformE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::Crowd4U;
+    use crowd4u_collab::Scheme;
     use crowd4u_crowd::profile::WorkerProfile;
+    use crowd4u_forms::admin::DesiredFactors;
 
     const SRC: &str = "\
 rel worker(w: id).
@@ -176,6 +198,17 @@ out(X, Y) :- item(X), label(X, Y).
         p
     }
 
+    fn platform(workers: &[WorkerProfile], src: &str) -> (Crowd4U, crate::error::ProjectId) {
+        let mut p = Crowd4U::new();
+        for w in workers {
+            p.register_worker(w.clone());
+        }
+        let proj = p
+            .register_project("decl", src, DesiredFactors::default(), Scheme::Sequential)
+            .unwrap();
+        (p, proj)
+    }
+
     #[test]
     fn detects_declarative_projects() {
         let e = CylogEngine::from_source(SRC).unwrap();
@@ -189,39 +222,35 @@ out(X, Y) :- item(X), label(X, Y).
 
     #[test]
     fn rules_filter_on_factors() {
-        let mut e = CylogEngine::from_source(SRC).unwrap();
-        sync_worker_facts(&mut e, &worker(1, "en", 0.8, true)).unwrap(); // ok
-        sync_worker_facts(&mut e, &worker(2, "ja", 0.8, true)).unwrap(); // lang
-        sync_worker_facts(&mut e, &worker(3, "en", 0.2, true)).unwrap(); // skill
-        sync_worker_facts(&mut e, &worker(4, "en", 0.8, false)).unwrap(); // offline
-        e.run().unwrap();
-        assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(1)]);
+        let (mut p, proj) = platform(
+            &[
+                worker(1, "en", 0.8, true),  // ok
+                worker(2, "ja", 0.8, true),  // lang
+                worker(3, "en", 0.2, true),  // skill
+                worker(4, "en", 0.8, false), // offline
+            ],
+            SRC,
+        );
+        assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
     }
 
     #[test]
     fn factor_updates_are_reflected() {
-        let mut e = CylogEngine::from_source(SRC).unwrap();
-        sync_worker_facts(&mut e, &worker(1, "en", 0.8, true)).unwrap();
-        e.run().unwrap();
-        assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(1)]);
-        // the worker logs out: facts re-synced, eligibility disappears
-        sync_worker_facts(&mut e, &worker(1, "en", 0.8, false)).unwrap();
-        e.run().unwrap();
-        assert!(eligible_workers(&e).unwrap().is_empty());
+        let (mut p, proj) = platform(&[worker(1, "en", 0.8, true)], SRC);
+        assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
+        // the worker logs out: a re-registration, eligibility disappears
+        p.register_worker(worker(1, "en", 0.8, false));
+        assert!(p.eligible_set(proj).unwrap().is_empty());
         // and back in
-        sync_worker_facts(&mut e, &worker(1, "en", 0.8, true)).unwrap();
-        e.run().unwrap();
-        assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(1)]);
+        p.register_worker(worker(1, "en", 0.8, true));
+        assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
     }
 
     /// A declarative project whose conventional predicates have the wrong
     /// shape is refused at registration, with nothing journaled — not
-    /// admitted to fail every later worker sync.
+    /// admitted to misread every later worker.
     #[test]
     fn malformed_conventions_are_refused_at_registration() {
-        use crate::platform::Crowd4U;
-        use crowd4u_collab::Scheme;
-        use crowd4u_forms::admin::DesiredFactors;
         let malformed = [
             "rel worker_online(w: id, since: int).\nrel eligible(w: id).\n\
              eligible(W) :- worker_online(W, S).\n",
@@ -230,6 +259,9 @@ out(X, Y) :- item(X), label(X, Y).
             "rel worker(w: id).\nrel worker_online(w: id).\nrel eligible(w: id).\n\
              worker_online(W) :- worker(W).\neligible(W) :- worker_online(W).\n",
             "rel worker(w: id).\nrel eligible(w: str).\neligible(\"x\") :- worker(W).\n",
+            // A program fact in a worker-factor predicate: a phantom worker.
+            "rel worker_online(w: id).\nworker_online(#5).\nrel eligible(w: id).\n\
+             eligible(W) :- worker_online(W).\n",
         ];
         let mut p = Crowd4U::new();
         p.register_worker(worker(1, "en", 0.8, true));
@@ -244,20 +276,30 @@ out(X, Y) :- item(X), label(X, Y).
             assert_eq!(p.journal().len(), journaled, "{src}: journaled");
         }
         assert!(p.project_ids().is_empty());
-        // The conventional shapes register, and the worker syncs.
+        // The conventional shapes register, and the worker is read.
         let proj = p
             .register_project("ok", SRC, DesiredFactors::default(), Scheme::Sequential)
             .unwrap();
         assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
     }
 
-    /// Every conventional predicate declared with its listed types accepts
-    /// what the sync writes into it: the types in [`WORKER_PREDS`] and the
-    /// values `sync_worker_facts` builds cannot drift apart.
+    /// Every row [`facts_of`] builds has the column types [`WORKER_PREDS`]
+    /// lists, so the two cannot drift apart; and a program declaring all
+    /// five predicates reads each of them from the registry.
     #[test]
     fn listed_shapes_accept_every_synced_fact() {
+        let w = worker(1, "en", 0.8, true).with_fluency("ja", 0.6);
         let mut src = String::new();
         for (name, types) in WORKER_PREDS {
+            let mut rows = 0;
+            facts_of(&w, name, |row| {
+                assert_eq!(row.values().len(), types.len(), "{name}");
+                for (v, ty) in row.values().iter().zip(types) {
+                    assert!(v.conforms_to(*ty), "{name}: {v} is not {ty}");
+                }
+                rows += 1;
+            });
+            assert!(rows > 0, "{name}");
             let cols: Vec<String> = types
                 .iter()
                 .enumerate()
@@ -265,16 +307,48 @@ out(X, Y) :- item(X), label(X, Y).
                 .collect();
             src += &format!("rel {name}({}).\n", cols.join(", "));
         }
-        src += "rel eligible(w: id, n: int).\neligible(W, 1) :- worker(W).\n";
-        let mut e = CylogEngine::from_source(&src).unwrap();
-        check_conventions(&e).unwrap();
-        let p = worker(1, "en", 0.8, true).with_fluency("ja", 0.6);
-        sync_worker_facts(&mut e, &p).unwrap();
-        e.run().unwrap();
+        src += "rel eligible(w: id, n: int).\n\
+                eligible(W, 1) :- worker(W), worker_online(W), worker_native(W, L), \
+                worker_fluent(W, F, X), worker_skill(W, S, Y).\n";
+        let (mut p, proj) = platform(&[w], &src);
+        assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
+        let engine = &p.project(proj).unwrap().engine;
         for (name, _) in WORKER_PREDS {
-            assert!(!e.facts(name).unwrap().is_empty(), "{name}");
+            assert_eq!(engine.fact_count(name).unwrap(), 0, "{name} is not copied");
         }
-        assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(1)]);
+    }
+
+    /// [`lost_rows`] says a predicate lost a row exactly when some row
+    /// [`facts_of`] builds for the old profile is not among the new one's.
+    #[test]
+    fn lost_rows_is_the_row_difference() {
+        let variants: Vec<WorkerProfile> = (0..16u64)
+            .map(|v| {
+                let mut p = WorkerProfile::new(WorkerId(1), "w")
+                    .with_native_lang(if v & 1 == 0 { "en" } else { "ja" })
+                    .with_skill("t", if v & 2 == 0 { 0.5 } else { 0.7 });
+                if v & 4 != 0 {
+                    p = p.with_fluency("fr", 0.4).with_skill("u", 0.1);
+                }
+                p.factors.logged_in = v & 8 == 0;
+                p
+            })
+            .collect();
+        let rows = |p: &WorkerProfile, pred: &str| {
+            let mut out = Vec::new();
+            facts_of(p, pred, |row| out.push(row));
+            out
+        };
+        for old in &variants {
+            for new in &variants {
+                let lost = lost_rows(old, new);
+                for (i, (name, _)) in WORKER_PREDS.iter().enumerate() {
+                    let kept = rows(new, name);
+                    let want = rows(old, name).iter().any(|r| !kept.contains(r));
+                    assert_eq!(lost[i], want, "{name}: {old:?} -> {new:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -285,9 +359,7 @@ rel worker_online(w: id).
 rel eligible(w: id).
 eligible(W) :- worker_online(W).
 ";
-        let mut e = CylogEngine::from_source(src).unwrap();
-        sync_worker_facts(&mut e, &worker(9, "fr", 0.1, true)).unwrap();
-        e.run().unwrap();
-        assert_eq!(eligible_workers(&e).unwrap(), vec![WorkerId(9)]);
+        let (mut p, proj) = platform(&[worker(9, "fr", 0.1, true)], src);
+        assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(9)]);
     }
 }

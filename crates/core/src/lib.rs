@@ -40,7 +40,7 @@ pub mod prelude {
     pub use crate::controller::{
         candidates_from_profiles, constraints_from_factors, AlgorithmChoice, AssignmentController,
     };
-    pub use crate::declarative::{sync_worker_facts, uses_declarative_eligibility};
+    pub use crate::declarative::uses_declarative_eligibility;
     pub use crate::decompose::{
         ChunkSplitter, Decomposer, OutlineSplitter, Piece, SentenceSplitter,
     };

@@ -13,8 +13,9 @@
 //! [`Crowd4U::drain_events`] synchronises each dirty project exactly once.
 //! Eligibility is cached per project: a factor-screen project's set is
 //! patched in place for the one worker a registration names, and screened
-//! again in full only when the profiles changed by another route or — for
-//! a declarative screen — the project's facts did.
+//! again in full only when the cache fell behind by another route (the
+//! project arrived from another instance) or — for a declarative screen —
+//! the profiles or the project's facts changed.
 
 use crate::controller::{
     candidates_from_profiles, constraints_from_factors, non_committers, AssignmentController,
@@ -330,15 +331,17 @@ impl Crowd4U {
     /// [`eligible_set`](Crowd4U::eligible_set) is a hit, not a screen of
     /// the whole population), and an eligible worker is marked on the open
     /// tasks. A cache that is not exact for the preceding version — the
-    /// profiles moved through `workers.get_mut` or `refresh_skills`, the
     /// project arrived from another shard — is left behind for the full
     /// screen. A worker who stops qualifying leaves the cached set but
-    /// keeps the open-task rows they already have. Declarative projects
-    /// recompute in full: a new worker fact may flip *other* workers'
-    /// derived eligibility. A recompute that fails (a rule erring at run
-    /// time) leaves that project's open tasks unscreened for this
-    /// registration; it is counted in `eligibility_errors` and its
-    /// project-scoped twin, not journaled, so a replay counts it again.
+    /// keeps the open-task rows they already have. A declarative project
+    /// with open tasks re-evaluates its rules, since a worker's facts may
+    /// flip *other* workers' derived eligibility: its engine reads the
+    /// registry, seeded with this worker's rows, and recomputes in full
+    /// only when the registration took a row of a predicate it declares.
+    /// A run that fails (a rule erring at run time) leaves that project's
+    /// open tasks unscreened for this registration; it is counted in
+    /// `eligibility_errors` and its project-scoped twin, not journaled, so
+    /// a replay counts it again.
     pub fn install_worker_delta(&mut self, profile: crowd4u_crowd::profile::WorkerProfile) {
         let worker = profile.id;
         if self.projects.is_empty() {
@@ -403,8 +406,8 @@ impl Crowd4U {
 
     /// Post-registration eligibility repair for one project with open
     /// tasks: mark the new worker on them if the factor screen admitted
-    /// them (`screened`), or fall back to the full recompute for a project
-    /// that was not factor-screened — a declarative one.
+    /// them (`screened`), or re-evaluate a project that was not
+    /// factor-screened — a declarative one — and mark its whole set.
     fn refresh_registered_eligibility(
         &mut self,
         worker: WorkerId,
@@ -435,13 +438,16 @@ impl Crowd4U {
     ///
     /// The result is cached: it is served from the cache while the cache
     /// is exact for the current [`WorkerManager::version`] (and, for a
-    /// declarative screen, the project's epoch), and recomputed over every
-    /// registered profile otherwise. Registrations keep a factor-screen
-    /// project's cache exact by patching it
-    /// ([`install_worker_delta`](Crowd4U::install_worker_delta)); any other
-    /// profile change leaves it behind, so this version check is the
-    /// safety net and the recompute below is the one implementation of
-    /// "who is eligible".
+    /// declarative screen, the project's epoch), and recomputed otherwise.
+    /// Registrations keep a factor-screen project's cache exact by patching
+    /// it ([`install_worker_delta`](Crowd4U::install_worker_delta)); a
+    /// cache adopted from another instance may be behind, so this version
+    /// check is the safety net and the recompute below is the one
+    /// implementation of "who is eligible". A factor screen recomputes over
+    /// every registered profile. A declarative miss runs the project's
+    /// engine on the registry, which reads it as it stands: seeded with
+    /// the workers registered since the engine's last fixpoint, in full
+    /// only when one of those registrations took a row away.
     pub fn eligible_set(&mut self, project: ProjectId) -> Result<Vec<WorkerId>, PlatformError> {
         let worker_version = self.workers.version();
         {
@@ -467,10 +473,7 @@ impl Crowd4U {
         self.telemetry.cache_misses.incr();
         let proj = self.projects.get_mut(&project).expect("checked above");
         let workers = if proj.declarative {
-            for p in self.workers.profiles() {
-                crate::declarative::sync_worker_facts(&mut proj.engine, p)?;
-            }
-            proj.engine.run()?;
+            proj.engine.run_with(&self.workers)?;
             crate::declarative::eligible_workers(&proj.engine)?
         } else {
             self.workers
@@ -533,6 +536,7 @@ impl Crowd4U {
         let declarative = crate::declarative::uses_declarative_eligibility(&engine);
         if declarative {
             crate::declarative::check_conventions(&engine)?;
+            crate::declarative::bind_worker_preds(&mut engine)?;
         }
         let name = name.into();
         self.record(&PlatformEvent::ProjectRegistered {
@@ -597,7 +601,10 @@ impl Crowd4U {
 
     /// Add a base fact to a project's CyLog database. The project is marked
     /// dirty; call [`Crowd4U::sync_tasks`] (or let a batch drain) to turn
-    /// new demands into tasks.
+    /// new demands into tasks. A declarative project's worker-factor
+    /// predicates are read from the registry and take no seeded fact: the
+    /// seed is refused with `CylogError::HostBound`, and nothing is
+    /// journaled.
     pub fn seed_fact(
         &mut self,
         project: ProjectId,
@@ -636,7 +643,7 @@ impl Crowd4U {
             .projects
             .get_mut(&project)
             .ok_or(PlatformError::UnknownProject(project))?;
-        proj.engine.run()?;
+        proj.engine.run_with(&self.workers)?;
         // Only the demands enqueued since the last hand-off: the backlog of
         // questions that already have a task is never revisited.
         let mut new_tasks = Vec::new();
@@ -995,8 +1002,8 @@ impl Crowd4U {
         Ok(())
     }
 
-    /// Record completion of a collaborative task with an observed quality;
-    /// the outcome feeds the skill estimator and closes the monitor.
+    /// Record completion of a collaborative task with an observed quality
+    /// (journaled with the completion) and close its monitor.
     pub fn complete_collab_task(
         &mut self,
         task: TaskId,
@@ -1016,14 +1023,13 @@ impl Crowd4U {
                 team: members.clone(),
             },
         )?;
-        self.workers.record_outcome(members.clone(), quality);
         self.relations.clear_task(task);
         self.counters.incr("collab_tasks_completed");
         self.bump_project_counter(task.project(), "collab_completed");
-        // Per-(project, worker) split of the affinity feed: on a shared
-        // crowd the same worker collaborates in several scenarios, and the
-        // platform-wide history length must decompose exactly into these
-        // cells (see `worker_collabs_in`).
+        // Per-(project, worker) split of team memberships: on a shared
+        // crowd the same worker collaborates in several scenarios, and each
+        // completion's team must decompose exactly into these cells (see
+        // `worker_collabs_in`).
         for w in &members {
             self.bump_scoped(format_args!("p{}.w{}.collabs", task.project().0, w.0));
         }
@@ -1386,10 +1392,9 @@ impl Crowd4U {
     }
 
     /// How many collaborative completions of `project` the worker was a
-    /// team member of — the per-scenario split of the worker's affinity
-    /// contributions (every completion pushes exactly one team observation
-    /// into the shared skill/affinity history). Summing over all projects
-    /// and team members reproduces the platform history length.
+    /// team member of — the per-scenario split of the worker's team
+    /// history. Summing over all projects and team members reproduces the
+    /// summed team sizes of every completion.
     pub fn worker_collabs_in(&self, project: ProjectId, worker: WorkerId) -> u64 {
         self.counters
             .get(&format!("p{}.w{}.collabs", project.0, worker.0))
@@ -1549,7 +1554,7 @@ published(S, T) :- sentence(S), translate(S, T).
         assert_eq!(p.pool.get(task).unwrap().state.label(), "in-progress");
         p.complete_collab_task(task, 0.8).unwrap();
         assert_eq!(p.pool.get(task).unwrap().state.label(), "completed");
-        assert_eq!(p.workers.history_len(), 1);
+        assert_eq!(p.counters.get("collab_tasks_completed"), 1);
         assert_eq!(p.counters.get("teams_suggested"), 1);
         assert_eq!(p.counters.get("teams_started"), 1);
     }
@@ -1936,11 +1941,25 @@ published(S, T) :- sentence(S), translate(S, T).
         );
         assert_eq!(p.counters.get("eligibility_cache_patches"), 1);
 
-        // A profile edit behind the platform's back moves the version
-        // without a patch: exactly one miss, then hits again.
-        p.workers.get_mut(WorkerId(9)).unwrap().factors.logged_in = false;
+        // So does a re-registration that stops the worker qualifying.
+        let mut away = p.workers.get(WorkerId(9)).unwrap().clone();
+        away.factors.logged_in = false;
+        p.register_worker(away);
         assert_eq!(p.eligible_set(proj).unwrap().len(), 3);
-        assert_eq!(p.eligible_set(proj).unwrap().len(), 3);
+        assert_eq!(
+            p.counters.get("eligibility_cache_misses"),
+            misses_after_first
+        );
+        assert_eq!(p.counters.get("eligibility_cache_patches"), 2);
+
+        // A cache that fell behind while its project was away — extracted,
+        // then adopted after a registration — misses exactly once, then
+        // hits again.
+        let slice = p.extract_project(proj).unwrap();
+        p.register_worker(WorkerProfile::new(WorkerId(10), "later"));
+        p.adopt_project(slice);
+        assert_eq!(p.eligible_set(proj).unwrap().len(), 4);
+        assert_eq!(p.eligible_set(proj).unwrap().len(), 4);
         assert_eq!(
             p.counters.get("eligibility_cache_misses"),
             misses_after_first + 1
@@ -2125,6 +2144,76 @@ rel published(s: str, t: str).
 published(S, T) :- sentence(S), translate(S, T).
 "
         )
+    }
+
+    /// The one-store contract as exact counts, at one and at three
+    /// declarative projects: no project engine holds a worker row, so a
+    /// declarative slice is the same whatever the crowd's size; a new
+    /// worker's registration is a seeded run and recomputes nothing; a
+    /// logout takes a row away and recomputes each project exactly once.
+    #[test]
+    fn declarative_projects_hold_no_worker_rows() {
+        const DECL: &str = "\
+rel worker(w: id).
+rel worker_online(w: id).
+rel worker_native(w: id, lang: str).
+rel eligible(w: id).
+eligible(W) :- worker(W), worker_online(W), worker_native(W, \"en\").
+rel sentence(s: str).
+open translate(s: str) -> (t: str).
+rel published(s: str, t: str).
+published(S, T) :- sentence(S), translate(S, T).
+";
+        let slice_dump = |n: u64, projects: usize| -> String {
+            // Ten English natives qualify; the rest of the crowd does not.
+            let mut p = Crowd4U::new();
+            for i in 1..=n {
+                let lang = if i <= 10 { "en" } else { "ja" };
+                p.register_worker(WorkerProfile::new(WorkerId(i), "w").with_native_lang(lang));
+            }
+            let ids: Vec<ProjectId> = (0..projects)
+                .map(|k| {
+                    let id = p
+                        .register_project(format!("d{k}"), DECL, factors(), Scheme::Sequential)
+                        .unwrap();
+                    p.seed_fact(id, "sentence", vec!["s".into()]).unwrap();
+                    assert_eq!(p.sync_tasks(id).unwrap(), 1);
+                    id
+                })
+                .collect();
+            let stats = |p: &Crowd4U| -> Vec<(u64, u64)> {
+                ids.iter()
+                    .map(|&id| p.project(id).unwrap().engine.cumulative_stats())
+                    .map(|s| (s.recomputes, s.delta_seeded))
+                    .collect()
+            };
+            let before = stats(&p);
+            p.register_worker(WorkerProfile::new(WorkerId(n + 1), "new").with_native_lang("ja"));
+            for ((r0, d0), (r1, d1)) in before.iter().zip(stats(&p)) {
+                assert_eq!(r1, *r0, "a new worker recomputes nothing (n = {n})");
+                assert!(d1 > *d0, "a new worker seeds the run (n = {n})");
+            }
+            let mut away = p.workers.get(WorkerId(1)).unwrap().clone();
+            away.factors.logged_in = false;
+            p.register_worker(away);
+            for ((r0, _), (r1, _)) in before.iter().zip(stats(&p)) {
+                assert_eq!(r1, r0 + 1, "a logout recomputes once (n = {n})");
+            }
+            for &id in &ids {
+                assert_eq!(p.eligible_set(id).unwrap().len(), 9);
+                let engine = &p.project(id).unwrap().engine;
+                for (pred, _) in crate::declarative::WORKER_PREDS {
+                    if engine.program().pred(pred).is_some() {
+                        assert_eq!(engine.fact_count(pred).unwrap(), 0, "{pred} (n = {n})");
+                    }
+                }
+            }
+            let slice = p.extract_project(ids[0]).unwrap();
+            crowd4u_storage::snapshot::dump(slice.project.engine.database())
+        };
+        for projects in [1, 3] {
+            assert_eq!(slice_dump(10, projects), slice_dump(200, projects));
+        }
     }
 
     #[test]

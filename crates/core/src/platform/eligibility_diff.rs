@@ -6,13 +6,17 @@
 //! project's cache cleared before each step and each read, so each of its
 //! `eligible_set` calls — the explicit ones and the ones inside
 //! `create_collab_task`, `sync_tasks` and a registration's declarative
-//! refresh — is the full screen. After every step the two journals and
-//! state dumps must be byte-identical, and on the steps the generator
+//! refresh — is the full screen, and its engines evaluate semi-naively, so
+//! every declarative run is a full recompute over the registry where the
+//! platform's own is seeded from what changed. After every step the two
+//! journals and state dumps (engine databases included) must be
+//! byte-identical, and on the steps the generator
 //! marks, `eligible_set` must agree for every project, and for a
 //! factor-screen project equal a screen of `workers.profiles()` made here.
-//! Reads happen on marked steps only, so a registration also meets caches
-//! that an unrepaired `get_mut` or `refresh_skills` left one version
-//! behind.
+//! Profiles change only by registration: new workers, and re-registrations
+//! that flip a worker's login or move their skill. Reads happen on marked
+//! steps only, so registrations also meet caches that a project's
+//! migration round trip left behind.
 //!
 //! Projects screen by factors (with and without requirements) or by one
 //! of three CyLog programs: the paper's rule, a skill gate, and a
@@ -20,6 +24,7 @@
 
 use super::*;
 use crowd4u_crowd::profile::WorkerProfile;
+use crowd4u_cylog::eval::EvalMode;
 use proptest::prelude::*;
 
 const FACTOR_SRC: &str = "\
@@ -45,7 +50,7 @@ published(S, T) :- sentence(S), translate(S, T).
 ";
 
 /// Skill-gated: online workers whose translation skill clears a bar, so
-/// `refresh_skills` moves verdicts.
+/// a registered skill change moves verdicts.
 const SKILL_SRC: &str = "\
 rel worker_online(w: id).
 rel worker_skill(w: id, skill: str, level: float).
@@ -126,17 +131,19 @@ fn apply(p: &mut Crowd4U, held: &mut Option<ProjectSlice>, step: &Step) -> bool 
             p.register_worker(worker(a, b, level));
             true
         }
-        4 => match p.workers.get_mut(slot_id) {
+        4 | 5 => match p.workers.get(slot_id) {
             Ok(w) => {
-                w.factors.logged_in = !w.factors.logged_in;
+                let mut w = w.clone();
+                if kind == 4 {
+                    w.factors.logged_in = !w.factors.logged_in;
+                } else {
+                    w.factors.set_skill("translation", level);
+                }
+                p.register_worker(w);
                 true
             }
             Err(_) => false,
         },
-        5 => {
-            p.workers.record_outcome(vec![slot_id], level);
-            p.workers.refresh_skills("translation") > 0
-        }
         6 => project.is_some_and(|id| {
             if p.project(id).is_ok_and(|proj| proj.declarative) {
                 p.seed_fact(id, "flag", vec![Value::Id(slot_id.0)]).is_ok()
@@ -166,9 +173,12 @@ fn apply(p: &mut Crowd4U, held: &mut Option<ProjectSlice>, step: &Step) -> bool 
     }
 }
 
-fn clear_caches(p: &mut Crowd4U) {
+/// Make `p` the reference: no cached eligible set, and every engine run a
+/// full recompute.
+fn as_reference(p: &mut Crowd4U) {
     for proj in p.projects.values_mut() {
         proj.eligible_cache = None;
+        proj.engine.set_mode(EvalMode::SemiNaive);
     }
 }
 
@@ -203,11 +213,11 @@ proptest! {
         let (mut held, mut twin_held) = (None, None);
         let last = steps.len() - 1;
         for (i, step) in steps.iter().enumerate() {
-            clear_caches(&mut twin);
+            as_reference(&mut twin);
             let ok = apply(&mut cached, &mut held, step);
             prop_assert_eq!(ok, apply(&mut twin, &mut twin_held, step), "step {} {:?}", i, step);
             if step.4 || i == last {
-                clear_caches(&mut twin);
+                as_reference(&mut twin);
                 for id in cached.project_ids() {
                     let got = cached.eligible_set(id).unwrap();
                     prop_assert_eq!(

@@ -1,6 +1,10 @@
-//! The worker manager (paper Figure 2): user properties (human factors),
-//! lazy pair affinity, and system-computed skill refreshes from task
-//! history.
+//! The worker manager (paper Figure 2): user properties (human factors)
+//! and lazy pair affinity. It is the one store of worker facts: a
+//! registration is the only way a profile changes, and declarative
+//! projects read the worker-factor predicates from it as the
+//! [`HostFacts`] source of their CyLog runs. A skill computed by the
+//! system (a graded qualification test, an estimate) reaches it the same
+//! way, as a profile the caller registers.
 //!
 //! Affinity is never materialised for the whole population. Pair values
 //! are computed from profiles on demand and dense candidate-set
@@ -10,13 +14,19 @@
 //! pair memo keeps what `WorkerManager::fill_candidate_affinity` computed
 //! until one of the two workers changes.
 
+use crate::declarative::{facts_of, lost_rows, WORKER_PREDS};
 use crate::error::{PlatformError, WorkerId};
 use crowd4u_crowd::affinity::{
     affinity_from_profile_refs_with, group_affinity, pair_affinity_of, AffinityMatrix,
 };
-use crowd4u_crowd::estimate::{estimate_skills, EstimatorConfig, TeamObservation};
 use crowd4u_crowd::profile::WorkerProfile;
+use crowd4u_cylog::eval::HostFacts;
+use crowd4u_storage::prelude::{Tuple, Value};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+
+/// The affinity synthesis weights (geo, language, skill).
+const WEIGHTS: (f64, f64, f64) = (1.0, 1.0, 0.5);
 
 /// The memo holds every pair of a pool this large: four times the largest
 /// mean candidate pool the collaborative workloads form teams over (66), so
@@ -34,38 +44,6 @@ struct Registered {
     changed: u64,
 }
 
-/// Pair affinities the assignment path computed, keyed `(smaller id,
-/// larger id)`. An entry holds the value — [`pair_affinity_of`] of the two
-/// profiles — and the version it was computed at; it answers only while
-/// that version is at or past both workers' change stamps, and only under
-/// the weights it was computed with.
-#[derive(Default)]
-struct PairMemo {
-    weights: (f64, f64, f64),
-    pairs: HashMap<(WorkerId, WorkerId), (f64, u64)>,
-}
-
-impl PairMemo {
-    /// Keep `fresh`, computed at version `at` under `weights`.
-    fn store(
-        &mut self,
-        weights: (f64, f64, f64),
-        at: u64,
-        fresh: Vec<((WorkerId, WorkerId), f64)>,
-    ) {
-        if self.weights != weights {
-            self.pairs.clear();
-            self.weights = weights;
-        }
-        for (key, value) in fresh {
-            if self.pairs.len() >= MEMO_PAIRS {
-                self.pairs.clear();
-            }
-            self.pairs.insert(key, (value, at));
-        }
-    }
-}
-
 /// How an affinity submatrix was served: pair values computed from
 /// profiles, and pair values read from the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,31 +52,23 @@ pub(crate) struct PairWork {
     pub reused: u64,
 }
 
-/// Registry of worker profiles + lazy pair affinity + team-task history.
+/// Registry of worker profiles + lazy pair affinity.
+#[derive(Default)]
 pub struct WorkerManager {
     profiles: BTreeMap<WorkerId, Registered>,
-    /// The affinity synthesis weights (geo, language, skill).
-    weights: (f64, f64, f64),
-    /// Pair values computed so far, kept while exact.
-    memo: PairMemo,
-    /// Observed team outcomes, for skill estimation ([10]).
-    history: Vec<TeamObservation>,
-    /// Bumped on every profile change (registration, mutable access, skill
-    /// refresh). Epoch-based caches — the platform's eligibility cache —
-    /// compare this to detect staleness without scanning profiles.
+    /// Pair affinities the assignment path computed, keyed `(smaller id,
+    /// larger id)`. An entry holds the value — [`pair_affinity_of`] of the
+    /// two profiles — and the version it was computed at; it answers only
+    /// while that version is at or past both workers' change stamps.
+    memo: HashMap<(WorkerId, WorkerId), (f64, u64)>,
+    /// Bumped by every registration, the one way a profile changes.
+    /// Epoch-based caches — the platform's eligibility cache, a declarative
+    /// project's last fixpoint — compare this to detect staleness without
+    /// scanning profiles.
     version: u64,
-}
-
-impl Default for WorkerManager {
-    fn default() -> Self {
-        WorkerManager {
-            profiles: BTreeMap::new(),
-            weights: (1.0, 1.0, 0.5),
-            memo: PairMemo::default(),
-            history: Vec::new(),
-            version: 0,
-        }
-    }
+    /// Per predicate of [`WORKER_PREDS`], in its order: the version at
+    /// which a registration last took a row of it from some worker.
+    lost: [u64; WORKER_PREDS.len()],
 }
 
 impl WorkerManager {
@@ -108,12 +78,27 @@ impl WorkerManager {
 
     /// Register (or re-register) a worker. O(log n): one map insert and a
     /// version bump — no affinity state exists to invalidate eagerly; the
-    /// worker's new change stamp retires its memoised pairs.
-    pub fn register(&mut self, profile: WorkerProfile) {
+    /// worker's new change stamp retires its memoised pairs. A
+    /// re-registration that takes a row of a worker-factor predicate from
+    /// the old profile stamps that predicate's loss.
+    pub(crate) fn register(&mut self, profile: WorkerProfile) {
         self.version += 1;
         let changed = self.version;
-        self.profiles
-            .insert(profile.id, Registered { profile, changed });
+        let fresh = Registered { profile, changed };
+        match self.profiles.entry(fresh.profile.id) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+            }
+            Entry::Occupied(mut slot) => {
+                let lost = lost_rows(&slot.get().profile, &fresh.profile);
+                for (stamp, lost) in self.lost.iter_mut().zip(lost) {
+                    if lost {
+                        *stamp = changed;
+                    }
+                }
+                slot.insert(fresh);
+            }
+        }
     }
 
     /// Profile-set version; changes whenever any profile may have changed.
@@ -126,19 +111,6 @@ impl WorkerManager {
             .get(&id)
             .map(|r| &r.profile)
             .ok_or(PlatformError::UnknownWorker(id))
-    }
-
-    /// Mutable profile access. Conservatively bumps the version and the
-    /// worker's change stamp: the caller may change factors, which
-    /// invalidates eligibility caches and the worker's memoised pairs.
-    pub fn get_mut(&mut self, id: WorkerId) -> Result<&mut WorkerProfile, PlatformError> {
-        let r = self
-            .profiles
-            .get_mut(&id)
-            .ok_or(PlatformError::UnknownWorker(id))?;
-        self.version += 1;
-        r.changed = self.version;
-        Ok(&mut r.profile)
     }
 
     pub fn len(&self) -> usize {
@@ -166,24 +138,12 @@ impl WorkerManager {
         self.profiles.values().map(|r| &r.profile)
     }
 
-    /// The affinity synthesis weights (geo, language, skill).
-    pub fn weights(&self) -> (f64, f64, f64) {
-        self.weights
-    }
-
-    /// Replace the affinity synthesis weights. Every pair value depends on
-    /// them, so the pair memo — keyed on the weights — stops answering at
-    /// once and is emptied by the next fill.
-    pub fn set_weights(&mut self, w_geo: f64, w_lang: f64, w_skill: f64) {
-        self.weights = (w_geo, w_lang, w_skill);
-    }
-
     /// Pairwise affinity, computed from the two profiles. Unknown workers
     /// and self-pairs are 0, matching the dense matrix's convention.
     pub fn pair_affinity(&self, a: WorkerId, b: WorkerId) -> f64 {
         match (self.profiles.get(&a), self.profiles.get(&b)) {
             (Some(ra), Some(rb)) => {
-                let (wg, wl, ws) = self.weights;
+                let (wg, wl, ws) = WEIGHTS;
                 pair_affinity_of(&ra.profile, &rb.profile, wg, wl, ws)
             }
             _ => 0.0,
@@ -216,8 +176,12 @@ impl WorkerManager {
         let mut fresh = Vec::new();
         let (matrix, work) =
             self.memo_submatrix(&self.registered(ids), |key, value| fresh.push((key, value)));
-        let (weights, at) = (self.weights(), self.version);
-        self.memo.store(weights, at, fresh);
+        for (key, value) in fresh {
+            if self.memo.len() >= MEMO_PAIRS {
+                self.memo.clear();
+            }
+            self.memo.insert(key, (value, self.version));
+        }
         (matrix, work)
     }
 
@@ -242,8 +206,6 @@ impl WorkerManager {
         profiles: &[&WorkerProfile],
         mut fresh: impl FnMut((WorkerId, WorkerId), f64),
     ) -> (AffinityMatrix, PairWork) {
-        let weights = self.weights();
-        let memo = (self.memo.weights == weights).then_some(&self.memo.pairs);
         // Each position's change stamp, or `None` for a profile that is not
         // the registered one (an unregistered id, or a copy).
         let stamps: Vec<Option<u64>> = profiles
@@ -256,7 +218,7 @@ impl WorkerManager {
             })
             .collect();
         let mut reused = 0;
-        let (wg, wl, ws) = weights;
+        let (wg, wl, ws) = WEIGHTS;
         let matrix = affinity_from_profile_refs_with(
             profiles,
             wg,
@@ -264,7 +226,7 @@ impl WorkerManager {
             ws,
             |i, j| {
                 let (si, sj) = (stamps[i]?, stamps[j]?);
-                let &(value, at) = memo?.get(&(profiles[i].id, profiles[j].id))?;
+                let &(value, at) = self.memo.get(&(profiles[i].id, profiles[j].id))?;
                 let exact = at >= si && at >= sj;
                 reused += u64::from(exact);
                 exact.then_some(value)
@@ -279,40 +241,50 @@ impl WorkerManager {
         let computed = n * n.saturating_sub(1) / 2 - reused;
         (matrix, PairWork { computed, reused })
     }
+}
 
-    /// Record an observed team outcome (drives skill estimation).
-    pub fn record_outcome(&mut self, members: Vec<WorkerId>, quality: f64) {
-        self.history.push(TeamObservation::new(members, quality));
+/// The registry as the host source of a declarative project's CyLog runs:
+/// every row is built by [`facts_of`] from the profile registered now, so
+/// no project holds a copy. Change stamps give the delta a run is seeded
+/// with; the per-predicate loss stamps say when it cannot be.
+impl HostFacts for WorkerManager {
+    fn version(&self) -> u64 {
+        self.version
     }
 
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Re-estimate the named skill for every worker appearing in history
-    /// ("computed by the system based on previously performed tasks", §2.4).
-    /// Returns how many profiles were updated; each gets a new change
-    /// stamp.
-    pub fn refresh_skills(&mut self, skill_name: &str) -> usize {
-        if self.history.is_empty() {
-            return 0;
-        }
-        let est = estimate_skills(&self.history, &EstimatorConfig::default());
-        let next = self.version + 1;
-        let mut updated = 0;
-        for (w, s) in &est.skills {
-            if let Some(r) = self.profiles.get_mut(w) {
-                r.profile.factors.set_skill(skill_name.to_string(), *s);
-                r.changed = next;
-                updated += 1;
+    fn lookup(&self, pred: &str, cols: &[usize], key: &[Value], out: &mut Vec<Tuple>) {
+        let mut keep = |row: Tuple| {
+            if cols.iter().zip(key).all(|(&c, k)| &row[c] == k) {
+                out.push(row);
+            }
+        };
+        // Every worker-factor predicate is keyed by its worker id.
+        match cols.iter().position(|&c| c == 0).map(|at| &key[at]) {
+            Some(Value::Id(w)) => {
+                if let Some(r) = self.profiles.get(&WorkerId(*w)) {
+                    facts_of(&r.profile, pred, &mut keep);
+                }
+            }
+            Some(_) => {}
+            None => {
+                for r in self.profiles.values() {
+                    facts_of(&r.profile, pred, &mut keep);
+                }
             }
         }
-        if updated > 0 {
-            // Skills feed pair affinity; the new change stamps retire the
-            // updated workers' memoised pairs.
-            self.version = next;
+    }
+
+    fn lost_since(&self, pred: &str, since: u64) -> bool {
+        WORKER_PREDS
+            .iter()
+            .position(|&(name, _)| name == pred)
+            .is_some_and(|i| self.lost[i] > since)
+    }
+
+    fn changed_since(&self, pred: &str, since: u64, out: &mut Vec<Tuple>) {
+        for r in self.profiles.values().filter(|r| r.changed > since) {
+            facts_of(&r.profile, pred, |row| out.push(row));
         }
-        updated
     }
 }
 
@@ -352,7 +324,9 @@ mod tests {
         assert!(!m.is_empty());
         assert_eq!(m.get(WorkerId(1)).unwrap().name, "ann");
         assert!(m.get(WorkerId(9)).is_err());
-        m.get_mut(WorkerId(1)).unwrap().factors.logged_in = false;
+        let mut away = m.get(WorkerId(1)).unwrap().clone();
+        away.factors.logged_in = false;
+        m.register(away);
         assert!(!m.get(WorkerId(1)).unwrap().factors.logged_in);
         assert_eq!(m.ids(), vec![WorkerId(1), WorkerId(2), WorkerId(3)]);
         assert_eq!(m.iter_ids().collect::<Vec<_>>(), m.ids());
@@ -404,51 +378,13 @@ mod tests {
         let work = |computed, reused| PairWork { computed, reused };
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(6, 0));
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(0, 6));
-        // A re-registration, a mutable access and a skill refresh each
-        // retire exactly the changed worker's three pairs.
+        // A re-registration retires exactly the changed worker's three
+        // pairs.
         m.register(WorkerProfile::new(WorkerId(2), "bob").with_native_lang("fr"));
-        assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
-        m.get_mut(WorkerId(3)).unwrap();
-        assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
-        m.record_outcome(vec![WorkerId(1)], 0.9);
-        m.refresh_skills("x");
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
         // Descending pairs are computed in slice order and never kept.
         let reversed: Vec<WorkerId> = ids.iter().rev().copied().collect();
         assert_eq!(m.fill_candidate_affinity(&reversed).1, work(6, 0));
-        // New weights: nothing memoised answers, the next fill starts over.
-        m.set_weights(0.0, 1.0, 0.0);
-        assert_eq!(m.weights(), (0.0, 1.0, 0.0));
-        assert_eq!(m.fill_candidate_affinity(&ids).1, work(6, 0));
-        assert_eq!(m.fill_candidate_affinity(&ids).1, work(0, 6));
-    }
-
-    #[test]
-    fn skill_refresh_from_history() {
-        let mut m = manager();
-        // worker 1 consistently great, worker 3 consistently poor
-        for _ in 0..5 {
-            m.record_outcome(vec![WorkerId(1)], 0.95);
-            m.record_outcome(vec![WorkerId(3)], 0.15);
-        }
-        assert_eq!(m.history_len(), 10);
-        let n = m.refresh_skills("translation");
-        assert_eq!(n, 2);
-        let s1 = m.get(WorkerId(1)).unwrap().factors.skill("translation");
-        let s3 = m.get(WorkerId(3)).unwrap().factors.skill("translation");
-        assert!(s1 > 0.8, "skilled worker got {s1}");
-        assert!(s3 < 0.3, "unskilled worker got {s3}");
-        // worker 2 never observed: unchanged default
-        assert_eq!(
-            m.get(WorkerId(2)).unwrap().factors.skill("translation"),
-            0.0
-        );
-    }
-
-    #[test]
-    fn refresh_with_no_history_is_noop() {
-        let mut m = manager();
-        assert_eq!(m.refresh_skills("x"), 0);
     }
 
     #[test]
@@ -461,23 +397,58 @@ mod tests {
         // reads do not bump
         m.get(WorkerId(9)).unwrap();
         assert_eq!(m.version(), v1);
-        // mutable access bumps (conservatively)
-        m.get_mut(WorkerId(9)).unwrap().factors.logged_in = false;
+        // a re-registration does, unchanged profile or not
+        m.register(WorkerProfile::new(WorkerId(9), "new"));
         assert!(m.version() > v1);
-        let v2 = m.version();
-        // skill refresh bumps only when profiles changed
-        assert_eq!(m.refresh_skills("x"), 0);
-        assert_eq!(m.version(), v2);
-        m.record_outcome(vec![WorkerId(1)], 0.9);
-        assert!(m.refresh_skills("x") > 0);
-        assert!(m.version() > v2);
     }
 
+    /// The registry as a host source: rows by worker id or by scan, the
+    /// rows of the workers changed since a version, and a loss stamped per
+    /// predicate only by a registration that takes a row away.
     #[test]
-    fn outcomes_for_unknown_workers_ignored_in_refresh() {
+    fn host_rows_and_loss_stamps_follow_registrations() {
         let mut m = manager();
-        m.record_outcome(vec![WorkerId(77)], 0.9);
-        // estimate includes w77 but profile update skips it
-        assert_eq!(m.refresh_skills("x"), 0);
+        let rows = |m: &WorkerManager, pred: &str, cols: &[usize], key: &[Value]| {
+            let mut out = Vec::new();
+            m.lookup(pred, cols, key, &mut out);
+            out.iter().map(|t| t.values().to_vec()).collect::<Vec<_>>()
+        };
+        let en = Value::Str("en".into());
+        assert_eq!(
+            rows(&m, "worker_native", &[1], std::slice::from_ref(&en)),
+            vec![
+                vec![Value::Id(1), en.clone()],
+                vec![Value::Id(2), en.clone()]
+            ]
+        );
+        assert_eq!(
+            rows(&m, "worker_native", &[0], &[Value::Id(3)]),
+            vec![vec![Value::Id(3), Value::Str("fr".into())]]
+        );
+        assert!(rows(&m, "worker_native", &[0], &[Value::Id(9)]).is_empty());
+        assert!(rows(&m, "worker_native", &[0], &[Value::Int(1)]).is_empty());
+        assert!(rows(&m, "no_such_pred", &[], &[]).is_empty());
+
+        let v = m.version();
+        let lost = |m: &WorkerManager| -> Vec<bool> {
+            WORKER_PREDS
+                .iter()
+                .map(|(name, _)| m.lost_since(name, v))
+                .collect()
+        };
+        // A new worker and a gained skill lose nothing.
+        m.register(WorkerProfile::new(WorkerId(4), "dan").with_skill("t", 0.5));
+        let ann = m.get(WorkerId(1)).unwrap().clone();
+        m.register(ann.clone().with_skill("t", 0.5));
+        assert_eq!(lost(&m), vec![false; 5]);
+        let mut changed = Vec::new();
+        m.changed_since("worker", v, &mut changed);
+        assert_eq!(changed.len(), 2, "workers 4 and 1");
+        // A logout and a skill at another level each lose their row.
+        let mut away = ann.with_skill("t", 0.7);
+        away.factors.logged_in = false;
+        m.register(away);
+        assert_eq!(lost(&m), vec![false, true, false, false, true]);
+        assert!(!m.lost_since("worker_online", m.version()));
     }
 }

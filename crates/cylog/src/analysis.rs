@@ -35,6 +35,11 @@ pub struct PredInfo {
     pub derived: bool,
     /// Stratum index assigned by stratification.
     pub stratum: usize,
+    /// True when evaluation reads this predicate from the host's facts, not
+    /// from the engine's database. Compilation leaves it false; only
+    /// [`CylogEngine::bind_host`](crate::engine::CylogEngine::bind_host)
+    /// sets it.
+    pub host: bool,
 }
 
 impl PredInfo {
@@ -244,6 +249,7 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, CylogError> {
                         kind: PredKind::Closed,
                         derived: false,
                         stratum: 0,
+                        host: false,
                     },
                 )?;
             }
@@ -272,6 +278,7 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, CylogError> {
                         },
                         derived: false,
                         stratum: 0,
+                        host: false,
                     },
                 )?;
             }

@@ -9,7 +9,9 @@
 use crate::analysis::{compile, CompiledProgram, PredId, PredKind};
 use crate::ast::Program;
 use crate::error::CylogError;
-use crate::eval::{compute_demands, eval_program, eval_program_incremental, EvalMode, EvalStats};
+use crate::eval::{
+    compute_demands, eval_program, eval_program_incremental, EvalMode, EvalStats, Host, HostFacts,
+};
 use crate::parser::parse;
 use crowd4u_storage::prelude::*;
 use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
@@ -124,8 +126,13 @@ pub struct CylogEngine {
     /// the cross-batch delta seed for incremental runs.
     delta_log: BTreeMap<PredId, Vec<Tuple>>,
     /// When set, the next `run` recomputes derived relations from scratch
-    /// (startup, retraction, mode switch, or a failed pass).
+    /// (startup, retraction, mode switch, a failed pass, or a host-bound
+    /// predicate that lost a row).
     needs_full: bool,
+    /// The predicates read from the host ([`CylogEngine::bind_host`]).
+    host_preds: Vec<PredId>,
+    /// The host's [`HostFacts::version`] at the last successful fixpoint.
+    host_seen: Option<u64>,
     /// Per-predicate input-column indices (`0..n_inputs`), precomputed so
     /// `has_answer` does not rebuild the vector on every pending check.
     input_cols: Vec<Vec<usize>>,
@@ -186,6 +193,8 @@ impl CylogEngine {
             stats: EvalStats::default(),
             delta_log: BTreeMap::new(),
             needs_full: true,
+            host_preds: Vec::new(),
+            host_seen: None,
             input_cols,
             telemetry: EngineTelemetry::default(),
         };
@@ -234,6 +243,34 @@ impl CylogEngine {
         Ok(())
     }
 
+    /// Bind predicates to the host: from now on evaluation reads their rows
+    /// from the [`HostFacts`] source that each run is given
+    /// ([`run_with`](Self::run_with)), never from this engine's database,
+    /// and inserting into them is refused with [`CylogError::HostBound`].
+    /// Each must be a base `rel` predicate holding no fact, program facts
+    /// included; otherwise nothing is bound.
+    pub fn bind_host(&mut self, preds: &[&str]) -> Result<(), CylogError> {
+        let mut pids = Vec::with_capacity(preds.len());
+        for name in preds {
+            let pid = self.pred_id(name)?;
+            let info = &self.program.preds[pid];
+            if info.derived || info.is_open() || !self.db.relation(&info.name)?.is_empty() {
+                return Err(CylogError::Semantic(format!(
+                    "`{name}` cannot be bound to host facts: only a base `rel` holding no fact can"
+                )));
+            }
+            pids.push(pid);
+        }
+        for pid in pids {
+            if !self.program.preds[pid].host {
+                self.program.preds[pid].host = true;
+                self.host_preds.push(pid);
+            }
+        }
+        self.needs_full = true;
+        Ok(())
+    }
+
     fn pred_id(&self, name: &str) -> Result<PredId, CylogError> {
         self.program
             .pred(name)
@@ -249,6 +286,9 @@ impl CylogEngine {
             return Err(CylogError::Eval(format!(
                 "cannot insert into derived predicate `{pred}`"
             )));
+        }
+        if info.host {
+            return Err(CylogError::HostBound(pred.to_owned()));
         }
         if values.len() != info.arity() {
             return Err(CylogError::Eval(format!(
@@ -292,31 +332,83 @@ impl CylogEngine {
     /// error mid-pass) automatically fall back to a full recompute. In naive
     /// and semi-naive modes every call recomputes from scratch. All modes
     /// produce byte-identical state — see ARCHITECTURE.md, "Incremental
-    /// evaluation contract".
+    /// evaluation contract". An engine with host-bound predicates refuses
+    /// to run without their source: use [`run_with`](Self::run_with).
     pub fn run(&mut self) -> Result<EvalStats, CylogError> {
+        self.run_on(None)
+    }
+
+    /// [`run`](Self::run), reading the host-bound predicates
+    /// ([`bind_host`](Self::bind_host)) from `host` as it stands now. The
+    /// incremental mode pulls what changed since the last successful
+    /// fixpoint: nothing when the host's version has not moved, a full
+    /// recompute when a bound predicate lost a row since (or the version
+    /// went back), and otherwise the rows of
+    /// [`HostFacts::changed_since`] as part of the delta seed. An engine
+    /// that binds nothing ignores `host`.
+    pub fn run_with(&mut self, host: &dyn HostFacts) -> Result<EvalStats, CylogError> {
+        self.run_on(Some(host))
+    }
+
+    fn run_on(&mut self, host: Host<'_>) -> Result<EvalStats, CylogError> {
+        let host = match self.host_preds.first() {
+            None => None,
+            Some(&pid) => Some(
+                host.ok_or_else(|| CylogError::HostBound(self.program.preds[pid].name.clone()))?,
+            ),
+        };
         // Once per sync, not per event: every pass is timed.
         let started = self.telemetry.fixpoint.stamp();
+        let seen = host.map(|h| self.seed_host(h));
         let outcome = if self.mode == EvalMode::Incremental && !self.needs_full {
-            self.run_incremental()
+            self.run_incremental(host)
         } else {
-            self.run_full()
+            self.run_full(host)
         };
         self.telemetry.fixpoint.since(started);
         let stats = outcome?;
+        self.host_seen = seen;
         self.telemetry.observe(&stats);
         Ok(stats)
     }
 
+    /// Add to the delta log the rows the host changed since the last
+    /// successful fixpoint, or mark a full recompute where a delta cannot
+    /// describe the change. Returns the host version this run reads.
+    fn seed_host(&mut self, host: &dyn HostFacts) -> u64 {
+        let now = host.version();
+        let preds = &self.program.preds;
+        let grown_since = self.host_seen.filter(|&seen| {
+            seen <= now
+                && !self
+                    .host_preds
+                    .iter()
+                    .any(|&p| host.lost_since(&preds[p].name, seen))
+        });
+        match grown_since {
+            Some(seen) if self.mode == EvalMode::Incremental && !self.needs_full => {
+                if seen < now {
+                    for &p in &self.host_preds {
+                        let rows = self.delta_log.entry(p).or_default();
+                        host.changed_since(&preds[p].name, seen, rows);
+                    }
+                }
+            }
+            _ => self.needs_full = true,
+        }
+        now
+    }
+
     /// Clear derived relations, re-seed program facts and recompute the
     /// whole fixpoint — honours retractions of base facts.
-    fn run_full(&mut self) -> Result<EvalStats, CylogError> {
+    fn run_full(&mut self, host: Host<'_>) -> Result<EvalStats, CylogError> {
         for info in &self.program.preds {
             if info.derived {
                 self.db.relation_mut(&info.name)?.clear();
             }
         }
         self.reset_facts()?;
-        let mut stats = eval_program(&self.program, &mut self.db, self.mode)?;
+        let mut stats = eval_program(&self.program, &mut self.db, host, self.mode)?;
         stats.recomputes += 1;
         self.stats.absorb(stats);
         // Everything inserted up to here is part of the fixpoint just
@@ -326,7 +418,7 @@ impl CylogEngine {
 
         // Compact pending entries answered since the last run.
         self.compact_pending();
-        let demands = compute_demands(&self.program, &self.db, None)?;
+        let demands = compute_demands(&self.program, &self.db, host, None)?;
         self.push_new_demands(demands)?;
         Ok(stats)
     }
@@ -334,9 +426,9 @@ impl CylogEngine {
     /// Advance the persisted fixpoint by the facts logged since the last
     /// one. Any error marks the engine for a full recompute, since a failed
     /// pass may leave strata half-updated.
-    fn run_incremental(&mut self) -> Result<EvalStats, CylogError> {
+    fn run_incremental(&mut self, host: Host<'_>) -> Result<EvalStats, CylogError> {
         let seed = std::mem::take(&mut self.delta_log);
-        let result = self.run_incremental_inner(&seed);
+        let result = self.run_incremental_inner(host, &seed);
         if result.is_err() {
             self.needs_full = true;
         }
@@ -345,16 +437,17 @@ impl CylogEngine {
 
     fn run_incremental_inner(
         &mut self,
+        host: Host<'_>,
         seed: &BTreeMap<PredId, Vec<Tuple>>,
     ) -> Result<EvalStats, CylogError> {
-        let outcome = eval_program_incremental(&self.program, &mut self.db, seed)?;
+        let outcome = eval_program_incremental(&self.program, &mut self.db, host, seed)?;
         self.stats.absorb(outcome.stats);
         self.compact_pending();
         // A rebuilt stratum may have shrunk, so deltas alone cannot prove a
         // demand new — recompute the full demand set in that case (the
         // `asked` ledger still dedups).
         let changed = (!outcome.any_rebuild).then_some(&outcome.changed);
-        let demands = compute_demands(&self.program, &self.db, changed)?;
+        let demands = compute_demands(&self.program, &self.db, host, changed)?;
         self.push_new_demands(demands)?;
         Ok(outcome.stats)
     }

@@ -20,6 +20,10 @@ pub enum CylogError {
     Semantic(String),
     /// Runtime evaluation errors.
     Eval(String),
+    /// The predicate is bound to host facts
+    /// ([`CylogEngine::bind_host`](crate::engine::CylogEngine::bind_host)):
+    /// it takes no inserted fact, and a run needs the host's source.
+    HostBound(String),
     Storage(StorageError),
 }
 
@@ -30,6 +34,7 @@ impl fmt::Display for CylogError {
             CylogError::Parse { pos, message } => write!(f, "parse error at {pos}: {message}"),
             CylogError::Semantic(m) => write!(f, "semantic error: {m}"),
             CylogError::Eval(m) => write!(f, "evaluation error: {m}"),
+            CylogError::HostBound(p) => write!(f, "`{p}` is bound to host facts"),
             CylogError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -61,6 +66,7 @@ mod tests {
             },
             CylogError::Semantic("x".into()),
             CylogError::Eval("x".into()),
+            CylogError::HostBound("x".into()),
             CylogError::Storage(StorageError::NoSuchRelation("r".into())),
         ] {
             assert!(!e.to_string().is_empty());

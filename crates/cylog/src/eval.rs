@@ -12,7 +12,9 @@
 //!
 //! Every mode runs through one stratum fixpoint ([`eval_stratum`]), one
 //! body walk and one demand pass ([`compute_demands`]); a delta only
-//! restricts the rows one body atom reads.
+//! restricts the rows one body atom reads. A predicate bound to the host
+//! ([`HostFacts`]) is read from the source a run is given, at the body
+//! walk's two read sites, and never from the database.
 
 use crate::analysis::{CAtom, CExpr, CHeadTerm, CLit, CRule, CTerm, CompiledProgram, PredId};
 use crate::ast::{AggFunc, ArithOp, CmpOp};
@@ -72,6 +74,33 @@ impl EvalStats {
 
 /// Tuples per predicate: a seed, one round's delta, or what a pass derived.
 pub type Deltas = HashMap<PredId, Vec<Tuple>>;
+
+/// A read-only source of the rows of *host-bound* predicates: rows the
+/// engine's host keeps, like scallop's foreign predicates. The caller
+/// passes the source to each run. Evaluation reads a bound predicate from
+/// it at the two sites it reads the database (a body atom's lookup and a
+/// negated atom's membership test), so every rule body, aggregate and
+/// demand pass sees it, and none of its rows is copied into the database.
+///
+/// The engine remembers the [`version`](Self::version) of its last
+/// successful fixpoint. At the next run, a row lost since then forces a
+/// full recompute; otherwise the rows that changes since then carry are
+/// the delta seed.
+pub trait HostFacts {
+    /// The source's change counter: it moves whenever a row may change.
+    fn version(&self) -> u64;
+    /// Push to `out` every row of `pred` whose columns `cols` hold `key`.
+    fn lookup(&self, pred: &str, cols: &[usize], key: &[Value], out: &mut Vec<Tuple>);
+    /// Whether some row of `pred` was lost after version `since`.
+    fn lost_since(&self, pred: &str, since: u64) -> bool;
+    /// Push to `out` the current rows of `pred` that changes after version
+    /// `since` touched: every row new since then, and possibly old ones.
+    fn changed_since(&self, pred: &str, since: u64, out: &mut Vec<Tuple>);
+}
+
+/// The host source of one evaluation; `None` for an engine that binds no
+/// predicate.
+pub type Host<'a> = Option<&'a dyn HostFacts>;
 
 /// Evaluate a scalar expression under bindings. An unbound variable, a
 /// division by zero or arithmetic on non-numeric values is an error.
@@ -176,17 +205,9 @@ fn undo(bind: &mut [Option<Value>], vars: &[u32]) {
     }
 }
 
-/// Check whether the relation holds the (fully ground) atom.
-fn exists_match(
-    atom: &CAtom,
-    db: &Database,
-    program: &CompiledProgram,
-    bind: &[Option<Value>],
-) -> bool {
-    let name = &program.preds[atom.pred].name;
-    let Ok(rel) = db.relation(name) else {
-        return false;
-    };
+/// Check whether the predicate holds the (fully ground) atom.
+fn exists_match(atom: &CAtom, reads: Reads<'_>, bind: &[Option<Value>]) -> bool {
+    let info = &reads.program.preds[atom.pred];
     // All vars are bound (analysis guarantees ground negation): build the key.
     let key: Vec<Value> = atom
         .terms
@@ -196,11 +217,36 @@ fn exists_match(
             CTerm::Var(v) => bind[*v as usize].clone().expect("ground negation"),
         })
         .collect();
+    if info.host {
+        let cols: Vec<usize> = (0..key.len()).collect();
+        return !host_rows(reads.host, &info.name, &cols, &key).is_empty();
+    }
+    let Ok(rel) = reads.db.relation(&info.name) else {
+        return false;
+    };
     rel.contains(&Tuple::new(key))
+}
+
+/// The rows of a host-bound predicate whose columns `cols` hold `key`.
+fn host_rows(host: Host<'_>, pred: &str, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+    let mut rows = Vec::new();
+    if let Some(source) = host {
+        source.lookup(pred, cols, key, &mut rows);
+    }
+    rows
 }
 
 /// Callback invoked with each complete binding vector.
 type EmitFn<'a> = dyn FnMut(&[Option<Value>]) -> Result<(), CylogError> + 'a;
+
+/// Where a body's atoms are read from: the database, and the host source
+/// for the predicates bound to it.
+#[derive(Clone, Copy)]
+struct Reads<'a> {
+    program: &'a CompiledProgram,
+    db: &'a Database,
+    host: Host<'a>,
+}
 
 /// Evaluate a body (already safety-ordered) and call `emit` for every
 /// complete binding. `delta`, when set, restricts the positive atom at
@@ -217,8 +263,7 @@ type EmitFn<'a> = dyn FnMut(&[Option<Value>]) -> Result<(), CylogError> + 'a;
 /// delta at position 0, where the hoist is a no-op — walk in declared
 /// order.
 fn eval_body(
-    program: &CompiledProgram,
-    db: &Database,
+    reads: Reads<'_>,
     body: &[CLit],
     bind: &mut [Option<Value>],
     delta: Option<(usize, &[Tuple])>,
@@ -236,8 +281,7 @@ fn eval_body(
             })
     });
     BodyWalk {
-        program,
-        db,
+        reads,
         body,
         delta,
         hoist,
@@ -249,8 +293,7 @@ fn eval_body(
 
 /// What stays fixed while [`eval_body`] recurses over a body's literals.
 struct BodyWalk<'a, 'e> {
-    program: &'a CompiledProgram,
-    db: &'a Database,
+    reads: Reads<'a>,
     body: &'a [CLit],
     delta: Option<(usize, &'a [Tuple])>,
     /// The delta atom's position when it is walked first.
@@ -275,9 +318,14 @@ impl<'a> BodyWalk<'a, '_> {
         };
         match &body[i] {
             CLit::Pos(atom) => {
+                let hosted;
                 let (delta, looked_up) = match self.delta {
                     Some((at, rows)) if at == i => (rows, Vec::new()),
-                    _ => (&[][..], self.lookup(atom, bind)),
+                    _ => {
+                        let (owned, stored) = self.lookup(atom, bind);
+                        hosted = owned;
+                        (&hosted[..], stored)
+                    }
                 };
                 for row in delta.iter().chain(looked_up) {
                     self.stats.firings += 1;
@@ -288,7 +336,7 @@ impl<'a> BodyWalk<'a, '_> {
                 }
             }
             CLit::Neg(atom) => {
-                if !exists_match(atom, self.db, self.program, bind) {
+                if !exists_match(atom, self.reads, bind) {
                     self.walk(step + 1, bind)?;
                 }
             }
@@ -306,27 +354,41 @@ impl<'a> BodyWalk<'a, '_> {
         Ok(())
     }
 
-    /// The rows of the atom's relation that agree with its constants and
-    /// bound variables (through an index when one exists).
-    fn lookup(&self, atom: &CAtom, bind: &[Option<Value>]) -> Vec<&'a Tuple> {
-        let Ok(rel) = self.db.relation(&self.program.preds[atom.pred].name) else {
-            return Vec::new(); // no facts yet
-        };
-        let mut cols = Vec::new();
-        let mut key = Vec::new();
-        for (i, t) in atom.terms.iter().enumerate() {
-            let val = match t {
-                CTerm::Const(c) => c,
-                CTerm::Var(v) => match &bind[*v as usize] {
-                    Some(val) => val,
-                    None => continue,
-                },
-            };
-            cols.push(i);
-            key.push(val.clone());
+    /// The rows of the atom's predicate that agree with its constants and
+    /// bound variables: built by the host for a host-bound predicate,
+    /// borrowed from the database (through an index when one exists)
+    /// otherwise.
+    fn lookup(&self, atom: &CAtom, bind: &[Option<Value>]) -> (Vec<Tuple>, Vec<&'a Tuple>) {
+        let Reads { program, db, host } = self.reads;
+        let info = &program.preds[atom.pred];
+        let (cols, key) = bound_columns(atom, bind);
+        if info.host {
+            return (host_rows(host, &info.name, &cols, &key), Vec::new());
         }
-        rel.lookup(&cols, &key)
+        let Ok(rel) = db.relation(&info.name) else {
+            return (Vec::new(), Vec::new()); // no facts yet
+        };
+        (Vec::new(), rel.lookup(&cols, &key))
     }
+}
+
+/// The columns of an atom that its constants and bound variables fix, and
+/// their values.
+fn bound_columns(atom: &CAtom, bind: &[Option<Value>]) -> (Vec<usize>, Vec<Value>) {
+    let mut cols = Vec::new();
+    let mut key = Vec::new();
+    for (i, t) in atom.terms.iter().enumerate() {
+        let val = match t {
+            CTerm::Const(c) => c,
+            CTerm::Var(v) => match &bind[*v as usize] {
+                Some(val) => val,
+                None => continue,
+            },
+        };
+        cols.push(i);
+        key.push(val.clone());
+    }
+    (cols, key)
 }
 
 /// The positive atoms of `body` whose predicate has tuples in `deltas`, as
@@ -361,6 +423,7 @@ fn head_tuple(rule: &CRule, bind: &[Option<Value>]) -> Vec<Value> {
 fn fire(
     program: &CompiledProgram,
     db: &mut Database,
+    host: Host<'_>,
     rule: &CRule,
     delta: Option<(usize, &[Tuple])>,
     stats: &mut EvalStats,
@@ -368,7 +431,8 @@ fn fire(
 ) -> Result<(), CylogError> {
     let mut rows = Vec::new();
     let mut bind: Vec<Option<Value>> = vec![None; rule.num_vars];
-    eval_body(program, db, &rule.body, &mut bind, delta, stats, &mut |b| {
+    let reads = Reads { program, db, host };
+    eval_body(reads, &rule.body, &mut bind, delta, stats, &mut |b| {
         rows.push(head_tuple(rule, b));
         Ok(())
     })?;
@@ -384,6 +448,7 @@ fn fire(
 fn eval_agg_rule(
     program: &CompiledProgram,
     db: &Database,
+    host: Host<'_>,
     rule: &CRule,
     stats: &mut EvalStats,
 ) -> Result<Vec<Vec<Value>>, CylogError> {
@@ -399,7 +464,8 @@ fn eval_agg_rule(
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut bind: Vec<Option<Value>> = vec![None; rule.num_vars];
     let head = &rule.head;
-    eval_body(program, db, &rule.body, &mut bind, None, stats, &mut |b| {
+    let reads = Reads { program, db, host };
+    eval_body(reads, &rule.body, &mut bind, None, stats, &mut |b| {
         let key: Vec<Value> = head
             .iter()
             .filter_map(|t| match t {
@@ -513,6 +579,7 @@ fn eval_agg_rule(
 pub fn eval_stratum(
     program: &CompiledProgram,
     db: &mut Database,
+    host: Host<'_>,
     rules: &[usize],
     mode: EvalMode,
     seed: Option<&Deltas>,
@@ -523,7 +590,7 @@ pub fn eval_stratum(
     let regular = || all().filter(|r| !r.is_agg);
     if seed.is_none() {
         for rule in all().filter(|r| r.is_agg) {
-            let rows = eval_agg_rule(program, db, rule, &mut stats)?;
+            let rows = eval_agg_rule(program, db, host, rule, &mut stats)?;
             insert_all(program, db, rule.head_pred, rows, &mut stats)?;
         }
     }
@@ -535,10 +602,10 @@ pub fn eval_stratum(
     stats.rounds += 1;
     for rule in regular() {
         match seed {
-            None => fire(program, db, rule, None, &mut stats, &mut delta)?,
+            None => fire(program, db, host, rule, None, &mut stats, &mut delta)?,
             Some(seed) => {
                 for d in delta_positions(&rule.body, seed) {
-                    fire(program, db, rule, Some(d), &mut stats, &mut delta)?;
+                    fire(program, db, host, rule, Some(d), &mut stats, &mut delta)?;
                 }
             }
         }
@@ -554,11 +621,11 @@ pub fn eval_stratum(
                     .iter()
                     .any(|l| matches!(l, CLit::Pos(a) if regular().any(|r| r.head_pred == a.pred)));
                 if reads_head {
-                    fire(program, db, rule, None, &mut stats, &mut next)?;
+                    fire(program, db, host, rule, None, &mut stats, &mut next)?;
                 }
             } else {
                 for d in delta_positions(&rule.body, &delta) {
-                    fire(program, db, rule, Some(d), &mut stats, &mut next)?;
+                    fire(program, db, host, rule, Some(d), &mut stats, &mut next)?;
                 }
             }
         }
@@ -600,11 +667,12 @@ fn insert_all(
 pub fn eval_program(
     program: &CompiledProgram,
     db: &mut Database,
+    host: Host<'_>,
     mode: EvalMode,
 ) -> Result<EvalStats, CylogError> {
     let mut stats = EvalStats::default();
     for stratum in &program.strata {
-        stats.absorb(eval_stratum(program, db, stratum, mode, None)?.0);
+        stats.absorb(eval_stratum(program, db, host, stratum, mode, None)?.0);
     }
     Ok(stats)
 }
@@ -634,6 +702,7 @@ pub struct IncrementalOutcome {
 pub fn eval_program_incremental(
     program: &CompiledProgram,
     db: &mut Database,
+    host: Host<'_>,
     seed: &BTreeMap<PredId, Vec<Tuple>>,
 ) -> Result<IncrementalOutcome, CylogError> {
     let mut out = IncrementalOutcome::default();
@@ -670,7 +739,7 @@ pub fn eval_program_incremental(
                         .insert_distinct(Tuple::new(vals.clone()))?;
                 }
             }
-            let (s, _) = eval_stratum(program, db, rule_idx, EvalMode::SemiNaive, None)?;
+            let (s, _) = eval_stratum(program, db, host, rule_idx, EvalMode::SemiNaive, None)?;
             out.stats.absorb(s);
             out.stats.strata_recomputed += 1;
             out.any_rebuild = true;
@@ -682,6 +751,7 @@ pub fn eval_program_incremental(
             let (s, fresh) = eval_stratum(
                 program,
                 db,
+                host,
                 rule_idx,
                 EvalMode::Incremental,
                 Some(&out.changed),
@@ -708,11 +778,13 @@ pub fn eval_program_incremental(
 pub fn compute_demands(
     program: &CompiledProgram,
     db: &Database,
+    host: Host<'_>,
     changed: Option<&Deltas>,
 ) -> Result<Vec<(PredId, Vec<Value>)>, CylogError> {
     let mut out: Vec<(PredId, Vec<Value>)> = Vec::new();
     let mut seen: HashSet<(PredId, Vec<Value>)> = HashSet::new();
     let mut stats = EvalStats::default();
+    let reads = Reads { program, db, host };
     for demand in program.rules.iter().flat_map(|r| &r.demands) {
         let mut bind: Vec<Option<Value>> = vec![None; demand.num_vars];
         let mut emit = |b: &[Option<Value>]| -> Result<(), CylogError> {
@@ -731,10 +803,10 @@ pub fn compute_demands(
         };
         let body = &demand.sub_body;
         match changed {
-            None => eval_body(program, db, body, &mut bind, None, &mut stats, &mut emit)?,
+            None => eval_body(reads, body, &mut bind, None, &mut stats, &mut emit)?,
             Some(changed) => {
                 for d in delta_positions(body, changed) {
-                    eval_body(program, db, body, &mut bind, Some(d), &mut stats, &mut emit)?;
+                    eval_body(reads, body, &mut bind, Some(d), &mut stats, &mut emit)?;
                 }
             }
         }
@@ -785,7 +857,7 @@ mod tests {
              path(X, Y) :- edge(X, Y).\n\
              path(X, Z) :- edge(X, Y), path(Y, Z).\n",
         );
-        let stats = eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        let stats = eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "path").len(), 6); // 1-2,1-3,1-4,2-3,2-4,3-4
         assert_eq!(stats.derived, 6);
         assert!(stats.rounds >= 3);
@@ -799,8 +871,8 @@ mod tests {
              path(X, Z) :- edge(X, Y), path(Y, Z).\n";
         let (p1, mut db1) = setup(src);
         let (p2, mut db2) = setup(src);
-        let s1 = eval_program(&p1, &mut db1, EvalMode::Naive).unwrap();
-        let s2 = eval_program(&p2, &mut db2, EvalMode::SemiNaive).unwrap();
+        let s1 = eval_program(&p1, &mut db1, None, EvalMode::Naive).unwrap();
+        let s2 = eval_program(&p2, &mut db2, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db1, "path"), rows(&db2, "path"));
         assert_eq!(s1.derived, s2.derived);
         // Semi-naive explores fewer join candidates on recursive programs.
@@ -821,7 +893,7 @@ mod tests {
              reachable(X) :- edge(X, _).\n\
              isolated(X) :- node(X), not reachable(X).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "isolated"), vec![tuple![3i64]]);
     }
 
@@ -832,7 +904,7 @@ mod tests {
              score(#1, 0.5). score(#2, 0.9).\n\
              grade(W, G) :- score(W, S), S >= 0.6, G := S * 100.0.\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         let g = rows(&db, "grade");
         assert_eq!(g.len(), 1);
         assert_eq!(g[0], tuple![2u64, 90.0f64]);
@@ -845,7 +917,7 @@ mod tests {
              name(\"ann\").\n\
              greet(G) :- name(N), G := \"hi \" + N.\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "greet"), vec![tuple!["hi ann"]]);
     }
 
@@ -857,7 +929,7 @@ mod tests {
              w(\"a\", 0.5). w(\"a\", 0.7). w(\"b\", 1.0).\n\
              summary(T, count<S>, avg<S>, max<S>) :- w(T, S).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         let s = rows(&db, "summary");
         assert_eq!(s.len(), 2);
         assert_eq!(s[0][0], Value::Str("a".into()));
@@ -877,7 +949,7 @@ mod tests {
              n(T, count<S>) :- w(T, S).\n\
              big(T) :- n(T, C), C >= 2.\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "big"), vec![tuple!["a"]]);
     }
 
@@ -888,7 +960,7 @@ mod tests {
              a(1). a(0).\n\
              r(Z) :- a(X), Z := 10 / X.\n",
         );
-        let err = eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap_err();
+        let err = eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap_err();
         assert!(err.to_string().contains("division by zero"));
     }
 
@@ -901,19 +973,19 @@ mod tests {
              sentence(\"hello\"). sentence(\"bye\").\n\
              out(S, T) :- sentence(S), translate(S, T).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
-        let demands = compute_demands(&p, &db, None).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
+        let demands = compute_demands(&p, &db, None, None).unwrap();
         assert_eq!(demands.len(), 2);
         // Supply one answer: out derives for it; demand remains for the other.
         db.relation_mut("translate")
             .unwrap()
             .insert_distinct(tuple!["hello", "bonjour"])
             .unwrap();
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "out"), vec![tuple!["hello", "bonjour"]]);
         // Demands are still both "wanted" by the rule; the engine layer
         // dedups against already-asked questions.
-        let demands = compute_demands(&p, &db, None).unwrap();
+        let demands = compute_demands(&p, &db, None, None).unwrap();
         assert_eq!(demands.len(), 2);
     }
 
@@ -924,7 +996,7 @@ mod tests {
              e(1, 1). e(1, 2). e(3, 3).\n\
              selfloop(X) :- e(X, X).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "selfloop"), vec![tuple![1i64], tuple![3i64]]);
     }
 
@@ -935,7 +1007,7 @@ mod tests {
              e(1, \"x\"). e(2, \"y\").\n\
              hit(A) :- e(A, \"x\").\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "hit"), vec![tuple![1i64]]);
     }
 
@@ -946,7 +1018,7 @@ mod tests {
              v(null). v(5).\n\
              r(X) :- v(X), X > 0.\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "r"), vec![tuple![5i64]]);
     }
 
@@ -957,7 +1029,7 @@ mod tests {
              go().\n\
              done() :- go().\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(db.relation("done").unwrap().len(), 1);
     }
 
@@ -1004,7 +1076,7 @@ mod tests {
              path(X, Y) :- edge(X, Y).\n\
              path(X, Z) :- edge(X, Y), path(Y, Z).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "path").len(), 3);
         // New base fact arrives: edge(3, 4).
         let new = tuple![3i64, 4i64];
@@ -1015,7 +1087,7 @@ mod tests {
         let edge = p.pred("edge").unwrap();
         let mut seed = BTreeMap::new();
         seed.insert(edge, vec![new]);
-        let outcome = eval_program_incremental(&p, &mut db, &seed).unwrap();
+        let outcome = eval_program_incremental(&p, &mut db, None, &seed).unwrap();
         assert!(!outcome.any_rebuild);
         assert_eq!(outcome.stats.delta_seeded, 1);
         // 1-4, 2-4, 3-4 are new.
@@ -1039,9 +1111,9 @@ mod tests {
              path(X, Y) :- edge(X, Y).\n\
              path(X, Z) :- edge(X, Y), path(Y, Z).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         let before = rows(&db, "path");
-        let outcome = eval_program_incremental(&p, &mut db, &BTreeMap::new()).unwrap();
+        let outcome = eval_program_incremental(&p, &mut db, None, &BTreeMap::new()).unwrap();
         assert_eq!(outcome.stats.strata_skipped as usize, p.strata.len());
         assert_eq!(outcome.stats.derived, 0);
         assert_eq!(rows(&db, "path"), before);
@@ -1060,7 +1132,7 @@ mod tests {
              reachable(X) :- edge(X, _).\n\
              isolated(X) :- node(X), not reachable(X).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "isolated"), vec![tuple![3i64]]);
         // edge(2, 3) makes node 3 reachable: isolated must shrink to empty.
         let new = tuple![2i64, 3i64];
@@ -1070,7 +1142,7 @@ mod tests {
             .unwrap();
         let mut seed = BTreeMap::new();
         seed.insert(p.pred("edge").unwrap(), vec![new]);
-        let outcome = eval_program_incremental(&p, &mut db, &seed).unwrap();
+        let outcome = eval_program_incremental(&p, &mut db, None, &seed).unwrap();
         assert!(outcome.any_rebuild);
         assert!(outcome.stats.strata_recomputed >= 1);
         assert!(rows(&db, "isolated").is_empty());
@@ -1086,7 +1158,7 @@ mod tests {
              w(\"a\", 0.5).\n\
              n(T, count<S>) :- w(T, S).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         assert_eq!(rows(&db, "n"), vec![tuple!["a", 1i64]]);
         let new = tuple!["a", 0.7f64];
         db.relation_mut("w")
@@ -1095,7 +1167,7 @@ mod tests {
             .unwrap();
         let mut seed = BTreeMap::new();
         seed.insert(p.pred("w").unwrap(), vec![new]);
-        let outcome = eval_program_incremental(&p, &mut db, &seed).unwrap();
+        let outcome = eval_program_incremental(&p, &mut db, None, &seed).unwrap();
         assert!(outcome.any_rebuild);
         assert_eq!(rows(&db, "n"), vec![tuple!["a", 2i64]]);
     }
@@ -1111,7 +1183,7 @@ mod tests {
              sentence(\"hello\").\n\
              out(S, T) :- sentence(S), translate(S, T).\n",
         );
-        eval_program(&p, &mut db, EvalMode::SemiNaive).unwrap();
+        eval_program(&p, &mut db, None, EvalMode::SemiNaive).unwrap();
         let new = tuple!["bye"];
         db.relation_mut("sentence")
             .unwrap()
@@ -1120,14 +1192,14 @@ mod tests {
         let sentence = p.pred("sentence").unwrap();
         let mut seed = BTreeMap::new();
         seed.insert(sentence, vec![new]);
-        let outcome = eval_program_incremental(&p, &mut db, &seed).unwrap();
-        let delta = compute_demands(&p, &db, Some(&outcome.changed)).unwrap();
+        let outcome = eval_program_incremental(&p, &mut db, None, &seed).unwrap();
+        let delta = compute_demands(&p, &db, None, Some(&outcome.changed)).unwrap();
         assert_eq!(
             delta,
             vec![(p.pred("translate").unwrap(), vec!["bye".into()])]
         );
         // The full set contains the delta set plus the already-known demand.
-        let full = compute_demands(&p, &db, None).unwrap();
+        let full = compute_demands(&p, &db, None, None).unwrap();
         assert_eq!(full.len(), 2);
         for d in &delta {
             assert!(full.contains(d));

@@ -6,8 +6,8 @@
 //! worker already suggested onto two teams elsewhere looks exactly as
 //! available as an idle one. This module closes that gap *in front of*
 //! the event stream. It snapshots the authoritative cross-application
-//! state — worker profiles and affinity history from the coordinator
-//! (which owns the worker registry), active team memberships summed
+//! state — worker profiles and the pair affinity they give, from the
+//! coordinator (which owns the worker registry), active team memberships summed
 //! across every owner shard — and proposes a team through
 //! [`crowd4u_assign::load::form_least_loaded`], which prefers the
 //! feasible team whose busiest member is least busy.
@@ -36,8 +36,8 @@ pub struct MarketSnapshot {
     /// Optimiser candidates for every registered worker, built from the
     /// coordinator's authoritative profiles (skill dimension optional).
     pub candidates: Vec<Candidate>,
-    /// Pairwise affinity over those candidates, from the shared
-    /// collaboration history.
+    /// Pairwise affinity over those candidates, from their registered
+    /// profiles.
     pub affinity: AffinityMatrix,
     /// Active suggested/in-progress team memberships per worker, summed
     /// across all applications. Absent workers are idle.

@@ -304,10 +304,10 @@ pub fn merge_traces(traces: &[ScenarioTrace]) -> MergedStream {
 ///
 /// Sharing is sound because applying a trace's project-scoped events never
 /// reads another project's state, and the one cross-project surface the
-/// traces do share — the team-observation history feeding the skill
-/// estimator — is append-only during a run (profiles change only through
-/// an explicit `refresh_skills`, which no stream op performs). Deadlines
-/// stay isolated via the per-trace clock domains tagged by the merge.
+/// traces do share — the worker registry — changes only by registration,
+/// and a shared population registers each worker with one profile.
+/// Deadlines stay isolated via the per-trace clock domains tagged by the
+/// merge.
 pub fn merge_traces_with(
     traces: &[ScenarioTrace],
     mode: CrowdMode,

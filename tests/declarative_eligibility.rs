@@ -6,8 +6,10 @@
 use crowd4u::collab::Scheme;
 use crowd4u::core::prelude::*;
 use crowd4u::crowd::profile::{WorkerId, WorkerProfile};
+use crowd4u::cylog::error::CylogError;
 use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::forms::form::FormResponse;
+use crowd4u::storage::prelude::Value;
 
 /// The paper's own example: "only workers who log in to Crowd4U and speak
 /// English as a native language are eligible", written in CyLog.
@@ -79,10 +81,51 @@ fn factor_changes_update_declarative_eligibility() {
     let t1 = p.create_collab_task(proj, "first").unwrap();
     assert_eq!(p.relations.eligible_workers(t1), vec![WorkerId(1)]);
 
-    // The worker logs out; the next task sees no eligible workers.
-    p.workers.get_mut(WorkerId(1)).unwrap().factors.logged_in = false;
+    // The worker logs out — a re-registration, the one way a profile
+    // changes; the next task sees no eligible workers.
+    let mut away = p.workers.get(WorkerId(1)).unwrap().clone();
+    away.factors.logged_in = false;
+    p.register_worker(away);
     let t2 = p.create_collab_task(proj, "second").unwrap();
     assert!(p.relations.eligible_workers(t2).is_empty());
+}
+
+/// The worker-factor predicates are read from the registry, so a seeded
+/// fact cannot bring in a worker nobody registered: the seed is refused
+/// with a typed error on both entry points, nothing is journaled, and the
+/// id never becomes eligible.
+#[test]
+fn a_phantom_worker_cannot_be_seeded() {
+    let mut p = Crowd4U::new();
+    p.register_worker(WorkerProfile::new(WorkerId(1), "ann").with_native_lang("en"));
+    let proj = p
+        .register_project(
+            "declarative",
+            DECLARATIVE,
+            DesiredFactors::default(),
+            Scheme::Sequential,
+        )
+        .unwrap();
+    let journaled = p.journal().len();
+    let got = p.seed_fact(proj, "worker_online", vec![Value::Id(99)]);
+    assert!(
+        matches!(&got, Err(PlatformError::Cylog(CylogError::HostBound(pred))) if pred == "worker_online"),
+        "{got:?}"
+    );
+    // The event path (replay, batches, the runtime's shards) refuses it too.
+    let got = p.apply_event(PlatformEvent::FactSeeded {
+        project: proj,
+        pred: "worker_native".into(),
+        values: vec![Value::Id(99), "en".into()],
+    });
+    assert!(
+        matches!(&got, Err(PlatformError::Cylog(CylogError::HostBound(_)))),
+        "{got:?}"
+    );
+    assert_eq!(p.journal().len(), journaled, "nothing journaled");
+    assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
+    let task = p.create_collab_task(proj, "work").unwrap();
+    assert_eq!(p.relations.eligible_workers(task), vec![WorkerId(1)]);
 }
 
 #[test]

@@ -1,16 +1,19 @@
-//! Retraction coverage through the platform: a worker re-registering with
-//! changed human factors makes `sync_worker_facts` retract that worker's
-//! factor rows inside the project's CyLog engine, which must (a) make the
-//! derived `eligible` facts disappear, (b) force the default incremental
-//! engine into its full-recompute fallback (visible in `EvalStats`), and
-//! (c) stay byte-identical across serial execution, the `ShardedRuntime`
-//! at 1/2/4 shards (plus `RUNTIME_SHARDS`), and journal replay.
+//! Retraction coverage through the platform. A declarative project's
+//! engine reads the worker-factor predicates from the worker registry, so
+//! a worker re-registering with changed human factors changes what it
+//! reads. A registration that takes a row away (w1 logs out) must (a) make
+//! the derived `eligible` fact disappear and (b) force the default
+//! incremental engine into its full-recompute fallback (visible in
+//! `EvalStats`); one that only adds rows (w3 logs in) is a seeded run with
+//! no recompute. Both must (c) stay byte-identical across serial
+//! execution, the `ShardedRuntime` at 1/2/4 shards (plus
+//! `RUNTIME_SHARDS`), and journal replay.
 //!
 //! This is the platform-level companion to the engine-level fallback tests
 //! in `crowd4u-cylog` and the differential property in
-//! `tests/cylog_incremental.rs`: retraction never reaches the engine as an
-//! explicit event — it only happens inside worker re-sync — so this is the
-//! path production traffic takes.
+//! `tests/cylog_incremental.rs`: a worker fact shrinks only through a
+//! re-registration, never through an explicit retraction event, so this
+//! is the path production traffic takes.
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::declarative::eligible_workers;
@@ -113,9 +116,10 @@ fn churn_events() -> Vec<PlatformEvent> {
     ]
 }
 
-/// Direct assertion of the fallback: re-registering a worker with changed
-/// factors retracts their rows, the derived `eligible` fact disappears,
-/// and `EvalStats` reports a full recompute.
+/// Direct assertion of the fallback: re-registering a worker logged out
+/// takes their `worker_online` row away, the derived `eligible` fact
+/// disappears, and `EvalStats` reports a full recompute; logging a worker
+/// in takes nothing away and recomputes nothing.
 #[test]
 fn factor_change_retracts_derived_eligibility_and_recomputes() {
     let mut platform = Crowd4U::new();
@@ -134,8 +138,8 @@ fn factor_change_retracts_derived_eligibility_and_recomputes() {
     );
     let recomputes_before = engine.cumulative_stats().recomputes;
 
-    // w1 logs out: the re-registration re-syncs worker facts, retracting
-    // `worker_online(1)` — the incremental engine must fall back.
+    // w1 logs out: the re-registration takes `worker_online(1)` away — the
+    // incremental engine must fall back.
     platform.apply_batch(vec![registered(1, false)]).unwrap();
     let engine = &platform.project(pid).unwrap().engine;
     let after = eligible_workers(engine).unwrap();
@@ -151,12 +155,19 @@ fn factor_change_retracts_derived_eligibility_and_recomputes() {
         engine.cumulative_stats().recomputes
     );
 
-    // w3 logs in: another retract-and-readd sync; eligibility grows back.
+    // w3 logs in: a row is added and none taken, so eligibility grows
+    // back on the delta-seeded path.
+    let recomputes_after_logout = engine.cumulative_stats().recomputes;
     platform.apply_batch(vec![registered(3, true)]).unwrap();
     let engine = &platform.project(pid).unwrap().engine;
     let grown = eligible_workers(engine).unwrap();
     assert!(grown.contains(&WorkerId(3)), "w3 now eligible: {grown:?}");
     assert!(!grown.contains(&WorkerId(1)), "w1 still out: {grown:?}");
+    assert_eq!(
+        engine.cumulative_stats().recomputes,
+        recomputes_after_logout,
+        "a login takes no row away and must not recompute"
+    );
 }
 
 /// The equivalence assertion: the same retraction-bearing stream must

@@ -18,13 +18,14 @@
 //! the engine run *outside* a sync (a declarative project runs its engine
 //! inside `eligible_set`, e.g. on `create_collab_task` or a worker
 //! registration) with answers landing before the sync that follows;
-//! demands re-derived wholesale (every worker re-registration retracts
-//! facts and forces a full recompute, so every demand is computed again);
-//! syncs that fail — the program divides by `online workers − 3`, so a
-//! third online worker poisons the fixpoint, either at the top of the sync
-//! or after the hand-off was already taken — and are retried once a
+//! every run reading the worker registry as it stands (a login seeds the
+//! run with the worker's rows; a logout takes a row away and forces a
+//! full recompute, so every demand is computed again); syncs that fail —
+//! the program divides by `online workers − 3`, so a third online worker
+//! poisons the fixpoint at the top of the sync — and are retried once a
 //! registration moves the count; and migration with demands enqueued but
-//! not yet handed off.
+//! not yet handed off, the migrated engine catching up with registrations
+//! its new instance installed.
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::error::{ProjectId, WorkerId};
@@ -287,25 +288,28 @@ proptest! {
     }
 }
 
-/// The poisoned-fixpoint path, pinned: a sync that fails after the
-/// hand-off was taken leaves the tasks registered, and the retry neither
-/// loses nor repeats them.
+/// The poisoned-fixpoint path, pinned: a sync whose fixpoint fails hands
+/// nothing off and stays dirty, and the retry registers each task once.
+/// Both runs of a sync (its own and the eligibility run for its new tasks)
+/// read the registry as it stands, so the failure comes at the top of the
+/// sync, never after the hand-off.
 #[test]
-fn failed_sync_after_the_hand_off_is_retried_without_re_registering() {
+fn failed_sync_is_retried_without_re_registering() {
     let mut p = fresh_platform();
-    // No open tasks yet, so this login does not reach the project engine:
-    // the third online worker is discovered only inside the sync.
+    // No open tasks yet, so this login does not run the project engine:
+    // the third online worker is first read by the sync's fixpoint.
     p.register_worker(profile(3, true));
     p.seed_fact(P, "item", vec![Value::Id(1)]).unwrap();
     p.seed_fact(P, "item", vec![Value::Id(2)]).unwrap();
     let err = p.sync_tasks(P).unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
-    assert_eq!(p.pool.len(), 2, "the hand-off was taken before the failure");
+    assert_eq!(p.pool.len(), 0, "the failed fixpoint handed nothing off");
     assert_eq!(p.dirty_projects(), vec![P], "a failed sync stays dirty");
 
-    // A fourth login moves the count off the pole; the retry succeeds and
-    // finds nothing new to register.
+    // A fourth login moves the count off the pole; the retry registers
+    // both tasks, and the sync after it finds nothing new.
     p.register_worker(profile(4, true));
+    assert_eq!(p.sync_tasks(P).unwrap(), 2);
     assert_eq!(p.sync_tasks(P).unwrap(), 0);
     assert_eq!(p.pool.len(), 2);
     check_synced(&p).unwrap();

@@ -37,7 +37,10 @@
 #                                  runtime's mid-batch / blocked-submit /
 #                                  dead-shard / finish-surfaces / admission-
 #                                  ladder unit tests assert on blocking with
-#                                  timeouts or on a reply closing; a race that
+#                                  timeouts or on a reply closing, and the
+#                                  gate's broadcast and worker-registration
+#                                  admission tests on what a push under all
+#                                  locks leaves in each mailbox; a race that
 #                                  shows one run in ten must not pass by luck
 #   9. cargo doc --no-deps      — docs build with zero warnings
 #
@@ -219,13 +222,17 @@ step env PROPTEST_SEED=1707 \
 # return that releases it, a shard stalled, killed or panicking inside a
 # batch, a flush or finish reply closing when the job carrying it is
 # dropped or abandoned, a blocked admission of each scope completing once
-# its mailbox state clears — twenty times over: one green run says little
-# about a race.
+# its mailbox state clears — and the broadcast admissions whose push under
+# every lock hands each shard its message (all or nothing, a registration's
+# install on every shard, backpressure reported by the full replica) —
+# twenty times over: one green run says little about a race.
 echo
-echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit + dead_shard + finish_surfaces + admission_ladder"
+echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit + dead_shard + finish_surfaces + admission_ladder + broadcast_admission + worker_events + worker_backpressure"
 for _ in $(seq 20); do
     cargo test -q -p crowd4u --test gate_backpressure --test mailbox_batches
-    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit dead_shard finish_surfaces admission_ladder
+    cargo test -q -p crowd4u-runtime --lib -- mid_batch blocking_submit dead_shard finish_surfaces admission_ladder \
+        broadcast_admission_is_all_or_nothing worker_events_reach_every_shard \
+        worker_backpressure_reports_the_full_replica
 done
 # Docs must be warning-free, not just successful.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

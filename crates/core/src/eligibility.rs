@@ -22,48 +22,24 @@ pub fn individual_skill_floor(factors: &DesiredFactors) -> f64 {
     factors.min_quality / 2.0
 }
 
-/// Why a worker is not eligible (shown on admin diagnostics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ineligibility {
-    NotLoggedIn,
-    LacksLanguage(String),
-    LacksSkill(String),
-}
-
-impl std::fmt::Display for Ineligibility {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Ineligibility::NotLoggedIn => f.write_str("not logged in"),
-            Ineligibility::LacksLanguage(l) => write!(f, "does not speak {l}"),
-            Ineligibility::LacksSkill(s) => write!(f, "insufficient {s} skill"),
-        }
-    }
-}
-
-/// Full eligibility check with the failure reason.
-pub fn check_eligibility(
-    profile: &WorkerProfile,
-    factors: &DesiredFactors,
-) -> Result<(), Ineligibility> {
+/// The factor screen: does the worker pass every rule the requester set?
+/// Allocation-free, since a registration runs it once per factor-screen
+/// project on every shard, and a full screen once per registered worker.
+pub fn is_eligible(profile: &WorkerProfile, factors: &DesiredFactors) -> bool {
     if factors.require_login && !profile.factors.logged_in {
-        return Err(Ineligibility::NotLoggedIn);
+        return false;
     }
     if let Some(lang) = &factors.required_language {
         if profile.factors.fluency_in_code(lang) < 0.5 {
-            return Err(Ineligibility::LacksLanguage(lang.clone()));
+            return false;
         }
     }
     if let Some(skill) = &factors.skill_name {
         if profile.factors.skill(skill) < individual_skill_floor(factors) {
-            return Err(Ineligibility::LacksSkill(skill.clone()));
+            return false;
         }
     }
-    Ok(())
-}
-
-/// Boolean convenience.
-pub fn is_eligible(profile: &WorkerProfile, factors: &DesiredFactors) -> bool {
-    check_eligibility(profile, factors).is_ok()
+    true
 }
 
 #[cfg(test)]
@@ -95,10 +71,7 @@ mod tests {
     fn login_required() {
         let mut w = qualified();
         w.factors.logged_in = false;
-        assert_eq!(
-            check_eligibility(&w, &factors()).unwrap_err(),
-            Ineligibility::NotLoggedIn
-        );
+        assert!(!is_eligible(&w, &factors()));
         // unless the requester does not care
         let mut f = factors();
         f.require_login = false;
@@ -116,10 +89,7 @@ mod tests {
             .with_native_lang("ja")
             .with_fluency("en", 0.3)
             .with_skill("translation", 0.7);
-        assert_eq!(
-            check_eligibility(&weak, &factors()).unwrap_err(),
-            Ineligibility::LacksLanguage("en".into())
-        );
+        assert!(!is_eligible(&weak, &factors()));
     }
 
     #[test]
@@ -133,10 +103,7 @@ mod tests {
         let below = WorkerProfile::new(WorkerId(5), "eli")
             .with_native_lang("en")
             .with_skill("translation", 0.29);
-        assert_eq!(
-            check_eligibility(&below, &f).unwrap_err(),
-            Ineligibility::LacksSkill("translation".into())
-        );
+        assert!(!is_eligible(&below, &f));
     }
 
     #[test]
@@ -144,16 +111,5 @@ mod tests {
         let d = DesiredFactors::default();
         let w = WorkerProfile::new(WorkerId(6), "raw");
         assert!(is_eligible(&w, &d));
-    }
-
-    #[test]
-    fn reasons_display() {
-        assert!(Ineligibility::NotLoggedIn.to_string().contains("logged"));
-        assert!(Ineligibility::LacksLanguage("en".into())
-            .to_string()
-            .contains("en"));
-        assert!(Ineligibility::LacksSkill("x".into())
-            .to_string()
-            .contains("x"));
     }
 }

@@ -218,6 +218,14 @@ impl PlatformEvent {
         JournalEntry::new(self.kind(), args)
     }
 
+    /// The journal entry of a [`PlatformEvent::WorkerRegistered`] of
+    /// `profile`, encoded from the borrowed profile: the entry
+    /// [`encode`](Self::encode) writes for that event, without the event
+    /// and the copy of the profile it would own.
+    pub fn encode_registration(profile: &WorkerProfile) -> JournalEntry {
+        JournalEntry::new("worker", encode_profile(profile))
+    }
+
     /// Decode a journal entry produced by [`encode`](Self::encode).
     pub fn decode(entry: &JournalEntry) -> Result<PlatformEvent, PlatformError> {
         let mut cur = Cursor::new(&entry.kind, &entry.args);
@@ -588,6 +596,18 @@ mod tests {
             .map(|e| PlatformEvent::decode(e).unwrap())
             .collect();
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn a_registration_encodes_from_the_borrowed_profile() {
+        let mut profiles = 0;
+        for event in all_events() {
+            if let PlatformEvent::WorkerRegistered { profile } = &event {
+                assert_eq!(PlatformEvent::encode_registration(profile), event.encode());
+                profiles += 1;
+            }
+        }
+        assert_eq!(profiles, 2);
     }
 
     #[test]

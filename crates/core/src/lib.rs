@@ -44,7 +44,7 @@ pub mod prelude {
     pub use crate::decompose::{
         ChunkSplitter, Decomposer, OutlineSplitter, Piece, SentenceSplitter,
     };
-    pub use crate::eligibility::{check_eligibility, is_eligible, Ineligibility};
+    pub use crate::eligibility::is_eligible;
     pub use crate::error::{PlatformError, ProjectId, TaskId, WorkerId};
     pub use crate::events::PlatformEvent;
     pub use crate::pages::{admin_page, user_page, AdminPage, UserPage};

@@ -29,6 +29,7 @@ use crate::workers::WorkerManager;
 use crowd4u_assign::prelude::Team;
 use crowd4u_collab::prelude::{CollabMonitor, MonitorEvent, Verdict};
 use crowd4u_collab::Scheme;
+use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_cylog::engine::CylogEngine;
 use crowd4u_forms::admin::DesiredFactors;
 use crowd4u_sim::stats::Counters;
@@ -36,6 +37,7 @@ use crowd4u_sim::time::{SimDuration, SimTime};
 use crowd4u_storage::prelude::{EventJournal, JournalEntry, Value};
 use crowd4u_telemetry::{stage, Counter, Histogram, Span, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The eligibility cache of one project: valid while both epochs match.
 #[derive(Debug, Clone)]
@@ -211,8 +213,12 @@ impl Crowd4U {
     /// Append one event to the journal (call only after the event's effects
     /// were applied successfully).
     fn record(&mut self, event: &PlatformEvent) {
+        self.record_entry(event.encode());
+    }
+
+    /// Append one encoded entry (see [`record`](Crowd4U::record)).
+    fn record_entry(&mut self, entry: JournalEntry) {
         let _span = self.telemetry.append_span();
-        let entry = event.encode();
         self.journal
             .append(entry.kind, entry.args)
             .expect("event kinds are static identifiers");
@@ -304,10 +310,14 @@ impl Crowd4U {
 
     // ---- workers ----
 
-    pub fn register_worker(&mut self, profile: crowd4u_crowd::profile::WorkerProfile) {
-        self.record(&PlatformEvent::WorkerRegistered {
-            profile: profile.clone(),
-        });
+    /// Register (or re-register) a worker: journal the registration,
+    /// encoded from the borrowed profile, and install it. The profile is
+    /// the caller's allocation: a plain `WorkerProfile` moves into an
+    /// `Arc`, and an `Arc` the caller shares — the runtime's, whose other
+    /// holders are the other shards' registries — is registered as it is.
+    pub fn register_worker(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
+        let profile = profile.into();
+        self.record_entry(PlatformEvent::encode_registration(&profile));
         self.counters.incr("workers_registered");
         self.install_worker_delta(profile);
     }
@@ -316,10 +326,10 @@ impl Crowd4U {
     /// entry or the platform counter. This is the runtime's replica path:
     /// a registration is broadcast, the coordinator shard journals it
     /// via [`register_worker`](Crowd4U::register_worker), and every other
-    /// shard receives the profile at the same mailbox position and
+    /// shard receives the same `Arc` at the same mailbox position and
     /// installs it through this method — keeping
     /// `WorkerManager::version()` in lockstep with one journal entry per
-    /// registration across the runtime.
+    /// registration across the runtime, and one profile allocation.
     ///
     /// A registration changes one worker, so under the factor screen it
     /// changes each project's eligible set by at most that worker. Every
@@ -342,7 +352,8 @@ impl Crowd4U {
     /// open tasks unscreened for this registration; it is counted in
     /// `eligibility_errors` and its project-scoped twin, not journaled, so
     /// a replay counts it again.
-    pub fn install_worker_delta(&mut self, profile: crowd4u_crowd::profile::WorkerProfile) {
+    pub fn install_worker_delta(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
+        let profile = profile.into();
         let worker = profile.id;
         if self.projects.is_empty() {
             // Nothing to repair — bulk onboarding registers the crowd before
@@ -1082,6 +1093,17 @@ impl Crowd4U {
             Err(_) => self.telemetry.events_dropped.incr(),
         }
         result
+    }
+
+    /// [`apply_event`](Crowd4U::apply_event) of a
+    /// [`PlatformEvent::WorkerRegistered`] whose profile the caller
+    /// shares: registered through
+    /// [`register_worker`](Crowd4U::register_worker) and counted as an
+    /// applied event, with no event to own a copy of the profile. The
+    /// runtime's recorder shard applies a registration this way.
+    pub fn apply_registration(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
+        self.register_worker(profile);
+        self.telemetry.events_applied.incr();
     }
 
     fn apply_event_inner(&mut self, event: PlatformEvent) -> Result<(), PlatformError> {

@@ -24,6 +24,7 @@ use crowd4u_cylog::eval::HostFacts;
 use crowd4u_storage::prelude::{Tuple, Value};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The affinity synthesis weights (geo, language, skill).
 const WEIGHTS: (f64, f64, f64) = (1.0, 1.0, 0.5);
@@ -38,9 +39,11 @@ const MEMO_POOL: usize = 256;
 const MEMO_PAIRS: usize = MEMO_POOL * (MEMO_POOL - 1) / 2;
 
 /// A registered profile and the [`WorkerManager::version`] it last changed
-/// at — its *change stamp*.
+/// at — its *change stamp*. The profile is the registrant's allocation,
+/// shared, never copied: every registry a registration reaches holds the
+/// same `Arc`.
 struct Registered {
-    profile: WorkerProfile,
+    profile: Arc<WorkerProfile>,
     changed: u64,
 }
 
@@ -80,8 +83,9 @@ impl WorkerManager {
     /// version bump — no affinity state exists to invalidate eagerly; the
     /// worker's new change stamp retires its memoised pairs. A
     /// re-registration that takes a row of a worker-factor predicate from
-    /// the old profile stamps that predicate's loss.
-    pub(crate) fn register(&mut self, profile: WorkerProfile) {
+    /// the old profile stamps that predicate's loss; the old profile itself
+    /// goes by a reference-count decrement.
+    pub(crate) fn register(&mut self, profile: Arc<WorkerProfile>) {
         self.version += 1;
         let changed = self.version;
         let fresh = Registered { profile, changed };
@@ -109,7 +113,7 @@ impl WorkerManager {
     pub fn get(&self, id: WorkerId) -> Result<&WorkerProfile, PlatformError> {
         self.profiles
             .get(&id)
-            .map(|r| &r.profile)
+            .map(|r| &*r.profile)
             .ok_or(PlatformError::UnknownWorker(id))
     }
 
@@ -135,7 +139,7 @@ impl WorkerManager {
     }
 
     pub fn profiles(&self) -> impl Iterator<Item = &WorkerProfile> {
-        self.profiles.values().map(|r| &r.profile)
+        self.profiles.values().map(|r| &*r.profile)
     }
 
     /// Pairwise affinity, computed from the two profiles. Unknown workers
@@ -194,7 +198,7 @@ impl WorkerManager {
     /// The registered profiles among `ids`, in `ids` order.
     fn registered(&self, ids: &[WorkerId]) -> Vec<&WorkerProfile> {
         ids.iter()
-            .filter_map(|w| self.profiles.get(w).map(|r| &r.profile))
+            .filter_map(|w| self.profiles.get(w).map(|r| &*r.profile))
             .collect()
     }
 
@@ -207,13 +211,14 @@ impl WorkerManager {
         mut fresh: impl FnMut((WorkerId, WorkerId), f64),
     ) -> (AffinityMatrix, PairWork) {
         // Each position's change stamp, or `None` for a profile that is not
-        // the registered one (an unregistered id, or a copy).
+        // the registered one (an unregistered id, or a copy): the registered
+        // one is the `Arc`'s target itself.
         let stamps: Vec<Option<u64>> = profiles
             .iter()
             .map(|p| {
                 self.profiles
                     .get(&p.id)
-                    .filter(|r| std::ptr::eq(&r.profile, *p))
+                    .filter(|r| std::ptr::eq(&*r.profile, *p))
                     .map(|r| r.changed)
             })
             .collect();
@@ -302,17 +307,20 @@ mod tests {
         m.register(
             WorkerProfile::new(WorkerId(1), "ann")
                 .with_native_lang("en")
-                .with_region(Region::new("tokyo", 0.8, 0.4)),
+                .with_region(Region::new("tokyo", 0.8, 0.4))
+                .into(),
         );
         m.register(
             WorkerProfile::new(WorkerId(2), "bob")
                 .with_native_lang("en")
-                .with_region(Region::new("tokyo", 0.8, 0.4)),
+                .with_region(Region::new("tokyo", 0.8, 0.4))
+                .into(),
         );
         m.register(
             WorkerProfile::new(WorkerId(3), "eve")
                 .with_native_lang("fr")
-                .with_region(Region::new("paris", 0.1, 0.5)),
+                .with_region(Region::new("paris", 0.1, 0.5))
+                .into(),
         );
         m
     }
@@ -326,7 +334,7 @@ mod tests {
         assert!(m.get(WorkerId(9)).is_err());
         let mut away = m.get(WorkerId(1)).unwrap().clone();
         away.factors.logged_in = false;
-        m.register(away);
+        m.register(away.into());
         assert!(!m.get(WorkerId(1)).unwrap().factors.logged_in);
         assert_eq!(m.ids(), vec![WorkerId(1), WorkerId(2), WorkerId(3)]);
         assert_eq!(m.iter_ids().collect::<Vec<_>>(), m.ids());
@@ -341,7 +349,11 @@ mod tests {
         assert!(near > far);
         // Registration is O(1): no dense state to rebuild, and the new
         // worker is visible to the next query.
-        m.register(WorkerProfile::new(WorkerId(4), "dan").with_native_lang("en"));
+        m.register(
+            WorkerProfile::new(WorkerId(4), "dan")
+                .with_native_lang("en")
+                .into(),
+        );
         assert!(m.pair_affinity(WorkerId(2), WorkerId(4)) > 0.0);
         assert_eq!(m.pair_affinity(WorkerId(9), WorkerId(1)), 0.0, "unknown id");
         assert_eq!(m.pair_affinity(WorkerId(2), WorkerId(2)), 0.0, "self-pair");
@@ -373,14 +385,22 @@ mod tests {
     #[test]
     fn the_memo_pays_once_per_pair_and_change() {
         let mut m = manager();
-        m.register(WorkerProfile::new(WorkerId(4), "dan").with_native_lang("en"));
+        m.register(
+            WorkerProfile::new(WorkerId(4), "dan")
+                .with_native_lang("en")
+                .into(),
+        );
         let ids = m.ids();
         let work = |computed, reused| PairWork { computed, reused };
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(6, 0));
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(0, 6));
         // A re-registration retires exactly the changed worker's three
         // pairs.
-        m.register(WorkerProfile::new(WorkerId(2), "bob").with_native_lang("fr"));
+        m.register(
+            WorkerProfile::new(WorkerId(2), "bob")
+                .with_native_lang("fr")
+                .into(),
+        );
         assert_eq!(m.fill_candidate_affinity(&ids).1, work(3, 3));
         // Descending pairs are computed in slice order and never kept.
         let reversed: Vec<WorkerId> = ids.iter().rev().copied().collect();
@@ -391,14 +411,14 @@ mod tests {
     fn version_tracks_profile_changes() {
         let mut m = manager();
         let v0 = m.version();
-        m.register(WorkerProfile::new(WorkerId(9), "new"));
+        m.register(WorkerProfile::new(WorkerId(9), "new").into());
         let v1 = m.version();
         assert!(v1 > v0);
         // reads do not bump
         m.get(WorkerId(9)).unwrap();
         assert_eq!(m.version(), v1);
         // a re-registration does, unchanged profile or not
-        m.register(WorkerProfile::new(WorkerId(9), "new"));
+        m.register(WorkerProfile::new(WorkerId(9), "new").into());
         assert!(m.version() > v1);
     }
 
@@ -437,9 +457,13 @@ mod tests {
                 .collect()
         };
         // A new worker and a gained skill lose nothing.
-        m.register(WorkerProfile::new(WorkerId(4), "dan").with_skill("t", 0.5));
+        m.register(
+            WorkerProfile::new(WorkerId(4), "dan")
+                .with_skill("t", 0.5)
+                .into(),
+        );
         let ann = m.get(WorkerId(1)).unwrap().clone();
-        m.register(ann.clone().with_skill("t", 0.5));
+        m.register(ann.clone().with_skill("t", 0.5).into());
         assert_eq!(lost(&m), vec![false; 5]);
         let mut changed = Vec::new();
         m.changed_since("worker", v, &mut changed);
@@ -447,7 +471,7 @@ mod tests {
         // A logout and a skill at another level each lose their row.
         let mut away = ann.with_skill("t", 0.7);
         away.factors.logged_in = false;
-        m.register(away);
+        m.register(away.into());
         assert_eq!(lost(&m), vec![false, true, false, false, true]);
         assert!(!m.lost_since("worker_online", m.version()));
     }

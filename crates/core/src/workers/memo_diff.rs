@@ -60,7 +60,7 @@ fn slice(mask: u8, order: u8, seed: f64) -> Vec<WorkerId> {
 fn apply(m: &mut WorkerManager, step: &Step) {
     let &(kind, a, b, level) = step;
     match kind {
-        0..=2 => m.register(worker(a, b, level)),
+        0..=2 => m.register(worker(a, b, level).into()),
         _ => {
             m.fill_candidate_affinity(&slice(b, a, level));
         }

@@ -77,12 +77,15 @@
 //! shard on it would globalise a scoped failure), a dead recorder is not.
 //!
 //! A worker registration is a broadcast like any other, with one
-//! difference in what the replicas receive: the recorder gets the event,
-//! each live replica a `ToShard::Install` of the profile — one `Arc`
-//! shared by every replica, allocated before any lock — which it files in
-//! its ledger slot and installs without journaling. Mailbox order then
-//! places every job, drain and event after each registration admitted
-//! before it, on every shard.
+//! difference in what the shards receive: the submitted profile moves,
+//! before any lock, into one `Arc`, and every destination — the recorder
+//! included, at any shard count — gets a `ToShard::Install` of that `Arc`.
+//! The recorder registers and records it; each live replica files it in
+//! its ledger slot and installs it without journaling. No shard copies
+//! the profile: every registry holds the submitter's allocation. A refused
+//! registration is handed back by unwrapping the `Arc`, which nothing else
+//! holds until admission. Mailbox order then places every job, drain and
+//! event after each registration admitted before it, on every shard.
 //!
 //! Producers to distinct shards share nothing but the atomic stamper; the
 //! per-shard critical section is a few `VecDeque` operations. The gate is
@@ -110,7 +113,7 @@
 //! per cent of one another.
 
 use crate::recovery::ShardLedger;
-use crate::shard::{Job, ToShard};
+use crate::shard::{DataEvent, Job, ToShard};
 use crowd4u_core::error::ProjectId;
 use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
@@ -206,6 +209,30 @@ impl std::fmt::Display for GateError {
 }
 
 impl std::error::Error for GateError {}
+
+/// The rung of the admission ladder that refused an event, before the
+/// event is handed back in the matching [`GateError`].
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    Closed,
+    Full(usize),
+    ShardDown(usize),
+    Recovering(usize),
+    Migrating(ProjectId),
+}
+
+impl Refusal {
+    fn hand_back(self, event: PlatformEvent) -> GateError {
+        let event = Box::new(event);
+        match self {
+            Refusal::Closed => GateError::Closed(event),
+            Refusal::Full(shard) => GateError::Full { shard, event },
+            Refusal::ShardDown(shard) => GateError::ShardDown { shard, event },
+            Refusal::Recovering(shard) => GateError::Recovering { shard, event },
+            Refusal::Migrating(project) => GateError::Migrating { project, event },
+        }
+    }
+}
 
 /// One shard's bounded MPSC mailbox. The mutex covers only a few
 /// `VecDeque` operations; waiting (producer on `not_full`, consumer on
@@ -537,7 +564,7 @@ impl GateCore {
     /// destination, check the ladder under the destination locks, then
     /// stamp and push — or refuse, handing the event back (`wait` false)
     /// or waiting the refusal out and resolving again (`wait` true).
-    fn admit(&self, mut event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
+    fn admit(&self, event: PlatformEvent, wait: bool) -> Result<u64, GateError> {
         // Keyed by the seq the stamper is about to issue. A concurrent
         // producer may draw it first, which moves the sample, not the count.
         let key = self.stamper.load(Ordering::Relaxed);
@@ -547,16 +574,10 @@ impl GateCore {
             waited_since: None,
         };
         let scope = event.scope();
-        // The replicas' copy of a registration — a deep clone and an
-        // allocation, shared by every replica — is made before any lock, so
-        // the mailbox locks the shards' batch takes contend on are not held
-        // across it.
-        let install = match &event {
-            PlatformEvent::WorkerRegistered { profile } if self.queues.len() > 1 => {
-                Some(Arc::new(profile.clone()))
-            }
-            _ => None,
-        };
+        // A registration's profile moves into the `Arc` every shard will
+        // hold before any lock is taken, so the mailbox locks the shards'
+        // batch takes contend on are not held across the allocation.
+        let data = DataEvent::new(event);
         loop {
             // Every lock this pass takes is dropped at the end of this
             // block, before any wait.
@@ -582,30 +603,18 @@ impl GateCore {
                     }
                 };
                 if guards[0].dead {
-                    GateError::ShardDown {
-                        shard: first,
-                        event: Box::new(event),
-                    }
+                    Refusal::ShardDown(first)
                 } else if guards.iter().any(|g| g.closed && !g.dead) {
-                    GateError::Closed(Box::new(event))
+                    Refusal::Closed
                 } else if let Some(project) = self.hold_on(scope) {
-                    GateError::Migrating {
-                        project,
-                        event: Box::new(event),
-                    }
+                    Refusal::Migrating(project)
                 } else if let Some(i) = guards.iter().position(|g| g.recovering) {
-                    GateError::Recovering {
-                        shard: first + i,
-                        event: Box::new(event),
-                    }
+                    Refusal::Recovering(first + i)
                 } else if let Some(i) = guards
                     .iter()
                     .position(|g| !g.dead && g.data_len >= self.capacity)
                 {
-                    GateError::Full {
-                        shard: first + i,
-                        event: Box::new(event),
-                    }
+                    Refusal::Full(first + i)
                 } else {
                     // Admitted. Stamp and push with every destination lock
                     // held, so each mailbox stays in sequence order.
@@ -613,35 +622,18 @@ impl GateCore {
                     let at = self.dwell.stamp_for(seq);
                     for (i, g) in guards.iter_mut().enumerate().skip(1) {
                         if !g.dead {
-                            let copy = match &install {
-                                Some(profile) => ToShard::Install {
-                                    seq,
-                                    profile: Arc::clone(profile),
-                                },
-                                None => ToShard::Apply {
-                                    seq,
-                                    event: event.clone(),
-                                    record: false,
-                                },
-                            };
-                            g.push_data(copy, at);
+                            g.push_data(data.clone().message(seq, false), at);
                             g.notify_consumer(&queues[i]);
                         }
                     }
-                    let record = ToShard::Apply {
-                        seq,
-                        event,
-                        record: true,
-                    };
-                    guards[0].push_data(record, at);
+                    guards[0].push_data(data.message(seq, true), at);
                     guards[0].notify_consumer(&queues[0]);
                     return Ok(seq);
                 }
             };
-            if !wait || !self.wait_out(&refused, admit) {
-                return Err(refused);
+            if !wait || !self.wait_out(refused, admit) {
+                return Err(refused.hand_back(data.into_event()));
             }
-            event = refused.into_event();
         }
     }
 
@@ -649,11 +641,11 @@ impl GateCore {
     /// dropped: until no migration hold is active, or until the refusing
     /// shard has room and is not recovering (or closes). `false` when the
     /// refusal is final — closed, or the recorder dead.
-    fn wait_out(&self, refused: &GateError, admit: &mut Admission<'_>) -> bool {
+    fn wait_out(&self, refused: Refusal, admit: &mut Admission<'_>) -> bool {
         let shard = match refused {
-            GateError::Closed(_) | GateError::ShardDown { .. } => return false,
-            GateError::Migrating { .. } => None,
-            GateError::Full { shard, .. } | GateError::Recovering { shard, .. } => Some(*shard),
+            Refusal::Closed | Refusal::ShardDown(_) => return false,
+            Refusal::Migrating(_) => None,
+            Refusal::Full(shard) | Refusal::Recovering(shard) => Some(shard),
         };
         admit.waits();
         let Some(shard) = shard else {
@@ -954,14 +946,16 @@ mod tests {
         }
     }
 
-    /// Drain a mailbox after closing; returns (seq, record) of Apply
-    /// messages in queue order.
-    fn drain_applies(core: &GateCore, shard: usize) -> Vec<(u64, bool)> {
+    /// Drain a mailbox after closing; returns (seq, record) of its data
+    /// messages (`Apply` and `Install`) in queue order.
+    fn drain_data(core: &GateCore, shard: usize) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
         let mut consumer = Consumer::default();
         while consumer.next_batch(core, shard) {
             for (msg, _) in &consumer.batch {
-                if let ToShard::Apply { seq, record, .. } = msg {
+                if let ToShard::Apply { seq, record, .. } | ToShard::Install { seq, record, .. } =
+                    msg
+                {
                     out.push((*seq, *record));
                 }
             }
@@ -999,18 +993,18 @@ mod tests {
         core.close();
         // Every seq unique; per-mailbox order strictly increasing; every
         // event has exactly one recorder (broadcast replicas on shard > 0
-        // are unrecorded).
+        // are unrecorded), registrations included.
         all_seqs.sort_unstable();
         all_seqs.dedup();
         assert_eq!(all_seqs.len(), 800);
         let mut recorded = 0usize;
         for shard in 0..2 {
-            let applies = drain_applies(&core, shard);
+            let data = drain_data(&core, shard);
             assert!(
-                applies.windows(2).all(|w| w[0].0 < w[1].0),
+                data.windows(2).all(|w| w[0].0 < w[1].0),
                 "shard {shard} mailbox out of sequence order"
             );
-            recorded += applies.iter().filter(|(_, record)| *record).count();
+            recorded += data.iter().filter(|(_, record)| *record).count();
         }
         assert_eq!(recorded, 800);
     }
@@ -1111,27 +1105,53 @@ mod tests {
             assert_eq!(gate.queued(shard), 2, "shard {shard}");
         }
         core.close();
-        // The coordinator applies and records each registration; every
-        // replica installs it, at the same seq.
+        // Every shard gets an install of each registration at the same
+        // seq, recorded on the coordinator only — and all of them the one
+        // profile allocation.
+        let mut profiles: Vec<Vec<Arc<WorkerProfile>>> = Vec::new();
         for shard in 0..3 {
             let mut consumer = Consumer::default();
             let mut got = Vec::new();
+            let mut held = Vec::new();
             while consumer.next_batch(&core, shard) {
                 for (msg, _) in &consumer.batch {
-                    got.push(match msg {
-                        ToShard::Apply {
-                            seq, record: true, ..
-                        } if shard == 0 => *seq,
-                        ToShard::Install { seq, profile } if shard > 0 => {
-                            assert_eq!(profile.id.0, *seq + 1);
-                            *seq
-                        }
-                        _ => panic!("shard {shard}: unexpected message"),
-                    });
+                    let ToShard::Install {
+                        seq,
+                        profile,
+                        record,
+                    } = msg
+                    else {
+                        panic!("shard {shard}: unexpected message");
+                    };
+                    assert_eq!(*record, shard == 0, "shard {shard}: the recorder only");
+                    assert_eq!(profile.id.0, *seq + 1);
+                    got.push(*seq);
+                    held.push(Arc::clone(profile));
                 }
             }
             assert_eq!(got, seqs, "shard {shard}");
+            profiles.push(held);
         }
+        for (i, profile) in profiles[0].iter().enumerate() {
+            assert!(profiles.iter().all(|held| Arc::ptr_eq(&held[i], profile)));
+        }
+    }
+
+    #[test]
+    fn a_refused_registration_is_handed_back_whole() {
+        let registration = PlatformEvent::WorkerRegistered {
+            profile: WorkerProfile::new(WorkerId(4), "dee").with_skill("t", 0.5),
+        };
+        let (full, _core) = gate(1, 1);
+        full.try_submit(seed(1, "fill")).unwrap();
+        let err = full.try_submit(registration.clone()).unwrap_err();
+        assert!(matches!(err, GateError::Full { shard: 0, .. }));
+        assert_eq!(err.into_event(), registration);
+        // Admitted on one shard, the recorder takes an install as well.
+        let (open, core) = gate(1, 0);
+        open.submit(registration).unwrap();
+        core.close();
+        assert_eq!(drain_data(&core, 0), [(0, true)]);
     }
 
     #[test]
@@ -1395,7 +1415,7 @@ mod tests {
         let err = gate.submit(worker(9)).unwrap_err();
         assert!(matches!(err, GateError::Closed(_)));
         // Queued messages still drain, then the mailbox reports closed.
-        assert_eq!(drain_applies(&core, 0).len(), 1);
+        assert_eq!(drain_data(&core, 0).len(), 1);
         assert!(!Consumer::default().next_batch(&core, 0));
     }
 }

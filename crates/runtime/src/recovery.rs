@@ -158,7 +158,11 @@ impl ShardLedger {
         entries
     }
 
-    /// The recorded journal stream of one shard, for the merged journal.
+    /// The recorded journal stream of one shard, for the merged journal:
+    /// clones, not moved entries. Moved, the merged journal would keep
+    /// the finished shard threads' own allocations alive in their heaps,
+    /// and the next runtime's shards in the same process measured slower
+    /// for it (see CHANGES.md).
     pub(crate) fn recorded_stream(&self, shard: usize) -> Vec<(SeqKey, JournalEntry)> {
         self.slot(shard)
             .entries
@@ -257,7 +261,7 @@ impl FaultPlan {
 pub(crate) fn replay_slice(mut platform: Crowd4U, entries: &[LedgerEntry]) -> Crowd4U {
     for e in entries {
         match &e.entry {
-            Applied::WorkerDelta(profile) => platform.install_worker_delta((**profile).clone()),
+            Applied::WorkerDelta(profile) => platform.install_worker_delta(Arc::clone(profile)),
             Applied::Journaled(entry) if entry.kind == DRAIN_KIND => {
                 platform
                     .drain_events()

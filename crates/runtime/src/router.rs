@@ -681,6 +681,55 @@ out(X, Y) :- item(X), label(X, Y).
         }
     }
 
+    /// One allocation per registration: after a registration and after a
+    /// re-registration of the same worker, every shard's registry holds
+    /// the profile the gate admitted — one address on every shard — and
+    /// the recorder counts each registration once as an applied event.
+    #[test]
+    fn every_shard_holds_the_one_registered_profile() {
+        for shards in [2usize, 4] {
+            let registry = Registry::new();
+            let rt = ShardedRuntime::new_instrumented(config(shards, 0), registry.clone());
+            for name in ["first", "again"] {
+                rt.submit(PlatformEvent::WorkerRegistered {
+                    profile: WorkerProfile::new(WorkerId(7), name).with_skill("t", 0.5),
+                });
+                let replies: Vec<_> = (0..shards)
+                    .map(|shard| {
+                        rt.submit_job(shard, |p| {
+                            let profile = p.workers.get(WorkerId(7)).unwrap();
+                            (
+                                profile.name.clone(),
+                                profile as *const WorkerProfile as usize,
+                            )
+                        })
+                    })
+                    .collect();
+                let held: Vec<(String, usize)> =
+                    replies.into_iter().map(|rx| rx.recv().unwrap()).collect();
+                let (_, first) = held[0];
+                for (shard, (held_name, at)) in held.into_iter().enumerate() {
+                    assert_eq!(held_name, name, "{shards} shards, shard {shard}");
+                    assert!(
+                        std::ptr::eq(at as *const WorkerProfile, first as *const WorkerProfile),
+                        "{shards} shards, shard {shard}: a copy of `{name}`"
+                    );
+                }
+            }
+            let run = rt.finish().unwrap();
+            assert_eq!(run.stats.applied, 2);
+            let applied = registry
+                .snapshot()
+                .counter_total("crowd4u_core_events_applied_total");
+            assert_eq!(applied, 2, "{shards} shards");
+            let coordinator = run.platforms[0].workers.get(WorkerId(7)).unwrap();
+            assert!(run
+                .platforms
+                .iter()
+                .all(|p| std::ptr::eq(p.workers.get(WorkerId(7)).unwrap(), coordinator)));
+        }
+    }
+
     #[test]
     fn invalid_events_are_dropped_and_counted() {
         let rt = ShardedRuntime::new(config(2, 0));

@@ -10,11 +10,14 @@
 //! queue the supervisor owns, the shard applies them in order (ledgering
 //! each apply as before), and the slots they held go back to producers
 //! when it returns for the next batch (see the gate's "Consumer side").
-//! Every shard keeps a replica of the worker registry: shard 0 applies and
-//! records each registration, every other shard receives it in the same
-//! mailbox position as an install, which it files in its ledger slot and
-//! installs without journaling — so a job, a drain or an event sees
-//! exactly the registrations admitted before it.
+//! Every shard keeps a replica of the worker registry, and every shard
+//! receives each registration as an install of the one `Arc` the gate
+//! moved the submitted profile into, at the same mailbox position: shard
+//! 0 registers and records it exactly as it applies a recorded event,
+//! every other shard files it in its ledger slot and installs it without
+//! journaling — so a job, a drain or an event sees exactly the
+//! registrations admitted before it, and every registry holds the same
+//! profile allocation.
 //!
 //! The thread body is a **supervisor**: the apply loop runs under
 //! `catch_unwind`, and when a panic escapes it (an injected [`FaultPlan`]
@@ -31,7 +34,7 @@ use crate::recovery::{replay_slice, Applied, FaultPlan, LedgerEntry, LedgerSlot}
 use crowd4u_core::events::{EventScope, PlatformEvent};
 use crowd4u_core::platform::Crowd4U;
 use crowd4u_crowd::profile::WorkerProfile;
-use crowd4u_telemetry::{stage, TelemetryHandle};
+use crowd4u_telemetry::{stage, Histogram, TelemetryHandle};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
@@ -54,15 +57,19 @@ pub(crate) enum ToShard {
         event: PlatformEvent,
         record: bool,
     },
-    /// A replica's copy of the worker registration stamped `seq`: the
-    /// coordinator applies and records the event, every other shard files
-    /// the profile in its ledger slot and installs it
+    /// The worker registration stamped `seq`, on every shard. The `Arc` is
+    /// the submitter's profile, moved in at admission: one allocation
+    /// shared by every shard's registry and ledger slot. The recorder
+    /// (`record`, the coordinator) registers it and makes it durable as it
+    /// does an `Apply` it records — journaled, ledgered, counted, with the
+    /// same auto-drain and kill points. Every other shard files the
+    /// profile in its ledger slot and installs it
     /// (`Crowd4U::install_worker_delta`) — no journal encode, no recorded
-    /// apply, no auto-drain count. The `Arc` is one allocation shared by
-    /// every replica and every ledger slot.
+    /// apply, no auto-drain count.
     Install {
         seq: u64,
         profile: Arc<WorkerProfile>,
+        record: bool,
     },
     /// Coordinated drain barrier: sync every dirty project. The coordinator
     /// records the single `drain` entry at `seq`.
@@ -79,6 +86,51 @@ pub(crate) enum ToShard {
 
 /// The body of a [`ToShard::Job`].
 pub(crate) type Job = Box<dyn FnOnce(&mut Crowd4U) + Send>;
+
+/// A data event as the runtime carries it from admission on: a worker
+/// registration as its profile, moved into the one `Arc` every shard will
+/// hold; any other event as submitted.
+#[derive(Clone)]
+pub(crate) enum DataEvent {
+    Event(PlatformEvent),
+    Registration(Arc<WorkerProfile>),
+}
+
+impl DataEvent {
+    /// Take a submitted event in. A registration's profile moves into an
+    /// `Arc`; nothing is copied.
+    pub(crate) fn new(event: PlatformEvent) -> DataEvent {
+        match event {
+            PlatformEvent::WorkerRegistered { profile } => {
+                DataEvent::Registration(Arc::new(profile))
+            }
+            event => DataEvent::Event(event),
+        }
+    }
+
+    /// The submitted event back, for a refusal. Only before a message is
+    /// made of it: until then this is the only holder of the `Arc`.
+    pub(crate) fn into_event(self) -> PlatformEvent {
+        match self {
+            DataEvent::Event(event) => event,
+            DataEvent::Registration(profile) => PlatformEvent::WorkerRegistered {
+                profile: Arc::try_unwrap(profile).expect("a refused registration is unshared"),
+            },
+        }
+    }
+
+    /// The mailbox message of this event for a shard that records it or not.
+    pub(crate) fn message(self, seq: u64, record: bool) -> ToShard {
+        match self {
+            DataEvent::Event(event) => ToShard::Apply { seq, event, record },
+            DataEvent::Registration(profile) => ToShard::Install {
+                seq,
+                profile,
+                record,
+            },
+        }
+    }
+}
 
 /// Counters a shard maintains while applying events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,14 +168,15 @@ pub(crate) fn fresh_slice(telemetry: &TelemetryHandle) -> Crowd4U {
 /// shard holds *outside* the mailbox and *outside* the ledger, and the
 /// supervisor owns both, so a panic inside `apply_event` loses neither —
 /// the next incarnation redoes this event once, then resumes the batch.
-/// Parked (a copy of the event) only when `ShardCtx::recovery` gives a
-/// supervisor that will read it. Injected boundary faults fire *after*
-/// ledgering (the slot is already clear); only a genuine mid-apply crash —
-/// or [`FaultPlan::kill_mid_apply`], which simulates one — leaves the slot
+/// Parked (a copy of the event; of a registration, a clone of its `Arc`)
+/// only when `ShardCtx::recovery` gives a supervisor that will read it.
+/// Injected boundary faults fire *after* ledgering (the slot is already
+/// clear); only a genuine mid-apply crash — or
+/// [`FaultPlan::kill_mid_apply`], which simulates one — leaves the slot
 /// occupied.
 pub(crate) struct InFlight {
     seq: u64,
-    event: PlatformEvent,
+    data: DataEvent,
     record: bool,
     /// Set once a recovery has redone this event: a second panic on the
     /// same event means the event itself is poison, so the incarnation
@@ -260,11 +313,7 @@ fn shard_loop(
         // observed when it was first picked — else the batch front, else
         // the next batch.
         let msg = if let Some(f) = in_flight.as_ref() {
-            ToShard::Apply {
-                seq: f.seq,
-                event: f.event.clone(),
-                record: f.record,
-            }
+            f.data.clone().message(f.seq, f.record)
         } else if let Some((msg, enqueued)) = batch.pop_front() {
             gate.observe_dwell(enqueued);
             msg
@@ -275,78 +324,22 @@ fn shard_loop(
         };
         match msg {
             ToShard::Apply { seq, event, record } => {
-                // A redo skips fault injection, so an injected kill cannot
-                // re-fire on its own retry: each fires at most once.
-                let inject = in_flight.is_none();
-                // Park the event in the supervisor-owned slot for the
-                // duration of the apply: a mid-apply panic must not lose
-                // it (see `InFlight`). A redo's copy is parked already;
-                // without recovery nothing reads the slot, so no copy is
-                // made.
-                if ctx.recovery && inject {
-                    *in_flight = Some(InFlight {
-                        seq,
-                        event: event.clone(),
-                        record,
-                        retried: false,
-                    });
-                }
-                if inject && record && ctx.faults.kills_mid_apply(shard) {
-                    let next = gate.ledger().slot(shard).stats.applied + 1;
-                    if ctx.faults.fires_mid(shard, next) {
-                        panic!("injected fault: shard {shard} killed inside apply #{next}");
-                    }
-                }
-                // Taken up front (apply consumes the event): the slice
-                // filters of recovery and migration select on it.
-                let scope = event.scope();
-                let applied = {
-                    let _span = apply_hist.span_for(seq);
-                    p.apply_event(event)
-                };
-                if applied.is_err() {
-                    // Per-event error tolerance, mirroring `apply_batch`
-                    // and the scenario driver: a stale or invalid worker
-                    // action is dropped and counted, not fatal — and never
-                    // ledgered, so replays skip it identically. Nor may
-                    // anything it journaled before failing stay behind.
-                    drop(p.take_journal());
-                    if record {
-                        gate.ledger().slot(shard).stats.dropped += 1;
-                    }
-                    *in_flight = None;
-                    continue;
-                }
-                // Every Ok apply is ledgered — broadcast copies included —
-                // because the ledger slice is what a recovery replays.
-                let mut slot = gate.ledger().slot(shard);
-                ledger_journaled(p, &mut slot, (seq, 0), scope, record);
-                let fired = if record {
-                    slot.stats.applied += 1;
-                    inject && ctx.faults.fires(shard, slot.stats.applied)
-                } else {
-                    false
-                };
-                slot.since_drain += 1;
-                if ctx.drain_every > 0 && slot.since_drain >= ctx.drain_every {
-                    slot.since_drain = 0;
-                    auto_drain(p, &mut slot, seq);
-                }
-                let applied_so_far = slot.stats.applied;
-                drop(slot);
-                // Ledgered: from here on a crash re-derives this event
-                // from the ledger, so the in-flight copy is obsolete — and
-                // must be cleared *before* a boundary fault fires, or the
-                // recovery would redo an already-ledgered event.
-                *in_flight = None;
-                if fired {
-                    panic!(
-                        "injected fault: shard {shard} killed after \
-                         {applied_so_far} applied events"
-                    );
-                }
+                let data = DataEvent::Event(event);
+                apply_data(ctx, p, in_flight, &apply_hist, seq, data, record);
             }
-            ToShard::Install { seq, profile } => {
+            ToShard::Install {
+                seq,
+                profile,
+                record: true,
+            } => {
+                let data = DataEvent::Registration(profile);
+                apply_data(ctx, p, in_flight, &apply_hist, seq, data, true);
+            }
+            ToShard::Install {
+                seq,
+                profile,
+                record: false,
+            } => {
                 // File, then install: an install the slot did not hold yet
                 // would be lost to a rebuild — which replays the slot and
                 // nothing else — while the events applied on top of it are
@@ -358,7 +351,7 @@ fn shard_loop(
                     recorded: false,
                 });
                 let _span = apply_hist.span_for(seq);
-                p.install_worker_delta((*profile).clone());
+                p.install_worker_delta(profile);
             }
             ToShard::Drain { seq, record } => {
                 p.drain_events()
@@ -378,6 +371,98 @@ fn shard_loop(
                 );
             }
         }
+    }
+}
+
+/// Apply one data event that journals — an `Apply`, recorded or a
+/// broadcast copy, or the recorder's `Install` — and make it durable: the
+/// in-flight slot around the apply, the kill points, the ledger entry, the
+/// applied count and the auto-drain phase. A registration is registered
+/// from its shared `Arc` and cannot be rejected.
+fn apply_data(
+    ctx: &ShardCtx,
+    p: &mut Crowd4U,
+    in_flight: &mut Option<InFlight>,
+    apply_hist: &Histogram,
+    seq: u64,
+    data: DataEvent,
+    record: bool,
+) {
+    let gate = &ctx.gate;
+    let shard = ctx.shard;
+    // A redo skips fault injection, so an injected kill cannot re-fire on
+    // its own retry: each fires at most once.
+    let inject = in_flight.is_none();
+    // Park the event in the supervisor-owned slot for the duration of the
+    // apply: a mid-apply panic must not lose it (see `InFlight`). A redo's
+    // copy is parked already; without recovery nothing reads the slot, so
+    // no copy is made.
+    if ctx.recovery && inject {
+        *in_flight = Some(InFlight {
+            seq,
+            data: data.clone(),
+            record,
+            retried: false,
+        });
+    }
+    if inject && record && ctx.faults.kills_mid_apply(shard) {
+        let next = gate.ledger().slot(shard).stats.applied + 1;
+        if ctx.faults.fires_mid(shard, next) {
+            panic!("injected fault: shard {shard} killed inside apply #{next}");
+        }
+    }
+    // The scope is taken as the apply consumes the event: the slice
+    // filters of recovery and migration select on it.
+    let (scope, applied) = {
+        let _span = apply_hist.span_for(seq);
+        match data {
+            DataEvent::Event(event) => (event.scope(), p.apply_event(event)),
+            DataEvent::Registration(profile) => {
+                p.apply_registration(profile);
+                (EventScope::Global, Ok(()))
+            }
+        }
+    };
+    if applied.is_err() {
+        // Per-event error tolerance, mirroring `apply_batch` and the
+        // scenario driver: a stale or invalid worker action is dropped and
+        // counted, not fatal — and never ledgered, so replays skip it
+        // identically. Nor may anything it journaled before failing stay
+        // behind.
+        drop(p.take_journal());
+        if record {
+            gate.ledger().slot(shard).stats.dropped += 1;
+        }
+        *in_flight = None;
+        return;
+    }
+    // Every Ok apply is ledgered — broadcast copies included — because the
+    // ledger slice is what a recovery replays.
+    let mut slot = gate.ledger().slot(shard);
+    ledger_journaled(p, &mut slot, (seq, 0), scope, record);
+    let fired = if record {
+        slot.stats.applied += 1;
+        inject && ctx.faults.fires(shard, slot.stats.applied)
+    } else {
+        false
+    };
+    slot.since_drain += 1;
+    if ctx.drain_every > 0 && slot.since_drain >= ctx.drain_every {
+        slot.since_drain = 0;
+        auto_drain(p, &mut slot, seq);
+    }
+    let applied_so_far = slot.stats.applied;
+    drop(slot);
+    // Ledgered: from here on a crash re-derives this event from the
+    // ledger, so the in-flight copy is obsolete — and must be cleared
+    // *before* a boundary fault fires, or the recovery would redo an
+    // already-ledgered event.
+    *in_flight = None;
+    if fired {
+        panic!(
+            "injected fault: shard {shard} killed after \
+             {applied_so_far} applied events"
+        );
     }
 }
 

@@ -187,6 +187,55 @@ fn a_mid_apply_crash_keeps_the_popped_event() {
     }
 }
 
+/// A mid-apply kill landing on the recorder's registration — a first
+/// registration, and a re-registration — with recovery on. The in-flight
+/// slot holds a clone of the registration's shared `Arc`, and the redo
+/// registers it once: the merged journal equals the serial one, and every
+/// slice's registry stands at the serial registry's size and version.
+#[test]
+fn a_mid_apply_crash_on_a_registration_redoes_it_once() {
+    // Six registrations, the last two re-registering workers 1 and 2,
+    // then a project: the coordinator's first six recorded applies are
+    // the registrations.
+    let mut events: Vec<PlatformEvent> = (1..=6u64)
+        .map(|r| worker(if r > 4 { r - 4 } else { r }, format!("r{r}")))
+        .collect();
+    events.push(project("after"));
+
+    let mut serial = Crowd4U::new();
+    let report = serial.apply_batch(events.clone()).unwrap();
+    assert!(report.errors.is_empty());
+    let want = (serial.workers.len(), serial.workers.version());
+
+    for shards in [1usize, 2, 4] {
+        for nth in [1, 5] {
+            let registry = Registry::new();
+            let rt = ShardedRuntime::new_chaos_instrumented(
+                config(shards),
+                registry.clone(),
+                FaultPlan::kill_mid_apply(0, nth),
+            );
+            rt.submit_batch(events.clone());
+            rt.drain();
+            let run = rt.finish().unwrap();
+            let label = format!("kill inside apply {nth} at {shards} shards");
+            assert_eq!(
+                registry
+                    .snapshot()
+                    .counter_total("crowd4u_recoveries_total"),
+                1,
+                "{label}"
+            );
+            assert_eq!(run.journal.dump(), serial.journal().dump(), "{label}");
+            assert_eq!((run.stats.applied, run.stats.dropped), (7, 0), "{label}");
+            for (shard, p) in run.platforms.iter().enumerate() {
+                let held = (p.workers.len(), p.workers.version());
+                assert_eq!(held, want, "{label}: shard {shard}");
+            }
+        }
+    }
+}
+
 /// Characterisation (PR 10 satellite): a migrated-away project leaves
 /// **no shell at the live source** — `extract_project` removes it
 /// entirely, so the source answers `UnknownProject` — but a source that

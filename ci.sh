@@ -27,7 +27,9 @@
 #                                  vs its reference, cached vs re-screened
 #                                  eligibility, memoised vs fresh affinity), the
 #                                  worker↔task relation store vs a pair-set
-#                                  model (its dump vs the storage snapshot) and
+#                                  model (its dump vs the storage snapshot;
+#                                  it and the eligibility differential at a
+#                                  second seed too) and
 #                                  the three CyLog evaluator oracles
 #                                  (incremental vs semi-naive vs naive on layered
 #                                  programs, the cylog lib proptests, and joins
@@ -195,14 +197,21 @@ step env PROPTEST_SEED=1707 \
 # CyLog programs: the paper's rule, a skill gate, a stratified `not`); the
 # pair memo against submatrices computed from scratch; and the
 # Eligible / InterestedIn / Undertakes store against a pair-set model, its
-# dump against the storage snapshot text `state_dump()` carries.
+# dump against the storage snapshot text `state_dump()` carries. The store
+# holds each pair once, by task, with no by-worker copy; the two oracles
+# that drive it, the model differential and the eligibility differential,
+# replay at a second seed as well.
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff
+step env PROPTEST_SEED=1803 \
+    cargo test -q -p crowd4u-core --lib platform::eligibility_diff
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib workers::memo_diff
 step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-core --lib relations::model_diff
+step env PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u-core --lib relations::model_diff
 # The CyLog evaluator's oracles, same rationale: the three evaluation modes
 # on random layered programs and op streams (their stats pinned by the

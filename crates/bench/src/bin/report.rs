@@ -454,7 +454,7 @@ fn e8_scale(full: bool) {
     let t_demand = start.elapsed();
     let questions = engine.pending_requests().len();
     let start = Instant::now();
-    let pending: Vec<_> = engine.pending_requests().to_vec();
+    let pending: Vec<_> = engine.pending_requests().iter().cloned().collect();
     for (k, req) in pending.iter().enumerate() {
         engine
             .answer(

@@ -1236,7 +1236,7 @@ impl Crowd4U {
                 let _ = writeln!(out, "suggestion {s}");
             }
             out.push_str(&crowd4u_storage::snapshot::dump(p.engine.database()));
-            for r in p.engine.pending_requests() {
+            for r in p.engine.pending_requests().iter() {
                 let inputs: Vec<String> = r.inputs.iter().map(|v| v.to_string()).collect();
                 let _ = writeln!(
                     out,
@@ -1441,15 +1441,14 @@ impl Crowd4U {
         loads
     }
 
-    /// Tasks (ids) a worker may currently see on their user page. Served
-    /// from the worker's eligibility relation intersected with the pool's
-    /// by-state index (open ∪ suggested) — no full-pool scan.
+    /// Tasks a worker may currently see on their user page, in id order:
+    /// the pool's active tasks (open ∪ suggested, from its by-state index)
+    /// the worker is eligible for. The relation store holds pairs by task
+    /// only, so this page — no event — pays the scan of active tasks.
     pub fn visible_tasks(&self, worker: WorkerId) -> Vec<&Task> {
-        self.relations
-            .eligible_tasks(worker)
-            .into_iter()
-            .filter(|t| self.pool.is_active(*t))
-            .filter_map(|t| self.pool.get(t).ok())
+        self.pool
+            .active()
+            .filter(|t| self.relations.is_eligible(worker, t.id))
             .collect()
     }
 }
@@ -1736,6 +1735,96 @@ published(S, T) :- sentence(S), translate(S, T).
         p.submit_micro_answer(WorkerId(1), task, vec!["b".into()])
             .unwrap();
         assert!(p.visible_tasks(WorkerId(1)).is_empty());
+    }
+
+    /// The user page scans the pool's active tasks and probes Eligible; it
+    /// must list exactly what a filter over every pool task lists, across a
+    /// factor-screen registration patch (open tasks only), answered
+    /// micro-tasks and suggested and in-progress collaborative tasks.
+    #[test]
+    fn visible_tasks_equal_a_filter_over_the_whole_pool() {
+        let mut p = platform_with_workers(4);
+        p.register_worker(WorkerProfile::new(WorkerId(5), "ja").with_native_lang("ja"));
+        let f = DesiredFactors {
+            required_language: Some("en".into()),
+            ..factors()
+        };
+        let proj = p.register_project("v", SRC, f, Scheme::Sequential).unwrap();
+        for i in 0..300 {
+            p.seed_fact(proj, "sentence", vec![format!("s{i}").into()])
+                .unwrap();
+        }
+        assert_eq!(p.sync_tasks(proj).unwrap(), 300);
+        let micro: Vec<TaskId> = p.pool.open_tasks(Some(proj)).iter().map(|t| t.id).collect();
+        for (k, &task) in micro.iter().enumerate().step_by(7) {
+            let w = WorkerId(1 + k as u64 % 4);
+            p.submit_micro_answer(w, task, vec!["t".into()]).unwrap();
+        }
+        let suggested = p.create_collab_task(proj, "suggested").unwrap();
+        let running = p.create_collab_task(proj, "running").unwrap();
+        p.create_collab_task(proj, "open").unwrap();
+        for task in [suggested, running] {
+            for i in 1..=3 {
+                p.express_interest(WorkerId(i), task).unwrap();
+            }
+        }
+        p.run_assignment(suggested).unwrap();
+        for m in p.run_assignment(running).unwrap().members {
+            p.undertake(m, running).unwrap();
+        }
+        assert!(matches!(
+            p.pool.get(running).unwrap().state,
+            TaskState::InProgress { .. }
+        ));
+        // Registered after the collaborative tasks were suggested: the patch
+        // marks the English native on open tasks only.
+        p.register_worker(WorkerProfile::new(WorkerId(6), "late").with_native_lang("en"));
+        p.register_worker(WorkerProfile::new(WorkerId(7), "late-ja").with_native_lang("ja"));
+        assert!(!p.relations.is_eligible(WorkerId(6), suggested));
+        for w in (1..=8).map(WorkerId) {
+            let brute: Vec<TaskId> = p
+                .pool
+                .iter()
+                .filter(|t| p.pool.is_active(t.id) && p.relations.is_eligible(w, t.id))
+                .map(|t| t.id)
+                .collect();
+            let got: Vec<TaskId> = p.visible_tasks(w).iter().map(|t| t.id).collect();
+            assert_eq!(got, brute, "worker {w:?}");
+        }
+        assert_eq!(p.visible_tasks(WorkerId(1)).len(), 300 - 43 + 2);
+        assert!(p.visible_tasks(WorkerId(5)).is_empty());
+    }
+
+    /// Answers retire their questions from `state_dump()` at once: a dump
+    /// taken between the answers and the next sync lists none of them, and
+    /// equals the dump of the journal's replay.
+    #[test]
+    fn a_dump_between_answer_and_sync_lists_no_answered_question() {
+        let mut p = platform_with_workers(2);
+        let proj = p
+            .register_project("d", SRC, factors(), Scheme::Sequential)
+            .unwrap();
+        for i in 0..6 {
+            p.seed_fact(proj, "sentence", vec![format!("s{i}").into()])
+                .unwrap();
+        }
+        p.sync_tasks(proj).unwrap();
+        let tasks: Vec<TaskId> = p.pool.open_tasks(Some(proj)).iter().map(|t| t.id).collect();
+        for &task in &tasks[..2] {
+            p.submit_micro_answer(WorkerId(1), task, vec!["t".into()])
+                .unwrap();
+        }
+        let engine = &p.project(proj).unwrap().engine;
+        // Two of six answered: the queue is not compacted yet.
+        assert_eq!(engine.compaction_count(), 0);
+        assert_eq!(engine.pending_requests().len(), 4);
+        let dump = p.state_dump();
+        let pending: Vec<&str> = dump.lines().filter(|l| l.starts_with("pending ")).collect();
+        assert_eq!(
+            pending,
+            ["s2", "s3", "s4", "s5"].map(|q| format!("pending translate points 2 ({q})"))
+        );
+        assert_eq!(dump, Crowd4U::replay(p.journal()).unwrap().state_dump());
     }
 
     #[test]

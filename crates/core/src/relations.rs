@@ -7,51 +7,34 @@
 //! eligible tasks. (3) *Undertakes* … A (worker,task) pair can go into this
 //! relationship status only when the worker is Eligible for that task."
 //!
-//! Each relationship is a set of `(worker, task)` pairs held twice, by task
-//! and by worker, in B-trees: an insert, probe or removal costs O(log n)
-//! per pair, clearing a task costs in proportion to that task's own rows,
-//! and every read comes out sorted. [`RelationStore::dump`] prints the
-//! `crowd4u-storage` snapshot of the three relations as `(worker id,
-//! task id)` tables.
+//! Each relationship is a set of `(worker, task)` pairs held once, by
+//! task: a B-tree of tasks, each with the B-tree set of its workers. An
+//! insert, probe or removal costs O(log n) per pair, clearing a task drops
+//! that task's own entry, and every per-task read comes out sorted. There
+//! is no inverse by-worker copy: every event reads and writes rows by task,
+//! and a copy kept for the one by-worker read (the user page) doubled the
+//! cost of every mark and clear. That page scans the pool's active tasks
+//! and probes [`RelationStore::is_eligible`] instead
+//! (`Crowd4U::visible_tasks`). [`RelationStore::dump`] prints the
+//! `crowd4u-storage` snapshot of the three relations as `(worker id, task
+//! id)` tables.
 
 use crate::error::{PlatformError, TaskId, WorkerId};
 use crowd4u_storage::prelude::*;
 use crowd4u_storage::snapshot;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One relationship: a set of `(worker, task)` pairs, indexed both ways.
+/// One relationship: a set of `(worker, task)` pairs, indexed by task.
 #[derive(Default)]
 struct Pairs {
     by_task: BTreeMap<TaskId, BTreeSet<WorkerId>>,
-    by_worker: BTreeMap<WorkerId, BTreeSet<TaskId>>,
     len: usize,
-}
-
-/// Take `v` out of `k`'s set, dropping the set once it is empty.
-fn unlink<K: Ord, V: Ord>(map: &mut BTreeMap<K, BTreeSet<V>>, k: K, v: &V) -> bool {
-    let Some(set) = map.get_mut(&k) else {
-        return false;
-    };
-    let removed = set.remove(v);
-    if set.is_empty() {
-        map.remove(&k);
-    }
-    removed
-}
-
-/// The members of `k`'s set, in order.
-fn members<K: Ord, V: Copy>(map: &BTreeMap<K, BTreeSet<V>>, k: &K) -> Vec<V> {
-    map.get(k)
-        .map_or_else(Vec::new, |set| set.iter().copied().collect())
 }
 
 impl Pairs {
     fn insert(&mut self, w: WorkerId, t: TaskId) -> bool {
         let fresh = self.by_task.entry(t).or_default().insert(w);
-        if fresh {
-            self.by_worker.entry(w).or_default().insert(t);
-            self.len += 1;
-        }
+        self.len += usize::from(fresh);
         fresh
     }
 
@@ -59,18 +42,30 @@ impl Pairs {
         self.by_task.get(&t).is_some_and(|ws| ws.contains(&w))
     }
 
+    /// Take the pair out, dropping the task's set once it is empty.
     fn remove(&mut self, w: WorkerId, t: TaskId) {
-        if unlink(&mut self.by_task, t, &w) {
-            unlink(&mut self.by_worker, w, &t);
+        let Some(ws) = self.by_task.get_mut(&t) else {
+            return;
+        };
+        if ws.remove(&w) {
             self.len -= 1;
+            if ws.is_empty() {
+                self.by_task.remove(&t);
+            }
         }
     }
 
     fn remove_task(&mut self, t: TaskId) {
-        for w in self.by_task.remove(&t).unwrap_or_default() {
-            unlink(&mut self.by_worker, w, &t);
-            self.len -= 1;
+        if let Some(ws) = self.by_task.remove(&t) {
+            self.len -= ws.len();
         }
+    }
+
+    /// The task's workers, in order.
+    fn workers(&self, t: TaskId) -> Vec<WorkerId> {
+        self.by_task
+            .get(&t)
+            .map_or_else(Vec::new, |ws| ws.iter().copied().collect())
     }
 }
 
@@ -100,19 +95,18 @@ impl RelationStore {
     }
 
     pub fn eligible_workers(&self, t: TaskId) -> Vec<WorkerId> {
-        members(&self.eligible.by_task, &t)
+        self.eligible.workers(t)
     }
 
+    /// The tasks a worker is eligible for, in order: a scan of every task's
+    /// set, since the store holds no by-worker copy. No event calls it.
     pub fn eligible_tasks(&self, w: WorkerId) -> Vec<TaskId> {
-        members(&self.eligible.by_worker, &w)
-    }
-
-    /// Withdraw eligibility (e.g. worker logged out); cascades to
-    /// InterestedIn and Undertakes, preserving the state-machine invariant.
-    pub fn revoke_eligibility(&mut self, w: WorkerId, t: TaskId) {
-        self.eligible.remove(w, t);
-        self.interested.remove(w, t);
-        self.undertakes.remove(w, t);
+        self.eligible
+            .by_task
+            .iter()
+            .filter(|(_, ws)| ws.contains(&w))
+            .map(|(t, _)| *t)
+            .collect()
     }
 
     // ---- InterestedIn ----
@@ -131,7 +125,7 @@ impl RelationStore {
     }
 
     pub fn interested_workers(&self, t: TaskId) -> Vec<WorkerId> {
-        members(&self.interested.by_task, &t)
+        self.interested.workers(t)
     }
 
     /// Withdraw interest (does not touch undertakes).
@@ -155,10 +149,11 @@ impl RelationStore {
     }
 
     pub fn undertaking_workers(&self, t: TaskId) -> Vec<WorkerId> {
-        members(&self.undertakes.by_task, &t)
+        self.undertakes.workers(t)
     }
 
-    /// Remove every relationship of a finished/abandoned task.
+    /// Remove every relationship of a finished/abandoned task: one entry
+    /// dropped per relation.
     pub fn clear_task(&mut self, t: TaskId) {
         self.eligible.remove_task(t);
         self.interested.remove_task(t);
@@ -181,8 +176,8 @@ impl RelationStore {
                     Schema::of(&[("worker", ValueType::Id), ("task", ValueType::Id)]),
                 )
                 .expect("fresh database");
-            for (w, ts) in &pairs.by_worker {
-                for t in ts {
+            for (t, ws) in &pairs.by_task {
+                for w in ws {
                     rel.insert(tuple![w.0, t.0])
                         .expect("an id pair fits the schema");
                 }
@@ -256,19 +251,6 @@ mod tests {
         rs.mark_eligible(w(1), t(9));
         assert_eq!(rs.eligible_tasks(w(1)), vec![t(7), t(9)]);
         assert!(rs.undertaking_workers(t(7)).is_empty());
-    }
-
-    #[test]
-    fn revoke_cascades() {
-        let mut rs = RelationStore::new();
-        rs.mark_eligible(w(1), t(1));
-        rs.express_interest(w(1), t(1)).unwrap();
-        rs.undertake(w(1), t(1)).unwrap();
-        rs.revoke_eligibility(w(1), t(1));
-        assert!(!rs.is_eligible(w(1), t(1)));
-        assert!(!rs.is_interested(w(1), t(1)));
-        assert!(!rs.is_undertaking(w(1), t(1)));
-        assert_eq!(rs.counts(), (0, 0, 0));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! keeps each relationship as one `BTreeSet<(WorkerId, TaskId)>`.
 //!
 //! Each generated step is one store operation — `mark_eligible`,
-//! `express_interest`, `undertake`, `withdraw_interest`,
-//! `revoke_eligibility` or `clear_task` — over small worker and task
-//! domains, applied to the store and to the model. After every step the
-//! two must agree on: the step's return value
+//! `express_interest`, `undertake`, `withdraw_interest` or `clear_task` —
+//! over small worker and task domains, applied to the store and to the
+//! model. After every step the two must agree on: the step's return value
 //! (`NotEligible` included); every `is_*` probe over the domains; the
 //! sorted `*_workers` and `eligible_tasks` reads; `counts()`; and `dump()`,
 //! which must equal `snapshot::dump` of a `crowd4u-storage` database built
@@ -39,10 +38,6 @@ fn apply_store(rs: &mut RelationStore, (kind, w, t): (u8, WorkerId, TaskId)) -> 
             rs.withdraw_interest(w, t);
             None
         }
-        4 => {
-            rs.revoke_eligibility(w, t);
-            None
-        }
         _ => {
             rs.clear_task(t);
             None
@@ -60,12 +55,6 @@ fn apply_model(m: &mut Model, (kind, w, t): (u8, WorkerId, TaskId)) -> Outcome {
         2 => Some(Ok(m.undertakes.insert((w, t)))),
         3 => {
             m.interested.remove(&(w, t));
-            None
-        }
-        4 => {
-            for set in [&mut m.eligible, &mut m.interested, &mut m.undertakes] {
-                set.remove(&(w, t));
-            }
             None
         }
         _ => {
@@ -157,7 +146,7 @@ proptest! {
 
     #[test]
     fn store_matches_pair_set_model(
-        steps in proptest::collection::vec((0u8..6, 0..WORKERS, 0..TASKS), 0..64),
+        steps in proptest::collection::vec((0u8..5, 0..WORKERS, 0..TASKS), 0..64),
     ) {
         let mut rs = RelationStore::new();
         let mut m = Model::default();

@@ -337,6 +337,14 @@ impl TaskPool {
         self.by_state[0].contains(&id) || self.by_state[1].contains(&id)
     }
 
+    /// The active (open ∪ suggested) tasks, in id order, served from the
+    /// by-state index.
+    pub fn active(&self) -> impl Iterator<Item = &Task> {
+        self.by_state[0]
+            .union(&self.by_state[1])
+            .map(|id| &self.tasks[id])
+    }
+
     /// Suggested tasks whose recruitment deadline is at or before `now`,
     /// range-scanned from the deadline index in deadline order.
     pub fn expired_suggested(&self, now: SimTime) -> Vec<TaskId> {

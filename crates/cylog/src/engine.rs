@@ -93,6 +93,51 @@ impl EngineTelemetry {
     }
 }
 
+/// The live entries of `queue`, in order.
+fn live_entries<'a>(
+    queue: &'a [OpenRequest],
+    live: &'a [HashSet<Vec<Value>>],
+) -> impl Iterator<Item = &'a OpenRequest> + 'a {
+    queue
+        .iter()
+        .filter(move |r| live[r.pred].contains(r.inputs.as_slice()))
+}
+
+/// The questions awaiting a crowd answer, in the order they were posed
+/// ([`CylogEngine::pending_requests`]).
+pub struct PendingRequests<'a> {
+    queue: &'a [OpenRequest],
+    live: &'a [HashSet<Vec<Value>>],
+    len: usize,
+}
+
+impl<'a> PendingRequests<'a> {
+    pub fn iter(&self) -> impl Iterator<Item = &'a OpenRequest> + 'a {
+        live_entries(self.queue, self.live)
+    }
+
+    /// How many questions are pending, in O(1).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl PartialEq for PendingRequests<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for PendingRequests<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The CyLog engine: compiled program + fact database + open-task queue.
 pub struct CylogEngine {
     program: CompiledProgram,
@@ -100,24 +145,27 @@ pub struct CylogEngine {
     mode: EvalMode,
     /// Questions already posed (never re-asked).
     asked: HashSet<(PredId, Vec<Value>)>,
-    /// Questions posed and not yet answered.
+    /// Questions posed, in the order they were posed: the live ones and
+    /// those answered since the last compaction.
     pending: Vec<OpenRequest>,
     /// Inputs of the live `pending` entries, per predicate, for O(1)
-    /// membership/removal probed by `&[Value]`; `pending` is compacted
-    /// eagerly once answered entries exceed half the queue, and otherwise
-    /// lazily at the next `run`.
+    /// membership/removal probed by `&[Value]`. An answer only takes its
+    /// entry out of here; `pending` itself is compacted once answered
+    /// entries outnumber live ones, so it never holds more than twice the
+    /// live entries, and no `run` walks it.
     pending_set: Vec<HashSet<Vec<Value>>>,
     /// Entries across `pending_set`, kept beside it so the eager-compaction
     /// test on every answer is one comparison.
     pending_live: usize,
-    pending_dirty: bool,
     /// How many leading `pending` entries the platform has already been
     /// handed ([`CylogEngine::take_new_requests`]). Part of the engine, so
     /// demands enqueued but not yet handed off move with it when a project
     /// migrates.
     handed_off: usize,
-    /// Times the pending queue was compacted (eager + lazy).
+    /// Times the pending queue was compacted.
     compactions: u64,
+    /// `pending` entries those compactions visited.
+    pending_walked: u64,
     /// Game aspect: worker id → accumulated points.
     points: BTreeMap<u64, i64>,
     /// Cumulative evaluation statistics.
@@ -159,7 +207,8 @@ impl CylogEngine {
             //   probe always resolves through the widest index);
             // * open predicates: index on the input columns → O(1)
             //   answered-question lookups;
-            // * first column: the common join pattern `p(Bound, Free…)`.
+            // * first column: the common join pattern `p(Bound, Free…)`,
+            //   unless the input index above already is that index.
             let all_cols: Vec<&str> = info.col_names.iter().map(String::as_str).collect();
             if !all_cols.is_empty() {
                 rel.create_index(&all_cols, false)?;
@@ -167,7 +216,7 @@ impl CylogEngine {
                 if n_in > 0 && n_in < all_cols.len() {
                     rel.create_index(&all_cols[..n_in], false)?;
                 }
-                if all_cols.len() > 1 {
+                if all_cols.len() > 1 && n_in != 1 {
                     rel.create_index(&all_cols[..1], false)?;
                 }
             }
@@ -186,9 +235,9 @@ impl CylogEngine {
             pending: Vec::new(),
             pending_set,
             pending_live: 0,
-            pending_dirty: false,
             handed_off: 0,
             compactions: 0,
+            pending_walked: 0,
             points: BTreeMap::new(),
             stats: EvalStats::default(),
             delta_log: BTreeMap::new(),
@@ -316,9 +365,11 @@ impl CylogEngine {
                 _ => v,
             })
             .collect();
-        let name = self.program.preds[pid].name.clone();
         let t = Tuple::new(widened);
-        let (_, fresh) = self.db.relation_mut(&name)?.insert_distinct(t.clone())?;
+        let (_, fresh) = self
+            .db
+            .relation_mut(&info.name)?
+            .insert_distinct(t.clone())?;
         if fresh {
             self.delta_log.entry(pid).or_default().push(t);
         }
@@ -416,8 +467,6 @@ impl CylogEngine {
         self.delta_log.clear();
         self.needs_full = false;
 
-        // Compact pending entries answered since the last run.
-        self.compact_pending();
         let demands = compute_demands(&self.program, &self.db, host, None)?;
         self.push_new_demands(demands)?;
         Ok(stats)
@@ -442,7 +491,6 @@ impl CylogEngine {
     ) -> Result<EvalStats, CylogError> {
         let outcome = eval_program_incremental(&self.program, &mut self.db, host, seed)?;
         self.stats.absorb(outcome.stats);
-        self.compact_pending();
         // A rebuilt stratum may have shrunk, so deltas alone cannot prove a
         // demand new — recompute the full demand set in that case (the
         // `asked` ledger still dedups).
@@ -491,9 +539,16 @@ impl CylogEngine {
         Ok(!rel.lookup(&self.input_cols[pid], inputs).is_empty())
     }
 
-    /// Questions awaiting a crowd answer.
-    pub fn pending_requests(&self) -> &[OpenRequest] {
-        &self.pending
+    /// Questions awaiting a crowd answer, in the order they were posed: a
+    /// view of the pending queue that skips the entries answered since its
+    /// last compaction, so it reads the same between an answer and the next
+    /// `run` as after it.
+    pub fn pending_requests(&self) -> PendingRequests<'_> {
+        PendingRequests {
+            queue: &self.pending,
+            live: &self.pending_set,
+            len: self.pending_live,
+        }
     }
 
     /// Hand over the questions enqueued since the previous call that are
@@ -504,10 +559,7 @@ impl CylogEngine {
     /// backlog in [`pending_requests`](Self::pending_requests).
     pub fn take_new_requests(&mut self) -> impl Iterator<Item = &OpenRequest> {
         let from = std::mem::replace(&mut self.handed_off, self.pending.len());
-        let live = &self.pending_set;
-        self.pending[from..]
-            .iter()
-            .filter(move |r| live[r.pred].contains(r.inputs.as_slice()))
+        live_entries(&self.pending[from..], &self.pending_set)
     }
 
     /// Validate one answer against the program: the predicate must be open,
@@ -558,27 +610,31 @@ impl CylogEngine {
         outputs: Vec<Value>,
         worker: Option<u64>,
     ) -> Result<bool, CylogError> {
-        let mut values = inputs.clone();
+        let n_inputs = inputs.len();
+        let mut values = inputs;
         values.extend(outputs);
-        let name = self.program.preds[pid].name.clone();
         let t = Tuple::new(values);
-        let (_, fresh) = self.db.relation_mut(&name)?.insert_distinct(t.clone())?;
-        if fresh {
-            self.delta_log.entry(pid).or_default().push(t);
-        }
-        // Remove from pending (it may have been unsolicited — that's fine).
-        if self.pending_set[pid].remove(inputs.as_slice()) {
+        let (_, fresh) = self
+            .db
+            .relation_mut(&self.program.preds[pid].name)?
+            .insert_distinct(t.clone())?;
+        // Retire the pending entry. A question that was not pending (an
+        // unsolicited answer) enters the `asked` ledger instead, so it is
+        // never posed; a pending one is already there.
+        let inputs = &t.values()[..n_inputs];
+        if self.pending_set[pid].remove(inputs) {
             self.pending_live -= 1;
-            self.pending_dirty = true;
-            // Eager compaction: once answered entries outnumber live ones,
-            // rebuilding the queue now keeps the answered history from
-            // accumulating between runs.
+            // Once answered entries outnumber live ones, rebuild the queue:
+            // amortised O(1) per answer, and the queue stays within twice
+            // its live entries.
             if 2 * self.pending_live < self.pending.len() {
                 self.compact_pending();
             }
+        } else {
+            self.asked.insert((pid, inputs.to_vec()));
         }
-        self.asked.insert((pid, inputs));
         if fresh {
+            self.delta_log.entry(pid).or_default().push(t);
             if let Some(w) = worker {
                 *self.points.entry(w).or_insert(0) += points;
             }
@@ -586,11 +642,12 @@ impl CylogEngine {
         Ok(fresh)
     }
 
-    /// Drop answered entries from the pending queue (no-op when clean).
+    /// Drop answered entries from the pending queue. Only
+    /// [`apply_answer`](Self::apply_answer) calls it, once answered entries
+    /// outnumber live ones, so the walk is paid for by the answers that
+    /// made those entries stale.
     fn compact_pending(&mut self) {
-        if !self.pending_dirty {
-            return;
-        }
+        self.pending_walked += self.pending.len() as u64;
         let live = &self.pending_set;
         // Entries before the hand-off cursor that survive stay before it.
         let (handed, mut seen, mut kept_handed) = (self.handed_off, 0, 0);
@@ -601,13 +658,20 @@ impl CylogEngine {
             keep
         });
         self.handed_off = kept_handed;
-        self.pending_dirty = false;
         self.compactions += 1;
     }
 
     /// Times the pending queue has been compacted (for observability).
     pub fn compaction_count(&self) -> u64 {
         self.compactions
+    }
+
+    /// Pending-queue entries that compaction has visited, in total (for
+    /// observability, like [`compaction_count`](Self::compaction_count):
+    /// never journaled, never in a state dump). It grows only with the
+    /// answers that tip the eager compaction, never with a `run`.
+    pub fn pending_walked(&self) -> u64 {
+        self.pending_walked
     }
 
     /// Supply a worker's answer to an open question. `worker` (if given) is
@@ -1162,6 +1226,9 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
         assert_eq!(e.points_of(7), 3);
     }
 
+    /// An answer retires its question from the pending view at once; the
+    /// queue underneath is compacted only by the answer that leaves answered
+    /// entries in the majority, and a `run` never walks it.
     #[test]
     fn pending_compacts_eagerly_when_half_answered() {
         let mut e = CylogEngine::from_source(
@@ -1169,30 +1236,40 @@ approved(S, T) :- sentence(S), translate(S, T), check(S, T, OK), OK = true.
              rel good(x: int).\ngood(X) :- item(X), judge(X, OK), OK = true.\n",
         )
         .unwrap();
+        let live = |e: &CylogEngine| -> Vec<i64> {
+            e.pending_requests()
+                .iter()
+                .map(|r| r.inputs[0].as_int().unwrap())
+                .collect()
+        };
         for i in 0..8 {
             e.add_fact("item", vec![Value::Int(i)]).unwrap();
         }
         e.run().unwrap();
         assert_eq!(e.pending_requests().len(), 8);
         assert_eq!(e.compaction_count(), 0);
-        // Answer four: answered == live, not yet a majority → no compaction;
-        // the queue still carries the answered entries.
+        // Answer four: answered == live, not yet a majority → no compaction,
+        // but the view already leaves the answered questions out.
         for i in 0..4 {
             e.answer("judge", vec![Value::Int(i)], vec![true.into()], None)
                 .unwrap();
         }
         assert_eq!(e.compaction_count(), 0);
-        assert_eq!(e.pending_requests().len(), 8);
+        assert_eq!(e.pending_requests().len(), 4);
+        assert_eq!(live(&e), vec![4, 5, 6, 7]);
+        // A run leaves the queue alone.
+        e.run().unwrap();
+        assert_eq!(e.compaction_count(), 0);
+        assert_eq!(e.pending_walked(), 0);
+        assert_eq!(live(&e), vec![4, 5, 6, 7]);
         // The fifth answer tips the majority: compaction happens without a
-        // `run`, and the queue shrinks to the live entries.
+        // `run`, walking the eight queued entries once.
         e.answer("judge", vec![Value::Int(4)], vec![true.into()], None)
             .unwrap();
         assert_eq!(e.compaction_count(), 1);
+        assert_eq!(e.pending_walked(), 8);
         assert_eq!(e.pending_requests().len(), 3);
-        assert!(e
-            .pending_requests()
-            .iter()
-            .all(|r| r.inputs[0].as_int().unwrap() >= 5));
+        assert_eq!(live(&e), vec![5, 6, 7]);
     }
 
     /// The hand-off yields each demand once, skips the ones answered

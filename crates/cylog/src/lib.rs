@@ -88,7 +88,9 @@ pub mod token;
 pub mod prelude {
     pub use crate::analysis::{compile, CompiledProgram, PredId, PredKind};
     pub use crate::ast::Program;
-    pub use crate::engine::{AnswerRecord, BatchOutcome, CylogEngine, OpenRequest};
+    pub use crate::engine::{
+        AnswerRecord, BatchOutcome, CylogEngine, OpenRequest, PendingRequests,
+    };
     pub use crate::error::CylogError;
     pub use crate::eval::{EvalMode, EvalStats};
     pub use crate::parser::parse;

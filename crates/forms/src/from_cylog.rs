@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn form_mirrors_open_predicate() {
         let e = engine();
-        let req = &e.pending_requests()[0];
+        let req = e.pending_requests().iter().next().unwrap();
         let form = form_for_request(e.program(), req);
         assert_eq!(form.fields.len(), 4);
         // inputs are read-only and prefilled
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn filled_form_supplies_the_answer() {
         let mut e = engine();
-        let req = e.pending_requests()[0].clone();
+        let req = e.pending_requests().iter().next().unwrap().clone();
         let form = form_for_request(e.program(), &req);
         let vals = form
             .validate(&FormResponse::new().set("ok", true).set("score", 0.9))
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn bad_fill_is_rejected_by_the_form() {
         let e = engine();
-        let req = &e.pending_requests()[0];
+        let req = e.pending_requests().iter().next().unwrap();
         let form = form_for_request(e.program(), req);
         // Missing score, wrong type for ok.
         let errs = form

@@ -43,7 +43,8 @@ labelled(X, N) :- unreachable(X), label(X, N).
 
     // The engine turned the `label` demand into crowd questions:
     println!("\npending crowd questions:");
-    for req in engine.pending_requests().to_vec() {
+    let questions: Vec<_> = engine.pending_requests().iter().cloned().collect();
+    for req in questions {
         println!(
             "  {}({:?}) for {} points",
             req.pred_name, req.inputs, req.points

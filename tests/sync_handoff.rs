@@ -188,7 +188,7 @@ fn view(p: &Crowd4U) -> String {
     use std::fmt::Write as _;
     let engine = &p.project(P).unwrap().engine;
     let mut out = snapshot::dump(engine.database());
-    for r in engine.pending_requests() {
+    for r in engine.pending_requests().iter() {
         let _ = writeln!(out, "pending {} {:?}", r.pred_name, r.inputs);
     }
     for t in p.pool.iter() {
@@ -225,7 +225,7 @@ fn check_synced(p: &Crowd4U) -> Result<(), TestCaseError> {
             states.len()
         );
     }
-    for r in p.project(P).unwrap().engine.pending_requests() {
+    for r in p.project(P).unwrap().engine.pending_requests().iter() {
         let states = tasks_of.get(&(r.pred_name.clone(), r.inputs.clone()));
         prop_assert!(
             matches!(states.map(Vec::as_slice), Some([TaskState::Open])),

@@ -18,7 +18,10 @@
 #                                  the shard- and telemetry-equivalence op mix
 #                                  (its worker churn installed on every replica
 #                                  at 4 shards, each registration seeding the
-#                                  declarative project's fixpoint) and
+#                                  declarative project's fixpoint, its first
+#                                  project forming teams with Greedy), the
+#                                  single-scenario streaming proptest (which
+#                                  draws the team algorithm too) and
 #                                  shared-crowd proptests, the engine→platform
 #                                  demand hand-off with and without migration
 #                                  (its declarative engine reading the worker
@@ -177,7 +180,13 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test shard_equivalence
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test telemetry_equivalence
-# Shared-crowd replay: rerun the marketplace differential proptest (three
+# Scenario streaming under a pinned seed: its single-scenario generator
+# draws the team algorithm (Greedy or LocalSearch) beside the scheme,
+# crowd and seed, and the default-built shards and the replay must read it
+# from the scenario's project registration.
+step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u --test scenario_streaming
+# Shared-crowd replay: rerun the shared-crowd differential proptest (three
 # scenarios, one population, chaos leg included) under a pinned seed so
 # its crash schedules and generated configs reproduce byte-for-byte.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1016 \

@@ -25,7 +25,6 @@ pub mod baseline;
 pub mod exact;
 pub mod greedy;
 pub mod grpsplit;
-pub mod load;
 pub mod types;
 
 pub mod prelude {
@@ -33,7 +32,6 @@ pub mod prelude {
     pub use crate::exact::ExactBB;
     pub use crate::greedy::{GreedyAff, LocalSearch};
     pub use crate::grpsplit::{random_split, GrpSplit, SplitAssignment};
-    pub use crate::load::{form_least_loaded, LeastLoaded};
     pub use crate::types::{validate_team, Candidate, Team, TeamConstraints, TeamFormation};
 }
 

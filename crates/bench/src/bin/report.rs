@@ -173,13 +173,13 @@ fn e2_workflow() {
         now += 301;
         p.advance_to(SimTime(now)).unwrap();
         // Second chance for re-suggested teams.
-        if let TaskState::Suggested { team, .. } = p.pool.get(task).unwrap().state.clone() {
+        if let TaskState::Suggested { team, .. } = p.pool().get(task).unwrap().state.clone() {
             for m in team {
                 let _ = p.undertake(m, task);
             }
         }
         if matches!(
-            p.pool.get(task).unwrap().state,
+            p.pool().get(task).unwrap().state,
             TaskState::InProgress { .. }
         ) {
             p.complete_collab_task(task, 0.7 + 0.3 * rng.unit())
@@ -187,7 +187,7 @@ fn e2_workflow() {
         }
     }
     let mut t = TablePrinter::new(&["counter", "value"]);
-    for (k, v) in p.counters.iter() {
+    for (k, v) in p.counters().iter() {
         t.row(vec![k.to_string(), v.to_string()]);
     }
     println!("{}", t.render());

@@ -4,51 +4,11 @@
 
 use crate::error::WorkerId;
 use crowd4u_assign::prelude::*;
-use crowd4u_collab::Scheme;
 use crowd4u_crowd::affinity::AffinityLookup;
 use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_forms::admin::DesiredFactors;
 
-/// Which team-formation algorithm the controller runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AlgorithmChoice {
-    Exact,
-    Greedy,
-    #[default]
-    LocalSearch,
-}
-
-impl AlgorithmChoice {
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgorithmChoice::Exact => "exact",
-            AlgorithmChoice::Greedy => "greedy",
-            AlgorithmChoice::LocalSearch => "local-search",
-        }
-    }
-}
-
-/// The assignment controller configuration.
-///
-/// The paper's conclusion stresses that the "extensible architecture can
-/// easily be leveraged to incorporate … other task assignment algorithms":
-/// any [`TeamFormation`] implementation can be plugged in via
-/// [`use_custom`](Self::use_custom) and takes precedence over the built-in
-/// choice.
-#[derive(Default)]
-pub struct AssignmentController {
-    pub algorithm: AlgorithmChoice,
-    custom: Option<Box<dyn TeamFormation + Send + Sync>>,
-}
-
-impl std::fmt::Debug for AssignmentController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AssignmentController")
-            .field("algorithm", &self.algorithm)
-            .field("custom", &self.custom.as_ref().map(|c| c.name()))
-            .finish()
-    }
-}
+pub use crowd4u_forms::admin::AlgorithmChoice;
 
 /// Convert requester factors to optimiser constraints.
 pub fn constraints_from_factors(factors: &DesiredFactors) -> TeamConstraints {
@@ -81,88 +41,22 @@ pub fn candidates_from_profiles(
         .collect()
 }
 
-impl AssignmentController {
-    pub fn with_algorithm(algorithm: AlgorithmChoice) -> AssignmentController {
-        AssignmentController {
-            algorithm,
-            custom: None,
-        }
-    }
-
-    /// Install a custom team-formation algorithm (takes precedence).
-    pub fn use_custom(&mut self, alg: Box<dyn TeamFormation + Send + Sync>) {
-        self.custom = Some(alg);
-    }
-
-    /// Remove a previously installed custom algorithm.
-    pub fn clear_custom(&mut self) {
-        self.custom = None;
-    }
-
-    /// Name of the algorithm currently in effect.
-    pub fn active_name(&self) -> &'static str {
-        match &self.custom {
-            Some(c) => c.name(),
-            None => self.algorithm.name(),
-        }
-    }
-
-    /// Run the configured algorithm. Per §2.2, the algorithm is adapted to
-    /// the collaboration scheme: sequential/simultaneous/hybrid tasks get a
-    /// single cohesive group (parallel *decomposable* tasks go through
-    /// [`split_teams`](Self::split_teams) instead).
-    pub fn suggest_team(
-        &self,
-        candidates: &[Candidate],
-        affinity: &dyn AffinityLookup,
-        constraints: &TeamConstraints,
-    ) -> Option<Team> {
-        if let Some(custom) = &self.custom {
-            return custom.form(candidates, affinity, constraints);
-        }
-        match self.algorithm {
-            AlgorithmChoice::Exact => ExactBB::default().form(candidates, affinity, constraints),
-            AlgorithmChoice::Greedy => GreedyAff::default().form(candidates, affinity, constraints),
-            AlgorithmChoice::LocalSearch => {
-                LocalSearch::default().form(candidates, affinity, constraints)
-            }
-        }
-    }
-
-    /// Decomposable parallel tasks: one group per sub-task (Grp&Split).
-    pub fn split_teams(
-        &self,
-        candidates: &[Candidate],
-        affinity: &dyn AffinityLookup,
-        constraints: &TeamConstraints,
-        n_subtasks: usize,
-    ) -> Option<SplitAssignment> {
-        GrpSplit::new(n_subtasks).split(candidates, affinity, constraints)
-    }
-
-    /// Scheme-aware entry point: sequential/hybrid always use one group;
-    /// simultaneous tasks with `sections > 1` decompose.
-    pub fn assign_for_scheme(
-        &self,
-        scheme: Scheme,
-        sections: usize,
-        candidates: &[Candidate],
-        affinity: &dyn AffinityLookup,
-        constraints: &TeamConstraints,
-    ) -> Option<Vec<Team>> {
-        match scheme {
-            Scheme::Sequential | Scheme::Hybrid => self
-                .suggest_team(candidates, affinity, constraints)
-                .map(|t| vec![t]),
-            Scheme::Simultaneous => {
-                if sections <= 1 {
-                    self.suggest_team(candidates, affinity, constraints)
-                        .map(|t| vec![t])
-                } else {
-                    self.split_teams(candidates, affinity, constraints, sections)
-                        .map(|s| s.groups)
-                }
-            }
+/// Run `algorithm` over the candidates. Per §2.2 the algorithm is adapted
+/// to the collaboration scheme, and each project names its own
+/// ([`DesiredFactors::algorithm`]); every scheme forms one cohesive group.
+/// A new algorithm is a [`TeamFormation`] behind a new [`AlgorithmChoice`]
+/// variant, so the journal that registers a project names it.
+pub fn suggest_team(
+    algorithm: AlgorithmChoice,
+    candidates: &[Candidate],
+    affinity: &dyn AffinityLookup,
+    constraints: &TeamConstraints,
+) -> Option<Team> {
+    match algorithm {
+        AlgorithmChoice::Exact => ExactBB::default().form(candidates, affinity, constraints),
+        AlgorithmChoice::Greedy => GreedyAff::default().form(candidates, affinity, constraints),
+        AlgorithmChoice::LocalSearch => {
+            LocalSearch::default().form(candidates, affinity, constraints)
         }
     }
 }
@@ -238,46 +132,10 @@ mod tests {
         let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
         let aff = affinity(&ids);
         let constraints = TeamConstraints::sized(2, 4).with_quality(0.45);
-        for alg in [
-            AlgorithmChoice::Exact,
-            AlgorithmChoice::Greedy,
-            AlgorithmChoice::LocalSearch,
-        ] {
-            let c = AssignmentController::with_algorithm(alg);
-            let t = c.suggest_team(&cands, &aff, &constraints).unwrap();
+        for alg in AlgorithmChoice::ALL {
+            let t = suggest_team(alg, &cands, &aff, &constraints).unwrap();
             assert!(validate_team(&t, &cands, &constraints), "{}", alg.name());
         }
-    }
-
-    #[test]
-    fn scheme_dispatch() {
-        let ps = profiles();
-        let refs: Vec<&WorkerProfile> = ps.iter().collect();
-        let cands = candidates_from_profiles(&refs, None);
-        let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
-        let aff = affinity(&ids);
-        let constraints = TeamConstraints::sized(2, 4);
-        let c = AssignmentController::default();
-        // sequential: one team
-        let seq = c
-            .assign_for_scheme(Scheme::Sequential, 1, &cands, &aff, &constraints)
-            .unwrap();
-        assert_eq!(seq.len(), 1);
-        // simultaneous with 2 sections: two teams
-        let sim = c
-            .assign_for_scheme(Scheme::Simultaneous, 2, &cands, &aff, &constraints)
-            .unwrap();
-        assert_eq!(sim.len(), 2);
-        // simultaneous single section: one team
-        let sim1 = c
-            .assign_for_scheme(Scheme::Simultaneous, 1, &cands, &aff, &constraints)
-            .unwrap();
-        assert_eq!(sim1.len(), 1);
-        // hybrid: one team
-        let hy = c
-            .assign_for_scheme(Scheme::Hybrid, 3, &cands, &aff, &constraints)
-            .unwrap();
-        assert_eq!(hy.len(), 1);
     }
 
     #[test]
@@ -288,8 +146,9 @@ mod tests {
         let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
         let aff = affinity(&ids);
         let constraints = TeamConstraints::sized(2, 4).with_quality(0.99);
-        let c = AssignmentController::default();
-        assert!(c.suggest_team(&cands, &aff, &constraints).is_none());
+        for alg in AlgorithmChoice::ALL {
+            assert!(suggest_team(alg, &cands, &aff, &constraints).is_none());
+        }
     }
 
     #[test]
@@ -308,55 +167,5 @@ mod tests {
         assert_eq!(AlgorithmChoice::Exact.name(), "exact");
         assert_eq!(AlgorithmChoice::Greedy.name(), "greedy");
         assert_eq!(AlgorithmChoice::default().name(), "local-search");
-    }
-
-    /// A custom algorithm plugged in behind the extensibility hook: always
-    /// picks the `min_size` highest-skill workers, ignoring affinity.
-    struct SkillFirst;
-
-    impl crowd4u_assign::types::TeamFormation for SkillFirst {
-        fn name(&self) -> &'static str {
-            "skill-first"
-        }
-
-        fn form(
-            &self,
-            cands: &[Candidate],
-            aff: &dyn AffinityLookup,
-            constraints: &TeamConstraints,
-        ) -> Option<Team> {
-            if cands.len() < constraints.min_size {
-                return None;
-            }
-            let mut sorted: Vec<&Candidate> = cands.iter().collect();
-            sorted.sort_by(|a, b| b.skill.total_cmp(&a.skill));
-            let members = sorted[..constraints.min_size]
-                .iter()
-                .map(|c| c.id)
-                .collect();
-            Some(Team::assemble(members, cands, aff))
-        }
-    }
-
-    #[test]
-    fn custom_algorithm_takes_precedence() {
-        let ps = profiles();
-        let refs: Vec<&WorkerProfile> = ps.iter().collect();
-        let cands = candidates_from_profiles(&refs, Some("journalism"));
-        let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
-        let aff = affinity(&ids);
-        let constraints = TeamConstraints::sized(2, 4);
-        let mut c = AssignmentController::default();
-        assert_eq!(c.active_name(), "local-search");
-        c.use_custom(Box::new(SkillFirst));
-        assert_eq!(c.active_name(), "skill-first");
-        let t = c.suggest_team(&cands, &aff, &constraints).unwrap();
-        // skill-first picks the two highest-skill workers (ids 7 and 6)
-        let mut members = t.members.clone();
-        members.sort();
-        assert_eq!(members, vec![WorkerId(6), WorkerId(7)]);
-        assert!(format!("{c:?}").contains("skill-first"));
-        c.clear_custom();
-        assert_eq!(c.active_name(), "local-search");
     }
 }

@@ -5,9 +5,10 @@
 //! per successful call (see [`crowd4u_storage::journal::EventJournal`]),
 //! batched ingestion ([`crate::platform::Crowd4U::apply_batch`]) consumes
 //! streams of these, and replaying a journal through
-//! [`crate::platform::Crowd4U::replay_with`] reconstructs the platform
+//! [`crate::platform::Crowd4U::replay`] reconstructs the platform
 //! deterministically — relations, points ledgers and pending queues come
-//! back byte-identical.
+//! back byte-identical. The journal carries every setting there is: a
+//! project's team algorithm is the last of its registration's factor cells.
 //!
 //! Each variant round-trips through a `(kind, args)` journal entry via
 //! [`PlatformEvent::encode`] / [`PlatformEvent::decode`]. The journal also
@@ -18,7 +19,7 @@
 use crate::error::{PlatformError, ProjectId, TaskId, WorkerId};
 use crowd4u_collab::Scheme;
 use crowd4u_crowd::profile::{Lang, Region, WorkerProfile};
-use crowd4u_forms::admin::DesiredFactors;
+use crowd4u_forms::admin::{AlgorithmChoice, DesiredFactors};
 use crowd4u_sim::time::SimTime;
 use crowd4u_storage::prelude::{JournalEntry, Value};
 
@@ -306,6 +307,11 @@ fn parse_scheme(name: &str) -> Result<Scheme, PlatformError> {
         .ok_or_else(|| PlatformError::BadEvent(format!("unknown scheme `{name}`")))
 }
 
+fn parse_algorithm(name: &str) -> Result<AlgorithmChoice, PlatformError> {
+    AlgorithmChoice::from_name(name)
+        .ok_or_else(|| PlatformError::BadEvent(format!("unknown team algorithm `{name}`")))
+}
+
 /// Sequential reader over an entry's argument row.
 struct Cursor<'a> {
     kind: &'a str,
@@ -471,6 +477,7 @@ fn encode_factors(f: &DesiredFactors) -> Vec<Value> {
         Value::Float(f.max_cost),
         Value::Id(f.recruitment_secs),
         Value::Bool(f.require_login),
+        Value::Str(f.algorithm.name().to_owned()),
     ]
 }
 
@@ -484,6 +491,7 @@ fn decode_factors(cur: &mut Cursor<'_>) -> Result<DesiredFactors, PlatformError>
         max_cost: cur.float()?,
         recruitment_secs: cur.id()?,
         require_login: cur.bool()?,
+        algorithm: parse_algorithm(&cur.str()?)?,
     })
 }
 
@@ -525,6 +533,7 @@ mod tests {
                     max_cost: f64::INFINITY,
                     recruitment_secs: 600,
                     require_login: true,
+                    algorithm: AlgorithmChoice::Exact,
                 },
                 scheme: Scheme::Hybrid,
                 owner: 0,
@@ -596,6 +605,59 @@ mod tests {
             .map(|e| PlatformEvent::decode(e).unwrap())
             .collect();
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn every_algorithm_round_trips_in_a_registration() {
+        for algorithm in AlgorithmChoice::ALL {
+            let event = PlatformEvent::ProjectRegistered {
+                name: "p".into(),
+                source: "rel a(x: int).\n".into(),
+                factors: DesiredFactors {
+                    algorithm,
+                    ..Default::default()
+                },
+                scheme: Scheme::Sequential,
+                owner: 5,
+            };
+            let entry = event.encode();
+            // The algorithm is the last factor cell, before the owner tag.
+            let cell = &entry.args[entry.args.len() - 2];
+            assert_eq!(cell, &Value::Str(algorithm.name().into()));
+            let text = {
+                let mut j = EventJournal::new();
+                j.append(entry.kind, entry.args).unwrap();
+                j.dump()
+            };
+            let back = EventJournal::load(&text).unwrap();
+            let decoded = PlatformEvent::decode(back.iter().next().unwrap()).unwrap();
+            assert_eq!(decoded, event, "{}", algorithm.name());
+        }
+    }
+
+    #[test]
+    fn an_unknown_algorithm_is_a_bad_event() {
+        let mut entry = PlatformEvent::ProjectRegistered {
+            name: "p".into(),
+            source: "rel a(x: int).\n".into(),
+            factors: DesiredFactors::default(),
+            scheme: Scheme::Sequential,
+            owner: 0,
+        }
+        .encode();
+        let last = entry.args.len() - 1;
+        entry.args[last] = Value::Str("grp-split".into());
+        match PlatformEvent::decode(&entry) {
+            Err(PlatformError::BadEvent(msg)) => assert!(msg.contains("grp-split"), "{msg}"),
+            other => panic!("expected BadEvent, got {other:?}"),
+        }
+        // A missing algorithm cell is refused too (one format, no optional
+        // cell): it reads as a truncated entry.
+        entry.args.pop();
+        assert!(matches!(
+            PlatformEvent::decode(&entry),
+            Err(PlatformError::BadEvent(_))
+        ));
     }
 
     #[test]

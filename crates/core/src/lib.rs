@@ -9,7 +9,7 @@
 //! | CyLog processor             | per-project [`crowd4u_cylog::engine::CylogEngine`] held by [`platform::Project`] |
 //! | Task pool                   | [`task::TaskPool`] |
 //! | Worker manager (user properties, affinity matrix) | [`workers::WorkerManager`] |
-//! | Task assignment controller  | [`controller::AssignmentController`] |
+//! | Task assignment controller  | [`controller::suggest_team`], run with each project's [`controller::AlgorithmChoice`] |
 //! | Eligible / InterestedIn / Undertakes | [`relations::RelationStore`] (ordered pair sets) |
 //! | Project admin pages         | [`pages::AdminPage`] |
 //! | User pages                  | [`pages::UserPage`] |
@@ -38,7 +38,7 @@ pub mod workers;
 
 pub mod prelude {
     pub use crate::controller::{
-        candidates_from_profiles, constraints_from_factors, AlgorithmChoice, AssignmentController,
+        candidates_from_profiles, constraints_from_factors, suggest_team, AlgorithmChoice,
     };
     pub use crate::declarative::uses_declarative_eligibility;
     pub use crate::decompose::{
@@ -48,7 +48,9 @@ pub mod prelude {
     pub use crate::error::{PlatformError, ProjectId, TaskId, WorkerId};
     pub use crate::events::PlatformEvent;
     pub use crate::pages::{admin_page, user_page, AdminPage, UserPage};
-    pub use crate::platform::{BatchReport, Crowd4U, Project, ProjectSlice};
+    pub use crate::platform::{
+        BatchReport, Crowd4U, Project, ProjectSlice, MAX_REASSIGNMENTS, STALL_AFTER,
+    };
     pub use crate::qualification::QualificationTest;
     pub use crate::relations::RelationStore;
     pub use crate::task::{Task, TaskBody, TaskPool, TaskState};

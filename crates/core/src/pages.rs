@@ -67,7 +67,7 @@ pub fn user_page(
         .map(|t| UserTaskEntry {
             task: t.id,
             description: t.to_string(),
-            interested: platform.relations.is_interested(worker, t.id),
+            interested: platform.relations().is_interested(worker, t.id),
             state: t.state.label(),
         })
         .collect();
@@ -124,7 +124,7 @@ pub fn admin_page(
     let proj = platform.project(project)?;
     let mut task_counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut waiting = 0usize;
-    for t in platform.pool.iter().filter(|t| t.project == project) {
+    for t in platform.pool().iter().filter(|t| t.project == project) {
         *task_counts.entry(t.state.label()).or_insert(0) += 1;
         if matches!(t.state, TaskState::Suggested { .. }) {
             waiting += 1;
@@ -199,7 +199,7 @@ published(S, T) :- sentence(S), translate(S, T).
     #[test]
     fn admin_page_reflects_state() {
         let (mut p, proj) = setup();
-        let task = p.pool.open_tasks(Some(proj))[0].id;
+        let task = p.pool().open_tasks(Some(proj))[0].id;
         p.submit_micro_answer(WorkerId(2), task, vec!["bonjour".into()])
             .unwrap();
         p.sync_tasks(proj).unwrap();

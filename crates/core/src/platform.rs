@@ -6,7 +6,9 @@
 //!
 //! Every state-changing entry point has a [`PlatformEvent`] counterpart and
 //! appends one entry to an append-only [`EventJournal`] on success, so a
-//! platform can be replayed deterministically ([`Crowd4U::replay_with`]).
+//! platform can be replayed deterministically ([`Crowd4U::replay`]). The
+//! journal carries every setting: a project's team algorithm rides in its
+//! registration, and the retry budget and stall window are constants.
 //! Worker actions can be ingested one call at a time or as batches
 //! ([`Crowd4U::apply_batch`]): batched answers mark their project *dirty*
 //! instead of re-running the CyLog fixpoint per answer, and
@@ -18,7 +20,7 @@
 //! the profiles or the project's facts changed.
 
 use crate::controller::{
-    candidates_from_profiles, constraints_from_factors, non_committers, AssignmentController,
+    candidates_from_profiles, constraints_from_factors, non_committers, suggest_team,
 };
 use crate::eligibility;
 use crate::error::{PlatformError, ProjectId, TaskId, WorkerId};
@@ -145,12 +147,19 @@ impl PlatformTelemetry {
     }
 }
 
+/// Give up on a collaborative task once it has missed this many recruitment
+/// deadlines and misses one more.
+pub const MAX_REASSIGNMENTS: u32 = 3;
+
+/// A collaboration member idle for this long counts as stalled.
+pub const STALL_AFTER: SimDuration = SimDuration::minutes(30);
+
 /// The platform.
 pub struct Crowd4U {
     now: SimTime,
     pub workers: WorkerManager,
-    pub relations: RelationStore,
-    pub pool: TaskPool,
+    relations: RelationStore,
+    pool: TaskPool,
     projects: BTreeMap<ProjectId, Project>,
     next_project: u64,
     /// High-water mark of each non-global clock domain (owner ≠ 0), fed by
@@ -158,15 +167,10 @@ pub struct Crowd4U {
     /// event-derived, so replay reconstructs it; dumped by
     /// [`Crowd4U::state_dump`] when non-empty.
     owner_clocks: BTreeMap<u64, SimTime>,
-    pub controller: AssignmentController,
-    pub counters: Counters,
+    counters: Counters,
     /// Reused buffer for scoped counter names (`p<project>.<name>`): a bump
     /// formats into it instead of allocating a `String` per event.
     counter_key: String,
-    /// Give up on a collaborative task after this many missed deadlines.
-    pub max_reassignments: u32,
-    /// A collaboration member idle for this long counts as stalled.
-    pub stall_after: SimDuration,
     /// Append-only log of every applied event (the replay source of truth).
     journal: EventJournal,
     /// Projects whose CyLog fact base changed since their last sync.
@@ -188,11 +192,8 @@ impl Default for Crowd4U {
             projects: BTreeMap::new(),
             next_project: 0,
             owner_clocks: BTreeMap::new(),
-            controller: AssignmentController::default(),
             counters: Counters::new(),
             counter_key: String::new(),
-            max_reassignments: 3,
-            stall_after: SimDuration::minutes(30),
             journal: EventJournal::new(),
             dirty: BTreeSet::new(),
             monitors: BTreeMap::new(),
@@ -208,6 +209,22 @@ impl Crowd4U {
 
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The Eligible / InterestedIn / Undertakes relations.
+    pub fn relations(&self) -> &RelationStore {
+        &self.relations
+    }
+
+    /// Every task the platform holds.
+    pub fn pool(&self) -> &TaskPool {
+        &self.pool
+    }
+
+    /// Volatile bookkeeping counters (excluded from
+    /// [`state_dump`](Crowd4U::state_dump)).
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Append one event to the journal (call only after the event's effects
@@ -241,7 +258,7 @@ impl Crowd4U {
         }
     }
 
-    /// The append-only event journal (replay it with [`Crowd4U::replay_with`]).
+    /// The append-only event journal (replay it with [`Crowd4U::replay`]).
     pub fn journal(&self) -> &EventJournal {
         &self.journal
     }
@@ -788,9 +805,7 @@ impl Crowd4U {
         self.counters.add("affinity_pairs_reused", work.reused);
         self.telemetry.pairs_computed.add(work.computed);
         self.telemetry.pairs_reused.add(work.reused);
-        let team = self
-            .controller
-            .suggest_team(&candidates, &affinity, &constraints);
+        let team = suggest_team(factors.algorithm, &candidates, &affinity, &constraints);
         match team {
             Some(team) => {
                 // Recruitment windows are measured on the project's own
@@ -866,7 +881,7 @@ impl Crowd4U {
             self.counters.incr("teams_started");
             // Undertaking counts as the team's first activity.
             self.monitors
-                .insert(task, CollabMonitor::new(&team, self.now, self.stall_after));
+                .insert(task, CollabMonitor::new(&team, self.now, STALL_AFTER));
         } else {
             self.pool.set_state(
                 task,
@@ -882,8 +897,8 @@ impl Crowd4U {
 
     /// Deadline sweep: re-execute assignment for suggested tasks whose
     /// deadline passed without the full team undertaking. Non-committers
-    /// lose their interest; after `max_reassignments` misses the task is
-    /// abandoned.
+    /// lose their interest; the miss after [`MAX_REASSIGNMENTS`] of them
+    /// abandons the task.
     pub fn process_deadlines(&mut self) -> Result<(), PlatformError> {
         // Deadline processing is a consequence of time passing, so it is
         // journaled as a clock event at the current instant.
@@ -941,7 +956,7 @@ impl Crowd4U {
             }
             self.counters.incr("deadlines_missed");
             self.bump_project_counter(task.project(), "deadlines_missed");
-            if self.pool.bump_reassignments(task)? > self.max_reassignments {
+            if self.pool.bump_reassignments(task)? > MAX_REASSIGNMENTS {
                 self.pool.set_state(
                     task,
                     TaskState::Abandoned {
@@ -1272,26 +1287,14 @@ impl Crowd4U {
         out
     }
 
-    /// Replay a journal into a fresh, default-configured platform.
+    /// Replay a journal into `Crowd4U::new()`. The journal carries every
+    /// setting (a project's algorithm rides in its registration). Replay
+    /// applies every entry through the same public entry points that
+    /// produced it, so the reconstructed platform's relations, points
+    /// ledgers, pending queues — and its journal — are identical to the
+    /// live one's.
     pub fn replay(journal: &EventJournal) -> Result<Crowd4U, PlatformError> {
-        Self::replay_with(journal, Crowd4U::new())
-    }
-
-    /// Replay a journal into `base` — a freshly configured platform (set
-    /// the controller algorithm, `max_reassignments` etc. first; those are
-    /// configuration, not events). Replay applies every entry through the
-    /// same public entry points that produced it, so the reconstructed
-    /// platform's relations, points ledgers, pending queues — and its
-    /// journal — are identical to the live one's.
-    pub fn replay_with(
-        journal: &EventJournal,
-        mut base: Crowd4U,
-    ) -> Result<Crowd4U, PlatformError> {
-        if !base.journal.is_empty() {
-            return Err(PlatformError::BadEvent(
-                "replay base must not have journaled events of its own".into(),
-            ));
-        }
+        let mut base = Crowd4U::new();
         for entry in journal.iter() {
             if entry.kind == DRAIN_KIND {
                 base.drain_events()?;
@@ -1420,25 +1423,6 @@ impl Crowd4U {
     pub fn worker_collabs_in(&self, project: ProjectId, worker: WorkerId) -> u64 {
         self.counters
             .get(&format!("p{}.w{}.collabs", project.0, worker.0))
-    }
-
-    /// Active assignment load per worker: how many suggested or in-progress
-    /// teams the worker is currently on, across **all** projects of this
-    /// platform. This is what a cross-scenario assignment policy weighs
-    /// before proposing a team from a shared crowd (see
-    /// `crowd4u_assign::load`). Workers with zero load are absent.
-    pub fn assignment_loads(&self) -> BTreeMap<WorkerId, u64> {
-        let mut loads = BTreeMap::new();
-        for t in self.pool.iter() {
-            let members = match &t.state {
-                TaskState::Suggested { team, .. } | TaskState::InProgress { team } => team,
-                _ => continue,
-            };
-            for w in members {
-                *loads.entry(*w).or_insert(0) += 1;
-            }
-        }
-        loads
     }
 
     /// Tasks a worker may currently see on their user page, in id order:
@@ -1670,22 +1654,33 @@ published(S, T) :- sentence(S), translate(S, T).
         f.min_team = 2;
         f.max_team = 2;
         let proj = p.register_project("c", SRC, f, Scheme::Sequential).unwrap();
-        p.max_reassignments = 1;
         let task = p.create_collab_task(proj, "x").unwrap();
-        p.express_interest(WorkerId(1), task).unwrap();
-        p.express_interest(WorkerId(2), task).unwrap();
-        p.run_assignment(task).unwrap();
-        // nobody undertakes; first deadline → interest withdrawn → infeasible
-        p.advance_to(SimTime(601)).unwrap();
-        let t = p.pool.get(task).unwrap();
-        // After the miss, non-committers lost interest so reassignment is
-        // infeasible; the task stays open with a suggestion, or is abandoned
-        // after exceeding the retry budget.
-        assert!(t.reassignments >= 1);
-        assert!(matches!(
-            t.state,
-            TaskState::Open | TaskState::Abandoned { .. }
-        ));
+        // Each round the pair re-expresses interest, is suggested again and
+        // nobody undertakes: the miss after MAX_REASSIGNMENTS of them
+        // abandons the task.
+        for miss in 1..=MAX_REASSIGNMENTS + 1 {
+            p.express_interest(WorkerId(1), task).unwrap();
+            p.express_interest(WorkerId(2), task).unwrap();
+            p.run_assignment(task).unwrap();
+            let past_deadline = p.now() + SimDuration::secs(601);
+            p.advance_to(past_deadline).unwrap();
+            let t = p.pool.get(task).unwrap();
+            // After a miss, non-committers lost interest so reassignment is
+            // infeasible; the task stays open with a suggestion, or is
+            // abandoned after exceeding the retry budget.
+            assert!(t.reassignments >= 1);
+            assert!(matches!(
+                t.state,
+                TaskState::Open | TaskState::Abandoned { .. }
+            ));
+            assert_eq!(
+                matches!(t.state, TaskState::Abandoned { .. }),
+                miss > MAX_REASSIGNMENTS,
+                "miss {miss}"
+            );
+        }
+        assert_eq!(p.counters.get("deadlines_missed"), 4);
+        assert_eq!(p.counters.get("tasks_abandoned"), 1);
     }
 
     #[test]
@@ -1928,16 +1923,6 @@ published(S, T) :- sentence(S), translate(S, T).
     }
 
     #[test]
-    fn replay_base_must_be_fresh() {
-        let (live, ..) = eventful_platform();
-        let dirty_base = platform_with_workers(1);
-        assert!(matches!(
-            Crowd4U::replay_with(live.journal(), dirty_base),
-            Err(PlatformError::BadEvent(..))
-        ));
-    }
-
-    #[test]
     fn apply_batch_ingests_answers_with_one_drain() {
         let mut serial = platform_with_workers(2);
         let mut batched = platform_with_workers(2);
@@ -2175,8 +2160,6 @@ published(S, T) :- sentence(S), translate(S, T).
         assert_sync::<WorkerManager>();
         assert_send::<RelationStore>();
         assert_sync::<RelationStore>();
-        assert_send::<AssignmentController>();
-        assert_sync::<AssignmentController>();
         assert_send::<PlatformEvent>();
         assert_send::<EventJournal>();
         assert_sync::<EventJournal>();
@@ -2409,7 +2392,7 @@ published(S, T) :- sentence(S), translate(S, T).
         });
         assert_eq!(p.collaboration_health(), vec![(task, Verdict::Healthy)]);
         // one member acts much later; the other goes stale
-        p.advance_to(p.now() + p.stall_after).unwrap();
+        p.advance_to(p.now() + STALL_AFTER).unwrap();
         p.record_activity(team.members[0], task).unwrap();
         match &p.collaboration_health()[0].1 {
             Verdict::MembersStalled(stalled) => assert!(!stalled.contains(&team.members[0])),

@@ -6,6 +6,40 @@ use crate::field::{Field, FieldType};
 use crate::form::{Form, FormResponse};
 use crowd4u_storage::prelude::Value;
 
+/// Which team-formation algorithm forms a project's teams (paper Figure 2,
+/// step (5): the controller's algorithm is "adapted to the collaboration
+/// scheme", a property of each project). Registration journals it with the
+/// other factors, so a replayed, recovered or migrated project keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AlgorithmChoice {
+    Exact,
+    Greedy,
+    #[default]
+    LocalSearch,
+}
+
+impl AlgorithmChoice {
+    pub const ALL: [AlgorithmChoice; 3] = [
+        AlgorithmChoice::Exact,
+        AlgorithmChoice::Greedy,
+        AlgorithmChoice::LocalSearch,
+    ];
+
+    /// The algorithm's journal name.
+    pub fn name(self) -> &'static str {
+        match self {
+            AlgorithmChoice::Exact => "exact",
+            AlgorithmChoice::Greedy => "greedy",
+            AlgorithmChoice::LocalSearch => "local-search",
+        }
+    }
+
+    /// The algorithm whose [`name`](Self::name) this is, if any.
+    pub fn from_name(name: &str) -> Option<AlgorithmChoice> {
+        Self::ALL.into_iter().find(|a| a.name() == name)
+    }
+}
+
 /// Validated requester input from the admin page.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesiredFactors {
@@ -23,6 +57,9 @@ pub struct DesiredFactors {
     pub recruitment_secs: u64,
     /// Require workers to be logged in.
     pub require_login: bool,
+    /// The team-formation algorithm; not on the Figure 3 form, so a parsed
+    /// submission takes the default.
+    pub algorithm: AlgorithmChoice,
 }
 
 impl Default for DesiredFactors {
@@ -36,6 +73,7 @@ impl Default for DesiredFactors {
             max_cost: f64::INFINITY,
             recruitment_secs: 3600,
             require_login: true,
+            algorithm: AlgorithmChoice::default(),
         }
     }
 }
@@ -182,6 +220,7 @@ pub fn parse_constraints(
         max_cost: by_name("max_cost").as_float().unwrap_or(f64::INFINITY),
         recruitment_secs: by_name("recruitment_secs").as_int().unwrap_or(3600) as u64,
         require_login: by_name("require_login").as_bool().unwrap_or(true),
+        algorithm: AlgorithmChoice::default(),
     })
 }
 
@@ -284,5 +323,15 @@ mod tests {
         assert_eq!(d.max_team, 5);
         assert!(d.required_language.is_none());
         assert!(d.require_login);
+        assert_eq!(d.algorithm, AlgorithmChoice::LocalSearch);
+    }
+
+    #[test]
+    fn algorithm_names_round_trip() {
+        for a in AlgorithmChoice::ALL {
+            assert_eq!(AlgorithmChoice::from_name(a.name()), Some(a));
+        }
+        assert_eq!(AlgorithmChoice::default().name(), "local-search");
+        assert_eq!(AlgorithmChoice::from_name("grp-split"), None);
     }
 }

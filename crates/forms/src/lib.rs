@@ -21,7 +21,9 @@ pub mod from_cylog;
 pub mod spreadsheet;
 
 pub mod prelude {
-    pub use crate::admin::{constraint_form, parse_constraints, AdminFormError, DesiredFactors};
+    pub use crate::admin::{
+        constraint_form, parse_constraints, AdminFormError, AlgorithmChoice, DesiredFactors,
+    };
     pub use crate::field::{Field, FieldError, FieldType};
     pub use crate::form::{Form, FormResponse};
     pub use crate::from_cylog::form_for_request;

@@ -134,7 +134,6 @@
 //! guide.
 
 pub mod gate;
-pub mod marketplace;
 pub mod recovery;
 pub mod router;
 pub mod scenario;
@@ -147,7 +146,6 @@ pub use shard::ShardStats;
 
 pub mod prelude {
     pub use crate::gate::{GateError, IngestGate};
-    pub use crate::marketplace::{market_snapshot, propose_team, MarketSnapshot};
     pub use crate::recovery::FaultPlan;
     pub use crate::router::{RunReport, RuntimeConfig, ShardedRuntime};
     pub use crate::scenario::{run_mixed, run_scenarios, stream_traces, stream_traces_shared};

@@ -110,10 +110,10 @@ pub struct RunReport {
 /// only need `&self`.
 ///
 /// Every slice the runtime builds — at spawn, on a recovery, for a
-/// migration — is a default-configured platform: configuration is not
-/// journaled, so a slice configured any other way would silently lose it
-/// at the first rebuild. The four constructors differ only in the
-/// telemetry registry and the fault plan.
+/// migration — is a `Crowd4U::new()` platform: a platform has no settings
+/// outside its journal (a project's team algorithm rides in its
+/// registration), so a rebuild loses nothing. The four constructors differ
+/// only in the telemetry registry and the fault plan.
 pub struct ShardedRuntime {
     gate: IngestGate,
     handles: Vec<JoinHandle<()>>,
@@ -425,29 +425,6 @@ impl ShardedRuntime {
             .sum()
     }
 
-    /// Cross-application assignment load per worker: how many suggested or
-    /// in-progress teams each worker is on across **every** project of the
-    /// runtime. Tasks live only on their owner shard (broadcast shells
-    /// hold none), so summing the per-shard maps counts each membership
-    /// exactly once. All shards are queried concurrently. This is the load
-    /// table a marketplace front-end feeds to
-    /// `crowd4u_assign::load::LeastLoaded` before proposing a team from a
-    /// shared crowd.
-    pub fn assignment_loads(
-        &self,
-    ) -> std::collections::BTreeMap<crowd4u_core::error::WorkerId, u64> {
-        let replies: Vec<Receiver<_>> = (0..self.shards())
-            .map(|s| self.submit_job(s, |p| p.assignment_loads()))
-            .collect();
-        let mut loads = std::collections::BTreeMap::new();
-        for rx in replies {
-            for (w, n) in rx.recv().expect("shard thread alive") {
-                *loads.entry(w).or_insert(0) += n;
-            }
-        }
-        loads
-    }
-
     /// Stop the runtime: the gate closes (later submissions through
     /// detached handles get
     /// [`GateError::Closed`](crate::gate::GateError::Closed)), every
@@ -757,7 +734,7 @@ out(X, Y) :- item(X), label(X, Y).
         // Auto-drains already surfaced micro tasks without an explicit
         // drain: answer one through the routed path.
         let open = rt.with_project(ProjectId(1), |p| {
-            p.pool.open_tasks(Some(ProjectId(1))).len()
+            p.pool().open_tasks(Some(ProjectId(1))).len()
         });
         assert!(open > 0, "auto-drain should have synced project 1");
         rt.submit(answer(1, 1, 1, "lab"));

@@ -65,7 +65,6 @@
 
 use crate::router::ShardedRuntime;
 use crowd4u_collab::Scheme;
-use crowd4u_core::controller::AlgorithmChoice;
 use crowd4u_core::error::PlatformError;
 use crowd4u_scenarios::mixed::{reports_from, splits_from, MixedReport};
 use crowd4u_scenarios::stream::{
@@ -183,26 +182,13 @@ fn stream_merged(
 /// gate. Reports come back in job order and match single-threaded
 /// `run_scheme` runs exactly.
 ///
-/// The controller algorithm is platform configuration, not an event, and
-/// the runtime's slices are default-configured — a recovery or migration
-/// rebuilds them that way (ARCHITECTURE.md §2). So every job must use
-/// [`AlgorithmChoice::default`]; any other is refused with a typed error
-/// before anything is submitted. Another algorithm runs on a standalone
-/// platform (`run_scheme`; `Crowd4U::replay_with` over a configured base).
+/// Jobs may name different team algorithms: each job's algorithm rides in
+/// its projects' registrations, so every shard, recovery replay and
+/// migration carries it (ARCHITECTURE.md §2).
 pub fn run_scenarios(
     rt: &ShardedRuntime,
     jobs: &[(Scheme, ScenarioConfig)],
 ) -> Result<Vec<ScenarioReport>, PlatformError> {
-    if jobs
-        .iter()
-        .any(|(_, c)| c.algorithm != AlgorithmChoice::default())
-    {
-        return Err(PlatformError::BadEvent(
-            "the sharded runtime runs the default controller algorithm only: a slice \
-             configured otherwise would lose it at the next recovery or migration"
-                .into(),
-        ));
-    }
     let traces: Vec<ScenarioTrace> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .iter()
@@ -357,26 +343,50 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_algorithms_are_rejected() {
+    fn jobs_with_different_algorithms_share_one_runtime() {
+        use crowd4u_core::controller::AlgorithmChoice;
+        // Each job's projects are registered with its own algorithm, so
+        // the three stream through one runtime side by side and each
+        // report equals its standalone run.
         let rt = ShardedRuntime::new(config(2, 64));
-        let greedy = ScenarioConfig::default().with_algorithm(AlgorithmChoice::Greedy);
-        let mixed = vec![
-            (Scheme::Sequential, ScenarioConfig::default()),
-            (Scheme::Hybrid, greedy.clone()),
+        let base = ScenarioConfig::default()
+            .with_crowd(16)
+            .with_items(1)
+            .with_seed(21);
+        let jobs = vec![
+            (
+                Scheme::Sequential,
+                base.clone().with_algorithm(AlgorithmChoice::Greedy),
+            ),
+            (
+                Scheme::Hybrid,
+                base.clone().with_algorithm(AlgorithmChoice::LocalSearch),
+            ),
+            (
+                Scheme::Simultaneous,
+                base.with_algorithm(AlgorithmChoice::Exact),
+            ),
         ];
-        // Agreeing on a non-default algorithm is refused too: a recovery or
-        // migration would rebuild the slices with the default one.
-        let all_greedy = vec![
-            (Scheme::Sequential, greedy.clone()),
-            (Scheme::Hybrid, greedy),
-        ];
-        for jobs in [mixed, all_greedy] {
-            let err = run_scenarios(&rt, &jobs).unwrap_err();
-            assert!(matches!(err, PlatformError::BadEvent(_)), "{err}");
+        let streamed = run_scenarios(&rt, &jobs).unwrap();
+        for ((scheme, cfg), got) in jobs.iter().zip(&streamed) {
+            let want = run_scheme(*scheme, cfg).unwrap();
+            assert_reports_equal(got, &want, cfg.algorithm.name());
         }
-        // Refused before anything was submitted.
-        assert_eq!(rt.stats().applied, 0);
-        rt.finish().unwrap();
+        let run = rt.finish().unwrap();
+        assert_eq!(run.stats.dropped, 0);
+        // The journal names each job's algorithm in its registrations.
+        let registered: Vec<AlgorithmChoice> = run
+            .journal
+            .iter()
+            .filter(|e| e.kind == "project")
+            .map(|e| match PlatformEvent::decode(e).unwrap() {
+                PlatformEvent::ProjectRegistered { factors, .. } => factors.algorithm,
+                other => panic!("a `project` entry decoded as {other:?}"),
+            })
+            .collect();
+        for (_, cfg) in &jobs {
+            assert!(registered.contains(&cfg.algorithm), "{registered:?}");
+        }
     }
 
     /// A `GateError::Full` handback must not reorder the stream. With a

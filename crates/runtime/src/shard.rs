@@ -152,9 +152,9 @@ impl ShardStats {
     }
 }
 
-/// A default-configured platform slice recording into `telemetry`: what a
-/// shard starts from and what a recovery replays onto. Configuration is
-/// not journaled (see ARCHITECTURE.md §2), so every slice the runtime
+/// A fresh platform slice recording into `telemetry`: what a shard starts
+/// from and what a recovery replays onto. A platform has no settings
+/// outside its journal (ARCHITECTURE.md §2), so every slice the runtime
 /// builds is built here — one way, with nothing a replay could miss.
 pub(crate) fn fresh_slice(telemetry: &TelemetryHandle) -> Crowd4U {
     let mut platform = Crowd4U::new();

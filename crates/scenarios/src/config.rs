@@ -14,7 +14,7 @@ pub struct ScenarioConfig {
     pub crowd: usize,
     /// Work items (sentences / topics / regions).
     pub items: usize,
-    /// Team-formation algorithm used by the assignment controller.
+    /// Team-formation algorithm, named in each project's factors.
     pub algorithm: AlgorithmChoice,
     /// Upper critical mass for teams.
     pub max_team: usize,

@@ -35,12 +35,15 @@ pub struct Driver {
     /// loop stamp each new op without re-decoding the whole journal —
     /// O(total) across a scenario instead of O(n²).
     scanned: (usize, SimTime),
+    /// Worker actions [`Driver::pump`] dropped as stale.
+    dropped: u64,
 }
 
 impl Driver {
     /// Build the world: a seeded crowd registered on a fresh platform, as
-    /// one registration batch through the event-ingestion path, with the
-    /// configured algorithm installed.
+    /// one registration batch through the event-ingestion path. The
+    /// configured algorithm reaches the platform with each project's
+    /// factors ([`Driver::factors`]).
     pub fn new(config: &ScenarioConfig) -> Driver {
         let mut platform = Crowd4U::new();
         let mut rng = SimRng::seed_from(config.seed);
@@ -51,7 +54,6 @@ impl Driver {
             },
             &mut rng,
         );
-        platform.controller.algorithm = config.algorithm;
         let registrations: Vec<PlatformEvent> = crowd
             .agents
             .iter()
@@ -70,6 +72,7 @@ impl Driver {
             events: Simulation::new(),
             start,
             scanned: (0, SimTime::ZERO),
+            dropped: 0,
         }
     }
 
@@ -111,7 +114,7 @@ impl Driver {
                         | PlatformError::NotEligible { .. }
                         | PlatformError::NoFeasibleTeam { .. },
                     ) => {
-                        self.platform.counters.incr("events_dropped");
+                        self.dropped += 1;
                     }
                     Err(e) => return Err(e),
                 }
@@ -120,6 +123,11 @@ impl Driver {
         }
         self.platform.drain_events()?;
         Ok(())
+    }
+
+    /// Worker actions [`Driver::pump`] has dropped as stale so far.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     // ---- streaming surface ----
@@ -216,7 +224,8 @@ impl Driver {
         Ok(ops)
     }
 
-    /// Desired factors matching the config (language-agnostic by default).
+    /// Desired factors matching the config (language-agnostic by default),
+    /// naming the config's team algorithm.
     pub fn factors(&self, config: &ScenarioConfig, skill: Option<&str>) -> DesiredFactors {
         DesiredFactors {
             skill_name: skill.map(str::to_owned),
@@ -224,6 +233,7 @@ impl Driver {
             min_team: config.min_team,
             max_team: config.max_team,
             recruitment_secs: 1800,
+            algorithm: config.algorithm,
             ..Default::default()
         }
     }
@@ -244,7 +254,7 @@ impl Driver {
     /// parallel as timed events and is pumped through the platform — the
     /// clock ends at the slowest responder. Returns how many declared.
     pub fn collect_interest(&mut self, task: TaskId) -> Result<usize, PlatformError> {
-        let eligible = self.platform.relations.eligible_workers(task);
+        let eligible = self.platform.relations().eligible_workers(task);
         let mut n = 0;
         for w in eligible {
             let Some(agent) = self.crowd.agent_mut(w) else {
@@ -270,7 +280,7 @@ impl Driver {
     ) -> Result<Option<Team>, PlatformError> {
         for _ in 0..max_rounds {
             // Pending members awaiting an undertake decision this round.
-            let pending: Vec<WorkerId> = match self.platform.pool.get(task)?.state.clone() {
+            let pending: Vec<WorkerId> = match self.platform.pool().get(task)?.state.clone() {
                 TaskState::Open => match self.platform.run_assignment(task) {
                     Ok(t) => t.members,
                     Err(PlatformError::NoFeasibleTeam { .. }) => return Ok(None),
@@ -310,7 +320,7 @@ impl Driver {
                 },
             );
             self.pump()?;
-            if let TaskState::InProgress { team } = self.platform.pool.get(task)?.state.clone() {
+            if let TaskState::InProgress { team } = self.platform.pool().get(task)?.state.clone() {
                 return Ok(Some(self.assemble(&team)));
             }
             // Someone held out: jump past the recruitment deadline so the
@@ -381,8 +391,8 @@ mod tests {
         }
         assert_eq!(d1.elapsed(), d2.elapsed());
         assert_eq!(
-            d1.platform.counters.get("interest_expressed"),
-            d2.platform.counters.get("interest_expressed")
+            d1.platform.counters().get("interest_expressed"),
+            d2.platform.counters().get("interest_expressed")
         );
     }
 
@@ -402,7 +412,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&aff));
             // the task is in progress now
             assert_eq!(
-                d.platform.pool.get(task).unwrap().state.label(),
+                d.platform.pool().get(task).unwrap().state.label(),
                 "in-progress"
             );
         }
@@ -428,8 +438,8 @@ mod tests {
         d.pump().unwrap();
         assert_eq!(d.platform.now(), SimTime(10));
         // the drain synced the dirty project: the question became a task
-        let task = d.platform.pool.open_tasks(Some(proj))[0].id;
-        let worker = d.platform.relations.eligible_workers(task)[0];
+        let task = d.platform.pool().open_tasks(Some(proj))[0].id;
+        let worker = d.platform.relations().eligible_workers(task)[0];
         d.schedule_after(
             SimDuration::secs(5),
             PlatformEvent::AnswerSubmitted {
@@ -454,7 +464,7 @@ mod tests {
             },
         );
         d.pump().unwrap();
-        assert_eq!(d.platform.counters.get("events_dropped"), 1);
+        assert_eq!(d.dropped(), 1);
     }
 
     #[test]
@@ -481,8 +491,8 @@ mod tests {
                     },
                 );
             } else {
-                let task = d.platform.pool.open_tasks(Some(proj))[0].id;
-                let worker = d.platform.relations.eligible_workers(task)[0];
+                let task = d.platform.pool().open_tasks(Some(proj))[0].id;
+                let worker = d.platform.relations().eligible_workers(task)[0];
                 d.schedule_after(
                     SimDuration::secs(5),
                     PlatformEvent::AnswerSubmitted {

@@ -35,8 +35,8 @@ pub fn run(config: &ScenarioConfig) -> Result<ScenarioReport, PlatformError> {
 /// platform. Report accounting is scenario-scoped (counter deltas,
 /// per-project points).
 pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport, PlatformError> {
-    let teams_before = d.platform.counters.get("teams_suggested");
-    let misses_before = d.platform.counters.get("deadlines_missed");
+    let teams_before = d.platform.counters().get("teams_suggested");
+    let misses_before = d.platform.counters().get("deadlines_missed");
     let proj = d.collab_project(
         "citizen journalism",
         CYLOG,
@@ -117,13 +117,13 @@ pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport,
         // one event batch (a single drain syncs the project afterwards).
         d.platform.sync_tasks(proj)?;
         let mut headline_events = Vec::new();
-        for t in d.platform.pool.open_tasks(Some(proj)) {
+        for t in d.platform.pool().open_tasks(Some(proj)) {
             let TaskBody::Micro { inputs, .. } = &t.body else {
                 continue;
             };
             let headline = format!("HEADLINE: {}", inputs[1]);
             let writer = team.members[0];
-            if d.platform.relations.is_eligible(writer, t.id) {
+            if d.platform.relations().is_eligible(writer, t.id) {
                 headline_events.push(PlatformEvent::AnswerSubmitted {
                     worker: writer,
                     task: t.id,
@@ -162,8 +162,8 @@ pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport,
         mean_quality,
         makespan: d.elapsed(),
         answers,
-        teams_formed: d.platform.counters.get("teams_suggested") - teams_before,
-        reassignments: d.platform.counters.get("deadlines_missed") - misses_before,
+        teams_formed: d.platform.counters().get("teams_suggested") - teams_before,
+        reassignments: d.platform.counters().get("deadlines_missed") - misses_before,
         mean_team_affinity: mean_aff,
         points_awarded: points,
     })

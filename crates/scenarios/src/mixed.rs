@@ -116,7 +116,6 @@ pub fn run(config: &ScenarioConfig) -> Result<MixedReport, PlatformError> {
     let traces = record(config)?;
     let merged = merge_traces(&traces);
     let mut platform = Crowd4U::new();
-    platform.controller.algorithm = config.algorithm;
     apply_stream(&mut platform, &merged)?;
     let reports = reports_from(&traces, &merged, |project, completion| {
         platform_side(&platform, project, completion)

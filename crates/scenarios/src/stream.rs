@@ -577,7 +577,6 @@ mod tests {
         let trace = record_scheme(Scheme::Simultaneous, &cfg).unwrap();
         let merged = merge_traces(std::slice::from_ref(&trace));
         let mut fresh = Crowd4U::new();
-        fresh.controller.algorithm = cfg.algorithm;
         let dropped = apply_stream(&mut fresh, &merged).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(fresh.journal().dump(), d.platform.journal().dump());
@@ -591,7 +590,6 @@ mod tests {
             let trace = record_scheme(scheme, &cfg).unwrap();
             let merged = merge_traces(std::slice::from_ref(&trace));
             let mut fresh = Crowd4U::new();
-            fresh.controller.algorithm = cfg.algorithm;
             apply_stream(&mut fresh, &merged).unwrap();
             let mut side = PlatformSide::default();
             for p in &trace.projects {

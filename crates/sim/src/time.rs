@@ -36,7 +36,7 @@ impl SimDuration {
         SimDuration(n)
     }
 
-    pub fn minutes(n: u64) -> SimDuration {
+    pub const fn minutes(n: u64) -> SimDuration {
         SimDuration(n * 60)
     }
 

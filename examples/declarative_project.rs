@@ -62,22 +62,22 @@ fn main() -> Result<(), PlatformError> {
     println!("\n{n} micro-tasks registered");
 
     // The Japanese speaker is filtered out *by the CyLog rules*.
-    let task = platform.pool.open_tasks(Some(project))[0].id;
+    let task = platform.pool().open_tasks(Some(project))[0].id;
     println!(
         "eligible for {task}: {:?}",
-        platform.relations.eligible_workers(task)
+        platform.relations().eligible_workers(task)
     );
 
     // The eligible workers caption everything, alternating.
     let open: Vec<TaskId> = platform
-        .pool
+        .pool()
         .open_tasks(Some(project))
         .iter()
         .map(|t| t.id)
         .collect();
     for (k, t) in open.iter().enumerate() {
         let worker = WorkerId(1 + (k % 2) as u64);
-        let text = match &platform.pool.get(*t)?.body {
+        let text = match &platform.pool().get(*t)?.body {
             TaskBody::Micro { inputs, .. } => inputs[1].to_string(),
             _ => continue,
         };

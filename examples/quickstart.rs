@@ -68,14 +68,14 @@ published(S, T) :- sentence(S, X), translate(S, X, T).
 
     // --- workers answer the open questions ---
     let open: Vec<TaskId> = platform
-        .pool
+        .pool()
         .open_tasks(Some(project))
         .iter()
         .map(|t| t.id)
         .collect();
     for (k, task) in open.iter().enumerate() {
         let worker = WorkerId((k % 2) as u64 + 1);
-        let inputs = match &platform.pool.get(*task)?.body {
+        let inputs = match &platform.pool().get(*task)?.body {
             TaskBody::Micro { inputs, .. } => inputs.clone(),
             _ => continue,
         };
@@ -87,7 +87,7 @@ published(S, T) :- sentence(S, X), translate(S, X, T).
     // --- team assignment for a collaborative task (workflow §2.2.1) ---
     let team_task = platform.create_collab_task(project, "review the whole subtitle file")?;
     for w in platform.workers.ids() {
-        if platform.relations.is_eligible(w, team_task) {
+        if platform.relations().is_eligible(w, team_task) {
             platform.express_interest(w, team_task)?;
         }
     }
@@ -117,6 +117,6 @@ published(S, T) :- sentence(S, X), translate(S, X, T).
         "{}",
         admin_page(&platform, project, &["translation"], &["en", "ja", "fr"])?
     );
-    println!("\nplatform counters:\n{}", platform.counters);
+    println!("\nplatform counters:\n{}", platform.counters());
     Ok(())
 }

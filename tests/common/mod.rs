@@ -2,16 +2,19 @@
 //! set-up and one mapping from generated raw ops onto the platform's event
 //! space, used by `shard_equivalence`, `recovery_equivalence` and
 //! `telemetry_equivalence`, so a new op kind reaches every oracle at once.
-//! Project 2 screens eligibility declaratively with the paper's rule, and
-//! every registration is a profile that rule admits or refuses, so each
-//! suite runs the CyLog recompute a registration triggers.
+//! Project 1 forms its teams with `AlgorithmChoice::Greedy` (the others
+//! with the default), so every suite carries a non-default algorithm
+//! through its registration, recoveries and migrations. Project 2 screens
+//! eligibility declaratively with the paper's rule, and every registration
+//! is a profile that rule admits or refuses, so each suite runs the CyLog
+//! recompute a registration triggers.
 #![allow(dead_code)] // each suite uses its own subset
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::error::{ProjectId, TaskId, WorkerId};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::crowd::profile::WorkerProfile;
-use crowd4u::forms::admin::DesiredFactors;
+use crowd4u::forms::admin::{AlgorithmChoice, DesiredFactors};
 use crowd4u::sim::time::SimTime;
 use crowd4u::storage::prelude::Value;
 use proptest::prelude::*;
@@ -68,15 +71,28 @@ pub fn worker(id: u64, name: impl Into<String>) -> PlatformEvent {
 }
 
 pub fn project(name: impl Into<String>) -> PlatformEvent {
-    project_with(name, SRC.into())
+    project_with(name, SRC.into(), AlgorithmChoice::default())
+}
+
+/// A [`project`] whose teams [`AlgorithmChoice::Greedy`] forms.
+pub fn greedy_project(name: impl Into<String>) -> PlatformEvent {
+    project_with(name, SRC.into(), AlgorithmChoice::Greedy)
 }
 
 /// A project whose eligibility is [`ELIGIBLE_SRC`]'s rule.
 pub fn declarative_project(name: impl Into<String>) -> PlatformEvent {
-    project_with(name, format!("{ELIGIBLE_SRC}{SRC}"))
+    project_with(
+        name,
+        format!("{ELIGIBLE_SRC}{SRC}"),
+        AlgorithmChoice::default(),
+    )
 }
 
-fn project_with(name: impl Into<String>, source: String) -> PlatformEvent {
+fn project_with(
+    name: impl Into<String>,
+    source: String,
+    algorithm: AlgorithmChoice,
+) -> PlatformEvent {
     PlatformEvent::ProjectRegistered {
         name: name.into(),
         source,
@@ -84,6 +100,7 @@ fn project_with(name: impl Into<String>, source: String) -> PlatformEvent {
             min_team: 1,
             max_team: 3,
             recruitment_secs: 600,
+            algorithm,
             ..Default::default()
         },
         scheme: Scheme::Sequential,
@@ -99,9 +116,9 @@ pub fn sentence(project: u64, s: impl Into<String>) -> PlatformEvent {
     }
 }
 
-/// Worker registrations, project registrations (project 2 declarative)
-/// and interleaved seed facts — the mixed multi-project shape a router has
-/// to unpick.
+/// Worker registrations, project registrations (project 1 Greedy, project
+/// 2 declarative) and interleaved seed facts — the mixed multi-project
+/// shape a router has to unpick.
 pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
     let mut events = Vec::new();
     for w in 1..=4u64 {
@@ -109,6 +126,7 @@ pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
     }
     for p in 0..n_projects {
         events.push(match p {
+            0 => greedy_project(format!("proj-{p}")),
             1 => declarative_project(format!("proj-{p}")),
             _ => project(format!("proj-{p}")),
         });

@@ -42,7 +42,11 @@ fn judge_platform(n: i64) -> (Crowd4U, ProjectId) {
 }
 
 fn open_tasks(p: &Crowd4U, proj: ProjectId) -> Vec<TaskId> {
-    p.pool.open_tasks(Some(proj)).iter().map(|t| t.id).collect()
+    p.pool()
+        .open_tasks(Some(proj))
+        .iter()
+        .map(|t| t.id)
+        .collect()
 }
 
 fn walked(p: &Crowd4U, proj: ProjectId) -> u64 {

@@ -52,7 +52,7 @@ fn cylog_rules_decide_eligibility_on_the_platform() {
 
     let task = p.create_collab_task(proj, "work").unwrap();
     // Only the online English native qualifies — exactly the paper's rule.
-    assert_eq!(p.relations.eligible_workers(task), vec![WorkerId(1)]);
+    assert_eq!(p.relations().eligible_workers(task), vec![WorkerId(1)]);
     assert!(p.express_interest(WorkerId(1), task).is_ok());
     assert!(matches!(
         p.express_interest(WorkerId(2), task),
@@ -79,7 +79,7 @@ fn factor_changes_update_declarative_eligibility() {
         )
         .unwrap();
     let t1 = p.create_collab_task(proj, "first").unwrap();
-    assert_eq!(p.relations.eligible_workers(t1), vec![WorkerId(1)]);
+    assert_eq!(p.relations().eligible_workers(t1), vec![WorkerId(1)]);
 
     // The worker logs out — a re-registration, the one way a profile
     // changes; the next task sees no eligible workers.
@@ -87,7 +87,7 @@ fn factor_changes_update_declarative_eligibility() {
     away.factors.logged_in = false;
     p.register_worker(away);
     let t2 = p.create_collab_task(proj, "second").unwrap();
-    assert!(p.relations.eligible_workers(t2).is_empty());
+    assert!(p.relations().eligible_workers(t2).is_empty());
 }
 
 /// The worker-factor predicates are read from the registry, so a seeded
@@ -125,7 +125,7 @@ fn a_phantom_worker_cannot_be_seeded() {
     assert_eq!(p.journal().len(), journaled, "nothing journaled");
     assert_eq!(p.eligible_set(proj).unwrap(), vec![WorkerId(1)]);
     let task = p.create_collab_task(proj, "work").unwrap();
-    assert_eq!(p.relations.eligible_workers(task), vec![WorkerId(1)]);
+    assert_eq!(p.relations().eligible_workers(task), vec![WorkerId(1)]);
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn micro_tasks_respect_declarative_eligibility() {
         .unwrap();
     p.seed_fact(proj, "item", vec!["photo".into()]).unwrap();
     assert_eq!(p.sync_tasks(proj).unwrap(), 1);
-    let task = p.pool.open_tasks(Some(proj))[0].id;
+    let task = p.pool().open_tasks(Some(proj))[0].id;
     // The French speaker can't answer; the English native can.
     assert!(matches!(
         p.submit_micro_answer(WorkerId(2), task, vec!["tag".into()]),
@@ -212,7 +212,7 @@ out(X, Y) :- item(X), label(X, Y).
         )
         .unwrap();
     let task = p.create_collab_task(proj, "translate things").unwrap();
-    assert_eq!(p.relations.eligible_workers(task), vec![WorkerId(1)]);
+    assert_eq!(p.relations().eligible_workers(task), vec![WorkerId(1)]);
     assert_eq!(
         Crowd4U::replay(p.journal()).unwrap().state_dump(),
         p.state_dump()

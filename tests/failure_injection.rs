@@ -50,13 +50,12 @@ fn unresponsive_crowd_never_blocks_the_platform() {
     assert!(matches!(err, PlatformError::NoFeasibleTeam { .. }));
     // The platform stays consistent and reports the problem.
     assert!(p.project(proj).unwrap().suggestion.is_some());
-    assert_eq!(p.pool.get(task).unwrap().state.label(), "open");
+    assert_eq!(p.pool().get(task).unwrap().state.label(), "open");
 }
 
 #[test]
 fn flaky_team_dissolves_and_task_eventually_abandons() {
     let mut p = world(4);
-    p.max_reassignments = 2;
     // Single-member teams so each retry can suggest a different worker.
     let f = DesiredFactors {
         min_team: 1,
@@ -73,19 +72,25 @@ fn flaky_team_dissolves_and_task_eventually_abandons() {
     }
     p.run_assignment(task).unwrap();
     // Nobody ever undertakes; every deadline miss excludes the no-show and
-    // re-executes assignment, until the retry budget is exhausted.
+    // re-executes assignment with the next interested worker, until the
+    // miss after the retry budget: four workers give exactly enough misses.
+    assert_eq!(MAX_REASSIGNMENTS + 1, 4);
     let mut now = 0;
-    for _ in 0..4 {
+    for _ in 0..MAX_REASSIGNMENTS + 1 {
         now += 61;
         p.advance_to(SimTime(now)).unwrap();
-        if p.pool.get(task).unwrap().state.label() == "abandoned" {
+        if p.pool().get(task).unwrap().state.label() == "abandoned" {
             break;
         }
     }
-    assert_eq!(p.pool.get(task).unwrap().state.label(), "abandoned");
-    assert!(p.counters.get("deadlines_missed") >= 3);
+    assert_eq!(p.pool().get(task).unwrap().state.label(), "abandoned");
+    assert!(p.counters().get("deadlines_missed") >= 3);
+    assert_eq!(
+        p.counters().get("deadlines_missed"),
+        u64::from(MAX_REASSIGNMENTS) + 1
+    );
     // Everything was cleaned up.
-    assert_eq!(p.relations.counts(), (0, 0, 0));
+    assert_eq!(p.relations().counts(), (0, 0, 0));
 }
 
 #[test]
@@ -127,14 +132,14 @@ fn wrong_typed_answers_rejected_at_engine_boundary() {
         .unwrap();
     p.seed_fact(proj, "item", vec!["a".into()]).unwrap();
     p.sync_tasks(proj).unwrap();
-    let task = p.pool.open_tasks(Some(proj))[0].id;
+    let task = p.pool().open_tasks(Some(proj))[0].id;
     // wrong output type: int instead of str
     let err = p
         .submit_micro_answer(WorkerId(1), task, vec![Value::Int(3)])
         .unwrap_err();
     assert!(matches!(err, PlatformError::Cylog(_)));
     // task is still open and answerable
-    assert_eq!(p.pool.get(task).unwrap().state.label(), "open");
+    assert_eq!(p.pool().get(task).unwrap().state.label(), "open");
     p.submit_micro_answer(WorkerId(1), task, vec!["fine".into()])
         .unwrap();
 }

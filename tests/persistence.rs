@@ -4,9 +4,11 @@
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::prelude::*;
+use crowd4u::crowd::population::{generate, PopulationConfig};
 use crowd4u::crowd::profile::{WorkerId, WorkerProfile};
 use crowd4u::cylog::engine::CylogEngine;
 use crowd4u::forms::admin::DesiredFactors;
+use crowd4u::sim::rng::SimRng;
 use crowd4u::sim::time::SimTime;
 use crowd4u::storage::prelude::*;
 use crowd4u::storage::snapshot;
@@ -78,14 +80,15 @@ fn snapshot_file_round_trip() {
 }
 
 /// Drive a platform through a full mixed workload — registrations, project
-/// setup, seeded facts, batched answers, team formation, deadlines,
-/// completion — then replay its journal from its text form and check the
-/// restored platform is indistinguishable: relations, every project
-/// database, points ledgers and pending queues byte-identical.
+/// setup, seeded facts, batched answers, team formation, deadlines, an
+/// abandonment, completion, and two projects whose team algorithms pick
+/// different teams — then replay its journal from its text form and check
+/// the restored platform is indistinguishable: relations, every project
+/// database, points ledgers, pending queues and suggested teams
+/// byte-identical.
 #[test]
 fn event_journal_replay_round_trip() {
     let mut live = Crowd4U::new();
-    live.max_reassignments = 2;
     for i in 1..=5u64 {
         live.register_worker(WorkerProfile::new(WorkerId(i), format!("w{i}")));
     }
@@ -114,7 +117,7 @@ fn event_journal_replay_round_trip() {
     live.apply_batch(seeds).unwrap();
     // Batched answers for half the open questions.
     let answer_events: Vec<PlatformEvent> = live
-        .pool
+        .pool()
         .open_tasks(Some(proj))
         .iter()
         .take(2)
@@ -135,17 +138,17 @@ fn event_journal_replay_round_trip() {
     let team = live.run_assignment(collab).unwrap();
     live.undertake(team.members[0], collab).unwrap();
     live.advance_to(SimTime(301)).unwrap(); // deadline miss → re-assignment
-    if let TaskState::Suggested { team, .. } = live.pool.get(collab).unwrap().state.clone() {
+    if let TaskState::Suggested { team, .. } = live.pool().get(collab).unwrap().state.clone() {
         for m in team {
             live.undertake(m, collab).unwrap();
         }
     }
     if matches!(
-        live.pool.get(collab).unwrap().state,
+        live.pool().get(collab).unwrap().state,
         TaskState::InProgress { .. }
     ) {
         live.record_activity(
-            match &live.pool.get(collab).unwrap().state {
+            match &live.pool().get(collab).unwrap().state {
                 TaskState::InProgress { team } => team[0],
                 _ => unreachable!(),
             },
@@ -154,6 +157,55 @@ fn event_journal_replay_round_trip() {
         .unwrap();
         live.complete_collab_task(collab, 0.85).unwrap();
     }
+    // A second collaborative task whose pair is suggested and never
+    // undertakes, returning after every miss, until the miss after the
+    // retry budget abandons it.
+    let fragile = live.create_collab_task(proj, "fragile").unwrap();
+    let mut now = live.now().ticks();
+    for _ in 0..=MAX_REASSIGNMENTS {
+        for i in 1..=2 {
+            live.express_interest(WorkerId(i), fragile).unwrap();
+        }
+        live.run_assignment(fragile).unwrap();
+        now += 301;
+        live.advance_to(SimTime(now)).unwrap();
+    }
+    assert_eq!(live.pool().get(fragile).unwrap().state.label(), "abandoned");
+    // The same eight candidates, one project per algorithm: on this crowd
+    // Exact and Greedy suggest different teams, so a journal that lost a
+    // project's algorithm would replay one of them wrong.
+    let crowd = generate(
+        &PopulationConfig {
+            size: 8,
+            first_id: 100,
+            ..Default::default()
+        },
+        &mut SimRng::seed_from(11),
+    );
+    for agent in &crowd.agents {
+        live.register_worker(agent.profile.clone());
+    }
+    let mut teams = Vec::new();
+    for algorithm in [AlgorithmChoice::Exact, AlgorithmChoice::Greedy] {
+        let factors = DesiredFactors {
+            min_team: 4,
+            max_team: 6,
+            require_login: false,
+            algorithm,
+            ..Default::default()
+        };
+        let p = live
+            .register_project(algorithm.name(), SRC, factors, Scheme::Sequential)
+            .unwrap();
+        let task = live.create_collab_task(p, "teams").unwrap();
+        for agent in &crowd.agents {
+            live.express_interest(agent.profile.id, task).unwrap();
+        }
+        let mut members = live.run_assignment(task).unwrap().members;
+        members.sort();
+        teams.push(members);
+    }
+    assert_ne!(teams[0], teams[1], "Exact and Greedy must disagree here");
 
     // Journal → text file → journal → replay.
     let dir = std::env::temp_dir().join("crowd4u_it_journal");
@@ -163,12 +215,10 @@ fn event_journal_replay_round_trip() {
     let journal = EventJournal::load_from_file(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    let mut base = Crowd4U::new();
-    base.max_reassignments = 2; // configuration is not an event
-    let restored = Crowd4U::replay_with(&journal, base).unwrap();
+    let restored = Crowd4U::replay(&journal).unwrap();
 
     // Byte-identical relations and project databases.
-    assert_eq!(live.relations.dump(), restored.relations.dump());
+    assert_eq!(live.relations().dump(), restored.relations().dump());
     assert_eq!(
         snapshot::dump(live.project(proj).unwrap().engine.database()),
         snapshot::dump(restored.project(proj).unwrap().engine.database())
@@ -182,9 +232,11 @@ fn event_journal_replay_round_trip() {
         assert_eq!(live.points_of(WorkerId(i)), restored.points_of(WorkerId(i)));
     }
     // Identical pool, clock, counters and monitor verdicts.
-    assert_eq!(live.pool.state_counts(), restored.pool.state_counts());
+    assert_eq!(live.pool().state_counts(), restored.pool().state_counts());
     assert_eq!(live.now(), restored.now());
     assert_eq!(live.collaboration_health(), restored.collaboration_health());
+    // Identical suggested teams, and everything else `state_dump` holds.
+    assert_eq!(live.state_dump(), restored.state_dump());
     // And the replayed journal is byte-identical to the source journal.
     assert_eq!(restored.journal().dump(), live.journal().dump());
 }

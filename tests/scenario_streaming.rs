@@ -27,6 +27,7 @@
 //! never reorders a stream and is admitted, and counted, once.
 
 use crowd4u::collab::Scheme;
+use crowd4u::core::controller::AlgorithmChoice;
 use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
 use crowd4u::runtime::scenario::stream_traces;
@@ -90,19 +91,29 @@ proptest! {
     /// serial `Driver` journal, replay byte-identical, report equal to
     /// the single-threaded run — at every shard count, through a small
     /// mailbox and a capacity-1 one so producers block on backpressure,
-    /// with every event admitted through the gate exactly once.
+    /// with every event admitted through the gate exactly once. The team
+    /// algorithm is drawn too (Greedy or LocalSearch): the scenario's
+    /// project registration names it, and the default-built shards and
+    /// the replay read it from there.
     #[test]
     fn streamed_scenario_is_byte_identical_to_the_serial_driver_run(
         scheme_idx in 0usize..3,
         crowd in 12usize..26,
         items in 1usize..3,
         seed in 0u64..1000,
+        greedy in any::<bool>(),
     ) {
         let scheme = Scheme::all()[scheme_idx];
+        let algorithm = if greedy {
+            AlgorithmChoice::Greedy
+        } else {
+            AlgorithmChoice::LocalSearch
+        };
         let cfg = ScenarioConfig::default()
             .with_crowd(crowd)
             .with_items(items)
-            .with_seed(seed);
+            .with_seed(seed)
+            .with_algorithm(algorithm);
         // The recording *is* the serial run: its shadow report is the
         // single-threaded reference.
         let trace = record_scheme(scheme, &cfg).expect("record");
@@ -474,7 +485,7 @@ fn scenario_streams_coexist_with_routed_events() {
     // the scenario's project, and the whole history — scenario streams
     // plus routed tail — still replays from one journal.
     let replayed = Crowd4U::replay(&run.journal).unwrap();
-    assert!(!replayed.pool.open_tasks(Some(ProjectId(1))).is_empty());
+    assert!(!replayed.pool().open_tasks(Some(ProjectId(1))).is_empty());
     assert!(replayed.workers.get(WorkerId(1000)).is_ok());
     // The owner shard saw the same late fact the replay derived.
     let owner = run

@@ -126,19 +126,19 @@ fn apply(p: &mut Crowd4U, op: &Op) -> bool {
             // judge question first, else its confirmation.
             let open = |t: &&crowd4u::core::task::Task| matches!(t.state, TaskState::Open);
             let task = p
-                .pool
+                .pool()
                 .find_micro(P, "judge", &[Value::Id(k)])
                 .filter(open)
                 .or_else(|| {
                     [true, false].into_iter().find_map(|j| {
-                        p.pool
+                        p.pool()
                             .find_micro(P, "confirm", &[Value::Id(k), j.into()])
                             .filter(open)
                     })
                 })
                 .map(|t| t.id);
             let Some(task) = task else { return false };
-            let Some(&worker) = p.relations.eligible_workers(task).first() else {
+            let Some(&worker) = p.relations().eligible_workers(task).first() else {
                 return false;
             };
             p.submit_micro_answer(worker, task, vec![ok.into()]).is_ok()
@@ -191,12 +191,12 @@ fn view(p: &Crowd4U) -> String {
     for r in engine.pending_requests().iter() {
         let _ = writeln!(out, "pending {} {:?}", r.pred_name, r.inputs);
     }
-    for t in p.pool.iter() {
+    for t in p.pool().iter() {
         let _ = writeln!(
             out,
             "{t} {:?} eligible {:?}",
             t.state,
-            p.relations.eligible_workers(t.id)
+            p.relations().eligible_workers(t.id)
         );
     }
     out
@@ -205,7 +205,7 @@ fn view(p: &Crowd4U) -> String {
 /// The hand-off invariants, checked after a successful sync.
 fn check_synced(p: &Crowd4U) -> Result<(), TestCaseError> {
     let mut tasks_of: BTreeMap<(String, Vec<Value>), Vec<&TaskState>> = BTreeMap::new();
-    for t in p.pool.iter() {
+    for t in p.pool().iter() {
         if let TaskBody::Micro {
             predicate, inputs, ..
         } = &t.body
@@ -303,7 +303,7 @@ fn failed_sync_is_retried_without_re_registering() {
     p.seed_fact(P, "item", vec![Value::Id(2)]).unwrap();
     let err = p.sync_tasks(P).unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
-    assert_eq!(p.pool.len(), 0, "the failed fixpoint handed nothing off");
+    assert_eq!(p.pool().len(), 0, "the failed fixpoint handed nothing off");
     assert_eq!(p.dirty_projects(), vec![P], "a failed sync stays dirty");
 
     // A fourth login moves the count off the pole; the retry registers
@@ -311,9 +311,9 @@ fn failed_sync_is_retried_without_re_registering() {
     p.register_worker(profile(4, true));
     assert_eq!(p.sync_tasks(P).unwrap(), 2);
     assert_eq!(p.sync_tasks(P).unwrap(), 0);
-    assert_eq!(p.pool.len(), 2);
+    assert_eq!(p.pool().len(), 2);
     check_synced(&p).unwrap();
-    for t in p.pool.iter() {
-        assert_eq!(p.relations.eligible_workers(t.id).len(), 4);
+    for t in p.pool().iter() {
+        assert_eq!(p.relations().eligible_workers(t.id).len(), 4);
     }
 }

@@ -64,11 +64,11 @@ fn steps_one_through_five() {
     // The suggested team is asked to join; everyone undertakes.
     for &m in &team.members {
         p.undertake(m, task).unwrap();
-        assert!(p.relations.is_undertaking(m, task));
+        assert!(p.relations().is_undertaking(m, task));
     }
-    assert_eq!(p.pool.get(task).unwrap().state.label(), "in-progress");
+    assert_eq!(p.pool().get(task).unwrap().state.label(), "in-progress");
     p.complete_collab_task(task, 0.9).unwrap();
-    assert_eq!(p.counters.get("teams_started"), 1);
+    assert_eq!(p.counters().get("teams_started"), 1);
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn deadline_miss_reexecutes_assignment_with_new_team() {
     p.advance_to(SimTime(601)).unwrap();
 
     // A second team was suggested; the no-show is excluded.
-    let state = p.pool.get(task).unwrap().state.clone();
+    let state = p.pool().get(task).unwrap().state.clone();
     match state {
         TaskState::Suggested { team, .. } => {
             assert!(
@@ -97,8 +97,8 @@ fn deadline_miss_reexecutes_assignment_with_new_team() {
         }
         other => panic!("expected a fresh suggestion, got {other:?}"),
     }
-    assert_eq!(p.pool.get(task).unwrap().reassignments, 1);
-    assert_eq!(p.counters.get("deadlines_missed"), 1);
+    assert_eq!(p.pool().get(task).unwrap().reassignments, 1);
+    assert_eq!(p.counters().get("deadlines_missed"), 1);
 }
 
 #[test]
@@ -113,7 +113,7 @@ fn infeasible_constraints_suggest_relaxation_then_succeed() {
         .unwrap();
     let task = p.create_collab_task(proj, "x").unwrap();
     // Nobody is eligible (skill floor 0.45), so nobody can even be interested.
-    assert!(p.relations.eligible_workers(task).is_empty());
+    assert!(p.relations().eligible_workers(task).is_empty());
     let err = p.run_assignment(task).unwrap_err();
     assert!(matches!(err, PlatformError::NoFeasibleTeam { .. }));
     assert!(p.project(proj).unwrap().suggestion.is_some());
@@ -135,20 +135,27 @@ fn infeasible_constraints_suggest_relaxation_then_succeed() {
 #[test]
 fn abandoned_after_retry_budget() {
     let mut p = world(2);
-    p.max_reassignments = 0; // give up after the first miss
     let proj = p
         .register_project("fragile", SRC, factors(2, 2), Scheme::Sequential)
         .unwrap();
     let task = p.create_collab_task(proj, "x").unwrap();
-    p.express_interest(WorkerId(1), task).unwrap();
-    p.express_interest(WorkerId(2), task).unwrap();
-    p.run_assignment(task).unwrap();
-    // nobody undertakes before the deadline
-    p.advance_to(SimTime(601)).unwrap();
-    assert_eq!(p.pool.get(task).unwrap().state.label(), "abandoned");
-    assert_eq!(p.counters.get("tasks_abandoned"), 1);
+    // The pair is suggested, nobody undertakes before the deadline, and
+    // the miss withdraws their interest; they come back and the same
+    // happens again, until the miss after the retry budget gives up.
+    let mut now = 0;
+    for miss in 1..=MAX_REASSIGNMENTS + 1 {
+        assert_eq!(p.pool().get(task).unwrap().state.label(), "open");
+        p.express_interest(WorkerId(1), task).unwrap();
+        p.express_interest(WorkerId(2), task).unwrap();
+        p.run_assignment(task).unwrap();
+        now += 601;
+        p.advance_to(SimTime(now)).unwrap();
+        assert_eq!(p.pool().get(task).unwrap().reassignments, miss);
+    }
+    assert_eq!(p.pool().get(task).unwrap().state.label(), "abandoned");
+    assert_eq!(p.counters().get("tasks_abandoned"), 1);
     // relationships are cleaned up
-    assert_eq!(p.relations.counts(), (0, 0, 0));
+    assert_eq!(p.relations().counts(), (0, 0, 0));
 }
 
 #[test]
@@ -160,7 +167,7 @@ fn micro_tasks_complete_through_cylog() {
     p.seed_fact(proj, "doc", vec![1u64.into(), "long text".into()])
         .unwrap();
     assert_eq!(p.sync_tasks(proj).unwrap(), 1);
-    let task = p.pool.open_tasks(Some(proj))[0].id;
+    let task = p.pool().open_tasks(Some(proj))[0].id;
     p.submit_micro_answer(WorkerId(1), task, vec!["short".into()])
         .unwrap();
     p.sync_tasks(proj).unwrap();

@@ -19,7 +19,9 @@
 #                                  (its worker churn installed on every replica
 #                                  at 4 shards, each registration seeding the
 #                                  declarative project's fixpoint, its first
-#                                  project forming teams with Greedy), the
+#                                  project forming teams of 4–6 with Greedy
+#                                  over a crowd where LocalSearch picks
+#                                  another team), the
 #                                  single-scenario streaming proptest (which
 #                                  draws the team algorithm too) and
 #                                  shared-crowd proptests, the engine→platform
@@ -31,8 +33,9 @@
 #                                  eligibility, memoised vs fresh affinity), the
 #                                  worker↔task relation store vs a pair-set
 #                                  model (its dump vs the storage snapshot;
-#                                  it and the eligibility differential at a
-#                                  second seed too) and
+#                                  it, the eligibility differential and the
+#                                  slot-indexed pair memo at a second seed
+#                                  too) and
 #                                  the three CyLog evaluator oracles
 #                                  (incremental vs semi-naive vs naive on layered
 #                                  programs, the cylog lib proptests, and joins
@@ -175,7 +178,10 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
 # on its owner, each registration seeds the declarative project's
 # eligibility fixpoint with the registered worker's rows, read from the
 # registry (a full recompute only when a re-registration takes a row
-# away). The telemetry differential draws the same ops, scraped mid-run.
+# away). Its team op forms project 1's teams with Greedy over an
+# eight-worker crowd where LocalSearch would pick another team, so a shard
+# or a replay that lost the algorithm diverges. The telemetry differential
+# draws the same ops, scraped mid-run.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test shard_equivalence
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
@@ -209,7 +215,8 @@ step env PROPTEST_SEED=1707 \
 # dump against the storage snapshot text `state_dump()` carries. The store
 # holds each pair once, by task, with no by-worker copy; the two oracles
 # that drive it, the model differential and the eligibility differential,
-# replay at a second seed as well.
+# replay at a second seed as well. So does the memo differential: the memo
+# is a table indexed by worker slots, not a map keyed by id pairs.
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \
@@ -217,6 +224,8 @@ step env PROPTEST_SEED=1707 \
 step env PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff
 step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-core --lib workers::memo_diff
+step env PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u-core --lib workers::memo_diff
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib relations::model_diff

@@ -797,9 +797,11 @@ impl Crowd4U {
         // instead of materialising (or cloning) a full population matrix
         // (which no longer exists anywhere). This makes assignment cost
         // independent of how many workers the platform hosts:
-        // O(candidates²), not O(population²). `interested_workers` is in
-        // ascending id order, so every pair is one the memo keeps: a pair
-        // is computed once per change of either profile.
+        // O(candidates²), not O(population²). Each candidate takes a slot
+        // in the manager's pair memo, and `interested_workers` is in
+        // ascending id order, so in a pool of up to 256 workers every pair
+        // is one the memo keeps: a pair is computed once per change of
+        // either profile, and read back by slot, with no hash.
         let (affinity, work) = self.workers.fill_candidate_affinity(&eligible);
         self.counters.add("affinity_pairs_computed", work.computed);
         self.counters.add("affinity_pairs_reused", work.reused);

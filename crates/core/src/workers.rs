@@ -12,7 +12,10 @@
 //! in the population size instead of an O(n²) cache invalidation. The
 //! assignment path pays for a pair once per change of either profile: a
 //! pair memo keeps what `WorkerManager::fill_candidate_affinity` computed
-//! until one of the two workers changes.
+//! until one of the two workers changes. The memo is a table indexed by
+//! worker *slots*, handed out by the assignment path and held in the
+//! registry beside each worker's change stamp, so reading a pair is an
+//! array index, not a hash.
 
 use crate::declarative::{facts_of, lost_rows, WORKER_PREDS};
 use crate::error::{PlatformError, WorkerId};
@@ -23,28 +26,38 @@ use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_cylog::eval::HostFacts;
 use crowd4u_storage::prelude::{Tuple, Value};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The affinity synthesis weights (geo, language, skill).
 const WEIGHTS: (f64, f64, f64) = (1.0, 1.0, 0.5);
 
-/// The memo holds every pair of a pool this large: four times the largest
-/// mean candidate pool the collaborative workloads form teams over (66), so
-/// a crowd of up to this many interested workers is memoised in full.
+/// The memo's bound in slots: four times the largest mean candidate pool
+/// the collaborative workloads form teams over (66), so a crowd of up to
+/// this many interested workers is memoised in full — 32 640 pairs.
+/// Reaching it empties the memo, which costs only recomputation: an absent
+/// pair is computed, never guessed.
 const MEMO_POOL: usize = 256;
 
-/// The memo's bound in pairs. Reaching it empties the memo, which costs
-/// only recomputation: an absent pair is computed, never guessed.
-const MEMO_PAIRS: usize = MEMO_POOL * (MEMO_POOL - 1) / 2;
+/// The slot of a worker with no pairs in the memo.
+const NO_SLOT: u32 = u32::MAX;
 
-/// A registered profile and the [`WorkerManager::version`] it last changed
-/// at — its *change stamp*. The profile is the registrant's allocation,
-/// shared, never copied: every registry a registration reaches holds the
-/// same `Arc`.
+/// A registered profile, the [`WorkerManager::version`] it last changed
+/// at — its *change stamp* — and its slot in the pair memo. The profile is
+/// the registrant's allocation, shared, never copied: every registry a
+/// registration reaches holds the same `Arc`.
 struct Registered {
     profile: Arc<WorkerProfile>,
     changed: u64,
+    slot: u32,
+}
+
+impl Registered {
+    /// The change stamp and slot the memo reads this worker's pairs by, or
+    /// `None` while it holds no slot.
+    fn memo_key(&self) -> Option<(u64, usize)> {
+        (self.slot != NO_SLOT).then_some((self.changed, self.slot as usize))
+    }
 }
 
 /// How an affinity submatrix was served: pair values computed from
@@ -59,11 +72,15 @@ pub(crate) struct PairWork {
 #[derive(Default)]
 pub struct WorkerManager {
     profiles: BTreeMap<WorkerId, Registered>,
-    /// Pair affinities the assignment path computed, keyed `(smaller id,
-    /// larger id)`. An entry holds the value — [`pair_affinity_of`] of the
-    /// two profiles — and the version it was computed at; it answers only
-    /// while that version is at or past both workers' change stamps.
-    memo: HashMap<(WorkerId, WorkerId), (f64, u64)>,
+    /// Pair affinities the assignment path computed, lower-triangular by
+    /// slot pair ([`cell`]). A cell holds the value — [`pair_affinity_of`]
+    /// of the two profiles, the smaller id first — and the version it was
+    /// computed at; it answers only while that version is at or past both
+    /// workers' change stamps. `(0.0, 0)` is an empty cell: every stamp is
+    /// at least 1.
+    memo: Vec<(f64, u64)>,
+    /// The worker holding each slot, at most [`MEMO_POOL`] of them.
+    slots: Vec<WorkerId>,
     /// Bumped by every registration, the one way a profile changes.
     /// Epoch-based caches — the platform's eligibility cache, a declarative
     /// project's last fixpoint — compare this to detect staleness without
@@ -74,6 +91,12 @@ pub struct WorkerManager {
     lost: [u64; WORKER_PREDS.len()],
 }
 
+/// The memo cell of the pair of two distinct slots.
+fn cell(a: usize, b: usize) -> usize {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    hi * (hi - 1) / 2 + lo
+}
+
 impl WorkerManager {
     pub fn new() -> WorkerManager {
         WorkerManager::default()
@@ -81,26 +104,31 @@ impl WorkerManager {
 
     /// Register (or re-register) a worker. O(log n): one map insert and a
     /// version bump — no affinity state exists to invalidate eagerly; the
-    /// worker's new change stamp retires its memoised pairs. A
-    /// re-registration that takes a row of a worker-factor predicate from
-    /// the old profile stamps that predicate's loss; the old profile itself
-    /// goes by a reference-count decrement.
+    /// worker keeps its memo slot, and its new change stamp retires its
+    /// memoised pairs. A re-registration that takes a row of a
+    /// worker-factor predicate from the old profile stamps that predicate's
+    /// loss; the old profile itself goes by a reference-count decrement.
     pub(crate) fn register(&mut self, profile: Arc<WorkerProfile>) {
         self.version += 1;
         let changed = self.version;
-        let fresh = Registered { profile, changed };
-        match self.profiles.entry(fresh.profile.id) {
-            Entry::Vacant(slot) => {
-                slot.insert(fresh);
+        match self.profiles.entry(profile.id) {
+            Entry::Vacant(entry) => {
+                entry.insert(Registered {
+                    profile,
+                    changed,
+                    slot: NO_SLOT,
+                });
             }
-            Entry::Occupied(mut slot) => {
-                let lost = lost_rows(&slot.get().profile, &fresh.profile);
+            Entry::Occupied(mut entry) => {
+                let registered = entry.get_mut();
+                let lost = lost_rows(&registered.profile, &profile);
                 for (stamp, lost) in self.lost.iter_mut().zip(lost) {
                     if lost {
                         *stamp = changed;
                     }
                 }
-                slot.insert(fresh);
+                registered.profile = profile;
+                registered.changed = changed;
             }
         }
     }
@@ -160,7 +188,16 @@ impl WorkerManager {
     /// Memoised pairs are read, nothing is stored: a profile that is not
     /// the one registered under its id is never served from the memo.
     pub fn submatrix_of(&self, profiles: &[&WorkerProfile]) -> AffinityMatrix {
-        self.memo_submatrix(profiles, |_, _| {}).0
+        let keys: Vec<Option<(u64, usize)>> = profiles
+            .iter()
+            .map(|p| {
+                self.profiles
+                    .get(&p.id)
+                    .filter(|r| std::ptr::eq(&*r.profile, *p))
+                    .and_then(Registered::memo_key)
+            })
+            .collect();
+        self.memo_submatrix(profiles, &keys, |_, _| {}).0
     }
 
     /// Dense affinity submatrix over a candidate id set (unknown ids are
@@ -170,21 +207,25 @@ impl WorkerManager {
     }
 
     /// [`candidate_affinity`](WorkerManager::candidate_affinity) for the
-    /// assignment path: pairs in ascending id order come from the memo
-    /// while both workers are unchanged, and every such pair computed here
-    /// is kept for the next call. Returns the matrix and how it was served.
+    /// assignment path: every registered candidate takes a memo slot, pairs
+    /// in ascending id order come from the memo while both workers are
+    /// unchanged, and every such pair computed here is kept for the next
+    /// call. Returns the matrix and how it was served.
     pub(crate) fn fill_candidate_affinity(
         &mut self,
         ids: &[WorkerId],
     ) -> (AffinityMatrix, PairWork) {
+        self.take_slots(ids);
+        let (profiles, keys): (Vec<&WorkerProfile>, Vec<_>) = ids
+            .iter()
+            .filter_map(|w| self.profiles.get(w))
+            .map(|r| (&*r.profile, r.memo_key()))
+            .unzip();
         let mut fresh = Vec::new();
         let (matrix, work) =
-            self.memo_submatrix(&self.registered(ids), |key, value| fresh.push((key, value)));
-        for (key, value) in fresh {
-            if self.memo.len() >= MEMO_PAIRS {
-                self.memo.clear();
-            }
-            self.memo.insert(key, (value, self.version));
+            self.memo_submatrix(&profiles, &keys, |at, value| fresh.push((at, value)));
+        for (at, value) in fresh {
+            self.memo[at] = (value, self.version);
         }
         (matrix, work)
     }
@@ -202,26 +243,59 @@ impl WorkerManager {
             .collect()
     }
 
+    /// Give every registered worker among `ids` a memo slot. A worker that
+    /// finds every slot taken empties the memo, unless the slots are all
+    /// this pool's already, and the pool takes slots afresh; a pool larger
+    /// than [`MEMO_POOL`] leaves its last workers without one, their pairs
+    /// computed and not kept.
+    fn take_slots(&mut self, ids: &[WorkerId]) {
+        let (held, refused) = self.hand_out_slots(ids);
+        if refused && held < self.slots.len() {
+            for id in self.slots.drain(..) {
+                if let Some(r) = self.profiles.get_mut(&id) {
+                    r.slot = NO_SLOT;
+                }
+            }
+            self.memo.clear();
+            self.hand_out_slots(ids);
+        }
+        let n = self.slots.len();
+        self.memo.resize(n * n.saturating_sub(1) / 2, (0.0, 0));
+    }
+
+    /// Free slots to the slotless registered workers among `ids`, in order,
+    /// while any is free. Returns how many of them hold a slot and whether
+    /// one was refused.
+    fn hand_out_slots(&mut self, ids: &[WorkerId]) -> (usize, bool) {
+        let (mut held, mut refused) = (0, false);
+        for &id in ids {
+            let Some(r) = self.profiles.get_mut(&id) else {
+                continue;
+            };
+            if r.slot == NO_SLOT && self.slots.len() < MEMO_POOL {
+                r.slot = self.slots.len() as u32;
+                self.slots.push(id);
+            }
+            if r.slot == NO_SLOT {
+                refused = true;
+            } else {
+                held += 1;
+            }
+        }
+        (held, refused)
+    }
+
     /// The one submatrix builder: memo hits where the memo is exact, a
-    /// fresh computation elsewhere, `fresh(key, value)` told of every
-    /// computed pair the memo may keep.
+    /// fresh computation elsewhere, `fresh(cell, value)` told of every
+    /// computed pair the memo may keep. `keys` holds each position's
+    /// [`Registered::memo_key`], or `None` where the profile is not the
+    /// registered one (an unregistered id, or a copy).
     fn memo_submatrix(
         &self,
         profiles: &[&WorkerProfile],
-        mut fresh: impl FnMut((WorkerId, WorkerId), f64),
+        keys: &[Option<(u64, usize)>],
+        mut fresh: impl FnMut(usize, f64),
     ) -> (AffinityMatrix, PairWork) {
-        // Each position's change stamp, or `None` for a profile that is not
-        // the registered one (an unregistered id, or a copy): the registered
-        // one is the `Arc`'s target itself.
-        let stamps: Vec<Option<u64>> = profiles
-            .iter()
-            .map(|p| {
-                self.profiles
-                    .get(&p.id)
-                    .filter(|r| std::ptr::eq(&*r.profile, *p))
-                    .map(|r| r.changed)
-            })
-            .collect();
         let mut reused = 0;
         let (wg, wl, ws) = WEIGHTS;
         let matrix = affinity_from_profile_refs_with(
@@ -230,15 +304,15 @@ impl WorkerManager {
             wl,
             ws,
             |i, j| {
-                let (si, sj) = (stamps[i]?, stamps[j]?);
-                let &(value, at) = self.memo.get(&(profiles[i].id, profiles[j].id))?;
+                let ((si, a), (sj, b)) = (keys[i]?, keys[j]?);
+                let (value, at) = self.memo[cell(a, b)];
                 let exact = at >= si && at >= sj;
                 reused += u64::from(exact);
                 exact.then_some(value)
             },
             |i, j, value| {
-                if stamps[i].is_some() && stamps[j].is_some() {
-                    fresh((profiles[i].id, profiles[j].id), value);
+                if let (Some((_, a)), Some((_, b))) = (keys[i], keys[j]) {
+                    fresh(cell(a, b), value);
                 }
             },
         );
@@ -405,6 +479,61 @@ mod tests {
         // Descending pairs are computed in slice order and never kept.
         let reversed: Vec<WorkerId> = ids.iter().rev().copied().collect();
         assert_eq!(m.fill_candidate_affinity(&reversed).1, work(6, 0));
+    }
+
+    /// The memo's bound. Two overlapping pools whose union passes
+    /// [`MEMO_POOL`] empty the memo in turn, so the first pool's refill
+    /// computes every pair again; a pool larger than the bound keeps the
+    /// pairs of its first `MEMO_POOL` workers and computes the rest. Every
+    /// read is the fresh value and no more than `MEMO_POOL` slots are held.
+    #[test]
+    fn the_memo_empties_at_its_bound() {
+        let mut m = WorkerManager::new();
+        for i in 0..400u64 {
+            let x = i as f64;
+            m.register(
+                WorkerProfile::new(WorkerId(i), format!("w{i}"))
+                    .with_native_lang(["en", "ja", "fr"][i as usize % 3])
+                    .with_region(Region::new("r", (x * 0.37).fract(), (x * 0.11).fract()))
+                    .with_skill("survey", (x * 0.13).fract())
+                    .into(),
+            );
+        }
+        let pool = |ids: std::ops::Range<u64>| ids.map(WorkerId).collect::<Vec<_>>();
+        let pairs = |k: u64| k * (k - 1) / 2;
+        let fill = |m: &mut WorkerManager, ids: &[WorkerId]| {
+            let (filled, work) = m.fill_candidate_affinity(ids);
+            assert!(m.slots.len() <= MEMO_POOL, "{} slots", m.slots.len());
+            assert_eq!(work.computed + work.reused, pairs(ids.len() as u64));
+            let (wg, wl, ws) = WEIGHTS;
+            let want =
+                crowd4u_crowd::affinity::affinity_from_profile_refs(&m.registered(ids), wg, wl, ws);
+            let bits = |a: &AffinityMatrix| -> Vec<u64> {
+                a.table(ids).iter().map(|v| v.to_bits()).collect()
+            };
+            assert!(bits(&filled) == bits(&want), "fill over {} ids", ids.len());
+            let read = m.candidate_affinity(ids);
+            assert!(bits(&read) == bits(&want), "read over {} ids", ids.len());
+            work
+        };
+        let work = |computed, reused| PairWork { computed, reused };
+        let (first, second, large) = (pool(0..200), pool(100..300), pool(100..400));
+        assert_eq!(fill(&mut m, &first), work(pairs(200), 0));
+        assert_eq!(fill(&mut m, &first), work(0, pairs(200)));
+        // The second pool's hundred new workers find 56 free slots: the memo
+        // empties, and the second pool computes every pair afresh…
+        assert_eq!(fill(&mut m, &second), work(pairs(200), 0));
+        assert_eq!(fill(&mut m, &second), work(0, pairs(200)));
+        // …and so does the first pool's refill.
+        assert_eq!(fill(&mut m, &first), work(pairs(200), 0));
+        // A pool past the bound is served: its first 256 workers take every
+        // slot, and the pairs of its last 44 are computed and not kept.
+        assert_eq!(fill(&mut m, &large), work(pairs(300), 0));
+        assert_eq!(m.slots.len(), MEMO_POOL);
+        assert_eq!(
+            fill(&mut m, &large),
+            work(pairs(300) - pairs(256), pairs(256))
+        );
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! set-up and one mapping from generated raw ops onto the platform's event
 //! space, used by `shard_equivalence`, `recovery_equivalence` and
 //! `telemetry_equivalence`, so a new op kind reaches every oracle at once.
-//! Project 1 forms its teams with `AlgorithmChoice::Greedy` (the others
-//! with the default), so every suite carries a non-default algorithm
-//! through its registration, recoveries and migrations. Project 2 screens
+//! Project 1 forms its teams of 4–6 with `AlgorithmChoice::Greedy` (the
+//! others teams of 1–3 with the default), so every suite carries a
+//! non-default algorithm through its registration, recoveries and
+//! migrations; the team op forms its teams over [`team_crowd`], where
+//! Greedy and LocalSearch choose different teams, so a project that lost
+//! its algorithm shows in the journal and the state. Project 2 screens
 //! eligibility declaratively with the paper's rule, and every registration
 //! is a profile that rule admits or refuses, so each suite runs the CyLog
 //! recompute a registration triggers.
@@ -13,8 +16,10 @@
 use crowd4u::collab::Scheme;
 use crowd4u::core::error::{ProjectId, TaskId, WorkerId};
 use crowd4u::core::events::PlatformEvent;
+use crowd4u::crowd::population::{generate, PopulationConfig};
 use crowd4u::crowd::profile::WorkerProfile;
 use crowd4u::forms::admin::{AlgorithmChoice, DesiredFactors};
+use crowd4u::sim::rng::SimRng;
 use crowd4u::sim::time::SimTime;
 use crowd4u::storage::prelude::Value;
 use proptest::prelude::*;
@@ -46,7 +51,7 @@ pub type RawOp = (u8, usize, usize, u64, String, bool);
 /// The strategy every suite draws its ops from.
 pub fn raw_op() -> impl Strategy<Value = RawOp> {
     (
-        0u8..10,
+        0u8..11,
         0usize..4,
         0usize..8,
         1u64..5,
@@ -71,12 +76,12 @@ pub fn worker(id: u64, name: impl Into<String>) -> PlatformEvent {
 }
 
 pub fn project(name: impl Into<String>) -> PlatformEvent {
-    project_with(name, SRC.into(), AlgorithmChoice::default())
+    project_with(name, SRC.into(), (1, 3), AlgorithmChoice::default())
 }
 
-/// A [`project`] whose teams [`AlgorithmChoice::Greedy`] forms.
+/// A [`project`] whose teams of 4–6 [`AlgorithmChoice::Greedy`] forms.
 pub fn greedy_project(name: impl Into<String>) -> PlatformEvent {
-    project_with(name, SRC.into(), AlgorithmChoice::Greedy)
+    project_with(name, SRC.into(), (4, 6), AlgorithmChoice::Greedy)
 }
 
 /// A project whose eligibility is [`ELIGIBLE_SRC`]'s rule.
@@ -84,6 +89,7 @@ pub fn declarative_project(name: impl Into<String>) -> PlatformEvent {
     project_with(
         name,
         format!("{ELIGIBLE_SRC}{SRC}"),
+        (1, 3),
         AlgorithmChoice::default(),
     )
 }
@@ -91,14 +97,15 @@ pub fn declarative_project(name: impl Into<String>) -> PlatformEvent {
 fn project_with(
     name: impl Into<String>,
     source: String,
+    (min_team, max_team): (usize, usize),
     algorithm: AlgorithmChoice,
 ) -> PlatformEvent {
     PlatformEvent::ProjectRegistered {
         name: name.into(),
         source,
         factors: DesiredFactors {
-            min_team: 1,
-            max_team: 3,
+            min_team,
+            max_team,
             recruitment_secs: 600,
             algorithm,
             ..Default::default()
@@ -116,9 +123,31 @@ pub fn sentence(project: u64, s: impl Into<String>) -> PlatformEvent {
     }
 }
 
+/// Eight logged-in workers (ids 100–107) over whom project 1's teams of
+/// 4–6 differ by algorithm: Greedy chooses {100, 102, 103, 104}, LocalSearch
+/// and Exact {100, 101, 103, 104}.
+pub fn team_crowd() -> Vec<WorkerProfile> {
+    let config = PopulationConfig {
+        size: 8,
+        first_id: 100,
+        ..Default::default()
+    };
+    generate(&config, &mut SimRng::seed_from(11))
+        .agents
+        .into_iter()
+        .map(|agent| agent.profile)
+        .collect()
+}
+
+/// Project 1's collaborative task for [`team_crowd`]: the first task the
+/// project creates, before any of its micro-tasks.
+pub fn crowd_task() -> TaskId {
+    TaskId::compose(ProjectId(1), 1)
+}
+
 /// Worker registrations, project registrations (project 1 Greedy, project
-/// 2 declarative) and interleaved seed facts — the mixed multi-project
-/// shape a router has to unpick.
+/// 2 declarative), project 1's [`crowd_task`] and interleaved seed facts —
+/// the mixed multi-project shape a router has to unpick.
 pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
     let mut events = Vec::new();
     for w in 1..=4u64 {
@@ -131,6 +160,10 @@ pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
             _ => project(format!("proj-{p}")),
         });
     }
+    events.push(PlatformEvent::CollabTaskCreated {
+        project: ProjectId(1),
+        description: "crowd team".into(),
+    });
     for i in 0..items {
         for p in 0..n_projects {
             events.push(sentence(p as u64 + 1, format!("s{i}")));
@@ -140,13 +173,13 @@ pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
 }
 
 /// Map one generated op onto platform events: one event, except for the
-/// crowd burst.
+/// crowd burst and the team op.
 pub fn op_events(n_projects: usize, items: usize, op: &RawOp) -> Vec<PlatformEvent> {
     let (kind, p, i, w, s, b) = op;
     let project = ProjectId((*p % n_projects) as u64 + 1);
     let task = TaskId::compose(project, *i as u64 + 1);
     let worker = WorkerId(*w);
-    let event = match kind % 10 {
+    let event = match kind % 11 {
         // Translate-level answer guesses (valid while the task is open).
         0 | 1 => PlatformEvent::AnswerSubmitted {
             worker,
@@ -182,13 +215,38 @@ pub fn op_events(n_projects: usize, items: usize, op: &RawOp) -> Vec<PlatformEve
         // setup workers, the late ones and earlier bursts re-register,
         // the rest are new. One burst is at least 64 registrations, so
         // every suite runs long install runs on every replica.
-        _ => {
+        9 => {
             return (0..64 + 8 * (*i as u64 % 5))
                 .map(|k| PlatformEvent::WorkerRegistered {
                     profile: profile(w + k, format!("b{k}-{s}"))
                         .with_skill("survey", (k % 8) as f64 / 8.0),
                 })
                 .collect()
+        }
+        // A team over a larger pool: the team crowd (re-)registers and
+        // shows interest in the crowd task, project 1 forms a team of 4–6
+        // from eight or more candidates, and one of the crowd undertakes —
+        // accepted only from a member of the team the project's algorithm
+        // chose.
+        _ => {
+            let task = crowd_task();
+            let crowd = team_crowd();
+            let undertaker = crowd[*i % crowd.len()].id;
+            let interest = crowd
+                .iter()
+                .map(|p| PlatformEvent::InterestExpressed { worker: p.id, task });
+            return crowd
+                .iter()
+                .map(|p| PlatformEvent::WorkerRegistered { profile: p.clone() })
+                .chain(interest)
+                .chain([
+                    PlatformEvent::AssignmentRun { task },
+                    PlatformEvent::Undertaken {
+                        worker: undertaker,
+                        task,
+                    },
+                ])
+                .collect();
         }
     };
     vec![event]

@@ -3,11 +3,15 @@
 //! platform holding N and then 4N of the backlog, and compares an exact,
 //! observe-only work counter: equal at both sizes, or bounded by what the
 //! event itself touches. A contract is not widened to pass.
+//!
+//! The same holds for team formation: an assignment pays for the pairs of
+//! its own candidate pool that changed, never for the crowd or the task
+//! backlog around it.
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::error::{ProjectId, TaskId, WorkerId};
 use crowd4u::core::platform::Crowd4U;
-use crowd4u::crowd::profile::WorkerProfile;
+use crowd4u::crowd::profile::{Region, WorkerProfile};
 use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::storage::prelude::Value;
 
@@ -100,5 +104,79 @@ fn the_tipping_answer_walks_at_most_twice_the_live_entries() {
         }
         assert!(compactions > 0, "n = {n}: no answer compacted the queue");
         assert_eq!(pending(&p, proj), 0);
+    }
+}
+
+/// The candidate pool of the assignment contract: workers `1..=K`.
+const K: u64 = 12;
+
+/// A worker of the crowd, its profile varied by id.
+fn crowd_worker(i: u64) -> WorkerProfile {
+    let x = i as f64;
+    WorkerProfile::new(WorkerId(i), format!("w{i}"))
+        .with_native_lang(if i.is_multiple_of(2) { "en" } else { "ja" })
+        .with_region(Region::new("r", (x * 0.37).fract(), (x * 0.71).fract()))
+        .with_skill("survey", (x * 0.13).fract())
+}
+
+/// Pairs `(computed, reused)` by three assignments over the same K-worker
+/// pool, on a platform hosting `population` workers and `tasks` open
+/// collaborative tasks, each with the pool's interest: a first, a repeat,
+/// and one after a member of the pool re-registers.
+fn pairs_of_three_assignments(population: u64, tasks: u64) -> Vec<(u64, u64)> {
+    let mut p = Crowd4U::new();
+    for i in 1..=population {
+        p.register_worker(crowd_worker(i));
+    }
+    let factors = DesiredFactors {
+        min_team: 2,
+        max_team: 4,
+        ..Default::default()
+    };
+    let proj = p
+        .register_project("teams", JUDGE, factors, Scheme::Sequential)
+        .unwrap();
+    let open: Vec<TaskId> = (0..tasks)
+        .map(|t| p.create_collab_task(proj, format!("t{t}")).unwrap())
+        .collect();
+    for &task in &open {
+        for w in 1..=K {
+            p.express_interest(WorkerId(w), task).unwrap();
+        }
+    }
+    let pairs = |p: &Crowd4U| {
+        let c = p.counters();
+        (
+            c.get("affinity_pairs_computed"),
+            c.get("affinity_pairs_reused"),
+        )
+    };
+    let mut work = Vec::new();
+    for (n, &task) in open.iter().take(3).enumerate() {
+        if n == 2 {
+            p.register_worker(crowd_worker(K / 2).with_skill("survey", 0.99));
+        }
+        let before = pairs(&p);
+        p.run_assignment(task).unwrap();
+        let after = pairs(&p);
+        work.push((after.0 - before.0, after.1 - before.1));
+    }
+    work
+}
+
+/// A repeat assignment computes no pair of its pool and reuses all
+/// K(K−1)/2; after one member re-registers, exactly its K−1 pairs are
+/// computed — the same at N and 4N workers, and at T and 4T open tasks.
+#[test]
+fn an_assignment_computes_only_its_pools_changed_pairs() {
+    const T: u64 = 8;
+    let all = K * (K - 1) / 2;
+    let want = vec![(all, 0), (0, all), (K - 1, all - (K - 1))];
+    for (population, tasks) in [(N as u64, T), (4 * N as u64, T), (N as u64, 4 * T)] {
+        assert_eq!(
+            pairs_of_three_assignments(population, tasks),
+            want,
+            "{population} workers, {tasks} open tasks"
+        );
     }
 }

@@ -30,7 +30,7 @@
 mod common;
 
 use common::{build_events, project, raw_op, sentence, setup_events, worker};
-use crowd4u::core::error::ProjectId;
+use crowd4u::core::error::{PlatformError, ProjectId};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
@@ -136,14 +136,27 @@ proptest! {
             assert_equivalent(&clean, &run, &format!("mid-apply fault at {shards} shards"))?;
 
             // Fault + migrate: same crash schedule, plus a hot migration
-            // of one project to the next shard between the two halves.
+            // of one project to the next shard between the two halves. A
+            // split that cuts before the project's registration meets an
+            // unknown project: the migration is refused, and the run must
+            // be as unperturbed by that as by a migration.
             if shards > 1 {
                 let project = ProjectId((migrate_pick % n_projects) as u64 + 1);
+                let registered = first
+                    .iter()
+                    .filter(|e| matches!(e, PlatformEvent::ProjectRegistered { .. }))
+                    .count() as u64
+                    >= project.0;
                 let rt = ShardedRuntime::new_chaos(config(shards), plan);
                 let run = run_halves(rt, first, second, |rt| {
                     let to = (rt.owner_of(project) + 1) % shards;
-                    rt.migrate_project(project, to).unwrap();
-                    assert_eq!(rt.owner_of(project), to);
+                    let moved = rt.migrate_project(project, to);
+                    if registered {
+                        moved.unwrap();
+                        assert_eq!(rt.owner_of(project), to);
+                    } else {
+                        assert_eq!(moved, Err(PlatformError::UnknownProject(project)));
+                    }
                 });
                 assert_equivalent(
                     &clean,

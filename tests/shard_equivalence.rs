@@ -29,9 +29,14 @@
 
 mod common;
 
-use common::{build_events, op_events, raw_op, setup_events};
+use common::{build_events, crowd_task, op_events, raw_op, setup_events, team_crowd};
+use crowd4u::core::controller::{
+    candidates_from_profiles, constraints_from_factors, suggest_team, AlgorithmChoice,
+};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
+use crowd4u::core::task::TaskState;
+use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
 use crowd4u::storage::snapshot;
 use proptest::prelude::*;
@@ -323,4 +328,51 @@ proptest! {
             );
         }
     }
+}
+
+/// The team op tells the algorithms apart: run serially, project 1 suggests
+/// the team Greedy forms over the team crowd, and LocalSearch would form
+/// another. A replica or a replay that read project 1's algorithm wrong
+/// would therefore suggest a different team, and refuse the undertaking of
+/// a member of the right one.
+#[test]
+fn the_team_op_forms_greedys_team_not_local_searchs() {
+    let mut events = setup_events(2, 2);
+    events.extend(op_events(2, 2, &(10, 0, 2, 1, "a".into(), false)));
+    let mut serial = Crowd4U::new();
+    let report = serial.apply_batch(events).unwrap();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let TaskState::Suggested {
+        team, undertaken, ..
+    } = &serial.pool().get(crowd_task()).unwrap().state
+    else {
+        panic!("the crowd task holds no team");
+    };
+
+    let crowd = team_crowd();
+    let ids: Vec<_> = crowd.iter().map(|p| p.id).collect();
+    let profiles: Vec<_> = crowd.iter().collect();
+    let affinity = serial.workers.candidate_affinity(&ids);
+    let constraints = constraints_from_factors(&DesiredFactors {
+        min_team: 4,
+        max_team: 6,
+        ..Default::default()
+    });
+    let form = |algorithm| {
+        let candidates = candidates_from_profiles(&profiles, None);
+        let mut members = suggest_team(algorithm, &candidates, &affinity, &constraints)
+            .unwrap()
+            .members;
+        members.sort();
+        members
+    };
+    let mut suggested = team.clone();
+    suggested.sort();
+    assert_eq!(suggested, form(AlgorithmChoice::Greedy));
+    assert_ne!(suggested, form(AlgorithmChoice::LocalSearch));
+    assert_eq!(
+        undertaken,
+        &vec![crowd[2].id],
+        "the third of the crowd is Greedy's"
+    );
 }

@@ -186,9 +186,19 @@ fn e2_workflow() {
                 .unwrap();
         }
     }
+    // The platform's counts and the project's (as `p1.<name>`), by name.
+    let c = &p.project(proj).unwrap().counters;
+    let mut rows: Vec<(String, u64)> = p.counters().named().map(|(k, v)| (k.into(), v)).into();
+    rows.extend(c.named().map(|(k, v)| (format!("{proj}.{k}"), v)));
+    rows.extend(
+        c.collabs
+            .iter()
+            .map(|(w, &v)| (format!("{proj}.{w}.collabs"), v)),
+    );
+    rows.sort();
     let mut t = TablePrinter::new(&["counter", "value"]);
-    for (k, v) in p.counters().iter() {
-        t.row(vec![k.to_string(), v.to_string()]);
+    for (k, v) in rows.into_iter().filter(|&(_, v)| v > 0) {
+        t.row(vec![k, v.to_string()]);
     }
     println!("{}", t.render());
 }

@@ -24,6 +24,7 @@
 //!    and infeasibility produces a requester suggestion.
 
 pub mod controller;
+pub mod counters;
 pub mod declarative;
 pub mod decompose;
 pub mod eligibility;

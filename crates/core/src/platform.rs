@@ -22,6 +22,7 @@
 use crate::controller::{
     candidates_from_profiles, constraints_from_factors, non_committers, suggest_team,
 };
+use crate::counters::{PlatformCounters, ProjectCounters};
 use crate::eligibility;
 use crate::error::{PlatformError, ProjectId, TaskId, WorkerId};
 use crate::events::{PlatformEvent, DRAIN_KIND};
@@ -34,10 +35,9 @@ use crowd4u_collab::Scheme;
 use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_cylog::engine::CylogEngine;
 use crowd4u_forms::admin::DesiredFactors;
-use crowd4u_sim::stats::Counters;
 use crowd4u_sim::time::{SimDuration, SimTime};
 use crowd4u_storage::prelude::{EventJournal, JournalEntry, Value};
-use crowd4u_telemetry::{stage, Counter, Histogram, Span, TelemetryHandle};
+use crowd4u_telemetry::{stage, Histogram, Span, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -82,6 +82,8 @@ pub struct Project {
     epoch: u64,
     /// Cached eligible set, keyed by (worker version, project epoch).
     eligible_cache: Option<EligibleCache>,
+    /// The project's counts: they travel with it in a [`ProjectSlice`].
+    pub counters: ProjectCounters,
 }
 
 impl Project {
@@ -103,10 +105,11 @@ pub struct BatchReport {
     pub synced: Vec<ProjectId>,
 }
 
-/// Telemetry cells the platform records into. Defaults to all-disabled
-/// cells (recording is a no-op) until [`Crowd4U::set_telemetry`] attaches a
-/// live registry. Strictly observe-only: nothing here feeds back into
-/// platform behaviour, the journal, or [`Crowd4U::state_dump`].
+/// The `journal.append` stage the platform records into. Defaults to a
+/// disabled histogram (recording is a no-op) until
+/// [`Crowd4U::set_telemetry`] attaches a live registry. Strictly
+/// observe-only: nothing here feeds back into platform behaviour, the
+/// journal, or [`Crowd4U::state_dump`].
 #[derive(Default)]
 struct PlatformTelemetry {
     /// Kept so project engines registered later attach to the same registry.
@@ -114,13 +117,6 @@ struct PlatformTelemetry {
     journal_append: Histogram,
     /// Journal appends on this slice so far: the sample key of the next.
     appends: u64,
-    events_applied: Counter,
-    events_dropped: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_patches: Counter,
-    pairs_computed: Counter,
-    pairs_reused: Counter,
 }
 
 impl PlatformTelemetry {
@@ -129,13 +125,6 @@ impl PlatformTelemetry {
             handle: handle.clone(),
             journal_append: handle.histogram(stage::JOURNAL_APPEND),
             appends: 0,
-            events_applied: handle.counter("crowd4u_core_events_applied_total"),
-            events_dropped: handle.counter("crowd4u_core_events_dropped_total"),
-            cache_hits: handle.counter("crowd4u_core_eligibility_cache_hits_total"),
-            cache_misses: handle.counter("crowd4u_core_eligibility_cache_misses_total"),
-            cache_patches: handle.counter("crowd4u_core_eligibility_cache_patches_total"),
-            pairs_computed: handle.counter("crowd4u_core_affinity_pairs_computed_total"),
-            pairs_reused: handle.counter("crowd4u_core_affinity_pairs_reused_total"),
         }
     }
 
@@ -167,10 +156,7 @@ pub struct Crowd4U {
     /// event-derived, so replay reconstructs it; dumped by
     /// [`Crowd4U::state_dump`] when non-empty.
     owner_clocks: BTreeMap<u64, SimTime>,
-    counters: Counters,
-    /// Reused buffer for scoped counter names (`p<project>.<name>`): a bump
-    /// formats into it instead of allocating a `String` per event.
-    counter_key: String,
+    counters: PlatformCounters,
     /// Append-only log of every applied event (the replay source of truth).
     journal: EventJournal,
     /// Projects whose CyLog fact base changed since their last sync.
@@ -178,7 +164,7 @@ pub struct Crowd4U {
     /// Collaboration monitors, one per task whose team started.
     monitors: BTreeMap<TaskId, CollabMonitor>,
     /// Observe-only metric cells — excluded from `state_dump`, like the
-    /// `counters` above.
+    /// counters.
     telemetry: PlatformTelemetry,
 }
 
@@ -192,8 +178,7 @@ impl Default for Crowd4U {
             projects: BTreeMap::new(),
             next_project: 0,
             owner_clocks: BTreeMap::new(),
-            counters: Counters::new(),
-            counter_key: String::new(),
+            counters: PlatformCounters::default(),
             journal: EventJournal::new(),
             dirty: BTreeSet::new(),
             monitors: BTreeMap::new(),
@@ -221,9 +206,10 @@ impl Crowd4U {
         &self.pool
     }
 
-    /// Volatile bookkeeping counters (excluded from
-    /// [`state_dump`](Crowd4U::state_dump)).
-    pub fn counters(&self) -> &Counters {
+    /// The platform-wide counts (volatile bookkeeping, excluded from
+    /// [`state_dump`](Crowd4U::state_dump)). A project's own counts are
+    /// [`Project::counters`].
+    pub fn counters(&self) -> &PlatformCounters {
         &self.counters
     }
 
@@ -239,7 +225,7 @@ impl Crowd4U {
         self.journal
             .append(entry.kind, entry.args)
             .expect("event kinds are static identifiers");
-        self.counters.incr("events_journaled");
+        self.counters.events_journaled += 1;
     }
 
     /// Attach telemetry: journal appends count in the `journal.append`
@@ -253,6 +239,7 @@ impl Crowd4U {
     /// byte-identical journals and state dumps.
     pub fn set_telemetry(&mut self, handle: &TelemetryHandle) {
         self.telemetry = PlatformTelemetry::from_handle(handle);
+        self.counters.attach(handle);
         for p in self.projects.values_mut() {
             p.engine.set_telemetry(handle);
         }
@@ -270,31 +257,6 @@ impl Crowd4U {
     /// it and keeps its whole journal. Journaling itself is unaffected.
     pub fn take_journal(&mut self) -> impl Iterator<Item = JournalEntry> + '_ {
         self.journal.take()
-    }
-
-    /// Bump a **project-scoped** counter alongside its platform-global
-    /// twin. Scoped counters are what scenario-level accounting reads when
-    /// several workloads share one platform (or one shard slice): a global
-    /// delta cannot attribute `teams_suggested` to the scenario that
-    /// formed the team, a per-project count can. Like all counters they
-    /// are volatile bookkeeping — excluded from [`Crowd4U::state_dump`].
-    fn bump_project_counter(&mut self, project: ProjectId, name: &str) {
-        self.bump_scoped(format_args!("p{}.{name}", project.0));
-    }
-
-    fn bump_scoped(&mut self, key: std::fmt::Arguments<'_>) {
-        use std::fmt::Write as _;
-        self.counter_key.clear();
-        let _ = self.counter_key.write_fmt(key);
-        self.counters.incr(&self.counter_key);
-    }
-
-    /// A project-scoped counter (see the mirrored increments:
-    /// `teams_suggested`, `deadlines_missed`, `answers`,
-    /// `collab_completed`, `tasks_abandoned`, `eligibility_errors`). Zero
-    /// for never-touched projects.
-    pub fn project_counter(&self, project: ProjectId, name: &str) -> u64 {
-        self.counters.get(&format!("p{}.{name}", project.0))
     }
 
     /// Move the platform clock forward, processing any expired recruitment
@@ -335,7 +297,7 @@ impl Crowd4U {
     pub fn register_worker(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
         let profile = profile.into();
         self.record_entry(PlatformEvent::encode_registration(&profile));
-        self.counters.incr("workers_registered");
+        self.counters.workers_registered += 1;
         self.install_worker_delta(profile);
     }
 
@@ -414,8 +376,7 @@ impl Crowd4U {
             }
         }
         if patched {
-            self.counters.incr("eligibility_cache_patches");
-            self.telemetry.cache_patches.incr();
+            self.counters.eligibility_cache_patches.add(1);
         }
         for project in open {
             let screened = verdicts
@@ -426,8 +387,10 @@ impl Crowd4U {
                 .refresh_registered_eligibility(worker, project, screened)
                 .is_err()
             {
-                self.counters.incr("eligibility_errors");
-                self.bump_project_counter(project, "eligibility_errors");
+                self.counters.eligibility_errors += 1;
+                if let Some(p) = self.projects.get_mut(&project) {
+                    p.counters.eligibility_errors += 1;
+                }
             }
         }
     }
@@ -491,14 +454,12 @@ impl Crowd4U {
                 if cache.worker_version == worker_version
                     && (!proj.declarative || cache.project_epoch == proj.epoch)
                 {
-                    self.counters.incr("eligibility_cache_hits");
-                    self.telemetry.cache_hits.incr();
+                    self.counters.eligibility_cache_hits.add(1);
                     return Ok(cache.workers.clone());
                 }
             }
         }
-        self.counters.incr("eligibility_cache_misses");
-        self.telemetry.cache_misses.incr();
+        self.counters.eligibility_cache_misses.add(1);
         let proj = self.projects.get_mut(&project).expect("checked above");
         let workers = if proj.declarative {
             proj.engine.run_with(&self.workers)?;
@@ -589,9 +550,10 @@ impl Crowd4U {
                 declarative,
                 epoch: 0,
                 eligible_cache: None,
+                counters: ProjectCounters::default(),
             },
         );
-        self.counters.incr("projects_registered");
+        self.counters.projects_registered += 1;
         Ok(id)
     }
 
@@ -693,8 +655,7 @@ impl Crowd4U {
                 new_tasks.push(id);
             }
         }
-        self.counters
-            .add("micro_tasks_generated", new_tasks.len() as u64);
+        self.counters.micro_tasks_generated += new_tasks.len() as u64;
         if !new_tasks.is_empty() {
             let eligible = self.eligible_set(project)?;
             for task in &new_tasks {
@@ -721,7 +682,7 @@ impl Crowd4U {
             skill: proj.factors.skill_name.clone(),
         };
         let id = self.pool.register(project, body, self.now);
-        self.counters.incr("collab_tasks_created");
+        self.counters.collab_tasks_created += 1;
         let eligible = self.eligible_set(project)?;
         for w in eligible {
             self.relations.mark_eligible(w, id);
@@ -744,7 +705,7 @@ impl Crowd4U {
         self.workers.get(worker)?;
         self.pool.get(task)?;
         self.relations.express_interest(worker, task)?;
-        self.counters.incr("interest_expressed");
+        self.counters.interest_expressed += 1;
         self.record(&PlatformEvent::InterestExpressed { worker, task });
         Ok(())
     }
@@ -803,10 +764,8 @@ impl Crowd4U {
         // is one the memo keeps: a pair is computed once per change of
         // either profile, and read back by slot, with no hash.
         let (affinity, work) = self.workers.fill_candidate_affinity(&eligible);
-        self.counters.add("affinity_pairs_computed", work.computed);
-        self.counters.add("affinity_pairs_reused", work.reused);
-        self.telemetry.pairs_computed.add(work.computed);
-        self.telemetry.pairs_reused.add(work.reused);
+        self.counters.affinity_pairs_computed.add(work.computed);
+        self.counters.affinity_pairs_reused.add(work.reused);
         let team = suggest_team(factors.algorithm, &candidates, &affinity, &constraints);
         match team {
             Some(team) => {
@@ -831,13 +790,14 @@ impl Crowd4U {
                         undertaken: Vec::new(),
                     },
                 )?;
-                self.counters.incr("teams_suggested");
-                self.bump_project_counter(project, "teams_suggested");
-                self.project_mut(project)?.suggestion = None;
+                self.counters.teams_suggested += 1;
+                let p = self.project_mut(project)?;
+                p.counters.teams_suggested += 1;
+                p.suggestion = None;
                 Ok(team)
             }
             None => {
-                self.counters.incr("assignment_infeasible");
+                self.counters.assignment_infeasible += 1;
                 self.project_mut(project)?.suggestion = Some(format!(
                     "no team of {}–{} workers with the desired human factors is available \
                      for task {task}; consider relaxing the constraints",
@@ -880,7 +840,7 @@ impl Crowd4U {
         if undertaken.len() == team.len() {
             self.pool
                 .set_state(task, TaskState::InProgress { team: team.clone() })?;
-            self.counters.incr("teams_started");
+            self.counters.teams_started += 1;
             // Undertaking counts as the team's first activity.
             self.monitors
                 .insert(task, CollabMonitor::new(&team, self.now, STALL_AFTER));
@@ -956,8 +916,8 @@ impl Crowd4U {
             for w in non_committers(&team, &undertaken) {
                 self.relations.withdraw_interest(w, task);
             }
-            self.counters.incr("deadlines_missed");
-            self.bump_project_counter(task.project(), "deadlines_missed");
+            self.counters.deadlines_missed += 1;
+            self.project_mut(task.project())?.counters.deadlines_missed += 1;
             if self.pool.bump_reassignments(task)? > MAX_REASSIGNMENTS {
                 self.pool.set_state(
                     task,
@@ -966,8 +926,8 @@ impl Crowd4U {
                     },
                 )?;
                 self.relations.clear_task(task);
-                self.counters.incr("tasks_abandoned");
-                self.bump_project_counter(task.project(), "tasks_abandoned");
+                self.counters.tasks_abandoned += 1;
+                self.project_mut(task.project())?.counters.tasks_abandoned += 1;
                 continue;
             }
             self.pool.set_state(task, TaskState::Open)?;
@@ -1019,8 +979,8 @@ impl Crowd4U {
         self.pool
             .set_state(task, TaskState::Completed { team: vec![worker] })?;
         self.relations.clear_task(task);
-        self.counters.incr("micro_tasks_completed");
-        self.bump_project_counter(project, "answers");
+        self.counters.micro_tasks_completed += 1;
+        self.project_mut(project)?.counters.answers += 1;
         self.touch_project(project);
         self.record(&PlatformEvent::AnswerSubmitted {
             worker,
@@ -1052,14 +1012,15 @@ impl Crowd4U {
             },
         )?;
         self.relations.clear_task(task);
-        self.counters.incr("collab_tasks_completed");
-        self.bump_project_counter(task.project(), "collab_completed");
+        self.counters.collab_tasks_completed += 1;
         // Per-(project, worker) split of team memberships: on a shared
         // crowd the same worker collaborates in several scenarios, and each
         // completion's team must decompose exactly into these cells (see
         // `worker_collabs_in`).
-        for w in &members {
-            self.bump_scoped(format_args!("p{}.w{}.collabs", task.project().0, w.0));
+        let counts = &mut self.project_mut(task.project())?.counters;
+        counts.collab_completed += 1;
+        for &w in &members {
+            *counts.collabs.entry(w).or_default() += 1;
         }
         if let Some(m) = self.monitors.get_mut(&task) {
             m.apply(MonitorEvent::Completed);
@@ -1105,11 +1066,7 @@ impl Crowd4U {
     /// Apply one typed event through the corresponding platform call.
     pub fn apply_event(&mut self, event: PlatformEvent) -> Result<(), PlatformError> {
         let result = self.apply_event_inner(event);
-        match &result {
-            Ok(()) => self.telemetry.events_applied.incr(),
-            Err(_) => self.telemetry.events_dropped.incr(),
-        }
-        result
+        self.count_outcome(result)
     }
 
     /// [`apply_event`](Crowd4U::apply_event) of a
@@ -1120,7 +1077,16 @@ impl Crowd4U {
     /// runtime's recorder shard applies a registration this way.
     pub fn apply_registration(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
         self.register_worker(profile);
-        self.telemetry.events_applied.incr();
+        let _ = self.count_outcome(Ok(()));
+    }
+
+    /// Count an applied event as applied or dropped, and pass it on.
+    fn count_outcome(&mut self, result: Result<(), PlatformError>) -> Result<(), PlatformError> {
+        match &result {
+            Ok(()) => self.counters.events_applied.add(1),
+            Err(_) => self.counters.events_dropped.add(1),
+        }
+        result
     }
 
     fn apply_event_inner(&mut self, event: PlatformEvent) -> Result<(), PlatformError> {
@@ -1188,7 +1154,7 @@ impl Crowd4U {
             }
         }
         report.synced = self.drain_events()?;
-        self.counters.incr("batches_applied");
+        self.counters.batches_applied += 1;
         Ok(report)
     }
 
@@ -1205,11 +1171,7 @@ impl Crowd4U {
         for p in &dirty {
             self.sync_tasks_inner(*p)?;
         }
-        let _span = self.telemetry.append_span();
-        self.journal
-            .append(DRAIN_KIND, vec![])
-            .expect("static kind");
-        self.counters.incr("events_journaled");
+        self.record_entry(JournalEntry::new(DRAIN_KIND, vec![]));
         Ok(dirty)
     }
 
@@ -1423,8 +1385,11 @@ impl Crowd4U {
     /// history. Summing over all projects and team members reproduces the
     /// summed team sizes of every completion.
     pub fn worker_collabs_in(&self, project: ProjectId, worker: WorkerId) -> u64 {
-        self.counters
-            .get(&format!("p{}.w{}.collabs", project.0, worker.0))
+        self.projects
+            .get(&project)
+            .and_then(|p| p.counters.collabs.get(&worker))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Tasks a worker may currently see on their user page, in id order:
@@ -1561,9 +1526,9 @@ published(S, T) :- sentence(S), translate(S, T).
         assert_eq!(p.pool.get(task).unwrap().state.label(), "in-progress");
         p.complete_collab_task(task, 0.8).unwrap();
         assert_eq!(p.pool.get(task).unwrap().state.label(), "completed");
-        assert_eq!(p.counters.get("collab_tasks_completed"), 1);
-        assert_eq!(p.counters.get("teams_suggested"), 1);
-        assert_eq!(p.counters.get("teams_started"), 1);
+        assert_eq!(p.counters.collab_tasks_completed, 1);
+        assert_eq!(p.counters.teams_suggested, 1);
+        assert_eq!(p.counters.teams_started, 1);
     }
 
     #[test]
@@ -1586,8 +1551,8 @@ published(S, T) :- sentence(S), translate(S, T).
             }
             // Three candidates, three pairs: computed by the first run,
             // read from the memo by the second.
-            assert_eq!(p.counters.get("affinity_pairs_computed"), 3);
-            assert_eq!(p.counters.get("affinity_pairs_reused"), 3);
+            assert_eq!(p.counters.affinity_pairs_computed.get(), 3);
+            assert_eq!(p.counters.affinity_pairs_reused.get(), 3);
         }
     }
 
@@ -1637,7 +1602,7 @@ published(S, T) :- sentence(S), translate(S, T).
         p.undertake(team1.members[0], task).unwrap();
         // deadline passes
         p.advance_to(SimTime(601)).unwrap();
-        assert_eq!(p.counters.get("deadlines_missed"), 1);
+        assert_eq!(p.counters.deadlines_missed, 1);
         let t = p.pool.get(task).unwrap();
         assert_eq!(t.reassignments, 1);
         // a new team was suggested, excluding the non-committer
@@ -1681,8 +1646,8 @@ published(S, T) :- sentence(S), translate(S, T).
                 "miss {miss}"
             );
         }
-        assert_eq!(p.counters.get("deadlines_missed"), 4);
-        assert_eq!(p.counters.get("tasks_abandoned"), 1);
+        assert_eq!(p.counters.deadlines_missed, 4);
+        assert_eq!(p.counters.tasks_abandoned, 1);
     }
 
     #[test]
@@ -2019,25 +1984,25 @@ published(S, T) :- sentence(S), translate(S, T).
             .register_project("c", SRC, factors(), Scheme::Sequential)
             .unwrap();
         p.eligible_set(proj).unwrap();
-        let misses_after_first = p.counters.get("eligibility_cache_misses");
+        let misses_after_first = p.counters.eligibility_cache_misses.get();
         for _ in 0..5 {
             assert_eq!(p.eligible_set(proj).unwrap().len(), 3);
         }
         assert_eq!(
-            p.counters.get("eligibility_cache_misses"),
+            p.counters.eligibility_cache_misses.get(),
             misses_after_first
         );
-        assert!(p.counters.get("eligibility_cache_hits") >= 5);
+        assert!(p.counters.eligibility_cache_hits.get() >= 5);
 
         // A new worker patches the cached set instead of dropping it: the
         // set grows, and the read after it is still a hit.
         p.register_worker(WorkerProfile::new(WorkerId(9), "late"));
         assert_eq!(p.eligible_set(proj).unwrap().len(), 4);
         assert_eq!(
-            p.counters.get("eligibility_cache_misses"),
+            p.counters.eligibility_cache_misses.get(),
             misses_after_first
         );
-        assert_eq!(p.counters.get("eligibility_cache_patches"), 1);
+        assert_eq!(p.counters.eligibility_cache_patches.get(), 1);
 
         // So does a re-registration that stops the worker qualifying.
         let mut away = p.workers.get(WorkerId(9)).unwrap().clone();
@@ -2045,10 +2010,10 @@ published(S, T) :- sentence(S), translate(S, T).
         p.register_worker(away);
         assert_eq!(p.eligible_set(proj).unwrap().len(), 3);
         assert_eq!(
-            p.counters.get("eligibility_cache_misses"),
+            p.counters.eligibility_cache_misses.get(),
             misses_after_first
         );
-        assert_eq!(p.counters.get("eligibility_cache_patches"), 2);
+        assert_eq!(p.counters.eligibility_cache_patches.get(), 2);
 
         // A cache that fell behind while its project was away — extracted,
         // then adopted after a registration — misses exactly once, then
@@ -2059,16 +2024,16 @@ published(S, T) :- sentence(S), translate(S, T).
         assert_eq!(p.eligible_set(proj).unwrap().len(), 4);
         assert_eq!(p.eligible_set(proj).unwrap().len(), 4);
         assert_eq!(
-            p.counters.get("eligibility_cache_misses"),
+            p.counters.eligibility_cache_misses.get(),
             misses_after_first + 1
         );
 
         // The factor screen is a pure function of profiles × factors, so
         // new facts do NOT invalidate it (the set is served from cache).
-        let misses = p.counters.get("eligibility_cache_misses");
+        let misses = p.counters.eligibility_cache_misses.get();
         p.seed_fact(proj, "sentence", vec!["x".into()]).unwrap();
         p.eligible_set(proj).unwrap();
-        assert_eq!(p.counters.get("eligibility_cache_misses"), misses);
+        assert_eq!(p.counters.eligibility_cache_misses.get(), misses);
 
         // A declaratively screened project (CyLog-derived `eligible`)
         // still invalidates on fact changes — its rules may read them.
@@ -2086,10 +2051,10 @@ published(S, T) :- sentence(S), translate(S, T).
             .register_project("decl", DECL, factors(), Scheme::Sequential)
             .unwrap();
         assert!(p.eligible_set(decl).unwrap().is_empty());
-        let misses = p.counters.get("eligibility_cache_misses");
+        let misses = p.counters.eligibility_cache_misses.get();
         p.seed_fact(decl, "flag", vec![Value::Id(1)]).unwrap();
         assert_eq!(p.eligible_set(decl).unwrap(), vec![WorkerId(1)]);
-        assert_eq!(p.counters.get("eligibility_cache_misses"), misses + 1);
+        assert_eq!(p.counters.eligibility_cache_misses.get(), misses + 1);
     }
 
     #[test]
@@ -2105,7 +2070,7 @@ published(S, T) :- sentence(S), translate(S, T).
                 let total = registry
                     .snapshot()
                     .counter_total("crowd4u_core_eligibility_cache_patches_total");
-                assert_eq!(total, p.counters.get("eligibility_cache_patches"));
+                assert_eq!(total, p.counters.eligibility_cache_patches.get());
                 total
             };
             let a = p
@@ -2134,14 +2099,14 @@ published(S, T) :- sentence(S), translate(S, T).
             let live = population as usize + 1;
             assert_eq!(p.eligible_set(a).unwrap().len(), live);
             // A hundred more: one patch each, and every read stays a hit.
-            let misses = p.counters.get("eligibility_cache_misses");
+            let misses = p.counters.eligibility_cache_misses.get();
             for k in 1..=100 {
                 p.register_worker(WorkerProfile::new(WorkerId(population + 10 + k), "late"));
             }
             assert_eq!(patches(&p), 102);
             assert_eq!(p.eligible_set(a).unwrap().len(), live + 100);
             assert_eq!(p.eligible_set(b).unwrap().len(), live + 100);
-            assert_eq!(p.counters.get("eligibility_cache_misses"), misses);
+            assert_eq!(p.counters.eligibility_cache_misses.get(), misses);
         }
     }
 
@@ -2202,23 +2167,59 @@ published(S, T) :- sentence(S), translate(S, T).
         let task = p.pool.open_tasks(Some(a))[0].id;
         p.submit_micro_answer(WorkerId(1), task, vec!["y".into()])
             .unwrap();
-        assert_eq!(p.project_counter(a, "answers"), 1);
-        assert_eq!(p.project_counter(b, "answers"), 0);
+        assert_eq!(p.project(a).unwrap().counters.answers, 1);
+        assert_eq!(p.project(b).unwrap().counters.answers, 0);
         // A team + completion in project b only.
         let collab = p.create_collab_task(b, "x").unwrap();
         p.express_interest(WorkerId(1), collab).unwrap();
         p.express_interest(WorkerId(2), collab).unwrap();
         let team = p.run_assignment(collab).unwrap();
-        assert_eq!(p.project_counter(b, "teams_suggested"), 1);
-        assert_eq!(p.project_counter(a, "teams_suggested"), 0);
+        assert_eq!(p.project(b).unwrap().counters.teams_suggested, 1);
+        assert_eq!(p.project(a).unwrap().counters.teams_suggested, 0);
         for &m in &team.members {
             p.undertake(m, collab).unwrap();
         }
         p.complete_collab_task(collab, 0.9).unwrap();
-        assert_eq!(p.project_counter(b, "collab_completed"), 1);
-        assert_eq!(p.project_counter(a, "collab_completed"), 0);
+        assert_eq!(p.project(b).unwrap().counters.collab_completed, 1);
+        assert_eq!(p.project(a).unwrap().counters.collab_completed, 0);
         // Scoped counters stay out of the canonical state dump.
         assert!(!p.state_dump().contains("teams_suggested"));
+    }
+
+    /// A project's counts are part of its state: they move with it to the
+    /// adopting platform and leave none behind.
+    #[test]
+    fn a_migrated_project_keeps_its_counts() {
+        let mut src = platform_with_workers(3);
+        let proj = src
+            .register_project("c", SRC, factors(), Scheme::Sequential)
+            .unwrap();
+        let task = src.create_collab_task(proj, "x").unwrap();
+        src.express_interest(WorkerId(1), task).unwrap();
+        src.express_interest(WorkerId(2), task).unwrap();
+        let team = src.run_assignment(task).unwrap();
+        for &m in &team.members {
+            src.undertake(m, task).unwrap();
+        }
+        src.complete_collab_task(task, 0.9).unwrap();
+        let member = team.members[0];
+        let counts = |p: &Crowd4U| {
+            let c = p
+                .project(proj)
+                .map(|p| p.counters.clone())
+                .unwrap_or_default();
+            (
+                c.teams_suggested,
+                c.collab_completed,
+                p.worker_collabs_in(proj, member),
+            )
+        };
+        let before = counts(&src);
+        assert_eq!(before, (1, 1, 1));
+        let mut dst = platform_with_workers(3);
+        dst.adopt_project(src.extract_project(proj).unwrap());
+        assert_eq!(counts(&dst), before);
+        assert_eq!(counts(&src), (0, 0, 0));
     }
 
     /// Declarative eligibility beside a rule that divides by `online − 3`:
@@ -2328,7 +2329,7 @@ published(S, T) :- sentence(S), translate(S, T).
             for w in 1..=4 {
                 p.register_worker(WorkerProfile::new(WorkerId(w), format!("w{w}")));
                 steps.push((
-                    p.project_counter(id, "eligibility_errors"),
+                    p.project(id).unwrap().counters.eligibility_errors,
                     p.relations.eligible_workers(task).len(),
                 ));
             }
@@ -2336,13 +2337,13 @@ published(S, T) :- sentence(S), translate(S, T).
         };
         let (clean, _, clean_steps) = run(false);
         assert_eq!(clean_steps, [(0, 1), (0, 2), (0, 3), (0, 4)]);
-        assert_eq!(clean.counters.get("eligibility_errors"), 0);
+        assert_eq!(clean.counters.eligibility_errors, 0);
         // The third registration's refresh fails: counted once, globally
         // and for the project, and the third worker stays unmarked until
         // the fourth registration's refresh succeeds.
         let (p, id, steps) = run(true);
         assert_eq!(steps, [(0, 1), (0, 2), (1, 2), (1, 4)]);
-        assert_eq!(p.counters.get("eligibility_errors"), 1);
+        assert_eq!(p.counters.eligibility_errors, 1);
         // Nothing is journaled for it: past the project entry, whose
         // source differs, the journal is the clean run's.
         assert_eq!(p.journal().len(), clean.journal().len());
@@ -2353,8 +2354,8 @@ published(S, T) :- sentence(S), translate(S, T).
             .eq(clean.journal().iter().skip(1)));
         // A replay re-applies the registrations and counts the error again.
         let replayed = Crowd4U::replay(p.journal()).unwrap();
-        assert_eq!(replayed.counters.get("eligibility_errors"), 1);
-        assert_eq!(replayed.project_counter(id, "eligibility_errors"), 1);
+        assert_eq!(replayed.counters.eligibility_errors, 1);
+        assert_eq!(replayed.project(id).unwrap().counters.eligibility_errors, 1);
         assert_eq!(replayed.state_dump(), p.state_dump());
     }
 

@@ -935,6 +935,44 @@ out(X, Y) :- item(X), label(X, Y).
         assert!(run.platforms[0].project(ProjectId(1)).is_err());
     }
 
+    /// A project's counts move with it: the new owner reports the same
+    /// teams and deadline misses the old one did.
+    #[test]
+    fn a_migrated_project_keeps_its_counts() {
+        use crowd4u_scenarios::stream::{platform_side, Completion};
+        use crowd4u_sim::time::SimTime;
+        let rt = ShardedRuntime::new(config(2, 0));
+        rt.submit_batch(vec![worker(1), worker(2), project("a"), project("b")]);
+        let task = TaskId::compose(ProjectId(1), 1);
+        rt.submit(PlatformEvent::CollabTaskCreated {
+            project: ProjectId(1),
+            description: "x".into(),
+        });
+        for w in 1..=2 {
+            rt.submit(PlatformEvent::InterestExpressed {
+                worker: WorkerId(w),
+                task,
+            });
+        }
+        // A team is suggested, then misses its recruitment deadline.
+        rt.submit(PlatformEvent::AssignmentRun { task });
+        rt.submit(PlatformEvent::ClockAdvanced {
+            to: SimTime(4000),
+            owner: 0,
+        });
+        let side = |rt: &ShardedRuntime| {
+            rt.with_project(ProjectId(1), |p| {
+                let side = platform_side(p, ProjectId(1), &Completion::CollabsCompleted).unwrap();
+                (side.teams_formed, side.reassignments)
+            })
+        };
+        let before = side(&rt);
+        assert_eq!(before, (1, 1));
+        rt.migrate_project(ProjectId(1), 1).unwrap();
+        assert_eq!(side(&rt), before);
+        rt.finish().unwrap();
+    }
+
     #[test]
     #[should_panic(expected = "boom")]
     fn finish_surfaces_a_dead_shards_panic() {

@@ -391,8 +391,8 @@ mod tests {
         }
         assert_eq!(d1.elapsed(), d2.elapsed());
         assert_eq!(
-            d1.platform.counters().get("interest_expressed"),
-            d2.platform.counters().get("interest_expressed")
+            d1.platform.counters().interest_expressed,
+            d2.platform.counters().interest_expressed
         );
     }
 

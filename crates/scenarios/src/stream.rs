@@ -433,7 +433,9 @@ impl PlatformSide {
 
 /// Derive one project's scenario accounting from the platform that owns
 /// it: completion via the trace's [`Completion`] recipe, team formation
-/// and reassignment via the project-scoped counters, points via the
+/// and reassignment via the project's own counts
+/// ([`Project::counters`](crowd4u_core::platform::Project::counters)),
+/// points via the
 /// project's ledger (`points_of`-style aggregation — the ledger is
 /// project-owned, so summing a project's leaderboard is the per-scenario
 /// slice of the global per-worker totals).
@@ -445,13 +447,13 @@ pub fn platform_side(
     let proj = p.project(project)?;
     let items_completed = match completion {
         Completion::Facts(pred) => proj.engine.fact_count(pred)?,
-        Completion::CollabsCompleted => p.project_counter(project, "collab_completed") as usize,
+        Completion::CollabsCompleted => proj.counters.collab_completed as usize,
     };
     let points_awarded = proj.engine.leaderboard().iter().map(|(_, pts)| pts).sum();
     Ok(PlatformSide {
         items_completed,
-        teams_formed: p.project_counter(project, "teams_suggested"),
-        reassignments: p.project_counter(project, "deadlines_missed"),
+        teams_formed: proj.counters.teams_suggested,
+        reassignments: proj.counters.deadlines_missed,
         points_awarded,
     })
 }
@@ -520,10 +522,9 @@ pub fn project_split(p: &Crowd4U, project: ProjectId) -> SplitLedger {
         if pts != 0 {
             out.points.insert(w, pts);
         }
-        let collabs = p.worker_collabs_in(project, w);
-        if collabs != 0 {
-            out.collabs.insert(w, collabs);
-        }
+    }
+    if let Ok(proj) = p.project(project) {
+        out.collabs = proj.counters.collabs.clone();
     }
     out
 }

@@ -36,8 +36,8 @@ pub fn run(config: &ScenarioConfig) -> Result<ScenarioReport, PlatformError> {
 /// Report accounting is scenario-scoped (counter deltas, per-project
 /// points).
 pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport, PlatformError> {
-    let teams_before = d.platform.counters().get("teams_suggested");
-    let misses_before = d.platform.counters().get("deadlines_missed");
+    let teams_before = d.platform.counters().teams_suggested;
+    let misses_before = d.platform.counters().deadlines_missed;
     let proj = d.collab_project(
         "surveillance",
         CYLOG,
@@ -199,8 +199,8 @@ pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport,
         mean_quality,
         makespan: d.elapsed(),
         answers,
-        teams_formed: d.platform.counters().get("teams_suggested") - teams_before,
-        reassignments: d.platform.counters().get("deadlines_missed") - misses_before,
+        teams_formed: d.platform.counters().teams_suggested - teams_before,
+        reassignments: d.platform.counters().deadlines_missed - misses_before,
         mean_team_affinity: mean_aff,
         points_awarded: points,
     })

@@ -41,8 +41,8 @@ pub fn run(config: &ScenarioConfig) -> Result<ScenarioReport, PlatformError> {
 /// report accounting is scenario-scoped (counter deltas, per-project
 /// points), so earlier scenarios on the same platform don't leak in.
 pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport, PlatformError> {
-    let teams_before = d.platform.counters().get("teams_suggested");
-    let misses_before = d.platform.counters().get("deadlines_missed");
+    let teams_before = d.platform.counters().teams_suggested;
+    let misses_before = d.platform.counters().deadlines_missed;
     let proj = d.collab_project(
         "video subtitle translation",
         CYLOG,
@@ -111,7 +111,7 @@ pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport,
         if open.is_empty() {
             break;
         }
-        let done_before = d.platform.counters().get("micro_tasks_completed");
+        let done_before = d.platform.counters().micro_tasks_completed;
         let mut at = d.platform.now();
         for (task, pred, inputs) in open {
             let uid = inputs[0].as_id().expect("uid input") as usize - 1;
@@ -173,7 +173,7 @@ pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport,
         }
         d.pump()?;
         // Defensive: if no scheduled answer landed, stop rather than spin.
-        if d.platform.counters().get("micro_tasks_completed") == done_before {
+        if d.platform.counters().micro_tasks_completed == done_before {
             break;
         }
     }
@@ -198,8 +198,8 @@ pub fn run_on(d: &mut Driver, config: &ScenarioConfig) -> Result<ScenarioReport,
         mean_quality,
         makespan: d.elapsed(),
         answers,
-        teams_formed: d.platform.counters().get("teams_suggested") - teams_before,
-        reassignments: d.platform.counters().get("deadlines_missed") - misses_before,
+        teams_formed: d.platform.counters().teams_suggested - teams_before,
+        reassignments: d.platform.counters().deadlines_missed - misses_before,
         mean_team_affinity: team_affinity,
         points_awarded: points,
     })
@@ -222,8 +222,8 @@ fn empty_report(
         // count them like the successful path does (and like the
         // platform's own per-project accounting does) instead of
         // hard-coding zero.
-        teams_formed: d.platform.counters().get("teams_suggested") - teams_before,
-        reassignments: d.platform.counters().get("deadlines_missed") - misses_before,
+        teams_formed: d.platform.counters().teams_suggested - teams_before,
+        reassignments: d.platform.counters().deadlines_missed - misses_before,
         mean_team_affinity: 0.0,
         points_awarded: 0,
     }

@@ -9,8 +9,7 @@
 //! * [`time::SimTime`] / [`time::SimDuration`] — logical seconds;
 //! * [`engine::Simulation`] — a time-ordered event queue, FIFO within a
 //!   tick, that a driver pops one tick at a time;
-//! * [`rng::SimRng`] — seeded RNG with gaussian/exponential/weighted helpers;
-//! * [`stats::Counters`] — named monotonic counters.
+//! * [`rng::SimRng`] — seeded RNG with gaussian/exponential/weighted helpers.
 //!
 //! Determinism guarantee: a simulation with the same seed, same initial
 //! events and same handler logic replays identically, tick for tick.
@@ -35,13 +34,11 @@
 
 pub mod engine;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub mod prelude {
     pub use crate::engine::Simulation;
     pub use crate::rng::SimRng;
-    pub use crate::stats::Counters;
     pub use crate::time::{SimDuration, SimTime};
 }
 

@@ -117,6 +117,10 @@ published(S, T) :- sentence(S, X), translate(S, X, T).
         "{}",
         admin_page(&platform, project, &["translation"], &["en", "ja", "fr"])?
     );
-    println!("\nplatform counters:\n{}", platform.counters());
+    println!("\nplatform counters: {:#?}", platform.counters());
+    println!(
+        "project counters: {:?}",
+        platform.project(project)?.counters
+    );
     Ok(())
 }

@@ -147,8 +147,8 @@ fn pairs_of_three_assignments(population: u64, tasks: u64) -> Vec<(u64, u64)> {
     let pairs = |p: &Crowd4U| {
         let c = p.counters();
         (
-            c.get("affinity_pairs_computed"),
-            c.get("affinity_pairs_reused"),
+            c.affinity_pairs_computed.get(),
+            c.affinity_pairs_reused.get(),
         )
     };
     let mut work = Vec::new();

@@ -84,9 +84,9 @@ fn flaky_team_dissolves_and_task_eventually_abandons() {
         }
     }
     assert_eq!(p.pool().get(task).unwrap().state.label(), "abandoned");
-    assert!(p.counters().get("deadlines_missed") >= 3);
+    assert!(p.counters().deadlines_missed >= 3);
     assert_eq!(
-        p.counters().get("deadlines_missed"),
+        p.counters().deadlines_missed,
         u64::from(MAX_REASSIGNMENTS) + 1
     );
     // Everything was cleaned up.

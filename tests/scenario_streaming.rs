@@ -378,7 +378,11 @@ out(X, Y) :- item(X), label(X, Y).
         let replayed = Crowd4U::replay(&run.journal).expect("replay");
         assert_eq!(replayed.state_dump(), serial_dump);
         assert_eq!(
-            replayed.project_counter(ProjectId(1), "deadlines_missed"),
+            replayed
+                .project(ProjectId(1))
+                .unwrap()
+                .counters
+                .deadlines_missed,
             0
         );
     }
@@ -423,7 +427,11 @@ out(X, Y) :- item(X), label(X, Y).
         "without owner tags the foreign clock must drop both undertakes"
     );
     assert_eq!(
-        platform.project_counter(ProjectId(1), "deadlines_missed"),
+        platform
+            .project(ProjectId(1))
+            .unwrap()
+            .counters
+            .deadlines_missed,
         1
     );
 }

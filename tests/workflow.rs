@@ -68,7 +68,7 @@ fn steps_one_through_five() {
     }
     assert_eq!(p.pool().get(task).unwrap().state.label(), "in-progress");
     p.complete_collab_task(task, 0.9).unwrap();
-    assert_eq!(p.counters().get("teams_started"), 1);
+    assert_eq!(p.counters().teams_started, 1);
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn deadline_miss_reexecutes_assignment_with_new_team() {
         other => panic!("expected a fresh suggestion, got {other:?}"),
     }
     assert_eq!(p.pool().get(task).unwrap().reassignments, 1);
-    assert_eq!(p.counters().get("deadlines_missed"), 1);
+    assert_eq!(p.counters().deadlines_missed, 1);
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn abandoned_after_retry_budget() {
         assert_eq!(p.pool().get(task).unwrap().reassignments, miss);
     }
     assert_eq!(p.pool().get(task).unwrap().state.label(), "abandoned");
-    assert_eq!(p.counters().get("tasks_abandoned"), 1);
+    assert_eq!(p.counters().tasks_abandoned, 1);
     // relationships are cleaned up
     assert_eq!(p.relations().counts(), (0, 0, 0));
 }

@@ -435,10 +435,9 @@ impl PlatformSide {
 /// it: completion via the trace's [`Completion`] recipe, team formation
 /// and reassignment via the project's own counts
 /// ([`Project::counters`](crowd4u_core::platform::Project::counters)),
-/// points via the
-/// project's ledger (`points_of`-style aggregation — the ledger is
-/// project-owned, so summing a project's leaderboard is the per-scenario
-/// slice of the global per-worker totals).
+/// points via the project's ledger (`points_of`-style aggregation — the
+/// ledger is project-owned, so summing a project's leaderboard is the
+/// per-scenario slice of the global per-worker totals).
 pub fn platform_side(
     p: &Crowd4U,
     project: ProjectId,

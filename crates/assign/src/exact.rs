@@ -16,33 +16,17 @@ use crowd4u_crowd::profile::WorkerId;
 pub struct ExactBB {
     /// Enable the optimistic-affinity pruning bound.
     pub prune: bool,
-    /// Safety valve: give up (returning the best found so far) after this
-    /// many explored nodes. `u64::MAX` = run to completion.
-    pub node_budget: u64,
 }
 
 impl Default for ExactBB {
     fn default() -> Self {
-        ExactBB {
-            prune: true,
-            node_budget: u64::MAX,
-        }
+        ExactBB { prune: true }
     }
 }
 
 impl ExactBB {
     pub fn without_pruning() -> ExactBB {
-        ExactBB {
-            prune: false,
-            ..Default::default()
-        }
-    }
-
-    pub fn with_node_budget(budget: u64) -> ExactBB {
-        ExactBB {
-            node_budget: budget,
-            ..Default::default()
-        }
+        ExactBB { prune: false }
     }
 }
 
@@ -52,8 +36,6 @@ struct Search<'a> {
     constraints: &'a TeamConstraints,
     max_edge: f64,
     prune: bool,
-    budget: u64,
-    nodes: u64,
     best: Option<(f64, Vec<WorkerId>)>,
 }
 
@@ -99,10 +81,6 @@ impl<'a> Search<'a> {
         skill_sum: f64,
         cost_sum: f64,
     ) {
-        self.nodes += 1;
-        if self.nodes > self.budget {
-            return;
-        }
         self.consider(team, pair_sum, skill_sum, cost_sum);
         if team.len() == self.constraints.max_size || idx == self.cands.len() {
             return;
@@ -164,8 +142,6 @@ impl TeamFormation for ExactBB {
             constraints,
             max_edge,
             prune: self.prune,
-            budget: self.node_budget,
-            nodes: 0,
             best: None,
         };
         let mut team = Vec::with_capacity(constraints.max_size);
@@ -312,20 +288,6 @@ mod tests {
             .form(&cands, &m, &TeamConstraints::sized(2, 5))
             .unwrap();
         assert_eq!(t.size(), 2);
-    }
-
-    #[test]
-    fn node_budget_still_returns_feasible() {
-        let (cands, mut m) = pool(12);
-        for i in 0..12u64 {
-            for j in (i + 1)..12 {
-                m.set(WorkerId(i), WorkerId(j), ((i + j) % 5) as f64 / 5.0);
-            }
-        }
-        let t = ExactBB::with_node_budget(50)
-            .form(&cands, &m, &TeamConstraints::sized(2, 4))
-            .unwrap();
-        assert!(validate_team(&t, &cands, &TeamConstraints::sized(2, 4)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The paper outputs are an oracle: `report`'s deterministic sections —
 //! E1–E6 and E9, every cell a count, a score or a seeded simulation's
-//! result — must print exactly `docs/paper_outputs.txt`. E7, E8 and the
-//! ablations print wall-clock timings and are not compared.
+//! result — must print exactly `docs/paper_outputs.txt`, and the
+//! translation example (demo scenario 1) with its default arguments
+//! exactly `docs/translation_output.txt`. E7, E8 and the ablations print
+//! wall-clock timings and are not compared.
 //!
 //! A change that moves a paper number regenerates the file in the same
 //! commit and says which cells moved and why:
@@ -9,9 +11,37 @@
 //! ```text
 //! cargo run --release -q -p crowd4u-bench --bin report -- e1 e2 e3 e4 e5 e6 e9 \
 //!     > docs/paper_outputs.txt
+//! cargo run --release -q --example translation > docs/translation_output.txt
 //! ```
 
 use std::process::Command;
+
+/// The example's own output code, compiled into this test.
+#[path = "../../../examples/translation/demo.rs"]
+mod translation_demo;
+
+/// The checked-in file `docs/<name>`.
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../docs/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path} is checked in: {e}"))
+}
+
+/// Panic at the first line where `got` and `want` differ.
+fn assert_same(what: &str, file: &str, got: &str, want: &str) {
+    if got != want {
+        let first = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "{what} differs from docs/{file} from line {}:\n  got:  {:?}\n  want: {:?}",
+            first + 1,
+            got.lines().nth(first),
+            want.lines().nth(first),
+        );
+    }
+}
 
 const SECTIONS: [&str; 7] = ["e1", "e2", "e3", "e4", "e5", "e6", "e9"];
 
@@ -27,20 +57,14 @@ fn deterministic_report_sections_match_the_checked_in_outputs() {
         String::from_utf8_lossy(&out.stderr)
     );
     let got = String::from_utf8(out.stdout).expect("report prints UTF-8");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/paper_outputs.txt");
-    let want = std::fs::read_to_string(path).expect("docs/paper_outputs.txt is checked in");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "report {} differs from docs/paper_outputs.txt from line {}:\n  got:  {:?}\n  want: {:?}",
-            SECTIONS.join(" "),
-            first + 1,
-            got.lines().nth(first),
-            want.lines().nth(first),
-        );
-    }
+    let what = format!("report {}", SECTIONS.join(" "));
+    let file = "paper_outputs.txt";
+    assert_same(&what, file, &got, &golden(file));
+}
+
+#[test]
+fn translation_example_matches_the_checked_in_output() {
+    let got = translation_demo::output(60, 12, 42);
+    let file = "translation_output.txt";
+    assert_same("examples/translation", file, &got, &golden(file));
 }

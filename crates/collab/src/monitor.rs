@@ -41,7 +41,6 @@ pub enum Verdict {
 /// Tracks activity of one team on one collaborative task.
 #[derive(Debug, Clone)]
 pub struct CollabMonitor {
-    started: SimTime,
     stall_after: SimDuration,
     last_activity: BTreeMap<WorkerId, SimTime>,
     complete: bool,
@@ -52,7 +51,6 @@ impl CollabMonitor {
     /// (undertaking counts as activity).
     pub fn new(members: &[WorkerId], started: SimTime, stall_after: SimDuration) -> CollabMonitor {
         CollabMonitor {
-            started,
             stall_after,
             last_activity: members.iter().map(|&m| (m, started)).collect(),
             complete: false,
@@ -116,11 +114,6 @@ impl CollabMonitor {
         } else {
             Verdict::MembersStalled(stalled)
         }
-    }
-
-    /// How long the collaboration has run at `now`.
-    pub fn age(&self, now: SimTime) -> SimDuration {
-        now - self.started
     }
 }
 
@@ -204,12 +197,6 @@ mod tests {
         m.record_activity(w(1), SimTime(100)); // out-of-order event
         assert_eq!(m.idle_for(w(1), SimTime(600)), Some(SimDuration::secs(100)));
         assert_eq!(m.idle_for(w(9), SimTime(600)), None);
-    }
-
-    #[test]
-    fn age_tracks_start() {
-        let m = CollabMonitor::new(&[w(1)], SimTime(100), SimDuration::minutes(1));
-        assert_eq!(m.age(SimTime(160)), SimDuration::secs(60));
     }
 
     #[test]

@@ -77,21 +77,15 @@ impl Artifact {
 }
 
 /// Plan of a sequential pipeline: the ordered stage kinds after production.
-/// The classic find-fix-verify pattern is `[Improve, Verify]`.
+/// The classic find-fix-verify pattern (Bernstein et al., the pattern §1
+/// cites for crowd-powered authoring) is `[Improve, Verify]`, which is
+/// [`SequentialPipeline::translation`]`(1)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequentialPipeline {
     pub stages: Vec<StageKind>,
 }
 
 impl SequentialPipeline {
-    /// Find-fix-verify (Bernstein et al., the pattern §1 cites for
-    /// crowd-powered authoring).
-    pub fn find_fix_verify() -> SequentialPipeline {
-        SequentialPipeline {
-            stages: vec![StageKind::Improve, StageKind::Verify],
-        }
-    }
-
     /// Translation pipeline: improve passes then a verify pass.
     pub fn translation(rounds: usize) -> SequentialPipeline {
         let mut stages = vec![StageKind::Improve; rounds.max(1)];
@@ -232,7 +226,7 @@ mod tests {
     #[test]
     fn same_worker_consecutive_rejected() {
         let art = Artifact::produced_by(w(1), "x", 0.5);
-        let mut flow = SequentialFlow::start(SequentialPipeline::find_fix_verify(), art);
+        let mut flow = SequentialFlow::start(SequentialPipeline::translation(1), art);
         let err = flow.advance(w(1), "y", 0.6).unwrap_err();
         assert_eq!(err, SequentialError::SameWorkerTwice(w(1)));
         // alternating is fine, including a comeback
@@ -260,13 +254,12 @@ mod tests {
     #[test]
     fn finish_requires_completion() {
         let art = Artifact::produced_by(w(1), "x", 0.5);
-        let flow = SequentialFlow::start(SequentialPipeline::find_fix_verify(), art);
+        let flow = SequentialFlow::start(SequentialPipeline::translation(1), art);
         assert!(flow.finish().is_err());
     }
 
     #[test]
     fn pipelines_shapes() {
-        assert_eq!(SequentialPipeline::find_fix_verify().len(), 2);
         let t = SequentialPipeline::translation(3);
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());

@@ -20,7 +20,7 @@
 //! 3. workers see eligible tasks, declare interest — [`platform::Crowd4U::express_interest`];
 //! 4. worker manager supplies factors + affinity — [`workers::WorkerManager::pair_affinity`];
 //! 5. controller suggests a team — [`platform::Crowd4U::run_assignment`];
-//!    deadline misses re-execute assignment ([`platform::Crowd4U::process_deadlines`]),
+//!    deadline misses re-execute assignment as the clock passes them ([`platform::Crowd4U::advance_to`]),
 //!    and infeasibility produces a requester suggestion.
 
 pub mod controller;

@@ -284,7 +284,7 @@ impl Crowd4U {
                 *domain = t;
             }
         }
-        self.process_deadlines_inner(owner)
+        self.process_deadlines(owner)
     }
 
     // ---- workers ----
@@ -746,12 +746,6 @@ impl Crowd4U {
             .into_iter()
             .filter(|w| self.relations.is_eligible(*w, task))
             .collect();
-        let profiles: Vec<&crowd4u_crowd::profile::WorkerProfile> = eligible
-            .iter()
-            .filter_map(|w| self.workers.get(*w).ok())
-            .collect();
-        let candidates = candidates_from_profiles(&profiles, skill.as_deref());
-        let constraints = constraints_from_factors(&factors);
         // The algorithms only ever look up affinities among the
         // candidates, and pair affinity is a pure function of the two
         // profiles — so ask the worker manager for the candidate submatrix
@@ -763,9 +757,11 @@ impl Crowd4U {
         // ascending id order, so in a pool of up to 256 workers every pair
         // is one the memo keeps: a pair is computed once per change of
         // either profile, and read back by slot, with no hash.
-        let (affinity, work) = self.workers.fill_candidate_affinity(&eligible);
+        let (affinity, work, profiles) = self.workers.fill_candidate_affinity(&eligible);
         self.counters.affinity_pairs_computed.add(work.computed);
         self.counters.affinity_pairs_reused.add(work.reused);
+        let candidates = candidates_from_profiles(&profiles, skill.as_deref());
+        let constraints = constraints_from_factors(&factors);
         let team = suggest_team(factors.algorithm, &candidates, &affinity, &constraints);
         match team {
             Some(team) => {
@@ -861,21 +857,12 @@ impl Crowd4U {
     /// deadline passed without the full team undertaking. Non-committers
     /// lose their interest; the miss after [`MAX_REASSIGNMENTS`] of them
     /// abandons the task.
-    pub fn process_deadlines(&mut self) -> Result<(), PlatformError> {
-        // Deadline processing is a consequence of time passing, so it is
-        // journaled as a clock event at the current instant.
-        self.record(&PlatformEvent::ClockAdvanced {
-            to: self.now,
-            owner: 0,
-        });
-        self.process_deadlines_inner(0)
-    }
-
-    /// Sweep the deadlines of one clock domain: the global clock (owner 0)
-    /// expires globally-owned projects' deadlines up to `now`; an owned
-    /// clock expires only its own projects' deadlines, and only up to its
-    /// own high-water mark — another domain's later clock never reaches in.
-    fn process_deadlines_inner(&mut self, owner: u64) -> Result<(), PlatformError> {
+    ///
+    /// It sweeps one clock domain: the global clock (owner 0) expires
+    /// globally-owned projects' deadlines up to `now`; an owned clock
+    /// expires only its own projects' deadlines, and only up to its own
+    /// high-water mark — another domain's later clock never reaches in.
+    fn process_deadlines(&mut self, owner: u64) -> Result<(), PlatformError> {
         let horizon = if owner == 0 {
             self.now
         } else {
@@ -1428,11 +1415,6 @@ pub struct ProjectSlice {
 }
 
 impl ProjectSlice {
-    /// Which project this slice carries.
-    pub fn project_id(&self) -> ProjectId {
-        self.project.id
-    }
-
     /// Number of tasks travelling with the project.
     pub fn task_count(&self) -> usize {
         self.tasks.len()

@@ -98,17 +98,6 @@ impl RelationStore {
         self.eligible.workers(t)
     }
 
-    /// The tasks a worker is eligible for, in order: a scan of every task's
-    /// set, since the store holds no by-worker copy. No event calls it.
-    pub fn eligible_tasks(&self, w: WorkerId) -> Vec<TaskId> {
-        self.eligible
-            .by_task
-            .iter()
-            .filter(|(_, ws)| ws.contains(&w))
-            .map(|(t, _)| *t)
-            .collect()
-    }
-
     // ---- InterestedIn ----
 
     /// A worker declares interest. Only eligible workers may (§2.2 (2) —
@@ -248,8 +237,6 @@ mod tests {
         }
         assert_eq!(rs.eligible_workers(t(7)), vec![w(1), w(2), w(3)]);
         assert_eq!(rs.interested_workers(t(7)), vec![w(1), w(2), w(3)]);
-        rs.mark_eligible(w(1), t(9));
-        assert_eq!(rs.eligible_tasks(w(1)), vec![t(7), t(9)]);
         assert!(rs.undertaking_workers(t(7)).is_empty());
     }
 

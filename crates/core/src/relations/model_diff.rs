@@ -6,7 +6,7 @@
 //! over small worker and task domains, applied to the store and to the
 //! model. After every step the two must agree on: the step's return value
 //! (`NotEligible` included); every `is_*` probe over the domains; the
-//! sorted `*_workers` and `eligible_tasks` reads; `counts()`; and `dump()`,
+//! sorted `*_workers` reads; `counts()`; and `dump()`,
 //! which must equal `snapshot::dump` of a `crowd4u-storage` database built
 //! from the model with the three tables' `(worker id, task id)` schema —
 //! the text `state_dump()` carries. A separate test checks the empty store.
@@ -98,15 +98,6 @@ fn model_dump(m: &Model) -> String {
 fn disagreement(rs: &RelationStore, m: &Model) -> Option<String> {
     for wi in 0..WORKERS {
         let w = WorkerId(wi);
-        let tasks: Vec<TaskId> = m
-            .eligible
-            .iter()
-            .filter(|&&(worker, _)| worker == w)
-            .map(|&(_, t)| t)
-            .collect();
-        if rs.eligible_tasks(w) != tasks {
-            return Some(format!("eligible_tasks({w:?})"));
-        }
         for ti in 0..TASKS {
             let t = TaskId(ti);
             let probes = [

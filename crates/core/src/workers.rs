@@ -210,11 +210,12 @@ impl WorkerManager {
     /// assignment path: every registered candidate takes a memo slot, pairs
     /// in ascending id order come from the memo while both workers are
     /// unchanged, and every such pair computed here is kept for the next
-    /// call. Returns the matrix and how it was served.
+    /// call. Returns the matrix, how it was served, and the registered
+    /// profiles among `ids` in `ids` order (the matrix's workers).
     pub(crate) fn fill_candidate_affinity(
         &mut self,
         ids: &[WorkerId],
-    ) -> (AffinityMatrix, PairWork) {
+    ) -> (AffinityMatrix, PairWork, Vec<&WorkerProfile>) {
         self.take_slots(ids);
         let (profiles, keys): (Vec<&WorkerProfile>, Vec<_>) = ids
             .iter()
@@ -227,7 +228,7 @@ impl WorkerManager {
         for (at, value) in fresh {
             self.memo[at] = (value, self.version);
         }
-        (matrix, work)
+        (matrix, work, profiles)
     }
 
     /// Mean pairwise affinity of a team, via a candidate submatrix —
@@ -502,7 +503,7 @@ mod tests {
         let pool = |ids: std::ops::Range<u64>| ids.map(WorkerId).collect::<Vec<_>>();
         let pairs = |k: u64| k * (k - 1) / 2;
         let fill = |m: &mut WorkerManager, ids: &[WorkerId]| {
-            let (filled, work) = m.fill_candidate_affinity(ids);
+            let (filled, work, _) = m.fill_candidate_affinity(ids);
             assert!(m.slots.len() <= MEMO_POOL, "{} slots", m.slots.len());
             assert_eq!(work.computed + work.reused, pairs(ids.len() as u64));
             let (wg, wl, ws) = WEIGHTS;

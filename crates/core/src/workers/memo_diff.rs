@@ -103,7 +103,7 @@ proptest! {
                 group_affinity(&want, &ids).to_bits(),
                 "team_affinity, step {} {:?}, ids {:?}", i, step, ids
             );
-            let (filled, work) = m.fill_candidate_affinity(&ids);
+            let (filled, work, _) = m.fill_candidate_affinity(&ids);
             prop_assert!(
                 bit_equal(&filled, &want, &ids),
                 "fill_candidate_affinity, step {} {:?}, ids {:?}", i, step, ids

@@ -8,8 +8,8 @@
 //! compares the first two):
 //! * [`AffinityMatrix`] — dense lower-triangular storage, O(1) lookup;
 //! * [`SparseAffinity`] — hash-map storage for sparse populations;
-//! * [`AffinityProvider`] — *lazy* computation from profiles with an
-//!   optional above-floor / top-k per-worker cache, so a million-worker
+//! * [`AffinityProvider`] — *lazy* computation from profiles with a
+//!   per-worker cache of the pairs asked for, so a million-worker
 //!   population never materialises O(n²) state.
 //!
 //! The first two implement [`AffinityLookup`], the trait the assignment
@@ -370,25 +370,15 @@ pub fn pair_affinity_of(
 }
 
 /// Lazy affinity source for large populations: pair values are computed
-/// from profiles on demand, and only pairs at or above a configurable
-/// floor are cached, at most `top_k` per worker. Registering worker N
+/// from profiles on demand and cached per worker. Registering worker N
 /// against a provider costs O(1) — there is no dense state to invalidate —
-/// and resident affinity state is bounded by `2 · top_k · n` entries
-/// instead of `n²/2`.
+/// and resident affinity state is the pairs asked for, not `n²/2`.
 ///
-/// The cache is strictly an accelerator: a miss (including a pair that was
-/// evicted or fell below the floor) recomputes from the profiles, so every
-/// value returned is bit-identical to [`affinity_from_profiles`] over the
-/// ascending-id population regardless of the cache policy.
+/// Every value returned is bit-identical to [`affinity_from_profiles`] over
+/// the ascending-id population.
 #[derive(Debug, Clone)]
 pub struct AffinityProvider {
     weights: (f64, f64, f64),
-    /// Only pairs with affinity ≥ `floor` are cached.
-    floor: f64,
-    /// Per-worker cap on cached partners (0 = unbounded). When a worker's
-    /// list overflows, its *smallest* cached pair is evicted, so every
-    /// value kept is ≥ every value dropped for that worker.
-    top_k: usize,
     cache: HashMap<WorkerId, Vec<(WorkerId, f64)>>,
     entries: usize,
 }
@@ -397,74 +387,36 @@ impl AffinityProvider {
     pub fn new(w_geo: f64, w_lang: f64, w_skill: f64) -> AffinityProvider {
         AffinityProvider {
             weights: (w_geo, w_lang, w_skill),
-            floor: 0.0,
-            top_k: 0,
             cache: HashMap::new(),
             entries: 0,
         }
     }
 
-    pub fn weights(&self) -> (f64, f64, f64) {
-        self.weights
-    }
-
-    /// Replace the synthesis weights; the cache (computed under the old
-    /// weights) is dropped.
-    pub fn set_weights(&mut self, w_geo: f64, w_lang: f64, w_skill: f64) {
-        if self.weights != (w_geo, w_lang, w_skill) {
-            self.weights = (w_geo, w_lang, w_skill);
-            self.clear();
-        }
-    }
-
-    /// Configure the cache: keep only pairs ≥ `floor`, at most `top_k`
-    /// per worker (0 = unbounded). Drops anything already cached.
-    pub fn set_cache_policy(&mut self, floor: f64, top_k: usize) {
-        self.floor = floor;
-        self.top_k = top_k;
-        self.clear();
-    }
-
-    pub fn floor(&self) -> f64 {
-        self.floor
-    }
-
-    pub fn top_k(&self) -> usize {
-        self.top_k
-    }
-
-    /// Total cached adjacency entries (each cached pair is stored under
-    /// both endpoints, so this is ≤ `2 · top_k · workers` when bounded).
-    /// This is the provider's entire resident affinity state.
+    /// Total cached adjacency entries: each cached pair is stored under
+    /// both endpoints, so this is twice the distinct pairs asked for. This
+    /// is the provider's entire resident affinity state.
     pub fn cached_entries(&self) -> usize {
         self.entries
     }
 
-    /// Cached partners of one worker (test / introspection hook).
-    pub fn cached_for(&self, w: WorkerId) -> &[(WorkerId, f64)] {
-        self.cache.get(&w).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    pub fn clear(&mut self) {
-        self.cache.clear();
-        self.entries = 0;
-    }
-
-    /// Affinity of a worker pair: cache hit, else compute (and cache when
-    /// the value clears the floor). Self-pairs are 0 by definition.
+    /// Affinity of a worker pair: cache hit, else compute and cache.
+    /// Self-pairs are 0 by definition.
     pub fn pair(&mut self, a: &WorkerProfile, b: &WorkerProfile) -> f64 {
         if a.id == b.id {
             return 0.0;
         }
-        if let Some(v) = self.lookup(a.id, b.id) {
+        if let Some(&(_, v)) = self
+            .cache
+            .get(&a.id)
+            .and_then(|list| list.iter().find(|(o, _)| *o == b.id))
+        {
             return v;
         }
         let (wg, wl, ws) = self.weights;
         let v = pair_affinity_of(a, b, wg, wl, ws);
-        if v >= self.floor {
-            self.insert(a.id, b.id, v);
-            self.insert(b.id, a.id, v);
-        }
+        self.cache.entry(a.id).or_default().push((b.id, v));
+        self.cache.entry(b.id).or_default().push((a.id, v));
+        self.entries += 2;
         v
     }
 
@@ -474,36 +426,6 @@ impl AffinityProvider {
     pub fn submatrix(&self, profiles: &[&WorkerProfile]) -> AffinityMatrix {
         let (wg, wl, ws) = self.weights;
         affinity_from_profile_refs(profiles, wg, wl, ws)
-    }
-
-    fn lookup(&self, a: WorkerId, b: WorkerId) -> Option<f64> {
-        // A pair is stored under both endpoints but may have been evicted
-        // from one side's list; check both before recomputing.
-        for (x, y) in [(a, b), (b, a)] {
-            if let Some(list) = self.cache.get(&x) {
-                if let Some(&(_, v)) = list.iter().find(|(o, _)| *o == y) {
-                    return Some(v);
-                }
-            }
-        }
-        None
-    }
-
-    fn insert(&mut self, under: WorkerId, other: WorkerId, v: f64) {
-        let list = self.cache.entry(under).or_default();
-        list.push((other, v));
-        self.entries += 1;
-        if self.top_k > 0 && list.len() > self.top_k {
-            // Evict the smallest cached pair for this worker, so the list
-            // always holds its top-k-by-value partners seen so far.
-            let (mi, _) = list
-                .iter()
-                .enumerate()
-                .min_by(|(_, (_, x)), (_, (_, y))| x.total_cmp(y))
-                .expect("list is non-empty");
-            list.swap_remove(mi);
-            self.entries -= 1;
-        }
     }
 }
 
@@ -803,63 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn provider_caches_above_floor_only() {
-        let workers = crew(6);
-        let mut p = AffinityProvider::new(1.0, 1.0, 0.5);
-        p.set_cache_policy(0.6, 0);
-        let m = affinity_from_profiles(&workers, 1.0, 1.0, 0.5);
-        for a in &workers {
-            for b in &workers {
-                assert_eq!(
-                    p.pair(a, b).to_bits(),
-                    m.affinity(a.id, b.id).to_bits(),
-                    "provider value must match dense regardless of policy"
-                );
-            }
-        }
-        assert!(p.cached_entries() > 0, "some pairs clear a 0.6 floor");
-        for w in &workers {
-            for &(_, v) in p.cached_for(w.id) {
-                assert!(v >= 0.6, "cached value {v} below the floor");
-            }
-        }
-        // Below-floor pairs still answer exactly — they are just not resident.
-        p.clear();
-        assert_eq!(p.cached_entries(), 0);
-    }
-
-    #[test]
-    fn provider_top_k_keeps_the_largest_pairs() {
-        let workers = crew(12);
-        let mut p = AffinityProvider::new(1.0, 1.0, 0.5);
-        p.set_cache_policy(0.0, 3);
-        let m = affinity_from_profiles(&workers, 1.0, 1.0, 0.5);
-        for a in &workers {
-            for b in &workers {
-                assert_eq!(p.pair(a, b).to_bits(), m.affinity(a.id, b.id).to_bits());
-            }
-        }
-        assert!(p.cached_entries() <= 2 * 3 * workers.len());
-        let a = &workers[0];
-        let kept = p.cached_for(a.id);
-        assert!(kept.len() <= 3);
-        // Every kept value is ≥ every evicted value: the list's minimum
-        // dominates all partners outside it.
-        let kept_min = kept.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-        let mut below = 0;
-        for b in &workers[1..] {
-            if m.affinity(a.id, b.id) < kept_min {
-                below += 1;
-            }
-        }
-        assert_eq!(
-            below,
-            workers.len() - 1 - kept.len(),
-            "exactly the non-kept partners fall below the kept minimum"
-        );
-    }
-
-    #[test]
     fn provider_submatrix_matches_refs_path() {
         let workers = crew(5);
         let p = AffinityProvider::new(1.0, 1.0, 0.5);
@@ -874,21 +739,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn provider_weight_change_drops_cache() {
-        let workers = crew(4);
-        let mut p = AffinityProvider::new(1.0, 1.0, 0.5);
-        p.pair(&workers[0], &workers[1]);
-        assert!(p.cached_entries() > 0);
-        p.set_weights(1.0, 0.0, 0.0);
-        assert_eq!(p.cached_entries(), 0);
-        let v = p.pair(&workers[0], &workers[1]);
-        assert_eq!(
-            v.to_bits(),
-            pair_affinity_of(&workers[0], &workers[1], 1.0, 0.0, 0.0).to_bits()
-        );
     }
 
     #[test]

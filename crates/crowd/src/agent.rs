@@ -25,8 +25,6 @@ pub struct Behavior {
     pub quality_mean: f64,
     /// Standard deviation of produced quality.
     pub quality_std: f64,
-    /// Probability of abandoning a task mid-way (failure injection).
-    pub dropout_prob: f64,
 }
 
 impl Default for Behavior {
@@ -37,7 +35,6 @@ impl Default for Behavior {
             mean_response_secs: 300.0,
             quality_mean: 0.7,
             quality_std: 0.12,
-            dropout_prob: 0.02,
         }
     }
 }
@@ -60,7 +57,6 @@ impl Behavior {
             mean_response_secs: 120.0,
             quality_mean: 0.92,
             quality_std: 0.05,
-            dropout_prob: 0.005,
         }
     }
 
@@ -69,7 +65,6 @@ impl Behavior {
         Behavior {
             interest_prob: 0.9,
             commit_prob: 0.25,
-            dropout_prob: 0.3,
             ..Default::default()
         }
     }
@@ -101,12 +96,6 @@ impl WorkerAgent {
     /// Does the worker actually start a suggested task before the deadline?
     pub fn commits(&mut self) -> bool {
         let p = self.behavior.commit_prob;
-        self.rng.chance(p)
-    }
-
-    /// Does the worker abandon mid-task?
-    pub fn drops_out(&mut self) -> bool {
-        let p = self.behavior.dropout_prob;
         self.rng.chance(p)
     }
 

@@ -9,7 +9,7 @@
 //! * [`estimate`] — individual skill estimation from team task history
 //!   (paper reference \[10\]);
 //! * [`agent`] — stochastic worker agents (the stand-in for live
-//!   volunteers: interest, commitment, latency, quality, dropout);
+//!   volunteers: interest, commitment, latency, quality);
 //! * [`population`] — seeded synthesis of diverse crowds.
 
 pub mod affinity;

@@ -119,7 +119,7 @@
 //! [`ShardedRuntime::migrate_project`] quiesces one project, extracts it
 //! from its shard, adopts it into another, and flips the routing table.
 //! Deterministic crash schedules come from [`recovery::FaultPlan`],
-//! handed to `ShardedRuntime::new_chaos`.
+//! handed to `ShardedRuntime::new_chaos_instrumented`.
 //!
 //! ## Scenario streaming
 //!

@@ -40,7 +40,7 @@
 //! apply is already ledgered, so the injection lands on a clean
 //! boundary and the equivalence proptests can assert byte-identity
 //! between faulted and fault-free runs. Plans are plain data, handed to
-//! the `new_chaos*` constructors; the chaos tests derive theirs from the
+//! `new_chaos_instrumented`; the chaos tests derive theirs from the
 //! proptest seed (`PROPTEST_SEED`), which is what CI pins for its replays.
 
 use crate::shard::{SeqKey, ShardStats};

@@ -112,7 +112,7 @@ pub struct RunReport {
 /// Every slice the runtime builds — at spawn, on a recovery, for a
 /// migration — is a `Crowd4U::new()` platform: a platform has no settings
 /// outside its journal (a project's team algorithm rides in its
-/// registration), so a rebuild loses nothing. The four constructors differ
+/// registration), so a rebuild loses nothing. The three constructors differ
 /// only in the telemetry registry and the fault plan.
 pub struct ShardedRuntime {
     gate: IngestGate,
@@ -137,19 +137,14 @@ impl ShardedRuntime {
         ShardedRuntime::spawn(config, telemetry, FaultPlan::none())
     }
 
-    /// Spawn the runtime with an explicit [`FaultPlan`] — the deterministic
-    /// chaos entry point, and the only way to inject a fault: the other
-    /// constructors run with [`FaultPlan::none`]. Pair with
-    /// `config.recovery = true` to exercise crash recovery; with recovery
-    /// off an injected kill behaves like any shard panic.
-    pub fn new_chaos(config: RuntimeConfig, faults: FaultPlan) -> ShardedRuntime {
-        ShardedRuntime::spawn(config, Registry::new(), faults)
-    }
-
-    /// [`new_chaos`](Self::new_chaos) with an explicit telemetry registry —
-    /// the `e2e` benchmark's `crash_recover` workload scrapes the
-    /// `crowd4u_recoveries_total` / `crowd4u_recovery_ns` cells from it
-    /// after the run (`runtime.recovery.replay_ms`).
+    /// Spawn the runtime with an explicit telemetry registry and
+    /// [`FaultPlan`] — the deterministic chaos entry point, and the only
+    /// way to inject a fault: the other constructors run with
+    /// [`FaultPlan::none`]. Pair with `config.recovery = true` to exercise
+    /// crash recovery; with recovery off an injected kill behaves like any
+    /// shard panic. The `e2e` benchmark's `crash_recover` workload scrapes
+    /// the `crowd4u_recoveries_total` / `crowd4u_recovery_ns` cells from
+    /// the registry after the run (`runtime.recovery.replay_ms`).
     pub fn new_chaos_instrumented(
         config: RuntimeConfig,
         telemetry: Registry,
@@ -869,7 +864,8 @@ out(X, Y) :- item(X), label(X, Y).
         let mut cfg = config(2, 0);
         cfg.recovery = true;
         // Kill shard 1 after its 2nd applied event, mid-stream.
-        let rt = ShardedRuntime::new_chaos(cfg, FaultPlan::kill(1, 2));
+        let rt =
+            ShardedRuntime::new_chaos_instrumented(cfg, Registry::new(), FaultPlan::kill(1, 2));
         rt.submit_batch(events());
         rt.drain();
         let run = rt.finish().unwrap();

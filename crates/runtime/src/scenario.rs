@@ -12,8 +12,7 @@
 //!    (a [`Driver`](crowd4u_scenarios::Driver) over a private slice,
 //!    [`record_scheme`]); every
 //!    state change it makes is yielded as a timed op
-//!    ([`Driver::drain_due`](crowd4u_scenarios::Driver::drain_due) /
-//!    [`Driver::ops_since`](crowd4u_scenarios::Driver::ops_since)).
+//!    ([`Driver::ops`](crowd4u_scenarios::Driver::ops)).
 //!    Recording different scenarios is embarrassingly parallel.
 //! 2. **Stream** — [`stream_traces`] interleaves the recorded streams by
 //!    `SimTime` (deterministically, with per-scenario worker/project id

@@ -30,11 +30,6 @@ pub struct Driver {
     /// Timed platform events awaiting delivery (the simulated "network").
     events: Simulation<PlatformEvent>,
     start: SimTime,
-    /// Stream-scan cache: the platform clock after decoding the journal
-    /// prefix `[..scanned.0]`. Lets the incremental [`Driver::drain_due`]
-    /// loop stamp each new op without re-decoding the whole journal —
-    /// O(total) across a scenario instead of O(n²).
-    scanned: (usize, SimTime),
     /// Worker actions [`Driver::pump`] dropped as stale.
     dropped: u64,
 }
@@ -71,7 +66,6 @@ impl Driver {
             rng,
             events: Simulation::new(),
             start,
-            scanned: (0, SimTime::ZERO),
             dropped: 0,
         }
     }
@@ -130,57 +124,26 @@ impl Driver {
         self.dropped
     }
 
-    // ---- streaming surface ----
-
-    /// Cursor into the driver's op stream: everything journaled so far.
-    /// Pair with [`Driver::ops_since`] to extract the timed operations a
-    /// stretch of scenario logic produced.
-    pub fn journal_cursor(&self) -> usize {
-        self.platform.journal().len()
-    }
-
-    /// The timed operation stream this driver's platform journaled since
-    /// `cursor`, ready for routing through a sharded runtime's ingestion
-    /// gate: one [`TimedOp`] per journal entry, stamped with the platform
-    /// clock at the moment it applied (`clock` entries stamp their own
-    /// target), with `drain` entries yielded as [`StreamOp::Drain`]
-    /// markers (a router turns those into coordinated drain barriers).
+    /// The timed operation stream this driver's platform journaled, ready
+    /// for routing through a sharded runtime's ingestion gate: one
+    /// [`TimedOp`] per journal entry, stamped with the platform clock at
+    /// the moment it applied (`clock` entries stamp their own target), with
+    /// `drain` entries yielded as [`StreamOp::Drain`] markers (a router
+    /// turns those into coordinated drain barriers).
     ///
     /// Replaying the yielded events in order against a fresh platform —
     /// serially or through `ShardedRuntime` mailboxes — reproduces this
     /// driver's platform state and journal byte-identically: the stream
     /// *is* the journal, decoded and timestamped.
-    pub fn ops_since(&self, cursor: usize) -> Result<Vec<TimedOp>, PlatformError> {
-        // Resume from the scan cache when it covers a prefix of the
-        // request; a cursor before the cached point falls back to a full
-        // scan (the clock at an arbitrary earlier index is not cached).
-        let (start, clock) = if self.scanned.0 <= cursor {
-            self.scanned
-        } else {
-            (0, SimTime::ZERO)
-        };
-        Ok(self.scan_from(start, clock, cursor)?.0)
-    }
-
-    /// Decode journal entries from `start` (where the clock was `at`,
-    /// with `start <= cursor`), emitting ops from `cursor` on; returns
-    /// the ops and the clock after the final entry.
-    fn scan_from(
-        &self,
-        start: usize,
-        mut at: SimTime,
-        cursor: usize,
-    ) -> Result<(Vec<TimedOp>, SimTime), PlatformError> {
-        debug_assert!(start <= cursor);
-        let mut out = Vec::new();
-        for (idx, entry) in self.platform.journal().iter().enumerate().skip(start) {
+    pub fn ops(&self) -> Result<Vec<TimedOp>, PlatformError> {
+        let mut at = SimTime::ZERO;
+        let mut out = Vec::with_capacity(self.platform.journal().len());
+        for entry in self.platform.journal().iter() {
             if entry.kind == DRAIN_KIND {
-                if idx >= cursor {
-                    out.push(TimedOp {
-                        at,
-                        op: StreamOp::Drain,
-                    });
-                }
+                out.push(TimedOp {
+                    at,
+                    op: StreamOp::Drain,
+                });
                 continue;
             }
             let event = PlatformEvent::decode(entry)?;
@@ -191,37 +154,12 @@ impl Driver {
                     at = *to;
                 }
             }
-            if idx >= cursor {
-                out.push(TimedOp {
-                    at,
-                    op: StreamOp::Event(event),
-                });
-            }
+            out.push(TimedOp {
+                at,
+                op: StreamOp::Event(event),
+            });
         }
-        Ok((out, at))
-    }
-
-    /// Streaming counterpart of [`Driver::pump`]: deliver every due event
-    /// to the driver's own platform slice (the scenario's *decision
-    /// shadow*) exactly like `pump`, and **yield** the resulting timed
-    /// operations — every event applied plus any closing drain — instead
-    /// of keeping them private. A scenario front-end pushes the yielded
-    /// ops through `IngestGate` handles so the authoritative sharded
-    /// runtime applies the same stream; see `crowd4u-runtime::scenario`
-    /// and docs/SCENARIOS.md for the full porting recipe.
-    pub fn drain_due(&mut self) -> Result<Vec<TimedOp>, PlatformError> {
-        let cursor = self.journal_cursor();
-        self.pump()?;
-        let (start, clock) = if self.scanned.0 <= cursor {
-            self.scanned
-        } else {
-            (0, SimTime::ZERO)
-        };
-        let (ops, at) = self.scan_from(start, clock, cursor)?;
-        // Advance the scan cache to the journal's end, so the next
-        // drain_due decodes only its own new suffix.
-        self.scanned = (self.journal_cursor(), at);
-        Ok(ops)
+        Ok(out)
     }
 
     /// Desired factors matching the config (language-agnostic by default),
@@ -465,61 +403,6 @@ mod tests {
         );
         d.pump().unwrap();
         assert_eq!(d.dropped(), 1);
-    }
-
-    #[test]
-    fn drain_due_yields_the_journal_incrementally() {
-        // Driving the same schedule through per-step drain_due (which
-        // resumes from the scan cache) or reading the whole stream at the
-        // end must yield identical timed ops.
-        let cfg = ScenarioConfig::default().with_crowd(10).with_seed(2);
-        let mut streamed = Driver::new(&cfg);
-        let mut reference = Driver::new(&cfg);
-        let mut incremental = Vec::new();
-
-        let script = |d: &mut Driver, step: usize| {
-            let proj = ProjectId(1);
-            if step == 0 {
-                d.collab_project("p", SRC, &cfg, Scheme::Sequential, None)
-                    .unwrap();
-                d.schedule_after(
-                    SimDuration::secs(10),
-                    PlatformEvent::FactSeeded {
-                        project: proj,
-                        pred: "item".into(),
-                        values: vec!["a".into()],
-                    },
-                );
-            } else {
-                let task = d.platform.pool().open_tasks(Some(proj))[0].id;
-                let worker = d.platform.relations().eligible_workers(task)[0];
-                d.schedule_after(
-                    SimDuration::secs(5),
-                    PlatformEvent::AnswerSubmitted {
-                        worker,
-                        task,
-                        outputs: vec!["b".into()],
-                    },
-                );
-            }
-        };
-        for step in 0..2 {
-            script(&mut streamed, step);
-            incremental.extend(streamed.drain_due().unwrap());
-            script(&mut reference, step);
-            reference.pump().unwrap();
-        }
-        // drain_due only yields what pump applied since the last call, so
-        // the head of the stream (registrations + project setup, applied
-        // outside pump) is read via the cursor API.
-        let mut want = streamed.ops_since(0).unwrap();
-        let head = want.len() - incremental.len();
-        assert_eq!(incremental, want.split_off(head));
-        // Both drivers journaled the identical stream.
-        assert_eq!(
-            streamed.ops_since(0).unwrap(),
-            reference.ops_since(0).unwrap()
-        );
     }
 
     #[test]

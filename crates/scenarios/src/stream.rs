@@ -9,7 +9,7 @@
 //!   against its own platform slice, exactly as a single-threaded run
 //!   would. Every state change it makes is journaled, and the journal,
 //!   decoded and timestamped, *is* the scenario's event stream
-//!   ([`Driver::ops_since`] / [`Driver::drain_due`]);
+//!   ([`Driver::ops`]);
 //! * the **authoritative runtime**: whatever applies the yielded stream —
 //!   a single platform ([`apply_stream`], the serial reference) or the
 //!   sharded runtime's ingestion gate (`crowd4u-runtime::scenario`), where
@@ -128,7 +128,7 @@ pub fn record_scheme(
 ) -> Result<ScenarioTrace, PlatformError> {
     let mut d = Driver::new(config);
     let shadow = run_scheme_on(&mut d, scheme, config)?;
-    let ops = d.ops_since(0)?;
+    let ops = d.ops()?;
     Ok(ScenarioTrace {
         scheme,
         ops,
@@ -505,11 +505,6 @@ impl SplitLedger {
     pub fn total_points(&self) -> i64 {
         self.points.values().sum()
     }
-
-    /// Total per-member collaborative completions.
-    pub fn total_collabs(&self) -> u64 {
-        self.collabs.values().sum()
-    }
 }
 
 /// One project's per-worker split, read off the platform (or shard slice)
@@ -546,7 +541,7 @@ mod tests {
         // A reference shadow run journals the identical op sequence.
         let mut d = Driver::new(&cfg);
         run_scheme_on(&mut d, Scheme::Sequential, &cfg).unwrap();
-        assert_eq!(trace.ops, d.ops_since(0).unwrap());
+        assert_eq!(trace.ops, d.ops().unwrap());
         assert_eq!(trace.ops.len(), d.platform.journal().len());
         // Stamps never decrease within a stream.
         for w in trace.ops.windows(2) {

@@ -158,10 +158,6 @@ impl Registry {
         Registry { handles: None }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.handles.is_some()
-    }
-
     /// Issue a fresh handle (one per shard / subsystem). Metrics fetched
     /// through distinct handles never share atomics.
     pub fn handle(&self) -> TelemetryHandle {
@@ -216,10 +212,6 @@ impl TelemetryHandle {
     /// The no-op handle (what [`Registry::disabled`] issues).
     pub fn disabled() -> TelemetryHandle {
         TelemetryHandle { cells: None }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.cells.is_some()
     }
 
     /// Fetch (or create) an unlabelled counter.
@@ -635,7 +627,6 @@ mod tests {
     #[test]
     fn disabled_registry_is_a_no_op() {
         let r = Registry::disabled();
-        assert!(!r.is_enabled());
         let h = r.handle();
         let c = h.counter("crowd4u_test_total");
         c.incr();

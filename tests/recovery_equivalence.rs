@@ -122,7 +122,7 @@ proptest! {
             // (a no-op when S never reaches k applies — also a valid,
             // trivially equivalent schedule).
             let plan = FaultPlan::kill(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos(config(shards), plan.clone());
+            let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), plan.clone());
             let run = run_halves(rt, first, second, |_| {});
             assert_equivalent(&clean, &run, &format!("fault at {shards} shards"))?;
 
@@ -131,7 +131,7 @@ proptest! {
             // is not yet in the ledger. The supervisor's in-flight redo
             // must make this shape equally invisible (PR 10).
             let mid = FaultPlan::kill_mid_apply(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos(config(shards), mid);
+            let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), mid);
             let run = run_halves(rt, first, second, |_| {});
             assert_equivalent(&clean, &run, &format!("mid-apply fault at {shards} shards"))?;
 
@@ -147,7 +147,7 @@ proptest! {
                     .filter(|e| matches!(e, PlatformEvent::ProjectRegistered { .. }))
                     .count() as u64
                     >= project.0;
-                let rt = ShardedRuntime::new_chaos(config(shards), plan);
+                let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), plan);
                 let run = run_halves(rt, first, second, |rt| {
                     let to = (rt.owner_of(project) + 1) % shards;
                     let moved = rt.migrate_project(project, to);
@@ -185,7 +185,11 @@ fn a_mid_apply_crash_keeps_the_popped_event() {
     for shards in [1usize, 2] {
         // Kill the coordinator inside its 4th recorded apply — well within
         // the 6 registrations it records, so the fault always fires.
-        let rt = ShardedRuntime::new_chaos(config(shards), FaultPlan::kill_mid_apply(0, 4));
+        let rt = ShardedRuntime::new_chaos_instrumented(
+            config(shards),
+            Registry::new(),
+            FaultPlan::kill_mid_apply(0, 4),
+        );
         rt.submit_batch(events.clone());
         rt.drain();
         let run = rt.finish().unwrap();

@@ -39,6 +39,7 @@ use crowd4u::core::task::TaskState;
 use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
 use crowd4u::storage::snapshot;
+use crowd4u::telemetry::Registry;
 use proptest::prelude::*;
 
 fn chunked(events: &[PlatformEvent], batch: usize) -> Vec<Vec<PlatformEvent>> {
@@ -261,13 +262,13 @@ proptest! {
         let setup = setup_events(n_projects, items);
 
         for shards in [2usize, 4] {
-            let rt = ShardedRuntime::new_chaos(
-                RuntimeConfig {
+            let rt = ShardedRuntime::new_chaos_instrumented(RuntimeConfig {
                     shards,
                     drain_every: 0,
                     mailbox_capacity: 8, // tiny: backpressure + recovery holds
                     recovery: true,
                 },
+                Registry::new(),
                 FaultPlan::kill(kill_pick % shards, kill_after),
             );
             rt.submit_batch(setup.clone());

@@ -31,6 +31,7 @@ use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
 use crowd4u::scenarios::stream::{apply_stream, merge_traces_with, CrowdMode, ScenarioTrace};
 use crowd4u::scenarios::{mixed, run_scheme, ScenarioConfig};
+use crowd4u::telemetry::Registry;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -175,7 +176,7 @@ proptest! {
             // mid-stream; PR 9 recovery must keep it byte-identical,
             // splits included.
             let plan = FaultPlan::kill(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos(config(shards, true), plan);
+            let rt = ShardedRuntime::new_chaos_instrumented(config(shards, true), Registry::new(), plan);
             let (_, chaos_splits) =
                 crowd4u::runtime::scenario::stream_traces_shared(&rt, &traces).expect("chaos stream");
             let run = rt.finish().expect("chaos finish");

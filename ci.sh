@@ -66,6 +66,10 @@
 #                                  where the run can resolve 5 %
 #   3. linearity                — judge_stream's last-decile over first-decile
 #                                  wave time stays at or below 1.5
+#
+# Part 3 — the mutation check, a gate like part 2's: `./mutants.sh` applies
+# each mutants/NNN-name.patch to a throwaway worktree of the committed HEAD
+# and fails if a test its header names still passes (~35 s on 2 cores).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -281,6 +285,10 @@ for workload in $WORKLOADS; do
 done
 echo
 echo "part 2: $((SECONDS - part2_start)) s"
+
+# ---- Part 3: every checked-in mutant is killed by the tests it names ----
+
+gate "mutants: each mutants/*.patch fails its named tests" ./mutants.sh
 
 echo
 if [ ${#failed_gates[@]} -gt 0 ]; then

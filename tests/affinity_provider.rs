@@ -74,11 +74,10 @@ proptest! {
         let dense = affinity_from_profiles(&pop, wg, wl, ws);
         let mut provider = AffinityProvider::new(wg, wl, ws);
 
-        // Every pair, twice: a cold sweep, then a warm one that hits the
-        // cache and must return the cold values bit for bit.
-        let mut cold = Vec::new();
-        for round in 0..2 {
-            let mut k = 0;
+        // Every pair, twice: a cold sweep, then a warm one served from the
+        // cache. Both must equal the dense entry bit for bit, so every warm
+        // value is its cold value.
+        for _round in 0..2 {
             for a in &pop {
                 for b in &pop {
                     let got = provider.pair(a, b);
@@ -87,12 +86,6 @@ proptest! {
                         got.to_bits(), want.to_bits(),
                         "pair ({:?}, {:?}): {} vs {}", a.id, b.id, got, want
                     );
-                    if round == 0 {
-                        cold.push(got);
-                    } else {
-                        prop_assert_eq!(got.to_bits(), cold[k].to_bits(), "warm vs cold");
-                    }
-                    k += 1;
                 }
             }
         }

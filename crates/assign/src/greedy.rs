@@ -12,12 +12,16 @@
 //! join order (kept as a running sum, one addition per join), a team's pair
 //! sum over `i < j` in member order — the order [`Team::assemble`] uses.
 //!
-//! The multi-seed greedy grows only the seeds that can still win: a seed
-//! whose admissible bound — the one [`ExactBB`](crate::exact::ExactBB)
-//! prunes with, specialised to a team through one seed — cannot strictly
-//! beat the best team found so far is skipped. A skipped seed could only
-//! have tied or lost, and ties go to the first seen, so the result is the
-//! one every seed would give.
+//! The multi-seed greedy grows only the seeds that can still win. Its
+//! result is the best team over the seeds in skill order, an exact tie
+//! going to the earlier seed; each seed has an admissible bound — the one
+//! [`ExactBB`](crate::exact::ExactBB) prunes with, specialised to a team
+//! through one seed. The seeds are grown in descending bound order, so the
+//! strongest incumbent comes early, and a seed whose bound is below the
+//! incumbent's mean, or equal to it from a later skill rank, is skipped:
+//! it could only have lost, or tied and lost the tie. The result is the
+//! one every seed would give, and the seeds grown are exactly those the
+//! final winner cannot rule out — the fewest any seed order grows.
 
 use crate::types::{mean_bound, pair_count, Candidate, Team, TeamConstraints, TeamFormation};
 use crowd4u_crowd::affinity::AffinityLookup;
@@ -197,18 +201,17 @@ impl SeedBound {
             pairs
         }
     }
-
-    /// Whether no team grown from `seed` can strictly beat `incumbent` —
-    /// the only way a later seed replaces the best team.
-    fn cannot_beat(&self, seed: usize, incumbent: f64) -> bool {
-        self.of(seed) + self.slack <= incumbent
-    }
 }
 
 /// Fill the candidates' pair table and run the multi-seed greedy over it:
 /// the table and the best team over the seeds tried, as candidate
-/// positions. A seed whose [`SeedBound`] cannot strictly beat the best
-/// team so far is not grown.
+/// positions. The seeds tried are the highest-skill ones (all of them
+/// without a cap), and the best team is the one of highest mean, an exact
+/// tie going to the seed of higher skill rank. The seeds are grown in
+/// descending [`SeedBound`] order, so the incumbent is strong early, and a
+/// seed is skipped when its ceiling is below the incumbent's mean, or equal
+/// to it with a later skill rank: it could only lose or tie, and lose the
+/// tie. The seeds grown are then exactly those the winner cannot rule out.
 fn greedy_start(
     cands: &[Candidate],
     aff: &dyn AffinityLookup,
@@ -221,26 +224,43 @@ fn greedy_start(
     let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
     let tab = aff.table(&ids);
     let bound = SeedBound::new(&tab, cands.len(), constraints);
-    // Seed order: by descending skill (helps meet quality constraints).
-    let mut seeds: Vec<usize> = (0..cands.len()).collect();
-    seeds.sort_by(|&a, &b| cands[b].skill.total_cmp(&cands[a].skill));
+    // Skill order: by descending skill (helps meet quality constraints).
+    let mut by_skill: Vec<usize> = (0..cands.len()).collect();
+    by_skill.sort_by(|&a, &b| cands[b].skill.total_cmp(&cands[a].skill));
     if max_seeds > 0 {
-        seeds.truncate(max_seeds);
+        by_skill.truncate(max_seeds);
     }
-    let mut best: Option<(f64, Vec<usize>)> = None;
-    for s in seeds {
-        if best.as_ref().is_some_and(|(b, _)| bound.cannot_beat(s, *b)) {
+    // A seed's ceiling is its bound plus the slack: the largest mean a team
+    // grown from it can reach, summation error included. Growth order:
+    // skill ranks by descending ceiling, a tie to the earlier rank.
+    let ceilings: Vec<f64> = by_skill
+        .iter()
+        .map(|&s| bound.of(s) + bound.slack)
+        .collect();
+    let mut order: Vec<usize> = (0..by_skill.len()).collect();
+    order.sort_by(|&a, &b| ceilings[b].total_cmp(&ceilings[a]).then(a.cmp(&b)));
+    // The incumbent: its mean, its seed's skill rank, its team.
+    let mut best: Option<(f64, usize, Vec<usize>)> = None;
+    for rank in order {
+        let (ceiling, s) = (ceilings[rank], by_skill[rank]);
+        if best
+            .as_ref()
+            .is_some_and(|&(b, at, _)| ceiling < b || (ceiling == b && rank > at))
+        {
             #[cfg(test)]
             SEEDS_SKIPPED.with(|c| c.set(c.get() + 1));
             continue;
         }
         if let Some((mean, team)) = grow_from_seed(s, cands, &tab, constraints) {
-            if best.as_ref().is_none_or(|(b, _)| mean > *b) {
-                best = Some((mean, team));
+            if best
+                .as_ref()
+                .is_none_or(|&(b, at, _)| mean > b || (mean == b && rank < at))
+            {
+                best = Some((mean, rank, team));
             }
         }
     }
-    best.map(|(_, team)| (tab, team))
+    best.map(|(_, _, team)| (tab, team))
 }
 
 impl TeamFormation for GreedyAff {
@@ -488,6 +508,78 @@ mod tests {
             .form(&cands, &m, &TeamConstraints::sized(3, 3))
             .unwrap();
         assert_eq!(t.members, vec![at("s"), at("x"), at("y")]);
+    }
+
+    #[test]
+    fn the_seeds_grown_are_exactly_those_the_winner_cannot_rule_out() {
+        // Per-worker weights spread the row maxima, so bounds differ from
+        // seed to seed; quarter steps make equal means common; an all-zero
+        // table has every ceiling equal to the winner's mean.
+        let (mut calls, mut skipped_total) = (0, 0);
+        for seed in 0..120u64 {
+            let mut rng = crowd4u_sim::rng::SimRng::seed_from(seed);
+            let n = 6 + (seed % 30) as usize;
+            let cands: Vec<Candidate> = (0..n as u64)
+                .map(|i| Candidate::new(WorkerId(i), rng.unit(), rng.range_f64(0.0, 3.0)))
+                .collect();
+            let weight: Vec<f64> = (0..n).map(|_| rng.unit()).collect();
+            let mut m = AffinityMatrix::new(cands.iter().map(|c| c.id).collect());
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let v = rng.unit() * weight[a] * weight[b];
+                    let v = match seed % 3 {
+                        0 => v,
+                        1 => (v * 4.0).round() / 4.0,
+                        _ => 0.0,
+                    };
+                    m.set(WorkerId(a as u64), WorkerId(b as u64), v);
+                }
+            }
+            let min_size = 1 + (seed % 4) as usize;
+            let constraints = TeamConstraints::sized(min_size, min_size + (seed % 3) as usize)
+                .with_quality(if seed % 5 == 0 { 0.4 } else { 0.0 });
+            let max_seeds = if seed % 7 == 0 { 5 } else { 0 };
+
+            // The winner by the definition: every seed grown, in skill
+            // order, the first of the highest mean kept.
+            let ids: Vec<WorkerId> = cands.iter().map(|c| c.id).collect();
+            let tab = m.table(&ids);
+            let bound = SeedBound::new(&tab, n, &constraints);
+            let mut by_skill: Vec<usize> = (0..n).collect();
+            by_skill.sort_by(|&a, &b| cands[b].skill.total_cmp(&cands[a].skill));
+            if max_seeds > 0 {
+                by_skill.truncate(max_seeds);
+            }
+            let mut winner: Option<(f64, usize)> = None;
+            for (rank, &s) in by_skill.iter().enumerate() {
+                if let Some((mean, _)) = grow_from_seed(s, &cands, &tab, &constraints) {
+                    if winner.is_none_or(|(b, _)| mean > b) {
+                        winner = Some((mean, rank));
+                    }
+                }
+            }
+            let ruled_out = by_skill
+                .iter()
+                .enumerate()
+                .filter(|&(rank, &s)| {
+                    winner.is_some_and(|(b, at)| {
+                        let ceiling = bound.of(s) + bound.slack;
+                        ceiling < b || (ceiling == b && rank > at)
+                    })
+                })
+                .count() as u64;
+
+            let before = SEEDS_SKIPPED.with(|c| c.get());
+            GreedyAff::with_seed_cap(max_seeds).form(&cands, &m, &constraints);
+            let skipped = SEEDS_SKIPPED.with(|c| c.get()) - before;
+            assert_eq!(skipped, ruled_out, "seed {seed}: {n} candidates");
+            calls += 1;
+            skipped_total += skipped;
+        }
+        assert!(
+            skipped_total > calls,
+            "only {skipped_total} seeds skipped in {calls} calls"
+        );
     }
 
     #[test]

@@ -275,6 +275,26 @@ impl Crowd4U {
     /// stamps, stall monitors) stays a single timeline.
     pub fn advance_owned(&mut self, t: SimTime, owner: u64) -> Result<(), PlatformError> {
         self.record(&PlatformEvent::ClockAdvanced { to: t, owner });
+        self.move_clock(t, owner)
+    }
+
+    /// [`apply_event`](Crowd4U::apply_event) of a
+    /// [`PlatformEvent::ClockAdvanced`] without its journal entry: the
+    /// state effects of [`advance_owned`](Crowd4U::advance_owned), counted
+    /// as an applied (or dropped) event. This is the runtime's replica path
+    /// for a clock, as [`install_worker_delta`](Crowd4U::install_worker_delta)
+    /// is for a registration: a clock is broadcast, the coordinator shard
+    /// journals it, and every other shard moves its own clock and sweeps
+    /// its own projects' deadlines through this method, so the runtime
+    /// holds one `clock` entry per clock.
+    pub fn apply_clock_copy(&mut self, t: SimTime, owner: u64) -> Result<(), PlatformError> {
+        let result = self.move_clock(t, owner);
+        self.count_outcome(result)
+    }
+
+    /// The state half of [`advance_owned`](Crowd4U::advance_owned): the
+    /// clocks move, then the domain's deadlines are swept.
+    fn move_clock(&mut self, t: SimTime, owner: u64) -> Result<(), PlatformError> {
         if t > self.now {
             self.now = t;
         }

@@ -22,7 +22,11 @@
 //!   number), so the slot holds them at exactly the positions the live
 //!   shard installed them, and none it had not reached — installs still
 //!   queued behind the dead shard's position stay in its mailbox, the
-//!   future it resumes with.
+//!   future it resumes with;
+//! * **clock copies** come from the same slot too: a replica applies a
+//!   broadcast clock without journaling it and files it as
+//!   `Applied::Clock(to, owner)`, which a replay applies the same way —
+//!   only the coordinator's slot holds the clock's journal entry.
 //! * entries for projects the routing table has since moved elsewhere
 //!   are filtered out (the rebuilt shard keeps only the shell every
 //!   platform holds), and entries for projects migrated *in* are pulled
@@ -48,6 +52,7 @@ use crowd4u_core::error::ProjectId;
 use crowd4u_core::events::{EventScope, PlatformEvent, DRAIN_KIND};
 use crowd4u_core::platform::Crowd4U;
 use crowd4u_crowd::profile::WorkerProfile;
+use crowd4u_sim::time::SimTime;
 use crowd4u_storage::journal::JournalEntry;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -60,6 +65,10 @@ pub(crate) enum Applied {
     /// A registration a replica took as a `ToShard::Install`, filed before
     /// it was installed; the `Arc` is the one the gate allocated.
     WorkerDelta(Arc<WorkerProfile>),
+    /// A clock a replica applied without journaling it
+    /// (`Crowd4U::apply_clock_copy`): the `to` and `owner` of its
+    /// `ClockAdvanced`.
+    Clock(SimTime, u64),
 }
 
 /// One applied message in a shard's history: its sort key, what it
@@ -170,7 +179,7 @@ impl ShardLedger {
             .filter(|e| e.recorded)
             .filter_map(|e| match &e.entry {
                 Applied::Journaled(entry) => Some((e.key, entry.clone())),
-                Applied::WorkerDelta(_) => None,
+                Applied::WorkerDelta(_) | Applied::Clock(..) => None,
             })
             .collect()
     }
@@ -254,14 +263,18 @@ impl FaultPlan {
 }
 
 /// Replay one shard slice onto a fresh `platform`: journaled entries
-/// re-apply (a drain re-drains), filed worker installs re-install, each at
-/// the position the live shard reached it. Returns the rebuilt platform —
+/// re-apply (a drain re-drains), filed worker installs re-install and
+/// filed clocks re-apply unjournaled, each at the position the live shard
+/// reached it. Returns the rebuilt platform —
 /// its journal empty, like every live slice's: the entries just replayed
 /// are the ledger's already.
 pub(crate) fn replay_slice(mut platform: Crowd4U, entries: &[LedgerEntry]) -> Crowd4U {
     for e in entries {
         match &e.entry {
             Applied::WorkerDelta(profile) => platform.install_worker_delta(Arc::clone(profile)),
+            Applied::Clock(to, owner) => platform
+                .apply_clock_copy(*to, *owner)
+                .expect("a filed clock must re-apply — it applied cleanly live"),
             Applied::Journaled(entry) if entry.kind == DRAIN_KIND => {
                 platform
                     .drain_events()
@@ -324,8 +337,9 @@ mod tests {
         let project = |p: u64| EventScope::Project(ProjectId(p));
         // Two shards, round-robin ownership: project 1 on shard 0, project
         // 2 on shard 1. Shard 0 coordinates: it journals the worker event
-        // and records the broadcast and the drain; shard 1 holds the
-        // worker install it filed and unrecorded copies of the other two.
+        // and the clock, and records them and the drain; shard 1 holds the
+        // worker install and the clock it filed and an unrecorded copy of
+        // the drain.
         // The unrecorded project entry at 6 stands for a copy only the
         // slot that applied it may replay.
         let ledger = ShardLedger::new(2);
@@ -343,7 +357,12 @@ mod tests {
             let mut slot = ledger.slot(1);
             slot.entries.extend([
                 delta(1),
-                entry(2, "clock", EventScope::Global, false),
+                LedgerEntry {
+                    key: (2, 0),
+                    entry: Applied::Clock(SimTime(60), 0),
+                    scope: EventScope::Global,
+                    recorded: false,
+                },
                 entry(4, "seed", project(2), true),
                 entry(5, "sync", project(2), true),
                 entry(6, "seed", project(2), false),
@@ -355,8 +374,8 @@ mod tests {
             entries.into_iter().map(|e| e.key.0).collect()
         };
 
-        // The filed delta is never part of the merged journal: shard 0's
-        // journaled registration at the same seq is.
+        // The filed delta and clock are never part of the merged journal:
+        // shard 0's journaled registration and clock at the same seqs are.
         let stream = ledger.recorded_stream(1);
         assert_eq!(stream.len(), 2);
         assert_eq!(stream[0].0, (4, 0));
@@ -378,15 +397,16 @@ mod tests {
         );
 
         // Project 2 migrated to shard 0. Shard 1's slice loses it (the
-        // delta, the broadcast copy and the drain stay); shard 0's gains
-        // the recorded history from shard 1's slot — not the unrecorded
-        // entry, not the delta, the broadcast copy or the drain it already
-        // has its own of — merged in key order.
+        // delta, the filed clock and the drain stay); shard 0's gains the
+        // recorded history from shard 1's slot — not the unrecorded entry,
+        // not the delta, the filed clock or the drain it already has its
+        // own of — merged in key order.
         let moved = |_: ProjectId| 0;
-        let is_delta = |e: &LedgerEntry| matches!(e.entry, Applied::WorkerDelta(_));
+        let is_filed =
+            |e: &LedgerEntry| matches!(e.entry, Applied::WorkerDelta(_) | Applied::Clock(..));
         assert_eq!(seqs(ledger.shard_slice(1, moved, true)), [1, 2, 7]);
         let rebuilt_zero = ledger.shard_slice(0, moved, true);
-        assert!(!rebuilt_zero.iter().any(is_delta));
+        assert!(!rebuilt_zero.iter().any(is_filed));
         assert_eq!(seqs(rebuilt_zero), [1, 2, 3, 4, 5, 7]);
     }
 }

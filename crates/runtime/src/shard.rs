@@ -17,7 +17,10 @@
 //! every other shard files it in its ledger slot and installs it without
 //! journaling — so a job, a drain or an event sees exactly the
 //! registrations admitted before it, and every registry holds the same
-//! profile allocation.
+//! profile allocation. A clock broadcast is filed the same way: shard 0
+//! journals and records it, every other shard moves its clock and sweeps
+//! its own projects' deadlines without journaling, and files the compact
+//! `Applied::Clock(to, owner)` a rebuild re-applies.
 //!
 //! The thread body is a **supervisor**: the apply loop runs under
 //! `catch_unwind`, and when a panic escapes it (an injected [`FaultPlan`]
@@ -52,6 +55,9 @@ pub(crate) enum ToShard {
     /// Apply one routed event. `record` is true on exactly one shard per
     /// event (the owner; the coordinator for broadcasts), so the merged
     /// journal and the applied/dropped statistics count each event once.
+    /// A clock's unrecorded copy is applied without journaling
+    /// (`Crowd4U::apply_clock_copy`) and filed as `Applied::Clock`; it
+    /// keeps the auto-drain phase an applied event keeps.
     Apply {
         seq: u64,
         event: PlatformEvent,
@@ -374,11 +380,13 @@ fn shard_loop(
     }
 }
 
-/// Apply one data event that journals — an `Apply`, recorded or a
-/// broadcast copy, or the recorder's `Install` — and make it durable: the
-/// in-flight slot around the apply, the kill points, the ledger entry, the
-/// applied count and the auto-drain phase. A registration is registered
-/// from its shared `Arc` and cannot be rejected.
+/// Apply one data event — an `Apply`, recorded or a broadcast copy, or the
+/// recorder's `Install` — and make it durable: the in-flight slot around
+/// the apply, the kill points, the ledger entry, the applied count and the
+/// auto-drain phase. A registration is registered from its shared `Arc`
+/// and cannot be rejected. A replica's copy of a clock is applied without
+/// a journal entry and filed as `Applied::Clock`; everything else files
+/// the entry the platform journaled.
 fn apply_data(
     ctx: &ShardCtx,
     p: &mut Crowd4U,
@@ -412,18 +420,24 @@ fn apply_data(
         }
     }
     // The scope is taken as the apply consumes the event: the slice
-    // filters of recovery and migration select on it.
+    // filters of recovery and migration select on it. A replica's copy of
+    // a clock journals nothing and yields the entry it files instead.
     let (scope, applied) = {
         let _span = apply_hist.span_for(seq);
         match data {
-            DataEvent::Event(event) => (event.scope(), p.apply_event(event)),
+            DataEvent::Event(PlatformEvent::ClockAdvanced { to, owner }) if !record => (
+                EventScope::Global,
+                p.apply_clock_copy(to, owner)
+                    .map(|()| Some(Applied::Clock(to, owner))),
+            ),
+            DataEvent::Event(event) => (event.scope(), p.apply_event(event).map(|()| None)),
             DataEvent::Registration(profile) => {
                 p.apply_registration(profile);
-                (EventScope::Global, Ok(()))
+                (EventScope::Global, Ok(None))
             }
         }
     };
-    if applied.is_err() {
+    let Ok(filed) = applied else {
         // Per-event error tolerance, mirroring `apply_batch` and the
         // scenario driver: a stale or invalid worker action is dropped and
         // counted, not fatal — and never ledgered, so replays skip it
@@ -435,11 +449,19 @@ fn apply_data(
         }
         *in_flight = None;
         return;
-    }
+    };
     // Every Ok apply is ledgered — broadcast copies included — because the
     // ledger slice is what a recovery replays.
     let mut slot = gate.ledger().slot(shard);
-    ledger_journaled(p, &mut slot, (seq, 0), scope, record);
+    match filed {
+        Some(entry) => slot.entries.push(LedgerEntry {
+            key: (seq, 0),
+            entry,
+            scope,
+            recorded: false,
+        }),
+        None => ledger_journaled(p, &mut slot, (seq, 0), scope, record),
+    }
     let fired = if record {
         slot.stats.applied += 1;
         inject && ctx.faults.fires(shard, slot.stats.applied)

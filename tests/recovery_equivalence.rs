@@ -29,8 +29,8 @@
 
 mod common;
 
-use common::{build_events, project, raw_op, sentence, setup_events, worker};
-use crowd4u::core::error::{PlatformError, ProjectId};
+use common::{build_events, project, raw_op, sentence, setup_events, team_crowd, worker};
+use crowd4u::core::error::{PlatformError, ProjectId, TaskId};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
@@ -92,6 +92,29 @@ fn assert_equivalent(clean: &RunReport, run: &RunReport, label: &str) -> Result<
     Ok(())
 }
 
+/// Each shard's slice equals the fault-free run's: a rebuilt shard holds
+/// what the shard it replaced held — its replica state included (the
+/// clocks it moved and the deadlines they swept, the workers it
+/// installed), which the merged journal, written by the recorders, does
+/// not show. Routing must be the same in both runs, so a migrated run is
+/// not compared this way.
+fn assert_same_slices(
+    clean: &RunReport,
+    run: &RunReport,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(run.platforms.len(), clean.platforms.len(), "{}", label);
+    for (shard, (p, q)) in run.platforms.iter().zip(&clean.platforms).enumerate() {
+        prop_assert!(
+            p.state_dump() == q.state_dump(),
+            "shard {} slice differs: {}",
+            shard,
+            label
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
@@ -124,7 +147,9 @@ proptest! {
             let plan = FaultPlan::kill(kill_pick % shards, kill_after);
             let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), plan.clone());
             let run = run_halves(rt, first, second, |_| {});
-            assert_equivalent(&clean, &run, &format!("fault at {shards} shards"))?;
+            let label = format!("fault at {shards} shards");
+            assert_equivalent(&clean, &run, &label)?;
+            assert_same_slices(&clean, &run, &label)?;
 
             // Mid-apply fault: the same kill point, but firing *inside*
             // the k-th apply — the event was popped from the mailbox and
@@ -133,7 +158,9 @@ proptest! {
             let mid = FaultPlan::kill_mid_apply(kill_pick % shards, kill_after);
             let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), mid);
             let run = run_halves(rt, first, second, |_| {});
-            assert_equivalent(&clean, &run, &format!("mid-apply fault at {shards} shards"))?;
+            let label = format!("mid-apply fault at {shards} shards");
+            assert_equivalent(&clean, &run, &label)?;
+            assert_same_slices(&clean, &run, &label)?;
 
             // Fault + migrate: same crash schedule, plus a hot migration
             // of one project to the next shard between the two halves. A
@@ -330,6 +357,69 @@ fn migrated_away_projects_leave_no_source_residue_even_across_recovery() {
             .ok(),
         Some(0)
     );
+}
+
+/// Regression: a replica's copy of a clock journals nothing, so the
+/// rebuilt replica must get it back from the `clock` it filed in its own
+/// slot. Shard 1 suggests a team on its own project; three clocks, which
+/// shard 0 records, pass the recruitment deadline on every sweep, and
+/// shard 1's copies expire and re-assign the task; then shard 1 dies on
+/// its next recorded event, at its boundary or inside it. The rebuilt
+/// slice must hold what the live one held — the clock, the re-assigned
+/// task, the withdrawn interest — though the merged journal, which has
+/// none of shard 1's sweeps, would be the same without them.
+#[test]
+fn a_rebuilt_replica_keeps_the_clocks_it_filed() {
+    let task = TaskId::compose(ProjectId(2), 1);
+    let crowd = team_crowd();
+    let mut events = vec![project("on-shard-0"), project("on-shard-1")];
+    events.extend(
+        crowd
+            .iter()
+            .map(|p| PlatformEvent::WorkerRegistered { profile: p.clone() }),
+    );
+    // Shard 1's recorded applies 1–10: the task, eight interests, the run.
+    events.push(PlatformEvent::CollabTaskCreated {
+        project: ProjectId(2),
+        description: "replica team".into(),
+    });
+    events.extend(
+        crowd
+            .iter()
+            .map(|p| PlatformEvent::InterestExpressed { worker: p.id, task }),
+    );
+    events.push(PlatformEvent::AssignmentRun { task });
+    // Each clock is past the deadline the sweep before it set (600 s).
+    events.extend((1..=3).map(|k| PlatformEvent::ClockAdvanced {
+        to: SimTime(601 * k),
+        owner: 0,
+    }));
+    // Shard 1's recorded apply 11.
+    events.push(sentence(2, "after the clocks"));
+
+    let clean = run_halves(ShardedRuntime::new(config(2)), &events, &[], |_| {});
+    // Every clock swept the task on shard 1, the owner, and only there.
+    let missed: Vec<u64> = clean
+        .platforms
+        .iter()
+        .map(|p| p.counters().deadlines_missed)
+        .collect();
+    assert_eq!(missed, [0, 3]);
+    for plan in [FaultPlan::kill(1, 11), FaultPlan::kill_mid_apply(1, 11)] {
+        let registry = Registry::new();
+        let rt = ShardedRuntime::new_chaos_instrumented(config(2), registry.clone(), plan.clone());
+        let run = run_halves(rt, &events, &[], |_| {});
+        let label = format!("{plan:?}");
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter_total("crowd4u_recoveries_total"),
+            1,
+            "{label}"
+        );
+        assert_equivalent(&clean, &run, &label).unwrap();
+        assert_same_slices(&clean, &run, &label).unwrap();
+    }
 }
 
 /// Worker churn beside a live project: two projects first, then `rounds` ×

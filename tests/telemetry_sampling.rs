@@ -148,21 +148,26 @@ fn stage_counts_are_exact_and_the_sample_is_the_hashed_seqs() {
         assert_eq!(waited.count, 0);
 
         // Journal: each slice appends one entry per apply and one for the
-        // drain — a replica's worker installs append none — and times the
-        // appends its own count picks.
-        let registrations = stream()
+        // drain — a replica's worker installs and clock copies append
+        // none — and times the appends its own count picks.
+        let filed = stream()
             .iter()
-            .filter(|e| matches!(e, PlatformEvent::WorkerRegistered { .. }))
+            .filter(|e| {
+                matches!(
+                    e,
+                    PlatformEvent::WorkerRegistered { .. } | PlatformEvent::ClockAdvanced { .. }
+                )
+            })
             .count() as u64;
         let per_shard: Vec<u64> = (0..shards)
             .map(|k| {
-                let installs = if k == 0 { 0 } else { registrations };
+                let unjournaled = if k == 0 { 0 } else { filed };
                 1 + run
                     .applied_on
                     .iter()
                     .filter(|(_, on)| on.contains(&k))
                     .count() as u64
-                    - installs
+                    - unjournaled
             })
             .collect();
         let journal = hist(&run.snap, stage::JOURNAL_APPEND);

@@ -15,19 +15,8 @@ pub fn output(crowd: usize, items: usize, seed: u64) -> String {
         AlgorithmChoice::LocalSearch,
         AlgorithmChoice::Exact,
     ] {
-        // Exact team formation explodes on big pools; cap its candidates by
-        // shrinking the crowd for that run (the assignment controller sees
-        // only interested workers anyway). With the default arguments the
-        // Exact row reads `completed=0/12` because of the smaller crowd,
-        // not the algorithm: `translation 18 12 42` gives 0/12 for Greedy
-        // and LocalSearch too.
-        let crowd_for = if matches!(alg, AlgorithmChoice::Exact) {
-            crowd.min(18)
-        } else {
-            crowd
-        };
         let config = ScenarioConfig::default()
-            .with_crowd(crowd_for)
+            .with_crowd(crowd)
             .with_items(items)
             .with_seed(seed)
             .with_algorithm(alg);

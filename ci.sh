@@ -36,9 +36,8 @@
 #                                  eligibility, memoised vs fresh affinity), the
 #                                  worker↔task relation store vs a pair-set
 #                                  model (its dump vs the storage snapshot;
-#                                  it, the eligibility differential and the
-#                                  slot-indexed pair memo at a second seed
-#                                  too) and
+#                                  it and all three differentials at a
+#                                  second seed too) and
 #                                  the three CyLog evaluator oracles
 #                                  (incremental vs semi-naive vs naive on layered
 #                                  programs, the cylog lib proptests, and joins
@@ -225,8 +224,13 @@ step env PROPTEST_SEED=1707 \
 # holds each pair once, by task, with no by-worker copy; the two oracles
 # that drive it, the model differential and the eligibility differential,
 # replay at a second seed as well. So does the memo differential: the memo
-# is a table indexed by worker slots, not a map keyed by id pairs.
+# is a table indexed by worker slots, not a map keyed by id pairs. And so
+# does the table search: it grows its seeds in bound order, not in the
+# skill order whose first seed wins a tie, so its result rests on the rank
+# tie-break.
 step env PROPTEST_SEED=1707 \
+    cargo test -q -p crowd4u-assign --lib greedy::reference
+step env PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u-assign --lib greedy::reference
 step env PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u-core --lib platform::eligibility_diff

@@ -6,8 +6,11 @@
 #
 #   Must fail: <test> <test> ...
 #
-# naming integration tests of the root package (`tests/<test>.rs`) that
-# must catch it. The script checks out the committed HEAD into one
+# naming the tests that must catch it: `<name>` is an integration test of
+# the root package (`tests/<name>.rs`, run as `cargo test -p crowd4u --test
+# <name>`), and `<package>:<filter>` the unit tests of a package's library
+# whose names contain `<filter>` (`cargo test -p <package> --lib
+# <filter>`). The script checks out the committed HEAD into one
 # throwaway `git worktree` under a fresh temporary directory (`mktemp -d`),
 # builds there into its own target directory, and then:
 #   1. runs every named test on the unmutated tree: each must pass, so a
@@ -42,10 +45,18 @@ must_fail() {
     sed -n 's/^Must fail: //p' "$1"
 }
 
-# run_test <name>: run one integration test of the root package in the
-# worktree, output to the log.
+# run_test <entry> [cargo args...]: `cargo test` in the worktree for one
+# `Must fail:` entry, output to the log (`--no-run` builds only):
+# `<package>:<filter>` runs that package's library unit tests matching the
+# filter, any other name the root package's integration test of that name.
 run_test() {
-    (cd "$tree" && cargo test -q -p crowd4u --test "$1") >>"$log" 2>&1
+    local entry="$1"
+    shift
+    if [[ "$entry" == *:* ]]; then
+        (cd "$tree" && cargo test -q -p "${entry%%:*}" --lib "$@" -- "${entry#*:}") >>"$log" 2>&1
+    else
+        (cd "$tree" && cargo test -q -p crowd4u --test "$entry" "$@") >>"$log" 2>&1
+    fi
 }
 
 patches=(mutants/*.patch)
@@ -72,15 +83,13 @@ for patch in "${patches[@]}"; do
     echo
     echo "==> $name"
     git -C "$tree" apply "$root/$patch"
-    args=()
     for t in $tests; do
-        args+=(--test "$t")
+        if ! run_test "$t" --no-run; then
+            echo "!! $name does not build; see the output below"
+            tail -n 40 "$log"
+            exit 1
+        fi
     done
-    if ! (cd "$tree" && cargo test -q -p crowd4u --no-run "${args[@]}") >>"$log" 2>&1; then
-        echo "!! $name does not build; see the output below"
-        tail -n 40 "$log"
-        exit 1
-    fi
     for t in $tests; do
         if run_test "$t"; then
             echo "!! $t passes: the mutant survived"

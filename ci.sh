@@ -68,7 +68,7 @@
 #
 # Part 3 — the mutation check, a gate like part 2's: `./mutants.sh` applies
 # each mutants/NNN-name.patch to a throwaway worktree of the committed HEAD
-# and fails if a test its header names still passes (~35 s on 2 cores).
+# and fails if a test its header names still passes (~45 s on 2 cores).
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -204,14 +204,10 @@ impl SeedBound {
 }
 
 /// Fill the candidates' pair table and run the multi-seed greedy over it:
-/// the table and the best team over the seeds tried, as candidate
-/// positions. The seeds tried are the highest-skill ones (all of them
-/// without a cap), and the best team is the one of highest mean, an exact
-/// tie going to the seed of higher skill rank. The seeds are grown in
-/// descending [`SeedBound`] order, so the incumbent is strong early, and a
-/// seed is skipped when its ceiling is below the incumbent's mean, or equal
-/// to it with a later skill rank: it could only lose or tie, and lose the
-/// tie. The seeds grown are then exactly those the winner cannot rule out.
+/// the table and the best team over the seeds tried — the highest-skill
+/// `max_seeds`, or all — as candidate positions. The seeds grow in
+/// descending [`SeedBound`] order, and the best team is the one the skill
+/// order would keep (see the module docs).
 fn greedy_start(
     cands: &[Candidate],
     aff: &dyn AffinityLookup,

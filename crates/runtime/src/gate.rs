@@ -85,7 +85,11 @@
 //! the profile: every registry holds the submitter's allocation. A refused
 //! registration is handed back by unwrapping the `Arc`, which nothing else
 //! holds until admission. Mailbox order then places every job, drain and
-//! event after each registration admitted before it, on every shard.
+//! event after each registration admitted before it, on every shard. A
+//! clock advance is pushed as an `Apply` like the other broadcasts; what
+//! differs is on the shard side: the recorder journals it, and each
+//! replica applies it without a journal entry and files it in its ledger
+//! slot, as it files an install.
 //!
 //! Producers to distinct shards share nothing but the atomic stamper; the
 //! per-shard critical section is a few `VecDeque` operations. The gate is

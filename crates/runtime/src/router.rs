@@ -99,7 +99,9 @@ pub struct RunReport {
 /// broadcast events and drain barriers in the merged journal (every shard
 /// *applies* broadcasts; exactly one records them). A worker registration
 /// is a broadcast too, which the other shards take as an install: the
-/// profile filed in their ledger slot and installed, not journaled.
+/// profile filed in their ledger slot and installed, not journaled. The
+/// other shards apply a clock advance without journaling it either, and
+/// file it in their slot.
 ///
 /// Submission is concurrent: clone handles with
 /// [`gate()`](ShardedRuntime::gate) and submit from as many threads as you

@@ -8,7 +8,10 @@
 //! * a merged journal **byte-identical** to the same run with no fault,
 //! * identical applied/dropped accounting, and
 //! * a journal that replays to a byte-identical
-//!   [`Crowd4U::state_dump`](crowd4u::core::platform::Crowd4U::state_dump);
+//!   [`Crowd4U::state_dump`](crowd4u::core::platform::Crowd4U::state_dump),
+//!   and, where the routing is the fault-free run's (no migration), shard
+//!   slices whose dumps equal that run's: a replica's filed installs and
+//!   clocks are in no journal, so only its slice shows them;
 //!
 //! and the same must hold when the fault is followed by a **hot project
 //! migration** (`migrate_project`) to another shard mid-stream — the

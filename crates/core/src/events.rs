@@ -22,6 +22,7 @@ use crowd4u_crowd::profile::{Lang, Region, WorkerProfile};
 use crowd4u_forms::admin::{AlgorithmChoice, DesiredFactors};
 use crowd4u_sim::time::SimTime;
 use crowd4u_storage::prelude::{JournalEntry, Value};
+use std::sync::Arc;
 
 /// One platform-level occurrence, in journalable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,6 +298,77 @@ impl PlatformEvent {
         };
         cur.finish()?;
         Ok(ev)
+    }
+}
+
+/// A data event as a partitioned runtime carries it from admission on: a
+/// worker registration as its profile, moved into the one `Arc` every
+/// partition's registry will hold; any other event as submitted. Its
+/// recorder applies it with [`Crowd4U::apply`](crate::platform::Crowd4U::apply);
+/// every other partition a broadcast reaches applies its [`ReplicaCopy`].
+#[derive(Debug, Clone)]
+pub enum DataEvent {
+    Event(PlatformEvent),
+    Registration(Arc<WorkerProfile>),
+}
+
+impl DataEvent {
+    /// Take a submitted event in. A registration's profile moves into an
+    /// `Arc`; nothing is copied.
+    pub fn new(event: PlatformEvent) -> DataEvent {
+        match event {
+            PlatformEvent::WorkerRegistered { profile } => {
+                DataEvent::Registration(Arc::new(profile))
+            }
+            event => DataEvent::Event(event),
+        }
+    }
+
+    /// The submitted event back, for a refusal.
+    ///
+    /// # Panics
+    ///
+    /// If a registration's `Arc` is shared: only the data event made by
+    /// [`new`](Self::new), before any clone of it, can be handed back.
+    pub fn into_event(self) -> PlatformEvent {
+        match self {
+            DataEvent::Event(event) => event,
+            DataEvent::Registration(profile) => PlatformEvent::WorkerRegistered {
+                profile: Arc::try_unwrap(profile).expect("a refused registration is unshared"),
+            },
+        }
+    }
+
+    /// The delivery scope of the event (see [`PlatformEvent::scope`]).
+    pub fn scope(&self) -> EventScope {
+        match self {
+            DataEvent::Event(event) => event.scope(),
+            DataEvent::Registration(_) => EventScope::Global,
+        }
+    }
+}
+
+/// What a replica keeps of a broadcast it applied without journaling it
+/// ([`Crowd4U::apply_copy`](crate::platform::Crowd4U::apply_copy)): enough
+/// to apply it again, and small — a registration as its shared `Arc`, a
+/// clock as its `to` and `owner`, and anything else (a project
+/// registration, with its CyLog source) boxed.
+#[derive(Debug, Clone)]
+pub enum ReplicaCopy {
+    Registration(Arc<WorkerProfile>),
+    Clock(SimTime, u64),
+    Event(Box<PlatformEvent>),
+}
+
+impl From<DataEvent> for ReplicaCopy {
+    fn from(data: DataEvent) -> ReplicaCopy {
+        match data {
+            DataEvent::Registration(profile) => ReplicaCopy::Registration(profile),
+            DataEvent::Event(PlatformEvent::ClockAdvanced { to, owner }) => {
+                ReplicaCopy::Clock(to, owner)
+            }
+            DataEvent::Event(event) => ReplicaCopy::Event(Box::new(event)),
+        }
     }
 }
 

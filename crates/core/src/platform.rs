@@ -25,7 +25,7 @@ use crate::controller::{
 use crate::counters::{PlatformCounters, ProjectCounters};
 use crate::eligibility;
 use crate::error::{PlatformError, ProjectId, TaskId, WorkerId};
-use crate::events::{PlatformEvent, DRAIN_KIND};
+use crate::events::{DataEvent, PlatformEvent, ReplicaCopy, DRAIN_KIND};
 use crate::relations::RelationStore;
 use crate::task::{Task, TaskBody, TaskPool, TaskState};
 use crate::workers::WorkerManager;
@@ -278,22 +278,9 @@ impl Crowd4U {
         self.move_clock(t, owner)
     }
 
-    /// [`apply_event`](Crowd4U::apply_event) of a
-    /// [`PlatformEvent::ClockAdvanced`] without its journal entry: the
-    /// state effects of [`advance_owned`](Crowd4U::advance_owned), counted
-    /// as an applied (or dropped) event. This is the runtime's replica path
-    /// for a clock, as [`install_worker_delta`](Crowd4U::install_worker_delta)
-    /// is for a registration: a clock is broadcast, the coordinator shard
-    /// journals it, and every other shard moves its own clock and sweeps
-    /// its own projects' deadlines through this method, so the runtime
-    /// holds one `clock` entry per clock.
-    pub fn apply_clock_copy(&mut self, t: SimTime, owner: u64) -> Result<(), PlatformError> {
-        let result = self.move_clock(t, owner);
-        self.count_outcome(result)
-    }
-
     /// The state half of [`advance_owned`](Crowd4U::advance_owned): the
-    /// clocks move, then the domain's deadlines are swept.
+    /// clocks move, then the domain's deadlines are swept. A replica's
+    /// clock copy is this alone ([`apply_copy`](Crowd4U::apply_copy)).
     fn move_clock(&mut self, t: SimTime, owner: u64) -> Result<(), PlatformError> {
         if t > self.now {
             self.now = t;
@@ -321,14 +308,12 @@ impl Crowd4U {
         self.install_worker_delta(profile);
     }
 
-    /// The state effects of a worker registration, without the journal
-    /// entry or the platform counter. This is the runtime's replica path:
-    /// a registration is broadcast, the coordinator shard journals it
-    /// via [`register_worker`](Crowd4U::register_worker), and every other
-    /// shard receives the same `Arc` at the same mailbox position and
-    /// installs it through this method — keeping
-    /// `WorkerManager::version()` in lockstep with one journal entry per
-    /// registration across the runtime, and one profile allocation.
+    /// The state half of [`register_worker`](Crowd4U::register_worker):
+    /// the registration without its journal entry or the platform counter.
+    /// A replica's registration copy is this alone
+    /// ([`apply_copy`](Crowd4U::apply_copy)), installing the `Arc` the
+    /// recorder registered, so every registry holds one profile allocation
+    /// and `WorkerManager::version()` moves in lockstep.
     ///
     /// A registration changes one worker, so under the factor screen it
     /// changes each project's eligible set by at most that worker. Every
@@ -351,8 +336,7 @@ impl Crowd4U {
     /// open tasks unscreened for this registration; it is counted in
     /// `eligibility_errors` and its project-scoped twin, not journaled, so
     /// a replay counts it again.
-    pub fn install_worker_delta(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
-        let profile = profile.into();
+    fn install_worker_delta(&mut self, profile: Arc<WorkerProfile>) {
         let worker = profile.id;
         if self.projects.is_empty() {
             // Nothing to repair — bulk onboarding registers the crowd before
@@ -451,7 +435,7 @@ impl Crowd4U {
     /// is exact for the current [`WorkerManager::version`] (and, for a
     /// declarative screen, the project's epoch), and recomputed otherwise.
     /// Registrations keep a factor-screen project's cache exact by patching
-    /// it ([`install_worker_delta`](Crowd4U::install_worker_delta)); a
+    /// it ([`register_worker`](Crowd4U::register_worker)); a
     /// cache adopted from another instance may be behind, so this version
     /// check is the safety net and the recompute below is the one
     /// implementation of "who is eligible". A factor screen recomputes over
@@ -540,6 +524,31 @@ impl Crowd4U {
         scheme: Scheme,
         owner: u64,
     ) -> Result<ProjectId, PlatformError> {
+        let name = name.into();
+        let id = self.install_project(&name, cylog_source, &factors, scheme, owner)?;
+        self.record(&PlatformEvent::ProjectRegistered {
+            name,
+            source: cylog_source.to_owned(),
+            factors,
+            scheme,
+            owner,
+        });
+        Ok(id)
+    }
+
+    /// The state half of
+    /// [`register_project_owned`](Crowd4U::register_project_owned): the
+    /// project compiled and added, without its journal entry. A replica's
+    /// copy of a project registration is this alone
+    /// ([`apply_copy`](Crowd4U::apply_copy)).
+    fn install_project(
+        &mut self,
+        name: &str,
+        cylog_source: &str,
+        factors: &DesiredFactors,
+        scheme: Scheme,
+        owner: u64,
+    ) -> Result<ProjectId, PlatformError> {
         let mut engine = CylogEngine::from_source(cylog_source)?;
         engine.set_telemetry(&self.telemetry.handle);
         let declarative = crate::declarative::uses_declarative_eligibility(&engine);
@@ -547,23 +556,15 @@ impl Crowd4U {
             crate::declarative::check_conventions(&engine)?;
             crate::declarative::bind_worker_preds(&mut engine)?;
         }
-        let name = name.into();
-        self.record(&PlatformEvent::ProjectRegistered {
-            name: name.clone(),
-            source: cylog_source.to_owned(),
-            factors: factors.clone(),
-            scheme,
-            owner,
-        });
         self.next_project += 1;
         let id = ProjectId(self.next_project);
         self.projects.insert(
             id,
             Project {
                 id,
-                name,
+                name: name.to_owned(),
                 engine,
-                factors,
+                factors: factors.clone(),
                 scheme,
                 suggestion: None,
                 owner,
@@ -1076,15 +1077,51 @@ impl Crowd4U {
         self.count_outcome(result)
     }
 
-    /// [`apply_event`](Crowd4U::apply_event) of a
-    /// [`PlatformEvent::WorkerRegistered`] whose profile the caller
-    /// shares: registered through
-    /// [`register_worker`](Crowd4U::register_worker) and counted as an
-    /// applied event, with no event to own a copy of the profile. The
-    /// runtime's recorder shard applies a registration this way.
-    pub fn apply_registration(&mut self, profile: impl Into<Arc<WorkerProfile>>) {
-        self.register_worker(profile);
-        let _ = self.count_outcome(Ok(()));
+    /// [`apply_event`](Crowd4U::apply_event) of a [`DataEvent`], which a
+    /// partitioned runtime's recorder applies: journaled and counted, a
+    /// registration registered from its shared `Arc` as it is.
+    pub fn apply(&mut self, data: DataEvent) -> Result<(), PlatformError> {
+        match data {
+            DataEvent::Event(event) => self.apply_event(event),
+            DataEvent::Registration(profile) => {
+                self.register_worker(profile);
+                self.count_outcome(Ok(()))
+            }
+        }
+    }
+
+    /// Apply a replica's copy of a broadcast: the state half of the event
+    /// and no journal entry, counted as an applied or dropped event. A
+    /// registration is installed, a clock moves the clocks and sweeps the
+    /// domain's deadlines, and a project registration compiles and adds the
+    /// project. A broadcast's recorder journals it; every other partition
+    /// applies the copy it files through this method, live and on a
+    /// rebuild alike, so the runtime holds one journal entry per event. Any
+    /// other event has no copy and is refused.
+    pub fn apply_copy(&mut self, copy: &ReplicaCopy) -> Result<(), PlatformError> {
+        let result = match copy {
+            ReplicaCopy::Registration(profile) => {
+                self.install_worker_delta(Arc::clone(profile));
+                Ok(())
+            }
+            ReplicaCopy::Clock(to, owner) => self.move_clock(*to, *owner),
+            ReplicaCopy::Event(event) => match &**event {
+                PlatformEvent::ProjectRegistered {
+                    name,
+                    source,
+                    factors,
+                    scheme,
+                    owner,
+                } => self
+                    .install_project(name, source, factors, *scheme, *owner)
+                    .map(|_| ()),
+                other => Err(PlatformError::BadEvent(format!(
+                    "`{}` has no replica copy",
+                    other.kind()
+                ))),
+            },
+        };
+        self.count_outcome(result)
     }
 
     /// Count an applied event as applied or dropped, and pass it on.

@@ -76,20 +76,18 @@
 //! replica is skipped (its slice is lost already; stalling every healthy
 //! shard on it would globalise a scoped failure), a dead recorder is not.
 //!
-//! A worker registration is a broadcast like any other, with one
-//! difference in what the shards receive: the submitted profile moves,
+//! Every data event reaches its shards as the same message,
+//! `ToShard::Apply { seq, data, record }`, whatever its kind. A worker
+//! registration differs only in its `data`: the submitted profile moves,
 //! before any lock, into one `Arc`, and every destination — the recorder
-//! included, at any shard count — gets a `ToShard::Install` of that `Arc`.
-//! The recorder registers and records it; each live replica files it in
-//! its ledger slot and installs it without journaling. No shard copies
-//! the profile: every registry holds the submitter's allocation. A refused
-//! registration is handed back by unwrapping the `Arc`, which nothing else
-//! holds until admission. Mailbox order then places every job, drain and
-//! event after each registration admitted before it, on every shard. A
-//! clock advance is pushed as an `Apply` like the other broadcasts; what
-//! differs is on the shard side: the recorder journals it, and each
-//! replica applies it without a journal entry and files it in its ledger
-//! slot, as it files an install.
+//! included, at any shard count — gets a clone of that `Arc`, so no shard
+//! copies the profile and every registry holds the submitter's allocation.
+//! A refused registration is handed back by unwrapping the `Arc`, which
+//! nothing else holds until admission. Mailbox order then places every
+//! job, drain and event after each broadcast admitted before it, on every
+//! shard. What a shard does with the message is the shard's rule: the
+//! recorder journals it, and each live replica applies and files its copy
+//! without a journal entry.
 //!
 //! Producers to distinct shards share nothing but the atomic stamper; the
 //! per-shard critical section is a few `VecDeque` operations. The gate is
@@ -117,9 +115,9 @@
 //! per cent of one another.
 
 use crate::recovery::ShardLedger;
-use crate::shard::{DataEvent, Job, ToShard};
+use crate::shard::{Job, ToShard};
 use crowd4u_core::error::ProjectId;
-use crowd4u_core::events::{EventScope, PlatformEvent};
+use crowd4u_core::events::{DataEvent, EventScope, PlatformEvent};
 use crowd4u_telemetry::{stage, Counter, Histogram, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -264,8 +262,7 @@ fn batch_limit(capacity: usize) -> usize {
 
 struct QueueState {
     queue: Batch,
-    /// Data events ([`ToShard::Apply`], [`ToShard::Install`]) admitted and
-    /// not yet given back by
+    /// Data events ([`ToShard::Apply`]) admitted and not yet given back by
     /// the consumer: those queued here **plus** those in the batch the
     /// shard has in hand, whose credit returns with its next
     /// [`GateCore::recv_batch`]. The capacity bound applies to this count
@@ -624,13 +621,14 @@ impl GateCore {
                     // held, so each mailbox stays in sequence order.
                     let seq = self.stamper.fetch_add(1, Ordering::Relaxed);
                     let at = self.dwell.stamp_for(seq);
+                    let apply = |data, record| ToShard::Apply { seq, data, record };
                     for (i, g) in guards.iter_mut().enumerate().skip(1) {
                         if !g.dead {
-                            g.push_data(data.clone().message(seq, false), at);
+                            g.push_data(apply(data.clone(), false), at);
                             g.notify_consumer(&queues[i]);
                         }
                     }
-                    guards[0].push_data(data.message(seq, true), at);
+                    guards[0].push_data(apply(data, true), at);
                     guards[0].notify_consumer(&queues[0]);
                     return Ok(seq);
                 }
@@ -786,7 +784,7 @@ impl GateCore {
         drop(s);
         *credit = batch
             .iter()
-            .filter(|(msg, _)| matches!(msg, ToShard::Apply { .. } | ToShard::Install { .. }))
+            .filter(|(msg, _)| matches!(msg, ToShard::Apply { .. }))
             .count();
         self.batches[shard].incr();
         true
@@ -951,15 +949,13 @@ mod tests {
     }
 
     /// Drain a mailbox after closing; returns (seq, record) of its data
-    /// messages (`Apply` and `Install`) in queue order.
+    /// messages in queue order.
     fn drain_data(core: &GateCore, shard: usize) -> Vec<(u64, bool)> {
         let mut out = Vec::new();
         let mut consumer = Consumer::default();
         while consumer.next_batch(core, shard) {
             for (msg, _) in &consumer.batch {
-                if let ToShard::Apply { seq, record, .. } | ToShard::Install { seq, record, .. } =
-                    msg
-                {
+                if let ToShard::Apply { seq, record, .. } = msg {
                     out.push((*seq, *record));
                 }
             }
@@ -1109,9 +1105,9 @@ mod tests {
             assert_eq!(gate.queued(shard), 2, "shard {shard}");
         }
         core.close();
-        // Every shard gets an install of each registration at the same
-        // seq, recorded on the coordinator only — and all of them the one
-        // profile allocation.
+        // Every shard gets each registration at the same seq, recorded on
+        // the coordinator only — and all of them the one profile
+        // allocation.
         let mut profiles: Vec<Vec<Arc<WorkerProfile>>> = Vec::new();
         for shard in 0..3 {
             let mut consumer = Consumer::default();
@@ -1119,9 +1115,9 @@ mod tests {
             let mut held = Vec::new();
             while consumer.next_batch(&core, shard) {
                 for (msg, _) in &consumer.batch {
-                    let ToShard::Install {
+                    let ToShard::Apply {
                         seq,
-                        profile,
+                        data: DataEvent::Registration(profile),
                         record,
                     } = msg
                     else {
@@ -1151,7 +1147,7 @@ mod tests {
         let err = full.try_submit(registration.clone()).unwrap_err();
         assert!(matches!(err, GateError::Full { shard: 0, .. }));
         assert_eq!(err.into_event(), registration);
-        // Admitted on one shard, the recorder takes an install as well.
+        // Admitted on one shard, the recorder takes it as a data message.
         let (open, core) = gate(1, 0);
         open.submit(registration).unwrap();
         core.close();

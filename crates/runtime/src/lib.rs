@@ -21,10 +21,9 @@
 //!   (round-robin by project id); clock, project and worker registrations
 //!   are broadcast and applied by every shard in the same global sequence
 //!   order, so replicated state (worker manager, project-id sequence)
-//!   advances in lockstep. The coordinator (shard 0) records a worker
-//!   registration; the other shards take it as an install — the profile
-//!   filed in their own ledger slot, then installed without a journal
-//!   entry.
+//!   advances in lockstep. The coordinator (shard 0) records a
+//!   broadcast; every other shard applies its copy without a journal
+//!   entry and files the copy in its own ledger slot.
 //! * **Determinism**: every event is stamped with a global sequence
 //!   number; each mailbox is delivered in sequence order; the entries
 //!   each slice journals are moved, seq-tagged, into the runtime's ledger
@@ -111,8 +110,8 @@
 //! respawned in place: its mailbox is held (blocking submitters park;
 //! [`gate::GateError::Recovering`] on `try_submit`), its slice is rebuilt
 //! by replaying the runtime-owned [ledger](recovery) — project events it
-//! owns, broadcasts, and (on a replica) the worker installs it filed
-//! there — and held traffic then resumes, with the merged journal
+//! owns, and broadcasts (on a replica, the copies it filed there) — and
+//! held traffic then resumes, with the merged journal
 //! byte-identical to a run where the failure never happened
 //! (`tests/recovery_equivalence.rs` proptests this). Projects can also be
 //! rebalanced while the runtime runs:

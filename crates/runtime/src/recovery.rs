@@ -5,28 +5,25 @@
 //! # Why recovery is replay
 //!
 //! Everything a shard's platform slice *is* was produced by applying a
-//! prefix of the global event stream: its owned projects' events, every
-//! broadcast, and (replicas) the worker registrations installed at their
-//! sequence positions. The runtime therefore keeps each shard's applied
-//! stream in a shared per-shard ledger — outside the shard thread, so a
-//! panic cannot take it down — and a restart is nothing more than
-//! replaying that ledger slice onto a fresh base platform:
+//! prefix of the global event stream: its owned projects' events and
+//! every broadcast, at their sequence positions. The runtime therefore
+//! keeps each shard's applied stream in a shared per-shard ledger —
+//! outside the shard thread, so a panic cannot take it down — and a
+//! restart is nothing more than replaying that ledger slice onto a fresh
+//! base platform:
 //!
-//! * **project + broadcast entries** come from the dead shard's own
-//!   ledger slot (broadcast copies are ledgered even on shards that
-//!   don't record them, because the coordinator may not have applied the
-//!   broadcast yet when a replica dies);
-//! * **worker installs** come from the same slot: a replica files every
-//!   registration its mailbox delivers as an install *before* installing
-//!   it (`Applied::WorkerDelta`, keyed by the registration's sequence
-//!   number), so the slot holds them at exactly the positions the live
-//!   shard installed them, and none it had not reached — installs still
-//!   queued behind the dead shard's position stay in its mailbox, the
-//!   future it resumes with;
-//! * **clock copies** come from the same slot too: a replica applies a
-//!   broadcast clock without journaling it and files it as
-//!   `Applied::Clock(to, owner)`, which a replay applies the same way —
-//!   only the coordinator's slot holds the clock's journal entry.
+//! * **recorded entries** — the shard's project events, and on the
+//!   coordinator the broadcasts — come from the dead shard's own ledger
+//!   slot, as the journal entries the platform wrote;
+//! * **replica copies** come from the same slot: a shard that does not
+//!   record a broadcast — a worker or project registration, a clock —
+//!   applies it without journaling it and files its copy
+//!   (`Applied::Copy`, keyed by the broadcast's sequence number), which a
+//!   replay applies the same way. The slot holds them at exactly the
+//!   positions the live shard reached them, and none it had not reached
+//!   (broadcasts queued behind the dead shard's position stay in its
+//!   mailbox, the future it resumes with), and it does not wait on the
+//!   coordinator, which may not have applied the broadcast yet;
 //! * entries for projects the routing table has since moved elsewhere
 //!   are filtered out (the rebuilt shard keeps only the shell every
 //!   platform holds), and entries for projects migrated *in* are pulled
@@ -49,12 +46,10 @@
 
 use crate::shard::{SeqKey, ShardStats};
 use crowd4u_core::error::ProjectId;
-use crowd4u_core::events::{EventScope, PlatformEvent, DRAIN_KIND};
+use crowd4u_core::events::{EventScope, PlatformEvent, ReplicaCopy, DRAIN_KIND};
 use crowd4u_core::platform::Crowd4U;
-use crowd4u_crowd::profile::WorkerProfile;
-use crowd4u_sim::time::SimTime;
 use crowd4u_storage::journal::JournalEntry;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What a ledger entry replays.
 #[derive(Debug, Clone)]
@@ -62,26 +57,26 @@ pub(crate) enum Applied {
     /// The journal entry the platform itself wrote for an applied message
     /// (moved out of the slice, never re-encoded).
     Journaled(JournalEntry),
-    /// A registration a replica took as a `ToShard::Install`, filed before
-    /// it was installed; the `Arc` is the one the gate allocated.
-    WorkerDelta(Arc<WorkerProfile>),
-    /// A clock a replica applied without journaling it
-    /// (`Crowd4U::apply_clock_copy`): the `to` and `owner` of its
-    /// `ClockAdvanced`.
-    Clock(SimTime, u64),
+    /// The copy of a broadcast a replica applied without journaling it
+    /// (`Crowd4U::apply_copy`).
+    Copy(ReplicaCopy),
 }
+
+// A ledger entry holds an `Applied` per applied message: filing a whole
+// event (168 bytes) instead of its compact copy would grow every entry.
+const _: () = assert!(std::mem::size_of::<Applied>() == 48);
 
 /// One applied message in a shard's history: its sort key, what it
 /// replays, the scope it was routed by, and whether this shard is the
-/// event's unique recorder (broadcast copies and worker installs on
-/// replica shards are ledgered but not recorded).
+/// event's unique recorder (broadcast copies on replica shards are
+/// ledgered but not recorded).
 #[derive(Debug, Clone)]
 pub(crate) struct LedgerEntry {
     pub key: SeqKey,
     pub entry: Applied,
     /// What the slice filters select on, so none of them decodes `entry`:
-    /// the event's own scope, which is `Global` for a worker install too;
-    /// `Global` for a drain barrier; `Project(p)` for an auto-drain sync
+    /// the event's own scope, `Global` for a broadcast copy and a drain
+    /// barrier; `Project(p)` for an auto-drain sync
     /// of `p`.
     pub scope: EventScope,
     pub recorded: bool,
@@ -139,8 +134,8 @@ impl ShardLedger {
     }
 
     /// The slice a rebuild of `shard` replays: from its own slot every
-    /// drain and broadcast (worker registrations included: journaled on
-    /// the coordinator, filed installs on a replica) and the project
+    /// drain and broadcast (journaled on the coordinator, filed copies on
+    /// a replica) and the project
     /// events it owns under the *current* routing table `owner_of`; and, when
     /// projects have `migrated`, the recorded events of projects migrated
     /// in, which earlier owners applied and therefore hold in their
@@ -176,10 +171,9 @@ impl ShardLedger {
         self.slot(shard)
             .entries
             .iter()
-            .filter(|e| e.recorded)
             .filter_map(|e| match &e.entry {
-                Applied::Journaled(entry) => Some((e.key, entry.clone())),
-                Applied::WorkerDelta(_) | Applied::Clock(..) => None,
+                Applied::Journaled(entry) if e.recorded => Some((e.key, entry.clone())),
+                _ => None,
             })
             .collect()
     }
@@ -263,18 +257,16 @@ impl FaultPlan {
 }
 
 /// Replay one shard slice onto a fresh `platform`: journaled entries
-/// re-apply (a drain re-drains), filed worker installs re-install and
-/// filed clocks re-apply unjournaled, each at the position the live shard
-/// reached it. Returns the rebuilt platform —
+/// re-apply (a drain re-drains) and filed copies re-apply unjournaled,
+/// each at the position the live shard reached it. Returns the rebuilt platform —
 /// its journal empty, like every live slice's: the entries just replayed
 /// are the ledger's already.
 pub(crate) fn replay_slice(mut platform: Crowd4U, entries: &[LedgerEntry]) -> Crowd4U {
     for e in entries {
         match &e.entry {
-            Applied::WorkerDelta(profile) => platform.install_worker_delta(Arc::clone(profile)),
-            Applied::Clock(to, owner) => platform
-                .apply_clock_copy(*to, *owner)
-                .expect("a filed clock must re-apply — it applied cleanly live"),
+            Applied::Copy(copy) => platform
+                .apply_copy(copy)
+                .expect("a filed copy must re-apply — it applied cleanly live"),
             Applied::Journaled(entry) if entry.kind == DRAIN_KIND => {
                 platform
                     .drain_events()
@@ -296,7 +288,9 @@ pub(crate) fn replay_slice(mut platform: Crowd4U, entries: &[LedgerEntry]) -> Cr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd4u_crowd::profile::WorkerId;
+    use crowd4u_core::events::DataEvent;
+    use crowd4u_crowd::profile::{WorkerId, WorkerProfile};
+    use crowd4u_sim::time::SimTime;
 
     #[test]
     fn fault_plans_parse_and_fire_exactly() {
@@ -328,19 +322,18 @@ mod tests {
             scope,
             recorded,
         };
-        let delta = |seq: u64| LedgerEntry {
+        let copy = |seq: u64, event: PlatformEvent| LedgerEntry {
             key: (seq, 0),
-            entry: Applied::WorkerDelta(Arc::new(WorkerProfile::new(WorkerId(seq), "w"))),
+            entry: Applied::Copy(DataEvent::new(event).into()),
             scope: EventScope::Global,
             recorded: false,
         };
         let project = |p: u64| EventScope::Project(ProjectId(p));
         // Two shards, round-robin ownership: project 1 on shard 0, project
-        // 2 on shard 1. Shard 0 coordinates: it journals the worker event
+        // 2 on shard 1. Shard 0 coordinates: it journals the registration
         // and the clock, and records them and the drain; shard 1 holds the
-        // worker install and the clock it filed and an unrecorded copy of
-        // the drain.
-        // The unrecorded project entry at 6 stands for a copy only the
+        // copies of both it filed and an unrecorded copy of the drain.
+        // The unrecorded project entry at 6 stands for an entry only the
         // slot that applied it may replay.
         let ledger = ShardLedger::new(2);
         {
@@ -356,13 +349,19 @@ mod tests {
         {
             let mut slot = ledger.slot(1);
             slot.entries.extend([
-                delta(1),
-                LedgerEntry {
-                    key: (2, 0),
-                    entry: Applied::Clock(SimTime(60), 0),
-                    scope: EventScope::Global,
-                    recorded: false,
-                },
+                copy(
+                    1,
+                    PlatformEvent::WorkerRegistered {
+                        profile: WorkerProfile::new(WorkerId(1), "w"),
+                    },
+                ),
+                copy(
+                    2,
+                    PlatformEvent::ClockAdvanced {
+                        to: SimTime(60),
+                        owner: 0,
+                    },
+                ),
                 entry(4, "seed", project(2), true),
                 entry(5, "sync", project(2), true),
                 entry(6, "seed", project(2), false),
@@ -374,8 +373,8 @@ mod tests {
             entries.into_iter().map(|e| e.key.0).collect()
         };
 
-        // The filed delta and clock are never part of the merged journal:
-        // shard 0's journaled registration and clock at the same seqs are.
+        // The filed copies are never part of the merged journal: shard 0's
+        // journaled registration and clock at the same seqs are.
         let stream = ledger.recorded_stream(1);
         assert_eq!(stream.len(), 2);
         assert_eq!(stream[0].0, (4, 0));
@@ -397,13 +396,12 @@ mod tests {
         );
 
         // Project 2 migrated to shard 0. Shard 1's slice loses it (the
-        // delta, the filed clock and the drain stay); shard 0's gains the
-        // recorded history from shard 1's slot — not the unrecorded entry,
-        // not the delta, the filed clock or the drain it already has its
-        // own of — merged in key order.
+        // filed copies and the drain stay); shard 0's gains the recorded
+        // history from shard 1's slot — not the unrecorded entry, not the
+        // copies or the drain it already has its own of — merged in key
+        // order.
         let moved = |_: ProjectId| 0;
-        let is_filed =
-            |e: &LedgerEntry| matches!(e.entry, Applied::WorkerDelta(_) | Applied::Clock(..));
+        let is_filed = |e: &LedgerEntry| matches!(e.entry, Applied::Copy(_));
         assert_eq!(seqs(ledger.shard_slice(1, moved, true)), [1, 2, 7]);
         let rebuilt_zero = ledger.shard_slice(0, moved, true);
         assert!(!rebuilt_zero.iter().any(is_filed));

@@ -97,11 +97,10 @@ pub struct RunReport {
 /// bounded mailboxes, a lock-free global sequence stamper, and round-robin
 /// project ownership. Shard 0 doubles as the **coordinator**: it records
 /// broadcast events and drain barriers in the merged journal (every shard
-/// *applies* broadcasts; exactly one records them). A worker registration
-/// is a broadcast too, which the other shards take as an install: the
-/// profile filed in their ledger slot and installed, not journaled. The
-/// other shards apply a clock advance without journaling it either, and
-/// file it in their slot.
+/// *applies* broadcasts; exactly one records them). The other shards
+/// apply a broadcast's copy — a worker or project registration, a clock
+/// advance — without journaling it, and file the copy in their ledger
+/// slot.
 ///
 /// Submission is concurrent: clone handles with
 /// [`gate()`](ShardedRuntime::gate) and submit from as many threads as you
@@ -692,10 +691,12 @@ out(X, Y) :- item(X), label(X, Y).
             }
             let run = rt.finish().unwrap();
             assert_eq!(run.stats.applied, 2);
+            // Every shard applies both registrations, the recorder and each
+            // replica's copy alike.
             let applied = registry
                 .snapshot()
                 .counter_total("crowd4u_core_events_applied_total");
-            assert_eq!(applied, 2, "{shards} shards");
+            assert_eq!(applied, 2 * shards as u64, "{shards} shards");
             let coordinator = run.platforms[0].workers.get(WorkerId(7)).unwrap();
             assert!(run
                 .platforms

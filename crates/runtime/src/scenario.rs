@@ -103,7 +103,7 @@ pub fn stream_traces(
 /// [`CrowdMode::Shared`] — all worker references stay on the shared
 /// registration order, duplicate registrations are deduplicated before
 /// submission (so each shared worker's registration is broadcast, and
-/// installed on every replica, exactly once), and each trace keeps its own
+/// applied on every replica, exactly once), and each trace keeps its own
 /// clock domain.
 /// Alongside the per-scenario reports, returns each scenario's per-worker
 /// [`SplitLedger`] read off the owner shards — the marketplace accounting

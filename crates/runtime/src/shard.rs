@@ -10,17 +10,19 @@
 //! queue the supervisor owns, the shard applies them in order (ledgering
 //! each apply as before), and the slots they held go back to producers
 //! when it returns for the next batch (see the gate's "Consumer side").
-//! Every shard keeps a replica of the worker registry, and every shard
-//! receives each registration as an install of the one `Arc` the gate
-//! moved the submitted profile into, at the same mailbox position: shard
-//! 0 registers and records it exactly as it applies a recorded event,
-//! every other shard files it in its ledger slot and installs it without
-//! journaling — so a job, a drain or an event sees exactly the
-//! registrations admitted before it, and every registry holds the same
-//! profile allocation. A clock broadcast is filed the same way: shard 0
-//! journals and records it, every other shard moves its clock and sweeps
-//! its own projects' deadlines without journaling, and files the compact
-//! `Applied::Clock(to, owner)` a rebuild re-applies.
+//! Every shard keeps a replica of the worker registry, and a broadcast —
+//! a worker or project registration, a clock — reaches every shard at the
+//! same mailbox position, a registration as the one `Arc` the gate moved
+//! the submitted profile into. One rule decides what a shard does with a
+//! data event: its recorder (the owner; shard 0 for a broadcast) applies
+//! it, journals it and ledgers the entry; every other shard applies the
+//! event's replica copy through `Crowd4U::apply_copy`, which journals
+//! nothing, and files the copy in its ledger slot for a rebuild to apply
+//! again. Both go through one path: the in-flight slot, the auto-drain
+//! phase and the apply timing are the same, and only the recorder counts
+//! towards `ShardStats` and the kill points. So a job, a drain or an event
+//! sees exactly the broadcasts admitted before it, and every registry
+//! holds the same profile allocation.
 //!
 //! The thread body is a **supervisor**: the apply loop runs under
 //! `catch_unwind`, and when a panic escapes it (an injected [`FaultPlan`]
@@ -34,9 +36,8 @@
 
 use crate::gate::{Batch, GateCore};
 use crate::recovery::{replay_slice, Applied, FaultPlan, LedgerEntry, LedgerSlot};
-use crowd4u_core::events::{EventScope, PlatformEvent};
+use crowd4u_core::events::{DataEvent, EventScope, ReplicaCopy};
 use crowd4u_core::platform::Crowd4U;
-use crowd4u_crowd::profile::WorkerProfile;
 use crowd4u_telemetry::{stage, Histogram, TelemetryHandle};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -48,33 +49,16 @@ use std::sync::Arc;
 pub type SeqKey = (u64, u32);
 
 /// Messages a shard consumes, in mailbox order. Data events
-/// ([`ToShard::Apply`], [`ToShard::Install`]) are subject to the gate's
-/// capacity bound; drain barriers and jobs are runtime control messages
-/// and are capacity-exempt.
+/// ([`ToShard::Apply`]) are subject to the gate's capacity bound; drain
+/// barriers and jobs are runtime control messages and are capacity-exempt.
 pub(crate) enum ToShard {
     /// Apply one routed event. `record` is true on exactly one shard per
     /// event (the owner; the coordinator for broadcasts), so the merged
-    /// journal and the applied/dropped statistics count each event once.
-    /// A clock's unrecorded copy is applied without journaling
-    /// (`Crowd4U::apply_clock_copy`) and filed as `Applied::Clock`; it
-    /// keeps the auto-drain phase an applied event keeps.
+    /// journal and the applied/dropped statistics count each event once;
+    /// every other shard applies and files the event's replica copy.
     Apply {
         seq: u64,
-        event: PlatformEvent,
-        record: bool,
-    },
-    /// The worker registration stamped `seq`, on every shard. The `Arc` is
-    /// the submitter's profile, moved in at admission: one allocation
-    /// shared by every shard's registry and ledger slot. The recorder
-    /// (`record`, the coordinator) registers it and makes it durable as it
-    /// does an `Apply` it records — journaled, ledgered, counted, with the
-    /// same auto-drain and kill points. Every other shard files the
-    /// profile in its ledger slot and installs it
-    /// (`Crowd4U::install_worker_delta`) — no journal encode, no recorded
-    /// apply, no auto-drain count.
-    Install {
-        seq: u64,
-        profile: Arc<WorkerProfile>,
+        data: DataEvent,
         record: bool,
     },
     /// Coordinated drain barrier: sync every dirty project. The coordinator
@@ -92,51 +76,6 @@ pub(crate) enum ToShard {
 
 /// The body of a [`ToShard::Job`].
 pub(crate) type Job = Box<dyn FnOnce(&mut Crowd4U) + Send>;
-
-/// A data event as the runtime carries it from admission on: a worker
-/// registration as its profile, moved into the one `Arc` every shard will
-/// hold; any other event as submitted.
-#[derive(Clone)]
-pub(crate) enum DataEvent {
-    Event(PlatformEvent),
-    Registration(Arc<WorkerProfile>),
-}
-
-impl DataEvent {
-    /// Take a submitted event in. A registration's profile moves into an
-    /// `Arc`; nothing is copied.
-    pub(crate) fn new(event: PlatformEvent) -> DataEvent {
-        match event {
-            PlatformEvent::WorkerRegistered { profile } => {
-                DataEvent::Registration(Arc::new(profile))
-            }
-            event => DataEvent::Event(event),
-        }
-    }
-
-    /// The submitted event back, for a refusal. Only before a message is
-    /// made of it: until then this is the only holder of the `Arc`.
-    pub(crate) fn into_event(self) -> PlatformEvent {
-        match self {
-            DataEvent::Event(event) => event,
-            DataEvent::Registration(profile) => PlatformEvent::WorkerRegistered {
-                profile: Arc::try_unwrap(profile).expect("a refused registration is unshared"),
-            },
-        }
-    }
-
-    /// The mailbox message of this event for a shard that records it or not.
-    pub(crate) fn message(self, seq: u64, record: bool) -> ToShard {
-        match self {
-            DataEvent::Event(event) => ToShard::Apply { seq, event, record },
-            DataEvent::Registration(profile) => ToShard::Install {
-                seq,
-                profile,
-                record,
-            },
-        }
-    }
-}
 
 /// Counters a shard maintains while applying events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,7 +111,7 @@ pub(crate) fn fresh_slice(telemetry: &TelemetryHandle) -> Crowd4U {
 /// not yet made durable: not yet applied, or applied but not yet
 /// ledgered. Together with the batch it came from, this is everything a
 /// shard holds *outside* the mailbox and *outside* the ledger, and the
-/// supervisor owns both, so a panic inside `apply_event` loses neither —
+/// supervisor owns both, so a panic inside the apply loses neither —
 /// the next incarnation redoes this event once, then resumes the batch.
 /// Parked (a copy of the event; of a registration, a clone of its `Arc`)
 /// only when `ShardCtx::recovery` gives a supervisor that will read it.
@@ -313,14 +252,17 @@ fn shard_loop(
     let apply_hist = ctx.telemetry.histogram(stage::SHARD_APPLY);
 
     loop {
-        // The next message: the redo of an event a dead incarnation picked
-        // and never ledgered — it outlives that incarnation in `in_flight`,
-        // which is clear between applies otherwise, and its dwell was
-        // observed when it was first picked — else the batch front, else
-        // the next batch.
-        let msg = if let Some(f) = in_flight.as_ref() {
-            f.data.clone().message(f.seq, f.record)
-        } else if let Some((msg, enqueued)) = batch.pop_front() {
+        // The redo of an event a dead incarnation picked and never
+        // ledgered comes first — it outlives that incarnation in
+        // `in_flight`, which is clear between applies otherwise, and its
+        // dwell was observed when it was first picked — then the batch
+        // front, then the next batch.
+        if let Some(f) = in_flight.as_ref() {
+            let (seq, data, record) = (f.seq, f.data.clone(), f.record);
+            apply_data(ctx, p, in_flight, &apply_hist, seq, data, record);
+            continue;
+        }
+        let msg = if let Some((msg, enqueued)) = batch.pop_front() {
             gate.observe_dwell(enqueued);
             msg
         } else if gate.recv_batch(shard, batch, credit) {
@@ -329,35 +271,8 @@ fn shard_loop(
             return;
         };
         match msg {
-            ToShard::Apply { seq, event, record } => {
-                let data = DataEvent::Event(event);
+            ToShard::Apply { seq, data, record } => {
                 apply_data(ctx, p, in_flight, &apply_hist, seq, data, record);
-            }
-            ToShard::Install {
-                seq,
-                profile,
-                record: true,
-            } => {
-                let data = DataEvent::Registration(profile);
-                apply_data(ctx, p, in_flight, &apply_hist, seq, data, true);
-            }
-            ToShard::Install {
-                seq,
-                profile,
-                record: false,
-            } => {
-                // File, then install: an install the slot did not hold yet
-                // would be lost to a rebuild — which replays the slot and
-                // nothing else — while the events applied on top of it are
-                // replayed.
-                gate.ledger().slot(shard).entries.push(LedgerEntry {
-                    key: (seq, 0),
-                    entry: Applied::WorkerDelta(Arc::clone(&profile)),
-                    scope: EventScope::Global,
-                    recorded: false,
-                });
-                let _span = apply_hist.span_for(seq);
-                p.install_worker_delta(profile);
             }
             ToShard::Drain { seq, record } => {
                 p.drain_events()
@@ -380,13 +295,12 @@ fn shard_loop(
     }
 }
 
-/// Apply one data event — an `Apply`, recorded or a broadcast copy, or the
-/// recorder's `Install` — and make it durable: the in-flight slot around
+/// Apply one data event and make it durable: the in-flight slot around
 /// the apply, the kill points, the ledger entry, the applied count and the
-/// auto-drain phase. A registration is registered from its shared `Arc`
-/// and cannot be rejected. A replica's copy of a clock is applied without
-/// a journal entry and filed as `Applied::Clock`; everything else files
-/// the entry the platform journaled.
+/// auto-drain phase. `record` alone picks what is applied and ledgered:
+/// the recorder applies the event and files the entry the platform
+/// journaled; any other shard applies the event's replica copy, which
+/// journals nothing, and files the copy.
 fn apply_data(
     ctx: &ShardCtx,
     p: &mut Crowd4U,
@@ -419,22 +333,16 @@ fn apply_data(
             panic!("injected fault: shard {shard} killed inside apply #{next}");
         }
     }
-    // The scope is taken as the apply consumes the event: the slice
-    // filters of recovery and migration select on it. A replica's copy of
-    // a clock journals nothing and yields the entry it files instead.
-    let (scope, applied) = {
+    // The scope is taken before the apply consumes the event: the slice
+    // filters of recovery and migration select on it.
+    let scope = data.scope();
+    let applied = {
         let _span = apply_hist.span_for(seq);
-        match data {
-            DataEvent::Event(PlatformEvent::ClockAdvanced { to, owner }) if !record => (
-                EventScope::Global,
-                p.apply_clock_copy(to, owner)
-                    .map(|()| Some(Applied::Clock(to, owner))),
-            ),
-            DataEvent::Event(event) => (event.scope(), p.apply_event(event).map(|()| None)),
-            DataEvent::Registration(profile) => {
-                p.apply_registration(profile);
-                (EventScope::Global, Ok(None))
-            }
+        if record {
+            p.apply(data).map(|()| None)
+        } else {
+            let copy = ReplicaCopy::from(data);
+            p.apply_copy(&copy).map(|()| Some(copy))
         }
     };
     let Ok(filed) = applied else {
@@ -454,13 +362,16 @@ fn apply_data(
     // ledger slice is what a recovery replays.
     let mut slot = gate.ledger().slot(shard);
     match filed {
-        Some(entry) => slot.entries.push(LedgerEntry {
-            key: (seq, 0),
-            entry,
-            scope,
-            recorded: false,
-        }),
-        None => ledger_journaled(p, &mut slot, (seq, 0), scope, record),
+        Some(copy) => {
+            debug_assert!(p.journal().is_empty(), "a replica's copy journaled");
+            slot.entries.push(LedgerEntry {
+                key: (seq, 0),
+                entry: Applied::Copy(copy),
+                scope,
+                recorded: false,
+            });
+        }
+        None => ledger_journaled(p, &mut slot, (seq, 0), scope, true),
     }
     let fired = if record {
         slot.stats.applied += 1;

@@ -148,16 +148,11 @@ fn stage_counts_are_exact_and_the_sample_is_the_hashed_seqs() {
         assert_eq!(waited.count, 0);
 
         // Journal: each slice appends one entry per apply and one for the
-        // drain — a replica's worker installs and clock copies append
-        // none — and times the appends its own count picks.
+        // drain — a replica's copy of a broadcast appends none — and times
+        // the appends its own count picks.
         let filed = stream()
             .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    PlatformEvent::WorkerRegistered { .. } | PlatformEvent::ClockAdvanced { .. }
-                )
-            })
+            .filter(|e| e.scope() == EventScope::Global)
             .count() as u64;
         let per_shard: Vec<u64> = (0..shards)
             .map(|k| {

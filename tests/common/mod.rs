@@ -7,7 +7,9 @@
 //! non-default algorithm through its registration, recoveries and
 //! migrations; the team op forms its teams over [`team_crowd`], where
 //! Greedy and LocalSearch choose different teams, so a project that lost
-//! its algorithm shows in the journal and the state. Project 2 screens
+//! its algorithm shows in the journal and the state. Half of the team ops
+//! suggest a team on project 2 instead and pass its deadline, so a
+//! replica's clock copy sweeps it at 2 and 4 shards. Project 2 screens
 //! eligibility declaratively with the paper's rule, and every registration
 //! is a profile that rule admits or refuses, so each suite runs the CyLog
 //! recompute a registration triggers.
@@ -145,9 +147,18 @@ pub fn crowd_task() -> TaskId {
     TaskId::compose(ProjectId(1), 1)
 }
 
+/// Project 2's collaborative task, made like [`crowd_task`]: shard 1 owns
+/// it at 2 and 4 shards, so its deadlines are swept by a replica's copy of
+/// each clock.
+pub fn replica_task() -> TaskId {
+    TaskId::compose(ProjectId(2), 1)
+}
+
 /// Worker registrations, project registrations (project 1 Greedy, project
-/// 2 declarative), project 1's [`crowd_task`] and interleaved seed facts —
-/// the mixed multi-project shape a router has to unpick.
+/// 2 declarative), the [`crowd_task`] and the [`replica_task`], and
+/// interleaved seed facts — the mixed multi-project shape a router has to
+/// unpick. The two collaborative tasks come before any seed, so their ids
+/// do not depend on where a run drains.
 pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
     let mut events = Vec::new();
     for w in 1..=4u64 {
@@ -160,10 +171,12 @@ pub fn setup_events(n_projects: usize, items: usize) -> Vec<PlatformEvent> {
             _ => project(format!("proj-{p}")),
         });
     }
-    events.push(PlatformEvent::CollabTaskCreated {
-        project: ProjectId(1),
-        description: "crowd team".into(),
-    });
+    for (project, description) in [(1, "crowd team"), (2, "replica team")] {
+        events.push(PlatformEvent::CollabTaskCreated {
+            project: ProjectId(project),
+            description: description.into(),
+        });
+    }
     for i in 0..items {
         for p in 0..n_projects {
             events.push(sentence(p as u64 + 1, format!("s{i}")));
@@ -222,6 +235,33 @@ pub fn op_events(n_projects: usize, items: usize, op: &RawOp) -> Vec<PlatformEve
                         .with_skill("survey", (k % 8) as f64 / 8.0),
                 })
                 .collect()
+        }
+        // A replica-side sweep: the team crowd (re-)registers, workers 101
+        // and 105 — the two of it project 2's rule admits — show interest
+        // in the replica task, project 2 suggests a team with a 600 s
+        // deadline, and a clock well past it sweeps the task on its owner,
+        // which at 2 and 4 shards applies the clock as a replica's copy.
+        // The clock is not monotone over ops: a later sweep needs a later
+        // clock.
+        _ if *b => {
+            let task = replica_task();
+            let crowd = team_crowd();
+            let interest = [101, 105].map(|w| PlatformEvent::InterestExpressed {
+                worker: WorkerId(w),
+                task,
+            });
+            return crowd
+                .into_iter()
+                .map(|profile| PlatformEvent::WorkerRegistered { profile })
+                .chain(interest)
+                .chain([
+                    PlatformEvent::AssignmentRun { task },
+                    PlatformEvent::ClockAdvanced {
+                        to: SimTime(601 * (2 + *i as u64 + 8 * w)),
+                        owner: 0,
+                    },
+                ])
+                .collect();
         }
         // A team over a larger pool: the team crowd (re-)registers and
         // shows interest in the crowd task, project 1 forms a team of 4–6

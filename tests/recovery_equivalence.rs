@@ -51,6 +51,15 @@ fn config(shards: usize) -> RuntimeConfig {
     }
 }
 
+/// [`config`] in streaming mode: each shard auto-drains its dirty projects
+/// every three mailbox events it applies, replica copies included.
+fn streaming(shards: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        drain_every: 3,
+        ..config(shards)
+    }
+}
+
 /// Run the event stream in two drained halves, with an optional action
 /// between them (the migration hook).
 fn run_halves(
@@ -159,11 +168,26 @@ proptest! {
             // is not yet in the ledger. The supervisor's in-flight redo
             // must make this shape equally invisible (PR 10).
             let mid = FaultPlan::kill_mid_apply(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), mid);
+            let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), mid.clone());
             let run = run_halves(rt, first, second, |_| {});
             let label = format!("mid-apply fault at {shards} shards");
             assert_equivalent(&clean, &run, &label)?;
             assert_same_slices(&clean, &run, &label)?;
+
+            // Streaming mode, boundary and mid-apply fault: the shard's
+            // auto-drain phase is in its ledger slot, so a rebuilt shard
+            // places its next auto-drain where the dead one would have and
+            // the faulted run's `sync` entries sit where the fault-free
+            // streaming run's do.
+            let rt = ShardedRuntime::new(streaming(shards));
+            let streamed = run_halves(rt, first, second, |_| {});
+            for (faults, leg) in [(plan.clone(), "fault"), (mid, "mid-apply fault")] {
+                let rt = ShardedRuntime::new_chaos_instrumented(streaming(shards), Registry::new(), faults);
+                let run = run_halves(rt, first, second, |_| {});
+                let label = format!("streaming {leg} at {shards} shards");
+                assert_equivalent(&streamed, &run, &label)?;
+                assert_same_slices(&streamed, &run, &label)?;
+            }
 
             // Fault + migrate: same crash schedule, plus a hot migration
             // of one project to the next shard between the two halves. A

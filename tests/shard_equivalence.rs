@@ -377,3 +377,35 @@ fn the_team_op_forms_greedys_team_not_local_searchs() {
         "the third of the crowd is Greedy's"
     );
 }
+
+/// The replica-sweep op sweeps on a replica: at 2 and 4 shards project 2
+/// lives on shard 1, which suggests its team and then misses the team's
+/// deadline on its copy of the clock that shard 0 records. The serial
+/// platform misses the same one deadline, and the merged journal is its.
+#[test]
+fn the_replica_sweep_op_misses_a_deadline_on_shard_1() {
+    let mut events = setup_events(2, 2);
+    events.extend(op_events(2, 2, &(10, 0, 2, 1, "a".into(), true)));
+    let mut serial = Crowd4U::new();
+    let report = serial.apply_batch(events.clone()).unwrap();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(serial.counters().deadlines_missed, 1);
+    for shards in [2usize, 4] {
+        let rt = ShardedRuntime::new(RuntimeConfig {
+            shards,
+            drain_every: 0,
+            mailbox_capacity: 1024,
+            recovery: false,
+        });
+        rt.submit_batch(events.clone());
+        rt.drain();
+        let run = rt.finish().unwrap();
+        let missed: Vec<u64> = run
+            .platforms
+            .iter()
+            .map(|p| p.counters().deadlines_missed)
+            .collect();
+        assert_eq!(missed[..2], [0, 1], "{shards} shards");
+        assert_eq!(run.journal.dump(), serial.journal().dump());
+    }
+}

@@ -301,11 +301,9 @@ impl PlatformEvent {
     }
 }
 
-/// A data event as a partitioned runtime carries it from admission on: a
+/// An event as a partitioned runtime carries it from admission on: a
 /// worker registration as its profile, moved into the one `Arc` every
-/// partition's registry will hold; any other event as submitted. Its
-/// recorder applies it with [`Crowd4U::apply`](crate::platform::Crowd4U::apply);
-/// every other partition a broadcast reaches applies its [`ReplicaCopy`].
+/// partition's registry will hold; any other event as submitted.
 #[derive(Debug, Clone)]
 pub enum DataEvent {
     Event(PlatformEvent),
@@ -328,8 +326,7 @@ impl DataEvent {
     ///
     /// # Panics
     ///
-    /// If a registration's `Arc` is shared: only the data event made by
-    /// [`new`](Self::new), before any clone of it, can be handed back.
+    /// If a registration's `Arc` is shared.
     pub fn into_event(self) -> PlatformEvent {
         match self {
             DataEvent::Event(event) => event,
@@ -348,11 +345,10 @@ impl DataEvent {
     }
 }
 
-/// What a replica keeps of a broadcast it applied without journaling it
-/// ([`Crowd4U::apply_copy`](crate::platform::Crowd4U::apply_copy)): enough
-/// to apply it again, and small — a registration as its shared `Arc`, a
-/// clock as its `to` and `owner`, and anything else (a project
-/// registration, with its CyLog source) boxed.
+/// What a replica files of a broadcast it applied without journaling it
+/// ([`Crowd4U::apply_copy`](crate::platform::Crowd4U::apply_copy)), kept
+/// small: a registration's shared `Arc`, a clock's `to` and `owner`, and a
+/// project registration boxed.
 #[derive(Debug, Clone)]
 pub enum ReplicaCopy {
     Registration(Arc<WorkerProfile>),

@@ -279,8 +279,7 @@ impl Crowd4U {
     }
 
     /// The state half of [`advance_owned`](Crowd4U::advance_owned): the
-    /// clocks move, then the domain's deadlines are swept. A replica's
-    /// clock copy is this alone ([`apply_copy`](Crowd4U::apply_copy)).
+    /// clocks move, then the domain's deadlines are swept.
     fn move_clock(&mut self, t: SimTime, owner: u64) -> Result<(), PlatformError> {
         if t > self.now {
             self.now = t;
@@ -309,11 +308,8 @@ impl Crowd4U {
     }
 
     /// The state half of [`register_worker`](Crowd4U::register_worker):
-    /// the registration without its journal entry or the platform counter.
-    /// A replica's registration copy is this alone
-    /// ([`apply_copy`](Crowd4U::apply_copy)), installing the `Arc` the
-    /// recorder registered, so every registry holds one profile allocation
-    /// and `WorkerManager::version()` moves in lockstep.
+    /// the registration without its journal entry or the platform counter,
+    /// and all of a replica's registration copy.
     ///
     /// A registration changes one worker, so under the factor screen it
     /// changes each project's eligible set by at most that worker. Every
@@ -524,32 +520,35 @@ impl Crowd4U {
         scheme: Scheme,
         owner: u64,
     ) -> Result<ProjectId, PlatformError> {
-        let name = name.into();
-        let id = self.install_project(&name, cylog_source, &factors, scheme, owner)?;
-        self.record(&PlatformEvent::ProjectRegistered {
-            name,
+        let event = PlatformEvent::ProjectRegistered {
+            name: name.into(),
             source: cylog_source.to_owned(),
             factors,
             scheme,
             owner,
-        });
+        };
+        let id = self.install_project(&event)?;
+        self.record(&event);
         Ok(id)
     }
 
-    /// The state half of
-    /// [`register_project_owned`](Crowd4U::register_project_owned): the
-    /// project compiled and added, without its journal entry. A replica's
-    /// copy of a project registration is this alone
-    /// ([`apply_copy`](Crowd4U::apply_copy)).
-    fn install_project(
-        &mut self,
-        name: &str,
-        cylog_source: &str,
-        factors: &DesiredFactors,
-        scheme: Scheme,
-        owner: u64,
-    ) -> Result<ProjectId, PlatformError> {
-        let mut engine = CylogEngine::from_source(cylog_source)?;
+    /// The state half of a project registration: the project compiled and
+    /// added, without its journal entry. Any other event is refused.
+    fn install_project(&mut self, event: &PlatformEvent) -> Result<ProjectId, PlatformError> {
+        let PlatformEvent::ProjectRegistered {
+            name,
+            source,
+            factors,
+            scheme,
+            owner,
+        } = event
+        else {
+            return Err(PlatformError::BadEvent(format!(
+                "`{}` is not a project registration",
+                event.kind()
+            )));
+        };
+        let mut engine = CylogEngine::from_source(source)?;
         engine.set_telemetry(&self.telemetry.handle);
         let declarative = crate::declarative::uses_declarative_eligibility(&engine);
         if declarative {
@@ -562,12 +561,12 @@ impl Crowd4U {
             id,
             Project {
                 id,
-                name: name.to_owned(),
+                name: name.clone(),
                 engine,
                 factors: factors.clone(),
-                scheme,
+                scheme: *scheme,
                 suggestion: None,
-                owner,
+                owner: *owner,
                 declarative,
                 epoch: 0,
                 eligible_cache: None,
@@ -1077,9 +1076,8 @@ impl Crowd4U {
         self.count_outcome(result)
     }
 
-    /// [`apply_event`](Crowd4U::apply_event) of a [`DataEvent`], which a
-    /// partitioned runtime's recorder applies: journaled and counted, a
-    /// registration registered from its shared `Arc` as it is.
+    /// [`apply_event`](Crowd4U::apply_event) of a [`DataEvent`]: a
+    /// registration is registered from its shared `Arc` as it is.
     pub fn apply(&mut self, data: DataEvent) -> Result<(), PlatformError> {
         match data {
             DataEvent::Event(event) => self.apply_event(event),
@@ -1090,14 +1088,9 @@ impl Crowd4U {
         }
     }
 
-    /// Apply a replica's copy of a broadcast: the state half of the event
-    /// and no journal entry, counted as an applied or dropped event. A
-    /// registration is installed, a clock moves the clocks and sweeps the
-    /// domain's deadlines, and a project registration compiles and adds the
-    /// project. A broadcast's recorder journals it; every other partition
-    /// applies the copy it files through this method, live and on a
-    /// rebuild alike, so the runtime holds one journal entry per event. Any
-    /// other event has no copy and is refused.
+    /// Apply a replica's copy of a broadcast, live or on a rebuild: the
+    /// state half of the event with no journal entry, counted as an applied
+    /// or dropped event. The broadcast's recorder journals it.
     pub fn apply_copy(&mut self, copy: &ReplicaCopy) -> Result<(), PlatformError> {
         let result = match copy {
             ReplicaCopy::Registration(profile) => {
@@ -1105,21 +1098,7 @@ impl Crowd4U {
                 Ok(())
             }
             ReplicaCopy::Clock(to, owner) => self.move_clock(*to, *owner),
-            ReplicaCopy::Event(event) => match &**event {
-                PlatformEvent::ProjectRegistered {
-                    name,
-                    source,
-                    factors,
-                    scheme,
-                    owner,
-                } => self
-                    .install_project(name, source, factors, *scheme, *owner)
-                    .map(|_| ()),
-                other => Err(PlatformError::BadEvent(format!(
-                    "`{}` has no replica copy",
-                    other.kind()
-                ))),
-            },
+            ReplicaCopy::Event(event) => self.install_project(event).map(|_| ()),
         };
         self.count_outcome(result)
     }
@@ -1139,15 +1118,11 @@ impl Crowd4U {
                 self.register_worker(profile);
                 Ok(())
             }
-            PlatformEvent::ProjectRegistered {
-                name,
-                source,
-                factors,
-                scheme,
-                owner,
-            } => self
-                .register_project_owned(name, &source, factors, scheme, owner)
-                .map(|_| ()),
+            event @ PlatformEvent::ProjectRegistered { .. } => {
+                self.install_project(&event)?;
+                self.record(&event);
+                Ok(())
+            }
             PlatformEvent::FactSeeded {
                 project,
                 pred,

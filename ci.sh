@@ -15,16 +15,18 @@
 #                                  package's paper_outputs test (step 5)
 #   5. cargo test -q            — unit + property + integration + doc tests
 #   6. RUNTIME_SHARDS=4 pass    — the integration suite on the parallel path
-#   7. pinned-seed replays      — chaos (with the two worker-churn
-#                                  regressions: a replica recovers, a project
-#                                  migrates, both after 200 registrations),
+#   7. pinned-seed replays      — chaos (coordinated and streaming, with the
+#                                  two worker-churn regressions: a replica
+#                                  recovers, a project migrates, both after
+#                                  200 registrations),
 #                                  the shard- and telemetry-equivalence op mix
-#                                  (its worker churn installed on every replica
+#                                  (its worker churn applied on every replica
 #                                  at 4 shards, each registration seeding the
 #                                  declarative project's fixpoint, its first
 #                                  project forming teams of 4–6 with Greedy
 #                                  over a crowd where LocalSearch picks
-#                                  another team), the
+#                                  another team, its second a team whose
+#                                  deadline a replica's clock copy sweeps), the
 #                                  single-scenario streaming proptest (which
 #                                  draws the team algorithm too) and
 #                                  shared-crowd proptests, the engine→platform
@@ -68,7 +70,7 @@
 #
 # Part 3 — the mutation check, a gate like part 2's: `./mutants.sh` applies
 # each mutants/NNN-name.patch to a throwaway worktree of the committed HEAD
-# and fails if a test its header names still passes (~45 s on 2 cores).
+# and fails if a test its header names still passes (~75 s on 2 cores).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -174,22 +176,27 @@ step env RUNTIME_SHARDS=4 cargo test -q -p crowd4u --tests
 # proptest under a pinned seed so the exact crash schedules (FaultPlan
 # kill points derived from PROPTEST_SEED) are reproduced byte-for-byte on
 # every CI run — a regression here replays identically on a dev box with
-# the same seed. The same file holds the worker-churn regressions
-# (recovery and migration after 200 registrations), and its generator's
-# crowd-burst op files long runs of worker installs under this seed.
+# the same seed. Each fault runs again in streaming mode (auto-drains
+# every three events, a replica's broadcast copies counted), against the
+# fault-free streaming run, so a rebuilt shard must keep its auto-drain
+# phase. The same file holds the worker-churn regressions (recovery and
+# migration after 200 registrations), and its generator's crowd-burst op
+# files long runs of registration copies under this seed.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
     cargo test -q -p crowd4u --test recovery_equivalence
 # The sharded-vs-serial differential under a pinned seed: its op mix's
 # worker churn (re-registrations and crowd bursts) reaches each of the
-# four shards' mailboxes, recorded on the coordinator and installed on
-# every replica, between the project events and drains it interleaves with;
+# four shards' mailboxes, recorded on the coordinator and filed as a copy
+# on every replica, between the project events and drains it interleaves with;
 # on its owner, each registration seeds the declarative project's
 # eligibility fixpoint with the registered worker's rows, read from the
 # registry (a full recompute only when a re-registration takes a row
 # away). Its team op forms project 1's teams with Greedy over an
 # eight-worker crowd where LocalSearch would pick another team, so a shard
-# or a replay that lost the algorithm diverges. The telemetry differential
-# draws the same ops, scraped mid-run.
+# or a replay that lost the algorithm diverges. Half of those team ops
+# suggest a team on project 2 instead, which shard 1 owns, and pass its
+# deadline: shard 1 sweeps it on its replica copy of the clock. The
+# telemetry differential draws the same ops, scraped mid-run.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test shard_equivalence
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
@@ -264,7 +271,7 @@ step env PROPTEST_SEED=1707 \
 # dropped or abandoned, a blocked admission of each scope completing once
 # its mailbox state clears — and the broadcast admissions whose push under
 # every lock hands each shard its message (all or nothing, a registration's
-# install on every shard, backpressure reported by the full replica) —
+# one `Arc` on every shard, backpressure reported by the full replica) —
 # twenty times over: one green run says little about a race.
 echo
 echo "==> 20x: gate_backpressure, mailbox_batches, runtime mid_batch + blocking_submit + dead_shard + finish_surfaces + admission_ladder + broadcast_admission + worker_events + worker_backpressure"

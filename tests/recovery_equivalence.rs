@@ -10,16 +10,20 @@
 //! * a journal that replays to a byte-identical
 //!   [`Crowd4U::state_dump`](crowd4u::core::platform::Crowd4U::state_dump),
 //!   and, where the routing is the fault-free run's (no migration), shard
-//!   slices whose dumps equal that run's: a replica's filed installs and
-//!   clocks are in no journal, so only its slice shows them;
+//!   slices whose dumps equal that run's: a replica's filed copies of
+//!   registrations and clocks are in no journal, so only its slice shows
+//!   them;
 //!
 //! and the same must hold when the fault is followed by a **hot project
 //! migration** (`migrate_project`) to another shard mid-stream — the
 //! routing flip moves where events record, not what the merged journal
-//! says. Shard count 1 exercises coordinator death (the shard that
+//! says. The fault and mid-apply legs run again in **streaming mode**
+//! (auto-drains every three events a shard applies), against the
+//! fault-free streaming run: a rebuilt shard keeps its auto-drain phase.
+//! Shard count 1 exercises coordinator death (the shard that
 //! records registrations); the multi-shard counts exercise replica death,
-//! rebuilt from the worker installs the replica filed in its own ledger
-//! slot — the generator's crowd bursts and the two
+//! rebuilt from the registration copies the replica filed in its own
+//! ledger slot — the generator's crowd bursts and the two
 //! `churn_beside_a_live_project` regressions below file hundreds. CI
 //! replays this file under `RUNTIME_SHARDS=4` and a pinned `PROPTEST_SEED`.
 //!
@@ -471,7 +475,7 @@ fn churn_beside_a_live_project(rounds: u64) -> Vec<PlatformEvent> {
 }
 
 /// Regression: a replica that dies inside 200 registrations of churn
-/// rebuilds from the installs it filed in its own slot — every one of
+/// rebuilds from the registration copies it filed in its own slot — every one of
 /// them, at its position between the replica's own events — and ends with
 /// the same registry as every other slice.
 #[test]
@@ -479,7 +483,7 @@ fn a_replica_recovers_after_200_registrations() {
     let rounds = 200;
     let events = churn_beside_a_live_project(rounds);
     // Shard 1 records one seed per round: 150 is inside the churn, with
-    // 150 installs filed before it.
+    // 150 registration copies filed before it.
     let faults = [FaultPlan::kill(1, 150), FaultPlan::kill_mid_apply(1, 150)];
     for shards in [2usize, 4] {
         let clean = run_halves(ShardedRuntime::new(config(shards)), &events, &[], |_| {});

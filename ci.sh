@@ -166,20 +166,22 @@ echo "==> report (every section; tables discarded; E1–E6 and E9 pinned by pape
 cargo run --release -q -p crowd4u-bench --bin report >/dev/null
 step cargo test -q
 # Exercise the parallel path on every CI run: the integration suite again,
-# with the runtime pinned to 4 shards (shard_equivalence,
-# affinity_provider — the provider-parity proptest — and
-# scenario_streaming pick the value up via RUNTIME_SHARDS and add it to
-# their shard-count sweeps; recovery_equivalence adds 4 shards to its
-# no-fault / fault+recover / fault+migrate differential sweep).
+# with the runtime pinned to 4 shards (the five differential suites —
+# shard_equivalence, telemetry_equivalence, recovery_equivalence,
+# scenario_streaming and shared_crowd — read RUNTIME_SHARDS through the
+# one shard-count helper of the tests/common oracle and add it to their
+# sweeps, and affinity_provider, the provider-parity proptest, to its
+# own).
 step env RUNTIME_SHARDS=4 cargo test -q -p crowd4u --tests
 # Deterministic chaos replay: rerun the crash-recovery differential
 # proptest under a pinned seed so the exact crash schedules (FaultPlan
-# kill points derived from PROPTEST_SEED) are reproduced byte-for-byte on
+# kill points derived from PROPTEST_SEED, drawn over each shard's whole
+# stream, a second kill in most cases) are reproduced byte-for-byte on
 # every CI run — a regression here replays identically on a dev box with
-# the same seed. Each fault runs again in streaming mode (auto-drains
-# every three events, a replica's broadcast copies counted), against the
-# fault-free streaming run, so a rebuilt shard must keep its auto-drain
-# phase. The same file holds the worker-churn regressions (recovery and
+# the same seed, and a failing op list is shrunk before it is reported.
+# Each fault runs again in streaming mode (auto-drains every three events,
+# a replica's broadcast copies counted), against the fault-free streaming
+# run, so a rebuilt shard must keep its auto-drain phase. The same file holds the worker-churn regressions (recovery and
 # migration after 200 registrations), and its generator's crowd-burst op
 # files long runs of registration copies under this seed.
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
@@ -196,7 +198,8 @@ step env RUNTIME_SHARDS=4 PROPTEST_SEED=1803 \
 # or a replay that lost the algorithm diverges. Half of those team ops
 # suggest a team on project 2 instead, which shard 1 owns, and pass its
 # deadline: shard 1 sweeps it on its replica copy of the clock. The
-# telemetry differential draws the same ops, scraped mid-run.
+# telemetry differential draws the same ops, scraped mid-run, at 1, 2
+# and 4 shards (RUNTIME_SHARDS=4 adds none here).
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \
     cargo test -q -p crowd4u --test shard_equivalence
 step env RUNTIME_SHARDS=4 PROPTEST_SEED=1707 \

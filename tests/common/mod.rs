@@ -1,7 +1,28 @@
-//! The differential suites' shared event generator: one multi-project
-//! set-up and one mapping from generated raw ops onto the platform's event
-//! space, used by `shard_equivalence`, `recovery_equivalence` and
-//! `telemetry_equivalence`, so a new op kind reaches every oracle at once.
+//! The differential suites' one equivalence oracle ([`oracle`]), and the
+//! event generator of the op-list suites.
+//!
+//! **The oracle** is the one statement of the runtime's contract: a run's
+//! merged journal and replayed `state_dump()` are byte-identical to a
+//! reference's. `shard_equivalence`, `telemetry_equivalence`,
+//! `recovery_equivalence`, `scenario_streaming` and `shared_crowd` describe
+//! their runs as configurations of [`Run`] — shard count, coordinated or
+//! `drain_every` K drains, mailbox capacity, telemetry on, off or scraped
+//! mid-run, a fault plan, one submitter or four, a migration — and check
+//! each against a [`Reference`], the serial platform or a fault-free run
+//! with the same routing, with [`assert_equivalent`]: the journal, the
+//! replay, the accounting, empty slice journals, every slice against a
+//! runtime reference, and each project's database on its owner slice. A
+//! failure names the part and its first differing line. The suites keep
+//! only their own checks (scenario reports, split ledgers, histograms,
+//! recovery counters, registries). [`shard_counts`] is the one place they
+//! read `RUNTIME_SHARDS`. A failing op-list property is shrunk by
+//! [`shrinking`] (ddmin, at most [`SHRINK_RERUNS`] re-runs), and a chaos
+//! leg's kill point is a fraction of the shard's recorded applies
+//! ([`kill_point`]), so it can land anywhere in the stream.
+//!
+//! **The generator**: one multi-project set-up and one mapping from
+//! generated raw ops onto the platform's event space, so a new op kind
+//! reaches every op-list suite at once.
 //! Project 1 forms its teams of 4–6 with `AlgorithmChoice::Greedy` (the
 //! others teams of 1–3 with the default), so every suite carries a
 //! non-default algorithm through its registration, recoveries and
@@ -14,6 +35,10 @@
 //! is a profile that rule admits or refuses, so each suite runs the CyLog
 //! recompute a registration triggers.
 #![allow(dead_code)] // each suite uses its own subset
+
+pub mod oracle;
+#[allow(unused_imports)] // suites without a runtime use the generator only
+pub use oracle::*;
 
 use crowd4u::collab::Scheme;
 use crowd4u::core::error::{ProjectId, TaskId, WorkerId};

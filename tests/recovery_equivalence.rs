@@ -1,132 +1,115 @@
 //! Crash-recovery property (PR 9): killing a shard mid-run and replaying
 //! it back is **observationally invisible**. For a generated multi-project
-//! event stream and a generated kill point (shard S dies after its k-th
-//! applied event — the [`FaultPlan`] is derived from the proptest seed, so
-//! `PROPTEST_SEED` replays the exact crash schedule), a run at 1, 2 and 4
-//! shards must produce
+//! event stream, a run at 1, 2 and 4 shards (plus `RUNTIME_SHARDS`) with a
+//! shard killed after its k-th recorded apply — k a drawn fraction of the
+//! shard's recorded applies in the fault-free run, so anywhere in the
+//! stream, and in most cases a second kill on another shard — must equal
+//! the fault-free run by the `tests/common` oracle, slice by slice (a
+//! replica's filed copies of registrations and clocks are in no journal,
+//! so only its slice shows them). The [`FaultPlan`] derives from the
+//! proptest seed, so `PROPTEST_SEED` replays the exact crash schedule.
 //!
-//! * a merged journal **byte-identical** to the same run with no fault,
-//! * identical applied/dropped accounting, and
-//! * a journal that replays to a byte-identical
-//!   [`Crowd4U::state_dump`](crowd4u::core::platform::Crowd4U::state_dump),
-//!   and, where the routing is the fault-free run's (no migration), shard
-//!   slices whose dumps equal that run's: a replica's filed copies of
-//!   registrations and clocks are in no journal, so only its slice shows
-//!   them;
-//!
-//! and the same must hold when the fault is followed by a **hot project
-//! migration** (`migrate_project`) to another shard mid-stream — the
-//! routing flip moves where events record, not what the merged journal
-//! says. The fault and mid-apply legs run again in **streaming mode**
-//! (auto-drains every three events a shard applies), against the
-//! fault-free streaming run: a rebuilt shard keeps its auto-drain phase.
-//! Shard count 1 exercises coordinator death (the shard that
-//! records registrations); the multi-shard counts exercise replica death,
+//! The same holds for a kill *inside* the apply (PR 10: the supervisor's
+//! in-flight slot redoes the popped-but-unledgered event, pinned by
+//! [`a_mid_apply_crash_keeps_the_popped_event`]); in **streaming mode**
+//! (auto-drains every three events a shard applies) against the fault-free
+//! streaming run, so a rebuilt shard keeps its auto-drain phase; and with
+//! a **hot project migration** between the two halves of the stream.
+//! Shard count 1 exercises coordinator death; the others replica death,
 //! rebuilt from the registration copies the replica filed in its own
 //! ledger slot — the generator's crowd bursts and the two
-//! `churn_beside_a_live_project` regressions below file hundreds. CI
-//! replays this file under `RUNTIME_SHARDS=4` and a pinned `PROPTEST_SEED`.
-//!
-//! PR 10 extends the property to **mid-apply** crashes: a kill firing
-//! *inside* `apply_event` — after the message left the mailbox, before
-//! the ledger saw it — must also be invisible. The supervisor's in-flight
-//! slot redoes the popped-but-unledgered event on the next incarnation;
-//! without it, exactly one event would silently vanish from the journal
-//! (the regression pinned by [`a_mid_apply_crash_keeps_the_popped_event`]).
+//! `churn_beside_a_live_project` regressions below file hundreds.
 
 mod common;
 
-use common::{build_events, project, raw_op, sentence, setup_events, team_crowd, worker};
-use crowd4u::core::error::{PlatformError, ProjectId, TaskId};
+use common::*;
+use crowd4u::core::error::{ProjectId, TaskId};
 use crowd4u::core::events::PlatformEvent;
 use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
-use crowd4u::runtime::RunReport;
 use crowd4u::sim::time::SimTime;
-use crowd4u::telemetry::Registry;
 use proptest::prelude::*;
 
-fn config(shards: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        shards,
-        drain_every: 0,
-        mailbox_capacity: 1024,
-        recovery: true,
-    }
-}
-
-/// [`config`] in streaming mode: each shard auto-drains its dirty projects
-/// every three mailbox events it applies, replica copies included.
-fn streaming(shards: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        drain_every: 3,
-        ..config(shards)
-    }
-}
-
-/// Run the event stream in two drained halves, with an optional action
-/// between them (the migration hook).
-fn run_halves(
-    rt: ShardedRuntime,
-    first: &[PlatformEvent],
-    second: &[PlatformEvent],
-    between: impl FnOnce(&ShardedRuntime),
-) -> RunReport {
-    rt.submit_batch(first.to_vec());
-    rt.drain();
-    between(&rt);
-    rt.submit_batch(second.to_vec());
-    rt.drain();
-    rt.finish().unwrap()
-}
-
-fn assert_equivalent(clean: &RunReport, run: &RunReport, label: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        run.journal.dump(),
-        clean.journal.dump(),
-        "journal mismatch: {}",
-        label
-    );
-    prop_assert_eq!(run.stats.applied, clean.stats.applied, "{}", label);
-    prop_assert_eq!(run.stats.dropped, clean.stats.dropped, "{}", label);
-    let replayed = Crowd4U::replay(&run.journal).unwrap();
-    let clean_replayed = Crowd4U::replay(&clean.journal).unwrap();
-    prop_assert_eq!(
-        replayed.state_dump(),
-        clean_replayed.state_dump(),
-        "replayed state mismatch: {}",
-        label
-    );
-    // Rebuilt and migrated-to slices hold no journal of their own either:
-    // what a recovery replays, and what a migration adopts, stays the
-    // ledger's.
-    prop_assert!(
-        run.platforms.iter().all(|p| p.journal().is_empty()),
-        "a slice kept journal entries: {}",
-        label
-    );
-    Ok(())
-}
-
-/// Each shard's slice equals the fault-free run's: a rebuilt shard holds
-/// what the shard it replaced held — its replica state included (the
-/// clocks it moved and the deadlines they swept, the workers it
-/// installed), which the merged journal, written by the recorders, does
-/// not show. Routing must be the same in both runs, so a migrated run is
-/// not compared this way.
-fn assert_same_slices(
-    clean: &RunReport,
-    run: &RunReport,
-    label: &str,
+/// The stream in two drained halves at every shard count. The fault-free
+/// run is checked against the serial platform and then stands as the
+/// reference, slice by slice, for the same stream with a shard killed at
+/// `kill` (and another at `second`), each a shard pick and a fraction of
+/// the shard's recorded applies: at an event boundary and inside the
+/// apply, in coordinated and in streaming mode (against the fault-free
+/// streaming run), and with one project migrated to the next shard
+/// between the halves.
+fn recovery_property(
+    (n_projects, items, split): (usize, usize, usize),
+    ops: &[RawOp],
+    kill: (usize, f64),
+    second: Option<(usize, f64)>,
+    migrate_pick: usize,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(run.platforms.len(), clean.platforms.len(), "{}", label);
-    for (shard, (p, q)) in run.platforms.iter().zip(&clean.platforms).enumerate() {
-        prop_assert!(
-            p.state_dump() == q.state_dump(),
-            "shard {} slice differs: {}",
-            shard,
-            label
+    let events = build_events(n_projects, items, ops);
+    let cut = (events.len() * split / 8).min(events.len());
+    let halves = [events[..cut].to_vec(), events[cut..].to_vec()];
+    let serial = Reference::serial(&halves);
+    for shards in shard_counts(&[1, 2, 4]) {
+        let (clean, _) = Run::at(shards).batches(&halves);
+        assert_equivalent(&serial, &clean, "fault-free")?;
+        let reference = Reference::run(&clean, events.len());
+
+        // Each kill point is a fraction of the shard's recorded applies in
+        // the fault-free run, so it can land anywhere in the stream; the
+        // second kill is on another shard.
+        let applies = |shard: usize| clean.report.per_shard[shard].applied;
+        let s1 = kill.0 % shards;
+        let mut kills = vec![(s1, kill_point(applies(s1), kill.1))];
+        if let Some((pick, fraction)) = second.filter(|_| shards > 1) {
+            let s2 = (s1 + 1 + pick % (shards - 1)) % shards;
+            kills.push((s2, kill_point(applies(s2), fraction)));
+        }
+        // Mid-apply: the same kill points, firing *inside* the apply — the
+        // event was popped from the mailbox and is not yet in the ledger,
+        // and the supervisor's in-flight redo must make it invisible.
+        let (plan, mid) = kills.iter().fold(
+            (FaultPlan::none(), FaultPlan::none()),
+            |(plan, mid), &(s, k)| (plan.and_kill(s, k), mid.and_kill_mid(s, k)),
         );
+        for (faults, leg) in [(plan.clone(), "fault"), (mid.clone(), "mid-apply fault")] {
+            let (run, _) = Run::at(shards).faults(faults).batches(&halves);
+            assert_equivalent(&reference, &run, leg)?;
+        }
+
+        // Streaming mode: the shard's auto-drain phase is in its ledger
+        // slot, so a rebuilt shard places its next auto-drain where the
+        // dead one would have.
+        let streamed = Reference::run(
+            &Run::at(shards).drain_every(3).batches(&halves).0,
+            events.len(),
+        );
+        for (faults, leg) in [
+            (plan.clone(), "streaming fault"),
+            (mid, "streaming mid-apply fault"),
+        ] {
+            let (run, _) = Run::at(shards)
+                .faults(faults)
+                .drain_every(3)
+                .batches(&halves);
+            assert_equivalent(&streamed, &run, leg)?;
+        }
+
+        // Fault + migrate: a split that cuts before the project's
+        // registration meets an unknown project, and the migration is
+        // refused; the run must be as unperturbed by that as by a move.
+        if shards > 1 {
+            let project = ProjectId((migrate_pick % n_projects) as u64 + 1);
+            let registered = halves[0]
+                .iter()
+                .filter(|e| matches!(e, PlatformEvent::ProjectRegistered { .. }))
+                .count() as u64
+                >= project.0;
+            let to = (project.0 as usize) % shards;
+            let config = Run::at(shards).faults(plan);
+            let (run, _) = config.migrate(Some((project, to))).batches(&halves);
+            prop_assert_eq!(run.moved.is_some(), registered, "{}", run.label);
+            assert_equivalent(&reference, &run, "fault+migrate")?;
+        }
     }
     Ok(())
 }
@@ -140,89 +123,13 @@ proptest! {
         split in 2usize..8,
         ops in proptest::collection::vec(raw_op(), 6..32),
         kill_pick in 0usize..16,
-        kill_after in 1u64..6,
+        kill_at in 0.0f64..1.0,
         migrate_pick in 0usize..16,
+        second in proptest::option::of((0usize..16, 0.0f64..1.0)),
     ) {
-        let events = build_events(n_projects, items, &ops);
-        let cut = (events.len() * split / 8).min(events.len());
-        let (first, second) = events.split_at(cut);
-
-        let mut shard_counts = vec![1usize, 2, 4];
-        let env_shards = crowd4u::runtime::router::shards_from_env(0);
-        if env_shards > 0 && !shard_counts.contains(&env_shards) {
-            shard_counts.push(env_shards);
-        }
-        for shards in shard_counts {
-            // Reference: the same traffic, no fault injected.
-            let rt = ShardedRuntime::new(config(shards));
-            let clean = run_halves(rt, first, second, |_| {});
-
-            // Fault + recover: shard S dies after its k-th applied event
-            // (a no-op when S never reaches k applies — also a valid,
-            // trivially equivalent schedule).
-            let plan = FaultPlan::kill(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), plan.clone());
-            let run = run_halves(rt, first, second, |_| {});
-            let label = format!("fault at {shards} shards");
-            assert_equivalent(&clean, &run, &label)?;
-            assert_same_slices(&clean, &run, &label)?;
-
-            // Mid-apply fault: the same kill point, but firing *inside*
-            // the k-th apply — the event was popped from the mailbox and
-            // is not yet in the ledger. The supervisor's in-flight redo
-            // must make this shape equally invisible (PR 10).
-            let mid = FaultPlan::kill_mid_apply(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), mid.clone());
-            let run = run_halves(rt, first, second, |_| {});
-            let label = format!("mid-apply fault at {shards} shards");
-            assert_equivalent(&clean, &run, &label)?;
-            assert_same_slices(&clean, &run, &label)?;
-
-            // Streaming mode, boundary and mid-apply fault: the shard's
-            // auto-drain phase is in its ledger slot, so a rebuilt shard
-            // places its next auto-drain where the dead one would have and
-            // the faulted run's `sync` entries sit where the fault-free
-            // streaming run's do.
-            let rt = ShardedRuntime::new(streaming(shards));
-            let streamed = run_halves(rt, first, second, |_| {});
-            for (faults, leg) in [(plan.clone(), "fault"), (mid, "mid-apply fault")] {
-                let rt = ShardedRuntime::new_chaos_instrumented(streaming(shards), Registry::new(), faults);
-                let run = run_halves(rt, first, second, |_| {});
-                let label = format!("streaming {leg} at {shards} shards");
-                assert_equivalent(&streamed, &run, &label)?;
-                assert_same_slices(&streamed, &run, &label)?;
-            }
-
-            // Fault + migrate: same crash schedule, plus a hot migration
-            // of one project to the next shard between the two halves. A
-            // split that cuts before the project's registration meets an
-            // unknown project: the migration is refused, and the run must
-            // be as unperturbed by that as by a migration.
-            if shards > 1 {
-                let project = ProjectId((migrate_pick % n_projects) as u64 + 1);
-                let registered = first
-                    .iter()
-                    .filter(|e| matches!(e, PlatformEvent::ProjectRegistered { .. }))
-                    .count() as u64
-                    >= project.0;
-                let rt = ShardedRuntime::new_chaos_instrumented(config(shards), Registry::new(), plan);
-                let run = run_halves(rt, first, second, |rt| {
-                    let to = (rt.owner_of(project) + 1) % shards;
-                    let moved = rt.migrate_project(project, to);
-                    if registered {
-                        moved.unwrap();
-                        assert_eq!(rt.owner_of(project), to);
-                    } else {
-                        assert_eq!(moved, Err(PlatformError::UnknownProject(project)));
-                    }
-                });
-                assert_equivalent(
-                    &clean,
-                    &run,
-                    &format!("fault+migrate at {shards} shards"),
-                )?;
-            }
-        }
+        shrinking(&ops, |ops| {
+            recovery_property((n_projects, items, split), ops, (kill_pick, kill_at), second, migrate_pick)
+        })?;
     }
 }
 
@@ -234,31 +141,15 @@ proptest! {
 /// the replayed state diverged from the clean run.
 #[test]
 fn a_mid_apply_crash_keeps_the_popped_event() {
-    let events = setup_events(2, 3);
-
-    let mut serial = Crowd4U::new();
-    let report = serial.apply_batch(events.clone()).unwrap();
-    assert!(report.errors.is_empty());
-
+    let events = [setup_events(2, 3)];
+    let serial = Reference::serial(&events);
+    assert_eq!(serial.dropped, 0);
     for shards in [1usize, 2] {
         // Kill the coordinator inside its 4th recorded apply — well within
         // the 6 registrations it records, so the fault always fires.
-        let rt = ShardedRuntime::new_chaos_instrumented(
-            config(shards),
-            Registry::new(),
-            FaultPlan::kill_mid_apply(0, 4),
-        );
-        rt.submit_batch(events.clone());
-        rt.drain();
-        let run = rt.finish().unwrap();
-        assert_eq!(
-            run.journal.dump(),
-            serial.journal().dump(),
-            "mid-apply crash lost an event at {shards} shards"
-        );
-        assert_eq!(run.stats.dropped, 0);
-        let replayed = Crowd4U::replay(&run.journal).unwrap();
-        assert_eq!(replayed.state_dump(), serial.state_dump());
+        let config = Run::at(shards).faults(FaultPlan::kill_mid_apply(0, 4));
+        let (run, _) = config.batches(&events);
+        expect_equivalent(&serial, &run, "mid-apply crash");
     }
 }
 
@@ -281,29 +172,18 @@ fn a_mid_apply_crash_on_a_registration_redoes_it_once() {
     let report = serial.apply_batch(events.clone()).unwrap();
     assert!(report.errors.is_empty());
     let want = (serial.workers.len(), serial.workers.version());
+    let reference = Reference::of(&serial, 0, events.len());
+    let events = [events];
 
     for shards in [1usize, 2, 4] {
         for nth in [1, 5] {
-            let registry = Registry::new();
-            let rt = ShardedRuntime::new_chaos_instrumented(
-                config(shards),
-                registry.clone(),
-                FaultPlan::kill_mid_apply(0, nth),
-            );
-            rt.submit_batch(events.clone());
-            rt.drain();
-            let run = rt.finish().unwrap();
+            let config = Run::at(shards).faults(FaultPlan::kill_mid_apply(0, nth));
+            let (run, _) = config.batches(&events);
             let label = format!("kill inside apply {nth} at {shards} shards");
-            assert_eq!(
-                registry
-                    .snapshot()
-                    .counter_total("crowd4u_recoveries_total"),
-                1,
-                "{label}"
-            );
-            assert_eq!(run.journal.dump(), serial.journal().dump(), "{label}");
-            assert_eq!((run.stats.applied, run.stats.dropped), (7, 0), "{label}");
-            for (shard, p) in run.platforms.iter().enumerate() {
+            let recoveries = run.metrics.counter_total("crowd4u_recoveries_total");
+            assert_eq!(recoveries, 1, "{label}");
+            expect_equivalent(&reference, &run, &label);
+            for (shard, p) in run.report.platforms.iter().enumerate() {
                 let held = (p.workers.len(), p.workers.version());
                 assert_eq!(held, want, "{label}: shard {shard}");
             }
@@ -321,73 +201,65 @@ fn a_mid_apply_crash_on_a_registration_redoes_it_once() {
 /// the merged journal.
 #[test]
 fn migrated_away_projects_leave_no_source_residue_even_across_recovery() {
-    let events = setup_events(2, 3);
+    let events = [setup_events(2, 3)];
+    let serial = Reference::serial(&events);
 
-    let mut serial = Crowd4U::new();
-    serial.apply_batch(events.clone()).unwrap();
+    // Recovery on: a job panic crashes the source below.
+    let (mut run, ()) = Run::at(2).recovery(true).run(|rt| {
+        rt.submit_batch(events[0].clone());
+        rt.drain();
 
-    let rt = ShardedRuntime::new(config(2));
-    rt.submit_batch(events);
-    rt.drain();
+        // Project 1 lives on shard 0; push it to shard 1.
+        assert_eq!(rt.owner_of(ProjectId(1)), 0);
+        let moved = rt.migrate_project(ProjectId(1), 1).unwrap();
+        assert!(moved > 0, "the seeded project should carry tasks");
 
-    // Project 1 lives on shard 0; push it to shard 1.
-    assert_eq!(rt.owner_of(ProjectId(1)), 0);
-    let moved = rt.migrate_project(ProjectId(1), 1).unwrap();
-    assert!(moved > 0, "the seeded project should carry tasks");
+        // Live source: no shell at all — the project is simply gone.
+        let gone = rt
+            .submit_job(0, |p| p.project(ProjectId(1)).is_err())
+            .recv()
+            .unwrap();
+        assert!(gone, "live source still knows the migrated project");
 
-    // Live source: no shell at all — the project is simply gone.
-    let gone = rt
-        .submit_job(0, |p| p.project(ProjectId(1)).is_err())
-        .recv()
-        .unwrap();
-    assert!(gone, "live source still knows the migrated project");
+        // Crash the old owner (a job panic is a genuine, non-injected
+        // crash shape) and let the supervisor rebuild it from the ledger.
+        // The next query queues behind the held mailbox, so it runs
+        // post-recovery; no extra drain (each `drain()` journals an entry,
+        // and the serial reference performed exactly one).
+        let _ = rt.submit_job(0, |_| panic!("chaos: source dies after migration"));
 
-    // Crash the old owner (a job panic is a genuine, non-injected crash
-    // shape) and let the supervisor rebuild it from the ledger. The next
-    // query queues behind the held mailbox, so it runs post-recovery; no
-    // extra drain (each `drain()` journals an entry, and the serial
-    // reference performed exactly one).
-    let _ = rt.submit_job(0, |_| panic!("chaos: source dies after migration"));
-
-    // Recovered source: the broadcast shell is back — registered, but
-    // with zero facts and zero tasks (its project-1 history now belongs
-    // to shard 1 and was filtered out of the replay).
-    let shell = rt
-        .submit_job(0, |p| {
-            p.project(ProjectId(1))
-                .map(|proj| proj.engine.fact_count("sentence").unwrap())
-                .ok()
-        })
-        .recv()
-        .unwrap();
-    assert_eq!(
-        shell,
-        Some(0),
-        "recovered source should hold an empty shell"
-    );
-
-    let run = rt.finish().unwrap();
-    assert_eq!(
-        run.journal.dump(),
-        serial.journal().dump(),
-        "migration + source recovery must not perturb the journal"
-    );
-    // Neither the rebuilt source nor the adopting destination kept a
-    // journal of its own.
-    assert!(run.platforms.iter().all(|p| p.journal().is_empty()));
-    // The destination holds the real project, tasks and all.
-    assert!(run.platforms[1]
-        .project(ProjectId(1))
-        .map(|p| p.engine.fact_count("sentence").unwrap() > 0)
-        .unwrap_or(false));
-    // The finished source still reports the shell shape.
-    assert_eq!(
-        run.platforms[0]
+        // Recovered source: the broadcast shell is back — registered, but
+        // with zero facts and zero tasks (its project-1 history now
+        // belongs to shard 1 and was filtered out of the replay).
+        let shell = rt
+            .submit_job(0, |p| {
+                p.project(ProjectId(1))
+                    .map(|proj| proj.engine.fact_count("sentence").unwrap())
+                    .ok()
+            })
+            .recv()
+            .unwrap();
+        assert_eq!(
+            shell,
+            Some(0),
+            "recovered source should hold an empty shell"
+        );
+    });
+    // Migration and source recovery perturb neither the journal nor the
+    // replay, neither the rebuilt source nor the adopting destination kept
+    // a journal of its own, and the destination's project is the replay's.
+    run.moved = Some((ProjectId(1), 1));
+    expect_equivalent(&serial, &run, "migration + source recovery");
+    let sentences = |shard: usize| {
+        run.report.platforms[shard]
             .project(ProjectId(1))
             .map(|p| p.engine.fact_count("sentence").unwrap())
-            .ok(),
-        Some(0)
-    );
+            .ok()
+    };
+    // The destination holds the real project, tasks and all…
+    assert!(sentences(1) > Some(0));
+    // …and the finished source still reports the shell shape.
+    assert_eq!(sentences(0), Some(0));
 }
 
 /// Regression: a replica's copy of a clock journals nothing, so the
@@ -428,28 +300,22 @@ fn a_rebuilt_replica_keeps_the_clocks_it_filed() {
     // Shard 1's recorded apply 11.
     events.push(sentence(2, "after the clocks"));
 
-    let clean = run_halves(ShardedRuntime::new(config(2)), &events, &[], |_| {});
+    let events = [events];
+    let (clean, _) = Run::at(2).batches(&events);
     // Every clock swept the task on shard 1, the owner, and only there.
     let missed: Vec<u64> = clean
+        .report
         .platforms
         .iter()
         .map(|p| p.counters().deadlines_missed)
         .collect();
     assert_eq!(missed, [0, 3]);
-    for plan in [FaultPlan::kill(1, 11), FaultPlan::kill_mid_apply(1, 11)] {
-        let registry = Registry::new();
-        let rt = ShardedRuntime::new_chaos_instrumented(config(2), registry.clone(), plan.clone());
-        let run = run_halves(rt, &events, &[], |_| {});
-        let label = format!("{plan:?}");
-        assert_eq!(
-            registry
-                .snapshot()
-                .counter_total("crowd4u_recoveries_total"),
-            1,
-            "{label}"
-        );
-        assert_equivalent(&clean, &run, &label).unwrap();
-        assert_same_slices(&clean, &run, &label).unwrap();
+    let reference = Reference::run(&clean, events[0].len());
+    for faults in [FaultPlan::kill(1, 11), FaultPlan::kill_mid_apply(1, 11)] {
+        let (run, _) = Run::at(2).faults(faults).batches(&events);
+        let recoveries = run.metrics.counter_total("crowd4u_recoveries_total");
+        assert_eq!(recoveries, 1, "{}", run.label);
+        expect_equivalent(&reference, &run, "a replica killed after its clocks");
     }
 }
 
@@ -481,27 +347,22 @@ fn churn_beside_a_live_project(rounds: u64) -> Vec<PlatformEvent> {
 #[test]
 fn a_replica_recovers_after_200_registrations() {
     let rounds = 200;
-    let events = churn_beside_a_live_project(rounds);
+    let events = [churn_beside_a_live_project(rounds)];
     // Shard 1 records one seed per round: 150 is inside the churn, with
     // 150 registration copies filed before it.
     let faults = [FaultPlan::kill(1, 150), FaultPlan::kill_mid_apply(1, 150)];
     for shards in [2usize, 4] {
-        let clean = run_halves(ShardedRuntime::new(config(shards)), &events, &[], |_| {});
+        let reference = Reference::run(&Run::at(shards).batches(&events).0, events[0].len());
         for plan in &faults {
-            let registry = Registry::new();
-            let rt = ShardedRuntime::new_chaos_instrumented(
-                config(shards),
-                registry.clone(),
-                plan.clone(),
-            );
-            let run = run_halves(rt, &events, &[], |_| {});
+            let (run, _) = Run::at(shards).faults(plan.clone()).batches(&events);
             let label = format!("{plan:?} at {shards} shards");
-            assert_equivalent(&clean, &run, &label).unwrap();
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter_total("crowd4u_recoveries_total"), 1, "{label}");
+            expect_equivalent(&reference, &run, &label);
+            let recoveries = run.metrics.counter_total("crowd4u_recoveries_total");
+            assert_eq!(recoveries, 1, "{label}");
             // Every slice — the rebuilt one included — holds the same
             // registry at the same version.
             let registries: Vec<(usize, u64)> = run
+                .report
                 .platforms
                 .iter()
                 .map(|p| (p.workers.len(), p.workers.version()))
@@ -520,7 +381,6 @@ fn a_replica_recovers_after_200_registrations() {
 #[test]
 fn a_project_migrates_after_200_registrations() {
     let rounds = 200;
-    let first = churn_beside_a_live_project(rounds);
     // The migrated project keeps taking traffic at its new owner, beside
     // more churn.
     let second: Vec<PlatformEvent> = (0..72)
@@ -531,20 +391,18 @@ fn a_project_migrates_after_200_registrations() {
             ]
         })
         .collect();
+    let halves = [churn_beside_a_live_project(rounds), second];
+    let submitted = halves[0].len() + halves[1].len();
     for shards in [2usize, 4] {
-        let clean = run_halves(ShardedRuntime::new(config(shards)), &first, &second, |_| {});
+        let reference = Reference::run(&Run::at(shards).batches(&halves).0, submitted);
         // Off replica 1: to the coordinator, and to every other replica.
         for to in (0..shards).filter(|&to| to != 1) {
-            let rt = ShardedRuntime::new(config(shards));
-            let run = run_halves(rt, &first, &second, |rt| {
-                assert_eq!(rt.owner_of(ProjectId(2)), 1);
-                let moved = rt.migrate_project(ProjectId(2), to).unwrap();
-                assert!(moved > 0, "the seeded project carries tasks");
-                assert_eq!(rt.owner_of(ProjectId(2)), to);
-            });
+            let config = Run::at(shards).migrate(Some((ProjectId(2), to)));
+            let (run, _) = config.batches(&halves);
             let label = format!("migrate 1 → {to} at {shards} shards");
-            assert_equivalent(&clean, &run, &label).unwrap();
-            let sentences = run.platforms[to]
+            assert_eq!(run.moved, Some((ProjectId(2), to)), "{label}");
+            expect_equivalent(&reference, &run, &label);
+            let sentences = run.report.platforms[to]
                 .project(ProjectId(2))
                 .unwrap()
                 .engine

@@ -3,33 +3,27 @@
 //!
 //! The scenario layer's half of the determinism contract
 //! (ARCHITECTURE.md §5): a recorded scenario stream *is* the decision
-//! shadow's journal, so pushing it through `ShardedRuntime` mailboxes
-//! must produce
-//!
-//! * a merged journal **byte-identical** to the serial `Driver` journal,
-//! * a replay with a byte-identical `state_dump()`,
-//! * a report equal to the single-threaded run field for field, with the
-//!   platform-side fields recomputed from the owner shards (per-project
-//!   counters + project-ledger points), not from the shadow;
-//!
-//! and all of it at 1, 2 and 4 shards (plus `RUNTIME_SHARDS`). The second
-//! property extends this to **three concurrently streamed scenarios** —
+//! shadow's journal, so pushing it through `ShardedRuntime` mailboxes at
+//! 1, 2 and 4 shards (plus `RUNTIME_SHARDS`) must equal the serial run by
+//! the `tests/common` oracle, and produce a report equal to the
+//! single-threaded run field for field, its platform-side fields
+//! recomputed from the owner shards. The second property extends this to
 //! the `mixed` workload: translation, journalism and surveillance
-//! interleaved by timestamp through one gate, with per-scenario id
-//! remapping keeping them disjoint. The serial reference there is
-//! `stream::apply_stream` on a single platform (the same merged stream,
-//! applied by one thread), so the byte-identity holds across shard counts
-//! *and* against the serial composite.
+//! interleaved by timestamp through one gate, per-scenario id remapping
+//! keeping them disjoint, against `stream::apply_stream` of the same
+//! merged stream on one platform.
 //!
 //! Deliberately tiny mailboxes (capacity 8 and 1, and a dedicated
 //! capacity-1 test on the mixed workload) make the producer block on
 //! backpressure, so the properties also pin that a blocked submission
 //! never reorders a stream and is admitted, and counted, once.
 
+mod common;
+
+use common::*;
 use crowd4u::collab::Scheme;
 use crowd4u::core::controller::AlgorithmChoice;
 use crowd4u::core::platform::Crowd4U;
-use crowd4u::runtime::prelude::*;
 use crowd4u::runtime::scenario::stream_traces;
 use crowd4u::scenarios::stream::{
     apply_stream, merge_traces, record_scheme, MergedStream, ScenarioTrace, StreamOp,
@@ -38,31 +32,16 @@ use crowd4u::scenarios::{mixed, ScenarioConfig, ScenarioReport};
 use crowd4u::telemetry::stage;
 use proptest::prelude::*;
 
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    let env = crowd4u::runtime::router::shards_from_env(0);
-    if env > 0 && !counts.contains(&env) {
-        counts.push(env);
-    }
-    counts
-}
-
-fn runtime(shards: usize, mailbox_capacity: usize) -> ShardedRuntime {
-    ShardedRuntime::new(RuntimeConfig {
-        shards,
-        drain_every: 0,
-        mailbox_capacity,
-        recovery: false,
-    })
-}
-
-/// Serial reference for a set of traces: the merged stream applied by one
-/// thread to one platform. Returns (journal dump, state dump, dropped).
-fn serial_reference(traces: &[ScenarioTrace]) -> (String, String, u64) {
-    let merged = merge_traces(traces);
-    let mut platform = Crowd4U::new();
-    let dropped = apply_stream(&mut platform, &merged).expect("serial apply");
-    (platform.journal().dump(), platform.state_dump(), dropped)
+/// Stream `traces` through a coordinated runtime of `shards` shards and
+/// `capacity`-slot mailboxes; returns the run and the scenario reports.
+fn stream(
+    shards: usize,
+    capacity: usize,
+    traces: &[ScenarioTrace],
+) -> (Outcome, Vec<ScenarioReport>) {
+    Run::at(shards)
+        .capacity(capacity)
+        .run(|rt| stream_traces(rt, traces).expect("stream"))
 }
 
 fn assert_reports_equal(got: &ScenarioReport, want: &ScenarioReport, label: &str) {
@@ -117,36 +96,20 @@ proptest! {
         // The recording *is* the serial run: its shadow report is the
         // single-threaded reference.
         let trace = record_scheme(scheme, &cfg).expect("record");
-        let (serial_journal, serial_dump, serial_dropped) =
-            serial_reference(std::slice::from_ref(&trace));
-        prop_assert_eq!(serial_dropped, 0, "a lone stream never drops");
+        let traces = std::slice::from_ref(&trace);
+        let serial = Reference::stream(&merge_traces(traces));
+        prop_assert_eq!(serial.dropped, 0, "a lone stream never drops");
 
-        let events = merge_traces(std::slice::from_ref(&trace))
-            .ops
-            .iter()
-            .filter(|(_, op)| matches!(op, StreamOp::Event(_)))
-            .count() as u64;
-        for (shards, capacity) in shard_counts().into_iter().flat_map(|s| [(s, 8), (s, 1)]) {
-            let rt = runtime(shards, capacity);
-            let reports = stream_traces(&rt, std::slice::from_ref(&trace)).expect("stream");
+        for (shards, capacity) in shard_counts(&[1, 2, 4]).into_iter().flat_map(|s| [(s, 8), (s, 1)]) {
+            let (run, reports) = stream(shards, capacity, traces);
             // One admission per event, whether it went straight through
             // (`path="direct"`) or waited on a full mailbox
             // (`path="waited"`): a bounced event is not counted twice.
             prop_assert_eq!(
-                rt.metrics().histogram_count(stage::GATE_ADMIT), events,
+                run.metrics.histogram_count(stage::GATE_ADMIT), serial.submitted,
                 "admissions at {} shards, capacity {}", shards, capacity
             );
-            let run = rt.finish().expect("finish");
-            prop_assert_eq!(run.stats.dropped, 0, "dropped at {} shards", shards);
-            prop_assert_eq!(
-                run.journal.dump(), serial_journal.clone(),
-                "journal mismatch at {} shards", shards
-            );
-            let replayed = Crowd4U::replay(&run.journal).expect("replay");
-            prop_assert_eq!(
-                replayed.state_dump(), serial_dump.clone(),
-                "state mismatch at {} shards", shards
-            );
+            assert_equivalent(&serial, &run, scheme.name())?;
             assert_reports_equal(&reports[0], &trace.shadow, scheme.name());
         }
     }
@@ -166,27 +129,13 @@ proptest! {
             .with_items(items)
             .with_seed(seed);
         let traces = mixed::record(&cfg).expect("record");
-        let (serial_journal, serial_dump, serial_dropped) = serial_reference(&traces);
-        let serial = mixed::run(&cfg).expect("serial mixed");
+        let serial = Reference::stream(&merge_traces(&traces));
+        let serial_run = mixed::run(&cfg).expect("serial mixed");
 
-        for shards in shard_counts() {
-            let rt = runtime(shards, 16);
-            let reports = stream_traces(&rt, &traces).expect("stream");
-            let run = rt.finish().expect("finish");
-            prop_assert_eq!(
-                run.stats.dropped, serial_dropped,
-                "dropped mismatch at {} shards", shards
-            );
-            prop_assert_eq!(
-                run.journal.dump(), serial_journal.clone(),
-                "journal mismatch at {} shards", shards
-            );
-            let replayed = Crowd4U::replay(&run.journal).expect("replay");
-            prop_assert_eq!(
-                replayed.state_dump(), serial_dump.clone(),
-                "state mismatch at {} shards", shards
-            );
-            for (got, want) in reports.iter().zip(&serial.reports) {
+        for shards in shard_counts(&[1, 2, 4]) {
+            let (run, reports) = stream(shards, 16, &traces);
+            assert_equivalent(&serial, &run, "mixed")?;
+            for (got, want) in reports.iter().zip(&serial_run.reports) {
                 assert_reports_equal(got, want, want.scheme.name());
             }
         }
@@ -204,19 +153,10 @@ fn capacity_one_mailbox_stream_replays_byte_identically_after_retries() {
         .with_items(2)
         .with_seed(41);
     let traces = mixed::record(&cfg).expect("record");
-    let (serial_journal, serial_dump, serial_dropped) = serial_reference(&traces);
+    let serial = Reference::stream(&merge_traces(&traces));
     for shards in [1usize, 2] {
-        let rt = runtime(shards, 1);
-        stream_traces(&rt, &traces).expect("stream");
-        let run = rt.finish().expect("finish");
-        assert_eq!(run.stats.dropped, serial_dropped);
-        assert_eq!(
-            run.journal.dump(),
-            serial_journal,
-            "retries reordered the stream at {shards} shards"
-        );
-        let replayed = Crowd4U::replay(&run.journal).expect("replay");
-        assert_eq!(replayed.state_dump(), serial_dump);
+        let (run, _) = stream(shards, 1, &traces);
+        expect_equivalent(&serial, &run, "retries must not reorder the stream");
     }
 }
 
@@ -363,20 +303,11 @@ out(X, Y) :- item(X), label(X, Y).
     // Tagged merge (the fix): B's clock lives in its own domain, A's
     // deadline survives, both undertakes land — and the streamed run
     // stays byte-identical to the serial composite at every shard count.
-    let (serial_journal, serial_dump, serial_dropped) = serial_reference(&traces);
-    assert_eq!(serial_dropped, 0, "owner tags must isolate the deadline");
-    for shards in shard_counts() {
-        let rt = runtime(shards, 16);
-        stream_traces(&rt, &traces).expect("stream");
-        let run = rt.finish().expect("finish");
-        assert_eq!(run.stats.dropped, 0, "dropped at {shards} shards");
-        assert_eq!(
-            run.journal.dump(),
-            serial_journal,
-            "journal mismatch at {shards} shards"
-        );
-        let replayed = Crowd4U::replay(&run.journal).expect("replay");
-        assert_eq!(replayed.state_dump(), serial_dump);
+    let serial = Reference::stream(&merge_traces(&traces));
+    assert_eq!(serial.dropped, 0, "owner tags must isolate the deadline");
+    for shards in shard_counts(&[1, 2, 4]) {
+        let (run, _) = stream(shards, 16, &traces);
+        let replayed = expect_equivalent(&serial, &run, "tagged clocks");
         assert_eq!(
             replayed
                 .project(ProjectId(1))
@@ -457,62 +388,48 @@ fn scenario_streams_coexist_with_routed_events() {
         record_scheme(Scheme::Sequential, &cfg).unwrap(),
         record_scheme(Scheme::Hybrid, &cfg).unwrap(),
     ];
-    let rt = runtime(2, 64);
-    let reports = stream_traces(&rt, &traces).unwrap();
+    // The translation scenario's project streams in first, so the remap
+    // assigns it id 1 (owner shard 0) and surveillance id 2 (shard 1).
+    // Routed traffic aimed at the *scenario's* project: a late worker and
+    // an extra utterance, through the ordinary gate path.
+    let late = vec![
+        PlatformEvent::WorkerRegistered {
+            profile: WorkerProfile::new(WorkerId(1000), "late"),
+        },
+        PlatformEvent::FactSeeded {
+            project: ProjectId(1),
+            pred: "utterance".into(),
+            values: vec![
+                crowd4u::storage::prelude::Value::Id(99),
+                "late speech".into(),
+            ],
+        },
+    ];
+    // The serial reference: the merged streams, then the routed tail and
+    // the drain after it, applied by one thread.
+    let mut merged = merge_traces(&traces);
+    let tail = late.iter().map(|e| StreamOp::Event(e.clone()));
+    merged
+        .ops
+        .extend(tail.chain([StreamOp::Drain]).map(|op| (0, op)));
+    let reference = Reference::stream(&merged);
+    assert_eq!(reference.dropped, 0);
+
+    let (run, reports) = Run::at(2).capacity(64).run(|rt| {
+        let reports = stream_traces(rt, &traces).unwrap();
+        rt.submit_batch(late);
+        rt.drain();
+        reports
+    });
     for (report, trace) in reports.iter().zip(&traces) {
         assert_reports_equal(report, &trace.shadow, trace.scheme.name());
     }
-    // The translation scenario's project streamed in first, so the remap
-    // assigned it id 1 (owner shard 0) and surveillance id 2 (shard 1).
-    // Routed traffic aimed at the *scenario's* project: a late worker and
-    // an extra utterance, through the ordinary gate path.
-    rt.submit(PlatformEvent::WorkerRegistered {
-        profile: WorkerProfile::new(WorkerId(1000), "late"),
-    });
-    rt.submit(PlatformEvent::FactSeeded {
-        project: ProjectId(1),
-        pred: "utterance".into(),
-        values: vec![
-            crowd4u::storage::prelude::Value::Id(99),
-            "late speech".into(),
-        ],
-    });
-    rt.drain();
-    let run = rt.finish().unwrap();
-    assert_eq!(run.stats.dropped, 0);
-    // Projects landed round-robin across both shards.
-    let owners: Vec<usize> = run
-        .platforms
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.project_ids().is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(owners, vec![0, 1], "projects should span both shards");
+    // The whole history — scenario streams plus routed tail — replays from
+    // one journal, and each project, the late fact included, is on its
+    // round-robin owner: the projects span both shards.
+    let replayed = expect_equivalent(&reference, &run, "scenario streams + routed tail");
     // The drain surfaced the late utterance as a new transcribe task on
-    // the scenario's project, and the whole history — scenario streams
-    // plus routed tail — still replays from one journal.
-    let replayed = Crowd4U::replay(&run.journal).unwrap();
+    // the scenario's project.
     assert!(!replayed.pool().open_tasks(Some(ProjectId(1))).is_empty());
     assert!(replayed.workers.get(WorkerId(1000)).is_ok());
-    // The owner shard saw the same late fact the replay derived.
-    let owner = run
-        .platforms
-        .iter()
-        .find(|p| p.project_ids().contains(&ProjectId(1)))
-        .expect("owner slice");
-    assert_eq!(
-        owner
-            .project(ProjectId(1))
-            .unwrap()
-            .engine
-            .fact_count("utterance")
-            .unwrap(),
-        replayed
-            .project(ProjectId(1))
-            .unwrap()
-            .engine
-            .fact_count("utterance")
-            .unwrap(),
-    );
 }

@@ -1,35 +1,27 @@
 //! Property: sharded execution is observationally identical to
 //! single-threaded execution. For any multi-project event stream — worker
-//! registrations, **re-registration churn and crowd bursts** (each a
-//! broadcast: recorded on the coordinator, installed on every replica
-//! from its mailbox), a project that screens eligibility with a CyLog
-//! rule beside factor-screened ones, fact seeds, blind-guess
-//! answers/interest/assignment on predictable project-strided task ids,
-//! clock advances — a run through the `ShardedRuntime` at 1, 2 and 4
-//! shards must:
+//! registrations, **re-registration churn and crowd bursts** (broadcasts:
+//! recorded on the coordinator, filed as a copy on every replica), a
+//! project that screens eligibility with a CyLog rule beside
+//! factor-screened ones, fact seeds, blind-guess answers, interest and
+//! assignments on predictable project-strided task ids, clock advances —
+//! a run through the `ShardedRuntime` at 1, 2 and 4 shards (plus
+//! `RUNTIME_SHARDS`) equals the serial `apply_batch` path by the
+//! `tests/common` oracle: the same drops, and a byte-identical merged
+//! journal and replayed `state_dump()`. In streaming mode it equals the
+//! same stream streamed through other mailboxes with telemetry off.
 //!
-//! * drop exactly the events the single-threaded `apply_batch` path
-//!   rejects (stale/invalid worker actions), and count them identically;
-//! * produce a merged journal (per-shard streams stitched by global
-//!   sequence number) byte-identical to the serial platform's journal;
-//! * replay that journal to a byte-identical
-//!   [`Crowd4U::state_dump`](crowd4u::core::platform::Crowd4U::state_dump).
-//!
-//! This extends the PR 2 batch-equivalence guarantee to parallel
-//! execution. A second property extends it to **concurrent submission**:
-//! ops fanned in from 4 producer threads through cloned `IngestGate`
-//! handles (tiny mailboxes, blocking backpressure) must merge to a journal
-//! byte-identical to a serial run in the gate's global-sequence order.
-//! A third (PR 9) re-runs that fan-in under **chaos**: a random shard is
-//! killed at a random applied-event count mid-fan-in and crash-recovered
-//! by journal-slice replay — the same seq-order equivalence must hold,
-//! with blocked submitters parked (not failed) across the rebuild.
-//! Set `RUNTIME_SHARDS` to test an extra shard count (CI runs with
-//! `RUNTIME_SHARDS=4`).
+//! A second property extends this to **concurrent submission**: ops fanned
+//! in from 4 producer threads through cloned `IngestGate` handles (tiny
+//! mailboxes, blocking backpressure) equal a serial run in the gate's
+//! global-sequence order. A third (PR 9) re-runs that fan-in under
+//! **chaos**: a random shard is killed anywhere in the stream and
+//! crash-recovered by journal-slice replay, with blocked submitters parked
+//! (not failed) across the rebuild.
 
 mod common;
 
-use common::{build_events, crowd_task, op_events, raw_op, setup_events, team_crowd};
+use common::*;
 use crowd4u::core::controller::{
     candidates_from_profiles, constraints_from_factors, suggest_team, AlgorithmChoice,
 };
@@ -38,12 +30,52 @@ use crowd4u::core::platform::Crowd4U;
 use crowd4u::core::task::TaskState;
 use crowd4u::forms::admin::DesiredFactors;
 use crowd4u::runtime::prelude::*;
-use crowd4u::storage::snapshot;
-use crowd4u::telemetry::Registry;
 use proptest::prelude::*;
 
-fn chunked(events: &[PlatformEvent], batch: usize) -> Vec<Vec<PlatformEvent>> {
-    events.chunks(batch.max(1)).map(|c| c.to_vec()).collect()
+/// At every shard count: `batch`-sized batches, each drained, against the
+/// serial platform; then the whole stream in streaming mode (auto-drains
+/// every `batch` events, so the merged journal holds per-project `sync`
+/// entries and is not the serial journal) through 8-slot mailboxes with
+/// telemetry off, against the same stream streamed through 1 024-slot
+/// mailboxes with telemetry on.
+fn serial_property(
+    n_projects: usize,
+    items: usize,
+    batch: usize,
+    ops: &[RawOp],
+) -> Result<(), TestCaseError> {
+    let events = build_events(n_projects, items, ops);
+    let batches: Vec<_> = events.chunks(batch).map(<[_]>::to_vec).collect();
+    let serial = Reference::serial(&batches);
+    let whole = [events.clone()];
+    for shards in shard_counts(&[1, 2, 4]) {
+        assert_equivalent(&serial, &Run::at(shards).batches(&batches).0, "coordinated")?;
+        let streaming = Run::at(shards).drain_every(batch);
+        let streamed = Reference::run(&streaming.batches(&whole).0, events.len());
+        let run = streaming.capacity(8).telemetry(Telemetry::Off);
+        assert_equivalent(&streamed, &run.batches(&whole).0, "streaming")?;
+    }
+    Ok(())
+}
+
+/// The set-up drained, then the ops fanned in from 4 submitter threads
+/// through 8-slot mailboxes (blocking backpressure), against the serial
+/// platform applying the same events in the gate's global-sequence order.
+/// `faults` picks a run's fault plan from its shard count and the batches.
+fn fan_in_property(
+    n_projects: usize,
+    items: usize,
+    ops: &[RawOp],
+    faults: impl Fn(usize, &[Vec<PlatformEvent>]) -> FaultPlan,
+) -> Result<(), TestCaseError> {
+    let mut batches = vec![setup_events(n_projects, items)];
+    batches.extend(ops.iter().map(|op| op_events(n_projects, items, op)));
+    for shards in shard_counts(&[2, 4]) {
+        let config = Run::at(shards).capacity(8).submitters(4);
+        let (run, sequenced) = config.faults(faults(shards, &batches)).batches(&batches);
+        assert_equivalent(&Reference::serial(&sequenced), &run, "4 submitters")?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -58,97 +90,7 @@ proptest! {
             0..40,
         ),
     ) {
-        let events = build_events(n_projects, items, &ops);
-        let batches = chunked(&events, batch);
-
-        // Single-threaded reference: one batch, one drain — repeatedly.
-        let mut serial = Crowd4U::new();
-        let mut serial_dropped = 0u64;
-        for b in &batches {
-            let report = serial.apply_batch(b.clone()).unwrap();
-            serial_dropped += report.errors.len() as u64;
-        }
-        let serial_journal = serial.journal().dump();
-        let serial_dump = serial.state_dump();
-
-        let mut shard_counts = vec![1usize, 2, 4];
-        let env_shards = crowd4u::runtime::router::shards_from_env(0);
-        if env_shards > 0 && !shard_counts.contains(&env_shards) {
-            shard_counts.push(env_shards);
-        }
-        for shards in shard_counts {
-            let rt = ShardedRuntime::new(RuntimeConfig {
-                shards,
-                drain_every: 0,
-                mailbox_capacity: 1024,
-                recovery: false,
-            });
-            for b in &batches {
-                rt.submit_batch(b.clone());
-                rt.drain();
-            }
-            let run = rt.finish().unwrap();
-
-            // Identical drop accounting (stale-event parity).
-            prop_assert_eq!(
-                run.stats.dropped, serial_dropped,
-                "dropped mismatch at {} shards", shards
-            );
-            prop_assert_eq!(
-                run.stats.applied + run.stats.dropped,
-                events.len() as u64,
-                "event accounting mismatch at {} shards", shards
-            );
-            // Merged journal byte-identical to the serial journal…
-            prop_assert_eq!(
-                run.journal.dump(), serial_journal.clone(),
-                "journal mismatch at {} shards", shards
-            );
-            // …and it replays to a byte-identical platform state.
-            let replayed = Crowd4U::replay(&run.journal).unwrap();
-            prop_assert_eq!(
-                replayed.state_dump(), serial_dump.clone(),
-                "state mismatch at {} shards", shards
-            );
-            // The merged journal is the run's only event history: every
-            // slice handed back its entries to the ledger.
-            prop_assert!(
-                run.platforms.iter().all(|p| p.journal().is_empty()),
-                "a slice kept journal entries at {} shards", shards
-            );
-
-            // Streaming mode: auto-drains put per-project `sync` entries
-            // into the merged journal, so it is not the serial journal —
-            // but it still accounts for every event, leaves no slice
-            // journal behind, and replays to each owner slice's project.
-            let rt = ShardedRuntime::new(RuntimeConfig {
-                shards,
-                drain_every: batch,
-                mailbox_capacity: 1024,
-                recovery: false,
-            });
-            rt.submit_batch(events.clone());
-            rt.drain();
-            let run = rt.finish().unwrap();
-            prop_assert_eq!(
-                run.stats.applied + run.stats.dropped,
-                events.len() as u64,
-                "streaming event accounting mismatch at {} shards", shards
-            );
-            prop_assert!(
-                run.platforms.iter().all(|p| p.journal().is_empty()),
-                "a streaming slice kept journal entries at {} shards", shards
-            );
-            let replayed = Crowd4U::replay(&run.journal).unwrap();
-            for id in replayed.project_ids() {
-                let owner = &run.platforms[(id.0 as usize - 1) % shards];
-                prop_assert_eq!(
-                    snapshot::dump(replayed.project(id).unwrap().engine.database()),
-                    snapshot::dump(owner.project(id).unwrap().engine.database()),
-                    "streaming replay of project {} diverges at {} shards", id, shards
-                );
-            }
-        }
+        shrinking(&ops, |ops| serial_property(n_projects, items, batch, ops))?;
     }
 
     /// The gate extension of the property: the same guarantees hold when
@@ -168,76 +110,9 @@ proptest! {
             4..48,
         ),
     ) {
-        const SUBMITTERS: usize = 4;
-        let setup = setup_events(n_projects, items);
-
-        for shards in [2usize, 4] {
-            let rt = ShardedRuntime::new(RuntimeConfig {
-                shards,
-                drain_every: 0,
-                mailbox_capacity: 8, // tiny: force blocking backpressure
-                recovery: false,
-            });
-            rt.submit_batch(setup.clone());
-            rt.drain();
-
-            // Fan the ops in round-robin over 4 submitter threads; each
-            // thread keeps (seq, event) for the serial reference.
-            let mut streams: Vec<Vec<PlatformEvent>> = vec![Vec::new(); SUBMITTERS];
-            for (k, op) in ops.iter().enumerate() {
-                streams[k % SUBMITTERS].extend(op_events(n_projects, items, op));
-            }
-            let submitted: usize = streams.iter().map(Vec::len).sum();
-            let handles: Vec<_> = streams
-                .into_iter()
-                .map(|stream| {
-                    let gate = rt.gate();
-                    std::thread::spawn(move || {
-                        stream
-                            .into_iter()
-                            .map(|e| (gate.submit(e.clone()).expect("runtime alive"), e))
-                            .collect::<Vec<(u64, PlatformEvent)>>()
-                    })
-                })
-                .collect();
-            let mut stamped: Vec<(u64, PlatformEvent)> = Vec::new();
-            for h in handles {
-                stamped.extend(h.join().expect("submitter thread"));
-            }
-            rt.drain();
-            let run = rt.finish().unwrap();
-
-            // Serial reference: the same events in global-sequence order.
-            stamped.sort_by_key(|(seq, _)| *seq);
-            let ordered: Vec<PlatformEvent> =
-                stamped.into_iter().map(|(_, e)| e).collect();
-            let mut serial = Crowd4U::new();
-            let mut dropped = serial.apply_batch(setup.clone()).unwrap().errors.len() as u64;
-            dropped += serial.apply_batch(ordered).unwrap().errors.len() as u64;
-
-            prop_assert_eq!(
-                run.stats.dropped, dropped,
-                "dropped mismatch at {} shards", shards
-            );
-            prop_assert_eq!(
-                run.stats.applied + run.stats.dropped,
-                (setup.len() + submitted) as u64,
-                "event accounting mismatch at {} shards", shards
-            );
-            prop_assert_eq!(
-                run.journal.dump(), serial.journal().dump(),
-                "journal mismatch at {} shards", shards
-            );
-            let replayed = Crowd4U::replay(&run.journal).unwrap();
-            prop_assert_eq!(
-                replayed.state_dump(), serial.state_dump(),
-                "state mismatch at {} shards", shards
-            );
-            prop_assert!(
-                run.platforms.iter().all(|p| p.journal().is_empty()),
-                "a slice kept journal entries at {} shards", shards
-            );
-        }
+        shrinking(&ops, |ops| {
+            fan_in_property(n_projects, items, ops, |_, _| FaultPlan::none())
+        })?;
     }
 
     /// Chaos extension (PR 9): the same 4-submitter fan-in with a random
@@ -246,7 +121,10 @@ proptest! {
     /// recovering mailbox, so every accepted event still lands exactly
     /// once and the merged journal equals the seq-order serial reference —
     /// the crash is observationally invisible even under concurrent
-    /// submission and backpressure.
+    /// submission and backpressure. The kill point is a fraction of the
+    /// events the stream routes to the shard's recorder, so it can land
+    /// anywhere in the stream (a point past the shard's recorded applies,
+    /// which leave out its drops, is a fault-free run).
     #[test]
     fn concurrent_submitters_survive_a_random_shard_kill(
         n_projects in 2usize..5,
@@ -256,78 +134,15 @@ proptest! {
             8..40,
         ),
         kill_pick in 0usize..16,
-        kill_after in 1u64..8,
+        kill_at in 0.0f64..1.0,
     ) {
-        const SUBMITTERS: usize = 4;
-        let setup = setup_events(n_projects, items);
-
-        for shards in [2usize, 4] {
-            let rt = ShardedRuntime::new_chaos_instrumented(RuntimeConfig {
-                    shards,
-                    drain_every: 0,
-                    mailbox_capacity: 8, // tiny: backpressure + recovery holds
-                    recovery: true,
-                },
-                Registry::new(),
-                FaultPlan::kill(kill_pick % shards, kill_after),
-            );
-            rt.submit_batch(setup.clone());
-            rt.drain();
-
-            let mut streams: Vec<Vec<PlatformEvent>> = vec![Vec::new(); SUBMITTERS];
-            for (k, op) in ops.iter().enumerate() {
-                streams[k % SUBMITTERS].extend(op_events(n_projects, items, op));
-            }
-            let submitted: usize = streams.iter().map(Vec::len).sum();
-            let handles: Vec<_> = streams
-                .into_iter()
-                .map(|stream| {
-                    let gate = rt.gate();
-                    std::thread::spawn(move || {
-                        stream
-                            .into_iter()
-                            .map(|e| (gate.submit(e.clone()).expect("runtime alive"), e))
-                            .collect::<Vec<(u64, PlatformEvent)>>()
-                    })
-                })
-                .collect();
-            let mut stamped: Vec<(u64, PlatformEvent)> = Vec::new();
-            for h in handles {
-                stamped.extend(h.join().expect("submitter thread"));
-            }
-            rt.drain();
-            let run = rt.finish().unwrap();
-
-            stamped.sort_by_key(|(seq, _)| *seq);
-            let ordered: Vec<PlatformEvent> =
-                stamped.into_iter().map(|(_, e)| e).collect();
-            let mut serial = Crowd4U::new();
-            let mut dropped = serial.apply_batch(setup.clone()).unwrap().errors.len() as u64;
-            dropped += serial.apply_batch(ordered).unwrap().errors.len() as u64;
-
-            prop_assert_eq!(
-                run.stats.dropped, dropped,
-                "dropped mismatch at {} shards (chaos)", shards
-            );
-            prop_assert_eq!(
-                run.stats.applied + run.stats.dropped,
-                (setup.len() + submitted) as u64,
-                "event accounting mismatch at {} shards (chaos)", shards
-            );
-            prop_assert_eq!(
-                run.journal.dump(), serial.journal().dump(),
-                "journal mismatch at {} shards (chaos)", shards
-            );
-            let replayed = Crowd4U::replay(&run.journal).unwrap();
-            prop_assert_eq!(
-                replayed.state_dump(), serial.state_dump(),
-                "state mismatch at {} shards (chaos)", shards
-            );
-            prop_assert!(
-                run.platforms.iter().all(|p| p.journal().is_empty()),
-                "a slice kept journal entries at {} shards (chaos)", shards
-            );
-        }
+        shrinking(&ops, |ops| {
+            fan_in_property(n_projects, items, ops, |shards, batches| {
+                let shard = kill_pick % shards;
+                let routed = routed_to(batches.iter().flatten(), shard, shards);
+                FaultPlan::kill(shard, kill_point(routed, kill_at))
+            })
+        })?;
     }
 }
 
@@ -390,22 +205,16 @@ fn the_replica_sweep_op_misses_a_deadline_on_shard_1() {
     let report = serial.apply_batch(events.clone()).unwrap();
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(serial.counters().deadlines_missed, 1);
+    let reference = Reference::of(&serial, 0, events.len());
     for shards in [2usize, 4] {
-        let rt = ShardedRuntime::new(RuntimeConfig {
-            shards,
-            drain_every: 0,
-            mailbox_capacity: 1024,
-            recovery: false,
-        });
-        rt.submit_batch(events.clone());
-        rt.drain();
-        let run = rt.finish().unwrap();
+        let (run, _) = Run::at(shards).batches(&[events.clone()]);
+        expect_equivalent(&reference, &run, "replica sweep");
         let missed: Vec<u64> = run
+            .report
             .platforms
             .iter()
             .map(|p| p.counters().deadlines_missed)
             .collect();
         assert_eq!(missed[..2], [0, 1], "{shards} shards");
-        assert_eq!(run.journal.dump(), serial.journal().dump());
     }
 }

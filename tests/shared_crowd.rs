@@ -4,89 +4,55 @@
 //! per-scenario accounting **partitions** the platform totals exactly.
 //!
 //! For a generated config, the three schemes' traces (recorded over the
-//! same seeded population) merged in [`CrowdMode::Shared`] and streamed
-//! through the gate must, at 1, 2 and 4 shards (plus `RUNTIME_SHARDS`):
+//! same seeded population), merged in `CrowdMode::Shared` and streamed
+//! through the gate at 1, 2 and 4 shards (plus `RUNTIME_SHARDS`), must
 //!
-//! * produce a merged journal **byte-identical** to
-//!   `stream::apply_stream` of the same shared merge on one platform,
-//!   and a replay with a byte-identical `state_dump()`;
-//! * split each shared worker's points per scenario such that every
-//!   scheme's ledger sums to that scheme's report total, equal to the
-//!   scheme's **standalone disjoint run** (sharing a crowd must not leak
-//!   accounting across applications), and the per-worker sums across
-//!   schemes reproduce the platform's `points_of` exactly — no point
-//!   counted twice, none lost;
-//! * report per-worker collab contributions that match the replayed
-//!   platform's `worker_collabs_in` counters (the affinity-history split);
-//! * and survive **chaos**: the same stream with a seed-derived shard
-//!   kill mid-stream (PR 9 recovery) stays byte-identical, splits
-//!   included.
-//!
-//! CI replays this file under `RUNTIME_SHARDS=4` with a pinned
-//! `PROPTEST_SEED`.
+//! * equal `stream::apply_stream` of the same merge on one platform by
+//!   the `tests/common` oracle;
+//! * split each shared worker's points per scenario so that every
+//!   scheme's ledger sums to its report total, equal to the scheme's
+//!   **standalone disjoint run**, and the per-worker sums across schemes
+//!   reproduce the platform's `points_of` exactly;
+//! * report per-worker collab contributions that match the replay's
+//!   `worker_collabs_in` counters (the affinity-history split);
+//! * and survive **chaos**: a shard killed anywhere in the stream (PR 9
+//!   recovery) leaves the run equal to the fault-free one, slices and
+//!   splits included.
 
+mod common;
+
+use common::*;
 use crowd4u::collab::Scheme;
 use crowd4u::core::error::WorkerId;
-use crowd4u::core::platform::Crowd4U;
 use crowd4u::runtime::prelude::*;
-use crowd4u::scenarios::stream::{apply_stream, merge_traces_with, CrowdMode, ScenarioTrace};
+use crowd4u::runtime::scenario::stream_traces_shared;
+use crowd4u::scenarios::stream::{merge_traces_with, CrowdMode};
 use crowd4u::scenarios::{mixed, run_scheme, ScenarioConfig};
-use crowd4u::telemetry::Registry;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    let env = crowd4u::runtime::router::shards_from_env(0);
-    if env > 0 && !counts.contains(&env) {
-        counts.push(env);
-    }
-    counts
-}
-
-fn config(shards: usize, recovery: bool) -> RuntimeConfig {
-    RuntimeConfig {
-        shards,
-        drain_every: 0,
-        mailbox_capacity: 16,
-        recovery,
-    }
-}
-
-/// Serial reference: the shared-crowd merge applied by one thread to one
-/// platform. Returns (journal dump, state dump, dropped). The scenarios
-/// run the default `LocalSearch` algorithm, which is also what a fresh
-/// (and crash-rebuilt) shard slice carries — chaos recovery replays the
-/// shard's ledger onto a default slice, so the test pins the config's
-/// algorithm to the default.
-fn serial_shared_reference(traces: &[ScenarioTrace]) -> (String, String, u64) {
-    let merged = merge_traces_with(traces, CrowdMode::Shared).expect("shared merge");
-    let mut platform = Crowd4U::new();
-    let dropped = apply_stream(&mut platform, &merged).expect("serial apply");
-    (platform.journal().dump(), platform.state_dump(), dropped)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
+    /// The serial reference is the shared-crowd merge applied by one
+    /// thread to one platform.
     #[test]
     fn shared_crowd_streams_replay_identically_and_split_exactly(
         crowd in 12usize..22,
         items in 1usize..3,
         seed in 0u64..1000,
         kill_pick in 0usize..16,
-        kill_after in 1u64..8,
+        kill_at in 0.0f64..1.0,
     ) {
         let cfg = ScenarioConfig::default()
             .with_crowd(crowd)
             .with_items(items)
             .with_seed(seed);
         let traces = mixed::record(&cfg).expect("record");
-        let (serial_journal, serial_dump, serial_dropped) = serial_shared_reference(&traces);
+        let merged = merge_traces_with(&traces, CrowdMode::Shared).expect("shared merge");
+        let serial = Reference::stream(&merged);
         // The authoritative project ids each trace's splits live under.
-        let remaps = merge_traces_with(&traces, CrowdMode::Shared)
-            .expect("shared merge")
-            .remaps;
+        let remaps = merged.remaps;
 
         // The disjoint reference: each scheme run standalone on its own
         // platform. Sharing the crowd must not change what any scheme
@@ -96,24 +62,11 @@ proptest! {
             .map(|s| run_scheme(s, &cfg).expect("standalone"))
             .collect();
 
-        for shards in shard_counts() {
-            let rt = ShardedRuntime::new(config(shards, false));
-            let (reports, splits) =
-                crowd4u::runtime::scenario::stream_traces_shared(&rt, &traces).expect("stream");
-            let run = rt.finish().expect("finish");
-            prop_assert_eq!(
-                run.stats.dropped, serial_dropped,
-                "dropped mismatch at {} shards", shards
-            );
-            prop_assert_eq!(
-                run.journal.dump(), serial_journal.clone(),
-                "journal mismatch at {} shards", shards
-            );
-            let replayed = Crowd4U::replay(&run.journal).expect("replay");
-            prop_assert_eq!(
-                replayed.state_dump(), serial_dump.clone(),
-                "state mismatch at {} shards", shards
-            );
+        for shards in shard_counts(&[1, 2, 4]) {
+            let config = Run::at(shards).capacity(16);
+            let (clean, (reports, splits)) =
+                config.run(|rt| stream_traces_shared(rt, &traces).expect("stream"));
+            let replayed = assert_equivalent(&serial, &clean, "shared crowd")?;
 
             // Per-scheme split totals: ledger == streamed report ==
             // standalone disjoint run.
@@ -172,18 +125,16 @@ proptest! {
                 );
             }
 
-            // Chaos: the very same shared stream with a seed-derived kill
-            // mid-stream; PR 9 recovery must keep it byte-identical,
-            // splits included.
-            let plan = FaultPlan::kill(kill_pick % shards, kill_after);
-            let rt = ShardedRuntime::new_chaos_instrumented(config(shards, true), Registry::new(), plan);
-            let (_, chaos_splits) =
-                crowd4u::runtime::scenario::stream_traces_shared(&rt, &traces).expect("chaos stream");
-            let run = rt.finish().expect("chaos finish");
-            prop_assert_eq!(
-                run.journal.dump(), serial_journal.clone(),
-                "chaos journal mismatch at {} shards", shards
-            );
+            // Chaos: the very same shared stream with a shard killed at a
+            // drawn fraction of its recorded applies in the fault-free
+            // run, so anywhere in the stream; PR 9 recovery must keep it
+            // identical to the fault-free run, slices and splits included.
+            let shard = kill_pick % shards;
+            let applies = clean.report.per_shard[shard].applied;
+            let chaos = config.faults(FaultPlan::kill(shard, kill_point(applies, kill_at)));
+            let (run, (_, chaos_splits)) =
+                chaos.run(|rt| stream_traces_shared(rt, &traces).expect("chaos stream"));
+            assert_equivalent(&Reference::run(&clean, serial.submitted as usize), &run, "chaos")?;
             for (a, b) in chaos_splits.iter().zip(&splits) {
                 prop_assert_eq!(&a.points, &b.points, "chaos split points diverged");
                 prop_assert_eq!(&a.collabs, &b.collabs, "chaos split collabs diverged");
